@@ -1,5 +1,5 @@
 // Scale bench — the out-of-core claim (DESIGN.md §16). Drives
-// study::run_scale_study: the event engine spills each vantage point's
+// study::run_scale_study: the trace driver spills each vantage point's
 // flows to YFL2 on disk, then the incremental §VII modules stream the
 // spills back in O(block) memory. The deliverable is two numbers in
 // BENCH_results.json's internal_counters: scale.sessions_per_sec

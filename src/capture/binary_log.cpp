@@ -14,13 +14,13 @@ namespace ytcdn::capture {
 
 namespace {
 
-constexpr char kMagicV1[4] = {'Y', 'F', 'L', '1'};
-constexpr char kMagicV2[4] = {'Y', 'F', 'L', '2'};
+constexpr char kMagic[4] = {'Y', 'F', 'L', '2'};
 constexpr char kTrailerMagic[4] = {'Y', 'F', 'L', 'E'};
-constexpr std::uint32_t kVersionV1 = 1;
-constexpr std::uint32_t kVersionV2 = 2;
-constexpr std::size_t kHeaderSizeV1 = 4 + 4 + 8;
-constexpr std::size_t kHeaderSizeV2 = 4 + 4 + 8 + 4;  // + header CRC
+constexpr std::uint32_t kVersion = 2;
+// magic + version + count: the shortest stream whose magic and version are
+// checked; anything shorter is reported as a truncated header.
+constexpr std::size_t kPreambleSize = 4 + 4 + 8;
+constexpr std::size_t kHeaderSize = kPreambleSize + 4;  // + header CRC
 constexpr std::size_t kRecordSize = 4 + 4 + 8 + 8 + 8 + 8 + 1;
 constexpr std::size_t kBlockHeaderSize = 4 + 4;  // records-in-block + CRC
 constexpr std::size_t kTrailerSize = 4 + 8 + 4;  // magic + count + CRC
@@ -83,45 +83,21 @@ util::Result<FlowRecord> parse_record(const char* p, std::uint64_t index,
     return r;
 }
 
-util::Result<std::vector<FlowRecord>> parse_v1(const std::string& data) {
-    const char* p = data.data() + sizeof(kMagicV1) + sizeof(std::uint32_t);
-    const auto count = take<std::uint64_t>(p);
-    // Reject counts the stream cannot possibly hold before doing size
-    // arithmetic with them: a tampered count must not overflow
-    // binary_log_size_v1 into a value that happens to match.
-    if (count > (data.size() - kHeaderSizeV1) / kRecordSize ||
-        data.size() != binary_log_size_v1(count)) {
-        return Error(ErrorCode::CountMismatch,
-                     "v1 size mismatch: declared " + std::to_string(count) +
-                         " records (" + std::to_string(binary_log_size_v1(count)) +
-                         " bytes), stream holds " + std::to_string(data.size()));
-    }
-    std::vector<FlowRecord> out;
-    out.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t offset = kHeaderSizeV1 + i * kRecordSize;
-        auto record = parse_record(data.data() + offset, i, offset);
-        if (!record) return record.error();
-        out.push_back(std::move(record).value());
-    }
-    return out;
-}
-
 util::Result<std::vector<FlowRecord>> parse_v2(const std::string& data) {
-    if (data.size() < kHeaderSizeV2 + kTrailerSize) {
+    if (data.size() < kHeaderSize + kTrailerSize) {
         return Error(ErrorCode::Truncated, "truncated v2 header/trailer");
     }
     const std::uint32_t header_crc =
-        util::crc32(std::string_view(data).substr(0, kHeaderSizeV2 - 4));
-    const char* p = data.data() + sizeof(kMagicV2) + sizeof(std::uint32_t);
+        util::crc32(std::string_view(data).substr(0, kHeaderSize - 4));
+    const char* p = data.data() + sizeof(kMagic) + sizeof(std::uint32_t);
     const auto count = take<std::uint64_t>(p);
     if (take<std::uint32_t>(p) != header_crc) {
         return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
-                             kHeaderSizeV2 - 4);
+                             kHeaderSize - 4);
     }
-    // As in parse_v1: bound the count before size arithmetic so a tampered
-    // value cannot overflow binary_log_size into a spurious match.
-    if (count > (data.size() - kHeaderSizeV2 - kTrailerSize) / kRecordSize ||
+    // Bound the count before size arithmetic so a tampered value cannot
+    // overflow binary_log_size into a spurious match.
+    if (count > (data.size() - kHeaderSize - kTrailerSize) / kRecordSize ||
         data.size() != binary_log_size(count)) {
         return Error(ErrorCode::CountMismatch,
                      "v2 size mismatch: declared " + std::to_string(count) +
@@ -131,7 +107,7 @@ util::Result<std::vector<FlowRecord>> parse_v2(const std::string& data) {
 
     std::vector<FlowRecord> out;
     out.reserve(count);
-    std::uint64_t offset = kHeaderSizeV2;
+    std::uint64_t offset = kHeaderSize;
     std::uint64_t record_index = 0;
     for (std::uint64_t block = 0; block < num_blocks(count); ++block) {
         const std::uint64_t expected =
@@ -194,8 +170,8 @@ util::Result<std::vector<FlowRecord>> parse_v2(const std::string& data) {
 std::string serialize_v2(const std::vector<FlowRecord>& records) {
     std::string buf;
     buf.reserve(binary_log_size(records.size()));
-    buf.append(kMagicV2, sizeof(kMagicV2));
-    put<std::uint32_t>(buf, kVersionV2);
+    buf.append(kMagic, sizeof(kMagic));
+    put<std::uint32_t>(buf, kVersion);
     put<std::uint64_t>(buf, records.size());
     put<std::uint32_t>(buf, util::crc32(buf));
 
@@ -222,29 +198,14 @@ std::string serialize_v2(const std::vector<FlowRecord>& records) {
 }  // namespace
 
 std::size_t binary_log_size(std::size_t n) noexcept {
-    return kHeaderSizeV2 + num_blocks(n) * kBlockHeaderSize + n * kRecordSize +
+    return kHeaderSize + num_blocks(n) * kBlockHeaderSize + n * kRecordSize +
            kTrailerSize;
-}
-
-std::size_t binary_log_size_v1(std::size_t n) noexcept {
-    return kHeaderSizeV1 + n * kRecordSize;
 }
 
 void write_binary_log(std::ostream& os, const std::vector<FlowRecord>& records) {
     const std::string buf = serialize_v2(records);
     os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     if (!os) throw Error(ErrorCode::Io, "write_binary_log: stream write failed");
-}
-
-void write_binary_log_v1(std::ostream& os, const std::vector<FlowRecord>& records) {
-    std::string buf;
-    buf.reserve(binary_log_size_v1(records.size()));
-    buf.append(kMagicV1, sizeof(kMagicV1));
-    put<std::uint32_t>(buf, kVersionV1);
-    put<std::uint64_t>(buf, records.size());
-    for (const auto& r : records) put_record(buf, r);
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    if (!os) throw Error(ErrorCode::Io, "write_binary_log_v1: stream write failed");
 }
 
 util::Result<void> write_binary_log_result(const std::filesystem::path& path,
@@ -261,28 +222,20 @@ void write_binary_log(const std::filesystem::path& path,
 util::Result<std::vector<FlowRecord>> read_binary_log_result(std::istream& is) {
     std::string data{std::istreambuf_iterator<char>(is),
                      std::istreambuf_iterator<char>()};
-    if (data.size() < kHeaderSizeV1) {
+    if (data.size() < kPreambleSize) {
         return Error(ErrorCode::Truncated,
                      "truncated header: " + std::to_string(data.size()) + " bytes");
     }
-    const char* p = data.data() + sizeof(kMagicV1);
-    const char* magic = data.data();
+    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+        return error_at_byte(ErrorCode::BadMagic, "bad magic", 0);
+    }
+    const char* p = data.data() + sizeof(kMagic);
     const auto version = take<std::uint32_t>(p);
-    if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-        if (version != kVersionV1) {
-            return Error(ErrorCode::UnsupportedVersion,
-                         "magic YFL1 with version " + std::to_string(version));
-        }
-        return parse_v1(data);
+    if (version != kVersion) {
+        return Error(ErrorCode::UnsupportedVersion,
+                     "magic YFL2 with version " + std::to_string(version));
     }
-    if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
-        if (version != kVersionV2) {
-            return Error(ErrorCode::UnsupportedVersion,
-                         "magic YFL2 with version " + std::to_string(version));
-        }
-        return parse_v2(data);
-    }
-    return error_at_byte(ErrorCode::BadMagic, "bad magic", 0);
+    return parse_v2(data);
 }
 
 util::Result<std::vector<FlowRecord>> read_binary_log_result(
@@ -311,8 +264,8 @@ namespace {
 /// zero-count write and the finish()-time patch, so both take the exact
 /// serialize_v2 layout).
 std::string v2_header(std::uint64_t count) {
-    std::string header(kMagicV2, sizeof(kMagicV2));
-    put<std::uint32_t>(header, kVersionV2);
+    std::string header(kMagic, sizeof(kMagic));
+    put<std::uint32_t>(header, kVersion);
     put<std::uint64_t>(header, count);
     put<std::uint32_t>(header, util::crc32(header));
     return header;
@@ -403,7 +356,7 @@ util::Result<FlowLogReader> FlowLogReader::open(const std::filesystem::path& pat
     out.reader_ = std::move(reader).value();
     out.chunk_ = chunk_bytes == 0 ? 1 : chunk_bytes;
 
-    auto have = out.fill(kHeaderSizeV1);
+    auto have = out.fill(kPreambleSize);
     if (!have) return std::move(have).error();
     if (!have.value()) {
         return Error(ErrorCode::Truncated,
@@ -411,62 +364,41 @@ util::Result<FlowLogReader> FlowLogReader::open(const std::filesystem::path& pat
                          std::to_string(out.buf_.size() - out.pos_) + " bytes");
     }
     const char* p = out.buf_.data() + out.pos_;
-    const bool v1 = std::memcmp(p, kMagicV1, sizeof(kMagicV1)) == 0;
-    const bool v2 = std::memcmp(p, kMagicV2, sizeof(kMagicV2)) == 0;
-    if (!v1 && !v2) return error_at_byte(ErrorCode::BadMagic, "bad magic", 0);
-    p += sizeof(kMagicV1);
-    const auto version = take<std::uint32_t>(p);
-    if (v1) {
-        if (version != kVersionV1) {
-            return Error(ErrorCode::UnsupportedVersion,
-                         "magic YFL1 with version " + std::to_string(version));
-        }
-        out.count_ = take<std::uint64_t>(p);
-        if (out.count_ > (file_size - kHeaderSizeV1) / kRecordSize ||
-            file_size != binary_log_size_v1(out.count_)) {
-            return Error(ErrorCode::CountMismatch,
-                         "v1 size mismatch: declared " +
-                             std::to_string(out.count_) + " records (" +
-                             std::to_string(binary_log_size_v1(out.count_)) +
-                             " bytes), stream holds " +
-                             std::to_string(file_size));
-        }
-        out.version_ = kVersionV1;
-        out.pos_ += kHeaderSizeV1;
-        out.abs_ += kHeaderSizeV1;
-        return out;
+    if (std::memcmp(p, kMagic, sizeof(kMagic)) != 0) {
+        return error_at_byte(ErrorCode::BadMagic, "bad magic", 0);
     }
-    if (version != kVersionV2) {
+    p += sizeof(kMagic);
+    const auto version = take<std::uint32_t>(p);
+    if (version != kVersion) {
         return Error(ErrorCode::UnsupportedVersion,
                      "magic YFL2 with version " + std::to_string(version));
     }
-    if (file_size < kHeaderSizeV2 + kTrailerSize) {
+    if (file_size < kHeaderSize + kTrailerSize) {
         return Error(ErrorCode::Truncated, "truncated v2 header/trailer");
     }
-    have = out.fill(kHeaderSizeV2);
+    have = out.fill(kHeaderSize);
     if (!have) return std::move(have).error();
     if (!have.value()) {
         return Error(ErrorCode::Truncated, "truncated v2 header/trailer");
     }
     p = out.buf_.data() + out.pos_;
     const std::uint32_t header_crc = util::crc32(
-        std::string_view(p, kHeaderSizeV2 - 4));
-    p += sizeof(kMagicV2) + sizeof(std::uint32_t);
+        std::string_view(p, kHeaderSize - 4));
+    p += sizeof(kMagic) + sizeof(std::uint32_t);
     out.count_ = take<std::uint64_t>(p);
     if (take<std::uint32_t>(p) != header_crc) {
         return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
-                             kHeaderSizeV2 - 4);
+                             kHeaderSize - 4);
     }
-    if (out.count_ > (file_size - kHeaderSizeV2 - kTrailerSize) / kRecordSize ||
+    if (out.count_ > (file_size - kHeaderSize - kTrailerSize) / kRecordSize ||
         file_size != binary_log_size(out.count_)) {
         return Error(ErrorCode::CountMismatch,
                      "v2 size mismatch: declared " + std::to_string(out.count_) +
                          " records (" + std::to_string(binary_log_size(out.count_)) +
                          " bytes), stream holds " + std::to_string(file_size));
     }
-    out.version_ = kVersionV2;
-    out.pos_ += kHeaderSizeV2;
-    out.abs_ += kHeaderSizeV2;
+    out.pos_ += kHeaderSize;
+    out.abs_ += kHeaderSize;
     return out;
 }
 
@@ -486,46 +418,6 @@ util::Result<bool> FlowLogReader::fill(std::size_t need) {
 util::Result<std::size_t> FlowLogReader::next(std::vector<FlowRecord>& out) {
     out.clear();
     if (done_) return std::size_t{0};
-    return version_ == kVersionV1 ? next_v1(out) : next_v2(out);
-}
-
-util::Result<std::size_t> FlowLogReader::next_v1(std::vector<FlowRecord>& out) {
-    if (read_ == count_) {
-        // parse_v1 validates the exact file size; the incremental
-        // equivalent is "no bytes may remain past the declared records".
-        auto more = fill(1);
-        if (!more) return std::move(more).error();
-        if (more.value()) {
-            return Error(ErrorCode::CountMismatch,
-                         "v1 size mismatch: bytes remain past the declared " +
-                             std::to_string(count_) + " records");
-        }
-        done_ = true;
-        return std::size_t{0};
-    }
-    const auto n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kBlockRecords, count_ - read_));
-    auto have = fill(n * kRecordSize);
-    if (!have) return std::move(have).error();
-    if (!have.value()) {
-        return Error(ErrorCode::CountMismatch,
-                     "v1 size mismatch: declared " + std::to_string(count_) +
-                         " records, stream ends inside record " +
-                         std::to_string(read_ + (buf_.size() - pos_) / kRecordSize));
-    }
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        auto record = parse_record(buf_.data() + pos_, read_, abs_);
-        if (!record) return std::move(record).error();
-        out.push_back(std::move(record).value());
-        pos_ += kRecordSize;
-        abs_ += kRecordSize;
-        ++read_;
-    }
-    return n;
-}
-
-util::Result<std::size_t> FlowLogReader::next_v2(std::vector<FlowRecord>& out) {
     if (read_ == count_) {
         auto have = fill(kTrailerSize);
         if (!have) return std::move(have).error();

@@ -12,8 +12,7 @@
 
 namespace ytcdn::capture {
 
-/// Compact checksummed binary flow-log format ("YFL2"; readers also accept
-/// the legacy unchecksummed "YFL1").
+/// Compact checksummed binary flow-log format ("YFL2").
 ///
 /// At paper scale a week of flow records runs to hundreds of MB as TSV;
 /// the binary form is ~41 bytes per record and loss-free. v2 adds CRC32
@@ -29,9 +28,6 @@ namespace ytcdn::capture {
 ///             u64 bytes | u64 video_id | u8 itag
 ///   trailer:  magic "YFLE" | u64 record count | u32 crc32 of the
 ///             preceding 12 trailer bytes
-///
-/// v1 ("YFL1", version 1) is header + records with no checksums; readers
-/// keep accepting it so logs written by older builds stay loadable.
 ///
 /// The *_result functions return a typed ytcdn::Error (code + byte-offset /
 /// record-index provenance) instead of throwing; the legacy-named entry
@@ -54,15 +50,8 @@ void write_binary_log(const std::filesystem::path& path,
 [[nodiscard]] std::vector<FlowRecord> read_binary_log(std::istream& is);
 [[nodiscard]] std::vector<FlowRecord> read_binary_log(const std::filesystem::path& path);
 
-/// Writes the legacy v1 format (no checksums). Kept for the version-compat
-/// tests and the fuzz harness; new code writes v2 via write_binary_log.
-void write_binary_log_v1(std::ostream& os, const std::vector<FlowRecord>& records);
-
 /// On-disk size of a v2 log with `n` records, in bytes.
 [[nodiscard]] std::size_t binary_log_size(std::size_t n) noexcept;
-
-/// On-disk size of a legacy v1 log with `n` records, in bytes.
-[[nodiscard]] std::size_t binary_log_size_v1(std::size_t n) noexcept;
 
 /// Streaming v2 writer with bounded memory: records append through a
 /// one-block (4096-record) buffer, the header is written up front with a
@@ -103,10 +92,10 @@ private:
 
 /// Incremental flow-log reader: delivers records one CRC-verified block at
 /// a time through util::io::FileReader, holding O(block) memory however
-/// large the log is. Accepts both v2 and legacy v1 streams and reports the
-/// same typed error taxonomy as read_binary_log (BadMagic /
-/// UnsupportedVersion / Truncated / ChecksumMismatch / CountMismatch /
-/// BadField) with absolute byte/record provenance — the golden fuzz
+/// large the log is. Reports the same typed error taxonomy as
+/// read_binary_log (BadMagic / UnsupportedVersion / Truncated /
+/// ChecksumMismatch / CountMismatch / BadField) with absolute
+/// byte/record provenance — the golden fuzz
 /// fixtures pin that the two readers fail identically.
 class FlowLogReader {
 public:
@@ -121,17 +110,14 @@ public:
         const std::filesystem::path& path, std::size_t chunk_bytes = 1 << 20);
 
     /// Replaces `out` with the next block of records (≤ 4096). Returns the
-    /// count; 0 means the stream ended cleanly (v2: trailer validated).
+    /// count; 0 means the stream ended cleanly (trailer validated).
     [[nodiscard]] util::Result<std::size_t> next(std::vector<FlowRecord>& out);
 
     [[nodiscard]] std::uint64_t declared_records() const noexcept { return count_; }
     [[nodiscard]] std::uint64_t records_read() const noexcept { return read_; }
-    [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
 
 private:
     [[nodiscard]] util::Result<bool> fill(std::size_t need);
-    [[nodiscard]] util::Result<std::size_t> next_v1(std::vector<FlowRecord>& out);
-    [[nodiscard]] util::Result<std::size_t> next_v2(std::vector<FlowRecord>& out);
 
     util::io::FileReader reader_;
     std::string buf_;
@@ -140,7 +126,6 @@ private:
     std::size_t chunk_ = 1 << 20;
     std::uint64_t count_ = 0;
     std::uint64_t read_ = 0;
-    std::uint32_t version_ = 0;
     bool done_ = false;
 };
 

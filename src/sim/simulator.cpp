@@ -12,21 +12,8 @@ void Simulator::run_until(SimTime horizon) {
         ++processed_;
         task();
     }
-    advance_to(horizon);
-}
-
-bool Simulator::run_one() {
-    if (queue_.empty()) return false;
-    SimTime t = 0.0;
-    auto task = queue_.pop(t);
-    now_ = t;
-    ++processed_;
-    task();
-    return true;
-}
-
-void Simulator::advance_to(SimTime t) noexcept {
-    if (std::isfinite(t) && t > now_) now_ = t;
+    // run() passes +infinity; the clock stays at the last event then.
+    if (std::isfinite(horizon) && horizon > now_) now_ = horizon;
 }
 
 }  // namespace ytcdn::sim

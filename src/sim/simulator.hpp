@@ -51,25 +51,6 @@ public:
     /// Runs until the queue is empty.
     void run() { run_until(std::numeric_limits<SimTime>::infinity()); }
 
-    /// Timestamp of the earliest pending event, or +infinity when the queue
-    /// is empty. This is what an external scheduler (sim::EventEngine)
-    /// compares across shards to pick the globally next event.
-    [[nodiscard]] SimTime next_event_time() const {
-        return queue_.empty() ? std::numeric_limits<SimTime>::infinity()
-                              : queue_.next_time();
-    }
-
-    /// Pops and runs exactly the earliest event, advancing now() to its
-    /// timestamp. Returns false (and does nothing) on an empty queue.
-    /// run_until(h) is equivalent to run_one() while next_event_time() <= h
-    /// followed by advance_to(h) — the engine's merge loop relies on that.
-    bool run_one();
-
-    /// Advances the clock to `t` without running anything (never moves it
-    /// backwards; non-finite `t` is ignored). Mirrors run_until's
-    /// leaves-now()==horizon contract for externally driven simulators.
-    void advance_to(SimTime t) noexcept;
-
 private:
     EventQueue queue_;
     SimTime now_ = 0.0;

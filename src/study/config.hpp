@@ -76,16 +76,6 @@ struct StudyConfig {
     /// sim::FaultSchedule::parse for the text format the CLI accepts.
     sim::FaultSchedule fault_schedule;
 
-    /// Run the trace campaign on the sharded event engine instead of the
-    /// legacy single-queue TraceDriver. Both produce byte-identical
-    /// reports (pinned by tests/test_event_engine.cpp); the engine adds
-    /// the per-shard queues and streaming capture hooks the out-of-core
-    /// scale runs build on (DESIGN.md §16).
-    bool use_event_engine = false;
-    /// Engine shard count. 0 = one shard per vantage point. Output is
-    /// byte-identical at any value (Determinism.EventEngineShardInvariance).
-    std::size_t engine_shards = 0;
-
     /// Report-artifact fault isolation. By default a single failing
     /// artifact is replaced with a placeholder naming the failure and the
     /// other artifacts still render; with strict artifacts the first

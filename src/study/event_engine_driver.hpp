@@ -1,70 +1,12 @@
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
-#include "capture/flow_sink.hpp"
-#include "sim/event_engine.hpp"
-#include "sim/tracer.hpp"
-#include "study/deployment.hpp"
 #include "study/trace_driver.hpp"
-#include "workload/player.hpp"
 
 namespace ytcdn::study {
 
-/// The trace campaign on the sharded event engine (DESIGN.md §16).
-///
-/// Each vantage point's components (player, request generator, noise
-/// source, sniffer) live on shard `vp % num_shards`; the engine pops
-/// events across shards in global (time, shard) order, so the interleaved
-/// execution — and therefore every dataset byte — is identical to the
-/// legacy single-simulator TraceDriver. That equivalence is not an
-/// accident of the workload: with one shard the merge loop degenerates to
-/// the exact pop sequence of Simulator::run_until, and with k shards the
-/// cross-shard merge reproduces the single-queue order because per-shard
-/// queues are themselves time-ordered and cross-shard timestamp ties do
-/// not occur in this workload (event times are sums of continuous RNG
-/// draws; fault times are schedule constants on shard 0 only).
-/// tests/test_event_engine.cpp and Determinism.EventEngineShardInvariance
-/// pin this byte-for-byte.
-///
-/// RNG forks use the same names as TraceDriver ("trace-driver",
-/// "player-<vp>", ...): forks are name-keyed and order-independent, so
-/// both drivers draw identical streams.
-class EventEngineDriver {
-public:
-    explicit EventEngineDriver(StudyDeployment& deployment)
-        : EventEngineDriver(deployment, workload::Player::Config{}) {}
-
-    EventEngineDriver(StudyDeployment& deployment,
-                      const workload::Player::Config& player_config);
-
-    /// Number of engine shards; 0 means one shard per vantage point.
-    void set_num_shards(std::size_t shards) noexcept { num_shards_ = shards; }
-
-    /// Same tracer contract as TraceDriver (per-VP streams, faults on
-    /// 0xFF). Shard-count invariant because the merge order is.
-    void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-
-    /// Streaming capture: one sink per vantage point (parallel to the
-    /// deployment's VP order). With sinks installed, sniffers forward
-    /// records instead of accumulating them, so the returned datasets are
-    /// empty and memory stays bounded at any run length; counters, player
-    /// stats and host interning are unchanged. Pass an empty vector (the
-    /// default) for legacy materializing behaviour.
-    void set_flow_sinks(std::vector<capture::FlowSink*> sinks) {
-        sinks_ = std::move(sinks);
-    }
-
-    /// Simulates `horizon` seconds and joins the shards in fixed VP order.
-    [[nodiscard]] TraceOutputs run(sim::SimTime horizon = sim::kWeek);
-
-private:
-    StudyDeployment* deployment_;
-    workload::Player::Config player_config_;
-    sim::Tracer* tracer_ = nullptr;
-    std::vector<capture::FlowSink*> sinks_;
-    std::size_t num_shards_ = 0;
-};
+/// The benchmark sources under perfbench/ still name the retired sharded
+/// driver and cannot change alongside the library; TraceDriver is the only
+/// driver now. Library, test, tool and bench code uses TraceDriver itself.
+using EventEngineDriver = TraceDriver;
 
 }  // namespace ytcdn::study

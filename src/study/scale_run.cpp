@@ -10,7 +10,7 @@
 #include "capture/flow_sink.hpp"
 #include "study/dc_map_builder.hpp"
 #include "study/deployment.hpp"
-#include "study/event_engine_driver.hpp"
+#include "study/trace_driver.hpp"
 #include "util/metrics.hpp"
 
 namespace ytcdn::study {
@@ -137,8 +137,7 @@ util::Result<ScaleRunSummary> run_scale_study(const ScaleRunConfig& config,
         sink_ptrs.push_back(sinks.back().get());
     }
 
-    EventEngineDriver driver(deployment);
-    driver.set_num_shards(config.study.engine_shards);
+    TraceDriver driver(deployment);
     driver.set_flow_sinks(std::move(sink_ptrs));
     TraceOutputs traces = driver.run();
 

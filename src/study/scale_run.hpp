@@ -12,7 +12,7 @@
 
 namespace ytcdn::study {
 
-/// Out-of-core study runner (DESIGN.md §16): the event engine streams each
+/// Out-of-core study runner (DESIGN.md §16): the trace driver streams each
 /// vantage point's capture through a FlowSink that spills YFL2 blocks to
 /// disk and feeds the order-independent DC-traffic tally; a second pass
 /// streams the spilled logs back through the incremental §VII modules.
@@ -48,8 +48,8 @@ struct ScaleRunSummary {
     std::vector<VantageScaleSummary> vantage;
 };
 
-/// Runs the two-pass out-of-core study. Pass 1 simulates on the event
-/// engine with spilling sinks (sequential, like every trace run); pass 2
+/// Runs the two-pass out-of-core study. Pass 1 simulates on the trace
+/// driver with spilling sinks (sequential, like every trace run); pass 2
 /// fans the per-VP streamed analyses out on `pool`. Deterministic: same
 /// config, same summary, any thread count.
 [[nodiscard]] util::Result<ScaleRunSummary> run_scale_study(

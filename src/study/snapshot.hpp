@@ -43,8 +43,10 @@ namespace ytcdn::study {
 /// Bump when the record layout, the fingerprint inputs, or anything else
 /// about the byte format changes; stale snapshots are then re-simulated
 /// (the schema version is part of the cache-file name, so old-format files
-/// are simply never opened).
-inline constexpr std::uint32_t kSnapshotSchemaVersion = 3;
+/// are simply never opened). Version 4: the stored capture counters
+/// (events_processed, flows_observed/flows_ignored) no longer include a
+/// background-traffic stream, so version-3 caches carry stale values.
+inline constexpr std::uint32_t kSnapshotSchemaVersion = 4;
 
 /// Stable hash of the simulation-shaping StudyConfig fields (see above).
 [[nodiscard]] std::uint64_t config_fingerprint(const StudyConfig& config);

@@ -6,7 +6,6 @@
 
 #include "analysis/preferred_dc.hpp"
 #include "study/dc_map_builder.hpp"
-#include "study/event_engine_driver.hpp"
 #include "util/metrics.hpp"
 
 namespace ytcdn::study {
@@ -103,17 +102,9 @@ StudyRun run_study(const StudyConfig& config, util::ThreadPool& pool,
                    sim::Tracer* tracer) {
     study_metrics().runs.inc();
     auto deployment = std::make_unique<StudyDeployment>(config);
-    TraceOutputs traces;
-    if (config.use_event_engine) {
-        EventEngineDriver driver(*deployment);
-        driver.set_num_shards(config.engine_shards);
-        driver.set_tracer(tracer);
-        traces = driver.run();
-    } else {
-        TraceDriver driver(*deployment);
-        driver.set_tracer(tracer);
-        traces = driver.run();
-    }
+    TraceDriver driver(*deployment);
+    driver.set_tracer(tracer);
+    TraceOutputs traces = driver.run();
     return derive_run(config, std::move(deployment), std::move(traces), pool);
 }
 

@@ -7,11 +7,16 @@
 #include "capture/sniffer.hpp"
 #include "sim/fault_injector.hpp"
 #include "util/intern.hpp"
-#include "workload/noise_source.hpp"
 #include "workload/request_generator.hpp"
 
 namespace ytcdn::study {
 
+namespace {
+
+/// Binds a fault schedule's named targets (data-center cities, server
+/// hostnames, resolver names) to the deployment's CDN/DNS health machines.
+/// Unknown targets throw — a chaos experiment aimed at a typo'd city must
+/// fail loudly, not run a clean baseline by accident.
 void bind_fault_handlers(sim::FaultInjector& injector, StudyDeployment& dep,
                          std::vector<std::unique_ptr<workload::Player>>& players) {
     using sim::FaultAction;
@@ -86,28 +91,33 @@ void bind_fault_handlers(sim::FaultInjector& injector, StudyDeployment& dep,
     });
 }
 
+}  // namespace
+
 TraceDriver::TraceDriver(StudyDeployment& deployment,
                          const workload::Player::Config& player_config)
     : deployment_(&deployment), player_config_(player_config) {}
 
 TraceOutputs TraceDriver::run(sim::SimTime horizon) {
     auto& dep = *deployment_;
+    const std::size_t n = dep.num_vantage_points();
+    if (!sinks_.empty() && sinks_.size() != n) {
+        throw std::invalid_argument(
+            "TraceDriver: flow sinks must match vantage-point count");
+    }
     sim::Simulator simulator;
     sim::Rng rng = dep.root_rng().fork("trace-driver");
 
-    const std::size_t n = dep.num_vantage_points();
     std::vector<std::unique_ptr<capture::Sniffer>> sniffers;
     std::vector<std::unique_ptr<workload::Player>> players;
     std::vector<std::unique_ptr<workload::RequestGenerator>> generators;
-    std::vector<std::unique_ptr<workload::NoiseSource>> noise;
     sniffers.reserve(n);
     players.reserve(n);
     generators.reserve(n);
-    noise.reserve(n);
 
     for (std::size_t i = 0; i < n; ++i) {
         auto& vp = dep.vantage(i);
         sniffers.push_back(std::make_unique<capture::Sniffer>(vp.name));
+        if (!sinks_.empty()) sniffers.back()->set_sink(sinks_[i]);
         workload::Player::Config player_cfg = player_config_;
         // EU2's legacy configuration still streams full-quality video from
         // the YouTube-EU AS (the paper's Table II shows 10.4% of EU2 bytes
@@ -133,11 +143,6 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
         generators.push_back(std::make_unique<workload::RequestGenerator>(
             simulator, vp, *players.back(), dep.catalog(), gen_cfg,
             rng.fork("generator-" + vp.name)));
-        // Background web traffic the DPI classifier must reject; it never
-        // reaches the flow logs but keeps the capture path honest.
-        noise.push_back(std::make_unique<workload::NoiseSource>(
-            simulator, vp, *sniffers.back(), workload::NoiseSource::Config{},
-            rng.fork("noise-" + vp.name)));
     }
 
     // The fault injector (if any faults are scheduled) shares the event
@@ -155,7 +160,6 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
     }
 
     for (auto& g : generators) g->run(horizon);
-    for (auto& s : noise) s->run(horizon);
     // Let in-flight sessions (redirect chains, pause resumes) drain past the
     // capture horizon, like a real capture that sees flows end after the
     // last request started.

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "capture/dataset.hpp"
+#include "capture/flow_sink.hpp"
 #include "sim/simulator.hpp"
 #include "sim/tracer.hpp"
 #include "study/deployment.hpp"
@@ -15,8 +17,8 @@ struct TraceOutputs {
     std::vector<capture::Dataset> datasets;         // one per vantage point
     std::vector<workload::Player::Stats> player_stats;
     std::vector<std::uint64_t> requests_generated;
-    /// Total flows the sniffer saw on the wire (YouTube + background noise)
-    /// and how many the DPI classifier rejected, per vantage point.
+    /// Total flows the sniffer saw on the wire and how many the DPI
+    /// classifier rejected, per vantage point.
     std::vector<std::uint64_t> flows_observed;
     std::vector<std::uint64_t> flows_ignored;
     std::uint64_t events_processed = 0;
@@ -27,15 +29,6 @@ struct TraceOutputs {
     /// on snapshot-cache loads, like the other capture-side counters.
     std::uint64_t unique_hosts = 0;
 };
-
-/// Binds a fault schedule's named targets (data-center cities, server
-/// hostnames, resolver names) to the deployment's CDN/DNS health machines.
-/// Shared by the legacy TraceDriver and the event-engine driver so both
-/// react to the same schedule identically; unknown targets throw — a chaos
-/// experiment aimed at a typo'd city must fail loudly, not run a clean
-/// baseline by accident.
-void bind_fault_handlers(sim::FaultInjector& injector, StudyDeployment& dep,
-                         std::vector<std::unique_ptr<workload::Player>>& players);
 
 /// Runs the paper's capture campaign: all five vantage points generate
 /// traffic against the shared CDN on one discrete-event simulator (server
@@ -57,6 +50,16 @@ public:
     /// byte-identical datasets.
     void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
 
+    /// Streaming capture: one sink per vantage point (parallel to the
+    /// deployment's VP order). With sinks installed, sniffers forward
+    /// records instead of accumulating them, so the returned datasets are
+    /// empty and memory stays bounded at any run length; counters, player
+    /// stats and host interning are unchanged. Pass an empty vector (the
+    /// default) to materialize the datasets.
+    void set_flow_sinks(std::vector<capture::FlowSink*> sinks) {
+        sinks_ = std::move(sinks);
+    }
+
     /// Simulates `horizon` seconds (default: the paper's one week) and
     /// returns the per-vantage-point datasets, sorted by time.
     [[nodiscard]] TraceOutputs run(sim::SimTime horizon = sim::kWeek);
@@ -65,6 +68,7 @@ private:
     StudyDeployment* deployment_;
     workload::Player::Config player_config_;
     sim::Tracer* tracer_ = nullptr;
+    std::vector<capture::FlowSink*> sinks_;
 };
 
 }  // namespace ytcdn::study

@@ -53,7 +53,6 @@
 #include "capture/flow_record.hpp"
 #include "capture/sniffer.hpp"
 #include "workload/client.hpp"
-#include "workload/noise_source.hpp"
 #include "workload/player.hpp"
 #include "workload/population.hpp"
 #include "workload/request_generator.hpp"

@@ -66,7 +66,7 @@ def main() -> int:
             "truncated binary log header")
         run(binary, ["summary", os.path.join(corpus, "v2_count_overflow.yfl")], 4,
             "binary log with hostile count field")
-        run(binary, ["convert", os.path.join(corpus, "v1_bad_itag.yfl"),
+        run(binary, ["convert", os.path.join(corpus, "v2_bad_itag.yfl"),
                      os.path.join(tmp, "out.tsv")], 4,
             "well-framed log with an invalid record")
 

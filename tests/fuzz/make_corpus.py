@@ -54,7 +54,7 @@ def ytr_file(events: list[bytes], strings: tuple[bytes, ...] = ()) -> bytes:
 def fixtures() -> dict[str, bytes]:
     out: dict[str, bytes] = {}
 
-    # --- binary log (YFL1/YFL2) ------------------------------------------
+    # --- binary log (YFL2) -----------------------------------------------
     out["empty.yfl"] = b""
     out["bad_magic.yfl"] = b"XXXX" + bytes(range(60))
     out["truncated_header.yfl"] = b"YFL2\x02\x00"
@@ -64,18 +64,19 @@ def fixtures() -> dict[str, bytes]:
     # The classic length attack: a count field of all-ones with a VALID
     # header CRC, so only overflow-safe size arithmetic rejects it.
     out["v2_count_overflow.yfl"] = v2_header(0xFFFFFFFFFFFFFFFF) + b"\x00" * 64
-    out["v1_count_overflow.yfl"] = (
-        b"YFL1" + struct.pack("<IQ", 1, 1 << 61) + b"\x00" * 41)
     # One well-framed v2 record whose block CRC is wrong.
     record = struct.pack("<IIddQQB", 1, 2, 0.0, 1.0, 100, 7, 22)
     block = struct.pack("<II", 1, crc(record) ^ 0xDEADBEEF) + record
     trailer_body = b"YFLE" + struct.pack("<Q", 1)
     trailer = trailer_body + struct.pack("<I", 0)
     out["v2_bad_block_crc.yfl"] = v2_header(1) + block + trailer
-    # Valid v1 framing holding an invalid record (itag 0 does not exist):
-    # field validation, not framing, must reject it.
+    # Valid header, block and trailer CRCs around an invalid record (itag 0
+    # does not exist): field validation, not framing, must reject it.
     bad_record = struct.pack("<IIddQQB", 1, 2, 0.0, 1.0, 100, 7, 0)
-    out["v1_bad_itag.yfl"] = b"YFL1" + struct.pack("<IQ", 1, 1) + bad_record
+    good_trailer = trailer_body + struct.pack("<I", crc(trailer_body))
+    out["v2_bad_itag.yfl"] = (
+        v2_header(1) + struct.pack("<II", 1, crc(bad_record)) + bad_record
+        + good_trailer)
 
     # --- incremental-reader fixtures (FlowLogReader parity) --------------
     # Valid header for 3 records, block header agrees, but the stream ends
@@ -95,9 +96,6 @@ def fixtures() -> dict[str, bytes]:
     out["v2_trailer_bad_magic.yfl"] = (
         v2_header(1) + struct.pack("<II", 1, crc(rec)) + rec
         + tail + struct.pack("<I", crc(tail)))
-    # v1 declaring 4 records but carrying only 2: the unchecksummed format's
-    # only tripwire is the size arithmetic.
-    out["v1_truncated.yfl"] = b"YFL1" + struct.pack("<IQ", 1, 4) + rec * 2
 
     # --- snapshot (YSS2) --------------------------------------------------
     out["snapshot_bad_magic.yss"] = b"XSS2" + bytes(32)

@@ -5,9 +5,11 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "capture/flow_log.hpp"
 #include "sim/random.hpp"
+#include "util/crc32.hpp"
 
 namespace capture = ytcdn::capture;
 namespace cdn = ytcdn::cdn;
@@ -148,48 +150,52 @@ TEST(BinaryLog, RejectsCorruptionWithTypedErrors) {
     EXPECT_THROW((void)capture::read_binary_log(in), ytcdn::Error);
 }
 
-TEST(BinaryLog, ReadersStillAcceptV1) {
-    const auto records = random_records(100, 7);
+TEST(BinaryLog, RetiredV1MagicIsBadMagic) {
+    // The unchecksummed version-1 format is no longer read: its magic
+    // differs from YFL2's in the last byte, so it fails the magic check.
     std::stringstream ss;
-    capture::write_binary_log_v1(ss, records);
-    EXPECT_EQ(ss.str().size(), capture::binary_log_size_v1(records.size()));
-    const auto back = capture::read_binary_log(ss);
-    ASSERT_EQ(back.size(), records.size());
-    for (std::size_t i = 0; i < back.size(); ++i) {
-        EXPECT_EQ(back[i].bytes, records[i].bytes);
-        EXPECT_EQ(back[i].video, records[i].video);
-    }
+    capture::write_binary_log(ss, random_records(10, 7));
+    std::string old = ss.str();
+    old[3] = '1';
+    const auto e = parse_error(old);
+    EXPECT_EQ(e.code(), ytcdn::ErrorCode::BadMagic);
+    ASSERT_TRUE(e.where().byte_offset.has_value());
+    EXPECT_EQ(*e.where().byte_offset, 0u);
 }
 
-TEST(BinaryLog, V1FieldValidationNamesTheRecord) {
+/// Re-seals block 0's CRC so a patched record reaches field validation.
+void reseal_first_block(std::string& log, std::size_t records) {
+    const std::uint32_t crc =
+        ytcdn::util::crc32(std::string_view(log).substr(kV2FirstRecord, records * 41));
+    std::memcpy(log.data() + kV2Header + 4, &crc, sizeof(crc));
+}
+
+TEST(BinaryLog, FieldValidationNamesTheRecord) {
     const auto records = random_records(10, 3);
     std::stringstream ss;
-    capture::write_binary_log_v1(ss, records);
+    capture::write_binary_log(ss, records);
     const std::string good = ss.str();
 
-    {  // v1 has no CRC, so a bad itag reaches field validation directly
-       // (last byte of record 4)
+    {  // bad itag (last byte of record 4) behind valid CRCs
         std::string bad = good;
-        bad[16 + 5 * 41 - 1] = static_cast<char>(250);
+        bad[kV2FirstRecord + 5 * 41 - 1] = static_cast<char>(250);
+        reseal_first_block(bad, records.size());
         const auto e = parse_error(bad);
         EXPECT_EQ(e.code(), ytcdn::ErrorCode::BadField);
         ASSERT_TRUE(e.where().record_index.has_value());
         EXPECT_EQ(*e.where().record_index, 4u);
         ASSERT_TRUE(e.where().byte_offset.has_value());
-        EXPECT_EQ(*e.where().byte_offset, 16u + 4u * 41u);
+        EXPECT_EQ(*e.where().byte_offset, kV2FirstRecord + 4u * 41u);
     }
     {  // NaN timestamp smuggled into the first record's start field
         std::string bad = good;
         const double nan_value = std::numeric_limits<double>::quiet_NaN();
-        std::memcpy(bad.data() + 16 + 8, &nan_value, sizeof(nan_value));
+        std::memcpy(bad.data() + kV2FirstRecord + 8, &nan_value, sizeof(nan_value));
+        reseal_first_block(bad, records.size());
         const auto e = parse_error(bad);
         EXPECT_EQ(e.code(), ytcdn::ErrorCode::BadField);
         EXPECT_NE(std::string(e.what()).find("non-finite timestamp"),
                   std::string::npos);
-    }
-    {  // v1 count/size mismatch
-        EXPECT_EQ(parse_error(good.substr(0, good.size() - 1)).code(),
-                  ytcdn::ErrorCode::CountMismatch);
     }
 }
 

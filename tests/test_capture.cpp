@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "capture/classifier.hpp"
 #include "capture/dataset.hpp"
@@ -37,11 +39,31 @@ TEST(Classifier, AcceptsVideoRequests) {
 }
 
 TEST(Classifier, RejectsOtherTraffic) {
-    auto f = video_flow();
-    f.first_payload = "GET /index.html HTTP/1.1\r\nHost: news.example.com\r\n\r\n";
-    EXPECT_FALSE(capture::classify_flow(f).has_value());
-    f.first_payload = "\x16\x03\x01 TLS handshake bytes";
-    EXPECT_FALSE(capture::classify_flow(f).has_value());
+    // Payloads a PoP's DPI sees all day and must not keep as video flows.
+    // Note the YouTube portal page: same domain family, not a video flow.
+    const std::string_view payloads[] = {
+        "GET /index.html HTTP/1.1\r\nHost: news.example.com\r\n\r\n",
+        "\x16\x03\x01 TLS handshake bytes",
+        "GET / HTTP/1.1\r\nHost: www.example.com\r\nUser-Agent: Mozilla/5.0\r\n\r\n",
+        "GET /watch?v=dQw4w9WgXcQ HTTP/1.1\r\nHost: www.youtube.com\r\n\r\n",
+        "GET /static/ads.js HTTP/1.1\r\nHost: cdn.adnetwork.test\r\n\r\n",
+        "POST /api/v1/sync HTTP/1.1\r\nHost: api.social.test\r\n\r\n",
+        "\x16\x03\x01\x02\x00",  // TLS ClientHello prefix
+    };
+    for (const auto payload : payloads) {
+        SCOPED_TRACE(std::string(payload));
+        auto f = video_flow();
+        f.first_payload = payload;
+        EXPECT_FALSE(capture::classify_flow(f).has_value());
+
+        capture::Sniffer sniffer("NOISE");
+        sniffer.observe(f);
+        EXPECT_EQ(sniffer.flows_observed(), 1u);
+        EXPECT_EQ(sniffer.flows_ignored(), 1u);
+        EXPECT_EQ(sniffer.flows_classified(), 0u);
+        EXPECT_TRUE(sniffer.records().empty());
+        EXPECT_EQ(sniffer.hosts().size(), 0u);
+    }
 }
 
 TEST(Classifier, ErrorTaxonomy) {

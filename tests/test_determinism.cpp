@@ -15,7 +15,6 @@
 #include "analysis/series.hpp"
 #include "geo/city.hpp"
 #include "geoloc/cbg.hpp"
-#include "sim/tracer.hpp"
 #include "study/dc_map_builder.hpp"
 #include "study/report.hpp"
 #include "study/study_run.hpp"
@@ -253,48 +252,6 @@ TEST(Determinism, ChaosScheduleIsReproducible) {
         EXPECT_EQ(sa.dns_servfails, sb.dns_servfails) << i;
         EXPECT_EQ(sa.failures.total(), sb.failures.total()) << i;
         EXPECT_EQ(sa.retry_histogram, sb.retry_histogram) << i;
-    }
-}
-
-TEST(Determinism, EventEngineShardInvariance) {
-    // The sharded event engine is an execution detail, like thread count:
-    // any shard count must render the legacy driver's exact bytes — every
-    // report artifact and the full YTR1 structured trace — with and without
-    // an active fault schedule. This is what lets `use_event_engine`
-    // default on later without re-blessing a single golden file.
-    auto chaos = small_config();
-    chaos.fault_schedule = ytcdn::sim::FaultSchedule::dc_outage(
-        "Dallas", 2.0 * ytcdn::sim::kDay, 1.5 * ytcdn::sim::kDay);
-    chaos.fault_schedule.add(3.0 * ytcdn::sim::kDay,
-                             ytcdn::sim::FaultAction::ResolverDown, "eu1-adsl");
-    chaos.fault_schedule.add(3.2 * ytcdn::sim::kDay,
-                             ytcdn::sim::FaultAction::ResolverUp, "eu1-adsl");
-
-    for (const bool with_faults : {false, true}) {
-        const auto cfg = with_faults ? chaos : small_config();
-        sim::Tracer legacy_tracer;
-        const auto legacy = study::run_study(cfg, &legacy_tracer);
-        const auto legacy_artifacts = render_artifacts(legacy);
-        const auto legacy_trace = sim::write_trace_bytes(legacy_tracer.log());
-        if (with_faults) {
-            ASSERT_EQ(legacy.traces.faults_injected, 4u);
-        }
-
-        for (const std::size_t shards : {1u, 2u, 8u}) {
-            SCOPED_TRACE("faults=" + std::to_string(with_faults) +
-                         " shards=" + std::to_string(shards));
-            auto engine_cfg = cfg;
-            engine_cfg.use_event_engine = true;
-            engine_cfg.engine_shards = shards;
-            sim::Tracer engine_tracer;
-            const auto engine = study::run_study(engine_cfg, &engine_tracer);
-            EXPECT_EQ(engine.traces.faults_injected,
-                      legacy.traces.faults_injected);
-            EXPECT_EQ(engine.traces.events_processed,
-                      legacy.traces.events_processed);
-            EXPECT_EQ(render_artifacts(engine), legacy_artifacts);
-            EXPECT_EQ(sim::write_trace_bytes(engine_tracer.log()), legacy_trace);
-        }
     }
 }
 

@@ -195,27 +195,7 @@ TEST(StreamingLog, ReaderStreamsBatchIdenticalRecords) {
 
     auto reader = capture::FlowLogReader::open(path);
     ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader.value().version(), 2u);
     EXPECT_EQ(reader.value().declared_records(), records.size());
-    fs::remove_all(dir);
-}
-
-TEST(StreamingLog, V1StreamsIdentically) {
-    const auto dir = scratch_dir("v1");
-    const auto records = random_records(300, 23);
-    std::ostringstream os;
-    capture::write_binary_log_v1(os, records);
-    const auto path = dir / "log.yfl";
-    write_file(path, os.str());
-
-    std::vector<capture::FlowRecord> streamed;
-    auto r = stream_all(path, 128, streamed);
-    ASSERT_TRUE(r.ok()) << r.error().what();
-    expect_records_equal(streamed, records);
-
-    auto reader = capture::FlowLogReader::open(path);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader.value().version(), 1u);
     fs::remove_all(dir);
 }
 
@@ -316,7 +296,7 @@ TEST(StreamingLog, CorruptFixturesFailIdenticallyInBothReaders) {
         ++swept;
     }
     // The corpus must include the incremental-reader fixtures (truncated
-    // mid-block, lying block count, bad trailer magic, truncated v1).
+    // mid-block, lying block count, bad trailer magic, bad itag).
     EXPECT_GE(swept, 10u);
     fs::remove_all(scratch);
 }
@@ -487,7 +467,7 @@ TEST_F(StreamingModules, ChunkedSpillReplayMatchesDirectFeed) {
 
 TEST_F(StreamingModules, ScaleRunMatchesBatchAnalysis) {
     // The full out-of-core pipeline at a small scale: pass 1 spills via the
-    // event engine, pass 2 streams the spills — and every per-VP figure it
+    // trace driver's sinks, pass 2 streams the spills — and every per-VP figure it
     // reports must equal what the in-memory batch toolchain computes.
     const auto dir = scratch_dir("scale");
     study::ScaleRunConfig cfg;

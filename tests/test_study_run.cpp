@@ -48,6 +48,9 @@ TEST_F(StudyRunApiFixture, EventAccountingIsPlausible) {
     std::uint64_t sessions = 0;
     for (const auto s : run_->traces.requests_generated) sessions += s;
     EXPECT_GT(run_->traces.events_processed, 2 * sessions);
+    // Only sessions generate events (measured: 13049 events for 5717
+    // sessions, 2.28 per session); a background stream would add several.
+    EXPECT_LT(run_->traces.events_processed, 3 * sessions);
 }
 
 }  // namespace

@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
+#include <vector>
+
 #include "analysis/session.hpp"
+#include "capture/binary_log.hpp"
 #include "net/as_registry.hpp"
+#include "study/study_run.hpp"
 
 namespace study = ytcdn::study;
 namespace workload = ytcdn::workload;
 namespace analysis = ytcdn::analysis;
 namespace net = ytcdn::net;
 namespace cdn = ytcdn::cdn;
+namespace capture = ytcdn::capture;
 
 namespace {
 
@@ -104,6 +111,64 @@ TEST(TraceDriver, SharedCdnStateAcrossVantagePoints) {
         pulled_total += deployment.cdn().cache(dc.id).pulled_count();
     }
     EXPECT_GT(pulled_total, 0u);
+}
+
+TEST(TraceDriver, StreamingSinksSeeTheExactMaterializedRecords) {
+    // Sink mode is the bounded-memory capture path: the forwarded stream
+    // must carry the same records the materializing run accumulates, each
+    // VP's stream sorted by non-decreasing start time (the precondition
+    // the incremental analyses rely on), and the returned datasets must
+    // stay empty while every counter still matches.
+    const auto cfg = tiny_config();
+    const auto materialized = study::run_study(cfg);
+
+    struct Collect : capture::FlowSink {
+        std::vector<capture::FlowRecord> records;
+        void on_flow(const capture::FlowRecord& r) override {
+            records.push_back(r);
+        }
+    };
+    std::vector<Collect> collectors(study::kNumVantagePoints);
+    std::vector<capture::FlowSink*> sinks;
+    for (auto& c : collectors) sinks.push_back(&c);
+
+    study::StudyDeployment dep(cfg);
+    study::TraceDriver driver(dep);
+    driver.set_flow_sinks(std::move(sinks));
+    const auto streamed = driver.run();
+
+    const auto& expected = materialized.traces;
+    ASSERT_EQ(streamed.datasets.size(), expected.datasets.size());
+    for (std::size_t i = 0; i < streamed.datasets.size(); ++i) {
+        EXPECT_TRUE(streamed.datasets[i].records.empty()) << i;
+        EXPECT_EQ(streamed.flows_observed[i], expected.flows_observed[i]);
+        EXPECT_EQ(streamed.flows_ignored[i], expected.flows_ignored[i]);
+
+        // The stream arrives start-sorted...
+        const auto& got = collectors[i].records;
+        for (std::size_t k = 1; k < got.size(); ++k) {
+            ASSERT_LE(got[k - 1].start, got[k].start) << i << "/" << k;
+        }
+        // ...and sorting it like the materializing join does yields the
+        // exact dataset run_study produced.
+        capture::Dataset ds;
+        ds.name = expected.datasets[i].name;
+        ds.records = got;
+        ds.sort_by_time();
+        std::ostringstream a, b;
+        capture::write_binary_log(a, ds.records);
+        capture::write_binary_log(b, expected.datasets[i].records);
+        EXPECT_EQ(a.str(), b.str()) << i;
+    }
+    EXPECT_EQ(streamed.events_processed, expected.events_processed);
+    EXPECT_EQ(streamed.unique_hosts, expected.unique_hosts);
+}
+
+TEST(TraceDriver, RejectsSinkCountMismatch) {
+    study::StudyDeployment deployment(tiny_config());
+    study::TraceDriver driver(deployment);
+    driver.set_flow_sinks({nullptr});
+    EXPECT_THROW((void)driver.run(ytcdn::sim::kDay), std::invalid_argument);
 }
 
 }  // namespace
