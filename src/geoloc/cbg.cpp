@@ -38,7 +38,39 @@ std::uint64_t probe_seed(std::uint64_t seed, std::string_view stage,
     return sim::mix64(seed ^ sim::hash_string(stage) ^ sim::mix64(entity_id));
 }
 
+/// Relative half-width of the band around a disk's haversine threshold in
+/// which DiskTest falls back to the exact distance. Rounding in h, in the
+/// threshold and in R·2·asin(√h) is ~1e-15 relative, so 1e-9 leaves every
+/// decision outside the band exact.
+constexpr double kThresholdMargin = 1e-9;
+
 }  // namespace
+
+DiskTest::DiskTest(const geo::GeoPoint& center, double radius_km) noexcept
+    : center_(center),
+      radius_km_(radius_km),
+      cos_center_lat_(std::cos(geo::deg_to_rad(center.lat_deg))) {
+    const double s = std::sin(std::min(radius_km / geo::kEarthRadiusKm, M_PI) / 2.0);
+    const double threshold = s * s;
+    h_low_ = threshold * (1.0 - kThresholdMargin);
+    h_high_ = threshold * (1.0 + kThresholdMargin);
+}
+
+DiskTest::Row DiskTest::row(double lat_deg, double cos_lat) const noexcept {
+    // Operands as in geo::distance_km(point, center), so h rounds the same.
+    const double s = std::sin(geo::deg_to_rad(center_.lat_deg - lat_deg) / 2.0);
+    return Row{s * s, cos_lat * cos_center_lat_};
+}
+
+bool DiskTest::contains(const Row& row, double lon_deg) const noexcept {
+    const double s = std::sin(geo::deg_to_rad(center_.lon_deg - lon_deg) / 2.0);
+    const double h = row.sin2_half_dlat + row.cos_product * s * s;
+    if (h < h_low_) return true;
+    if (h > h_high_) return false;
+    const double d =
+        geo::kEarthRadiusKm * (2.0 * std::asin(std::sqrt(std::clamp(h, 0.0, 1.0))));
+    return d <= radius_km_;
+}
 
 CbgLocator::CbgLocator(const net::RttModel& model, std::vector<Landmark> landmarks,
                        const Config& config, std::uint64_t seed)
@@ -106,12 +138,17 @@ CbgResult CbgLocator::intersect(std::vector<Circle> circles) const {
     result.circles_used = static_cast<int>(circles.size());
     cbg_metrics().circles_used.observe(static_cast<double>(circles.size()));
 
+    std::vector<DiskTest> disks;
+    std::vector<DiskTest::Row> rows(circles.size());
     for (int iter = 0; iter <= config_.max_relax_iters; ++iter) {
         // Grid over the bounding box of the tightest circle. Latitude rows
         // carry a cos(lat) cell-width correction for area and spacing.
         const Circle& tight = circles.front();
         const double r = tight.radius_km;
         const double dlat = r / 111.0;  // degrees latitude per km is ~1/111
+
+        disks.clear();
+        for (const auto& c : circles) disks.emplace_back(c.center, c.radius_km);
 
         const int n = config_.grid;
         double sum_lat = 0.0;
@@ -124,23 +161,30 @@ CbgResult CbgLocator::intersect(std::vector<Circle> circles) const {
             const double lat =
                 tight.center.lat_deg - dlat + 2.0 * dlat * (yi + 0.5) / n;
             if (lat < -90.0 || lat > 90.0) continue;
-            const double cos_lat =
-                std::max(0.05, std::cos(geo::deg_to_rad(lat)));
+            const double cos_lat_exact = std::cos(geo::deg_to_rad(lat));
+            // A row outside any disk's latitude band holds no inside point.
+            bool row_may_hit = true;
+            for (std::size_t k = 0; k < disks.size() && row_may_hit; ++k) {
+                rows[k] = disks[k].row(lat, cos_lat_exact);
+                row_may_hit = disks[k].may_contain(rows[k]);
+            }
+            if (!row_may_hit) continue;
+            const double cos_lat = std::max(0.05, cos_lat_exact);
             const double dlon = r / (111.0 * cos_lat);
             for (int xi = 0; xi < n; ++xi) {
                 double lon =
                     tight.center.lon_deg - dlon + 2.0 * dlon * (xi + 0.5) / n;
                 if (lon > 180.0) lon -= 360.0;
                 if (lon < -180.0) lon += 360.0;
-                const geo::GeoPoint p{lat, lon};
                 bool inside = true;
-                for (const auto& c : circles) {
-                    if (geo::distance_km(p, c.center) > c.radius_km) {
+                for (std::size_t k = 0; k < disks.size(); ++k) {
+                    if (!disks[k].contains(rows[k], lon)) {
                         inside = false;
                         break;
                     }
                 }
                 if (!inside) continue;
+                const geo::GeoPoint p{lat, lon};
                 accepted.push_back(p);
                 sum_lat += lat;
                 sum_lon += lon;

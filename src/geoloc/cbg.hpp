@@ -28,6 +28,43 @@ struct CbgResult {
     bool relaxed = false;
 };
 
+/// The disk {p : geo::distance_km(p, center) <= radius_km} as a membership
+/// test for points taken row by row from a latitude/longitude grid.
+///
+/// contains() returns exactly what the distance comparison would, bit for
+/// bit, but skips most of its cost: the latitude terms of the haversine `h`
+/// are computed once per row (row()), and `h` is compared against the
+/// disk's own threshold sin²(min(r/R, π)/2) instead of being turned into a
+/// distance. Only points whose `h` falls within a relative 1e-9 of the
+/// threshold pay for the exact R·2·asin(√h) comparison.
+class DiskTest {
+public:
+    DiskTest(const geo::GeoPoint& center, double radius_km) noexcept;
+
+    /// The latitude-only haversine terms for points at `lat_deg`.
+    struct Row {
+        double sin2_half_dlat = 0.0;
+        double cos_product = 0.0;
+    };
+    /// `cos_lat` must be std::cos(geo::deg_to_rad(lat_deg)).
+    [[nodiscard]] Row row(double lat_deg, double cos_lat) const noexcept;
+
+    /// False when no point of the row can lie inside the disk.
+    [[nodiscard]] bool may_contain(const Row& row) const noexcept {
+        return row.sin2_half_dlat <= h_high_;
+    }
+
+    /// Same as geo::distance_km({row latitude, lon_deg}, center) <= radius_km.
+    [[nodiscard]] bool contains(const Row& row, double lon_deg) const noexcept;
+
+private:
+    geo::GeoPoint center_;
+    double radius_km_;
+    double cos_center_lat_;
+    double h_low_;   // h below this: certainly inside
+    double h_high_;  // h above this: certainly outside
+};
+
 /// Constraint-Based Geolocation (Gueye, Ziviani, Crovella, Fdida — ToN'06),
 /// the algorithm the paper uses to localize YouTube servers (Section V).
 ///

@@ -46,8 +46,9 @@ public:
     /// Timestamp of the earliest event; queue must be non-empty.
     [[nodiscard]] SimTime next_time() const;
 
-    /// Move-only handle to a popped task. Invoking it runs the callback and
-    /// recycles its slab block; destroying it un-invoked also recycles.
+    /// Move-only handle to a popped task. Invoking it runs the callback,
+    /// destroys it and recycles its slab block, also when the callback
+    /// throws; destroying the handle un-invoked destroys and recycles too.
     class Task {
     public:
         Task(Task&& other) noexcept : queue_(other.queue_), task_(other.task_) {
@@ -63,8 +64,7 @@ public:
         void operator()() {
             TaskBase* t = task_;
             task_ = nullptr;
-            t->invoke(t);  // may push new events; safe, t is off the heap
-            queue_->recycle(t);
+            t->run(t, queue_);  // may push new events; safe, t is off the heap
         }
 
     private:
@@ -86,7 +86,9 @@ public:
 
 private:
     struct TaskBase {
-        void (*invoke)(TaskBase*);
+        /// Invokes the callable, then destroys it and recycles the block.
+        void (*run)(TaskBase*, EventQueue*);
+        /// Destroys the callable without invoking it.
         void (*destroy)(TaskBase*);
         bool large;
     };
@@ -121,7 +123,19 @@ private:
         void* block = small ? small_pool_.allocate() : large_pool_.allocate();
         auto* task = ::new (block) TaskImpl<Fn>{
             TaskBase{
-                [](TaskBase* t) { reinterpret_cast<TaskImpl<Fn>*>(t)->fn(); },
+                [](TaskBase* t, EventQueue* queue) {
+                    // Destroy-then-recycle runs on the way out, whether the
+                    // callable returns or throws.
+                    struct Finish {
+                        TaskImpl<Fn>* task;
+                        EventQueue* queue;
+                        ~Finish() {
+                            task->fn.~Fn();
+                            queue->recycle(&task->base);
+                        }
+                    } finish{reinterpret_cast<TaskImpl<Fn>*>(t), queue};
+                    finish.task->fn();
+                },
                 [](TaskBase* t) { reinterpret_cast<TaskImpl<Fn>*>(t)->fn.~Fn(); },
                 !small,
             },

@@ -1,5 +1,8 @@
 #include "study/dc_map_builder.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -7,6 +10,32 @@
 #include "net/pinger.hpp"
 
 namespace ytcdn::study {
+
+namespace {
+
+struct SubnetDc {
+    net::IpAddress key;  // the /24
+    cdn::DcId dc;
+};
+
+/// The data center standing for each in-scope /24, in first-seen order: the
+/// owner of the /24's first in-scope IP that has one.
+std::vector<SubnetDc> subnet_dcs(const StudyDeployment& deployment,
+                                 const std::vector<net::IpAddress>& scope_ips) {
+    std::vector<SubnetDc> out;
+    std::unordered_set<net::IpAddress> seen;
+    for (const net::IpAddress ip : scope_ips) {
+        const net::IpAddress key = ip.slash24();
+        if (seen.contains(key)) continue;
+        const cdn::DcId dc = deployment.cdn().dc_of_ip(ip);
+        if (dc == cdn::kInvalidDc) continue;
+        seen.insert(key);
+        out.push_back({key, dc});
+    }
+    return out;
+}
+
+}  // namespace
 
 analysis::ServerDcMap ground_truth_dc_map(const StudyDeployment& deployment,
                                           const workload::VantagePoint& vp) {
@@ -30,38 +59,49 @@ analysis::ServerDcMap ground_truth_dc_map(const StudyDeployment& deployment,
     return map;
 }
 
+DcLocations locate_scope_dcs(const StudyDeployment& deployment,
+                             const std::vector<capture::Dataset>& datasets,
+                             const geoloc::CbgLocator& locator, util::ThreadPool& pool) {
+    const auto per_dataset = util::parallel_map_indexed(
+        pool, datasets.size(), [&deployment, &datasets](std::size_t i) {
+            return subnet_dcs(deployment, analysis::analysis_scope_servers(
+                                              datasets[i], deployment.whois(),
+                                              deployment.local_as(i)));
+        });
+    std::vector<cdn::DcId> dcs;
+    for (const auto& subnets : per_dataset) {
+        for (const auto& subnet : subnets) dcs.push_back(subnet.dc);
+    }
+    std::sort(dcs.begin(), dcs.end());
+    dcs.erase(std::unique(dcs.begin(), dcs.end()), dcs.end());
+
+    // Independent runs: locate() forks its probe RNG from the target id.
+    const auto results =
+        util::parallel_map(pool, dcs, [&deployment, &locator](cdn::DcId dc) {
+            return locator.locate(deployment.cdn().dc(dc).site);
+        });
+    DcLocations out;
+    for (std::size_t i = 0; i < dcs.size(); ++i) out.emplace(dcs[i], results[i]);
+    return out;
+}
+
 CbgMappingResult cbg_dc_map(const StudyDeployment& deployment,
-                            const capture::Dataset& dataset,
-                            const geoloc::CbgLocator& locator,
-                            const workload::VantagePoint& vp, net::Asn local_as,
-                            util::ThreadPool& pool) {
+                            const capture::Dataset& dataset, const DcLocations& located,
+                            const workload::VantagePoint& vp, net::Asn local_as) {
     CbgMappingResult out;
     const auto scope_ips =
         analysis::analysis_scope_servers(dataset, deployment.whois(), local_as);
 
-    // One CBG run per /24; members share the estimate. The per-subnet CBG
-    // runs are independent (locate() forks its probe RNG by target id), so
-    // they fan out across the pool; results are keyed back by subnet in
-    // first-seen order, independent of completion order.
-    std::vector<net::IpAddress> subnet_keys;
-    std::vector<net::NetSite> subnet_targets;
-    std::unordered_map<net::IpAddress, geoloc::CbgResult> per_subnet;
+    std::unordered_map<net::IpAddress, const geoloc::CbgResult*> per_subnet;
+    for (const auto& subnet : subnet_dcs(deployment, scope_ips)) {
+        const auto it = located.find(subnet.dc);
+        if (it == located.end()) {
+            throw std::invalid_argument("cbg_dc_map: data center " +
+                                        std::to_string(subnet.dc) + " was not located");
+        }
+        per_subnet.emplace(subnet.key, &it->second);
+    }
     const auto& cities = geo::CityDatabase::builtin();
-    for (const net::IpAddress ip : scope_ips) {
-        const net::IpAddress key = ip.slash24();
-        if (per_subnet.contains(key)) continue;
-        const cdn::DcId dc = deployment.cdn().dc_of_ip(ip);
-        if (dc == cdn::kInvalidDc) continue;
-        per_subnet.emplace(key, geoloc::CbgResult{});  // reserve the slot
-        subnet_keys.push_back(key);
-        subnet_targets.push_back(deployment.cdn().dc(dc).site);
-    }
-    const auto results = util::parallel_map(
-        pool, subnet_targets,
-        [&locator](const net::NetSite& target) { return locator.locate(target); });
-    for (std::size_t i = 0; i < subnet_keys.size(); ++i) {
-        per_subnet[subnet_keys[i]] = results[i];
-    }
 
     out.located.reserve(scope_ips.size());
     for (const net::IpAddress ip : scope_ips) {
@@ -69,7 +109,7 @@ CbgMappingResult cbg_dc_map(const StudyDeployment& deployment,
         if (it == per_subnet.end()) continue;
         geoloc::LocatedServer ls;
         ls.ip = ip;
-        ls.cbg = it->second;
+        ls.cbg = *it->second;
         ls.city = geoloc::snap_to_city(ls.cbg, cities);
         out.located.push_back(ls);
     }

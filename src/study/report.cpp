@@ -151,8 +151,11 @@ analysis::Series flows_cdf_series(std::string name, const std::vector<double>& c
     return s;
 }
 
-std::string render_table3_artifact(const StudyRun& run, const ReportOptions& options,
-                                   util::ThreadPool& pool) {
+/// Table III's CBG phase: calibrate the landmarks, then locate every data
+/// center behind the datasets' in-scope /24s once. Both steps fan out over
+/// `pool`.
+DcLocations locate_table3_dcs(const StudyRun& run, const ReportOptions& options,
+                              util::ThreadPool& pool) {
     geoloc::CbgLocator locator(
         run.deployment->rtt(),
         geoloc::make_planetlab_landmarks(geo::CityDatabase::builtin(),
@@ -160,12 +163,16 @@ std::string render_table3_artifact(const StudyRun& run, const ReportOptions& opt
                                          options.landmarks),
         options.cbg, run.config.seed ^ 0xCB6);
     locator.calibrate(pool);
+    return locate_scope_dcs(*run.deployment, run.traces.datasets, locator, pool);
+}
+
+std::string render_table3_artifact(const StudyRun& run, const DcLocations& located) {
     std::vector<analysis::ContinentCounts> counts;
     counts.reserve(run.traces.datasets.size());
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto mapping =
-            cbg_dc_map(*run.deployment, run.traces.datasets[i], locator,
-                       run.deployment->vantage(i), run.deployment->local_as(i), pool);
+            cbg_dc_map(*run.deployment, run.traces.datasets[i], located,
+                       run.deployment->vantage(i), run.deployment->local_as(i));
         counts.push_back(analysis::servers_per_continent(mapping.located));
     }
     return make_table3(run, counts).render();
@@ -244,9 +251,25 @@ std::string render_resolutions(const StudyRun& run, bool soa) {
 FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
                             const ReportOptions& options) {
     // Every artifact is a pure function of the immutable run: closures only
-    // read `run` (and fork their own probe RNGs, for Table III), so they can
-    // execute in any order on any thread. parallel_map returns them in list
+    // read `run` (and, for Table III, the CBG table located from it), so they
+    // can execute in any order on any thread. parallel_map returns them in list
     // order, making the report bytes independent of the schedule.
+    //
+    // Table III's CBG phase runs first, on its own: it fans out over the
+    // pool, and a pool task that calls the pool runs serially, so inside the
+    // artifact map it would keep one lane busy long after the others idle.
+    // A failure is held for the table3.txt job to rethrow, so the isolation
+    // below degrades (or, in strict mode, propagates) it like any other.
+    DcLocations table3_dcs;
+    std::exception_ptr table3_error;
+    if (options.include_table3) {
+        try {
+            table3_dcs = locate_table3_dcs(run, options, pool);
+        } catch (...) {  // ytcdn-lint: allow(catch-all) — the table3 job rethrows
+            table3_error = std::current_exception();
+        }
+    }
+
     using Job = std::pair<std::string, std::function<std::string()>>;
     std::vector<Job> jobs;
     jobs.reserve(20);
@@ -261,10 +284,10 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     jobs.emplace_back("table1.txt", [&run] { return make_table1(run).render(); });
     jobs.emplace_back("table2.txt", [&run] { return make_table2(run).render(); });
     if (options.include_table3) {
-        jobs.emplace_back("table3.txt",
-                          [&run, &options, &pool] {
-                              return render_table3_artifact(run, options, pool);
-                          });
+        jobs.emplace_back("table3.txt", [&run, &table3_dcs, &table3_error] {
+            if (table3_error) std::rethrow_exception(table3_error);
+            return render_table3_artifact(run, table3_dcs);
+        });
     }
     jobs.emplace_back("failure_breakdown.txt",
                       [&run] { return make_failure_table(run).render(); });

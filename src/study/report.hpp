@@ -68,8 +68,10 @@ struct FullReport {
 };
 
 struct ReportOptions {
-    /// Table III re-runs the whole CBG geolocation pipeline (calibrate 215
-    /// landmarks, locate every /24) — by far the most expensive artifact.
+    /// Table III re-runs the whole CBG geolocation pipeline: calibrate 215
+    /// landmarks, then locate each data center behind the datasets' in-scope
+    /// /24s once (locate_scope_dcs). Both steps fan out over the pool before
+    /// the other artifacts; still the most expensive artifact.
     bool include_table3 = true;
     /// Drive the §VI/§VII artifacts from the run's SoA flow/session tables
     /// (column scans) instead of the AoS record walks. Both paths render

@@ -29,7 +29,10 @@ namespace ytcdn::util {
 ///  * a pool of size 1 runs every index on the calling thread, in order —
 ///    an exact serial fallback with zero worker involvement;
 ///  * run_indexed called from inside one of this pool's own tasks degrades
-///    to the same serial loop (no deadlock, same output);
+///    to the same serial loop (no deadlock, same output) — so a task whose
+///    own work fans out gets one lane only; run such work at top level,
+///    before the fan-out it would otherwise sit in (as make_full_report
+///    does for Table III's CBG phase);
 ///  * if tasks throw, every index still runs, and the exception from the
 ///    *lowest* throwing index is rethrown — deterministic across schedules.
 ///

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "geo/city.hpp"
@@ -166,6 +167,92 @@ INSTANTIATE_TEST_SUITE_P(Cities, CbgCitySweep,
                          ::testing::Values("Milan", "Frankfurt", "London", "Madrid",
                                            "Warsaw", "Dallas", "Chicago", "Seattle",
                                            "Denver"));
+
+// --- DiskTest: the grid kernel's inside-circle predicate ------------------
+
+/// The reference the kernel must reproduce bit for bit.
+bool outside_reference(const geo::GeoPoint& p, const geo::GeoPoint& c, double r) {
+    return geo::distance_km(p, c) > r;
+}
+
+/// The kernel on one point: its row terms, then the longitude test.
+bool inside(const geoloc::DiskTest& disk, const geo::GeoPoint& p) {
+    return disk.contains(disk.row(p.lat_deg, std::cos(geo::deg_to_rad(p.lat_deg))),
+                         p.lon_deg);
+}
+
+TEST(DiskTest, MatchesDistanceOnRandomPointsAndCircles) {
+    sim::Rng rng(31);
+    for (int i = 0; i < 20000; ++i) {
+        const geo::GeoPoint c{rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)};
+        const geo::GeoPoint p{rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)};
+        const double r = rng.uniform(0.0, 2.2e4);
+        EXPECT_EQ(!inside(geoloc::DiskTest(c, r), p), outside_reference(p, c, r))
+            << geo::to_string(p) << " " << geo::to_string(c) << " r=" << r;
+    }
+}
+
+TEST(DiskTest, MatchesDistanceOnAndJustOffTheBoundary) {
+    // r is the point's exact computed distance, then one ulp and a relative
+    // 1e-9 either way: the cases sit inside and at the edges of the band in
+    // which the threshold test falls back to the exact distance.
+    sim::Rng rng(32);
+    for (int i = 0; i < 5000; ++i) {
+        const geo::GeoPoint c{rng.uniform(-89.0, 89.0), rng.uniform(-180.0, 180.0)};
+        const geo::GeoPoint p = geo::destination_point(c, rng.uniform(0.0, 360.0),
+                                                       rng.uniform(1e-3, 1.9e4));
+        const double d = geo::distance_km(p, c);
+        for (const double r : {d, std::nextafter(d, 0.0), std::nextafter(d, 1e9),
+                               d * (1.0 + 1e-9), d * (1.0 - 1e-9)}) {
+            EXPECT_EQ(!inside(geoloc::DiskTest(c, r), p), outside_reference(p, c, r))
+                << geo::to_string(p) << " " << geo::to_string(c) << " r=" << r;
+        }
+        EXPECT_TRUE(inside(geoloc::DiskTest(c, d), p));
+        EXPECT_FALSE(inside(geoloc::DiskTest(c, std::nextafter(d, 0.0)), p));
+    }
+}
+
+TEST(DiskTest, MatchesDistanceForAntipodesAndHemisphereRadii) {
+    const double half_circumference = M_PI * geo::kEarthRadiusKm;
+    sim::Rng rng(33);
+    for (int i = 0; i < 2000; ++i) {
+        const geo::GeoPoint c{rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)};
+        const geo::GeoPoint antipode{-c.lat_deg,
+                                     c.lon_deg > 0.0 ? c.lon_deg - 180.0
+                                                     : c.lon_deg + 180.0};
+        const geo::GeoPoint far{rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)};
+        const double d = geo::distance_km(antipode, c);
+        for (const double r :
+             {half_circumference, std::nextafter(half_circumference, 0.0),
+              half_circumference * (1.0 - 1e-12), 2.0 * half_circumference, 1e9, d,
+              std::nextafter(d, 0.0), 0.0}) {
+            for (const auto& p : {antipode, far, c}) {
+                EXPECT_EQ(!inside(geoloc::DiskTest(c, r), p), outside_reference(p, c, r))
+                    << geo::to_string(p) << " " << geo::to_string(c) << " r=" << r;
+            }
+        }
+    }
+}
+
+TEST(DiskTest, MayContainRulesOutOnlyEmptyRows) {
+    // A row ruled out by may_contain() holds no point inside the disk.
+    sim::Rng rng(34);
+    for (int i = 0; i < 500; ++i) {
+        const geo::GeoPoint c{rng.uniform(-80.0, 80.0), rng.uniform(-180.0, 180.0)};
+        const double disk_radius = rng.uniform(10.0, 3000.0);
+        const geoloc::DiskTest disk(c, disk_radius);
+        const double lat = rng.uniform(-90.0, 90.0);
+        const auto row = disk.row(lat, std::cos(geo::deg_to_rad(lat)));
+        for (int k = 0; k < 40; ++k) {
+            const double lon = rng.uniform(-180.0, 180.0);
+            const bool in = disk.contains(row, lon);
+            EXPECT_EQ(in, !outside_reference({lat, lon}, c, disk_radius));
+            if (!disk.may_contain(row)) {
+                EXPECT_FALSE(in);
+            }
+        }
+    }
+}
 
 TEST(Cbg, RequiresCalibration) {
     net::RttModel model;

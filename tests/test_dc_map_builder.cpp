@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "analysis/as_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "geo/city.hpp"
 #include "study/study_run.hpp"
+#include "util/metrics.hpp"
 
 namespace study = ytcdn::study;
 namespace analysis = ytcdn::analysis;
@@ -44,24 +49,29 @@ protected:
                                                         std::move(landmarks), cbg_cfg, 17);
         locator_->calibrate();
 
+        located_ = std::make_unique<study::DcLocations>(study::locate_scope_dcs(
+            *run_->deployment, run_->traces.datasets, *locator_));
         const auto idx = run_->vp_index("EU1-Campus");
         mapping_ = std::make_unique<study::CbgMappingResult>(study::cbg_dc_map(
-            *run_->deployment, run_->traces.datasets[idx], *locator_,
+            *run_->deployment, run_->traces.datasets[idx], *located_,
             run_->deployment->vantage(idx), run_->deployment->local_as(idx)));
     }
     static void TearDownTestSuite() {
         mapping_.reset();
+        located_.reset();
         locator_.reset();
         run_.reset();
     }
 
     static std::unique_ptr<study::StudyRun> run_;
     static std::unique_ptr<geoloc::CbgLocator> locator_;
+    static std::unique_ptr<study::DcLocations> located_;
     static std::unique_ptr<study::CbgMappingResult> mapping_;
 };
 
 std::unique_ptr<study::StudyRun> CbgMapFixture::run_;
 std::unique_ptr<geoloc::CbgLocator> CbgMapFixture::locator_;
+std::unique_ptr<study::DcLocations> CbgMapFixture::located_;
 std::unique_ptr<study::CbgMappingResult> CbgMapFixture::mapping_;
 
 TEST_F(CbgMapFixture, LocatesAllScopeServers) {
@@ -124,6 +134,87 @@ TEST_F(CbgMapFixture, MeasuredRttAndDistanceArePlausible) {
         // combined pipeline): at least the propagation floor.
         EXPECT_GT(info.rtt_ms, info.distance_km * 0.01 - 1.0) << info.name;
     }
+}
+
+TEST_F(CbgMapFixture, SharedTableMatchesOneLocatePerSubnet) {
+    // The located-once-per-data-center table must map every vantage point
+    // exactly as running locate() once per /24 (at the site of the data
+    // center owning the /24's first in-scope IP) does.
+    const auto& world = *run_->deployment;
+    const auto& cities = geo::CityDatabase::builtin();
+    for (std::size_t i = 0; i < run_->traces.datasets.size(); ++i) {
+        const auto& ds = run_->traces.datasets[i];
+        const auto mapping = study::cbg_dc_map(world, ds, *located_, world.vantage(i),
+                                               world.local_as(i));
+
+        const auto scope =
+            analysis::analysis_scope_servers(ds, world.whois(), world.local_as(i));
+        std::unordered_map<ytcdn::net::IpAddress, geoloc::CbgResult> per_subnet;
+        for (const auto ip : scope) {
+            if (per_subnet.contains(ip.slash24())) continue;
+            const auto dc = world.cdn().dc_of_ip(ip);
+            if (dc == ytcdn::cdn::kInvalidDc) continue;
+            per_subnet.emplace(ip.slash24(), locator_->locate(world.cdn().dc(dc).site));
+        }
+        std::size_t k = 0;
+        for (const auto ip : scope) {
+            const auto it = per_subnet.find(ip.slash24());
+            if (it == per_subnet.end()) continue;
+            ASSERT_LT(k, mapping.located.size()) << ds.name;
+            const auto& got = mapping.located[k++];
+            const auto& want = it->second;
+            EXPECT_EQ(got.ip, ip) << ds.name;
+            EXPECT_EQ(got.cbg.valid, want.valid);
+            EXPECT_EQ(got.cbg.estimate.lat_deg, want.estimate.lat_deg);
+            EXPECT_EQ(got.cbg.estimate.lon_deg, want.estimate.lon_deg);
+            EXPECT_EQ(got.cbg.confidence_radius_km, want.confidence_radius_km);
+            EXPECT_EQ(got.cbg.region_area_km2, want.region_area_km2);
+            EXPECT_EQ(got.cbg.circles_used, want.circles_used);
+            EXPECT_EQ(got.cbg.relaxed, want.relaxed);
+            EXPECT_EQ(got.city, geoloc::snap_to_city(want, cities));
+        }
+        EXPECT_EQ(k, mapping.located.size()) << ds.name;
+    }
+}
+
+std::uint64_t locates_so_far() {
+    for (const auto& e : ytcdn::util::metrics::Registry::global().snapshot().entries) {
+        if (e.name == "geoloc.cbg.locates") return e.value;
+    }
+    return 0;
+}
+
+TEST_F(CbgMapFixture, LocatesEachDataCenterOnce) {
+    // One locate() per distinct data center, however many (vantage point,
+    // /24) pairs stand for it.
+    const auto before = locates_so_far();
+    const auto located = study::locate_scope_dcs(*run_->deployment,
+                                                 run_->traces.datasets, *locator_);
+    EXPECT_EQ(locates_so_far() - before, located.size());
+
+    std::size_t subnet_pairs = 0;
+    for (std::size_t i = 0; i < run_->traces.datasets.size(); ++i) {
+        std::unordered_set<ytcdn::net::IpAddress> subnets;
+        for (const auto ip : analysis::analysis_scope_servers(
+                 run_->traces.datasets[i], run_->deployment->whois(),
+                 run_->deployment->local_as(i))) {
+            if (run_->deployment->cdn().dc_of_ip(ip) != ytcdn::cdn::kInvalidDc) {
+                subnets.insert(ip.slash24());
+            }
+        }
+        subnet_pairs += subnets.size();
+    }
+    EXPECT_GT(located.size(), 5u);
+    EXPECT_LT(located.size(), subnet_pairs);
+}
+
+TEST_F(CbgMapFixture, MissingDataCenterThrows) {
+    const auto idx = run_->vp_index("EU1-Campus");
+    EXPECT_THROW((void)study::cbg_dc_map(*run_->deployment, run_->traces.datasets[idx],
+                                         study::DcLocations{},
+                                         run_->deployment->vantage(idx),
+                                         run_->deployment->local_as(idx)),
+                 std::invalid_argument);
 }
 
 }  // namespace

@@ -84,10 +84,12 @@ std::string render_table3(const study::StudyRun& run, const study::StudyConfig& 
                                          sim::Rng(cfg.seed ^ 0x9B), counts),
         cbg_cfg, cfg.seed ^ 0xCB6);
     locator.calibrate();
+    const auto located =
+        study::locate_scope_dcs(*run.deployment, run.traces.datasets, locator);
     std::vector<analysis::ContinentCounts> continent_counts;
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto mapping =
-            study::cbg_dc_map(*run.deployment, run.traces.datasets[i], locator,
+            study::cbg_dc_map(*run.deployment, run.traces.datasets[i], located,
                               run.deployment->vantage(i), run.deployment->local_as(i));
         continent_counts.push_back(analysis::servers_per_continent(mapping.located));
     }

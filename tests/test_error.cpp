@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
@@ -47,6 +50,65 @@ TEST(Crc32, DetectsSingleBitFlips) {
         flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
         EXPECT_NE(util::crc32(flipped), baseline) << "flip at " << at;
     }
+}
+
+/// The bitwise-table reference the slicing-by-8 kernel must reproduce.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n, std::uint32_t seed) {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> pseudo_random_bytes(std::size_t n) {
+    std::vector<unsigned char> out(n);
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (auto& b : out) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<unsigned char>(x >> 32);
+    }
+    return out;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryShortLength) {
+    const auto bytes = pseudo_random_bytes(64);
+    for (std::size_t n = 0; n <= 64; ++n) {
+        EXPECT_EQ(util::crc32(bytes.data(), n), crc32_bytewise(bytes.data(), n, 0))
+            << "length " << n;
+    }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnLargeUnalignedBuffers) {
+    const auto bytes = pseudo_random_bytes((1u << 20) + 64);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        const std::size_t n = bytes.size() - 64 + offset % 7;
+        EXPECT_EQ(util::crc32(bytes.data() + offset, n),
+                  crc32_bytewise(bytes.data() + offset, n, 0))
+            << "offset " << offset;
+    }
+}
+
+TEST(Crc32, ChainedSeedsMatchBytewiseReference) {
+    const auto bytes = pseudo_random_bytes(4099);
+    std::uint32_t fast = 0;
+    std::uint32_t slow = 0;
+    std::size_t at = 0;
+    for (std::size_t step = 1; at < bytes.size(); step = step * 3 % 61 + 1) {
+        const std::size_t n = std::min(step, bytes.size() - at);
+        fast = util::crc32(bytes.data() + at, n, fast);
+        slow = crc32_bytewise(bytes.data() + at, n, slow);
+        EXPECT_EQ(fast, slow) << "after " << at + n << " bytes";
+        at += n;
+    }
+    EXPECT_EQ(fast, util::crc32(bytes.data(), bytes.size()));
+    const std::string check = "123456789";
+    EXPECT_EQ(crc32_bytewise(reinterpret_cast<const unsigned char*>(check.data()),
+                             check.size(), 0),
+              0xCBF43926u);
 }
 
 // --- Error ---------------------------------------------------------------

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -51,6 +53,47 @@ TEST(EventQueue, ClearResets) {
     q.push(1.0, [] {});
     q.clear();
     EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, FiredCallbacksAreDestroyed) {
+    // A fired task's captures are destroyed with it: the queue holds no
+    // copy of the shared_ptr once run() returns.
+    const auto token = std::make_shared<int>(7);
+    sim::Simulator s;
+    for (int i = 0; i < 3; ++i) s.schedule_at(i, [token] { EXPECT_EQ(*token, 7); });
+    std::function<void()> boxed = [token] {};
+    s.schedule_at(4.0, boxed);  // std::function: a non-trivial destructor
+    boxed = nullptr;
+    EXPECT_EQ(token.use_count(), 5);
+    s.run();
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, ThrowingCallbacksAreDestroyed) {
+    const auto token = std::make_shared<int>(7);
+    sim::EventQueue q;
+    q.push(1.0, [token] { throw std::runtime_error("boom"); });
+    q.push(2.0, [token] {});
+    EXPECT_EQ(token.use_count(), 3);
+    sim::SimTime t = 0;
+    EXPECT_THROW(q.pop(t)(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 2);
+    q.pop(t)();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, UnfiredCallbacksAreDestroyed) {
+    const auto token = std::make_shared<int>(7);
+    {
+        sim::EventQueue q;
+        q.push(1.0, [token] {});
+        q.push(2.0, [token] {});
+        sim::SimTime t = 0;
+        { auto task = q.pop(t); }  // dropped un-invoked
+        EXPECT_EQ(token.use_count(), 2);
+    }  // the queue's destructor clears the rest
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Simulator, NowAdvancesWithEvents) {
