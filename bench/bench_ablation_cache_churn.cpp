@@ -37,7 +37,7 @@ ChurnOutcome run_with_bound(std::size_t max_pulled) {
     }
     const auto idx = run.vp_index("EU1-ADSL");
     const auto cdf = analysis::video_non_preferred_counts(
-        run.traces.datasets[idx], run.maps[idx], run.preferred[idx]);
+        run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]);
     if (!cdf.empty()) out.once_share = cdf.fraction_at_or_below(1.0);
     out.non_pref_flows =
         analysis::non_preferred_share(run.traces.datasets[idx], run.maps[idx],

@@ -6,6 +6,7 @@
 
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
+#include "analysis/session.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
 #include "study/dc_map_builder.hpp"
@@ -49,7 +50,9 @@ TtlOutcome run_with_ttl(double ttl_s) {
         1.0 -
         analysis::non_preferred_share(traces.datasets[idx], map, preferred).flow_fraction;
     const auto series =
-        analysis::hourly_preferred_series(traces.datasets[idx], map, preferred);
+        analysis::hourly_preferred_series(traces.datasets[idx],
+                                          analysis::dc_column(traces.datasets[idx], map),
+                                          preferred);
     double peak = 0.0;
     for (std::size_t h = 0; h < series.fraction_preferred.points.size(); ++h) {
         if (series.flows_per_hour.points[h].second > peak) {

@@ -29,7 +29,7 @@ CapacityOutcome run_with_rate_factor(double factor) {
                                                      run.maps[idx],
                                                      run.preferred[idx]);
     const auto series = analysis::hourly_preferred_series(
-        run.traces.datasets[idx], run.maps[idx], run.preferred[idx]);
+        run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]);
     double peak_flows = 0.0;
     double busiest = 1.0;
     for (std::size_t h = 0; h < series.fraction_preferred.points.size(); ++h) {

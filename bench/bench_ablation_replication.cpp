@@ -33,7 +33,7 @@ ReplicationOutcome run_with_replication(double fraction) {
         out.miss_redirects += stats.redirects_miss;
     }
     const auto cdf = analysis::video_non_preferred_counts(
-        run.traces.datasets[idx], run.maps[idx], run.preferred[idx]);
+        run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]);
     if (!cdf.empty()) {
         out.once_redirected_videos = static_cast<std::size_t>(
             cdf.fraction_at_or_below(1.0) * static_cast<double>(cdf.size()));

@@ -30,8 +30,7 @@ ShapeMetrics measure(double scale) {
 
     ShapeMetrics m;
     const auto us = run.vp_index("US-Campus");
-    m.single_flow = analysis::flows_per_session_cdf(
-        analysis::build_sessions(run.traces.datasets[us], 1.0))[0];
+    m.single_flow = analysis::flows_per_session_cdf(run.sessions[us])[0];
     m.preferred_bytes =
         1.0 - analysis::non_preferred_share(run.traces.datasets[us], run.maps[us],
                                             run.preferred[us])
@@ -42,7 +41,7 @@ ShapeMetrics measure(double scale) {
                                             run.preferred[eu2])
                   .byte_fraction;
     m.eu2_corr = analysis::load_vs_nonpreferred_correlation(
-        run.traces.datasets[eu2], run.maps[eu2], run.preferred[eu2]);
+        run.traces.datasets[eu2], run.dc_columns[eu2], run.preferred[eu2]);
     return m;
 }
 

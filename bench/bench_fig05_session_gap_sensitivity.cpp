@@ -23,9 +23,9 @@ void print_reproduction() {
     const auto& ds = bench::shared_run().dataset("US-Campus");
     std::vector<analysis::Series> series;
     for (const double t : kGaps) {
-        const auto sessions = analysis::build_sessions(ds, t);
+        const auto sessions = analysis::SessionTable::build(ds, t);
         const auto cdf = analysis::flows_per_session_cdf(sessions);
-        std::cout << "T=" << t << "s: " << sessions.size() << " sessions, "
+        std::cout << "T=" << t << "s: " << sessions.num_sessions() << " sessions, "
                   << analysis::fmt_pct(cdf[0], 1) << "% single-flow\n";
         analysis::Series s;
         s.name = "T=" + std::to_string(static_cast<int>(t)) + "s flows/session CDF";
@@ -38,16 +38,16 @@ void print_reproduction() {
     analysis::write_series(std::cout, series, 0, 4);
 }
 
-void bm_build_sessions(benchmark::State& state) {
+void bm_session_table_build(benchmark::State& state) {
     const auto& ds = bench::shared_run().dataset("US-Campus");
     const double t = kGaps[static_cast<std::size_t>(state.range(0))];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::build_sessions(ds, t));
+        benchmark::DoNotOptimize(analysis::SessionTable::build(ds, t));
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(ds.records.size()));
 }
-BENCHMARK(bm_build_sessions)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_session_table_build)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

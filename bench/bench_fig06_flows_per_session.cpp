@@ -19,9 +19,9 @@ void print_reproduction() {
         "72.5-80.5% single-flow sessions; 19.5-27.5% need 2+ flows");
     const auto& run = bench::shared_run();
     std::vector<analysis::Series> series;
-    for (const auto& ds : run.traces.datasets) {
-        const auto sessions = analysis::build_sessions(ds, 1.0);
-        const auto cdf = analysis::flows_per_session_cdf(sessions);
+    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
+        const auto& ds = run.traces.datasets[i];
+        const auto cdf = analysis::flows_per_session_cdf(run.sessions[i]);
         std::cout << ds.name << ": " << analysis::fmt_pct(cdf[0], 1)
                   << "% single-flow, " << analysis::fmt_pct(cdf[1], 1)
                   << "% <= 2 flows   # paper: 72.5-80.5% single\n";
@@ -37,8 +37,8 @@ void print_reproduction() {
 }
 
 void bm_flows_per_session_cdf(benchmark::State& state) {
-    const auto sessions =
-        analysis::build_sessions(bench::shared_run().dataset("EU1-ADSL"), 1.0);
+    const auto& run = bench::shared_run();
+    const auto& sessions = run.sessions[run.vp_index("EU1-ADSL")];
     for (auto _ : state) {
         benchmark::DoNotOptimize(analysis::flows_per_session_cdf(sessions));
     }

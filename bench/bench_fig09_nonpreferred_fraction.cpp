@@ -20,7 +20,7 @@ void print_reproduction() {
     std::vector<analysis::Series> series;
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto cdf = analysis::hourly_non_preferred_fraction(
-            run.traces.datasets[i], run.maps[i], run.preferred[i]);
+            run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
         std::cout << run.traces.datasets[i].name << ": median "
                   << analysis::fmt_pct(cdf.quantile(0.5), 1) << "%, p90 "
                   << analysis::fmt_pct(cdf.quantile(0.9), 1) << "% of hourly flows "
@@ -33,31 +33,19 @@ void print_reproduction() {
     analysis::write_series(std::cout, series, 4, 4);
 }
 
+// Two column reads per flow: the record's start hour and its pre-resolved
+// data center.
 void bm_hourly_fraction(benchmark::State& state) {
     const auto& run = bench::shared_run();
     for (auto _ : state) {
         benchmark::DoNotOptimize(analysis::hourly_non_preferred_fraction(
-            run.traces.datasets[4], run.maps[4], run.preferred[4]));
+            run.traces.datasets[4], run.dc_columns[4], run.preferred[4]));
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *
         static_cast<int64_t>(run.traces.datasets[4].records.size()));
 }
 BENCHMARK(bm_hourly_fraction)->Unit(benchmark::kMillisecond);
-
-// Same figure over the SoA mirror: two contiguous column scans (start hour
-// and pre-resolved data center) instead of a record walk with a hash
-// lookup per flow.
-void bm_hourly_fraction_soa(benchmark::State& state) {
-    const auto& run = bench::shared_run();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::hourly_non_preferred_fraction(
-            run.tables[4], run.dc_columns[4], run.preferred[4]));
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(run.tables[4].size()));
-}
-BENCHMARK(bm_hourly_fraction_soa)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

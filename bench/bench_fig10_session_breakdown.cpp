@@ -4,7 +4,6 @@
 
 #include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
-#include "analysis/session_table.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
 
@@ -26,9 +25,8 @@ void print_reproduction() {
     analysis::AsciiTable b({"Dataset", "2-flow%", "  p,p%", "  p,n%", "  n,p%",
                             "  n,n%", ">2-flow%"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto sessions = analysis::build_sessions(run.traces.datasets[i], 1.0);
-        const auto p =
-            analysis::session_patterns(sessions, run.maps[i], run.preferred[i]);
+        const auto p = analysis::session_patterns(run.sessions[i], run.dc_columns[i],
+                                                  run.preferred[i]);
         a.add_row({run.traces.datasets[i].name, analysis::fmt_pct(p.single_flow, 1),
                    analysis::fmt_pct(p.single_preferred, 1),
                    analysis::fmt_pct(p.single_non_preferred, 1)});
@@ -48,9 +46,8 @@ void print_reproduction() {
     analysis::AsciiTable c({"Dataset", ">2-flow share%", "all-pref%",
                             "first-pref-then-other%", "first-nonpref%"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto sessions = analysis::build_sessions(run.traces.datasets[i], 1.0);
-        const auto m =
-            analysis::multi_flow_patterns(sessions, run.maps[i], run.preferred[i]);
+        const auto m = analysis::multi_flow_patterns(run.sessions[i],
+                                                     run.dc_columns[i], run.preferred[i]);
         c.add_row({run.traces.datasets[i].name,
                    analysis::fmt_pct(m.share_of_all_sessions, 2),
                    analysis::fmt_pct(m.all_preferred, 1),
@@ -62,45 +59,20 @@ void print_reproduction() {
               << c << '\n';
 }
 
-void bm_session_patterns(benchmark::State& state) {
-    const auto& run = bench::shared_run();
-    const auto sessions = analysis::build_sessions(run.traces.datasets[0], 1.0);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            analysis::session_patterns(sessions, run.maps[0], run.preferred[0]));
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(sessions.size()));
-}
-BENCHMARK(bm_session_patterns)->Unit(benchmark::kMillisecond);
-
-// SoA equivalents. bm_build_sessions vs bm_session_table_build isolates the
-// grouping cost (pointer-vector-per-session vs one global sort into CSR);
-// bm_session_patterns_soa vs bm_session_patterns isolates the scan cost
-// (pointer chase + per-flow hash lookup vs dc_column reads).
-void bm_build_sessions(benchmark::State& state) {
-    const auto& run = bench::shared_run();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            analysis::build_sessions(run.traces.datasets[0], 1.0));
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) *
-        static_cast<int64_t>(run.traces.datasets[0].records.size()));
-}
-BENCHMARK(bm_build_sessions)->Unit(benchmark::kMillisecond);
-
+// The two halves of the figure's cost: grouping a dataset's records into
+// CSR sessions (one global sort), and the pattern scan over them (dc_column
+// reads per flow row).
 void bm_session_table_build(benchmark::State& state) {
-    const auto& run = bench::shared_run();
+    const auto& ds = bench::shared_run().traces.datasets[0];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::SessionTable::build(run.tables[0], 1.0));
+        benchmark::DoNotOptimize(analysis::SessionTable::build(ds, 1.0));
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(run.tables[0].size()));
+                            static_cast<int64_t>(ds.records.size()));
 }
 BENCHMARK(bm_session_table_build)->Unit(benchmark::kMillisecond);
 
-void bm_session_patterns_soa(benchmark::State& state) {
+void bm_session_patterns(benchmark::State& state) {
     const auto& run = bench::shared_run();
     for (auto _ : state) {
         benchmark::DoNotOptimize(analysis::session_patterns(
@@ -109,7 +81,7 @@ void bm_session_patterns_soa(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(run.sessions[0].num_sessions()));
 }
-BENCHMARK(bm_session_patterns_soa)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_session_patterns)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

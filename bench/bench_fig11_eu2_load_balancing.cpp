@@ -22,7 +22,7 @@ void print_reproduction() {
     const auto& run = bench::shared_run();
     const auto idx = run.vp_index("EU2");
     const auto series = analysis::hourly_preferred_series(
-        run.traces.datasets[idx], run.maps[idx], run.preferred[idx]);
+        run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]);
 
     double peak_flows = 0.0, busiest_fraction = 1.0, quiet_fraction = 0.0;
     for (std::size_t h = 0; h < series.fraction_preferred.points.size(); ++h) {
@@ -46,7 +46,7 @@ void print_reproduction() {
     std::cout << "corr(hourly flows, hourly non-preferred fraction):\n";
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const double corr = analysis::load_vs_nonpreferred_correlation(
-            run.traces.datasets[i], run.maps[i], run.preferred[i]);
+            run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
         std::cout << "  " << run.traces.datasets[i].name << ": "
                   << analysis::fmt(corr, 2)
                   << (run.traces.datasets[i].name == "EU2"
@@ -64,7 +64,7 @@ void bm_hourly_series(benchmark::State& state) {
     const auto idx = run.vp_index("EU2");
     for (auto _ : state) {
         benchmark::DoNotOptimize(analysis::hourly_preferred_series(
-            run.traces.datasets[idx], run.maps[idx], run.preferred[idx]));
+            run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]));
     }
 }
 BENCHMARK(bm_hourly_series)->Unit(benchmark::kMillisecond);

@@ -23,7 +23,7 @@ void print_reproduction() {
     std::vector<analysis::NamedSubnet> subnets;
     for (const auto& s : vp.subnets) subnets.push_back({s.name, s.prefix});
     const auto shares = analysis::subnet_breakdown(
-        run.traces.datasets[idx], run.maps[idx], run.preferred[idx], subnets);
+        run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx], subnets);
 
     analysis::AsciiTable t({"Subnet", "all flows %", "non-preferred %"});
     for (const auto& s : shares) {
@@ -42,7 +42,7 @@ void bm_subnet_breakdown(benchmark::State& state) {
     }
     for (auto _ : state) {
         benchmark::DoNotOptimize(analysis::subnet_breakdown(
-            run.traces.datasets[idx], run.maps[idx], run.preferred[idx], subnets));
+            run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx], subnets));
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *

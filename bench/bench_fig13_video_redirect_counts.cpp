@@ -21,7 +21,7 @@ void print_reproduction() {
     std::vector<analysis::Series> series;
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto cdf = analysis::video_non_preferred_counts(
-            run.traces.datasets[i], run.maps[i], run.preferred[i]);
+            run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
         if (cdf.empty()) continue;
         std::cout << run.traces.datasets[i].name << ": " << cdf.size()
                   << " videos ever redirected; "
@@ -39,7 +39,7 @@ void bm_video_redirect_counts(benchmark::State& state) {
     const auto& run = bench::shared_run();
     for (auto _ : state) {
         benchmark::DoNotOptimize(analysis::video_non_preferred_counts(
-            run.traces.datasets[2], run.maps[2], run.preferred[2]));
+            run.traces.datasets[2], run.dc_columns[2], run.preferred[2]));
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *

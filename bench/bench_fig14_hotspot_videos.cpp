@@ -21,13 +21,13 @@ void print_reproduction() {
     const auto idx = run.vp_index("EU1-ADSL");
     const auto& ds = run.traces.datasets[idx];
     const auto top =
-        analysis::top_redirected_videos(ds, run.maps[idx], run.preferred[idx], 4);
+        analysis::top_redirected_videos(ds, run.dc_columns[idx], run.preferred[idx], 4);
 
     std::vector<analysis::Series> series;
     int video_no = 1;
     for (const auto video : top) {
-        const auto load =
-            analysis::video_hourly_load(ds, run.maps[idx], run.preferred[idx], video);
+        const auto load = analysis::video_hourly_load(ds, run.dc_columns[idx],
+                                                      run.preferred[idx], video);
         // Peak hour and the promoted day it falls on.
         double peak = 0.0;
         double peak_hour = 0.0;
@@ -60,7 +60,7 @@ void bm_top_redirected(benchmark::State& state) {
     const auto idx = run.vp_index("EU1-ADSL");
     for (auto _ : state) {
         benchmark::DoNotOptimize(analysis::top_redirected_videos(
-            run.traces.datasets[idx], run.maps[idx], run.preferred[idx], 4));
+            run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx], 4));
     }
 }
 BENCHMARK(bm_top_redirected)->Unit(benchmark::kMillisecond);

@@ -21,7 +21,7 @@ void print_reproduction() {
     const auto& run = bench::shared_run();
     const auto idx = run.vp_index("EU1-ADSL");
     const auto load = analysis::preferred_dc_server_load(run.traces.datasets[idx],
-                                                         run.maps[idx],
+                                                         run.dc_columns[idx],
                                                          run.preferred[idx]);
     double worst_ratio = 0.0;
     double worst_hour = 0.0;
@@ -44,7 +44,7 @@ void bm_server_load(benchmark::State& state) {
     const auto idx = run.vp_index("EU1-ADSL");
     for (auto _ : state) {
         benchmark::DoNotOptimize(analysis::preferred_dc_server_load(
-            run.traces.datasets[idx], run.maps[idx], run.preferred[idx]));
+            run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]));
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *

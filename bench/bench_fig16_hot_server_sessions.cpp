@@ -22,15 +22,14 @@ void print_reproduction() {
     const auto& run = bench::shared_run();
     const auto idx = run.vp_index("EU1-ADSL");
     const auto& ds = run.traces.datasets[idx];
-    const auto sessions = analysis::build_sessions(ds, 1.0);
     const auto top =
-        analysis::top_redirected_videos(ds, run.maps[idx], run.preferred[idx], 1);
+        analysis::top_redirected_videos(ds, run.dc_columns[idx], run.preferred[idx], 1);
     if (top.empty()) {
         std::cout << "no redirected videos at this scale\n";
         return;
     }
-    const auto hot = analysis::hot_server_sessions(ds, sessions, run.maps[idx],
-                                                   run.preferred[idx], top.front());
+    const auto hot = analysis::hot_server_sessions(
+        ds, run.sessions[idx], run.dc_columns[idx], run.preferred[idx], top.front());
     std::cout << "video1 = " << top.front().to_string() << ", served by "
               << hot.server.to_string() << '\n';
     double all_pref = 0.0, first_pref = 0.0, others = 0.0;
@@ -48,12 +47,12 @@ void bm_hot_server_sessions(benchmark::State& state) {
     const auto& run = bench::shared_run();
     const auto idx = run.vp_index("EU1-ADSL");
     const auto& ds = run.traces.datasets[idx];
-    const auto sessions = analysis::build_sessions(ds, 1.0);
     const auto top =
-        analysis::top_redirected_videos(ds, run.maps[idx], run.preferred[idx], 1);
+        analysis::top_redirected_videos(ds, run.dc_columns[idx], run.preferred[idx], 1);
     for (auto _ : state) {
         benchmark::DoNotOptimize(analysis::hot_server_sessions(
-            ds, sessions, run.maps[idx], run.preferred[idx], top.front()));
+            ds, run.sessions[idx], run.dc_columns[idx], run.preferred[idx],
+            top.front()));
     }
 }
 BENCHMARK(bm_hot_server_sessions)->Unit(benchmark::kMillisecond);

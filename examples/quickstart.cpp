@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
         const auto& map = run.maps[i];
         const int pref = run.preferred[i];
         const auto share = analysis::non_preferred_share(ds, map, pref);
-        const auto sessions = analysis::build_sessions(ds, 1.0);
-        const auto patterns = analysis::session_patterns(sessions, map, pref);
+        const auto patterns =
+            analysis::session_patterns(run.sessions[i], run.dc_columns[i], pref);
         sel.add_row({ds.name, map.info(pref).name,
                      analysis::fmt(map.info(pref).rtt_ms, 1),
                      analysis::fmt_pct(1.0 - share.byte_fraction, 1),
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     std::cout << "== Why non-preferred accesses happen (Section VII) ==\n";
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const double corr = analysis::load_vs_nonpreferred_correlation(
-            run.traces.datasets[i], run.maps[i], run.preferred[i]);
+            run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
         std::cout << run.traces.datasets[i].name
                   << ": corr(hourly load, non-preferred fraction) = "
                   << analysis::fmt(corr, 2)

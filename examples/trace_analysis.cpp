@@ -51,8 +51,9 @@ int main(int argc, char** argv) {
     std::cout << "Preferred data center: " << map.info(preferred).name << " ("
               << analysis::fmt(map.info(preferred).rtt_ms, 1) << " ms)\n";
 
-    const auto sessions = analysis::build_sessions(dataset, 1.0);
-    const auto patterns = analysis::session_patterns(sessions, map, preferred);
+    const auto patterns =
+        analysis::session_patterns(analysis::SessionTable::build(dataset, 1.0),
+                                   analysis::dc_column(dataset, map), preferred);
     analysis::AsciiTable t({"metric", "value"});
     t.add_row({"sessions", std::to_string(patterns.total_sessions)});
     t.add_row({"single-flow %", analysis::fmt_pct(patterns.single_flow, 1)});

@@ -31,7 +31,7 @@ Outcome evaluate(double scale, double rate_factor, double demand_multiplier) {
     const auto& ds = run.traces.datasets[idx];
     const auto share = analysis::non_preferred_share(ds, run.maps[idx],
                                                      run.preferred[idx]);
-    const auto series = analysis::hourly_preferred_series(ds, run.maps[idx],
+    const auto series = analysis::hourly_preferred_series(ds, run.dc_columns[idx],
                                                           run.preferred[idx]);
     Outcome out;
     out.local_bytes = 1.0 - share.byte_fraction;

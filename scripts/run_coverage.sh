@@ -7,6 +7,7 @@
 #   analysis/loadbalance_analysis >= 80%
 #   analysis/redirect_analysis    >= 80%
 #   analysis/subnet_analysis      >= 80%
+#   analysis/session{,_analysis}  >= 95%  (the only session implementation)
 #
 # Only gcc + gcov + python3 are required — no gcovr, no pip. gcov's
 # --json-format output (one .gcov.json.gz per source) is aggregated by the
@@ -79,6 +80,7 @@ floors = [
     ("loadbalance_analysis", ["src/analysis/loadbalance_analysis"], 80.0),
     ("redirect_analysis", ["src/analysis/redirect_analysis"], 80.0),
     ("subnet_analysis", ["src/analysis/subnet_analysis"], 80.0),
+    ("session", ["src/analysis/session"], 95.0),
 ]
 
 failed = False

@@ -38,17 +38,18 @@ struct IncrementalSummary {
     }
 };
 
-/// Streaming variant of build_sessions: the same (client IP, VideoID) key
-/// and the same gap rule (a flow extends the session when it starts within
-/// `gap_T_s` of the session's last end, Section VI-A), but producing a
-/// flows-per-session histogram instead of materialized sessions.
+/// Streaming variant of SessionTable::build: the same (client IP, VideoID)
+/// key and the same gap rule (a flow extends the session when it starts
+/// within `gap_T_s` of the session's last end, Section VI-A), but producing
+/// a flows-per-session histogram instead of materialized sessions.
 ///
 /// Sessions close three ways: the gap is exceeded by a same-key flow, the
 /// open set outgrows `max_open` and a watermark sweep closes everything
 /// whose last end is more than the gap behind the newest timestamp seen
 /// (those can never be extended by in-order input), or close_all() at
-/// shutdown/render. Equals the batch closure exactly when each stream's
-/// flows arrive in start-time order — which the spool replay guarantees.
+/// shutdown/render. Equals the batch SessionTable exactly when each
+/// stream's flows arrive in start-time order — which the spool replay
+/// guarantees.
 class IncrementalSessions {
 public:
     explicit IncrementalSessions(double gap_T_s = 1.0,

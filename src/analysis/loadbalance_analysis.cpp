@@ -16,38 +16,20 @@ struct HourTally {
     std::vector<std::uint64_t> preferred;
 };
 
-HourTally tally_hours(const capture::Dataset& dataset, const ServerDcMap& map,
+HourTally tally_hours(const capture::Dataset& dataset, std::span<const int> dc,
                       int preferred) {
     HourTally t;
-    for (const auto& r : dataset.records) {
+    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
+        const auto& r = dataset.records[i];
         if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0) continue;
+        if (dc[i] < 0) continue;
         const auto hour = static_cast<std::size_t>(sim::hour_index(r.start));
         if (hour >= t.all.size()) {
             t.all.resize(hour + 1, 0);
             t.preferred.resize(hour + 1, 0);
         }
         ++t.all[hour];
-        if (dc == preferred) ++t.preferred[hour];
-    }
-    return t;
-}
-
-HourTally tally_hours(const capture::FlowTable& table, std::span<const int> dc_col,
-                      int preferred) {
-    HourTally t;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (classify_flow_size(table.bytes[i]) != FlowKind::Video) continue;
-        const int dc = dc_col[i];
-        if (dc < 0) continue;
-        const auto hour = static_cast<std::size_t>(sim::hour_index(table.start[i]));
-        if (hour >= t.all.size()) {
-            t.all.resize(hour + 1, 0);
-            t.preferred.resize(hour + 1, 0);
-        }
-        ++t.all[hour];
-        if (dc == preferred) ++t.preferred[hour];
+        if (dc[i] == preferred) ++t.preferred[hour];
     }
     return t;
 }
@@ -95,23 +77,13 @@ double correlation_of(const HourTally& t, std::uint64_t min_flows) {
 }  // namespace
 
 EmpiricalCdf hourly_non_preferred_fraction(const capture::Dataset& dataset,
-                                           const ServerDcMap& map, int preferred) {
-    return non_preferred_cdf(tally_hours(dataset, map, preferred));
-}
-
-EmpiricalCdf hourly_non_preferred_fraction(const capture::FlowTable& table,
                                            std::span<const int> dc, int preferred) {
-    return non_preferred_cdf(tally_hours(table, dc, preferred));
+    return non_preferred_cdf(tally_hours(dataset, dc, preferred));
 }
 
 HourlyLoadSeries hourly_preferred_series(const capture::Dataset& dataset,
-                                         const ServerDcMap& map, int preferred) {
-    return preferred_series(tally_hours(dataset, map, preferred), dataset.name);
-}
-
-HourlyLoadSeries hourly_preferred_series(const capture::FlowTable& table,
                                          std::span<const int> dc, int preferred) {
-    return preferred_series(tally_hours(table, dc, preferred), table.name);
+    return preferred_series(tally_hours(dataset, dc, preferred), dataset.name);
 }
 
 double pearson_correlation(const Series& a, const Series& b) {
@@ -137,15 +109,9 @@ double pearson_correlation(const Series& a, const Series& b) {
 }
 
 double load_vs_nonpreferred_correlation(const capture::Dataset& dataset,
-                                        const ServerDcMap& map, int preferred,
-                                        std::uint64_t min_flows) {
-    return correlation_of(tally_hours(dataset, map, preferred), min_flows);
-}
-
-double load_vs_nonpreferred_correlation(const capture::FlowTable& table,
                                         std::span<const int> dc, int preferred,
                                         std::uint64_t min_flows) {
-    return correlation_of(tally_hours(table, dc, preferred), min_flows);
+    return correlation_of(tally_hours(dataset, dc, preferred), min_flows);
 }
 
 }  // namespace ytcdn::analysis

@@ -2,18 +2,20 @@
 
 #include <span>
 
-#include "analysis/dc_map.hpp"
 #include "analysis/series.hpp"
 #include "analysis/stats.hpp"
 #include "capture/dataset.hpp"
-#include "capture/flow_table.hpp"
 
 namespace ytcdn::analysis {
+
+/// Every analysis here takes the dataset with its dc_column (see
+/// analysis/session.hpp): `dc[i]` is the data center of records[i]'s
+/// server, -1 when unmapped (out of scope).
 
 /// Fig. 9: the distribution over one-hour slots of the fraction of video
 /// flows directed to non-preferred data centers.
 [[nodiscard]] EmpiricalCdf hourly_non_preferred_fraction(const capture::Dataset& dataset,
-                                                         const ServerDcMap& map,
+                                                         std::span<const int> dc,
                                                          int preferred);
 
 /// Fig. 11: per-hour fraction of video flows served by the preferred (EU2:
@@ -23,7 +25,7 @@ struct HourlyLoadSeries {
     Series flows_per_hour;      // x = hour index, y = count
 };
 [[nodiscard]] HourlyLoadSeries hourly_preferred_series(const capture::Dataset& dataset,
-                                                       const ServerDcMap& map,
+                                                       std::span<const int> dc,
                                                        int preferred);
 
 /// Pearson correlation between two series' y-values, matched by index.
@@ -36,18 +38,6 @@ struct HourlyLoadSeries {
 /// the number of requests". Computes corr(flows/hour, non-preferred
 /// fraction/hour) over hours with at least `min_flows` video flows.
 [[nodiscard]] double load_vs_nonpreferred_correlation(const capture::Dataset& dataset,
-                                                      const ServerDcMap& map,
-                                                      int preferred,
-                                                      std::uint64_t min_flows = 5);
-
-/// Column-scan equivalents over the SoA mirror; `dc` is the table's
-/// dc_column (see analysis/session_table.hpp). Bit-identical results.
-[[nodiscard]] EmpiricalCdf hourly_non_preferred_fraction(
-    const capture::FlowTable& table, std::span<const int> dc, int preferred);
-[[nodiscard]] HourlyLoadSeries hourly_preferred_series(const capture::FlowTable& table,
-                                                       std::span<const int> dc,
-                                                       int preferred);
-[[nodiscard]] double load_vs_nonpreferred_correlation(const capture::FlowTable& table,
                                                       std::span<const int> dc,
                                                       int preferred,
                                                       std::uint64_t min_flows = 5);

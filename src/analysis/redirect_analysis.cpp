@@ -10,25 +10,13 @@ namespace ytcdn::analysis {
 namespace {
 
 std::unordered_map<cdn::VideoId, std::uint64_t> non_preferred_per_video(
-    const capture::Dataset& dataset, const ServerDcMap& map, int preferred) {
+    const capture::Dataset& dataset, std::span<const int> dc, int preferred) {
     std::unordered_map<cdn::VideoId, std::uint64_t> counts;
-    for (const auto& r : dataset.records) {
+    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
+        const auto& r = dataset.records[i];
         if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0 || dc == preferred) continue;
+        if (dc[i] < 0 || dc[i] == preferred) continue;
         ++counts[r.video];
-    }
-    return counts;
-}
-
-std::unordered_map<cdn::VideoId, std::uint64_t> non_preferred_per_video(
-    const capture::FlowTable& table, std::span<const int> dc_col, int preferred) {
-    std::unordered_map<cdn::VideoId, std::uint64_t> counts;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (classify_flow_size(table.bytes[i]) != FlowKind::Video) continue;
-        const int dc = dc_col[i];
-        if (dc < 0 || dc == preferred) continue;
-        ++counts[table.video[i]];
     }
     return counts;
 }
@@ -74,39 +62,28 @@ Series to_series(const std::vector<std::uint64_t>& hours, std::string name) {
 }  // namespace
 
 EmpiricalCdf video_non_preferred_counts(const capture::Dataset& dataset,
-                                        const ServerDcMap& map, int preferred) {
-    return counts_to_cdf(non_preferred_per_video(dataset, map, preferred));
-}
-
-EmpiricalCdf video_non_preferred_counts(const capture::FlowTable& table,
                                         std::span<const int> dc, int preferred) {
-    return counts_to_cdf(non_preferred_per_video(table, dc, preferred));
+    return counts_to_cdf(non_preferred_per_video(dataset, dc, preferred));
 }
 
 std::vector<cdn::VideoId> top_redirected_videos(const capture::Dataset& dataset,
-                                                const ServerDcMap& map, int preferred,
-                                                std::size_t k) {
-    return rank_counts(non_preferred_per_video(dataset, map, preferred), k);
-}
-
-std::vector<cdn::VideoId> top_redirected_videos(const capture::FlowTable& table,
                                                 std::span<const int> dc, int preferred,
                                                 std::size_t k) {
-    return rank_counts(non_preferred_per_video(table, dc, preferred), k);
+    return rank_counts(non_preferred_per_video(dataset, dc, preferred), k);
 }
 
 VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
-                                  const ServerDcMap& map, int preferred,
+                                  std::span<const int> dc, int preferred,
                                   cdn::VideoId video) {
     std::vector<std::uint64_t> all;
     std::vector<std::uint64_t> np;
-    for (const auto& r : dataset.records) {
+    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
+        const auto& r = dataset.records[i];
         if (r.video != video) continue;
         if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0) continue;
+        if (dc[i] < 0) continue;
         bump_hour(all, r.start);
-        if (dc != preferred) bump_hour(np, r.start);
+        if (dc[i] != preferred) bump_hour(np, r.start);
     }
     np.resize(all.size(), 0);
     VideoLoadSeries out;
@@ -115,32 +92,13 @@ VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
     return out;
 }
 
-VideoLoadSeries video_hourly_load(const capture::FlowTable& table,
-                                  std::span<const int> dc_col, int preferred,
-                                  cdn::VideoId video) {
-    std::vector<std::uint64_t> all;
-    std::vector<std::uint64_t> np;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (table.video[i] != video) continue;
-        if (classify_flow_size(table.bytes[i]) != FlowKind::Video) continue;
-        const int dc = dc_col[i];
-        if (dc < 0) continue;
-        bump_hour(all, table.start[i]);
-        if (dc != preferred) bump_hour(np, table.start[i]);
-    }
-    np.resize(all.size(), 0);
-    VideoLoadSeries out;
-    out.all = to_series(all, table.name + " video-all");
-    out.non_preferred = to_series(np, table.name + " video-non-preferred");
-    return out;
-}
-
 ServerLoadSeries preferred_dc_server_load(const capture::Dataset& dataset,
-                                          const ServerDcMap& map, int preferred) {
+                                          std::span<const int> dc, int preferred) {
     // requests[hour][server] -> count, for servers inside the preferred DC.
     std::vector<std::unordered_map<net::IpAddress, std::uint64_t>> hours;
-    for (const auto& r : dataset.records) {
-        if (map.dc_of(r.server_ip) != preferred) continue;
+    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
+        if (dc[i] != preferred) continue;
+        const auto& r = dataset.records[i];
         const auto hour = static_cast<std::size_t>(sim::hour_index(r.start));
         if (hour >= hours.size()) hours.resize(hour + 1);
         ++hours[hour][r.server_ip];
@@ -159,54 +117,34 @@ ServerLoadSeries preferred_dc_server_load(const capture::Dataset& dataset,
     return out;
 }
 
-ServerLoadSeries preferred_dc_server_load(const capture::FlowTable& table,
-                                          std::span<const int> dc, int preferred) {
-    // requests[hour][server] -> count, for servers inside the preferred DC.
-    std::vector<std::unordered_map<net::IpAddress, std::uint64_t>> hours;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (dc[i] != preferred) continue;
-        const auto hour = static_cast<std::size_t>(sim::hour_index(table.start[i]));
-        if (hour >= hours.size()) hours.resize(hour + 1);
-        ++hours[hour][table.server_ip[i]];
-    }
-
-    ServerLoadSeries out;
-    out.avg.name = table.name + " per-server-avg";
-    out.max.name = table.name + " per-server-max";
-    for (std::size_t h = 0; h < hours.size(); ++h) {
-        if (hours[h].empty()) continue;
-        MinMeanMax m;
-        for (const auto& [ip, count] : hours[h]) m.add(static_cast<double>(count));
-        out.avg.points.emplace_back(static_cast<double>(h), m.mean());
-        out.max.points.emplace_back(static_cast<double>(h), m.max);
-    }
-    return out;
-}
-
-HotServerSessions hot_server_sessions(const capture::FlowTable& table,
+HotServerSessions hot_server_sessions(const capture::Dataset& dataset,
                                       const SessionTable& sessions,
                                       std::span<const int> dc, int preferred,
                                       cdn::VideoId video) {
+    const auto& rec = dataset.records;
     // The "server handling the video": the preferred-DC server with the most
-    // requests for it.
+    // requests for it. A count tie goes to the lowest address, so the pick
+    // does not depend on the hash table's iteration order.
     std::unordered_map<net::IpAddress, std::uint64_t> counts;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (table.video[i] != video || dc[i] != preferred) continue;
-        ++counts[table.server_ip[i]];
+    for (std::size_t i = 0; i < rec.size(); ++i) {
+        if (rec[i].video != video || dc[i] != preferred) continue;
+        ++counts[rec[i].server_ip];
     }
     HotServerSessions out;
     if (counts.empty()) return out;
-    out.server = std::max_element(counts.begin(), counts.end(),
-                                  [](const auto& a, const auto& b) {
-                                      return a.second < b.second;
-                                  })
-                     ->first;
+    std::uint64_t most = 0;
+    for (const auto& [ip, count] : counts) {
+        if (count > most || (count == most && ip < out.server)) {
+            out.server = ip;
+            most = count;
+        }
+    }
 
     std::vector<std::uint64_t> all_pref, first_pref, others;
     for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
         const auto flows = sessions.flows_of(s);
         // Sessions that *arrive* at this server: their first flow hits it.
-        if (table.server_ip[flows.front()] != out.server) continue;
+        if (rec[flows.front()].server_ip != out.server) continue;
         bool every_pref = true;
         for (const std::uint32_t row : flows) {
             if (dc[row] != preferred) {
@@ -218,56 +156,6 @@ HotServerSessions hot_server_sessions(const capture::FlowTable& table,
         if (every_pref) {
             bump_hour(all_pref, t);
         } else if (dc[flows.front()] == preferred) {
-            bump_hour(first_pref, t);
-        } else {
-            bump_hour(others, t);
-        }
-    }
-    const std::size_t n = std::max({all_pref.size(), first_pref.size(), others.size()});
-    all_pref.resize(n, 0);
-    first_pref.resize(n, 0);
-    others.resize(n, 0);
-    out.all_preferred = to_series(all_pref, table.name + " all-preferred");
-    out.first_preferred_then_other =
-        to_series(first_pref, table.name + " first-preferred-then-other");
-    out.others = to_series(others, table.name + " others");
-    return out;
-}
-
-HotServerSessions hot_server_sessions(const capture::Dataset& dataset,
-                                      const std::vector<VideoSession>& sessions,
-                                      const ServerDcMap& map, int preferred,
-                                      cdn::VideoId video) {
-    // The "server handling the video": the preferred-DC server with the most
-    // requests for it.
-    std::unordered_map<net::IpAddress, std::uint64_t> counts;
-    for (const auto& r : dataset.records) {
-        if (r.video != video || map.dc_of(r.server_ip) != preferred) continue;
-        ++counts[r.server_ip];
-    }
-    HotServerSessions out;
-    if (counts.empty()) return out;
-    out.server = std::max_element(counts.begin(), counts.end(),
-                                  [](const auto& a, const auto& b) {
-                                      return a.second < b.second;
-                                  })
-                     ->first;
-
-    std::vector<std::uint64_t> all_pref, first_pref, others;
-    for (const auto& s : sessions) {
-        // Sessions that *arrive* at this server: their first flow hits it.
-        if (s.flows.front()->server_ip != out.server) continue;
-        bool every_pref = true;
-        for (const auto* f : s.flows) {
-            if (map.dc_of(f->server_ip) != preferred) {
-                every_pref = false;
-                break;
-            }
-        }
-        const sim::SimTime t = s.start();
-        if (every_pref) {
-            bump_hour(all_pref, t);
-        } else if (map.dc_of(s.flows.front()->server_ip) == preferred) {
             bump_hour(first_pref, t);
         } else {
             bump_hour(others, t);

@@ -5,70 +5,63 @@
 
 namespace ytcdn::analysis {
 
-namespace {
-
-/// Resolves every flow's data center once into `dcs` (reused across calls to
-/// avoid reallocating per session); returns false if any flow is unmapped,
-/// i.e. the session is outside the analysis scope. dc_of is a hash lookup
-/// per call, and the pattern classifiers would otherwise repeat it two to
-/// three times per flow.
-bool resolve_session_dcs(const VideoSession& s, const ServerDcMap& map,
-                         std::vector<int>& dcs) {
-    dcs.clear();
-    for (const auto* f : s.flows) {
-        const int dc = map.dc_of(f->server_ip);
-        if (dc < 0) return false;
-        dcs.push_back(dc);
-    }
-    return true;
-}
-
-}  // namespace
-
-std::vector<double> flows_per_session_cdf(const std::vector<VideoSession>& sessions,
+std::vector<double> flows_per_session_cdf(const SessionTable& sessions,
                                           int max_bucket) {
     if (max_bucket < 1) throw std::invalid_argument("flows_per_session_cdf: max_bucket");
     std::vector<double> counts(static_cast<std::size_t>(max_bucket) + 1, 0.0);
-    for (const auto& s : sessions) {
-        const std::size_t n = s.num_flows();
+    const std::size_t total = sessions.num_sessions();
+    for (std::size_t s = 0; s < total; ++s) {
+        const std::size_t n = sessions.flows_of(s).size();
         const std::size_t bucket =
             std::min<std::size_t>(n, static_cast<std::size_t>(max_bucket) + 1) - 1;
         counts[bucket] += 1.0;
     }
     std::vector<double> cdf(counts.size());
     double acc = 0.0;
-    const double total = sessions.empty() ? 1.0 : static_cast<double>(sessions.size());
+    const double denom = total == 0 ? 1.0 : static_cast<double>(total);
     for (std::size_t i = 0; i < counts.size(); ++i) {
         acc += counts[i];
-        cdf[i] = acc / total;
+        cdf[i] = acc / denom;
     }
     return cdf;
 }
 
-SessionPatternShares session_patterns(const std::vector<VideoSession>& sessions,
-                                      const ServerDcMap& map, int preferred) {
+namespace {
+
+/// True when every flow of the session is mapped (analysis scope); the
+/// pattern breakdowns skip out-of-scope sessions.
+bool in_scope(const SessionTable& sessions, std::span<const int> dc, std::size_t s) {
+    for (const std::uint32_t row : sessions.flows_of(s)) {
+        if (dc[row] < 0) return false;
+    }
+    return true;
+}
+
+}  // namespace
+
+SessionPatternShares session_patterns(const SessionTable& sessions,
+                                      std::span<const int> dc, int preferred) {
     SessionPatternShares out;
     std::size_t scoped = 0;
     std::size_t single = 0, single_p = 0, single_np = 0;
     std::size_t two = 0, pp = 0, pn = 0, np = 0, nn = 0;
     std::size_t more = 0;
 
-    std::vector<int> dcs;
-    for (const auto& s : sessions) {
-        if (!resolve_session_dcs(s, map, dcs)) continue;
+    for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
+        if (!in_scope(sessions, dc, s)) continue;
         ++scoped;
-
-        if (s.num_flows() == 1) {
+        const auto flows = sessions.flows_of(s);
+        if (flows.size() == 1) {
             ++single;
-            if (dcs[0] == preferred) {
+            if (dc[flows[0]] == preferred) {
                 ++single_p;
             } else {
                 ++single_np;
             }
-        } else if (s.num_flows() == 2) {
+        } else if (flows.size() == 2) {
             ++two;
-            const bool a = dcs[0] == preferred;
-            const bool b = dcs[1] == preferred;
+            const bool a = dc[flows[0]] == preferred;
+            const bool b = dc[flows[1]] == preferred;
             if (a && b) ++pp;
             else if (a && !b) ++pn;
             else if (!a && b) ++np;
@@ -95,22 +88,22 @@ SessionPatternShares session_patterns(const std::vector<VideoSession>& sessions,
     return out;
 }
 
-MultiFlowPatternShares multi_flow_patterns(const std::vector<VideoSession>& sessions,
-                                           const ServerDcMap& map, int preferred) {
+MultiFlowPatternShares multi_flow_patterns(const SessionTable& sessions,
+                                           std::span<const int> dc, int preferred) {
     MultiFlowPatternShares out;
     std::size_t scoped_total = 0;
     std::size_t all_pref = 0, first_pref = 0, first_np = 0;
-    std::vector<int> dcs;
-    for (const auto& s : sessions) {
-        if (!resolve_session_dcs(s, map, dcs)) continue;
+    for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
+        if (!in_scope(sessions, dc, s)) continue;
         ++scoped_total;
-        if (s.num_flows() < 3) continue;
+        const auto flows = sessions.flows_of(s);
+        if (flows.size() < 3) continue;
         ++out.sessions;
 
-        const bool starts_pref = dcs.front() == preferred;
+        const bool starts_pref = dc[flows.front()] == preferred;
         bool every_pref = starts_pref;
-        for (const int dc : dcs) {
-            if (dc != preferred) {
+        for (const std::uint32_t row : flows) {
+            if (dc[row] != preferred) {
                 every_pref = false;
                 break;
             }

@@ -1,16 +1,16 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "analysis/dc_map.hpp"
 #include "analysis/session.hpp"
 
 namespace ytcdn::analysis {
 
 /// Fig. 5 / Fig. 6: CDF of the number of flows per session. Element i is
 /// P(num_flows <= i+1); the final element covers ">max_bucket" and is 1.
-[[nodiscard]] std::vector<double> flows_per_session_cdf(
-    const std::vector<VideoSession>& sessions, int max_bucket = 9);
+[[nodiscard]] std::vector<double> flows_per_session_cdf(const SessionTable& sessions,
+                                                        int max_bucket = 9);
 
 /// Fig. 10: breakdown of sessions by how many flows they have and whether
 /// each flow went to the preferred data center. All values are fractions of
@@ -28,11 +28,13 @@ struct SessionPatternShares {
     std::size_t total_sessions = 0;      // denominator (scoped sessions)
 };
 
-/// Computes the Fig. 10 shares. Sessions containing any flow to a server
-/// outside the mapped analysis scope (legacy ASes) are excluded, following
-/// the paper's Section IV filter.
-[[nodiscard]] SessionPatternShares session_patterns(
-    const std::vector<VideoSession>& sessions, const ServerDcMap& map, int preferred);
+/// Computes the Fig. 10 shares; `dc` is the sessions' dataset's dc_column.
+/// Sessions containing any flow to a server outside the mapped analysis
+/// scope (legacy ASes, dc < 0) are excluded, following the paper's Section
+/// IV filter.
+[[nodiscard]] SessionPatternShares session_patterns(const SessionTable& sessions,
+                                                    std::span<const int> dc,
+                                                    int preferred);
 
 /// Section VI-C's closing observation: sessions with more than 2 flows
 /// (5.18-10% of sessions) "show similar trends to 2-flow sessions" — for
@@ -46,7 +48,8 @@ struct MultiFlowPatternShares {
     double first_non_preferred = 0.0;          // DNS already sent it away
 };
 
-[[nodiscard]] MultiFlowPatternShares multi_flow_patterns(
-    const std::vector<VideoSession>& sessions, const ServerDcMap& map, int preferred);
+[[nodiscard]] MultiFlowPatternShares multi_flow_patterns(const SessionTable& sessions,
+                                                         std::span<const int> dc,
+                                                         int preferred);
 
 }  // namespace ytcdn::analysis

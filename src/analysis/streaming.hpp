@@ -23,9 +23,10 @@ namespace ytcdn::analysis {
 /// per record.
 ///
 /// Equivalence contract: feeding a module the records of a time-sorted
-/// dataset in order produces *byte-identical* results to its whole-vector
-/// counterpart — tests/test_streaming_analysis.cpp pins every module
-/// against its batch twin and proves chunk-boundary invariance. All
+/// dataset in order produces *byte-identical* results to the batch analysis
+/// over the whole dataset and its dc_column — the single batch
+/// implementation of each figure, which tests/test_streaming_analysis.cpp
+/// pins every module against, along with chunk-boundary invariance. All
 /// tallies here are order-independent integers except
 /// IncrementalServerLoad, which replicates the batch module's exact
 /// insertion sequence (see its note).

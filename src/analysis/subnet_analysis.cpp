@@ -33,29 +33,15 @@ std::vector<SubnetShare> shares_of(const SubnetTally& t,
 }  // namespace
 
 std::vector<SubnetShare> subnet_breakdown(const capture::Dataset& dataset,
-                                          const ServerDcMap& map, int preferred,
+                                          std::span<const int> dc, int preferred,
                                           const std::vector<NamedSubnet>& subnets) {
     SubnetTally t{std::vector<std::uint64_t>(subnets.size(), 0),
                   std::vector<std::uint64_t>(subnets.size(), 0), 0, 0};
-    for (const auto& r : dataset.records) {
+    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
+        const auto& r = dataset.records[i];
         if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0) continue;
-        tally_flow(t, subnets, r.client_ip, dc, preferred);
-    }
-    return shares_of(t, subnets);
-}
-
-std::vector<SubnetShare> subnet_breakdown(const capture::FlowTable& table,
-                                          std::span<const int> dc_col, int preferred,
-                                          const std::vector<NamedSubnet>& subnets) {
-    SubnetTally t{std::vector<std::uint64_t>(subnets.size(), 0),
-                  std::vector<std::uint64_t>(subnets.size(), 0), 0, 0};
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (classify_flow_size(table.bytes[i]) != FlowKind::Video) continue;
-        const int dc = dc_col[i];
-        if (dc < 0) continue;
-        tally_flow(t, subnets, table.client_ip[i], dc, preferred);
+        if (dc[i] < 0) continue;
+        tally_flow(t, subnets, r.client_ip, dc[i], preferred);
     }
     return shares_of(t, subnets);
 }

@@ -4,9 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/dc_map.hpp"
 #include "capture/dataset.hpp"
-#include "capture/flow_table.hpp"
 #include "net/subnet.hpp"
 
 namespace ytcdn::analysis {
@@ -26,16 +24,11 @@ struct SubnetShare {
 };
 
 /// Computes Fig. 12's per-subnet breakdown: which internal subnets the
-/// non-preferred accesses come from. Flows from clients outside every given
-/// subnet are ignored; flows to unmapped (legacy) servers are ignored.
+/// non-preferred accesses come from. `dc` is the dataset's dc_column (see
+/// analysis/session.hpp). Flows from clients outside every given subnet are
+/// ignored; flows to unmapped (legacy) servers are ignored.
 [[nodiscard]] std::vector<SubnetShare> subnet_breakdown(
-    const capture::Dataset& dataset, const ServerDcMap& map, int preferred,
-    const std::vector<NamedSubnet>& subnets);
-
-/// Column-scan equivalent over the SoA mirror; `dc` is the table's
-/// dc_column (see analysis/session_table.hpp). Bit-identical results.
-[[nodiscard]] std::vector<SubnetShare> subnet_breakdown(
-    const capture::FlowTable& table, std::span<const int> dc, int preferred,
+    const capture::Dataset& dataset, std::span<const int> dc, int preferred,
     const std::vector<NamedSubnet>& subnets);
 
 }  // namespace ytcdn::analysis

@@ -3,13 +3,13 @@
 #include <exception>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "analysis/as_analysis.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/redirect_analysis.hpp"
 #include "analysis/series.hpp"
-#include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
 #include "analysis/stats.hpp"
 #include "analysis/subnet_analysis.hpp"
@@ -137,6 +137,25 @@ std::string FullReport::render() const {
 
 namespace {
 
+/// The closures below index the derived columns by dataset; a run that
+/// skipped index_study_run is a caller error, not a layout to render around.
+void require_indexed(const StudyRun& run) {
+    const auto& datasets = run.traces.datasets;
+    const std::size_t n = datasets.size();
+    bool aligned = run.maps.size() == n && run.preferred.size() == n &&
+                   run.vp_index_by_name.size() == n && run.dc_columns.size() == n &&
+                   run.sessions.size() == n;
+    for (std::size_t i = 0; aligned && i < n; ++i) {
+        aligned = run.dc_columns[i].size() == datasets[i].records.size() &&
+                  run.sessions[i].flow_rows.size() == datasets[i].records.size();
+    }
+    if (!aligned) {
+        throw std::invalid_argument(
+            "make_full_report: derived columns not aligned with traces.datasets "
+            "(build the run with run_study, assemble_study_run or index_study_run)");
+    }
+}
+
 std::string render_series(const std::vector<analysis::Series>& series) {
     std::ostringstream os;
     analysis::write_series(os, series);
@@ -178,23 +197,15 @@ std::string render_table3_artifact(const StudyRun& run, const DcLocations& locat
     return make_table3(run, counts).render();
 }
 
-std::string render_fig10(const StudyRun& run, bool soa) {
+std::string render_fig10(const StudyRun& run) {
     analysis::AsciiTable t({"Dataset", "1-flow", "1:pref", "1:nonpref", "2-flow",
                             "2:pp", "2:pn", "2:np", "2:nn", ">2-flow", ">2:allpref",
                             ">2:pref-then-other", ">2:nonpref-first"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        analysis::SessionPatternShares p;
-        analysis::MultiFlowPatternShares m;
-        if (soa) {
-            p = analysis::session_patterns(run.sessions[i], run.dc_columns[i],
-                                           run.preferred[i]);
-            m = analysis::multi_flow_patterns(run.sessions[i], run.dc_columns[i],
-                                              run.preferred[i]);
-        } else {
-            const auto sessions = analysis::build_sessions(run.traces.datasets[i], 1.0);
-            p = analysis::session_patterns(sessions, run.maps[i], run.preferred[i]);
-            m = analysis::multi_flow_patterns(sessions, run.maps[i], run.preferred[i]);
-        }
+        const auto p = analysis::session_patterns(run.sessions[i], run.dc_columns[i],
+                                                  run.preferred[i]);
+        const auto m = analysis::multi_flow_patterns(run.sessions[i], run.dc_columns[i],
+                                                     run.preferred[i]);
         t.add_row({run.traces.datasets[i].name, analysis::fmt_pct(p.single_flow, 2),
                    analysis::fmt_pct(p.single_preferred, 2),
                    analysis::fmt_pct(p.single_non_preferred, 2),
@@ -210,18 +221,15 @@ std::string render_fig10(const StudyRun& run, bool soa) {
     return t.render();
 }
 
-std::string render_fig12(const StudyRun& run, bool soa) {
+std::string render_fig12(const StudyRun& run) {
     analysis::AsciiTable t({"Dataset", "Subnet", "flows%", "non-preferred%"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto& vp = run.deployment->vantage(i);
         std::vector<analysis::NamedSubnet> subnets;
         subnets.reserve(vp.subnets.size());
         for (const auto& s : vp.subnets) subnets.push_back({s.name, s.prefix});
-        const auto shares =
-            soa ? analysis::subnet_breakdown(run.tables[i], run.dc_columns[i],
-                                             run.preferred[i], subnets)
-                : analysis::subnet_breakdown(run.traces.datasets[i], run.maps[i],
-                                             run.preferred[i], subnets);
+        const auto shares = analysis::subnet_breakdown(
+            run.traces.datasets[i], run.dc_columns[i], run.preferred[i], subnets);
         for (const auto& share : shares) {
             t.add_row({run.traces.datasets[i].name, share.name,
                        analysis::fmt_pct(share.all_flows_share, 2),
@@ -231,12 +239,11 @@ std::string render_fig12(const StudyRun& run, bool soa) {
     return t.render();
 }
 
-std::string render_resolutions(const StudyRun& run, bool soa) {
+std::string render_resolutions(const StudyRun& run) {
     analysis::AsciiTable t({"Dataset", "Resolution", "flow%", "byte%"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto& ds = run.traces.datasets[i];
-        const auto shares = soa ? analysis::resolution_breakdown(run.tables[i])
-                                : analysis::resolution_breakdown(ds);
+        const auto shares = analysis::resolution_breakdown(ds);
         for (const auto& share : shares) {
             t.add_row({ds.name, std::string(cdn::to_string(share.resolution)),
                        analysis::fmt_pct(share.flow_share, 2),
@@ -260,6 +267,7 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     // artifact map it would keep one lane busy long after the others idle.
     // A failure is held for the table3.txt job to rethrow, so the isolation
     // below degrades (or, in strict mode, propagates) it like any other.
+    require_indexed(run);
     DcLocations table3_dcs;
     std::exception_ptr table3_error;
     if (options.include_table3) {
@@ -274,13 +282,6 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     std::vector<Job> jobs;
     jobs.reserve(20);
 
-    // Column scans need the SoA tables derive_run builds; hand-assembled
-    // runs (tests) that skip derivation fall back to the AoS walks.
-    const bool soa = options.use_flow_tables &&
-                     run.tables.size() == run.traces.datasets.size() &&
-                     run.sessions.size() == run.traces.datasets.size() &&
-                     run.dc_columns.size() == run.traces.datasets.size();
-
     jobs.emplace_back("table1.txt", [&run] { return make_table1(run).render(); });
     jobs.emplace_back("table2.txt", [&run] { return make_table2(run).render(); });
     if (options.include_table3) {
@@ -293,51 +294,38 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
                       [&run] { return make_failure_table(run).render(); });
     jobs.emplace_back("retry_histogram.txt",
                       [&run] { return make_retry_table(run).render(); });
-    jobs.emplace_back("resolutions.txt",
-                      [&run, soa] { return render_resolutions(run, soa); });
+    jobs.emplace_back("resolutions.txt", [&run] { return render_resolutions(run); });
 
-    jobs.emplace_back("fig04_flow_sizes.dat", [&run, soa] {
+    jobs.emplace_back("fig04_flow_sizes.dat", [&run] {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
             const auto& ds = run.traces.datasets[i];
             std::vector<double> sizes;
             sizes.reserve(ds.records.size());
-            if (soa) {
-                for (const std::uint64_t b : run.tables[i].bytes) {
-                    sizes.push_back(static_cast<double>(b));
-                }
-            } else {
-                for (const auto& r : ds.records) {
-                    sizes.push_back(static_cast<double>(r.bytes));
-                }
+            for (const auto& r : ds.records) {
+                sizes.push_back(static_cast<double>(r.bytes));
             }
             series.push_back({ds.name, analysis::EmpiricalCdf(std::move(sizes)).curve(120)});
         }
         return render_series(series);
     });
 
-    jobs.emplace_back("fig05_gap_sensitivity.dat", [&run, soa] {
+    jobs.emplace_back("fig05_gap_sensitivity.dat", [&run] {
         std::vector<analysis::Series> series;
         const auto us = run.vp_index("US-Campus");
         for (const double gap : {1.0, 5.0, 10.0, 60.0, 300.0}) {
-            const auto cdf =
-                soa ? analysis::flows_per_session_cdf(
-                          analysis::SessionTable::build(run.tables[us], gap))
-                    : analysis::flows_per_session_cdf(
-                          analysis::build_sessions(run.traces.datasets[us], gap));
+            const auto cdf = analysis::flows_per_session_cdf(
+                analysis::SessionTable::build(run.traces.datasets[us], gap));
             series.push_back(flows_cdf_series(
                 "T=" + std::to_string(static_cast<int>(gap)) + "s", cdf));
         }
         return render_series(series);
     });
 
-    jobs.emplace_back("fig06_flows_per_session.dat", [&run, soa] {
+    jobs.emplace_back("fig06_flows_per_session.dat", [&run] {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto cdf = soa
-                                 ? analysis::flows_per_session_cdf(run.sessions[i])
-                                 : analysis::flows_per_session_cdf(analysis::build_sessions(
-                                       run.traces.datasets[i], 1.0));
+            const auto cdf = analysis::flows_per_session_cdf(run.sessions[i]);
             series.push_back(flows_cdf_series(run.traces.datasets[i].name, cdf));
         }
         return render_series(series);
@@ -361,44 +349,33 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         return render_series(series);
     });
 
-    jobs.emplace_back("fig09_hourly_nonpreferred_cdf.dat", [&run, soa] {
+    jobs.emplace_back("fig09_hourly_nonpreferred_cdf.dat", [&run] {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto cdf =
-                soa ? analysis::hourly_non_preferred_fraction(
-                          run.tables[i], run.dc_columns[i], run.preferred[i])
-                    : analysis::hourly_non_preferred_fraction(
-                          run.traces.datasets[i], run.maps[i], run.preferred[i]);
+            const auto cdf = analysis::hourly_non_preferred_fraction(
+                run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
             series.push_back({run.traces.datasets[i].name, cdf.curve(60)});
         }
         return render_series(series);
     });
 
-    jobs.emplace_back("fig10_session_patterns.txt",
-                      [&run, soa] { return render_fig10(run, soa); });
+    jobs.emplace_back("fig10_session_patterns.txt", [&run] { return render_fig10(run); });
 
-    jobs.emplace_back("fig11_eu2_load_balancing.dat", [&run, soa] {
+    jobs.emplace_back("fig11_eu2_load_balancing.dat", [&run] {
         const auto eu2 = run.vp_index("EU2");
-        auto hourly = soa ? analysis::hourly_preferred_series(
-                                run.tables[eu2], run.dc_columns[eu2], run.preferred[eu2])
-                          : analysis::hourly_preferred_series(
-                                run.traces.datasets[eu2], run.maps[eu2],
-                                run.preferred[eu2]);
+        auto hourly = analysis::hourly_preferred_series(
+            run.traces.datasets[eu2], run.dc_columns[eu2], run.preferred[eu2]);
         return render_series({std::move(hourly.fraction_preferred),
                               std::move(hourly.flows_per_hour)});
     });
 
-    jobs.emplace_back("fig12_subnet_breakdown.txt",
-                      [&run, soa] { return render_fig12(run, soa); });
+    jobs.emplace_back("fig12_subnet_breakdown.txt", [&run] { return render_fig12(run); });
 
-    jobs.emplace_back("fig13_video_redirect_counts_cdf.dat", [&run, soa] {
+    jobs.emplace_back("fig13_video_redirect_counts_cdf.dat", [&run] {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto counts =
-                soa ? analysis::video_non_preferred_counts(
-                          run.tables[i], run.dc_columns[i], run.preferred[i])
-                    : analysis::video_non_preferred_counts(
-                          run.traces.datasets[i], run.maps[i], run.preferred[i]);
+            const auto counts = analysis::video_non_preferred_counts(
+                run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
             if (!counts.empty()) {
                 series.push_back({run.traces.datasets[i].name, counts.curve(60)});
             }
@@ -406,23 +383,15 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         return render_series(series);
     });
 
-    jobs.emplace_back("fig14_hotspot_videos.dat", [&run, soa] {
+    jobs.emplace_back("fig14_hotspot_videos.dat", [&run] {
         const auto adsl = run.vp_index("EU1-ADSL");
-        const auto top =
-            soa ? analysis::top_redirected_videos(run.tables[adsl],
-                                                  run.dc_columns[adsl],
-                                                  run.preferred[adsl], 4)
-                : analysis::top_redirected_videos(run.traces.datasets[adsl],
-                                                  run.maps[adsl], run.preferred[adsl],
-                                                  4);
+        const auto& ds = run.traces.datasets[adsl];
+        const auto top = analysis::top_redirected_videos(ds, run.dc_columns[adsl],
+                                                         run.preferred[adsl], 4);
         std::vector<analysis::Series> series;
         for (std::size_t v = 0; v < top.size(); ++v) {
-            auto load = soa ? analysis::video_hourly_load(run.tables[adsl],
-                                                          run.dc_columns[adsl],
-                                                          run.preferred[adsl], top[v])
-                            : analysis::video_hourly_load(run.traces.datasets[adsl],
-                                                          run.maps[adsl],
-                                                          run.preferred[adsl], top[v]);
+            auto load = analysis::video_hourly_load(ds, run.dc_columns[adsl],
+                                                    run.preferred[adsl], top[v]);
             load.all.name = "video" + std::to_string(v + 1) + " all";
             load.non_preferred.name =
                 "video" + std::to_string(v + 1) + " non-preferred";
@@ -432,37 +401,22 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         return render_series(series);
     });
 
-    jobs.emplace_back("fig15_server_load.dat", [&run, soa] {
+    jobs.emplace_back("fig15_server_load.dat", [&run] {
         const auto adsl = run.vp_index("EU1-ADSL");
-        auto load = soa ? analysis::preferred_dc_server_load(
-                              run.tables[adsl], run.dc_columns[adsl],
-                              run.preferred[adsl])
-                        : analysis::preferred_dc_server_load(
-                              run.traces.datasets[adsl], run.maps[adsl],
-                              run.preferred[adsl]);
+        auto load = analysis::preferred_dc_server_load(
+            run.traces.datasets[adsl], run.dc_columns[adsl], run.preferred[adsl]);
         return render_series({std::move(load.avg), std::move(load.max)});
     });
 
-    jobs.emplace_back("fig16_hot_server_sessions.dat", [&run, soa] {
+    jobs.emplace_back("fig16_hot_server_sessions.dat", [&run] {
         const auto adsl = run.vp_index("EU1-ADSL");
-        analysis::HotServerSessions hot;
-        if (soa) {
-            const auto top = analysis::top_redirected_videos(
-                run.tables[adsl], run.dc_columns[adsl], run.preferred[adsl], 1);
-            if (top.empty()) return std::string{};
-            hot = analysis::hot_server_sessions(run.tables[adsl], run.sessions[adsl],
-                                                run.dc_columns[adsl],
-                                                run.preferred[adsl], top.front());
-        } else {
-            const auto top = analysis::top_redirected_videos(
-                run.traces.datasets[adsl], run.maps[adsl], run.preferred[adsl], 1);
-            if (top.empty()) return std::string{};
-            const auto sessions =
-                analysis::build_sessions(run.traces.datasets[adsl], 1.0);
-            hot = analysis::hot_server_sessions(run.traces.datasets[adsl], sessions,
-                                                run.maps[adsl], run.preferred[adsl],
-                                                top.front());
-        }
+        const auto& ds = run.traces.datasets[adsl];
+        const auto top = analysis::top_redirected_videos(ds, run.dc_columns[adsl],
+                                                         run.preferred[adsl], 1);
+        if (top.empty()) return std::string{};
+        auto hot = analysis::hot_server_sessions(ds, run.sessions[adsl],
+                                                 run.dc_columns[adsl],
+                                                 run.preferred[adsl], top.front());
         return render_series({std::move(hot.all_preferred),
                               std::move(hot.first_preferred_then_other),
                               std::move(hot.others)});

@@ -73,13 +73,6 @@ struct ReportOptions {
     /// /24s once (locate_scope_dcs). Both steps fan out over the pool before
     /// the other artifacts; still the most expensive artifact.
     bool include_table3 = true;
-    /// Drive the §VI/§VII artifacts from the run's SoA flow/session tables
-    /// (column scans) instead of the AoS record walks. Both paths render
-    /// byte-identical artifacts — Determinism.FlowTableEquivalence compares
-    /// the full report — so this exists to keep the AoS reference path
-    /// testable; production leaves it on. Ignored (AoS used) when the run
-    /// was hand-assembled without tables.
-    bool use_flow_tables = true;
     /// Landmark set and CBG grid for Table III; tests shrink both.
     geoloc::LandmarkCounts landmarks;
     geoloc::CbgLocator::Config cbg;
@@ -87,7 +80,9 @@ struct ReportOptions {
 
 /// Renders the full report. Each artifact is an independent pure closure
 /// over the immutable `run`, dispatched to `pool`; the artifact list (order
-/// and bytes) is identical at any thread count.
+/// and bytes) is identical at any thread count. Throws
+/// std::invalid_argument when `run` lacks the derived columns that
+/// index_study_run builds.
 [[nodiscard]] FullReport make_full_report(const StudyRun& run,
                                           util::ThreadPool& pool,
                                           const ReportOptions& options = {});

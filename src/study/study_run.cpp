@@ -1,7 +1,6 @@
 #include "study/study_run.hpp"
 
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "analysis/preferred_dc.hpp"
@@ -25,20 +24,38 @@ StudyMetrics& study_metrics() {
 }  // namespace
 
 std::size_t StudyRun::vp_index(std::string_view name) const {
-    if (!vp_index_by_name.empty()) {
-        const auto it = vp_index_by_name.find(std::string(name));
-        if (it != vp_index_by_name.end()) return it->second;
-        throw std::out_of_range("StudyRun::vp_index: unknown dataset");
-    }
-    // Hand-assembled runs (tests) may not have built the index.
-    for (std::size_t i = 0; i < traces.datasets.size(); ++i) {
-        if (traces.datasets[i].name == name) return i;
-    }
+    const auto it = vp_index_by_name.find(std::string(name));
+    if (it != vp_index_by_name.end()) return it->second;
     throw std::out_of_range("StudyRun::vp_index: unknown dataset");
 }
 
 const capture::Dataset& StudyRun::dataset(std::string_view name) const {
     return traces.datasets[vp_index(name)];
+}
+
+void index_study_run(StudyRun& run, util::ThreadPool& pool) {
+    const auto& datasets = run.traces.datasets;
+    if (run.maps.size() != datasets.size()) {
+        throw std::invalid_argument("index_study_run: one map per dataset required");
+    }
+    run.vp_index_by_name.clear();
+    for (std::size_t i = 0; i < datasets.size(); ++i) {
+        run.vp_index_by_name.emplace(datasets[i].name, i);
+    }
+    // Per-flow dc columns + CSR session tables, one pair per vantage point.
+    // Independent per-VP tasks; results in input order.
+    auto derived =
+        util::parallel_map_indexed(pool, datasets.size(), [&run](std::size_t i) {
+            const auto& ds = run.traces.datasets[i];
+            return std::pair(analysis::dc_column(ds, run.maps[i]),
+                             analysis::SessionTable::build(ds, 1.0));
+        });
+    run.dc_columns.clear();
+    run.sessions.clear();
+    for (auto& [dc, sessions] : derived) {
+        run.dc_columns.push_back(std::move(dc));
+        run.sessions.push_back(std::move(sessions));
+    }
 }
 
 namespace {
@@ -67,25 +84,7 @@ StudyRun derive_run(const StudyConfig& config,
         run.maps.push_back(std::move(map));
         run.preferred.push_back(preferred);
     }
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        run.vp_index_by_name.emplace(run.traces.datasets[i].name, i);
-    }
-    // SoA mirrors + per-flow dc columns + CSR session tables, one bundle
-    // per vantage point. Independent per-VP tasks; results in input order.
-    auto bundles = util::parallel_map_indexed(pool, n, [&run](std::size_t i) {
-        auto table = capture::FlowTable::from_dataset(run.traces.datasets[i]);
-        auto dc = analysis::dc_column(table, run.maps[i]);
-        auto sessions = analysis::SessionTable::build(table, 1.0);
-        return std::tuple(std::move(table), std::move(dc), std::move(sessions));
-    });
-    run.tables.reserve(n);
-    run.dc_columns.reserve(n);
-    run.sessions.reserve(n);
-    for (auto& [table, dc, sessions] : bundles) {
-        run.tables.push_back(std::move(table));
-        run.dc_columns.push_back(std::move(dc));
-        run.sessions.push_back(std::move(sessions));
-    }
+    index_study_run(run, pool);
     study_metrics().maps_derived.inc(n);
     return run;
 }

@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "analysis/dc_map.hpp"
-#include "analysis/session_table.hpp"
-#include "capture/flow_table.hpp"
+#include "analysis/session.hpp"
 #include "study/deployment.hpp"
 #include "study/trace_driver.hpp"
 #include "util/parallel.hpp"
@@ -26,20 +25,16 @@ struct StudyRun {
     std::vector<analysis::ServerDcMap> maps;
     /// Preferred data-center index (into maps[i]) per vantage point.
     std::vector<int> preferred;
-    /// Dataset name -> index, built once by assemble_study_run (the
-    /// analyses resolve vantage points by name in inner loops).
-    std::unordered_map<std::string, std::size_t> vp_index_by_name;
 
-    /// SoA mirrors of traces.datasets, built once during derivation and
-    /// borrowed (read-only) by the report closures; index-aligned with
-    /// `datasets`. Empty only on hand-assembled runs (tests) that skip
-    /// derive_run.
-    std::vector<capture::FlowTable> tables;
-    /// CSR session tables at the paper's T = 1 s gap, aligned with `tables`
-    /// (fig05's gap-sensitivity sweep rebuilds at other gaps on the fly).
-    std::vector<analysis::SessionTable> sessions;
-    /// Pre-resolved dc_of(server_ip) per flow row, aligned with `tables`.
+    // Derived by index_study_run, index-aligned with traces.datasets and
+    // only read afterwards (make_full_report checks the alignment).
+    /// Dataset name -> index (the analyses resolve vantage points by name).
+    std::unordered_map<std::string, std::size_t> vp_index_by_name;
+    /// maps[i].dc_of(server_ip) per record of datasets[i].
     std::vector<std::vector<int>> dc_columns;
+    /// Sessions of datasets[i] at the paper's T = 1 s gap (fig05's
+    /// gap-sensitivity sweep rebuilds at other gaps on the fly).
+    std::vector<analysis::SessionTable> sessions;
 
     [[nodiscard]] std::size_t vp_index(std::string_view name) const;
     [[nodiscard]] const capture::Dataset& dataset(std::string_view name) const;
@@ -56,6 +51,11 @@ struct StudyRun {
 /// Same, on a pool sized by config.effective_threads().
 [[nodiscard]] StudyRun run_study(const StudyConfig& config,
                                  sim::Tracer* tracer = nullptr);
+
+/// Derives `run`'s name index, DC columns and sessions from its traces and
+/// maps (fanned out on `pool`). Fresh runs and a resume from saved maps
+/// both finish through here, so their derived columns cannot differ.
+void index_study_run(StudyRun& run, util::ThreadPool& pool);
 
 /// Rebuilds the analysis-ready run around already-simulated traces (e.g.
 /// loaded from a snapshot — see study/snapshot.hpp): constructs the

@@ -321,9 +321,7 @@ util::Result<SupervisorResult> Supervisor::run() {
                 run.traces = std::move(state.traces);
                 run.maps = std::move(maps);
                 run.preferred = std::move(preferred);
-                for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-                    run.vp_index_by_name.emplace(run.traces.datasets[i].name, i);
-                }
+                index_study_run(run, pool);
                 state.run = std::move(run);
                 st.from_checkpoint = true;
                 return;

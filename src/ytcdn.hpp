@@ -11,10 +11,9 @@
 //   config.scale = 0.1;                       // fraction of Table I volume
 //   const auto run = ytcdn::study::run_study(config);
 //
-//   const auto sessions =
-//       ytcdn::analysis::build_sessions(run.dataset("EU1-ADSL"), 1.0);
+//   const auto adsl = run.vp_index("EU1-ADSL");
 //   const auto patterns = ytcdn::analysis::session_patterns(
-//       sessions, run.maps[2], run.preferred[2]);
+//       run.sessions[adsl], run.dc_columns[adsl], run.preferred[adsl]);
 //
 // Subsystem headers can of course be included individually; this header
 // simply pulls in the public API surface.

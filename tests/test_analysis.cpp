@@ -58,6 +58,9 @@ protected:
         ds_.records.push_back(r);
     }
 
+    /// ds_'s per-record data centers under map_ (the analyses' dc column).
+    [[nodiscard]] std::vector<int> dc() const { return analysis::dc_column(ds_, map_); }
+
     analysis::ServerDcMap map_;
     capture::Dataset ds_;
     int milan_{}, frankfurt_{};
@@ -145,8 +148,8 @@ TEST_F(AnalysisFixture, FlowsPerSessionCdf) {
     add_flow(0, 0.0, 10'000, /*video=*/1);
     add_flow(0, 100.0, 10'000, /*video=*/2);
     add_flow(0, 110.05, 10'000, /*video=*/2);  // same session (gap < 1 after end)
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    ASSERT_EQ(sessions.size(), 2u);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 2u);
     const auto cdf = analysis::flows_per_session_cdf(sessions, 9);
     ASSERT_EQ(cdf.size(), 10u);
     EXPECT_DOUBLE_EQ(cdf[0], 0.5);  // one of two sessions single-flow
@@ -166,9 +169,9 @@ TEST_F(AnalysisFixture, SessionPatternBreakdown) {
     add_flow(0, 300.0, 500, 4);
     add_flow(0, 310.2, 10'000, 4);
 
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    ASSERT_EQ(sessions.size(), 4u);
-    const auto p = analysis::session_patterns(sessions, map_, milan_);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 4u);
+    const auto p = analysis::session_patterns(sessions, dc(), milan_);
     EXPECT_EQ(p.total_sessions, 4u);
     EXPECT_DOUBLE_EQ(p.single_flow, 0.5);
     EXPECT_DOUBLE_EQ(p.single_preferred, 0.25);
@@ -190,8 +193,8 @@ TEST_F(AnalysisFixture, SessionPatternsExcludeOutOfScope) {
     legacy.bytes = 10'000;
     ds_.records.push_back(legacy);
 
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    const auto p = analysis::session_patterns(sessions, map_, milan_);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    const auto p = analysis::session_patterns(sessions, dc(), milan_);
     EXPECT_EQ(p.total_sessions, 1u);  // legacy session dropped
 }
 
@@ -211,9 +214,9 @@ TEST_F(AnalysisFixture, MultiFlowPatterns) {
     // Session 4 (single flow, to keep share_of_all_sessions meaningful).
     add_flow(0, 300.0, 10'000, 4);
 
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    ASSERT_EQ(sessions.size(), 4u);
-    const auto m = analysis::multi_flow_patterns(sessions, map_, milan_);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 4u);
+    const auto m = analysis::multi_flow_patterns(sessions, dc(), milan_);
     EXPECT_EQ(m.sessions, 3u);
     EXPECT_DOUBLE_EQ(m.share_of_all_sessions, 0.75);
     EXPECT_NEAR(m.all_preferred, 1.0 / 3.0, 1e-9);
@@ -223,8 +226,8 @@ TEST_F(AnalysisFixture, MultiFlowPatterns) {
 
 TEST_F(AnalysisFixture, MultiFlowPatternsEmpty) {
     add_flow(0, 0.0, 10'000, 1);
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
-    const auto m = analysis::multi_flow_patterns(sessions, map_, milan_);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
+    const auto m = analysis::multi_flow_patterns(sessions, dc(), milan_);
     EXPECT_EQ(m.sessions, 0u);
     EXPECT_DOUBLE_EQ(m.share_of_all_sessions, 0.0);
 }
@@ -239,7 +242,7 @@ TEST_F(AnalysisFixture, SubnetBreakdownFindsBiasedSubnet) {
         {"A", net::Subnet{client(0, 0), 24}},
         {"B", net::Subnet{client(1, 0), 24}},
     };
-    const auto shares = analysis::subnet_breakdown(ds_, map_, milan_, subnets);
+    const auto shares = analysis::subnet_breakdown(ds_, dc(), milan_, subnets);
     ASSERT_EQ(shares.size(), 2u);
     EXPECT_NEAR(shares[0].all_flows_share, 0.9, 1e-9);
     EXPECT_NEAR(shares[0].non_preferred_share, 0.0, 1e-9);
@@ -253,7 +256,7 @@ TEST_F(AnalysisFixture, HourlyNonPreferredFraction) {
     for (int i = 0; i < 2; ++i) add_flow(0, sim::kHour + 60.0 * i);
     for (int i = 0; i < 2; ++i) add_flow(1, sim::kHour + 1000.0 + 60.0 * i);
 
-    const auto cdf = analysis::hourly_non_preferred_fraction(ds_, map_, milan_);
+    const auto cdf = analysis::hourly_non_preferred_fraction(ds_, dc(), milan_);
     ASSERT_EQ(cdf.size(), 2u);
     EXPECT_DOUBLE_EQ(cdf.min(), 0.0);
     EXPECT_DOUBLE_EQ(cdf.max(), 0.5);
@@ -262,7 +265,7 @@ TEST_F(AnalysisFixture, HourlyNonPreferredFraction) {
 TEST_F(AnalysisFixture, HourlyPreferredSeries) {
     for (int i = 0; i < 3; ++i) add_flow(0, 60.0 * i);
     add_flow(1, sim::kHour + 5.0);
-    const auto series = analysis::hourly_preferred_series(ds_, map_, milan_);
+    const auto series = analysis::hourly_preferred_series(ds_, dc(), milan_);
     ASSERT_EQ(series.flows_per_hour.points.size(), 2u);
     EXPECT_DOUBLE_EQ(series.flows_per_hour.points[0].second, 3.0);
     EXPECT_DOUBLE_EQ(series.fraction_preferred.points[0].second, 1.0);
@@ -274,7 +277,7 @@ TEST_F(AnalysisFixture, VideoNonPreferredCountsCdf) {
     add_flow(1, 0.0, 10'000, 1);
     for (int i = 0; i < 5; ++i) add_flow(1, 100.0 * i, 10'000, 2);
     add_flow(0, 999.0, 10'000, 3);
-    const auto cdf = analysis::video_non_preferred_counts(ds_, map_, milan_);
+    const auto cdf = analysis::video_non_preferred_counts(ds_, dc(), milan_);
     ASSERT_EQ(cdf.size(), 2u);  // only videos with >= 1 non-preferred download
     EXPECT_DOUBLE_EQ(cdf.fraction_at_or_below(1.0), 0.5);
     EXPECT_DOUBLE_EQ(cdf.max(), 5.0);
@@ -284,7 +287,7 @@ TEST_F(AnalysisFixture, TopRedirectedVideos) {
     for (int i = 0; i < 5; ++i) add_flow(1, i * 10.0, 10'000, 7);
     for (int i = 0; i < 3; ++i) add_flow(1, i * 10.0, 10'000, 8);
     add_flow(1, 0.0, 10'000, 9);
-    const auto top = analysis::top_redirected_videos(ds_, map_, milan_, 2);
+    const auto top = analysis::top_redirected_videos(ds_, dc(), milan_, 2);
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0], cdn::VideoId{7});
     EXPECT_EQ(top[1], cdn::VideoId{8});
@@ -295,7 +298,7 @@ TEST_F(AnalysisFixture, VideoHourlyLoadSeries) {
     add_flow(1, 20.0, 10'000, 5);
     add_flow(0, sim::kHour + 10.0, 10'000, 5);
     add_flow(0, 30.0, 10'000, 6);  // other video ignored
-    const auto series = analysis::video_hourly_load(ds_, map_, milan_, cdn::VideoId{5});
+    const auto series = analysis::video_hourly_load(ds_, dc(), milan_, cdn::VideoId{5});
     ASSERT_EQ(series.all.points.size(), 2u);
     EXPECT_DOUBLE_EQ(series.all.points[0].second, 2.0);
     EXPECT_DOUBLE_EQ(series.non_preferred.points[0].second, 1.0);
@@ -307,7 +310,7 @@ TEST_F(AnalysisFixture, PreferredDcServerLoadAvgMax) {
     for (int i = 0; i < 3; ++i) add_flow(0, 10.0 * i, 10'000, 1, 0, 1, /*shost=*/1);
     add_flow(0, 40.0, 10'000, 2, 0, 1, /*shost=*/2);
     add_flow(1, 50.0, 10'000, 3);  // non-preferred, ignored
-    const auto load = analysis::preferred_dc_server_load(ds_, map_, milan_);
+    const auto load = analysis::preferred_dc_server_load(ds_, dc(), milan_);
     ASSERT_EQ(load.avg.points.size(), 1u);
     EXPECT_DOUBLE_EQ(load.avg.points[0].second, 2.0);
     EXPECT_DOUBLE_EQ(load.max.points[0].second, 3.0);
@@ -319,9 +322,9 @@ TEST_F(AnalysisFixture, HotServerSessionBreakdown) {
     add_flow(0, 0.0, 10'000, 5, 0, 1, 1);
     add_flow(0, 100.0, 500, 5, 0, 2, 1);
     add_flow(1, 100.3, 10'000, 5, 0, 2, 1);
-    const auto sessions = analysis::build_sessions(ds_, 1.0);
+    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
     const auto hot =
-        analysis::hot_server_sessions(ds_, sessions, map_, milan_, cdn::VideoId{5});
+        analysis::hot_server_sessions(ds_, sessions, dc(), milan_, cdn::VideoId{5});
     EXPECT_EQ(hot.server, server(0, 1));
     double all_pref = 0.0, first_pref = 0.0;
     for (const auto& p : hot.all_preferred.points) all_pref += p.second;
@@ -397,7 +400,7 @@ TEST_F(AnalysisFixture, LoadVsNonPreferredCorrelation) {
         }
     }
     const double corr =
-        analysis::load_vs_nonpreferred_correlation(ds_, map_, milan_);
+        analysis::load_vs_nonpreferred_correlation(ds_, dc(), milan_);
     EXPECT_GT(corr, 0.95);
 }
 

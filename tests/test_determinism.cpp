@@ -52,13 +52,13 @@ std::string render_artifacts(const study::StudyRun& run) {
         series.push_back(analysis::bytes_vs_rtt(ds, run.maps[i]));
         series.push_back(analysis::bytes_vs_distance(ds, run.maps[i]));
         series.push_back({ds.name + " hourly-np",
-                          analysis::hourly_non_preferred_fraction(ds, run.maps[i],
+                          analysis::hourly_non_preferred_fraction(ds, run.dc_columns[i],
                                                                   run.preferred[i])
                               .curve(60)});
     }
     const auto eu2 = run.vp_index("EU2");
-    auto hourly = analysis::hourly_preferred_series(run.traces.datasets[eu2],
-                                                    run.maps[eu2], run.preferred[eu2]);
+    auto hourly = analysis::hourly_preferred_series(
+        run.traces.datasets[eu2], run.dc_columns[eu2], run.preferred[eu2]);
     series.push_back(std::move(hourly.fraction_preferred));
     series.push_back(std::move(hourly.flows_per_hour));
     analysis::write_series(os, series);
@@ -133,24 +133,6 @@ TEST(Determinism, RenderedArtifactsAreByteIdentical) {
 
     EXPECT_EQ(render_artifacts(a), render_artifacts(b));
     EXPECT_EQ(render_table3(a, cfg), render_table3(b, cfg));
-}
-
-TEST(Determinism, FlowTableEquivalence) {
-    // The SoA column-scan path (FlowTable + SessionTable + dc columns) and
-    // the AoS record-walk path must render the exact same report bytes —
-    // the layout change is a pure optimization, invisible in every
-    // artifact. Table III is orthogonal to the flow tables and expensive,
-    // so it is excluded here.
-    const auto run = study::run_study(small_config());
-    study::ReportOptions soa;
-    soa.include_table3 = false;
-    soa.use_flow_tables = true;
-    study::ReportOptions aos = soa;
-    aos.use_flow_tables = false;
-
-    const std::string soa_bytes = study::make_full_report(run, soa).render();
-    ASSERT_FALSE(soa_bytes.empty());
-    EXPECT_EQ(soa_bytes, study::make_full_report(run, aos).render());
 }
 
 TEST(Determinism, RenderedArtifactsWithFaultScheduleAreByteIdentical) {

@@ -78,10 +78,12 @@ TEST_F(OfflineToolchainFixture, DiskRoundTripPreservesEveryConclusion) {
         EXPECT_NEAR(disk_share.byte_fraction, live_share.byte_fraction, 1e-12) << ext;
         EXPECT_NEAR(disk_share.flow_fraction, live_share.flow_fraction, 1e-12) << ext;
 
+        const auto live_dc = analysis::dc_column(live, live_map);
+        const auto disk_dc = analysis::dc_column(disk, disk_map);
         const auto live_patterns = analysis::session_patterns(
-            analysis::build_sessions(live, 1.0), live_map, live_pref);
+            analysis::SessionTable::build(live, 1.0), live_dc, live_pref);
         const auto disk_patterns = analysis::session_patterns(
-            analysis::build_sessions(disk, 1.0), disk_map, disk_pref);
+            analysis::SessionTable::build(disk, 1.0), disk_dc, disk_pref);
         EXPECT_EQ(disk_patterns.total_sessions, live_patterns.total_sessions) << ext;
         EXPECT_NEAR(disk_patterns.single_flow, live_patterns.single_flow, 1e-9) << ext;
         EXPECT_NEAR(disk_patterns.two_pref_nonpref, live_patterns.two_pref_nonpref,
@@ -89,9 +91,9 @@ TEST_F(OfflineToolchainFixture, DiskRoundTripPreservesEveryConclusion) {
             << ext;
 
         const double live_corr =
-            analysis::load_vs_nonpreferred_correlation(live, live_map, live_pref);
+            analysis::load_vs_nonpreferred_correlation(live, live_dc, live_pref);
         const double disk_corr =
-            analysis::load_vs_nonpreferred_correlation(disk, disk_map, disk_pref);
+            analysis::load_vs_nonpreferred_correlation(disk, disk_dc, disk_pref);
         EXPECT_NEAR(disk_corr, live_corr, 1e-9) << ext;
     }
     std::filesystem::remove_all(dir);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "analysis/as_analysis.hpp"
 #include "study/study_run.hpp"
@@ -64,6 +65,27 @@ TEST_F(ReportFixture, TableThreeHandlesPartialCounts) {
     const std::string rendered = t.render();
     EXPECT_NE(rendered.find("7"), std::string::npos);
     EXPECT_NE(rendered.find("9"), std::string::npos);
+}
+
+TEST_F(ReportFixture, RunWithoutDerivedColumnsIsRejected) {
+    study::ReportOptions options;
+    options.include_table3 = false;
+    ytcdn::util::ThreadPool pool(2);
+    const std::string healthy = study::make_full_report(*run_, pool, options).render();
+
+    // Columns never derived: the report refuses instead of rendering around it.
+    run_->sessions.clear();
+    EXPECT_THROW((void)study::make_full_report(*run_, pool, options),
+                 std::invalid_argument);
+    // A DC column that does not index this dataset's records.
+    study::index_study_run(*run_, pool);
+    run_->dc_columns[1].pop_back();
+    EXPECT_THROW((void)study::make_full_report(*run_, pool, options),
+                 std::invalid_argument);
+
+    // Re-deriving restores the exact report.
+    study::index_study_run(*run_, pool);
+    EXPECT_EQ(study::make_full_report(*run_, pool, options).render(), healthy);
 }
 
 }  // namespace

@@ -104,15 +104,17 @@ TEST(IncrementalSessions, MatchesBatchClosureOnSortedInput) {
     capture::Dataset ds;
     ds.records = sample_records();
     ds.sort_by_time();
-    const auto batch = analysis::build_sessions(ds, 1.0);
+    const auto batch = analysis::SessionTable::build(ds, 1.0);
 
     analysis::IncrementalSessions inc(1.0);
     for (const auto& r : ds.records) inc.add(r);
     inc.close_all();
 
-    EXPECT_EQ(inc.sessions_closed(), batch.size());
+    EXPECT_EQ(inc.sessions_closed(), batch.num_sessions());
     std::uint64_t batch_multi = 0;
-    for (const auto& s : batch) batch_multi += s.num_flows() > 1 ? 1 : 0;
+    for (std::size_t s = 0; s < batch.num_sessions(); ++s) {
+        batch_multi += batch.flows_of(s).size() > 1 ? 1 : 0;
+    }
     EXPECT_EQ(inc.multi_flow_sessions(), batch_multi);
 }
 

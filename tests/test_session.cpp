@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
+#include "analysis/incremental.hpp"
 #include "sim/random.hpp"
 
 namespace analysis = ytcdn::analysis;
@@ -42,9 +47,9 @@ TEST(Sessions, GroupsSameClientVideoWithinGap) {
         flow(1, 100, 0.0, 10.0),
         flow(1, 100, 10.5, 20.0),  // gap 0.5 < 1 -> same session
     });
-    const auto sessions = analysis::build_sessions(ds, 1.0);
-    ASSERT_EQ(sessions.size(), 1u);
-    EXPECT_EQ(sessions[0].num_flows(), 2u);
+    const auto sessions = analysis::SessionTable::build(ds, 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 1u);
+    EXPECT_EQ(sessions.flows_of(0).size(), 2u);
 }
 
 TEST(Sessions, SplitsOnLargeGap) {
@@ -52,8 +57,9 @@ TEST(Sessions, SplitsOnLargeGap) {
         flow(1, 100, 0.0, 10.0),
         flow(1, 100, 12.0, 20.0),  // gap 2 > 1 -> new session
     });
-    EXPECT_EQ(analysis::build_sessions(ds, 1.0).size(), 2u);
-    EXPECT_EQ(analysis::build_sessions(ds, 5.0).size(), 1u);  // larger T merges
+    EXPECT_EQ(analysis::SessionTable::build(ds, 1.0).num_sessions(), 2u);
+    // A larger T merges them.
+    EXPECT_EQ(analysis::SessionTable::build(ds, 5.0).num_sessions(), 1u);
 }
 
 TEST(Sessions, DifferentVideoOrClientNeverMerge) {
@@ -62,7 +68,7 @@ TEST(Sessions, DifferentVideoOrClientNeverMerge) {
         flow(1, 200, 0.1, 9.0),   // other video
         flow(2, 100, 0.2, 9.5),   // other client
     });
-    EXPECT_EQ(analysis::build_sessions(ds, 10.0).size(), 3u);
+    EXPECT_EQ(analysis::SessionTable::build(ds, 10.0).num_sessions(), 3u);
 }
 
 TEST(Sessions, OverlappingFlowsAreOneSession) {
@@ -71,9 +77,9 @@ TEST(Sessions, OverlappingFlowsAreOneSession) {
         flow(1, 100, 50.0, 60.0),  // fully nested
         flow(1, 100, 99.5, 120.0),
     });
-    const auto sessions = analysis::build_sessions(ds, 1.0);
-    ASSERT_EQ(sessions.size(), 1u);
-    EXPECT_EQ(sessions[0].num_flows(), 3u);
+    const auto sessions = analysis::SessionTable::build(ds, 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 1u);
+    EXPECT_EQ(sessions.flows_of(0).size(), 3u);
 }
 
 TEST(Sessions, NestedFlowDoesNotShortenHorizon) {
@@ -84,7 +90,7 @@ TEST(Sessions, NestedFlowDoesNotShortenHorizon) {
         flow(1, 100, 1.0, 2.0),    // short control flow, ends early
         flow(1, 100, 100.5, 110.0),
     });
-    EXPECT_EQ(analysis::build_sessions(ds, 1.0).size(), 1u);
+    EXPECT_EQ(analysis::SessionTable::build(ds, 1.0).num_sessions(), 1u);
 }
 
 TEST(Sessions, FlowsSortedWithinSession) {
@@ -92,10 +98,10 @@ TEST(Sessions, FlowsSortedWithinSession) {
         flow(1, 100, 5.0, 6.0),
         flow(1, 100, 0.0, 4.5),
     });
-    const auto sessions = analysis::build_sessions(ds, 1.0);
-    ASSERT_EQ(sessions.size(), 1u);
-    EXPECT_DOUBLE_EQ(sessions[0].flows[0]->start, 0.0);
-    EXPECT_DOUBLE_EQ(sessions[0].start(), 0.0);
+    const auto sessions = analysis::SessionTable::build(ds, 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 1u);
+    EXPECT_EQ(sessions.flows_of(0)[0], 1u);  // unsorted input: row 1 starts first
+    EXPECT_DOUBLE_EQ(sessions.start[0], 0.0);
 }
 
 TEST(Sessions, OutputSortedByStartTime) {
@@ -104,14 +110,66 @@ TEST(Sessions, OutputSortedByStartTime) {
         flow(1, 100, 0.0, 10.0),
         flow(3, 300, 25.0, 30.0),
     });
-    const auto sessions = analysis::build_sessions(ds, 1.0);
-    ASSERT_EQ(sessions.size(), 3u);
-    EXPECT_LT(sessions[0].start(), sessions[1].start());
-    EXPECT_LT(sessions[1].start(), sessions[2].start());
+    const auto sessions = analysis::SessionTable::build(ds, 1.0);
+    ASSERT_EQ(sessions.num_sessions(), 3u);
+    EXPECT_LT(sessions.start[0], sessions.start[1]);
+    EXPECT_LT(sessions.start[1], sessions.start[2]);
 }
 
 TEST(Sessions, EmptyDataset) {
-    EXPECT_TRUE(analysis::build_sessions(dataset({}), 1.0).empty());
+    const auto sessions = analysis::SessionTable::build(dataset({}), 1.0);
+    EXPECT_EQ(sessions.num_sessions(), 0u);
+    EXPECT_TRUE(sessions.flow_rows.empty());
+}
+
+TEST(SessionTable, RowsIndexDatasetRecords) {
+    // Nested flows (a long video flow outliving a control flow started after
+    // it) and a gap split on one key, plus a second client; the CSR rows
+    // point back into the time-sorted records.
+    auto ds = dataset({
+        flow(1, 1, 0.0, 100.0),        // row 0: long video flow
+        flow(1, 1, 1.0, 2.0, 500),     // row 2: nested control flow
+        flow(1, 1, 100.5, 101.0, 600), // row 3: within T of the horizon
+        flow(1, 1, 200.0, 201.0),      // row 4: new session
+        flow(2, 1, 0.5, 3.0),          // row 1: other client
+    });
+    ds.sort_by_time();
+    const auto sessions = analysis::SessionTable::build(ds, 1.0);
+    EXPECT_EQ(sessions.offsets, (std::vector<std::uint32_t>{0, 3, 4, 5}));
+    EXPECT_EQ(sessions.flow_rows, (std::vector<std::uint32_t>{0, 2, 3, 1, 4}));
+    EXPECT_EQ(sessions.client[1], net::IpAddress{2});
+    EXPECT_EQ(sessions.start, (std::vector<double>{0.0, 0.5, 200.0}));
+}
+
+TEST(SessionTable, RandomizedSessionEquivalence) {
+    // The streaming IncrementalSessions applies the same key and gap rule to
+    // time-sorted input; its flows-per-session histogram must match the
+    // batch grouping's on random datasets with nesting and gap splits.
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        ytcdn::sim::Rng rng(seed);
+        std::vector<capture::FlowRecord> records;
+        for (int i = 0; i < 400; ++i) {
+            const double start = rng.uniform(0.0, 20.0 * 3600.0);
+            records.push_back(flow(static_cast<std::uint32_t>(rng.uniform_index(4)),
+                                   rng.uniform_index(6), start,
+                                   start + rng.uniform(0.1, 30.0)));
+        }
+        auto ds = dataset(std::move(records));
+        ds.sort_by_time();
+
+        analysis::IncrementalSessions inc(1.0);
+        for (const auto& r : ds.records) inc.add(r);
+        inc.close_all();
+
+        const auto sessions = analysis::SessionTable::build(ds, 1.0);
+        constexpr std::size_t kMax = analysis::IncrementalSessions::kMaxBucket;
+        std::array<std::uint64_t, kMax + 1> histogram{};
+        for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
+            ++histogram[std::min(sessions.flows_of(s).size(), kMax)];
+        }
+        EXPECT_EQ(inc.sessions_closed(), sessions.num_sessions()) << "seed " << seed;
+        EXPECT_EQ(inc.histogram(), histogram) << "seed " << seed;
+    }
 }
 
 TEST(ResolutionBreakdown, SharesPartitionVideoFlows) {
@@ -167,18 +225,21 @@ TEST_P(SessionProperty, ConservationAndMonotonicity) {
     const auto ds = dataset(std::move(records));
     std::size_t prev_sessions = SIZE_MAX;
     for (const double t : {1.0, 5.0, 10.0, 60.0, 300.0}) {
-        const auto sessions = analysis::build_sessions(ds, t);
-        std::size_t flows = 0;
-        for (const auto& s : sessions) flows += s.num_flows();
-        EXPECT_EQ(flows, ds.records.size()) << "T=" << t;
-        EXPECT_LE(sessions.size(), prev_sessions) << "T=" << t;
-        prev_sessions = sessions.size();
-        for (const auto& s : sessions) {
-            for (const auto* f : s.flows) {
-                EXPECT_EQ(f->client_ip, s.client);
-                EXPECT_EQ(f->video, s.video);
+        const auto sessions = analysis::SessionTable::build(ds, t);
+        EXPECT_EQ(sessions.flow_rows.size(), ds.records.size()) << "T=" << t;
+        EXPECT_LE(sessions.num_sessions(), prev_sessions) << "T=" << t;
+        prev_sessions = sessions.num_sessions();
+        // Every row appears exactly once, under its own (client, video) key.
+        std::vector<int> seen(ds.records.size(), 0);
+        for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
+            for (const std::uint32_t row : sessions.flows_of(s)) {
+                ++seen[row];
+                EXPECT_EQ(ds.records[row].client_ip, sessions.client[s]);
+                EXPECT_EQ(ds.records[row].video, sessions.video[s]);
             }
         }
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+                  static_cast<std::ptrdiff_t>(ds.records.size()));
     }
 }
 

@@ -350,20 +350,20 @@ TEST_F(StreamingModules, HourlyLoadMatchesBatch) {
     for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
         const auto& ds = run().traces.datasets[i];
         const auto& map = run().maps[i];
+        const auto& dc = run().dc_columns[i];
         const int preferred = run().preferred[i];
         analysis::IncrementalHourlyLoad inc(preferred, ds.name);
         for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
 
-        EXPECT_EQ(
-            cdf_points(inc.non_preferred_cdf()),
-            cdf_points(analysis::hourly_non_preferred_fraction(ds, map, preferred)))
+        EXPECT_EQ(cdf_points(inc.non_preferred_cdf()),
+                  cdf_points(analysis::hourly_non_preferred_fraction(ds, dc, preferred)))
             << ds.name;
-        const auto batch = analysis::hourly_preferred_series(ds, map, preferred);
+        const auto batch = analysis::hourly_preferred_series(ds, dc, preferred);
         const auto streamed = inc.preferred_series();
         expect_series_equal(streamed.fraction_preferred, batch.fraction_preferred);
         expect_series_equal(streamed.flows_per_hour, batch.flows_per_hour);
         EXPECT_EQ(inc.correlation(),
-                  analysis::load_vs_nonpreferred_correlation(ds, map, preferred))
+                  analysis::load_vs_nonpreferred_correlation(ds, dc, preferred))
             << ds.name;
     }
 }
@@ -372,15 +372,16 @@ TEST_F(StreamingModules, VideoRedirectsMatchBatch) {
     for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
         const auto& ds = run().traces.datasets[i];
         const auto& map = run().maps[i];
+        const auto& dc = run().dc_columns[i];
         const int preferred = run().preferred[i];
         analysis::IncrementalVideoRedirects inc(preferred);
         for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
 
         EXPECT_EQ(cdf_points(inc.counts_cdf()),
-                  cdf_points(analysis::video_non_preferred_counts(ds, map, preferred)))
+                  cdf_points(analysis::video_non_preferred_counts(ds, dc, preferred)))
             << ds.name;
         EXPECT_EQ(inc.top_videos(4),
-                  analysis::top_redirected_videos(ds, map, preferred, 4))
+                  analysis::top_redirected_videos(ds, dc, preferred, 4))
             << ds.name;
     }
 }
@@ -389,6 +390,7 @@ TEST_F(StreamingModules, SubnetBreakdownMatchesBatch) {
     for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
         const auto& ds = run().traces.datasets[i];
         const auto& map = run().maps[i];
+        const auto& dc = run().dc_columns[i];
         const int preferred = run().preferred[i];
         std::vector<analysis::NamedSubnet> subnets;
         for (const auto& g : run().deployment->vantage(i).subnets) {
@@ -397,7 +399,7 @@ TEST_F(StreamingModules, SubnetBreakdownMatchesBatch) {
         analysis::IncrementalSubnetBreakdown inc(preferred, subnets);
         for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
 
-        const auto batch = analysis::subnet_breakdown(ds, map, preferred, subnets);
+        const auto batch = analysis::subnet_breakdown(ds, dc, preferred, subnets);
         const auto streamed = inc.shares();
         ASSERT_EQ(streamed.size(), batch.size()) << ds.name;
         for (std::size_t k = 0; k < batch.size(); ++k) {
@@ -414,13 +416,14 @@ TEST_F(StreamingModules, ServerLoadMatchesBatch) {
     for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
         const auto& ds = run().traces.datasets[i];
         const auto& map = run().maps[i];
+        const auto& dc = run().dc_columns[i];
         const int preferred = run().preferred[i];
         analysis::IncrementalServerLoad inc(preferred, ds.name);
         // Dataset order == time-sorted order: the insertion-sequence
         // precondition for the float-mean byte identity.
         for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
 
-        const auto batch = analysis::preferred_dc_server_load(ds, map, preferred);
+        const auto batch = analysis::preferred_dc_server_load(ds, dc, preferred);
         const auto streamed = inc.series();
         expect_series_equal(streamed.avg, batch.avg);
         expect_series_equal(streamed.max, batch.max);
@@ -488,6 +491,7 @@ TEST_F(StreamingModules, ScaleRunMatchesBatchAnalysis) {
         const auto& vp = summary.value().vantage[i];
         const auto& ds = run().traces.datasets[i];
         const auto& map = run().maps[i];
+        const auto& dc = run().dc_columns[i];
         const int preferred = run().preferred[i];
         SCOPED_TRACE(ds.name);
         EXPECT_EQ(vp.name, ds.name);
@@ -497,7 +501,7 @@ TEST_F(StreamingModules, ScaleRunMatchesBatchAnalysis) {
         EXPECT_EQ(vp.share.byte_fraction, share.byte_fraction);
         EXPECT_EQ(vp.share.flow_fraction, share.flow_fraction);
         EXPECT_EQ(vp.load_correlation,
-                  analysis::load_vs_nonpreferred_correlation(ds, map, preferred));
+                  analysis::load_vs_nonpreferred_correlation(ds, dc, preferred));
         flows += vp.flows;
         // keep_spill defaults off: pass 2 cleaned up after itself.
         EXPECT_FALSE(fs::exists(dir / (ds.name + ".yfl")));

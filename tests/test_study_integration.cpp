@@ -110,8 +110,7 @@ TEST_F(StudyRunFixture, PreferredDcIsTheLowestRttDataCenter) {
 
 TEST_F(StudyRunFixture, SingleFlowSessionShareMatchesPaper) {
     for (std::size_t i = 0; i < 5; ++i) {
-        const auto sessions = analysis::build_sessions(run_->traces.datasets[i], 1.0);
-        const auto cdf = analysis::flows_per_session_cdf(sessions);
+        const auto cdf = analysis::flows_per_session_cdf(run_->sessions[i]);
         // Paper: 72.5-80.5% single-flow sessions; allow slack at tiny scale.
         EXPECT_GT(cdf[0], 0.65) << run_->traces.datasets[i].name;
         EXPECT_LT(cdf[0], 0.90) << run_->traces.datasets[i].name;
@@ -123,15 +122,13 @@ TEST_F(StudyRunFixture, TwoFlowPatternsFollowFig10) {
     // (non-preferred, non-preferred) dominates among mixed patterns.
     const auto idx_adsl = run_->vp_index("EU1-ADSL");
     const auto s_adsl = analysis::session_patterns(
-        analysis::build_sessions(run_->traces.datasets[idx_adsl], 1.0),
-        run_->maps[idx_adsl], run_->preferred[idx_adsl]);
+        run_->sessions[idx_adsl], run_->dc_columns[idx_adsl], run_->preferred[idx_adsl]);
     EXPECT_GT(s_adsl.two_pref_pref, 0.05);     // control+video handshakes
     EXPECT_GT(s_adsl.two_pref_nonpref, 0.005); // app-layer redirection exists
 
     const auto idx_eu2 = run_->vp_index("EU2");
     const auto s_eu2 = analysis::session_patterns(
-        analysis::build_sessions(run_->traces.datasets[idx_eu2], 1.0),
-        run_->maps[idx_eu2], run_->preferred[idx_eu2]);
+        run_->sessions[idx_eu2], run_->dc_columns[idx_eu2], run_->preferred[idx_eu2]);
     EXPECT_GT(s_eu2.single_non_preferred, 0.25);  // DNS-driven (paper: >40%)
     EXPECT_GT(s_eu2.two_nonpref_nonpref, s_eu2.two_pref_nonpref);
 }
@@ -139,7 +136,7 @@ TEST_F(StudyRunFixture, TwoFlowPatternsFollowFig10) {
 TEST_F(StudyRunFixture, Eu2DayNightLoadBalancing) {
     const auto idx = run_->vp_index("EU2");
     const auto series = analysis::hourly_preferred_series(
-        run_->traces.datasets[idx], run_->maps[idx], run_->preferred[idx]);
+        run_->traces.datasets[idx], run_->dc_columns[idx], run_->preferred[idx]);
     // Find min/max hourly local fraction across the week, ignoring nearly
     // empty slots.
     double lo = 1.0, hi = 0.0;
@@ -160,7 +157,7 @@ TEST_F(StudyRunFixture, NetThreeCarriesOutsizedNonPreferredShare) {
     std::vector<analysis::NamedSubnet> subnets;
     for (const auto& s : vp.subnets) subnets.push_back({s.name, s.prefix});
     const auto shares = analysis::subnet_breakdown(
-        run_->traces.datasets[idx], run_->maps[idx], run_->preferred[idx], subnets);
+        run_->traces.datasets[idx], run_->dc_columns[idx], run_->preferred[idx], subnets);
     ASSERT_EQ(shares.size(), 5u);
     const auto& net3 = shares[2];
     EXPECT_EQ(net3.name, "Net-3");

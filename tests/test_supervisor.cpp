@@ -262,7 +262,9 @@ TEST(Supervisor, InterruptedRunResumesToIdenticalReport) {
     ASSERT_TRUE(ref.ok()) << ref.error().what();
     const std::string ref_report = read_all(ref.value().report_path);
 
-    // Interrupt after every possible stage boundary, then resume.
+    // Interrupt after every possible stage boundary, then resume. Resuming
+    // after Geolocate (k = 3) re-derives the DC columns and sessions from
+    // the checkpointed maps, through the same index_study_run as a fresh run.
     for (std::size_t k = 1; k < study::kNumStages; ++k) {
         const auto dir = temp_dir("resume_" + std::to_string(k));
         auto first = fast_options(dir);

@@ -12,11 +12,9 @@ TEST(Umbrella, DocumentedFlowCompilesAndRuns) {
     config.scale = 0.003;
     const auto run = ytcdn::study::run_study(config);
 
-    const auto idx = run.vp_index("EU1-ADSL");
-    const auto sessions =
-        ytcdn::analysis::build_sessions(run.dataset("EU1-ADSL"), 1.0);
+    const auto adsl = run.vp_index("EU1-ADSL");
     const auto patterns = ytcdn::analysis::session_patterns(
-        sessions, run.maps[idx], run.preferred[idx]);
+        run.sessions[adsl], run.dc_columns[adsl], run.preferred[adsl]);
     EXPECT_GT(patterns.total_sessions, 0u);
     EXPECT_GT(patterns.single_flow, 0.5);
 }

@@ -223,8 +223,9 @@ int cmd_analyze(const util::ArgParser& args) {
     if (preferred < 0) throw std::runtime_error("no mapped flows in the log");
     const auto share = analysis::non_preferred_share(ds, map, preferred);
     const auto sessions =
-        analysis::build_sessions(ds, args.get_double_or("gap", 1.0));
-    const auto patterns = analysis::session_patterns(sessions, map, preferred);
+        analysis::SessionTable::build(ds, args.get_double_or("gap", 1.0));
+    const auto patterns =
+        analysis::session_patterns(sessions, analysis::dc_column(ds, map), preferred);
 
     analysis::AsciiTable t({"metric", "value"});
     t.add_row({"flows", std::to_string(ds.records.size())});
@@ -275,9 +276,9 @@ int cmd_sessions(const util::ArgParser& args) {
     capture::Dataset ds;
     ds.records = capture::read_any_log(args.positionals()[1]);
     ds.sort_by_time();
-    const auto sessions = analysis::build_sessions(ds, gap);
+    const auto sessions = analysis::SessionTable::build(ds, gap);
     const auto cdf = analysis::flows_per_session_cdf(sessions);
-    std::cout << sessions.size() << " sessions at T=" << gap << "s\n";
+    std::cout << sessions.num_sessions() << " sessions at T=" << gap << "s\n";
     for (std::size_t i = 0; i < cdf.size(); ++i) {
         std::cout << (i + 1 == cdf.size() ? ">" : " ") << std::min(i + 1, cdf.size())
                   << " flows: CDF " << analysis::fmt(cdf[i], 4) << '\n';
