@@ -1,6 +1,8 @@
 // Table I — traffic summary for the datasets: YouTube flows, downloaded
 // volume, distinct servers and clients per vantage point.
 
+#include "analysis/incremental.hpp"
+#include "analysis/streaming.hpp"
 #include "bench_common.hpp"
 #include "study/report.hpp"
 
@@ -20,7 +22,8 @@ void print_reproduction() {
 void bm_dataset_summary(benchmark::State& state) {
     const auto& ds = bench::shared_run().traces.datasets[0];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(ds.summary());
+        benchmark::DoNotOptimize(
+            analysis::fold_records(ds, analysis::IncrementalSummary{}));
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(ds.records.size()));

@@ -9,9 +9,11 @@
 #include <filesystem>
 #include <iostream>
 
+#include "analysis/incremental.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
 #include "capture/flow_log.hpp"
 #include "study/dc_map_builder.hpp"
@@ -40,10 +42,10 @@ int main(int argc, char** argv) {
     dataset.sort_by_time();
     std::cout << "Re-loaded " << dataset.records.size() << " records\n\n";
 
-    const auto summary = dataset.summary();
+    const auto summary = analysis::fold_records(dataset, analysis::IncrementalSummary{});
     std::cout << "flows=" << summary.flows << " volume="
-              << analysis::fmt(summary.volume_gb, 2) << " GB servers="
-              << summary.distinct_servers << " clients=" << summary.distinct_clients
+              << analysis::fmt(summary.volume_gb(), 2) << " GB servers="
+              << summary.servers.size() << " clients=" << summary.clients.size()
               << "\n\n";
 
     const auto& map = run.maps[idx];

@@ -8,8 +8,10 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "analysis/incremental.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
 #include "study/study_run.hpp"
 
@@ -42,7 +44,9 @@ Outcome evaluate(double scale, double rate_factor, double demand_multiplier) {
             out.peak_hour_local = series.fraction_preferred.points[h].second;
         }
     }
-    out.external_gb = ds.summary().volume_gb * share.byte_fraction;
+    out.external_gb =
+        analysis::fold_records(ds, analysis::IncrementalSummary{}).volume_gb() *
+        share.byte_fraction;
     return out;
 }
 

@@ -8,6 +8,8 @@
 #   analysis/redirect_analysis    >= 80%
 #   analysis/subnet_analysis      >= 80%
 #   analysis/session{,_analysis}  >= 95%  (the only session implementation)
+#   analysis/streaming            >= 95%  (the only definition of the §VII
+#   analysis/incremental          >= 95%   tallies and of Table I's counts)
 #
 # Only gcc + gcov + python3 are required — no gcovr, no pip. gcov's
 # --json-format output (one .gcov.json.gz per source) is aggregated by the
@@ -81,6 +83,8 @@ floors = [
     ("redirect_analysis", ["src/analysis/redirect_analysis"], 80.0),
     ("subnet_analysis", ["src/analysis/subnet_analysis"], 80.0),
     ("session", ["src/analysis/session"], 95.0),
+    ("streaming", ["src/analysis/streaming"], 95.0),
+    ("incremental", ["src/analysis/incremental"], 95.0),
 ]
 
 failed = False

@@ -79,13 +79,8 @@ Series hourly_non_preferred_bytes(const capture::Dataset& dataset,
         if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
         const int dc = map.dc_of(r.server_ip);
         if (dc < 0) continue;
-        const auto hour = static_cast<std::size_t>(sim::hour_index(r.start));
-        if (hour >= all.size()) {
-            all.resize(hour + 1, 0);
-            np.resize(hour + 1, 0);
-        }
-        all[hour] += r.bytes;
-        if (dc != preferred) np[hour] += r.bytes;
+        sim::hour_slot(all, r.start) += r.bytes;
+        sim::hour_slot(np, r.start) += dc != preferred ? r.bytes : 0;
     }
     Series out;
     out.name = dataset.name + " non-preferred-byte-fraction";

@@ -1,7 +1,8 @@
 #include "analysis/geo_analysis.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+
+#include "analysis/streaming.hpp"
 
 namespace ytcdn::analysis {
 
@@ -26,19 +27,13 @@ namespace {
 
 Series cumulative_bytes_by(const capture::Dataset& dataset, const ServerDcMap& map,
                            double (*key)(const DataCenterInfo&), const char* label) {
-    std::unordered_map<int, std::uint64_t> bytes_per_dc;
+    const auto traffic = fold_records(dataset, map, IncrementalDcTraffic{}).traffic();
     std::uint64_t total = 0;
-    for (const auto& r : dataset.records) {
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0) continue;
-        bytes_per_dc[dc] += r.bytes;
-        total += r.bytes;
-    }
-
     std::vector<std::pair<double, std::uint64_t>> ordered;
-    ordered.reserve(bytes_per_dc.size());
-    for (const auto& [dc, bytes] : bytes_per_dc) {
-        ordered.emplace_back(key(map.info(dc)), bytes);
+    ordered.reserve(traffic.size());
+    for (const auto& t : traffic) {
+        ordered.emplace_back(key(map.info(t.dc)), t.bytes);
+        total += t.bytes;
     }
     std::sort(ordered.begin(), ordered.end());
 

@@ -14,14 +14,16 @@
 
 namespace ytcdn::analysis {
 
-/// Bounded-memory, one-flow-at-a-time counterparts of the batch analysis
-/// closures, for ytcdnd's online ingestion (DESIGN.md §15). Each struct
-/// consumes FlowRecords in arrival order and can answer its aggregate at
-/// any moment; none of them retains the flows themselves. State that lives
-/// in unordered containers is only ever *counted* or encoded sorted, so
-/// rendered output and checkpoint payloads stay byte-deterministic.
+/// Bounded-memory, one-flow-at-a-time folds for ytcdnd's online ingestion
+/// (DESIGN.md §15). Each struct consumes FlowRecords in arrival order and
+/// can answer its aggregate at any moment; none of them retains the flows
+/// themselves. State that lives in unordered containers is only ever
+/// *counted* or encoded sorted, so rendered output and checkpoint payloads
+/// stay byte-deterministic.
 
-/// Table I inputs: flows, volume, distinct servers/clients. Memory is
+/// Table I inputs: flows, volume, distinct servers/clients. The only
+/// definition of them: make_table1 and `ytcdn summary` fold it over each
+/// dataset (analysis::fold_records), ytcdnd over its live stream. Memory is
 /// bounded by the number of distinct addresses, not the number of flows.
 struct IncrementalSummary {
     std::uint64_t flows = 0;

@@ -1,80 +1,23 @@
 #include "analysis/preferred_dc.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-
-#include "analysis/session.hpp"
+#include "analysis/streaming.hpp"
 
 namespace ytcdn::analysis {
 
 std::vector<DcTraffic> traffic_by_dc(const capture::Dataset& dataset,
                                      const ServerDcMap& map) {
-    std::unordered_map<int, DcTraffic> tally;
-    for (const auto& r : dataset.records) {
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0) continue;
-        auto& t = tally[dc];
-        t.dc = dc;
-        t.bytes += r.bytes;
-        if (classify_flow_size(r.bytes) == FlowKind::Video) ++t.video_flows;
-    }
-    std::vector<DcTraffic> out;
-    out.reserve(tally.size());
-    for (const auto& [dc, t] : tally) out.push_back(t);
-    std::sort(out.begin(), out.end(), [](const DcTraffic& a, const DcTraffic& b) {
-        if (a.bytes != b.bytes) return a.bytes > b.bytes;
-        return a.dc < b.dc;
-    });
-    return out;
+    return fold_records(dataset, map, IncrementalDcTraffic{}).traffic();
 }
 
 int preferred_dc(const capture::Dataset& dataset, const ServerDcMap& map,
                  double heavy_share) {
-    const auto traffic = traffic_by_dc(dataset, map);
-    if (traffic.empty()) return -1;
-    std::uint64_t total = 0;
-    for (const auto& t : traffic) total += t.bytes;
-    if (total == 0) return traffic.front().dc;
-
-    int best = traffic.front().dc;
-    double best_rtt = map.info(best).rtt_ms;
-    for (const auto& t : traffic) {
-        if (static_cast<double>(t.bytes) / static_cast<double>(total) < heavy_share) {
-            break;  // sorted by bytes: no more heavy hitters
-        }
-        if (map.info(t.dc).rtt_ms < best_rtt) {
-            best = t.dc;
-            best_rtt = map.info(t.dc).rtt_ms;
-        }
-    }
-    return best;
+    return fold_records(dataset, map, IncrementalDcTraffic{})
+        .preferred(map, heavy_share);
 }
 
 NonPreferredShare non_preferred_share(const capture::Dataset& dataset,
                                       const ServerDcMap& map, int preferred) {
-    std::uint64_t bytes_all = 0;
-    std::uint64_t bytes_np = 0;
-    std::uint64_t flows_all = 0;
-    std::uint64_t flows_np = 0;
-    for (const auto& r : dataset.records) {
-        const int dc = map.dc_of(r.server_ip);
-        if (dc < 0) continue;
-        bytes_all += r.bytes;
-        const bool np = dc != preferred;
-        if (np) bytes_np += r.bytes;
-        if (classify_flow_size(r.bytes) == FlowKind::Video) {
-            ++flows_all;
-            if (np) ++flows_np;
-        }
-    }
-    NonPreferredShare s;
-    if (bytes_all > 0) {
-        s.byte_fraction = static_cast<double>(bytes_np) / static_cast<double>(bytes_all);
-    }
-    if (flows_all > 0) {
-        s.flow_fraction = static_cast<double>(flows_np) / static_cast<double>(flows_all);
-    }
-    return s;
+    return fold_records(dataset, map, IncrementalDcTraffic{}).share(preferred);
 }
 
 }  // namespace ytcdn::analysis

@@ -3,52 +3,12 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "analysis/streaming.hpp"
 #include "sim/time.hpp"
 
 namespace ytcdn::analysis {
 
 namespace {
-
-std::unordered_map<cdn::VideoId, std::uint64_t> non_preferred_per_video(
-    const capture::Dataset& dataset, std::span<const int> dc, int preferred) {
-    std::unordered_map<cdn::VideoId, std::uint64_t> counts;
-    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
-        const auto& r = dataset.records[i];
-        if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
-        if (dc[i] < 0 || dc[i] == preferred) continue;
-        ++counts[r.video];
-    }
-    return counts;
-}
-
-EmpiricalCdf counts_to_cdf(const std::unordered_map<cdn::VideoId, std::uint64_t>& counts) {
-    EmpiricalCdf cdf;
-    for (const auto& [video, count] : counts) cdf.add(static_cast<double>(count));
-    cdf.finalize();
-    return cdf;
-}
-
-std::vector<cdn::VideoId> rank_counts(
-    const std::unordered_map<cdn::VideoId, std::uint64_t>& counts, std::size_t k) {
-    std::vector<std::pair<std::uint64_t, cdn::VideoId>> ranked;
-    ranked.reserve(counts.size());
-    for (const auto& [video, count] : counts) ranked.emplace_back(count, video);
-    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-        if (a.first != b.first) return a.first > b.first;
-        return a.second < b.second;
-    });
-    if (ranked.size() > k) ranked.resize(k);
-    std::vector<cdn::VideoId> out;
-    out.reserve(ranked.size());
-    for (const auto& [count, video] : ranked) out.push_back(video);
-    return out;
-}
-
-void bump_hour(std::vector<std::uint64_t>& v, sim::SimTime t) {
-    const auto hour = static_cast<std::size_t>(sim::hour_index(t));
-    if (hour >= v.size()) v.resize(hour + 1, 0);
-    ++v[hour];
-}
 
 Series to_series(const std::vector<std::uint64_t>& hours, std::string name) {
     Series s;
@@ -63,13 +23,13 @@ Series to_series(const std::vector<std::uint64_t>& hours, std::string name) {
 
 EmpiricalCdf video_non_preferred_counts(const capture::Dataset& dataset,
                                         std::span<const int> dc, int preferred) {
-    return counts_to_cdf(non_preferred_per_video(dataset, dc, preferred));
+    return fold_records(dataset, dc, IncrementalVideoRedirects(preferred)).counts_cdf();
 }
 
 std::vector<cdn::VideoId> top_redirected_videos(const capture::Dataset& dataset,
                                                 std::span<const int> dc, int preferred,
                                                 std::size_t k) {
-    return rank_counts(non_preferred_per_video(dataset, dc, preferred), k);
+    return fold_records(dataset, dc, IncrementalVideoRedirects(preferred)).top_videos(k);
 }
 
 VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
@@ -82,8 +42,8 @@ VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
         if (r.video != video) continue;
         if (classify_flow_size(r.bytes) != FlowKind::Video) continue;
         if (dc[i] < 0) continue;
-        bump_hour(all, r.start);
-        if (dc[i] != preferred) bump_hour(np, r.start);
+        ++sim::hour_slot(all, r.start);
+        if (dc[i] != preferred) ++sim::hour_slot(np, r.start);
     }
     np.resize(all.size(), 0);
     VideoLoadSeries out;
@@ -94,27 +54,8 @@ VideoLoadSeries video_hourly_load(const capture::Dataset& dataset,
 
 ServerLoadSeries preferred_dc_server_load(const capture::Dataset& dataset,
                                           std::span<const int> dc, int preferred) {
-    // requests[hour][server] -> count, for servers inside the preferred DC.
-    std::vector<std::unordered_map<net::IpAddress, std::uint64_t>> hours;
-    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
-        if (dc[i] != preferred) continue;
-        const auto& r = dataset.records[i];
-        const auto hour = static_cast<std::size_t>(sim::hour_index(r.start));
-        if (hour >= hours.size()) hours.resize(hour + 1);
-        ++hours[hour][r.server_ip];
-    }
-
-    ServerLoadSeries out;
-    out.avg.name = dataset.name + " per-server-avg";
-    out.max.name = dataset.name + " per-server-max";
-    for (std::size_t h = 0; h < hours.size(); ++h) {
-        if (hours[h].empty()) continue;
-        MinMeanMax m;
-        for (const auto& [ip, count] : hours[h]) m.add(static_cast<double>(count));
-        out.avg.points.emplace_back(static_cast<double>(h), m.mean());
-        out.max.points.emplace_back(static_cast<double>(h), m.max);
-    }
-    return out;
+    return fold_records(dataset, dc, IncrementalServerLoad(preferred, dataset.name))
+        .series();
 }
 
 HotServerSessions hot_server_sessions(const capture::Dataset& dataset,
@@ -154,11 +95,11 @@ HotServerSessions hot_server_sessions(const capture::Dataset& dataset,
         }
         const sim::SimTime t = sessions.start[s];
         if (every_pref) {
-            bump_hour(all_pref, t);
+            ++sim::hour_slot(all_pref, t);
         } else if (dc[flows.front()] == preferred) {
-            bump_hour(first_pref, t);
+            ++sim::hour_slot(first_pref, t);
         } else {
-            bump_hour(others, t);
+            ++sim::hour_slot(others, t);
         }
     }
     const std::size_t n = std::max({all_pref.size(), first_pref.size(), others.size()});

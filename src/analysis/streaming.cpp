@@ -78,13 +78,8 @@ NonPreferredShare IncrementalDcTraffic::share(int preferred) const {
 void IncrementalHourlyLoad::add(const capture::FlowRecord& record, int dc) {
     if (classify_flow_size(record.bytes) != FlowKind::Video) return;
     if (dc < 0) return;
-    const auto hour = static_cast<std::size_t>(sim::hour_index(record.start));
-    if (hour >= all_.size()) {
-        all_.resize(hour + 1, 0);
-        pref_.resize(hour + 1, 0);
-    }
-    ++all_[hour];
-    if (dc == preferred_) ++pref_[hour];
+    ++sim::hour_slot(all_, record.start);
+    sim::hour_slot(pref_, record.start) += dc == preferred_ ? 1 : 0;
 }
 
 EmpiricalCdf IncrementalHourlyLoad::non_preferred_cdf() const {
@@ -177,7 +172,7 @@ void IncrementalSubnetBreakdown::add(const capture::FlowRecord& record, int dc) 
             ++np_[i];
             ++total_np_;
         }
-        break;  // first matching subnet wins, like the batch tally
+        break;  // first matching subnet wins
     }
 }
 
@@ -204,9 +199,7 @@ std::vector<SubnetShare> IncrementalSubnetBreakdown::shares() const {
 
 void IncrementalServerLoad::add(const capture::FlowRecord& record, int dc) {
     if (dc != preferred_) return;
-    const auto hour = static_cast<std::size_t>(sim::hour_index(record.start));
-    if (hour >= hours_.size()) hours_.resize(hour + 1);
-    ++hours_[hour][record.server_ip];
+    ++sim::hour_slot(hours_, record.start)[record.server_ip];
 }
 
 ServerLoadSeries IncrementalServerLoad::series() const {

@@ -11,28 +11,56 @@
 #include "analysis/preferred_dc.hpp"
 #include "analysis/redirect_analysis.hpp"
 #include "analysis/subnet_analysis.hpp"
+#include "capture/dataset.hpp"
 #include "capture/flow_record.hpp"
 
 namespace ytcdn::analysis {
 
-/// Out-of-core §VII analysis: incremental counterparts of the batch
-/// modules, consuming one flow record at a time so a 10-100M-session run
-/// fits bounded memory (DESIGN.md §16). Each add() takes the pre-resolved
-/// data-center index for the flow's server (`map.dc_of(server_ip)`),
-/// decoupling the accumulators from the map so the caller resolves once
-/// per record.
+/// The §VII per-flow tallies, each defined once, as a fold that consumes
+/// one flow record at a time (DESIGN.md §16). Each add() takes the
+/// pre-resolved data-center index for the flow's server
+/// (`map.dc_of(server_ip)`, -1 when unmapped), decoupling the accumulators
+/// from the map so the caller resolves once per record.
 ///
-/// Equivalence contract: feeding a module the records of a time-sorted
-/// dataset in order produces *byte-identical* results to the batch analysis
-/// over the whole dataset and its dc_column — the single batch
-/// implementation of each figure, which tests/test_streaming_analysis.cpp
-/// pins every module against, along with chunk-boundary invariance. All
-/// tallies here are order-independent integers except
-/// IncrementalServerLoad, which replicates the batch module's exact
-/// insertion sequence (see its note).
+/// Three drivers feed the same folds: the batch report and the analysis
+/// entry points (traffic_by_dc, hourly_non_preferred_fraction, ...) through
+/// fold_records() below, the out-of-core scale study over re-read spill
+/// blocks, and perfbench's traced replica of it. All tallies are
+/// order-independent integers except IncrementalServerLoad, whose float
+/// mean depends on the insertion sequence (see its note); dataset order is
+/// that sequence. Their reference is the golden report digest
+/// (Determinism.FoldedArtifactsMatchGoldenDigest) plus the hand-computed
+/// fixtures of each analysis entry point.
 
-/// Streams the per-DC byte/flow tallies behind preferred_dc() and
-/// non_preferred_share(). Order-independent.
+/// Feeds `fold` every record of `dataset`, in dataset order, and returns it.
+template <class Fold>
+[[nodiscard]] Fold fold_records(const capture::Dataset& dataset, Fold fold) {
+    for (const auto& r : dataset.records) fold.add(r);
+    return fold;
+}
+
+/// Feeds `fold` every record of `dataset` with its data center `dc[i]` (the
+/// dataset's dc_column), in dataset order, and returns it.
+template <class Fold>
+[[nodiscard]] Fold fold_records(const capture::Dataset& dataset,
+                                std::span<const int> dc, Fold fold) {
+    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
+        fold.add(dataset.records[i], dc[i]);
+    }
+    return fold;
+}
+
+/// Same, resolving each record's data center through `map` on the fly.
+template <class Fold>
+[[nodiscard]] Fold fold_records(const capture::Dataset& dataset,
+                                const ServerDcMap& map, Fold fold) {
+    for (const auto& r : dataset.records) fold.add(r, map.dc_of(r.server_ip));
+    return fold;
+}
+
+/// Streams the per-DC byte/flow tallies behind traffic_by_dc(),
+/// preferred_dc(), non_preferred_share() and Figs 7/8's byte curves.
+/// Order-independent.
 class IncrementalDcTraffic {
 public:
     void add(const capture::FlowRecord& record, int dc);
@@ -47,8 +75,6 @@ public:
 
 private:
     std::unordered_map<int, DcTraffic> tally_;
-    std::uint64_t bytes_all_ = 0;
-    std::uint64_t flows_all_ = 0;
 };
 
 /// Streams the per-hour (all, preferred) video-flow tallies behind Figs 9
@@ -112,11 +138,11 @@ private:
 
 /// Streams Fig. 15's per-hour per-server request tallies for the preferred
 /// data center. The hourly mean accumulates doubles over unordered-map
-/// iteration, so byte-identity with the batch module requires the *same
-/// insertion sequence* per hour map — which holds exactly when records
-/// arrive in the dataset's time-sorted order (the FlowSink ordering
-/// contract; exact start-time ties across distinct servers would be the
-/// only exception and have measure zero under the continuous workload).
+/// iteration, so the rendered bytes depend on the *insertion sequence* per
+/// hour map. fold_records feeds dataset order; the scale study's spill
+/// replays the FlowSink's time-sorted order, which matches it except at
+/// exact start-time ties across distinct servers (measure zero under the
+/// continuous workload).
 class IncrementalServerLoad {
 public:
     IncrementalServerLoad(int preferred, std::string name)

@@ -2,26 +2,8 @@
 
 #include <algorithm>
 #include <tuple>
-#include <unordered_set>
 
 namespace ytcdn::capture {
-
-DatasetSummary Dataset::summary() const {
-    DatasetSummary s;
-    s.flows = records.size();
-    std::uint64_t bytes = 0;
-    std::unordered_set<net::IpAddress> servers;
-    std::unordered_set<net::IpAddress> clients;
-    for (const auto& r : records) {
-        bytes += r.bytes;
-        servers.insert(r.server_ip);
-        clients.insert(r.client_ip);
-    }
-    s.volume_gb = static_cast<double>(bytes) / 1e9;
-    s.distinct_servers = servers.size();
-    s.distinct_clients = clients.size();
-    return s;
-}
 
 void Dataset::sort_by_time() {
     std::sort(records.begin(), records.end(),

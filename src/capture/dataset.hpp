@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,21 +7,11 @@
 
 namespace ytcdn::capture {
 
-/// Table I-style per-dataset summary.
-struct DatasetSummary {
-    std::uint64_t flows = 0;
-    double volume_gb = 0.0;
-    std::size_t distinct_servers = 0;
-    std::size_t distinct_clients = 0;
-};
-
 /// One vantage point's week of YouTube flow records, plus metadata.
 /// This is the unit every analysis in the paper operates on.
 struct Dataset {
     std::string name;
     std::vector<FlowRecord> records;
-
-    [[nodiscard]] DatasetSummary summary() const;
 
     /// Sorts records by (start, end, client, server); the analyses assume
     /// time order within a client.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace ytcdn::sim {
 
@@ -21,6 +22,15 @@ inline constexpr SimTime kWeek = 7.0 * kDay;
 /// Fig. 9 bucketing granularity).
 [[nodiscard]] constexpr std::int64_t hour_index(SimTime t) noexcept {
     return static_cast<std::int64_t>(t / kHour);
+}
+
+/// The slot of `t`'s hour in a per-hour tally, growing `hours` with
+/// value-initialised (zero / empty) slots up to it.
+template <class T>
+[[nodiscard]] T& hour_slot(std::vector<T>& hours, SimTime t) {
+    const auto hour = static_cast<std::size_t>(hour_index(t));
+    if (hour >= hours.size()) hours.resize(hour + 1);
+    return hours[hour];
 }
 
 /// Hour-of-day in [0, 24), given an offset of the local clock vs trace time.

@@ -7,11 +7,13 @@
 #include <utility>
 
 #include "analysis/as_analysis.hpp"
+#include "analysis/incremental.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/redirect_analysis.hpp"
 #include "analysis/series.hpp"
 #include "analysis/session_analysis.hpp"
 #include "analysis/stats.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/subnet_analysis.hpp"
 #include "cdn/video.hpp"
 #include "geo/city.hpp"
@@ -41,9 +43,9 @@ analysis::AsciiTable make_table1(const StudyRun& run) {
                             "paper:Flows", "paper:GB", "paper:Srv", "paper:Cli"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto& ds = run.traces.datasets[i];
-        const auto s = ds.summary();
-        t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb, 2),
-                   std::to_string(s.distinct_servers), std::to_string(s.distinct_clients),
+        const auto s = analysis::fold_records(ds, analysis::IncrementalSummary{});
+        t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb(), 2),
+                   std::to_string(s.servers.size()), std::to_string(s.clients.size()),
                    kPaperTable1[i].flows, kPaperTable1[i].volume_gb,
                    kPaperTable1[i].servers, kPaperTable1[i].clients});
     }

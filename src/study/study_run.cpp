@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/preferred_dc.hpp"
+#include "analysis/streaming.hpp"
 #include "study/dc_map_builder.hpp"
 #include "util/metrics.hpp"
 
@@ -70,21 +70,19 @@ StudyRun derive_run(const StudyConfig& config,
 
     // Each vantage point's map derivation pings with its own Pinger seeded
     // from (config seed, vp name) — independent tasks, input-order results.
-    // The closure captures only `run`, read-only; ytcdn-parallel-shared-mutation
+    // The closures capture only `run`, read-only; ytcdn-parallel-shared-mutation
     // verifies nothing shared is written from the tasks.
     const std::size_t n = run.deployment->num_vantage_points();
-    auto derived = util::parallel_map_indexed(pool, n, [&run](std::size_t i) {
-        auto map = ground_truth_dc_map(*run.deployment, run.deployment->vantage(i));
-        const int preferred = analysis::preferred_dc(run.traces.datasets[i], map);
-        return std::pair<analysis::ServerDcMap, int>(std::move(map), preferred);
+    run.maps = util::parallel_map_indexed(pool, n, [&run](std::size_t i) {
+        return ground_truth_dc_map(*run.deployment, run.deployment->vantage(i));
     });
-    run.maps.reserve(n);
-    run.preferred.reserve(n);
-    for (auto& [map, preferred] : derived) {
-        run.maps.push_back(std::move(map));
-        run.preferred.push_back(preferred);
-    }
     index_study_run(run, pool);
+    // The preferred DC folds the dc columns index_study_run just resolved.
+    run.preferred = util::parallel_map_indexed(pool, n, [&run](std::size_t i) {
+        return analysis::fold_records(run.traces.datasets[i], run.dc_columns[i],
+                                      analysis::IncrementalDcTraffic{})
+            .preferred(run.maps[i]);
+    });
     study_metrics().maps_derived.inc(n);
     return run;
 }

@@ -19,6 +19,7 @@
 #include "study/report.hpp"
 #include "study/study_run.hpp"
 #include "study/supervisor.hpp"
+#include "util/crc32.hpp"
 #include "util/io.hpp"
 
 namespace analysis = ytcdn::analysis;
@@ -151,6 +152,52 @@ TEST(Determinism, RenderedArtifactsWithFaultScheduleAreByteIdentical) {
     EXPECT_NE(artifacts, render_artifacts(study::run_study(small_config())));
 }
 
+TEST(Determinism, FoldedArtifactsMatchGoldenDigest) {
+    // The report's tallies each have one definition (the analysis::
+    // Incremental* folds); this pins their rendered output to the bytes the
+    // batch implementations produced before they were folded in. The
+    // constants pin libstdc++'s <random> and hash-table output as well, so
+    // they are re-blessed only together with ROADMAP item 4 (portable
+    // randomness). The hand-computed fixtures in test_{analysis,
+    // loadbalance_analysis,redirect_analysis,subnet_analysis}.cpp remain the
+    // per-function reference.
+    struct Golden {
+        const char* name;
+        std::uint32_t crc;
+    };
+    static constexpr Golden kGolden[] = {
+        {"table1.txt", 0x4AD7CAA2u},
+        {"table2.txt", 0xB1484F5Eu},
+        {"failure_breakdown.txt", 0xF6EB8A43u},
+        {"retry_histogram.txt", 0x6BE1CB35u},
+        {"resolutions.txt", 0x3D43F984u},
+        {"fig04_flow_sizes.dat", 0x11B75D41u},
+        {"fig05_gap_sensitivity.dat", 0xAF94D1C7u},
+        {"fig06_flows_per_session.dat", 0x6B5578B2u},
+        {"fig07_bytes_vs_rtt.dat", 0x9AD047D9u},
+        {"fig08_bytes_vs_distance.dat", 0x0C8BAAD7u},
+        {"fig09_hourly_nonpreferred_cdf.dat", 0x38695F89u},
+        {"fig10_session_patterns.txt", 0x595F44ACu},
+        {"fig11_eu2_load_balancing.dat", 0xB382D2EAu},
+        {"fig12_subnet_breakdown.txt", 0x33F7472Du},
+        {"fig13_video_redirect_counts_cdf.dat", 0x92376005u},
+        {"fig14_hotspot_videos.dat", 0x6C4F4673u},
+        {"fig15_server_load.dat", 0x57DB5B46u},
+        {"fig16_hot_server_sessions.dat", 0x9FAF8366u},
+    };
+
+    study::ReportOptions opts;
+    opts.include_table3 = false;
+    const auto report = study::make_full_report(study::run_study(small_config()), opts);
+    ASSERT_EQ(report.artifacts.size(), std::size(kGolden));
+    for (std::size_t i = 0; i < std::size(kGolden); ++i) {
+        const auto& artifact = report.artifacts[i];
+        EXPECT_EQ(artifact.name, kGolden[i].name);
+        EXPECT_EQ(ytcdn::util::crc32(artifact.content), kGolden[i].crc)
+            << artifact.name;
+    }
+}
+
 TEST(Determinism, IdenticalRunsProduceIdenticalTraces) {
     const auto a = study::run_study(small_config());
     const auto b = study::run_study(small_config());
@@ -178,10 +225,9 @@ TEST(Determinism, DifferentSeedsProduceDifferentTraces) {
     const auto b = study::run_study(small_config(2));
     // Same magnitudes...
     ASSERT_EQ(a.traces.datasets.size(), b.traces.datasets.size());
-    const auto sa = a.traces.datasets[0].summary();
-    const auto sb = b.traces.datasets[0].summary();
-    EXPECT_NEAR(static_cast<double>(sa.flows), static_cast<double>(sb.flows),
-                static_cast<double>(sa.flows) * 0.2);
+    const auto flows_a = static_cast<double>(a.traces.datasets[0].records.size());
+    const auto flows_b = static_cast<double>(b.traces.datasets[0].records.size());
+    EXPECT_NEAR(flows_a, flows_b, flows_a * 0.2);
     // ...but different flows.
     EXPECT_NE(a.traces.datasets[0].records.front().video,
               b.traces.datasets[0].records.front().video);

@@ -86,20 +86,6 @@ analysis::ServerDcMap two_dc_map() {
 
 }  // namespace
 
-TEST(IncrementalSummary, MatchesBatchClosure) {
-    capture::Dataset ds;
-    ds.records = sample_records();
-    const auto batch = ds.summary();
-
-    analysis::IncrementalSummary inc;
-    for (const auto& r : ds.records) inc.add(r);
-
-    EXPECT_EQ(inc.flows, batch.flows);
-    EXPECT_EQ(inc.servers.size(), batch.distinct_servers);
-    EXPECT_EQ(inc.clients.size(), batch.distinct_clients);
-    EXPECT_DOUBLE_EQ(inc.volume_gb(), batch.volume_gb);
-}
-
 TEST(IncrementalSessions, MatchesBatchClosureOnSortedInput) {
     capture::Dataset ds;
     ds.records = sample_records();

@@ -1,10 +1,10 @@
-// Streaming §VII equivalence battery (DESIGN.md §16): the out-of-core
-// pipeline — FlowLogWriter spill, FlowLogReader replay, incremental
-// analysis modules, and the two-pass scale runner — must reproduce the
-// batch toolchain bit for bit. Golden tests pin incremental == batch on a
-// real study dataset; property tests split the YFL2 stream at every byte
-// (hence every record boundary) and prove the readers fail identically on
-// every truncation and every single-byte corruption.
+// Streaming §VII battery (DESIGN.md §16): the out-of-core pipeline —
+// FlowLogWriter spill, FlowLogReader replay, and the two-pass scale runner
+// feeding the §VII folds — must reproduce the in-memory study bit for bit.
+// Replaying a spill must equal feeding the folds the in-memory records;
+// property tests split the YFL2 stream at every byte (hence every record
+// boundary) and prove the readers fail identically on every truncation and
+// every single-byte corruption.
 
 #include <gtest/gtest.h>
 
@@ -21,9 +21,7 @@
 
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/redirect_analysis.hpp"
 #include "analysis/streaming.hpp"
-#include "analysis/subnet_analysis.hpp"
 #include "capture/binary_log.hpp"
 #include "sim/random.hpp"
 #include "study/scale_run.hpp"
@@ -124,14 +122,6 @@ void expect_records_equal(const std::vector<capture::FlowRecord>& a,
 
 std::vector<std::pair<double, double>> cdf_points(const analysis::EmpiricalCdf& c) {
     return c.curve(std::numeric_limits<std::size_t>::max());
-}
-
-void expect_series_equal(const analysis::Series& a, const analysis::Series& b) {
-    EXPECT_EQ(a.name, b.name);
-    ASSERT_EQ(a.points.size(), b.points.size()) << a.name;
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-        EXPECT_EQ(a.points[i], b.points[i]) << a.name << " @ " << i;
-    }
 }
 
 // --- FlowLogWriter / FlowLogReader vs the batch serializers ---------------
@@ -301,7 +291,7 @@ TEST(StreamingLog, CorruptFixturesFailIdenticallyInBothReaders) {
     fs::remove_all(scratch);
 }
 
-// --- incremental modules vs their batch twins -----------------------------
+// --- the out-of-core paths vs the in-memory study -------------------------
 
 class StreamingModules : public ::testing::Test {
 protected:
@@ -319,116 +309,6 @@ private:
 };
 
 std::unique_ptr<study::StudyRun> StreamingModules::run_;
-
-TEST_F(StreamingModules, DcTrafficMatchesBatch) {
-    for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
-        const auto& ds = run().traces.datasets[i];
-        const auto& map = run().maps[i];
-        analysis::IncrementalDcTraffic inc;
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        const auto batch = analysis::traffic_by_dc(ds, map);
-        const auto streamed = inc.traffic();
-        ASSERT_EQ(streamed.size(), batch.size()) << ds.name;
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-            EXPECT_EQ(streamed[k].dc, batch[k].dc) << ds.name;
-            EXPECT_EQ(streamed[k].bytes, batch[k].bytes) << ds.name;
-            EXPECT_EQ(streamed[k].video_flows, batch[k].video_flows) << ds.name;
-        }
-        EXPECT_EQ(inc.preferred(map), analysis::preferred_dc(ds, map)) << ds.name;
-        EXPECT_EQ(inc.preferred(map), run().preferred[i]) << ds.name;
-
-        const auto batch_share =
-            analysis::non_preferred_share(ds, map, run().preferred[i]);
-        const auto inc_share = inc.share(run().preferred[i]);
-        EXPECT_EQ(inc_share.byte_fraction, batch_share.byte_fraction) << ds.name;
-        EXPECT_EQ(inc_share.flow_fraction, batch_share.flow_fraction) << ds.name;
-    }
-}
-
-TEST_F(StreamingModules, HourlyLoadMatchesBatch) {
-    for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
-        const auto& ds = run().traces.datasets[i];
-        const auto& map = run().maps[i];
-        const auto& dc = run().dc_columns[i];
-        const int preferred = run().preferred[i];
-        analysis::IncrementalHourlyLoad inc(preferred, ds.name);
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        EXPECT_EQ(cdf_points(inc.non_preferred_cdf()),
-                  cdf_points(analysis::hourly_non_preferred_fraction(ds, dc, preferred)))
-            << ds.name;
-        const auto batch = analysis::hourly_preferred_series(ds, dc, preferred);
-        const auto streamed = inc.preferred_series();
-        expect_series_equal(streamed.fraction_preferred, batch.fraction_preferred);
-        expect_series_equal(streamed.flows_per_hour, batch.flows_per_hour);
-        EXPECT_EQ(inc.correlation(),
-                  analysis::load_vs_nonpreferred_correlation(ds, dc, preferred))
-            << ds.name;
-    }
-}
-
-TEST_F(StreamingModules, VideoRedirectsMatchBatch) {
-    for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
-        const auto& ds = run().traces.datasets[i];
-        const auto& map = run().maps[i];
-        const auto& dc = run().dc_columns[i];
-        const int preferred = run().preferred[i];
-        analysis::IncrementalVideoRedirects inc(preferred);
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        EXPECT_EQ(cdf_points(inc.counts_cdf()),
-                  cdf_points(analysis::video_non_preferred_counts(ds, dc, preferred)))
-            << ds.name;
-        EXPECT_EQ(inc.top_videos(4),
-                  analysis::top_redirected_videos(ds, dc, preferred, 4))
-            << ds.name;
-    }
-}
-
-TEST_F(StreamingModules, SubnetBreakdownMatchesBatch) {
-    for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
-        const auto& ds = run().traces.datasets[i];
-        const auto& map = run().maps[i];
-        const auto& dc = run().dc_columns[i];
-        const int preferred = run().preferred[i];
-        std::vector<analysis::NamedSubnet> subnets;
-        for (const auto& g : run().deployment->vantage(i).subnets) {
-            subnets.push_back({g.name, g.prefix});
-        }
-        analysis::IncrementalSubnetBreakdown inc(preferred, subnets);
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        const auto batch = analysis::subnet_breakdown(ds, dc, preferred, subnets);
-        const auto streamed = inc.shares();
-        ASSERT_EQ(streamed.size(), batch.size()) << ds.name;
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-            EXPECT_EQ(streamed[k].name, batch[k].name);
-            EXPECT_EQ(streamed[k].all_flows_share, batch[k].all_flows_share)
-                << ds.name << "/" << batch[k].name;
-            EXPECT_EQ(streamed[k].non_preferred_share, batch[k].non_preferred_share)
-                << ds.name << "/" << batch[k].name;
-        }
-    }
-}
-
-TEST_F(StreamingModules, ServerLoadMatchesBatch) {
-    for (std::size_t i = 0; i < run().traces.datasets.size(); ++i) {
-        const auto& ds = run().traces.datasets[i];
-        const auto& map = run().maps[i];
-        const auto& dc = run().dc_columns[i];
-        const int preferred = run().preferred[i];
-        analysis::IncrementalServerLoad inc(preferred, ds.name);
-        // Dataset order == time-sorted order: the insertion-sequence
-        // precondition for the float-mean byte identity.
-        for (const auto& r : ds.records) inc.add(r, map.dc_of(r.server_ip));
-
-        const auto batch = analysis::preferred_dc_server_load(ds, dc, preferred);
-        const auto streamed = inc.series();
-        expect_series_equal(streamed.avg, batch.avg);
-        expect_series_equal(streamed.max, batch.max);
-    }
-}
 
 TEST_F(StreamingModules, ChunkedSpillReplayMatchesDirectFeed) {
     // End-to-end incremental path: spill a dataset with FlowLogWriter, read

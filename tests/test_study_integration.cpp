@@ -7,10 +7,12 @@
 #include <memory>
 
 #include "analysis/as_analysis.hpp"
+#include "analysis/incremental.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/subnet_analysis.hpp"
 #include "study/report.hpp"
 #include "study/study_run.hpp"
@@ -39,16 +41,16 @@ TEST_F(StudyRunFixture, FiveDatasetsWithScaledTableOneCounts) {
     ASSERT_EQ(run_->traces.datasets.size(), 5u);
     for (std::size_t i = 0; i < 5; ++i) {
         const auto& ds = run_->traces.datasets[i];
-        const auto s = ds.summary();
+        const auto s = analysis::fold_records(ds, analysis::IncrementalSummary{});
         const double target =
             static_cast<double>(study::kPaperTargets[i].flows) * run_->config.scale;
         EXPECT_NEAR(static_cast<double>(s.flows), target, target * 0.25) << ds.name;
         // Mean flow volume in the paper is ~4-8 MB across datasets.
-        const double mb_per_flow = s.volume_gb * 1000.0 / static_cast<double>(s.flows);
+        const double mb_per_flow = s.volume_gb() * 1000.0 / static_cast<double>(s.flows);
         EXPECT_GT(mb_per_flow, 2.0) << ds.name;
         EXPECT_LT(mb_per_flow, 20.0) << ds.name;
-        EXPECT_GT(s.distinct_servers, 100u) << ds.name;
-        EXPECT_GT(s.distinct_clients, 30u) << ds.name;
+        EXPECT_GT(s.servers.size(), 100u) << ds.name;
+        EXPECT_GT(s.clients.size(), 30u) << ds.name;
     }
 }
 

@@ -26,9 +26,11 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/incremental.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
 #include "capture/log_io.hpp"
 #include "geo/city.hpp"
@@ -261,10 +263,10 @@ int cmd_summary(const util::ArgParser& args) {
         capture::Dataset ds;
         ds.name = args.positionals()[i];
         ds.records = capture::read_any_log(args.positionals()[i]);
-        const auto s = ds.summary();
-        t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb, 2),
-                   std::to_string(s.distinct_servers),
-                   std::to_string(s.distinct_clients)});
+        const auto s = analysis::fold_records(ds, analysis::IncrementalSummary{});
+        t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb(), 2),
+                   std::to_string(s.servers.size()),
+                   std::to_string(s.clients.size())});
     }
     std::cout << t;
     return 0;
