@@ -9,7 +9,7 @@
 
 #include "geo/city.hpp"
 #include "study/snapshot.hpp"
-#include "util/atomic_file.hpp"
+#include "util/io.hpp"
 #include "util/metrics.hpp"
 
 namespace ytcdn::bench {
@@ -162,7 +162,7 @@ void dump_metrics_snapshot() {
     }
     os << "\n}\n";
 
-    if (!util::atomic_write_file(out, os.str())) {
+    if (!util::io::write_file_atomic(out, os.str())) {
         std::cerr << "# bench: cannot write metrics to " << out << "\n";
     }
 }

@@ -22,9 +22,11 @@ void IncrementalSessions::close_into_histogram(std::uint32_t flows) {
 }
 
 void IncrementalSessions::evict_stale() {
-    // In-order input can never extend a session whose last end is more than
-    // the gap behind the newest timestamp seen, so closing those early is
-    // exactly what the batch closure would eventually do.
+    // Every later flow of start-ordered input starts at or after the
+    // watermark, so none can extend a session whose last end is more than
+    // the gap behind it: closing those early is exactly what the batch
+    // closure would eventually do. (The newest *end* is no horizon: one
+    // long flow would move it minutes past sessions still open.)
     const double horizon = watermark_ - gap_;
     for (auto it = open_.begin(); it != open_.end();) {
         if (it->second.last_end < horizon) {
@@ -37,7 +39,7 @@ void IncrementalSessions::evict_stale() {
 }
 
 void IncrementalSessions::add(const capture::FlowRecord& r) {
-    watermark_ = std::max(watermark_, r.end);
+    watermark_ = std::max(watermark_, r.start);
     const Key key{r.client_ip.value(), r.video.value()};
     auto [it, inserted] = open_.try_emplace(key);
     OpenSession& session = it->second;

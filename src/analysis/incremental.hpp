@@ -47,9 +47,9 @@ struct IncrementalSummary {
 ///
 /// Sessions close three ways: the gap is exceeded by a same-key flow, the
 /// open set outgrows `max_open` and a watermark sweep closes everything
-/// whose last end is more than the gap behind the newest timestamp seen
-/// (those can never be extended by in-order input), or close_all() at
-/// shutdown/render. Equals the batch SessionTable exactly when each
+/// whose last end is more than the gap behind the newest flow start seen
+/// (no later flow of start-ordered input can extend those), or close_all()
+/// at shutdown/render. Equals the batch SessionTable exactly when each
 /// stream's flows arrive in start-time order — which the spool replay
 /// guarantees.
 class IncrementalSessions {
@@ -102,7 +102,7 @@ private:
 
     double gap_;
     std::size_t max_open_;
-    double watermark_ = 0.0;  // newest flow end seen
+    double watermark_ = 0.0;  // newest flow start seen
     std::map<Key, OpenSession> open_;
     std::array<std::uint64_t, kMaxBucket + 1> closed_{};  // [0] unused
 };

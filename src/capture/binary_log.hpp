@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "capture/flow_record.hpp"
@@ -37,13 +38,18 @@ namespace ytcdn::capture {
     std::istream& is);
 [[nodiscard]] util::Result<std::vector<FlowRecord>> read_binary_log_result(
     const std::filesystem::path& path);
+/// Decodes a log already in memory (a FlowLogReader over the bytes,
+/// drained); both read_binary_log_result overloads go through it.
+[[nodiscard]] util::Result<std::vector<FlowRecord>> read_binary_log_bytes(
+    std::string_view bytes);
 
-/// Atomic (tmp + rename + fsync) when writing to a path: a crashed writer
-/// never leaves a torn log under the final name.
-[[nodiscard]] util::Result<void> write_binary_log_result(
-    const std::filesystem::path& path, const std::vector<FlowRecord>& records);
+/// The encoded log, as every writer below publishes it.
+[[nodiscard]] std::string write_binary_log_bytes(
+    const std::vector<FlowRecord>& records);
 
 void write_binary_log(std::ostream& os, const std::vector<FlowRecord>& records);
+/// Atomic (tmp + rename + fsync) when writing to a path: a crashed writer
+/// never leaves a torn log under the final name.
 void write_binary_log(const std::filesystem::path& path,
                       const std::vector<FlowRecord>& records);
 
@@ -90,13 +96,13 @@ private:
     std::uint64_t count_ = 0;
 };
 
-/// Incremental flow-log reader: delivers records one CRC-verified block at
-/// a time through util::io::FileReader, holding O(block) memory however
-/// large the log is. Reports the same typed error taxonomy as
-/// read_binary_log (BadMagic / UnsupportedVersion / Truncated /
-/// ChecksumMismatch / CountMismatch / BadField) with absolute
-/// byte/record provenance — the golden fuzz
-/// fixtures pin that the two readers fail identically.
+/// The one YFL2 decoder. Delivers records one CRC-verified block at a
+/// time, either from a file through util::io::FileReader (holding O(block)
+/// memory however large the log is) or from bytes already in memory.
+/// Errors carry the typed taxonomy (BadMagic / UnsupportedVersion /
+/// Truncated / ChecksumMismatch / CountMismatch / BadField) with absolute
+/// byte/record provenance; read_binary_log drains this reader, so the
+/// batch and streaming entry points fail identically.
 class FlowLogReader {
 public:
     FlowLogReader() = default;
@@ -108,6 +114,10 @@ public:
     /// chunk-boundary property tests sweep it).
     [[nodiscard]] static util::Result<FlowLogReader> open(
         const std::filesystem::path& path, std::size_t chunk_bytes = 1 << 20);
+    /// Reads a log held in memory; `bytes` must outlive the reader. The
+    /// view's size stands in for the file size and nothing is refilled.
+    [[nodiscard]] static util::Result<FlowLogReader> open_bytes(
+        std::string_view bytes);
 
     /// Replaces `out` with the next block of records (≤ 4096). Returns the
     /// count; 0 means the stream ended cleanly (trailer validated).
@@ -117,11 +127,19 @@ public:
     [[nodiscard]] std::uint64_t records_read() const noexcept { return read_; }
 
 private:
+    /// Validates the header against the stream's total `size`.
+    [[nodiscard]] static util::Result<FlowLogReader> start(FlowLogReader out,
+                                                           std::uint64_t size);
+    /// Makes `need` unconsumed bytes available; false at end of stream.
     [[nodiscard]] util::Result<bool> fill(std::size_t need);
+    /// The unconsumed bytes currently available.
+    [[nodiscard]] std::string_view window() const noexcept;
+    [[nodiscard]] util::Result<std::size_t> read_trailer();
 
-    util::io::FileReader reader_;
+    util::io::FileReader reader_;  // closed when reading from `bytes_`
     std::string buf_;
-    std::size_t pos_ = 0;        // unconsumed bytes start here in buf_
+    std::string_view bytes_;
+    std::size_t pos_ = 0;        // unconsumed bytes start here
     std::uint64_t abs_ = 0;      // absolute stream offset of buf_[pos_]
     std::size_t chunk_ = 1 << 20;
     std::uint64_t count_ = 0;

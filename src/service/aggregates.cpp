@@ -1,77 +1,22 @@
 #include "service/aggregates.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <vector>
 
 #include "analysis/table.hpp"
+#include "util/bytes.hpp"
 
 namespace ytcdn::service {
 
 namespace {
 
-// Local little-endian codec helpers, mirroring study/checkpoint.cpp's
-// conventions (u32-length strings, doubles as raw IEEE-754 bits).
-
-template <typename T>
-void put(std::string& buf, T value) {
-    char raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    buf.append(raw, sizeof(T));
+/// "service aggregates payload truncated at byte N".
+Error truncated(const util::ByteReader& in) {
+    return Error(ErrorCode::Truncated,
+                 "service aggregates payload truncated at byte " +
+                     std::to_string(in.offset()));
 }
-
-void put_str32(std::string& buf, std::string_view s) {
-    put(buf, static_cast<std::uint32_t>(s.size()));
-    buf.append(s);
-}
-
-void put_f64(std::string& buf, double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    put(buf, bits);
-}
-
-class Reader {
-public:
-    explicit Reader(std::string_view data) : data_(data) {}
-
-    template <typename T>
-    bool take(T* out) {
-        if (data_.size() - off_ < sizeof(T)) return false;
-        std::memcpy(out, data_.data() + off_, sizeof(T));
-        off_ += sizeof(T);
-        return true;
-    }
-
-    bool take_f64(double* out) {
-        std::uint64_t bits = 0;
-        if (!take(&bits)) return false;
-        std::memcpy(out, &bits, sizeof(bits));
-        return true;
-    }
-
-    bool take_str32(std::string* out) {
-        std::uint32_t n = 0;
-        if (!take(&n)) return false;
-        if (data_.size() - off_ < n) return false;
-        out->assign(data_.substr(off_, n));
-        off_ += n;
-        return true;
-    }
-
-    [[nodiscard]] bool done() const noexcept { return off_ == data_.size(); }
-
-    [[nodiscard]] Error truncated() const {
-        return Error(ErrorCode::Truncated,
-                     "service aggregates payload truncated at byte " +
-                         std::to_string(off_));
-    }
-
-private:
-    std::string_view data_;
-    std::size_t off_ = 0;
-};
 
 constexpr std::uint32_t kAggregatesVersion = 1;
 
@@ -79,14 +24,16 @@ void put_sorted_set(std::string& buf,
                     const std::unordered_set<std::uint32_t>& set) {
     std::vector<std::uint32_t> sorted(set.begin(), set.end());
     std::sort(sorted.begin(), sorted.end());
-    put(buf, static_cast<std::uint32_t>(sorted.size()));
-    for (const std::uint32_t v : sorted) put(buf, v);
+    util::put(buf, static_cast<std::uint32_t>(sorted.size()));
+    for (const std::uint32_t v : sorted) util::put(buf, v);
 }
 
-bool take_set(Reader& r, std::unordered_set<std::uint32_t>* set) {
+bool take_set(util::ByteReader& r, std::unordered_set<std::uint32_t>* set) {
     std::uint32_t n = 0;
     if (!r.take(&n)) return false;
-    set->reserve(n);
+    // Capped by what the payload can hold: a corrupt count must fail as a
+    // truncation below, not reserve gigabytes.
+    set->reserve(std::min<std::size_t>(n, r.remaining() / sizeof(std::uint32_t)));
     for (std::uint32_t i = 0; i < n; ++i) {
         std::uint32_t v = 0;
         if (!r.take(&v)) return false;
@@ -194,53 +141,53 @@ std::string ServiceAggregates::render() const {
 
 std::string ServiceAggregates::encode() const {
     std::string buf;
-    put(buf, kAggregatesVersion);
-    put_f64(buf, gap_);
+    util::put(buf, kAggregatesVersion);
+    util::put_f64(buf, gap_);
 
-    put_str32(buf, preference_.policy());
-    put(buf, static_cast<std::uint8_t>(preference_.has_map() ? 1 : 0));
+    util::put_str32(buf, preference_.policy());
+    util::put(buf, static_cast<std::uint8_t>(preference_.has_map() ? 1 : 0));
     if (preference_.has_map()) {
         std::ostringstream map_text;
         analysis::write_dc_map(map_text, preference_.map());
-        put_str32(buf, map_text.str());
-        put(buf, static_cast<std::uint32_t>(preference_.dcs().size()));
+        util::put_str32(buf, map_text.str());
+        util::put(buf, static_cast<std::uint32_t>(preference_.dcs().size()));
         for (const auto& dc : preference_.dcs()) {
-            put(buf, static_cast<std::uint8_t>(dc.drained ? 1 : 0));
-            put_f64(buf, dc.scale);
-            put(buf, dc.flows);
-            put(buf, dc.bytes);
+            util::put(buf, static_cast<std::uint8_t>(dc.drained ? 1 : 0));
+            util::put_f64(buf, dc.scale);
+            util::put(buf, dc.flows);
+            util::put(buf, dc.bytes);
         }
     }
-    put(buf, preference_.mapped_flows);
-    put(buf, preference_.unmapped_flows);
-    put(buf, preference_.preferred_flows);
-    put(buf, preference_.non_preferred_flows);
-    put(buf, preference_.preferred_bytes);
-    put(buf, preference_.non_preferred_bytes);
+    util::put(buf, preference_.mapped_flows);
+    util::put(buf, preference_.unmapped_flows);
+    util::put(buf, preference_.preferred_flows);
+    util::put(buf, preference_.non_preferred_flows);
+    util::put(buf, preference_.preferred_bytes);
+    util::put(buf, preference_.non_preferred_bytes);
 
-    put(buf, static_cast<std::uint32_t>(streams_.size()));
+    util::put(buf, static_cast<std::uint32_t>(streams_.size()));
     for (const auto& [name, stream] : streams_) {
-        put_str32(buf, name);
+        util::put_str32(buf, name);
         const auto& s = stream.summary;
-        put(buf, s.flows);
-        put(buf, s.video_flows);
-        put(buf, s.bytes);
+        util::put(buf, s.flows);
+        util::put(buf, s.video_flows);
+        util::put(buf, s.bytes);
         put_sorted_set(buf, s.servers);
         put_sorted_set(buf, s.clients);
         put_sorted_set(buf, s.server_slash24s);
 
         const auto& sessions = stream.sessions;
-        put_f64(buf, sessions.watermark());
+        util::put_f64(buf, sessions.watermark());
         for (std::size_t k = 1;
              k <= analysis::IncrementalSessions::kMaxBucket; ++k) {
-            put(buf, sessions.histogram()[k]);
+            util::put(buf, sessions.histogram()[k]);
         }
-        put(buf, static_cast<std::uint32_t>(sessions.open().size()));
+        util::put(buf, static_cast<std::uint32_t>(sessions.open().size()));
         for (const auto& [key, open] : sessions.open()) {
-            put(buf, key.first);
-            put(buf, key.second);
-            put_f64(buf, open.last_end);
-            put(buf, open.flows);
+            util::put(buf, key.first);
+            util::put(buf, key.second);
+            util::put_f64(buf, open.last_end);
+            util::put(buf, open.flows);
         }
     }
     return buf;
@@ -248,25 +195,25 @@ std::string ServiceAggregates::encode() const {
 
 util::Result<ServiceAggregates> ServiceAggregates::decode(
     std::string_view payload) {
-    Reader r(payload);
+    util::ByteReader r(payload);
     std::uint32_t version = 0;
-    if (!r.take(&version)) return r.truncated();
+    if (!r.take(&version)) return truncated(r);
     if (version != kAggregatesVersion) {
         return Error(ErrorCode::UnsupportedVersion,
                      "service aggregates payload version " +
                          std::to_string(version));
     }
     double gap = 0.0;
-    if (!r.take_f64(&gap)) return r.truncated();
+    if (!r.take_f64(&gap)) return truncated(r);
     ServiceAggregates out(gap);
 
     std::string policy;
-    if (!r.take_str32(&policy)) return r.truncated();
+    if (!r.take_str32(&policy)) return truncated(r);
     std::uint8_t has_map = 0;
-    if (!r.take(&has_map)) return r.truncated();
+    if (!r.take(&has_map)) return truncated(r);
     if (has_map != 0) {
         std::string map_text;
-        if (!r.take_str32(&map_text)) return r.truncated();
+        if (!r.take_str32(&map_text)) return truncated(r);
         try {
             std::istringstream is(map_text);
             out.preference_.set_map(analysis::read_dc_map(is));
@@ -276,7 +223,7 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
                              e.what());
         }
         std::uint32_t ndc = 0;
-        if (!r.take(&ndc)) return r.truncated();
+        if (!r.take(&ndc)) return truncated(r);
         if (ndc != out.preference_.dcs().size()) {
             return Error(ErrorCode::CountMismatch,
                          "service aggregates: dc state count " +
@@ -287,7 +234,7 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
             std::uint8_t drained = 0;
             if (!r.take(&drained) || !r.take_f64(&dc.scale) ||
                 !r.take(&dc.flows) || !r.take(&dc.bytes)) {
-                return r.truncated();
+                return truncated(r);
             }
             dc.drained = drained != 0;
         }
@@ -302,14 +249,14 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
         !r.take(&out.preference_.non_preferred_flows) ||
         !r.take(&out.preference_.preferred_bytes) ||
         !r.take(&out.preference_.non_preferred_bytes)) {
-        return r.truncated();
+        return truncated(r);
     }
 
     std::uint32_t nstreams = 0;
-    if (!r.take(&nstreams)) return r.truncated();
+    if (!r.take(&nstreams)) return truncated(r);
     for (std::uint32_t i = 0; i < nstreams; ++i) {
         std::string name;
-        if (!r.take_str32(&name)) return r.truncated();
+        if (!r.take_str32(&name)) return truncated(r);
         auto [it, inserted] = out.streams_.emplace(name, Stream(gap));
         if (!inserted) {
             return Error(ErrorCode::BadField,
@@ -320,28 +267,28 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
         if (!r.take(&s.flows) || !r.take(&s.video_flows) || !r.take(&s.bytes) ||
             !take_set(r, &s.servers) || !take_set(r, &s.clients) ||
             !take_set(r, &s.server_slash24s)) {
-            return r.truncated();
+            return truncated(r);
         }
 
         auto& sessions = it->second.sessions;
         double watermark = 0.0;
-        if (!r.take_f64(&watermark)) return r.truncated();
+        if (!r.take_f64(&watermark)) return truncated(r);
         sessions.set_watermark(watermark);
         for (std::size_t k = 1;
              k <= analysis::IncrementalSessions::kMaxBucket; ++k) {
             std::uint64_t count = 0;
-            if (!r.take(&count)) return r.truncated();
+            if (!r.take(&count)) return truncated(r);
             sessions.restore_closed(k, count);
         }
         std::uint32_t nopen = 0;
-        if (!r.take(&nopen)) return r.truncated();
+        if (!r.take(&nopen)) return truncated(r);
         for (std::uint32_t j = 0; j < nopen; ++j) {
             std::uint32_t client = 0;
             std::uint64_t video = 0;
             analysis::IncrementalSessions::OpenSession open;
             if (!r.take(&client) || !r.take(&video) ||
                 !r.take_f64(&open.last_end) || !r.take(&open.flows)) {
-                return r.truncated();
+                return truncated(r);
             }
             sessions.restore_open({client, video}, open);
         }

@@ -11,6 +11,7 @@
 #include "service/control.hpp"
 #include "service/spool.hpp"
 #include "study/checkpoint.hpp"
+#include "util/bytes.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
 #include "util/metrics.hpp"
@@ -91,51 +92,12 @@ std::uint64_t fingerprint_of(const ServiceOptions& options) {
 // shed log + control-mutation history + totals. Same conventions as the
 // aggregates codec: little-endian, u32-length strings.
 
-template <typename T>
-void put(std::string& buf, T value) {
-    char raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    buf.append(raw, sizeof(T));
+/// "service checkpoint payload truncated at byte N".
+Error truncated(const util::ByteReader& in) {
+    return Error(ErrorCode::Truncated,
+                 "service checkpoint payload truncated at byte " +
+                     std::to_string(in.offset()));
 }
-
-void put_str32(std::string& buf, std::string_view s) {
-    put(buf, static_cast<std::uint32_t>(s.size()));
-    buf.append(s);
-}
-
-class Reader {
-public:
-    explicit Reader(std::string_view data) : data_(data) {}
-
-    template <typename T>
-    bool take(T* out) {
-        if (data_.size() - off_ < sizeof(T)) return false;
-        std::memcpy(out, data_.data() + off_, sizeof(T));
-        off_ += sizeof(T);
-        return true;
-    }
-
-    bool take_str32(std::string* out) {
-        std::uint32_t n = 0;
-        if (!take(&n)) return false;
-        if (data_.size() - off_ < n) return false;
-        out->assign(data_.substr(off_, n));
-        off_ += n;
-        return true;
-    }
-
-    [[nodiscard]] bool done() const noexcept { return off_ == data_.size(); }
-
-    [[nodiscard]] Error truncated() const {
-        return Error(ErrorCode::Truncated,
-                     "service checkpoint payload truncated at byte " +
-                         std::to_string(off_));
-    }
-
-private:
-    std::string_view data_;
-    std::size_t off_ = 0;
-};
 
 struct ServiceState {
     ServiceAggregates aggregates{1.0};
@@ -148,35 +110,35 @@ struct ServiceState {
 
 std::string encode_state(const ServiceState& state) {
     std::string buf;
-    put_str32(buf, state.aggregates.encode());
-    put(buf, static_cast<std::uint32_t>(state.ledger.size()));
+    util::put_str32(buf, state.aggregates.encode());
+    util::put(buf, static_cast<std::uint32_t>(state.ledger.size()));
     for (const auto& entry : state.ledger) {
-        put_str32(buf, entry.name);
-        put(buf, entry.size);
-        put(buf, entry.crc);
-        put(buf, entry.records);
-        put(buf, entry.batches);
-        put(buf, entry.shed_batches);
-        put_str32(buf, entry.status);
+        util::put_str32(buf, entry.name);
+        util::put(buf, entry.size);
+        util::put(buf, entry.crc);
+        util::put(buf, entry.records);
+        util::put(buf, entry.batches);
+        util::put(buf, entry.shed_batches);
+        util::put_str32(buf, entry.status);
     }
-    put(buf, static_cast<std::uint32_t>(state.shed_log.size()));
+    util::put(buf, static_cast<std::uint32_t>(state.shed_log.size()));
     for (const auto& shed : state.shed_log) {
-        put_str32(buf, shed.file);
-        put(buf, shed.batch);
-        put(buf, shed.records);
+        util::put_str32(buf, shed.file);
+        util::put(buf, shed.batch);
+        util::put(buf, shed.records);
     }
-    put(buf, static_cast<std::uint32_t>(state.mutations.size()));
-    for (const auto& mutation : state.mutations) put_str32(buf, mutation);
-    put(buf, state.files_ingested);
-    put(buf, state.records_ingested);
+    util::put(buf, static_cast<std::uint32_t>(state.mutations.size()));
+    for (const auto& mutation : state.mutations) util::put_str32(buf, mutation);
+    util::put(buf, state.files_ingested);
+    util::put(buf, state.records_ingested);
     return buf;
 }
 
 util::Result<ServiceState> decode_state(std::string_view payload) {
-    Reader r(payload);
+    util::ByteReader r(payload);
     ServiceState state;
     std::string aggregates_payload;
-    if (!r.take_str32(&aggregates_payload)) return r.truncated();
+    if (!r.take_str32(&aggregates_payload)) return truncated(r);
     auto aggregates = ServiceAggregates::decode(aggregates_payload);
     if (!aggregates) {
         return std::move(aggregates).context("service checkpoint").error();
@@ -184,37 +146,34 @@ util::Result<ServiceState> decode_state(std::string_view payload) {
     state.aggregates = std::move(aggregates).value();
 
     std::uint32_t n = 0;
-    if (!r.take(&n)) return r.truncated();
-    state.ledger.reserve(n);
+    if (!r.take(&n)) return truncated(r);
     for (std::uint32_t i = 0; i < n; ++i) {
         ProcessedFile entry;
         if (!r.take_str32(&entry.name) || !r.take(&entry.size) ||
             !r.take(&entry.crc) || !r.take(&entry.records) ||
             !r.take(&entry.batches) || !r.take(&entry.shed_batches) ||
             !r.take_str32(&entry.status)) {
-            return r.truncated();
+            return truncated(r);
         }
         state.ledger.push_back(std::move(entry));
     }
-    if (!r.take(&n)) return r.truncated();
-    state.shed_log.reserve(n);
+    if (!r.take(&n)) return truncated(r);
     for (std::uint32_t i = 0; i < n; ++i) {
         ShedRecord shed;
         if (!r.take_str32(&shed.file) || !r.take(&shed.batch) ||
             !r.take(&shed.records)) {
-            return r.truncated();
+            return truncated(r);
         }
         state.shed_log.push_back(std::move(shed));
     }
-    if (!r.take(&n)) return r.truncated();
-    state.mutations.reserve(n);
+    if (!r.take(&n)) return truncated(r);
     for (std::uint32_t i = 0; i < n; ++i) {
         std::string mutation;
-        if (!r.take_str32(&mutation)) return r.truncated();
+        if (!r.take_str32(&mutation)) return truncated(r);
         state.mutations.push_back(std::move(mutation));
     }
     if (!r.take(&state.files_ingested) || !r.take(&state.records_ingested)) {
-        return r.truncated();
+        return truncated(r);
     }
     if (!r.done()) {
         return Error(ErrorCode::CountMismatch,

@@ -1,10 +1,8 @@
 #include "service/spool.hpp"
 
 #include <algorithm>
-#include <sstream>
 
-#include "capture/binary_log.hpp"
-#include "util/io.hpp"
+#include "capture/log_io.hpp"
 
 namespace ytcdn::service {
 
@@ -67,32 +65,7 @@ std::vector<SpoolFile> scan_dc_maps(const std::filesystem::path& dir) {
 
 util::Result<std::vector<capture::FlowRecord>> read_spool_file(
     const std::filesystem::path& path) {
-    auto bytes = util::io::read_file(path);
-    if (!bytes) {
-        return std::move(bytes).context("spool " + path.string()).error();
-    }
-    const std::string name = path.filename().string();
-    if (has_suffix(name, ".yfl")) {
-        std::istringstream is(std::move(bytes).value());
-        return capture::read_binary_log_result(is);
-    }
-    std::vector<capture::FlowRecord> records;
-    std::istringstream is(std::move(bytes).value());
-    std::string line;
-    std::uint64_t line_no = 0;
-    while (std::getline(is, line)) {
-        ++line_no;
-        if (line.empty() || line.front() == '#') continue;
-        auto record = capture::FlowRecord::from_tsv(line);
-        if (!record) {
-            return error_at_line(ErrorCode::Parse,
-                                 "spool " + path.string() +
-                                     ": malformed flow line",
-                                 line_no);
-        }
-        records.push_back(*record);
-    }
-    return records;
+    return capture::read_any_log_result(path).context("spool " + path.string());
 }
 
 std::string stream_of(const std::string& name) {

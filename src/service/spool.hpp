@@ -33,10 +33,11 @@ struct SpoolFile {
 [[nodiscard]] std::vector<SpoolFile> scan_dc_maps(
     const std::filesystem::path& dir);
 
-/// Reads and parses one spool file through the injectable io facade:
-/// *.yfl via the YFL2 reader, *.tsv line-by-line via FlowRecord::from_tsv
-/// (malformed lines are a Parse error with the line number). The records'
-/// stream name is the file name up to the first '.'.
+/// Reads and parses one spool file with capture::read_any_log_result
+/// (*.yfl through the YFL2 reader, anything else as a TSV flow log whose
+/// malformed lines are a Parse error with the line number); errors carry
+/// "spool <path>" context. The records' stream name is the file name up to
+/// the first '.'.
 [[nodiscard]] util::Result<std::vector<capture::FlowRecord>> read_spool_file(
     const std::filesystem::path& path);
 

@@ -1,16 +1,13 @@
 #include "sim/tracer.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <utility>
 
-#include "util/atomic_file.hpp"
+#include "util/bytes.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
 
@@ -31,9 +28,6 @@ constexpr std::uint64_t kBlockEvents = 1024;
 /// table length is an attack on the reader, not a trace.
 constexpr std::uint64_t kMaxStringBytes = 1u << 28;
 
-static_assert(std::endian::native == std::endian::little,
-              "trace log assumes a little-endian host");
-
 constexpr std::string_view kTypeNames[kNumTraceEventTypes] = {
     "session-start", "session-end", "dns-query",    "dns-cache-hit",
     "dns-answer",    "dns-servfail", "dc-selected",  "redirect",
@@ -41,46 +35,34 @@ constexpr std::string_view kTypeNames[kNumTraceEventTypes] = {
     "resume",        "fault",        "guard",
 };
 
-template <typename T>
-void put(std::string& buf, T value) {
-    const auto old = buf.size();
-    buf.resize(old + sizeof(T));
-    std::memcpy(buf.data() + old, &value, sizeof(T));
-}
-
-template <typename T>
-T take(const char*& p) {
-    T value;
-    std::memcpy(&value, p, sizeof(T));
-    p += sizeof(T);
-    return value;
-}
-
 void put_event(std::string& buf, const TraceEvent& e) {
-    put<double>(buf, e.time);
-    put<std::uint64_t>(buf, e.seq);
-    put<std::uint64_t>(buf, e.session);
-    put<std::int64_t>(buf, e.a);
-    put<std::int64_t>(buf, e.b);
-    put<double>(buf, e.x);
-    put<std::uint8_t>(buf, static_cast<std::uint8_t>(e.type));
-    put<std::uint8_t>(buf, e.vp);
-    put<std::uint16_t>(buf, e.code);
-    put<std::uint32_t>(buf, 0);  // pad to 56 bytes
+    util::put_f64(buf, e.time);
+    util::put<std::uint64_t>(buf, e.seq);
+    util::put<std::uint64_t>(buf, e.session);
+    util::put<std::int64_t>(buf, e.a);
+    util::put<std::int64_t>(buf, e.b);
+    util::put_f64(buf, e.x);
+    util::put<std::uint8_t>(buf, static_cast<std::uint8_t>(e.type));
+    util::put<std::uint8_t>(buf, e.vp);
+    util::put<std::uint16_t>(buf, e.code);
+    util::put<std::uint32_t>(buf, 0);  // pad to 56 bytes
 }
 
-util::Result<TraceEvent> parse_event(const char* p, std::uint64_t index,
+/// Parses one 56-byte event; the caller has checked that a whole event
+/// remains in `in`.
+util::Result<TraceEvent> parse_event(util::ByteReader& in, std::uint64_t index,
                                      std::uint64_t offset) {
     TraceEvent e;
-    e.time = take<double>(p);
-    e.seq = take<std::uint64_t>(p);
-    e.session = take<std::uint64_t>(p);
-    e.a = take<std::int64_t>(p);
-    e.b = take<std::int64_t>(p);
-    e.x = take<double>(p);
-    const auto type = take<std::uint8_t>(p);
-    e.vp = take<std::uint8_t>(p);
-    e.code = take<std::uint16_t>(p);
+    e.time = in.take<double>();
+    e.seq = in.take<std::uint64_t>();
+    e.session = in.take<std::uint64_t>();
+    e.a = in.take<std::int64_t>();
+    e.b = in.take<std::int64_t>();
+    e.x = in.take<double>();
+    const auto type = in.take<std::uint8_t>();
+    e.vp = in.take<std::uint8_t>();
+    e.code = in.take<std::uint16_t>();
+    in.take<std::uint32_t>();  // padding
     if (!std::isfinite(e.time)) {
         return error_at_record(ErrorCode::BadField, "non-finite event time",
                                index, offset);
@@ -92,6 +74,136 @@ util::Result<TraceEvent> parse_event(const char* p, std::uint64_t index,
     }
     e.type = static_cast<TraceEventType>(type);
     return e;
+}
+
+/// Validates magic, header CRC and version; returns the declared event
+/// count, which each reader then sanity-checks its own way.
+util::Result<std::uint64_t> parse_header(std::string_view data) {
+    if (data.size() < kHeaderSize) {
+        return Error(ErrorCode::Truncated, "truncated trace header (" +
+                                               std::to_string(data.size()) +
+                                               " bytes)");
+    }
+    if (data.substr(0, sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
+        return Error(ErrorCode::BadMagic, "not a YTR1 trace stream");
+    }
+    util::ByteReader in(data.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
+    const auto version = in.take<std::uint32_t>();
+    const auto count = in.take<std::uint64_t>();
+    if (in.take<std::uint32_t>() != util::crc32(data.substr(0, kHeaderSize - 4))) {
+        return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
+                             kHeaderSize - 4);
+    }
+    if (version != kVersion) {
+        return Error(ErrorCode::UnsupportedVersion,
+                     "trace version " + std::to_string(version) +
+                         " (reader supports " + std::to_string(kVersion) + ")");
+    }
+    return count;
+}
+
+/// Parses the string table that follows the header into `strings`;
+/// returns the offset of the first event block.
+util::Result<std::size_t> parse_strings(std::string_view data,
+                                        std::vector<std::string>& strings) {
+    std::size_t offset = kHeaderSize;
+    if (data.size() - offset < kStringsHeaderSize) {
+        return error_at_byte(ErrorCode::Truncated, "truncated string table",
+                             offset);
+    }
+    util::ByteReader header(data.substr(offset, kStringsHeaderSize));
+    const auto string_count = header.take<std::uint32_t>();
+    const auto string_bytes = header.take<std::uint32_t>();
+    const auto string_crc = header.take<std::uint32_t>();
+    offset += kStringsHeaderSize;
+    if (string_bytes > kMaxStringBytes ||
+        string_bytes > data.size() - offset ||
+        static_cast<std::uint64_t>(string_count) * 4 > string_bytes) {
+        return error_at_byte(ErrorCode::CountMismatch,
+                             "string table length inconsistent", offset);
+    }
+    const std::string_view payload = data.substr(offset, string_bytes);
+    if (util::crc32(payload) != string_crc) {
+        return error_at_byte(ErrorCode::ChecksumMismatch,
+                             "string table CRC mismatch", offset);
+    }
+    util::ByteReader in(payload);
+    strings.reserve(string_count);
+    for (std::uint32_t i = 0; i < string_count; ++i) {
+        const std::size_t entry = offset + in.offset();
+        std::uint32_t len = 0;
+        if (!in.take(&len)) {
+            return error_at_byte(ErrorCode::Truncated, "truncated string entry",
+                                 entry);
+        }
+        std::string_view bytes;
+        if (!in.view(len, &bytes)) {
+            return error_at_byte(ErrorCode::Truncated,
+                                 "string length exceeds table", entry + 4);
+        }
+        strings.emplace_back(bytes);
+    }
+    if (!in.done()) {
+        return error_at_byte(ErrorCode::CountMismatch,
+                             "string table has trailing bytes", offset);
+    }
+    return offset + string_bytes;
+}
+
+/// The (events-in-block, payload CRC) pair of the block header at
+/// `offset`; the caller has checked that a whole header remains.
+std::pair<std::uint32_t, std::uint32_t> block_header(std::string_view data,
+                                                     std::size_t offset) {
+    util::ByteReader in(data.substr(offset, kBlockHeaderSize));
+    const auto n = in.take<std::uint32_t>();
+    return {n, in.take<std::uint32_t>()};
+}
+
+/// Parses the `n` events of one CRC-verified block payload into `events`.
+/// `first` is the index of the block's first event and `offset` the
+/// block's stream offset.
+util::Result<void> parse_block(std::string_view payload, std::uint32_t n,
+                               std::uint64_t first, std::size_t offset,
+                               std::size_t num_strings,
+                               std::vector<TraceEvent>& events) {
+    util::ByteReader in(payload);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        auto event = parse_event(in, first + i,
+                                 offset + kBlockHeaderSize + i * kRecordSize);
+        if (!event) return std::move(event).error();
+        // An interned-string reference must resolve: fault and guard
+        // events index the table through `b`.
+        const TraceEvent& e = event.value();
+        if ((e.type == TraceEventType::Fault || e.type == TraceEventType::Guard) &&
+            (e.b < 0 || static_cast<std::uint64_t>(e.b) >= num_strings)) {
+            return error_at_record(ErrorCode::BadField,
+                                   "fault target index out of range",
+                                   first + i, offset);
+        }
+        events.push_back(e);
+    }
+    return {};
+}
+
+/// Validates the full-size trailer at `offset` against the header's count.
+util::Result<void> check_trailer(std::string_view data, std::size_t offset,
+                                 std::uint64_t count) {
+    const std::string_view trailer = data.substr(offset, kTrailerSize);
+    if (trailer.substr(0, sizeof(kTrailerMagic)) !=
+        std::string_view(kTrailerMagic, sizeof(kTrailerMagic))) {
+        return error_at_byte(ErrorCode::BadMagic, "bad trailer magic", offset);
+    }
+    util::ByteReader in(trailer.substr(sizeof(kTrailerMagic)));
+    const auto trailer_count = in.take<std::uint64_t>();
+    if (in.take<std::uint32_t>() != util::crc32(trailer.substr(0, kTrailerSize - 4))) {
+        return error_at_byte(ErrorCode::ChecksumMismatch, "trailer CRC mismatch",
+                             offset + kTrailerSize - 4);
+    }
+    if (trailer_count != count) {
+        return error_at_byte(ErrorCode::CountMismatch,
+                             "trailer/header event count mismatch", offset);
+    }
+    return {};
 }
 
 std::uint64_t num_blocks(std::uint64_t n) {
@@ -213,18 +325,15 @@ std::string write_trace_bytes(const TraceLog& log) {
                 kTrailerSize);
 
     out.append(kMagic, sizeof(kMagic));
-    put<std::uint32_t>(out, kVersion);
-    put<std::uint64_t>(out, count);
-    put<std::uint32_t>(out, util::crc32(out));
+    util::put<std::uint32_t>(out, kVersion);
+    util::put<std::uint64_t>(out, count);
+    util::put<std::uint32_t>(out, util::crc32(out));
 
     std::string strings;
-    for (const std::string& s : log.strings) {
-        put<std::uint32_t>(strings, static_cast<std::uint32_t>(s.size()));
-        strings += s;
-    }
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(log.strings.size()));
-    put<std::uint32_t>(out, static_cast<std::uint32_t>(strings.size()));
-    put<std::uint32_t>(out, util::crc32(strings));
+    for (const std::string& s : log.strings) util::put_str32(strings, s);
+    util::put<std::uint32_t>(out, static_cast<std::uint32_t>(log.strings.size()));
+    util::put<std::uint32_t>(out, static_cast<std::uint32_t>(strings.size()));
+    util::put<std::uint32_t>(out, util::crc32(strings));
     out += strings;
 
     for (std::uint64_t start = 0; start < count; start += kBlockEvents) {
@@ -234,47 +343,28 @@ std::string write_trace_bytes(const TraceLog& log) {
         for (std::uint64_t i = 0; i < n; ++i) {
             put_event(block, log.events[start + i]);
         }
-        put<std::uint32_t>(out, static_cast<std::uint32_t>(n));
-        put<std::uint32_t>(out, util::crc32(block));
+        util::put<std::uint32_t>(out, static_cast<std::uint32_t>(n));
+        util::put<std::uint32_t>(out, util::crc32(block));
         out += block;
     }
 
     std::string trailer;
     trailer.append(kTrailerMagic, sizeof(kTrailerMagic));
-    put<std::uint64_t>(trailer, count);
-    put<std::uint32_t>(trailer, util::crc32(trailer));
+    util::put<std::uint64_t>(trailer, count);
+    util::put<std::uint32_t>(trailer, util::crc32(trailer));
     out += trailer;
     return out;
 }
 
 util::Result<void> write_trace_file(const std::filesystem::path& path,
                                     const TraceLog& log) {
-    return util::atomic_write_file(path, write_trace_bytes(log));
+    return util::io::write_file_atomic(path, write_trace_bytes(log));
 }
 
 util::Result<TraceLog> read_trace_bytes(std::string_view data) {
-    if (data.size() < kHeaderSize) {
-        return Error(ErrorCode::Truncated, "truncated trace header (" +
-                                               std::to_string(data.size()) +
-                                               " bytes)");
-    }
-    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-        return Error(ErrorCode::BadMagic, "not a YTR1 trace stream");
-    }
-    const char* p = data.data() + sizeof(kMagic);
-    const auto version = take<std::uint32_t>(p);
-    const auto count = take<std::uint64_t>(p);
-    const std::uint32_t header_crc =
-        util::crc32(data.substr(0, kHeaderSize - 4));
-    if (take<std::uint32_t>(p) != header_crc) {
-        return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
-                             kHeaderSize - 4);
-    }
-    if (version != kVersion) {
-        return Error(ErrorCode::UnsupportedVersion,
-                     "trace version " + std::to_string(version) +
-                         " (reader supports " + std::to_string(kVersion) + ")");
-    }
+    auto header = parse_header(data);
+    if (!header) return std::move(header).error();
+    const std::uint64_t count = header.value();
     // Overflow-safe count sanity before any size arithmetic with it.
     if (count > data.size() / kRecordSize) {
         return Error(ErrorCode::CountMismatch,
@@ -282,56 +372,10 @@ util::Result<TraceLog> read_trace_bytes(std::string_view data) {
                          " events, stream holds " + std::to_string(data.size()) +
                          " bytes");
     }
-
-    std::size_t offset = kHeaderSize;
-    if (data.size() - offset < kStringsHeaderSize) {
-        return error_at_byte(ErrorCode::Truncated, "truncated string table",
-                             offset);
-    }
-    p = data.data() + offset;
-    const auto string_count = take<std::uint32_t>(p);
-    const auto string_bytes = take<std::uint32_t>(p);
-    const auto string_crc = take<std::uint32_t>(p);
-    offset += kStringsHeaderSize;
-    if (string_bytes > kMaxStringBytes ||
-        string_bytes > data.size() - offset ||
-        static_cast<std::uint64_t>(string_count) * 4 > string_bytes) {
-        return error_at_byte(ErrorCode::CountMismatch,
-                             "string table length inconsistent", offset);
-    }
-    const std::string_view strings_payload = data.substr(offset, string_bytes);
-    if (util::crc32(strings_payload) != string_crc) {
-        return error_at_byte(ErrorCode::ChecksumMismatch,
-                             "string table CRC mismatch", offset);
-    }
     TraceLog log;
-    log.strings.reserve(string_count);
-    {
-        const char* sp = strings_payload.data();
-        const char* const end = sp + strings_payload.size();
-        for (std::uint32_t i = 0; i < string_count; ++i) {
-            if (end - sp < 4) {
-                return error_at_byte(ErrorCode::Truncated,
-                                     "truncated string entry",
-                                     offset + static_cast<std::uint64_t>(
-                                                  sp - strings_payload.data()));
-            }
-            const auto len = take<std::uint32_t>(sp);
-            if (static_cast<std::uint64_t>(end - sp) < len) {
-                return error_at_byte(ErrorCode::Truncated,
-                                     "string length exceeds table",
-                                     offset + static_cast<std::uint64_t>(
-                                                  sp - strings_payload.data()));
-            }
-            log.strings.emplace_back(sp, len);
-            sp += len;
-        }
-        if (sp != end) {
-            return error_at_byte(ErrorCode::CountMismatch,
-                                 "string table has trailing bytes", offset);
-        }
-    }
-    offset += string_bytes;
+    auto events_at = parse_strings(data, log.strings);
+    if (!events_at) return std::move(events_at).error();
+    std::size_t offset = events_at.value();
 
     log.events.reserve(count);
     std::uint64_t parsed = 0;
@@ -340,9 +384,7 @@ util::Result<TraceLog> read_trace_bytes(std::string_view data) {
             return error_at_byte(ErrorCode::Truncated, "truncated block header",
                                  offset);
         }
-        p = data.data() + offset;
-        const auto n = take<std::uint32_t>(p);
-        const auto block_crc = take<std::uint32_t>(p);
+        const auto [n, block_crc] = block_header(data, offset);
         if (n == 0 || n > kBlockEvents || n > count - parsed) {
             return error_at_byte(ErrorCode::CountMismatch,
                                  "bad block event count " + std::to_string(n),
@@ -359,23 +401,10 @@ util::Result<TraceLog> read_trace_bytes(std::string_view data) {
             return error_at_byte(ErrorCode::ChecksumMismatch,
                                  "event block CRC mismatch", offset);
         }
-        for (std::uint32_t i = 0; i < n; ++i) {
-            auto event = parse_event(payload.data() + i * kRecordSize,
-                                     parsed + i,
-                                     offset + kBlockHeaderSize + i * kRecordSize);
-            if (!event) return std::move(event).error();
-            // An interned-string reference must resolve: fault and guard
-            // events index the table through `b`.
-            if ((event.value().type == TraceEventType::Fault ||
-                 event.value().type == TraceEventType::Guard) &&
-                (event.value().b < 0 ||
-                 static_cast<std::uint64_t>(event.value().b) >=
-                     log.strings.size())) {
-                return error_at_record(ErrorCode::BadField,
-                                       "fault target index out of range",
-                                       parsed + i, offset);
-            }
-            log.events.push_back(event.value());
+        if (auto r = parse_block(payload, n, parsed, offset, log.strings.size(),
+                                 log.events);
+            !r) {
+            return std::move(r).error();
         }
         parsed += n;
         offset += kBlockHeaderSize + payload_size;
@@ -388,22 +417,7 @@ util::Result<TraceLog> read_trace_bytes(std::string_view data) {
                                                 : "trailing bytes after trailer",
             offset);
     }
-    if (std::memcmp(data.data() + offset, kTrailerMagic, sizeof(kTrailerMagic)) !=
-        0) {
-        return error_at_byte(ErrorCode::BadMagic, "bad trailer magic", offset);
-    }
-    p = data.data() + offset + sizeof(kTrailerMagic);
-    const auto trailer_count = take<std::uint64_t>(p);
-    const std::uint32_t trailer_crc =
-        util::crc32(data.substr(offset, kTrailerSize - 4));
-    if (take<std::uint32_t>(p) != trailer_crc) {
-        return error_at_byte(ErrorCode::ChecksumMismatch, "trailer CRC mismatch",
-                             offset + kTrailerSize - 4);
-    }
-    if (trailer_count != count) {
-        return error_at_byte(ErrorCode::CountMismatch,
-                             "trailer/header event count mismatch", offset);
-    }
+    if (auto r = check_trailer(data, offset, count); !r) return std::move(r).error();
     return log;
 }
 
@@ -420,26 +434,9 @@ util::Result<TraceSalvage> salvage_trace_bytes(std::string_view data) {
     // Header and string table: strict, same checks as read_trace_bytes —
     // except the count-vs-stream-size sanity check, which a torn tail
     // legitimately violates (the header promises events the tail lost).
-    if (data.size() < kHeaderSize) {
-        return Error(ErrorCode::Truncated, "truncated trace header (" +
-                                               std::to_string(data.size()) +
-                                               " bytes)");
-    }
-    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-        return Error(ErrorCode::BadMagic, "not a YTR1 trace stream");
-    }
-    const char* p = data.data() + sizeof(kMagic);
-    const auto version = take<std::uint32_t>(p);
-    const auto count = take<std::uint64_t>(p);
-    if (take<std::uint32_t>(p) != util::crc32(data.substr(0, kHeaderSize - 4))) {
-        return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
-                             kHeaderSize - 4);
-    }
-    if (version != kVersion) {
-        return Error(ErrorCode::UnsupportedVersion,
-                     "trace version " + std::to_string(version) +
-                         " (reader supports " + std::to_string(kVersion) + ")");
-    }
+    auto header = parse_header(data);
+    if (!header) return std::move(header).error();
+    const std::uint64_t count = header.value();
     // A tear removes tail bytes; it cannot inflate the header's count. An
     // absurd count (the CRC-valid overflow fixture) is corruption.
     if (count > (std::uint64_t{1} << 40)) {
@@ -447,53 +444,11 @@ util::Result<TraceSalvage> salvage_trace_bytes(std::string_view data) {
                      "declared event count " + std::to_string(count) +
                          " is implausible");
     }
-
-    std::size_t offset = kHeaderSize;
-    if (data.size() - offset < kStringsHeaderSize) {
-        return error_at_byte(ErrorCode::Truncated, "truncated string table",
-                             offset);
-    }
-    p = data.data() + offset;
-    const auto string_count = take<std::uint32_t>(p);
-    const auto string_bytes = take<std::uint32_t>(p);
-    const auto string_crc = take<std::uint32_t>(p);
-    offset += kStringsHeaderSize;
-    if (string_bytes > kMaxStringBytes ||
-        string_bytes > data.size() - offset ||
-        static_cast<std::uint64_t>(string_count) * 4 > string_bytes) {
-        return error_at_byte(ErrorCode::CountMismatch,
-                             "string table length inconsistent", offset);
-    }
-    const std::string_view strings_payload = data.substr(offset, string_bytes);
-    if (util::crc32(strings_payload) != string_crc) {
-        return error_at_byte(ErrorCode::ChecksumMismatch,
-                             "string table CRC mismatch", offset);
-    }
     TraceSalvage out;
     out.declared_events = count;
-    out.log.strings.reserve(string_count);
-    {
-        const char* sp = strings_payload.data();
-        const char* const end = sp + strings_payload.size();
-        for (std::uint32_t i = 0; i < string_count; ++i) {
-            if (end - sp < 4) {
-                return error_at_byte(ErrorCode::Truncated,
-                                     "truncated string entry", offset);
-            }
-            const auto len = take<std::uint32_t>(sp);
-            if (static_cast<std::uint64_t>(end - sp) < len) {
-                return error_at_byte(ErrorCode::Truncated,
-                                     "string length exceeds table", offset);
-            }
-            out.log.strings.emplace_back(sp, len);
-            sp += len;
-        }
-        if (sp != end) {
-            return error_at_byte(ErrorCode::CountMismatch,
-                                 "string table has trailing bytes", offset);
-        }
-    }
-    offset += string_bytes;
+    auto events_at = parse_strings(data, out.log.strings);
+    if (!events_at) return std::move(events_at).error();
+    std::size_t offset = events_at.value();
 
     // Event blocks: keep every block whose CRC verifies; stop at the tear.
     const auto torn = [&](std::string note) {
@@ -507,9 +462,7 @@ util::Result<TraceSalvage> salvage_trace_bytes(std::string_view data) {
             return torn("tail torn at byte " + std::to_string(offset) +
                         ": partial block header");
         }
-        p = data.data() + offset;
-        const auto n = take<std::uint32_t>(p);
-        const auto block_crc = take<std::uint32_t>(p);
+        const auto [n, block_crc] = block_header(data, offset);
         if (n == 0 || n > kBlockEvents || n > count - parsed) {
             return torn("tail torn at byte " + std::to_string(offset) +
                         ": implausible block count " + std::to_string(n));
@@ -526,21 +479,10 @@ util::Result<TraceSalvage> salvage_trace_bytes(std::string_view data) {
             return error_at_byte(ErrorCode::ChecksumMismatch,
                                  "event block CRC mismatch", offset);
         }
-        for (std::uint32_t i = 0; i < n; ++i) {
-            auto event = parse_event(payload.data() + i * kRecordSize,
-                                     parsed + i,
-                                     offset + kBlockHeaderSize + i * kRecordSize);
-            if (!event) return std::move(event).error();
-            if ((event.value().type == TraceEventType::Fault ||
-                 event.value().type == TraceEventType::Guard) &&
-                (event.value().b < 0 ||
-                 static_cast<std::uint64_t>(event.value().b) >=
-                     out.log.strings.size())) {
-                return error_at_record(ErrorCode::BadField,
-                                       "fault target index out of range",
-                                       parsed + i, offset);
-            }
-            out.log.events.push_back(event.value());
+        if (auto r = parse_block(payload, n, parsed, offset,
+                                 out.log.strings.size(), out.log.events);
+            !r) {
+            return std::move(r).error();
         }
         parsed += n;
         offset += kBlockHeaderSize + payload_size;
@@ -551,22 +493,10 @@ util::Result<TraceSalvage> salvage_trace_bytes(std::string_view data) {
                     ": trailer missing");
     }
     // Every event arrived; a full-size but invalid trailer is corruption.
-    if (data.size() - offset != kTrailerSize ||
-        std::memcmp(data.data() + offset, kTrailerMagic, sizeof(kTrailerMagic)) !=
-            0) {
+    if (data.size() - offset != kTrailerSize) {
         return error_at_byte(ErrorCode::BadMagic, "bad trailer magic", offset);
     }
-    p = data.data() + offset + sizeof(kTrailerMagic);
-    const auto trailer_count = take<std::uint64_t>(p);
-    if (take<std::uint32_t>(p) !=
-        util::crc32(data.substr(offset, kTrailerSize - 4))) {
-        return error_at_byte(ErrorCode::ChecksumMismatch, "trailer CRC mismatch",
-                             offset + kTrailerSize - 4);
-    }
-    if (trailer_count != count) {
-        return error_at_byte(ErrorCode::CountMismatch,
-                             "trailer/header event count mismatch", offset);
-    }
+    if (auto r = check_trailer(data, offset, count); !r) return std::move(r).error();
     out.complete = true;
     return out;
 }
@@ -617,7 +547,7 @@ std::string render_trace_jsonl(const TraceLog& log) {
 
 util::Result<void> write_trace_jsonl(const std::filesystem::path& path,
                                      const TraceLog& log) {
-    return util::atomic_write_file(path, render_trace_jsonl(log));
+    return util::io::write_file_atomic(path, render_trace_jsonl(log));
 }
 
 std::vector<SessionTimeline> session_timelines(const TraceLog& log) {

@@ -1,9 +1,9 @@
 #include "study/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
+#include "util/bytes.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
 
@@ -19,77 +19,12 @@ constexpr std::string_view kStageNames[kNumStageIds] = {
     "simulate", "capture", "geolocate", "analyze", "render", "service",
 };
 
-template <typename T>
-void put(std::string& buf, T value) {
-    char raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    buf.append(raw, sizeof(T));
+/// "<what> truncated at payload byte N", N being where `in` stopped.
+Error truncated(const util::ByteReader& in, std::string_view what) {
+    return Error(ErrorCode::Truncated, std::string(what) +
+                                           " truncated at payload byte " +
+                                           std::to_string(in.offset()));
 }
-
-void put_str32(std::string& buf, std::string_view s) {
-    put(buf, static_cast<std::uint32_t>(s.size()));
-    buf.append(s);
-}
-
-void put_f64(std::string& buf, double value) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    put(buf, bits);
-}
-
-/// Sequential reader over a payload; every take reports truncation by
-/// returning false, and `error()` renders the byte offset it stopped at.
-class Reader {
-public:
-    explicit Reader(std::string_view data) : data_(data) {}
-
-    template <typename T>
-    bool take(T* out) {
-        if (data_.size() - off_ < sizeof(T)) return false;
-        std::memcpy(out, data_.data() + off_, sizeof(T));
-        off_ += sizeof(T);
-        return true;
-    }
-
-    bool take_f64(double* out) {
-        std::uint64_t bits = 0;
-        if (!take(&bits)) return false;
-        std::memcpy(out, &bits, sizeof(bits));
-        return true;
-    }
-
-    bool take_str32(std::string* out) {
-        std::uint32_t n = 0;
-        if (!take(&n)) return false;
-        return take_bytes(out, n);
-    }
-
-    /// Length validated against the remaining payload BEFORE allocating, so
-    /// a corrupt multi-gigabyte declared length is a clean Truncated error,
-    /// not an allocation attack.
-    bool take_bytes(std::string* out, std::uint64_t n) {
-        if (data_.size() - off_ < n) return false;
-        out->assign(data_.substr(off_, static_cast<std::size_t>(n)));
-        off_ += static_cast<std::size_t>(n);
-        return true;
-    }
-
-    [[nodiscard]] bool done() const noexcept { return off_ == data_.size(); }
-
-    [[nodiscard]] std::size_t remaining() const noexcept {
-        return data_.size() - off_;
-    }
-
-    [[nodiscard]] Error truncated(std::string_view what) const {
-        return Error(ErrorCode::Truncated, std::string(what) +
-                                               " truncated at payload byte " +
-                                               std::to_string(off_));
-    }
-
-private:
-    std::string_view data_;
-    std::size_t off_ = 0;
-};
 
 }  // namespace
 
@@ -110,12 +45,12 @@ util::Result<void> write_checkpoint(const std::filesystem::path& path,
     std::string buf;
     buf.reserve(kHeaderSize + payload.size() + kTrailerSize);
     buf.append(kMagic);
-    put(buf, kCheckpointVersion);
-    put(buf, fingerprint);
-    put(buf, static_cast<std::uint32_t>(stage));
-    put(buf, static_cast<std::uint64_t>(payload.size()));
+    util::put(buf, kCheckpointVersion);
+    util::put(buf, fingerprint);
+    util::put(buf, static_cast<std::uint32_t>(stage));
+    util::put(buf, static_cast<std::uint64_t>(payload.size()));
     buf.append(payload);
-    put(buf, util::crc32(buf));
+    util::put(buf, util::crc32(buf));
     return util::io::write_file_atomic(path, buf)
         .context("checkpoint " + path.string());
 }
@@ -138,15 +73,12 @@ util::Result<std::string> load_checkpoint(const std::filesystem::path& path,
     if (data.compare(0, kMagic.size(), kMagic) != 0) {
         return fail(ErrorCode::BadMagic, "bad magic (want YCK1)");
     }
-    Reader r(std::string_view(data).substr(kMagic.size()));
-    std::uint32_t version = 0;
-    std::uint64_t fp = 0;
-    std::uint32_t stage_id = 0;
-    std::uint64_t payload_size = 0;
-    if (!r.take(&version) || !r.take(&fp) || !r.take(&stage_id) ||
-        !r.take(&payload_size)) {
-        return fail(ErrorCode::Truncated, "header truncated");
-    }
+    // The size check above guarantees a whole header.
+    util::ByteReader r(std::string_view(data).substr(kMagic.size()));
+    const auto version = r.take<std::uint32_t>();
+    const auto fp = r.take<std::uint64_t>();
+    const auto stage_id = r.take<std::uint32_t>();
+    const auto payload_size = r.take<std::uint64_t>();
     if (version != kCheckpointVersion) {
         return fail(ErrorCode::UnsupportedVersion,
                     "unsupported version " + std::to_string(version));
@@ -165,10 +97,10 @@ util::Result<std::string> load_checkpoint(const std::filesystem::path& path,
         return fail(ErrorCode::Truncated,
                     "payload size disagrees with file size");
     }
-    std::uint32_t crc = 0;
-    std::memcpy(&crc, data.data() + data.size() - kTrailerSize, sizeof(crc));
-    if (util::crc32(std::string_view(data).substr(
-            0, data.size() - kTrailerSize)) != crc) {
+    const std::string_view frame(data);
+    const std::string_view body = frame.substr(0, frame.size() - kTrailerSize);
+    const auto crc = util::ByteReader(frame.substr(body.size())).take<std::uint32_t>();
+    if (util::crc32(body) != crc) {
         return fail(ErrorCode::ChecksumMismatch, "trailer CRC mismatch");
     }
     return data.substr(kHeaderSize, payload_size);
@@ -199,20 +131,20 @@ std::optional<std::string> load_or_quarantine_checkpoint(
 
 std::string encode_capture(const std::vector<CaptureEntry>& entries) {
     std::string buf;
-    put(buf, static_cast<std::uint32_t>(entries.size()));
+    util::put(buf, static_cast<std::uint32_t>(entries.size()));
     for (const auto& e : entries) {
-        put_str32(buf, e.name);
-        put(buf, e.size);
-        put(buf, e.crc);
+        util::put_str32(buf, e.name);
+        util::put(buf, e.size);
+        util::put(buf, e.crc);
     }
     return buf;
 }
 
 util::Result<std::vector<CaptureEntry>> decode_capture(
     std::string_view payload) {
-    Reader r(payload);
+    util::ByteReader r(payload);
     std::uint32_t n = 0;
-    if (!r.take(&n)) return r.truncated("capture entry count");
+    if (!r.take(&n)) return truncated(r, "capture entry count");
     // Each entry needs at least name length + size + crc (16 bytes).
     if (n > r.remaining() / 16) {
         return Error(ErrorCode::CountMismatch,
@@ -224,7 +156,7 @@ util::Result<std::vector<CaptureEntry>> decode_capture(
     for (std::uint32_t i = 0; i < n; ++i) {
         CaptureEntry e;
         if (!r.take_str32(&e.name) || !r.take(&e.size) || !r.take(&e.crc)) {
-            return r.truncated("capture entry");
+            return truncated(r, "capture entry");
         }
         out.push_back(std::move(e));
     }
@@ -238,17 +170,17 @@ util::Result<std::vector<CaptureEntry>> decode_capture(
 std::string encode_geolocate(const std::vector<analysis::ServerDcMap>& maps,
                              const std::vector<int>& preferred) {
     std::string buf;
-    put(buf, static_cast<std::uint32_t>(maps.size()));
+    util::put(buf, static_cast<std::uint32_t>(maps.size()));
     for (std::size_t i = 0; i < maps.size(); ++i) {
         const auto& map = maps[i];
-        put(buf, static_cast<std::uint32_t>(map.num_data_centers()));
+        util::put(buf, static_cast<std::uint32_t>(map.num_data_centers()));
         for (const auto& dc : map.data_centers()) {
-            put_str32(buf, dc.name);
-            put_f64(buf, dc.location.lat_deg);
-            put_f64(buf, dc.location.lon_deg);
-            put(buf, static_cast<std::uint8_t>(dc.continent));
-            put_f64(buf, dc.rtt_ms);
-            put_f64(buf, dc.distance_km);
+            util::put_str32(buf, dc.name);
+            util::put_f64(buf, dc.location.lat_deg);
+            util::put_f64(buf, dc.location.lon_deg);
+            util::put(buf, static_cast<std::uint8_t>(dc.continent));
+            util::put_f64(buf, dc.rtt_ms);
+            util::put_f64(buf, dc.distance_km);
         }
         // Hash-map iteration order is not deterministic; sort by /24 so the
         // payload bytes are a pure function of the map's contents.
@@ -258,12 +190,12 @@ std::string encode_geolocate(const std::vector<analysis::ServerDcMap>& maps,
             assigns.emplace_back(ip.value(), dc);
         }
         std::sort(assigns.begin(), assigns.end());
-        put(buf, static_cast<std::uint32_t>(assigns.size()));
+        util::put(buf, static_cast<std::uint32_t>(assigns.size()));
         for (const auto& [ip, dc] : assigns) {
-            put(buf, ip);
-            put(buf, dc);
+            util::put(buf, ip);
+            util::put(buf, dc);
         }
-        put(buf, static_cast<std::int32_t>(preferred[i]));
+        util::put(buf, static_cast<std::int32_t>(preferred[i]));
     }
     return buf;
 }
@@ -271,9 +203,9 @@ std::string encode_geolocate(const std::vector<analysis::ServerDcMap>& maps,
 util::Result<void> decode_geolocate(std::string_view payload,
                                     std::vector<analysis::ServerDcMap>* maps,
                                     std::vector<int>* preferred) {
-    Reader r(payload);
+    util::ByteReader r(payload);
     std::uint32_t n_vps = 0;
-    if (!r.take(&n_vps)) return r.truncated("vantage-point count");
+    if (!r.take(&n_vps)) return truncated(r, "vantage-point count");
     // Each vantage point needs at least its three counts (12 bytes); a
     // hostile declared count must fail cleanly, not balloon the vectors.
     if (n_vps > r.remaining() / 12) {
@@ -288,14 +220,14 @@ util::Result<void> decode_geolocate(std::string_view payload,
     for (std::uint32_t v = 0; v < n_vps; ++v) {
         analysis::ServerDcMap map;
         std::uint32_t n_dcs = 0;
-        if (!r.take(&n_dcs)) return r.truncated("data-center count");
+        if (!r.take(&n_dcs)) return truncated(r, "data-center count");
         for (std::uint32_t d = 0; d < n_dcs; ++d) {
             analysis::DataCenterInfo dc;
             std::uint8_t continent = 0;
             if (!r.take_str32(&dc.name) || !r.take_f64(&dc.location.lat_deg) ||
                 !r.take_f64(&dc.location.lon_deg) || !r.take(&continent) ||
                 !r.take_f64(&dc.rtt_ms) || !r.take_f64(&dc.distance_km)) {
-                return r.truncated("data-center record");
+                return truncated(r, "data-center record");
             }
             if (continent > static_cast<std::uint8_t>(geo::Continent::Africa)) {
                 return Error(ErrorCode::BadField,
@@ -305,11 +237,11 @@ util::Result<void> decode_geolocate(std::string_view payload,
             map.add_data_center(std::move(dc));
         }
         std::uint32_t n_assign = 0;
-        if (!r.take(&n_assign)) return r.truncated("assignment count");
+        if (!r.take(&n_assign)) return truncated(r, "assignment count");
         for (std::uint32_t a = 0; a < n_assign; ++a) {
             std::uint32_t ip = 0;
             std::int32_t dc = 0;
-            if (!r.take(&ip) || !r.take(&dc)) return r.truncated("assignment");
+            if (!r.take(&ip) || !r.take(&dc)) return truncated(r, "assignment");
             if (dc < 0 || static_cast<std::uint32_t>(dc) >= n_dcs) {
                 return Error(ErrorCode::BadField,
                              "assignment references data center " +
@@ -319,7 +251,7 @@ util::Result<void> decode_geolocate(std::string_view payload,
             map.assign(net::IpAddress(ip), dc);
         }
         std::int32_t pref = 0;
-        if (!r.take(&pref)) return r.truncated("preferred index");
+        if (!r.take(&pref)) return truncated(r, "preferred index");
         if (pref < -1 || (pref >= 0 && static_cast<std::uint32_t>(pref) >= n_dcs)) {
             return Error(ErrorCode::BadField,
                          "preferred index out of range: " + std::to_string(pref));
@@ -336,22 +268,22 @@ util::Result<void> decode_geolocate(std::string_view payload,
 
 std::string encode_report(const FullReport& report) {
     std::string buf;
-    put(buf, static_cast<std::uint32_t>(report.artifacts.size()));
+    util::put(buf, static_cast<std::uint32_t>(report.artifacts.size()));
     for (const auto& a : report.artifacts) {
-        put_str32(buf, a.name);
-        put(buf, static_cast<std::uint64_t>(a.content.size()));
+        util::put_str32(buf, a.name);
+        util::put(buf, static_cast<std::uint64_t>(a.content.size()));
         buf.append(a.content);
     }
-    put(buf, static_cast<std::uint32_t>(report.degraded.size()));
-    for (const auto& name : report.degraded) put_str32(buf, name);
+    util::put(buf, static_cast<std::uint32_t>(report.degraded.size()));
+    for (const auto& name : report.degraded) util::put_str32(buf, name);
     return buf;
 }
 
 util::Result<FullReport> decode_report(std::string_view payload) {
-    Reader r(payload);
+    util::ByteReader r(payload);
     FullReport report;
     std::uint32_t n = 0;
-    if (!r.take(&n)) return r.truncated("artifact count");
+    if (!r.take(&n)) return truncated(r, "artifact count");
     // Each artifact needs at least name length + content length (12 bytes).
     if (n > r.remaining() / 12) {
         return Error(ErrorCode::CountMismatch,
@@ -363,15 +295,15 @@ util::Result<FullReport> decode_report(std::string_view payload) {
         ReportArtifact a;
         std::uint64_t content_size = 0;
         if (!r.take_str32(&a.name) || !r.take(&content_size)) {
-            return r.truncated("artifact header");
+            return truncated(r, "artifact header");
         }
         if (!r.take_bytes(&a.content, content_size)) {
-            return r.truncated("artifact content");
+            return truncated(r, "artifact content");
         }
         report.artifacts.push_back(std::move(a));
     }
     std::uint32_t n_degraded = 0;
-    if (!r.take(&n_degraded)) return r.truncated("degraded count");
+    if (!r.take(&n_degraded)) return truncated(r, "degraded count");
     if (n_degraded > r.remaining() / 4) {  // at least a name length each
         return Error(ErrorCode::CountMismatch,
                      "degraded count " + std::to_string(n_degraded) +
@@ -380,7 +312,7 @@ util::Result<FullReport> decode_report(std::string_view payload) {
     report.degraded.reserve(n_degraded);
     for (std::uint32_t i = 0; i < n_degraded; ++i) {
         std::string name;
-        if (!r.take_str32(&name)) return r.truncated("degraded name");
+        if (!r.take_str32(&name)) return truncated(r, "degraded name");
         report.degraded.push_back(std::move(name));
     }
     if (!r.done()) {

@@ -1,12 +1,13 @@
 #include "study/snapshot.hpp"
 
+#include <array>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "capture/binary_log.hpp"
 #include "sim/random.hpp"
-#include "util/atomic_file.hpp"
+#include "util/bytes.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
 
@@ -16,127 +17,85 @@ namespace {
 
 constexpr char kMagic[4] = {'Y', 'S', 'S', '2'};
 
+void put_u64s(std::string& buf, const std::vector<std::uint64_t>& v) {
+    util::put<std::uint32_t>(buf, static_cast<std::uint32_t>(v.size()));
+    for (const std::uint64_t x : v) util::put(buf, x);
+}
+
+/// The player-stats counters in their on-disk order (the retry histogram
+/// follows them); `Stats` is Player::Stats, const or not.
+template <typename Stats>
+auto stats_counters(Stats& s) {
+    return std::array{&s.sessions,          &s.video_flows,
+                      &s.control_flows,     &s.redirects_miss,
+                      &s.redirects_overload, &s.resolution_probes,
+                      &s.pauses,            &s.dns_cache_hits,
+                      &s.connect_timeouts,  &s.connect_resets,
+                      &s.dns_servfails,     &s.stale_dns_answers,
+                      &s.failovers,         &s.failures.timeout,
+                      &s.failures.reset,    &s.failures.dns_failure,
+                      &s.failures.retries_exhausted,
+                      &s.failures.redirect_exhausted};
+}
+
+void put_stats(std::string& buf, const workload::Player::Stats& s) {
+    for (const std::uint64_t* x : stats_counters(s)) util::put(buf, *x);
+    put_u64s(buf, s.retry_histogram);
+}
+
+// Every read failure carries the byte offset where the data ran out or
+// went bad.
+[[nodiscard]] Error truncated(const util::ByteReader& in, std::string_view field) {
+    return error_at_byte(ErrorCode::Truncated,
+                         "snapshot truncated reading " + std::string(field),
+                         in.offset());
+}
+
+[[nodiscard]] Error bad_field(const util::ByteReader& in, std::string_view message) {
+    return error_at_byte(ErrorCode::BadField, message, in.offset());
+}
+
 template <typename T>
-void put(std::ostream& os, T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    os.write(reinterpret_cast<const char*>(&value), sizeof(value));
+[[nodiscard]] util::Result<void> get(util::ByteReader& in, T& value,
+                                     std::string_view field) {
+    if (!in.take(&value)) return truncated(in, field);
+    return {};
 }
 
-void put_string(std::ostream& os, const std::string& s) {
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-    os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-void put_u64s(std::ostream& os, const std::vector<std::uint64_t>& v) {
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(v.size()));
-    for (const std::uint64_t x : v) put(os, x);
-}
-
-void put_stats(std::ostream& os, const workload::Player::Stats& s) {
-    put(os, s.sessions);
-    put(os, s.video_flows);
-    put(os, s.control_flows);
-    put(os, s.redirects_miss);
-    put(os, s.redirects_overload);
-    put(os, s.resolution_probes);
-    put(os, s.pauses);
-    put(os, s.dns_cache_hits);
-    put(os, s.connect_timeouts);
-    put(os, s.connect_resets);
-    put(os, s.dns_servfails);
-    put(os, s.stale_dns_answers);
-    put(os, s.failovers);
-    put(os, s.failures.timeout);
-    put(os, s.failures.reset);
-    put(os, s.failures.dns_failure);
-    put(os, s.failures.retries_exhausted);
-    put(os, s.failures.redirect_exhausted);
-    put_u64s(os, s.retry_histogram);
-}
-
-/// Bounds-checked reader over the in-memory snapshot body. Every failure
-/// carries the byte offset where the data ran out or went bad.
-class Cursor {
-public:
-    explicit Cursor(std::string_view data) : data_(data) {}
-
-    [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-    [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }
-
-    template <typename T>
-    [[nodiscard]] util::Result<void> get(T& value, std::string_view field) {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (data_.size() - pos_ < sizeof(T)) return truncated(field);
-        std::memcpy(&value, data_.data() + pos_, sizeof(T));
-        pos_ += sizeof(T);
-        return {};
-    }
-
-    [[nodiscard]] util::Result<void> get_bytes(std::string& out, std::uint64_t n,
-                                               std::string_view field) {
-        if (data_.size() - pos_ < n) return truncated(field);
-        out.assign(data_.substr(pos_, static_cast<std::size_t>(n)));
-        pos_ += static_cast<std::size_t>(n);
-        return {};
-    }
-
-    [[nodiscard]] Error bad_field(std::string_view message) const {
-        return error_at_byte(ErrorCode::BadField, message, pos_);
-    }
-
-private:
-    [[nodiscard]] util::Result<void> truncated(std::string_view field) const {
-        return error_at_byte(ErrorCode::Truncated,
-                             "snapshot truncated reading " + std::string(field),
-                             pos_);
-    }
-
-    std::string_view data_;
-    std::size_t pos_ = 0;
-};
-
-[[nodiscard]] util::Result<void> get_string(Cursor& c, std::string& s,
+[[nodiscard]] util::Result<void> get_string(util::ByteReader& in, std::string& s,
                                             std::string_view field) {
     std::uint32_t n = 0;
-    if (auto r = c.get(n, field); !r) return r;
+    if (auto r = get(in, n, field); !r) return r;
     if (n > (1u << 20)) {  // names are short
-        return c.bad_field("snapshot string length " + std::to_string(n) +
-                           " out of range for " + std::string(field));
+        return bad_field(in, "snapshot string length " + std::to_string(n) +
+                                 " out of range for " + std::string(field));
     }
-    return c.get_bytes(s, n, field);
+    if (!in.take_bytes(&s, n)) return truncated(in, field);
+    return {};
 }
 
-[[nodiscard]] util::Result<void> get_u64s(Cursor& c,
+[[nodiscard]] util::Result<void> get_u64s(util::ByteReader& in,
                                           std::vector<std::uint64_t>& v,
                                           std::string_view field) {
     std::uint32_t n = 0;
-    if (auto r = c.get(n, field); !r) return r;
+    if (auto r = get(in, n, field); !r) return r;
     if (n > (1u << 20)) {
-        return c.bad_field("snapshot array length " + std::to_string(n) +
-                           " out of range for " + std::string(field));
+        return bad_field(in, "snapshot array length " + std::to_string(n) +
+                                 " out of range for " + std::string(field));
     }
     v.resize(n);
     for (std::uint64_t& x : v) {
-        if (auto r = c.get(x, field); !r) return r;
+        if (auto r = get(in, x, field); !r) return r;
     }
     return {};
 }
 
-[[nodiscard]] util::Result<void> get_stats(Cursor& c,
+[[nodiscard]] util::Result<void> get_stats(util::ByteReader& in,
                                            workload::Player::Stats& s) {
-    const auto field = std::string_view("player stats");
-    for (std::uint64_t* x : {&s.sessions, &s.video_flows, &s.control_flows,
-                             &s.redirects_miss, &s.redirects_overload,
-                             &s.resolution_probes, &s.pauses, &s.dns_cache_hits,
-                             &s.connect_timeouts, &s.connect_resets,
-                             &s.dns_servfails, &s.stale_dns_answers, &s.failovers,
-                             &s.failures.timeout, &s.failures.reset,
-                             &s.failures.dns_failure,
-                             &s.failures.retries_exhausted,
-                             &s.failures.redirect_exhausted}) {
-        if (auto r = c.get(*x, field); !r) return r;
+    for (std::uint64_t* x : stats_counters(s)) {
+        if (auto r = get(in, *x, "player stats"); !r) return r;
     }
-    return get_u64s(c, s.retry_histogram, "retry histogram");
+    return get_u64s(in, s.retry_histogram, "retry histogram");
 }
 
 /// Hash-combine in fingerprint order. Doubles contribute their exact bit
@@ -187,60 +146,40 @@ std::string snapshot_name(const StudyConfig& config) {
     return name.str();
 }
 
-bool write_trace_snapshot(std::ostream& os, const StudyConfig& config,
-                          const TraceOutputs& traces) {
-    if (!config.fault_schedule.empty()) return false;
+namespace {
 
-    // Serialize the body in memory first so the trailing CRC can cover
-    // every byte of it.
-    std::ostringstream body;
-    body.write(kMagic, sizeof(kMagic));
-    put(body, kSnapshotSchemaVersion);
-    put(body, config_fingerprint(config));
-    put(body, traces.events_processed);
-    put(body, traces.faults_injected);
-    put<std::uint32_t>(body, static_cast<std::uint32_t>(traces.datasets.size()));
+/// The whole snapshot: body, then a CRC-32 of every body byte.
+std::string snapshot_bytes(const StudyConfig& config, const TraceOutputs& traces) {
+    std::string buf(kMagic, sizeof(kMagic));
+    util::put(buf, kSnapshotSchemaVersion);
+    util::put(buf, config_fingerprint(config));
+    util::put(buf, traces.events_processed);
+    util::put(buf, traces.faults_injected);
+    util::put<std::uint32_t>(buf, static_cast<std::uint32_t>(traces.datasets.size()));
 
     for (std::size_t i = 0; i < traces.datasets.size(); ++i) {
         const auto& ds = traces.datasets[i];
-        put_string(body, ds.name);
-        put_stats(body, traces.player_stats[i]);
-        put(body, traces.requests_generated[i]);
-        put(body, traces.flows_observed[i]);
-        put(body, traces.flows_ignored[i]);
+        util::put_str32(buf, ds.name);
+        put_stats(buf, traces.player_stats[i]);
+        util::put(buf, traces.requests_generated[i]);
+        util::put(buf, traces.flows_observed[i]);
+        util::put(buf, traces.flows_ignored[i]);
         // Length-prefixed so the reader can carve the blob out of the
         // stream without parsing it first.
-        put<std::uint64_t>(body, capture::binary_log_size(ds.records.size()));
-        capture::write_binary_log(body, ds.records);
+        const std::string blob = capture::write_binary_log_bytes(ds.records);
+        util::put<std::uint64_t>(buf, blob.size());
+        buf += blob;
     }
-
-    const std::string bytes = body.str();
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    put(os, util::crc32(bytes));
-    return os.good();
+    util::put(buf, util::crc32(buf));
+    return buf;
 }
 
-bool write_trace_snapshot(const std::filesystem::path& path,
-                          const StudyConfig& config,
-                          const TraceOutputs& traces) {
-    if (!config.fault_schedule.empty()) return false;
-    return util::atomic_write_file(path, [&](std::ostream& os) {
-               return write_trace_snapshot(os, config, traces);
-           })
-        .ok();
-}
-
-util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
-                                                      const StudyConfig& config) {
+util::Result<TraceOutputs> load_snapshot_bytes(std::string_view data,
+                                               const StudyConfig& config) {
     if (!config.fault_schedule.empty()) {
         return Error(ErrorCode::KeyMismatch,
                      "snapshot refused: run has a fault schedule");
     }
-
-    std::string data((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    if (is.bad()) return Error(ErrorCode::Io, "snapshot read failed");
-
     constexpr std::size_t kMinSize =
         sizeof(kMagic) + sizeof(std::uint32_t) /*version*/ +
         sizeof(std::uint32_t) /*crc trailer*/;
@@ -249,12 +188,14 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
                              "snapshot smaller than its fixed framing",
                              data.size());
     }
-    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+    if (data.substr(0, sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
         return error_at_byte(ErrorCode::BadMagic,
                              "snapshot magic is not 'YSS2'", 0);
     }
-    std::uint32_t version = 0;
-    std::memcpy(&version, data.data() + sizeof(kMagic), sizeof(version));
+    const std::size_t body_size = data.size() - sizeof(std::uint32_t);
+    util::ByteReader in(data.substr(0, body_size));
+    in.take<std::uint32_t>();  // the magic, checked above
+    const auto version = in.take<std::uint32_t>();
     if (version != kSnapshotSchemaVersion) {
         return error_at_byte(ErrorCode::UnsupportedVersion,
                              "snapshot schema version " +
@@ -266,25 +207,14 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
     // Whole-file CRC before any structural parsing: a flipped bit anywhere
     // is reported as corruption, not as whatever field it happened to land
     // in.
-    const std::size_t body_size = data.size() - sizeof(std::uint32_t);
-    std::uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, data.data() + body_size, sizeof(stored_crc));
-    const std::uint32_t actual_crc =
-        util::crc32(std::string_view(data).substr(0, body_size));
-    if (stored_crc != actual_crc) {
+    const auto crc = util::ByteReader(data.substr(body_size)).take<std::uint32_t>();
+    if (crc != util::crc32(data.substr(0, body_size))) {
         return error_at_byte(ErrorCode::ChecksumMismatch,
                              "snapshot CRC mismatch", body_size);
     }
 
-    Cursor c(std::string_view(data).substr(0, body_size));
-    {
-        // Skip magic + version, already validated.
-        std::uint32_t skip32 = 0;
-        if (auto r = c.get(skip32, "magic"); !r) return r.error();
-        if (auto r = c.get(skip32, "version"); !r) return r.error();
-    }
     std::uint64_t fingerprint = 0;
-    if (auto r = c.get(fingerprint, "fingerprint"); !r) return r.error();
+    if (auto r = get(in, fingerprint, "fingerprint"); !r) return r.error();
     if (fingerprint != config_fingerprint(config)) {
         return error_at_byte(ErrorCode::KeyMismatch,
                              "snapshot fingerprint does not match this config",
@@ -293,14 +223,14 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
 
     TraceOutputs traces;
     std::uint32_t vps = 0;
-    if (auto r = c.get(traces.events_processed, "events_processed"); !r)
+    if (auto r = get(in, traces.events_processed, "events_processed"); !r)
         return r.error();
-    if (auto r = c.get(traces.faults_injected, "faults_injected"); !r)
+    if (auto r = get(in, traces.faults_injected, "faults_injected"); !r)
         return r.error();
-    if (auto r = c.get(vps, "vantage-point count"); !r) return r.error();
+    if (auto r = get(in, vps, "vantage-point count"); !r) return r.error();
     if (vps > 64) {
-        return c.bad_field("snapshot vantage-point count " +
-                           std::to_string(vps) + " out of range");
+        return bad_field(in, "snapshot vantage-point count " +
+                                 std::to_string(vps) + " out of range");
     }
 
     for (std::uint32_t i = 0; i < vps; ++i) {
@@ -310,22 +240,20 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
         std::uint64_t observed = 0;
         std::uint64_t ignored = 0;
         std::uint64_t blob_size = 0;
-        if (auto r = get_string(c, ds.name, "vantage-point name"); !r)
+        if (auto r = get_string(in, ds.name, "vantage-point name"); !r)
             return r.error();
-        if (auto r = get_stats(c, stats); !r) return r.error();
-        if (auto r = c.get(requests, "requests_generated"); !r) return r.error();
-        if (auto r = c.get(observed, "flows_observed"); !r) return r.error();
-        if (auto r = c.get(ignored, "flows_ignored"); !r) return r.error();
-        if (auto r = c.get(blob_size, "blob size"); !r) return r.error();
+        if (auto r = get_stats(in, stats); !r) return r.error();
+        if (auto r = get(in, requests, "requests_generated"); !r) return r.error();
+        if (auto r = get(in, observed, "flows_observed"); !r) return r.error();
+        if (auto r = get(in, ignored, "flows_ignored"); !r) return r.error();
+        if (auto r = get(in, blob_size, "blob size"); !r) return r.error();
         if (blob_size > (1ull << 34)) {
-            return c.bad_field("snapshot blob size " +
-                               std::to_string(blob_size) + " out of range");
+            return bad_field(in, "snapshot blob size " +
+                                     std::to_string(blob_size) + " out of range");
         }
-        std::string blob;
-        if (auto r = c.get_bytes(blob, blob_size, "binary-log blob"); !r)
-            return r.error();
-        std::istringstream blob_stream(std::move(blob));
-        auto records = capture::read_binary_log_result(blob_stream);
+        std::string_view blob;
+        if (!in.view(blob_size, &blob)) return truncated(in, "binary-log blob");
+        auto records = capture::read_binary_log_bytes(blob);
         if (!records) {
             return records.error().context("snapshot blob for vantage point '" +
                                            ds.name + "'");
@@ -338,13 +266,38 @@ util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
         traces.flows_ignored.push_back(ignored);
     }
     // Trailing bytes mean the writer and reader disagree about layout.
-    if (!c.at_end()) {
+    if (!in.done()) {
         return error_at_byte(ErrorCode::CountMismatch,
                              "snapshot has trailing bytes after the last "
                              "vantage point",
-                             c.pos());
+                             in.offset());
     }
     return traces;
+}
+
+}  // namespace
+
+bool write_trace_snapshot(std::ostream& os, const StudyConfig& config,
+                          const TraceOutputs& traces) {
+    if (!config.fault_schedule.empty()) return false;
+    const std::string bytes = snapshot_bytes(config, traces);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return os.good();
+}
+
+bool write_trace_snapshot(const std::filesystem::path& path,
+                          const StudyConfig& config,
+                          const TraceOutputs& traces) {
+    if (!config.fault_schedule.empty()) return false;
+    return util::io::write_file_atomic(path, snapshot_bytes(config, traces)).ok();
+}
+
+util::Result<TraceOutputs> load_trace_snapshot_result(std::istream& is,
+                                                      const StudyConfig& config) {
+    const std::string data((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    if (is.bad()) return Error(ErrorCode::Io, "snapshot read failed");
+    return load_snapshot_bytes(data, config);
 }
 
 util::Result<TraceOutputs> load_trace_snapshot_result(
@@ -353,8 +306,7 @@ util::Result<TraceOutputs> load_trace_snapshot_result(
     if (!data) {
         return std::move(data).context("snapshot " + path.string()).error();
     }
-    std::istringstream is(std::move(data).value());
-    return load_trace_snapshot_result(is, config)
+    return load_snapshot_bytes(data.value(), config)
         .context("snapshot " + path.string());
 }
 

@@ -1,7 +1,7 @@
 // The typed-error layer under all I/O boundaries: ytcdn::Error carries a
 // code, a rendered message with provenance, and maps onto a stable process
 // exit-code taxonomy; util::Result threads it through fallible call chains;
-// util::crc32 is the framing checksum; util::atomic_write_file is the
+// util::crc32 is the framing checksum; util::io::write_file_atomic is the
 // shared torn-write guard.
 
 #include <gtest/gtest.h>
@@ -9,14 +9,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
+#include "util/io.hpp"
+
+#include "test_support.hpp"
 
 namespace util = ytcdn::util;
 using ytcdn::Error;
@@ -214,51 +214,42 @@ TEST(Result, VoidSpecializationWorks) {
     EXPECT_THROW(check_even(3).value_or_throw(), Error);
 }
 
-// --- atomic_write_file ---------------------------------------------------
+// --- io::write_file_atomic -----------------------------------------------
 
 class AtomicFileTest : public ::testing::Test {
 protected:
-    void SetUp() override {
-        dir_ = std::filesystem::temp_directory_path() / "ytcdn_atomic_file_test";
-        std::filesystem::remove_all(dir_);
-    }
-    void TearDown() override { std::filesystem::remove_all(dir_); }
-
-    static std::string slurp(const std::filesystem::path& p) {
-        std::ifstream is(p, std::ios::binary);
-        std::ostringstream os;
-        os << is.rdbuf();
-        return os.str();
-    }
-
-    std::filesystem::path dir_;
+    // One directory per test and process: ctest -j runs each test as its
+    // own process, and a shared directory would let one test delete
+    // another's files.
+    const ytcdn::test::ScratchDir scratch_;
+    const std::filesystem::path& dir_ = scratch_.path();
 };
 
 TEST_F(AtomicFileTest, WritesBytesAndCreatesParents) {
     const auto path = dir_ / "nested" / "out.bin";
-    ASSERT_TRUE(util::atomic_write_file(path, std::string_view("payload")).ok());
-    EXPECT_EQ(slurp(path), "payload");
+    ASSERT_TRUE(util::io::write_file_atomic(path, std::string_view("payload")).ok());
+    EXPECT_EQ(ytcdn::test::file_bytes(path), "payload");
     // No temp file left behind.
     EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
 }
 
 TEST_F(AtomicFileTest, ReplacesExistingFileAtomically) {
     const auto path = dir_ / "out.bin";
-    ASSERT_TRUE(util::atomic_write_file(path, std::string_view("old")).ok());
-    ASSERT_TRUE(util::atomic_write_file(path, std::string_view("new")).ok());
-    EXPECT_EQ(slurp(path), "new");
+    ASSERT_TRUE(util::io::write_file_atomic(path, std::string_view("old")).ok());
+    ASSERT_TRUE(util::io::write_file_atomic(path, std::string_view("new")).ok());
+    EXPECT_EQ(ytcdn::test::file_bytes(path), "new");
 }
 
 TEST_F(AtomicFileTest, FailedWriterLeavesOldContentIntact) {
     const auto path = dir_ / "out.bin";
-    ASSERT_TRUE(util::atomic_write_file(path, std::string_view("keep me")).ok());
-    const auto result = util::atomic_write_file(path, [](std::ostream& os) {
+    ASSERT_TRUE(util::io::write_file_atomic(path, std::string_view("keep me")).ok());
+    const auto result = util::io::write_file_atomic(path, [](std::ostream& os) {
         os << "half-written";
         return false;  // writer reports failure
     });
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code(), ErrorCode::Io);
-    EXPECT_EQ(slurp(path), "keep me");
+    EXPECT_EQ(ytcdn::test::file_bytes(path), "keep me");
     EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
 }
 

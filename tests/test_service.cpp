@@ -20,6 +20,8 @@
 #include "service/ingest_queue.hpp"
 #include "service/service.hpp"
 #include "service/spool.hpp"
+#include "study/checkpoint.hpp"
+#include "util/bytes.hpp"
 #include "util/io.hpp"
 
 namespace analysis = ytcdn::analysis;
@@ -115,6 +117,25 @@ TEST(IncrementalSessions, BoundedOpenSetStillCountsCorrectly) {
     EXPECT_EQ(inc.sessions_closed(), 4096u);
     EXPECT_EQ(inc.multi_flow_sessions(), 0u);
     EXPECT_EQ(inc.open_count(), 0u);
+}
+
+TEST(IncrementalSessions, SweepHorizonFollowsTheNewestStart) {
+    // A long flow must not drag the sweep horizon to its end: (c2, v2)'s
+    // session ends at 2 and is extended at 2.5, although the sweep runs
+    // after the [0, 600] flow has been seen.
+    capture::Dataset ds;
+    ds.records = {flow(1, 0xC0A80101u, 0.0, 600.0, 5000, 1),
+                  flow(2, 0xC0A80101u, 1.0, 2.0, 5000, 2),
+                  flow(3, 0xC0A80101u, 1.5, 1.6, 5000, 3),
+                  flow(2, 0xC0A80101u, 2.5, 3.0, 5000, 2)};
+    const auto batch = analysis::SessionTable::build(ds, 1.0);
+    ASSERT_EQ(batch.num_sessions(), 3u);
+
+    analysis::IncrementalSessions inc(1.0, /*max_open=*/1);
+    for (const auto& r : ds.records) inc.add(r);
+    inc.close_all();
+    EXPECT_EQ(inc.sessions_closed(), batch.num_sessions());
+    EXPECT_EQ(inc.multi_flow_sessions(), 1u);
 }
 
 TEST(IncrementalPreference, DrainAndScaleMutations) {
@@ -362,6 +383,31 @@ TEST(Determinism, ServiceResume) {
         }
         fs::remove_all(base);
     }
+}
+
+TEST(Service, CorruptCheckpointCountStartsCold) {
+    // A CRC-valid service checkpoint whose ledger count is absurd must be
+    // rejected as a truncated payload, not reserve gigabytes on resume.
+    const auto base = temp_dir("corrupt_count");
+    make_spool(base / "spool", sample_records());
+    auto opt = once_options(base / "spool", base / "run", 1);
+    opt.resume = true;
+    service::Service daemon(opt);
+    std::string payload;
+    ytcdn::util::put_str32(payload, service::ServiceAggregates(opt.gap_T_s).encode());
+    ytcdn::util::put<std::uint32_t>(payload, 0xFFFFFFFFu);
+    ASSERT_TRUE(ytcdn::study::write_checkpoint(
+                    ytcdn::study::checkpoint_path(opt.run_dir,
+                                                  ytcdn::study::Stage::Service),
+                    daemon.fingerprint(), ytcdn::study::Stage::Service, payload)
+                    .ok());
+    auto report = daemon.run();
+    ASSERT_TRUE(report.ok()) << report.error().what();
+    ASSERT_FALSE(report.value().warnings.empty());
+    EXPECT_NE(report.value().warnings.front().find("truncated"), std::string::npos)
+        << report.value().warnings.front();
+    EXPECT_EQ(report.value().files_ingested, 3u);
+    fs::remove_all(base);
 }
 
 TEST(Service, RefusesResumeUnderDifferentKnobs) {

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -28,6 +27,8 @@
 #include "study/study_run.hpp"
 #include "util/parallel.hpp"
 
+#include "test_support.hpp"
+
 namespace analysis = ytcdn::analysis;
 namespace capture = ytcdn::capture;
 namespace cdn = ytcdn::cdn;
@@ -36,6 +37,7 @@ namespace net = ytcdn::net;
 namespace sim = ytcdn::sim;
 namespace study = ytcdn::study;
 namespace util = ytcdn::util;
+using ytcdn::test::file_bytes;
 
 namespace {
 
@@ -64,18 +66,6 @@ fs::path scratch_dir(const std::string& tag) {
     return dir;
 }
 
-std::string file_bytes(const fs::path& path) {
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return buf.str();
-}
-
-void write_file(const fs::path& path, const std::string& bytes) {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
 /// Drains a FlowLogReader; on success fills `out` with every record.
 util::Result<void> stream_all(const fs::path& path, std::size_t chunk,
                               std::vector<capture::FlowRecord>& out) {
@@ -96,7 +86,7 @@ util::Result<void> stream_all(const fs::path& path, std::size_t chunk,
 /// The streaming reader's error code on `bytes`, or nullopt on success.
 std::optional<ytcdn::ErrorCode> stream_code(const fs::path& path,
                                             const std::string& bytes) {
-    write_file(path, bytes);
+    ytcdn::test::put_file(path, bytes);
     std::vector<capture::FlowRecord> sink;
     auto r = stream_all(path, 64, sink);
     if (r.ok()) return std::nullopt;

@@ -32,7 +32,7 @@ public:
         RestrictToDirs(Options.get("RestrictToDirs", "src/;tools/")),
         AllowedFiles(Options.get(
             "AllowedFiles",
-            "src/util/io.;src/util/atomic_file.;tools/lint/clang-plugin/")) {}
+            "src/util/io.;tools/lint/clang-plugin/")) {}
 
   void registerMatchers(ast_matchers::MatchFinder *Finder) override;
   void check(const ast_matchers::MatchFinder::MatchResult &Result) override;

@@ -91,10 +91,8 @@ THREAD_ALLOWED_FILES = ("src/util/parallel.hpp", "src/util/parallel.cpp")
 # else must register metrics under literal names.
 METRICS_ALLOWED_FILES = ("src/util/metrics.hpp", "src/util/metrics.cpp")
 
-# Files allowed to open files directly: the injectable I/O facade itself and
-# the atomic-write shim that delegates to it.
-FILEIO_ALLOWED_FILES = ("src/util/io.hpp", "src/util/io.cpp",
-                        "src/util/atomic_file.cpp")
+# Files allowed to open files directly: the injectable I/O facade itself.
+FILEIO_ALLOWED_FILES = ("src/util/io.hpp", "src/util/io.cpp")
 
 SUPPRESS_RE = re.compile(r"ytcdn-lint:\s*allow\(\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)\s*\)")
 

@@ -44,7 +44,6 @@
 #include "study/study_run.hpp"
 #include "study/supervisor.hpp"
 #include "util/args.hpp"
-#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/io.hpp"
 #include "util/metrics.hpp"
@@ -125,9 +124,9 @@ void write_observability(const util::ArgParser& args, const sim::Tracer* tracer)
     if (const auto metrics_path = args.get("metrics-out")) {
         const std::filesystem::path path(*metrics_path);
         const auto snapshot = util::metrics::Registry::global().snapshot();
-        util::atomic_write_file(path, path.extension() == ".json"
-                                          ? snapshot.to_json()
-                                          : snapshot.render())
+        util::io::write_file_atomic(path, path.extension() == ".json"
+                                              ? snapshot.to_json()
+                                              : snapshot.render())
             .value_or_throw();
         std::cout << "wrote " << path << " (" << snapshot.entries.size()
                   << " metrics)\n";
