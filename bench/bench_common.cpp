@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "geo/city.hpp"
-#include "study/snapshot.hpp"
+#include "study/checkpoint.hpp"
 #include "util/io.hpp"
 #include "util/metrics.hpp"
 
@@ -41,27 +41,39 @@ std::filesystem::path snapshot_dir() {
 }
 
 /// Simulating the week dominates every binary's start-up, and the whole
-/// suite runs the identical simulation ~30 times. The first binary writes a
-/// snapshot keyed to (seed, scale, schema, config fingerprint); the rest
-/// load it in milliseconds and re-derive the maps, which is bit-identical
-/// to simulating (Determinism tests hold assemble == run). Set
-/// YTCDN_BENCH_SNAPSHOT=0 to force simulation. Progress goes to stderr —
-/// stdout carries the paper artifacts.
+/// suite runs the identical simulation ~30 times. The first binary writes
+/// the week as a Simulate-stage YCK1 frame keyed to config_fingerprint
+/// (the file name carries the seed and the fingerprint); the rest load it
+/// in milliseconds and re-derive the maps, which is bit-identical to
+/// simulating (Determinism tests hold assemble == run). A damaged file is
+/// quarantined and the week re-simulated. Set YTCDN_BENCH_SNAPSHOT=0 to
+/// force simulation. Progress goes to stderr — stdout carries the paper
+/// artifacts.
 study::StudyRun build_shared_run() {
     const study::StudyConfig cfg = bench_config();
     util::ThreadPool pool(cfg.effective_threads());
     if (!snapshot_enabled()) return study::run_study(cfg, pool);
 
-    const std::filesystem::path path = snapshot_dir() / study::snapshot_name(cfg);
+    const std::uint64_t key = study::config_fingerprint(cfg);
+    std::ostringstream name;
+    name << "trace-" << std::hex << cfg.seed << "-" << key << ".yck";
+    const std::filesystem::path path = snapshot_dir() / name.str();
     std::string warning;
-    if (auto traces = study::load_or_quarantine_snapshot(path, cfg, &warning)) {
-        std::cerr << "# bench: loaded trace snapshot " << path << "\n";
-        return study::assemble_study_run(cfg, std::move(*traces), pool);
+    if (auto payload = study::load_or_quarantine_checkpoint(
+            path, key, study::Stage::Simulate, &warning)) {
+        auto traces = study::decode_traces(*payload);
+        if (traces) {
+            std::cerr << "# bench: loaded trace cache " << path << "\n";
+            return study::assemble_study_run(cfg, std::move(traces).value(), pool);
+        }
+        warning = "warning: trace cache " + path.string() + " rejected (" +
+                  traces.error().what() + "); regenerating";
     }
     if (!warning.empty()) std::cerr << "# bench: " << warning << "\n";
     study::StudyRun run = study::run_study(cfg, pool);
-    if (study::write_trace_snapshot(path, cfg, run.traces)) {
-        std::cerr << "# bench: wrote trace snapshot " << path << "\n";
+    if (study::write_checkpoint(path, key, study::Stage::Simulate,
+                                study::encode_traces(run.traces))) {
+        std::cerr << "# bench: wrote trace cache " << path << "\n";
     }
     return run;
 }

@@ -12,6 +12,7 @@
 #   analysis/incremental          >= 95%   tallies and of Table I's counts)
 #   capture/binary_log            >= 90%  (the only YFL2 encoder and decoder)
 #   sim/tracer                    >= 90%  (the only YTR1 encoder and decoder)
+#   study/checkpoint              >= 90%  (the only YCK1 frame and stage codecs)
 #
 # Only gcc + gcov + python3 are required — no gcovr, no pip. gcov's
 # --json-format output (one .gcov.json.gz per source) is aggregated by the
@@ -89,6 +90,7 @@ floors = [
     ("incremental", ["src/analysis/incremental"], 95.0),
     ("binary_log", ["src/capture/binary_log"], 90.0),
     ("tracer", ["src/sim/tracer"], 90.0),
+    ("checkpoint", ["src/study/checkpoint"], 90.0),
 ]
 
 failed = False

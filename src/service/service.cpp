@@ -1,15 +1,16 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <utility>
 
 #include "service/control.hpp"
 #include "service/spool.hpp"
+#include "sim/random.hpp"
 #include "study/checkpoint.hpp"
 #include "util/bytes.hpp"
 #include "util/crc32.hpp"
@@ -51,19 +52,6 @@ ServiceMetrics& service_metrics() {
 
 volatile std::sig_atomic_t g_stop = 0;
 
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t bits_of(double v) {
-    std::uint64_t out = 0;
-    std::memcpy(&out, &v, sizeof(out));
-    return out;
-}
-
 std::string hex(std::uint64_t v, int digits) {
     static constexpr char kDigits[] = "0123456789abcdef";
     std::string out(static_cast<std::size_t>(digits), '0');
@@ -78,9 +66,9 @@ std::string hex(std::uint64_t v, int digits) {
 /// (policy, drains, fault plans) is deliberately excluded — it is part of
 /// the checkpointed state, not the key.
 std::uint64_t fingerprint_of(const ServiceOptions& options) {
-    std::uint64_t h = mix64(0x79'74'63'64'6Eull);  // "ytcdn" salt
-    const auto fold = [&h](std::uint64_t v) { h = mix64(h ^ v); };
-    fold(bits_of(options.gap_T_s));
+    std::uint64_t h = sim::mix64(0x79'74'63'64'6Eull);  // "ytcdn" salt
+    const auto fold = [&h](std::uint64_t v) { h = sim::mix64(h ^ v); };
+    fold(std::bit_cast<std::uint64_t>(options.gap_T_s));
     fold(options.queue_capacity);
     fold(options.batch_records);
     return h;
@@ -245,12 +233,18 @@ util::Result<ServiceReport> Service::run() {
     if (options_.batch_records == 0) options_.batch_records = 1;
     auto& metrics = service_metrics();
 
-    std::error_code ec;
-    std::filesystem::create_directories(options_.spool_dir, ec);
-    std::filesystem::create_directories(options_.run_dir / "checkpoints", ec);
-    if (ec) {
-        return Error(ErrorCode::Io, "ytcdnd: cannot create run directory " +
-                                        options_.run_dir.string());
+    // Each directory is checked on its own: an unusable spool must not
+    // pass as an empty one.
+    for (const auto& [what, dir] :
+         {std::pair{"spool", options_.spool_dir},
+          std::pair{"run", options_.run_dir / "checkpoints"}}) {
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        if (ec) {
+            return Error(ErrorCode::Io, std::string("ytcdnd: cannot create ") +
+                                            what + " directory " + dir.string() +
+                                            ": " + ec.message());
+        }
     }
 
     ServiceReport report;

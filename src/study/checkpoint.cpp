@@ -1,8 +1,10 @@
 #include "study/checkpoint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
+#include "capture/binary_log.hpp"
 #include "util/bytes.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
@@ -24,6 +26,28 @@ Error truncated(const util::ByteReader& in, std::string_view what) {
     return Error(ErrorCode::Truncated, std::string(what) +
                                            " truncated at payload byte " +
                                            std::to_string(in.offset()));
+}
+
+/// The player-stats counters in their on-disk order (the retry histogram
+/// follows them); `Stats` is Player::Stats, const or not.
+template <typename Stats>
+auto stats_counters(Stats& s) {
+    return std::array{&s.sessions,          &s.video_flows,
+                      &s.control_flows,     &s.redirects_miss,
+                      &s.redirects_overload, &s.resolution_probes,
+                      &s.pauses,            &s.dns_cache_hits,
+                      &s.connect_timeouts,  &s.connect_resets,
+                      &s.dns_servfails,     &s.stale_dns_answers,
+                      &s.failovers,         &s.failures.timeout,
+                      &s.failures.reset,    &s.failures.dns_failure,
+                      &s.failures.retries_exhausted,
+                      &s.failures.redirect_exhausted};
+}
+
+/// "<what> N out of range", for a declared count or length over its bound.
+Error out_of_range(std::string_view what, std::uint64_t n) {
+    return Error(ErrorCode::BadField, std::string(what) + " " +
+                                          std::to_string(n) + " out of range");
 }
 
 }  // namespace
@@ -127,6 +151,89 @@ std::optional<std::string> load_or_quarantine_checkpoint(
                               " and recomputing stage";
     }
     return std::nullopt;
+}
+
+std::string encode_traces(const TraceOutputs& traces) {
+    std::string buf;
+    util::put(buf, traces.events_processed);
+    util::put(buf, traces.faults_injected);
+    util::put(buf, static_cast<std::uint32_t>(traces.datasets.size()));
+    for (std::size_t i = 0; i < traces.datasets.size(); ++i) {
+        const auto& stats = traces.player_stats[i];
+        util::put_str32(buf, traces.datasets[i].name);
+        for (const std::uint64_t* x : stats_counters(stats)) util::put(buf, *x);
+        util::put(buf, static_cast<std::uint32_t>(stats.retry_histogram.size()));
+        for (const std::uint64_t x : stats.retry_histogram) util::put(buf, x);
+        util::put(buf, traces.requests_generated[i]);
+        util::put(buf, traces.flows_observed[i]);
+        util::put(buf, traces.flows_ignored[i]);
+        // Length-prefixed so the decoder can carve the blob out of the
+        // payload without parsing it first.
+        const std::string blob =
+            capture::write_binary_log_bytes(traces.datasets[i].records);
+        util::put(buf, static_cast<std::uint64_t>(blob.size()));
+        buf += blob;
+    }
+    return buf;
+}
+
+util::Result<TraceOutputs> decode_traces(std::string_view payload) {
+    constexpr std::uint32_t kMaxVantagePoints = 64;
+    constexpr std::uint32_t kMaxLength = 1u << 20;    // names, retry histograms
+    constexpr std::uint64_t kMaxBlob = 1ull << 34;
+    util::ByteReader r(payload);
+    TraceOutputs traces;
+    std::uint32_t n_vps = 0;
+    if (!r.take(&traces.events_processed) || !r.take(&traces.faults_injected) ||
+        !r.take(&n_vps)) {
+        return truncated(r, "simulate header");
+    }
+    if (n_vps > kMaxVantagePoints) {
+        return out_of_range("vantage-point count", n_vps);
+    }
+    for (std::uint32_t v = 0; v < n_vps; ++v) {
+        capture::Dataset ds;
+        workload::Player::Stats stats;
+        std::uint32_t n = 0;
+        if (!r.take(&n)) return truncated(r, "vantage-point name");
+        if (n > kMaxLength) return out_of_range("vantage-point name length", n);
+        if (!r.take_bytes(&ds.name, n)) return truncated(r, "vantage-point name");
+        for (std::uint64_t* x : stats_counters(stats)) {
+            if (!r.take(x)) return truncated(r, "player stats");
+        }
+        if (!r.take(&n)) return truncated(r, "retry histogram");
+        if (n > kMaxLength) return out_of_range("retry histogram length", n);
+        if (n > r.remaining() / 8) return truncated(r, "retry histogram");
+        stats.retry_histogram.resize(n);
+        for (std::uint64_t& x : stats.retry_histogram) r.take(&x);
+        std::uint64_t requests = 0;
+        std::uint64_t observed = 0;
+        std::uint64_t ignored = 0;
+        std::uint64_t blob_size = 0;
+        if (!r.take(&requests) || !r.take(&observed) || !r.take(&ignored)) {
+            return truncated(r, "flow counters");
+        }
+        if (!r.take(&blob_size)) return truncated(r, "flow-log blob size");
+        if (blob_size > kMaxBlob) return out_of_range("flow-log blob size", blob_size);
+        std::string_view blob;
+        if (!r.view(blob_size, &blob)) return truncated(r, "flow-log blob");
+        auto records = capture::read_binary_log_bytes(blob);
+        if (!records) {
+            return records.error().context("flow log of vantage point '" +
+                                           ds.name + "'");
+        }
+        ds.records = std::move(records).value();
+        traces.datasets.push_back(std::move(ds));
+        traces.player_stats.push_back(std::move(stats));
+        traces.requests_generated.push_back(requests);
+        traces.flows_observed.push_back(observed);
+        traces.flows_ignored.push_back(ignored);
+    }
+    if (!r.done()) {
+        return Error(ErrorCode::CountMismatch,
+                     "simulate payload has trailing bytes");
+    }
+    return traces;
 }
 
 std::string encode_capture(const std::vector<CaptureEntry>& entries) {

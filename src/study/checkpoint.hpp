@@ -9,25 +9,29 @@
 
 #include "analysis/dc_map.hpp"
 #include "study/report.hpp"
+#include "study/trace_driver.hpp"
 #include "util/error.hpp"
 
 namespace ytcdn::study {
 
-/// Crash-safe per-stage checkpoints of a supervised study run ("YCK1").
+/// Crash-safe persisted state ("YCK1"): the one frame for every piece of
+/// study state written to disk.
 ///
 /// Each completed pipeline stage (see study/supervisor.hpp) persists its
 /// output under `<run-dir>/checkpoints/<stage>.yck` so a killed run can be
-/// resumed without redoing finished work. The frame mirrors the repo's
-/// other on-disk formats (YFL2 / YSS2 / YTR1): explicit magic + version,
-/// a key that ties the file to the run that produced it, and a whole-file
-/// CRC32 so any flipped bit is detected at load time:
+/// resumed without redoing finished work; the bench trace cache stores its
+/// simulated week as a Simulate-stage frame and ytcdnd its service state as
+/// a Service-stage frame. The frame mirrors the repo's other on-disk
+/// formats (YFL2 / YTR1): explicit magic + version, a key that ties the
+/// file to the run that produced it, and a whole-file CRC32 so any flipped
+/// bit is detected at load time:
 ///
 ///   magic "YCK1" | u32 version | u64 run fingerprint | u32 stage id |
 ///   u64 payload size | payload | trailer u32 crc32 of every prior byte
 ///
-/// The run fingerprint extends config_fingerprint with the report options
-/// (see Supervisor::run_fingerprint): resuming with different flags is a
-/// KeyMismatch, never a silently wrong report. Checkpoints are written via
+/// A study run's fingerprint extends config_fingerprint with the report
+/// options (see Supervisor::run_fingerprint): resuming with different flags
+/// is a KeyMismatch, never a silently wrong report. Checkpoints are written via
 /// util::io::write_file_atomic, so a SIGKILL mid-write leaves at most a
 /// stale ".tmp" — never a torn file under the final name. A checkpoint
 /// that fails validation is quarantined (bounded, numbered — see
@@ -83,6 +87,20 @@ inline constexpr std::size_t kNumStageIds = 6;
 /// resumed run is bit-identical to an uninterrupted one. Strings are
 /// u32 length + bytes. Map assignments are sorted by /24 address before
 /// encoding, making the payload independent of hash-table iteration order.
+
+/// Simulate stage: the simulated week.
+///
+///   u64 events_processed | u64 faults_injected | u32 vantage-point count
+///   per VP: name | player stats | u64 requests_generated |
+///           u64 flows_observed | u64 flows_ignored |
+///           u64 blob size | YFL2 blob of the VP's records
+///
+/// The decoder bounds every count (at most 64 vantage points, 1 MiB names
+/// and retry histograms, 16 GiB blobs) before it allocates, and decodes
+/// each blob in place through capture::read_binary_log_bytes.
+/// `unique_hosts` is not stored, so it is zero on a decoded week.
+[[nodiscard]] std::string encode_traces(const TraceOutputs& traces);
+[[nodiscard]] util::Result<TraceOutputs> decode_traces(std::string_view payload);
 
 /// Capture stage: the flow-log files written, with size + CRC32 so resume
 /// can verify them without trusting mtimes.

@@ -119,4 +119,14 @@ inline constexpr double kTraceSeconds = 604'800.0;
 
 [[nodiscard]] double mean_sessions_per_s(const VantageTargets& t, double scale);
 
+/// Stable hash of every StudyConfig field that shapes the simulated week
+/// (seed, scale, catalog/capacity/probability knobs...). Doubles contribute
+/// their exact bit pattern, so any representable change changes the key.
+/// It deliberately excludes `threads` (thread count never changes outputs),
+/// `strict_artifacts` and the fault schedule: runs with a schedule write no
+/// checkpoints (see Supervisor). Every YCK1 key of a study run, the bench
+/// trace cache's file name and the manifest's fingerprint line derive from
+/// it, so its inputs and salt are part of those formats.
+[[nodiscard]] std::uint64_t config_fingerprint(const StudyConfig& config);
+
 }  // namespace ytcdn::study

@@ -58,9 +58,10 @@ struct StudyRun {
 void index_study_run(StudyRun& run, util::ThreadPool& pool);
 
 /// Rebuilds the analysis-ready run around already-simulated traces (e.g.
-/// loaded from a snapshot — see study/snapshot.hpp): constructs the
-/// deployment and derives maps/preferred exactly as run_study would, so the
-/// result is bit-identical to the run that produced the traces.
+/// decoded from a Simulate checkpoint — see study/checkpoint.hpp):
+/// constructs the deployment and derives maps/preferred exactly as
+/// run_study would, so the result is bit-identical to the run that
+/// produced the traces.
 [[nodiscard]] StudyRun assemble_study_run(const StudyConfig& config,
                                           TraceOutputs traces,
                                           util::ThreadPool& pool);

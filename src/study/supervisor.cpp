@@ -1,5 +1,6 @@
 #include "study/supervisor.hpp"
 
+#include <bit>
 #include <chrono>
 #include <optional>
 #include <sstream>
@@ -7,7 +8,7 @@
 #include <utility>
 
 #include "capture/flow_log.hpp"
-#include "study/snapshot.hpp"
+#include "sim/random.hpp"
 #include "study/study_run.hpp"
 #include "util/crc32.hpp"
 #include "util/host_clock.hpp"
@@ -40,26 +41,12 @@ SupervisorMetrics& supervisor_metrics() {
     return metrics;
 }
 
-std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t bits_of(double v) {
-    std::uint64_t out;
-    static_assert(sizeof(out) == sizeof(v));
-    __builtin_memcpy(&out, &v, sizeof(out));
-    return out;
-}
-
 /// config_fingerprint + every report option that shapes report bytes, so a
 /// resume under different flags is rejected as a KeyMismatch.
 std::uint64_t fingerprint_of(const StudyConfig& config,
                              const ReportOptions& report) {
     std::uint64_t h = config_fingerprint(config);
-    const auto fold = [&h](std::uint64_t v) { h = mix64(h ^ v); };
+    const auto fold = [&h](std::uint64_t v) { h = sim::mix64(h ^ v); };
     fold(report.include_table3 ? 1 : 0);
     fold(static_cast<std::uint64_t>(report.landmarks.north_america));
     fold(static_cast<std::uint64_t>(report.landmarks.europe));
@@ -71,7 +58,7 @@ std::uint64_t fingerprint_of(const StudyConfig& config,
     fold(static_cast<std::uint64_t>(report.cbg.target_probes));
     fold(static_cast<std::uint64_t>(report.cbg.grid));
     fold(static_cast<std::uint64_t>(report.cbg.max_circles));
-    fold(bits_of(report.cbg.relax_step));
+    fold(std::bit_cast<std::uint64_t>(report.cbg.relax_step));
     fold(static_cast<std::uint64_t>(report.cbg.max_relax_iters));
     return h;
 }
@@ -192,14 +179,21 @@ util::Result<SupervisorResult> Supervisor::run() {
                      "Supervisor: run_dir must be set");
     }
     const auto& run_dir = options_.run_dir;
-    std::error_code ec;
-    std::filesystem::create_directories(run_dir / "checkpoints", ec);
-    std::filesystem::create_directories(run_dir / "logs", ec);
-    std::filesystem::create_directories(run_dir / "artifacts", ec);
+    // An unusable run directory fails before the week is simulated, not
+    // after it, at the first stage that writes.
+    for (const char* sub : {"checkpoints", "logs", "artifacts"}) {
+        std::error_code ec;
+        std::filesystem::create_directories(run_dir / sub, ec);
+        if (ec) {
+            return Error(ErrorCode::Io, "cannot create run directory " +
+                                            (run_dir / sub).string() + ": " +
+                                            ec.message());
+        }
+    }
 
-    // A scripted sim fault schedule is excluded from config_fingerprint
-    // (mirroring YSS2), so checkpoints cannot be keyed to it — disable them
-    // rather than risk resuming a healthy run's checkpoint into a fault run.
+    // A scripted sim fault schedule is excluded from config_fingerprint, so
+    // checkpoints cannot be keyed to it — disable them rather than risk
+    // resuming a healthy run's checkpoint into a fault run.
     const bool checkpoints =
         options_.checkpoints && config_.fault_schedule.empty();
     const bool strict = config_.effective_strict_artifacts();
@@ -249,25 +243,19 @@ util::Result<SupervisorResult> Supervisor::run() {
 
     const auto simulate_body = [&](StageStatus& st) {
         if (auto payload = try_resume(Stage::Simulate)) {
-            std::istringstream is(*payload);
-            auto loaded = load_trace_snapshot_result(is, config_);
-            if (loaded) {
-                state.traces = std::move(loaded).value();
+            auto decoded = decode_traces(*payload);
+            if (decoded) {
+                state.traces = std::move(decoded).value();
                 st.from_checkpoint = true;
                 return;
             }
             warn("simulate checkpoint payload rejected (" +
-                 std::string(loaded.error().what()) + "); re-simulating");
+                 std::string(decoded.error().what()) + "); re-simulating");
         }
         auto deployment = std::make_unique<StudyDeployment>(config_);
         TraceDriver driver(*deployment);
         state.traces = driver.run();
-        if (checkpoints) {
-            std::ostringstream os;
-            if (write_trace_snapshot(os, config_, state.traces)) {
-                save_checkpoint(Stage::Simulate, os.str());
-            }
-        }
+        if (checkpoints) save_checkpoint(Stage::Simulate, encode_traces(state.traces));
     };
 
     const auto capture_body = [&](StageStatus& st) {

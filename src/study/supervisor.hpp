@@ -40,8 +40,8 @@ struct SupervisorOptions {
     /// their stages recomputed.
     bool resume = false;
     /// Skip writing checkpoints (chaos experiments that only want the
-    /// supervision semantics). Runs with a sim fault schedule skip the
-    /// simulate checkpoint regardless (YSS2 refuses them).
+    /// supervision semantics). Runs with a sim fault schedule write and
+    /// read none regardless: config_fingerprint does not cover the schedule.
     bool checkpoints = true;
     /// Stop after this many stages (0 = all). Tests use it to simulate a
     /// crash at a stage boundary; the interrupted run writes its manifest

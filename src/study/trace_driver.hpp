@@ -26,7 +26,7 @@ struct TraceOutputs {
     std::uint64_t faults_injected = 0;
     /// Distinct content-server hostnames DPI saw across all vantage points
     /// (the canonical interner's size after the ordered per-VP merge). Zero
-    /// on snapshot-cache loads, like the other capture-side counters.
+    /// on traces decoded from a Simulate checkpoint, which does not store it.
     std::uint64_t unique_hosts = 0;
 };
 

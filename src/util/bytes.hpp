@@ -10,7 +10,8 @@
 namespace ytcdn::util {
 
 /// The byte codec every on-disk format shares (YFL2 flow logs, YTR1 traces,
-/// YSS2 snapshots, YCK1 checkpoints and ytcdnd's service checkpoint).
+/// YCK1 checkpoints and their stage payloads, ytcdnd's service checkpoint
+/// among them).
 /// Integers are little-endian, doubles travel as their raw IEEE-754 bits
 /// and strings as a u32 length followed by the bytes.
 static_assert(std::endian::native == std::endian::little,

@@ -7,8 +7,8 @@ namespace ytcdn::util {
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over a byte range.
 ///
-/// Used to frame the on-disk formats (binary_log v2 record blocks, the YSS2
-/// snapshot trailer) so that a flipped bit is detected at load time instead
+/// Used to frame the on-disk formats (binary_log v2 record blocks, the YCK1
+/// checkpoint trailer) so that a flipped bit is detected at load time instead
 /// of silently corrupting a week-long study. Chain calls by passing the
 /// previous return value as `seed` to checksum discontiguous ranges.
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes,

@@ -1,8 +1,9 @@
 // Deterministic parser-fuzz smoke test (ctest: fuzz_smoke).
 //
 // Contract under test: every external input surface — YFL2 binary flow
-// logs, YSS2 snapshots (in-memory and the on-disk quarantine path),
-// the fault-schedule DSL, and CLI argument vectors — either succeeds or
+// logs, the simulated week (its raw Simulate-stage payload and the on-disk
+// YCK1 quarantine path), YTR1 traces, the fault-schedule DSL, and CLI
+// argument vectors — either succeeds or
 // reports a typed ytcdn::Error. Nothing may crash, abort, loop, or trip a
 // sanitizer, no matter how the bytes are damaged.
 //
@@ -25,9 +26,10 @@
 #include "sim/fault_injector.hpp"
 #include "sim/random.hpp"
 #include "sim/tracer.hpp"
-#include "study/snapshot.hpp"
+#include "study/checkpoint.hpp"
 #include "study/study_run.hpp"
 #include "util/args.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 #include "fuzz_mutators.hpp"
@@ -146,29 +148,40 @@ void fuzz_streaming_log(Tally& tally, const std::string& valid, sim::Rng rng,
     std::filesystem::remove_all(dir);
 }
 
-void fuzz_snapshot_stream(Tally& tally, const std::string& valid,
-                          const study::StudyConfig& cfg, sim::Rng rng,
-                          std::uint64_t iterations) {
+util::Result<void> decode_week(std::string_view payload) {
+    auto r = study::decode_traces(payload);
+    if (!r.ok()) return std::move(r).error();
+    return {};
+}
+
+/// The raw Simulate payload, with no frame CRC in front of it: every flip
+/// reaches the decoder's bound checks.
+void fuzz_simulate_payload(Tally& tally, const std::string& valid, sim::Rng rng,
+                           std::uint64_t iterations) {
     for (std::uint64_t i = 0; i < iterations; ++i) {
         const auto bytes = fuzz::mutate_bytes_n(valid, rng);
-        run_case(tally, "snapshot", i, [&]() -> util::Result<void> {
-            std::istringstream in(bytes);
-            auto r = study::load_trace_snapshot_result(in, cfg);
-            if (!r.ok()) return std::move(r).error();
-            return {};
-        });
+        run_case(tally, "simulate_payload", i, [&] { return decode_week(bytes); });
     }
 }
 
-void fuzz_snapshot_quarantine(Tally& tally, const std::string& valid,
-                              const study::StudyConfig& cfg, sim::Rng rng,
+/// Whole Simulate-stage frames through the on-disk path a cache or resume
+/// takes: load_or_quarantine_checkpoint, then the payload decoder.
+void fuzz_simulate_quarantine(Tally& tally, const std::string& week,
+                              std::uint64_t key, sim::Rng rng,
                               std::uint64_t iterations) {
     const auto dir =
         std::filesystem::temp_directory_path() / "ytcdn_fuzz_quarantine";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    const auto path = dir / study::snapshot_name(cfg);
-    const auto corrupt = path.string() + ".corrupt";
+    const auto path = dir / "simulate.yck";
+    const auto corrupt = path.string() + ".corrupt.1";
+    if (!study::write_checkpoint(path, key, study::Stage::Simulate, week)) {
+        tally.fail("simulate_quarantine", 0, "could not write the seed frame");
+        return;
+    }
+    std::ostringstream frame;
+    frame << std::ifstream(path, std::ios::binary).rdbuf();
+    const std::string valid = frame.str();
     for (std::uint64_t i = 0; i < iterations; ++i) {
         const auto bytes = fuzz::mutate_bytes_n(valid, rng);
         ++tally.iterations;
@@ -179,15 +192,20 @@ void fuzz_snapshot_quarantine(Tally& tally, const std::string& valid,
                          static_cast<std::streamsize>(bytes.size()));
             }
             std::string warning;
-            const auto loaded =
-                study::load_or_quarantine_snapshot(path, cfg, &warning);
+            const auto loaded = study::load_or_quarantine_checkpoint(
+                path, key, study::Stage::Simulate, &warning);
             // A damaged file must be gone (quarantined), and the miss must
             // come with a one-line explanation; a load that still succeeds
-            // (mutation hit slack bytes) leaves the file in place.
+            // (mutation hit slack bytes) leaves the file in place and its
+            // payload must decode or fail typed.
             if (loaded.has_value()) {
-                ++tally.accepted;
+                if (decode_week(*loaded).ok()) {
+                    ++tally.accepted;
+                } else {
+                    ++tally.rejected;
+                }
             } else if (warning.empty() && std::filesystem::exists(path)) {
-                tally.fail("snapshot_quarantine", i,
+                tally.fail("simulate_quarantine", i,
                            "silent miss left the damaged file in place");
             } else {
                 ++tally.rejected;
@@ -195,7 +213,7 @@ void fuzz_snapshot_quarantine(Tally& tally, const std::string& valid,
             std::filesystem::remove(path);
             std::filesystem::remove(corrupt);
         } catch (const std::exception& e) {
-            tally.fail("snapshot_quarantine", i,
+            tally.fail("simulate_quarantine", i,
                        std::string("exception escaped: ") + e.what());
         }
     }
@@ -296,8 +314,7 @@ void fuzz_cli_args(Tally& tally, sim::Rng rng, std::uint64_t iterations) {
     }
 }
 
-void sweep_corpus(Tally& tally, const std::filesystem::path& dir,
-                  const study::StudyConfig& cfg) {
+void sweep_corpus(Tally& tally, const std::filesystem::path& dir) {
     if (!std::filesystem::is_directory(dir)) {
         std::cerr << "fuzz_smoke: no corpus directory at " << dir
                   << " — skipping sweep\n";
@@ -319,18 +336,31 @@ void sweep_corpus(Tally& tally, const std::filesystem::path& dir,
         buf << is.rdbuf();
         const std::string bytes = buf.str();
         // Cross-format confusion on purpose: every fixture is fed to every
-        // parser; a snapshot header must not crash the flow-log reader.
+        // parser; a checkpoint frame must not crash the flow-log reader.
         run_case(tally, "corpus:" + file.filename().string() + ":binary_log", i,
                  [&] {
                      std::istringstream in(bytes);
                      return drop(capture::read_binary_log_result(in));
                  });
-        run_case(tally, "corpus:" + file.filename().string() + ":snapshot", i,
+        run_case(tally, "corpus:" + file.filename().string() + ":simulate_payload",
+                 i, [&] { return decode_week(bytes); });
+        // As a Simulate-stage frame, keyed by the key it claims (bytes 8..15)
+        // so damage past the key check reaches the CRC and the payload.
+        run_case(tally, "corpus:" + file.filename().string() + ":checkpoint", i,
                  [&]() -> util::Result<void> {
-                     std::istringstream in(bytes);
-                     auto r = study::load_trace_snapshot_result(in, cfg);
+                     util::ByteReader header(bytes);
+                     header.take<std::uint64_t>();
+                     const auto claimed = header.take<std::uint64_t>();
+                     const auto path = scratch / "fixture.yck";
+                     {
+                         std::ofstream os(path, std::ios::binary | std::ios::trunc);
+                         os.write(bytes.data(),
+                                  static_cast<std::streamsize>(bytes.size()));
+                     }
+                     auto r = study::load_checkpoint(path, claimed,
+                                                     study::Stage::Simulate);
                      if (!r.ok()) return std::move(r).error();
-                     return {};
+                     return decode_week(r.value());
                  });
         run_case(tally, "corpus:" + file.filename().string() + ":schedule", i,
                  [&]() -> util::Result<void> {
@@ -392,21 +422,18 @@ int main(int argc, char** argv) {
     cfg.scale = 0.004;
     sim::Tracer tracer;
     const auto run = study::run_study(cfg, &tracer);
-    std::ostringstream snap;
-    if (!study::write_trace_snapshot(snap, cfg, run.traces)) {
-        std::cerr << "fuzz_smoke: could not build the seed snapshot\n";
-        return 1;
-    }
+    const std::string week = study::encode_traces(run.traces);
     const std::string trace_bytes = sim::write_trace_bytes(tracer.log());
 
     fuzz_binary_log(tally, v2.str(), master.fork("v2"), 1200);
     fuzz_streaming_log(tally, v2.str(), master.fork("streaming"), 300);
-    fuzz_snapshot_stream(tally, snap.str(), cfg, master.fork("snap"), 800);
-    fuzz_snapshot_quarantine(tally, snap.str(), cfg, master.fork("quarantine"), 60);
+    fuzz_simulate_payload(tally, week, master.fork("snap"), 800);
+    fuzz_simulate_quarantine(tally, week, study::config_fingerprint(cfg),
+                             master.fork("quarantine"), 60);
     fuzz_trace_log(tally, trace_bytes, master.fork("trace"), 800);
     fuzz_fault_schedule(tally, master.fork("schedule"), 1200);
     fuzz_cli_args(tally, master.fork("args"), 600);
-    if (argc > 1) sweep_corpus(tally, argv[1], cfg);
+    if (argc > 1) sweep_corpus(tally, argv[1]);
 
     std::cout << "fuzz_smoke: " << tally.iterations << " iterations, "
               << tally.accepted << " accepted, " << tally.rejected

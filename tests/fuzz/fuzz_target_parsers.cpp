@@ -17,8 +17,7 @@
 
 #include "capture/binary_log.hpp"
 #include "sim/fault_injector.hpp"
-#include "study/config.hpp"
-#include "study/snapshot.hpp"
+#include "study/checkpoint.hpp"
 #include "util/error.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
@@ -30,12 +29,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
             (void)ytcdn::capture::read_binary_log_result(in);
             break;
         }
-        case 1: {
-            ytcdn::study::StudyConfig cfg;
-            std::istringstream in(bytes);
-            (void)ytcdn::study::load_trace_snapshot_result(in, cfg);
+        case 1:
+            (void)ytcdn::study::decode_traces(bytes);
             break;
-        }
         case 2:
             (void)ytcdn::sim::FaultSchedule::parse_result(bytes);
             break;

@@ -2,7 +2,7 @@
 """Regenerates the checked-in corrupt-fixture corpus under tests/fuzz/corpus/.
 
 Each fixture is a hand-crafted attack on one validation step of an on-disk
-format (see src/capture/binary_log.cpp and src/study/snapshot.cpp for the
+format (see src/capture/binary_log.cpp and src/study/checkpoint.cpp for the
 layouts). fuzz_smoke sweeps every fixture through every parser, and the
 libFuzzer target uses the directory as its seed corpus. Deterministic: no
 timestamps, no randomness — reruns are byte-identical, so `git status`
@@ -51,6 +51,13 @@ def ytr_file(events: list[bytes], strings: tuple[bytes, ...] = ()) -> bytes:
     return out + trailer + struct.pack("<I", crc(trailer))
 
 
+def yck_frame(payload: bytes, stage: int = 0, fingerprint: int = 0) -> bytes:
+    """A YCK1 frame without its CRC trailer (see src/study/checkpoint.cpp);
+    stage 0 is Simulate."""
+    return b"YCK1" + struct.pack("<IQIQ", 1, fingerprint, stage,
+                                 len(payload)) + payload
+
+
 def fixtures() -> dict[str, bytes]:
     out: dict[str, bytes] = {}
 
@@ -97,14 +104,17 @@ def fixtures() -> dict[str, bytes]:
         v2_header(1) + struct.pack("<II", 1, crc(rec)) + rec
         + tail + struct.pack("<I", crc(tail)))
 
-    # --- snapshot (YSS2) --------------------------------------------------
-    out["snapshot_bad_magic.yss"] = b"XSS2" + bytes(32)
-    out["snapshot_truncated.yss"] = b"YSS2" + struct.pack("<I", 2) + b"\x01"
-    body = b"YSS2" + struct.pack("<I", 2) + bytes(48)
-    out["snapshot_bad_crc.yss"] = body + struct.pack("<I", crc(body) ^ 1)
-    # Valid whole-file CRC over a garbage body: the CRC gate passes, the
-    # structural parser must still fail cleanly.
-    out["snapshot_valid_crc_garbage.yss"] = body + struct.pack("<I", crc(body))
+    # --- stage checkpoint (YCK1, Simulate payload) ------------------------
+    body = yck_frame(bytes(48))
+    out["checkpoint_bad_magic.yck"] = b"XCK1" + body[4:] + struct.pack(
+        "<I", crc(body))
+    out["checkpoint_truncated.yck"] = b"YCK1" + struct.pack("<I", 1) + b"\x01"
+    out["checkpoint_bad_crc.yck"] = body + struct.pack("<I", crc(body) ^ 1)
+    # Valid whole-file CRC over a garbage Simulate payload: the frame
+    # passes, the payload decoder's bound checks must still fail cleanly.
+    garbage = yck_frame(b"\xa5" * 48)
+    out["checkpoint_valid_crc_garbage.yck"] = garbage + struct.pack(
+        "<I", crc(garbage))
 
     # --- fault-schedule DSL ----------------------------------------------
     out["schedule_bad_tokens.txt"] = (

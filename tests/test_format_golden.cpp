@@ -1,6 +1,7 @@
-// Format goldens for every on-disk codec: YFL2 flow logs, YTR1 traces, YSS2
-// snapshots, YCK1 stage checkpoints, the ServiceAggregates payload and
-// ytcdnd's service checkpoint file.
+// Format goldens for every on-disk codec: YFL2 flow logs, YTR1 traces, YCK1
+// stage checkpoints and their payloads (the simulated week among them), the
+// ServiceAggregates payload and ytcdnd's service checkpoint file, plus the
+// fingerprints that key the checkpoints.
 //
 // Encoders are pinned by a 64-bit FNV-1a hash and the size of their bytes
 // over fixed, hand-built inputs. A CRC-32 would pin nothing for the formats
@@ -28,7 +29,7 @@
 #include "service/service.hpp"
 #include "sim/tracer.hpp"
 #include "study/checkpoint.hpp"
-#include "study/snapshot.hpp"
+#include "study/supervisor.hpp"
 #include "test_support.hpp"
 
 namespace analysis = ytcdn::analysis;
@@ -154,14 +155,7 @@ std::string ytr1_bytes(std::uint32_t n) {
     return sim::write_trace_bytes(log);
 }
 
-study::StudyConfig snapshot_config() {
-    study::StudyConfig config;
-    config.seed = 42;
-    config.scale = 0.01;
-    return config;
-}
-
-std::string yss2_bytes(std::uint32_t records_per_vp) {
+std::string traces_payload(std::uint32_t records_per_vp) {
     study::TraceOutputs traces;
     traces.events_processed = 12345;
     for (std::uint32_t v = 0; v < 2; ++v) {
@@ -179,9 +173,7 @@ std::string yss2_bytes(std::uint32_t records_per_vp) {
         traces.flows_observed.push_back(200 + v);
         traces.flows_ignored.push_back(7 * v);
     }
-    std::ostringstream os;
-    EXPECT_TRUE(study::write_trace_snapshot(os, snapshot_config(), traces));
-    return os.str();
+    return study::encode_traces(traces);
 }
 
 analysis::ServerDcMap two_dc_map() {
@@ -244,7 +236,25 @@ TEST(FormatGolden, Yfl2Encoders) {
 TEST(FormatGolden, Ytr1AndYss2Encoders) {
     EXPECT_EQ(digest(ytr1_bytes(1500)), (Digest{0x80e7aa2d8137b86ull, 84098}));
     EXPECT_EQ(digest(ytr1_bytes(0)), (Digest{0xfdaf0ffb8c0d7b03ull, 82}));
-    EXPECT_EQ(digest(yss2_bytes(4500)), (Digest{0x357fcc12d65da793ull, 369618}));
+    // The Simulate payload is the body of the retired snapshot file, byte
+    // for byte: this digest is that file's without its 16-byte header and
+    // CRC-32 trailer.
+    EXPECT_EQ(digest(traces_payload(4500)), (Digest{0x75d0051c80c53ec0ull, 369598}));
+}
+
+TEST(FormatGolden, FingerprintsOfAFixedConfig) {
+    // Every checkpoint key, the bench cache's file name and the manifest's
+    // fingerprint line derive from these hashes.
+    study::StudyConfig config;
+    config.seed = 42;
+    config.scale = 0.01;
+    EXPECT_EQ(study::config_fingerprint(config), 0x69a838e87ba25391ull);
+    study::SupervisorOptions options;
+    options.run_dir = "unused";
+    EXPECT_EQ(study::Supervisor(config, options).run_fingerprint(),
+              0x415ad679bcb5f296ull);
+    EXPECT_EQ(ytcdn::service::Service(ytcdn::service::ServiceOptions{}).fingerprint(),
+              0x2605ab7bc82ada66ull);
 }
 
 TEST(FormatGolden, Yck1AndServiceEncoders) {
@@ -303,7 +313,7 @@ TEST(FormatGolden, Yfl2Readers) {
                                     std::istringstream is(bytes);
                                     return outcome(capture::read_binary_log_result(is));
                                 })),
-              (Digest{0x549f8f97ef13ae07ull, 28815}));
+              (Digest{0xdd9e4f8f6961dfbfull, 28823}));
     // The path reader adds "read_binary_log <path>" context.
     const ScratchDir dir;
     const auto path = dir.path() / "log.yfl";
@@ -313,7 +323,7 @@ TEST(FormatGolden, Yfl2Readers) {
     });
     fs::remove(path);
     EXPECT_EQ(digest(t + anonymize(dir, outcome(capture::read_binary_log_result(path)))),
-              (Digest{0xab1424093641aa74ull, 41690}));
+              (Digest{0x6d7ca81d234c31b6ull, 41698}));
 }
 
 TEST(FormatGolden, Ytr1Readers) {
@@ -321,22 +331,23 @@ TEST(FormatGolden, Ytr1Readers) {
                                 [](const std::string& bytes) {
                                     return outcome(sim::read_trace_bytes(bytes));
                                 })),
-              (Digest{0x54130fdd2e724a22ull, 30556}));
+              (Digest{0xbfb811103336722cull, 30564}));
     const std::string t = transcript(ytr1_bytes(4), [](const std::string& bytes) {
         auto r = sim::salvage_trace_bytes(bytes);
         if (!r.ok()) return outcome(r);
         return "ok complete=" + std::to_string(r.value().complete) + " events=" +
                std::to_string(r.value().log.events.size()) + " " + r.value().note + "\n";
     });
-    EXPECT_EQ(digest(t), (Digest{0x24c451d0138204aeull, 42963}));
+    EXPECT_EQ(digest(t), (Digest{0xdadcb417e0a92d5cull, 42971}));
 }
 
+// The Simulate payload decoder, which replaced the snapshot file's loader.
 TEST(FormatGolden, Yss2Loader) {
-    const std::string t = transcript(yss2_bytes(3), [](const std::string& bytes) {
-        std::istringstream is(bytes);
-        return outcome(study::load_trace_snapshot_result(is, snapshot_config()));
+    const std::string t = transcript(traces_payload(3), [](const std::string& bytes) {
+        return outcome(study::decode_traces(bytes));
     });
-    EXPECT_EQ(digest(t), (Digest{0x70c61e64a177bef7ull, 75346}));
+    EXPECT_EQ(t.find("threw"), std::string::npos);
+    EXPECT_EQ(digest(t), (Digest{0x3937c00851ac1150ull, 91331}));
 }
 
 TEST(FormatGolden, Yck1Decoders) {
@@ -359,7 +370,7 @@ TEST(FormatGolden, Yck1Decoders) {
     t += transcript(report_payload(), [](const std::string& bytes) {
         return outcome(study::decode_report(bytes));
     });
-    EXPECT_EQ(digest(t), (Digest{0xaab790f58eb70101ull, 59451}));
+    EXPECT_EQ(digest(t), (Digest{0x4836da96394d5909ull, 59549}));
 }
 
 TEST(FormatGolden, ServiceAggregatesDecoder) {
@@ -369,7 +380,7 @@ TEST(FormatGolden, ServiceAggregatesDecoder) {
     // A corrupt set count is a typed Truncated error, not a reserve of
     // gigabytes that throws std::bad_alloc.
     EXPECT_EQ(t.find("threw"), std::string::npos);
-    EXPECT_EQ(digest(t), (Digest{0x1f23743e8e66b2f2ull, 115268}));
+    EXPECT_EQ(digest(t), (Digest{0x30b9c77a9ce5cee4ull, 115276}));
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
@@ -21,6 +23,7 @@
 #include "service/service.hpp"
 #include "service/spool.hpp"
 #include "study/checkpoint.hpp"
+#include "study/study_run.hpp"
 #include "util/bytes.hpp"
 #include "util/io.hpp"
 
@@ -136,6 +139,39 @@ TEST(IncrementalSessions, SweepHorizonFollowsTheNewestStart) {
     inc.close_all();
     EXPECT_EQ(inc.sessions_closed(), batch.num_sessions());
     EXPECT_EQ(inc.multi_flow_sessions(), 1u);
+}
+
+TEST(IncrementalSessions, MatchesSessionTableOverASimulatedWeek) {
+    // Every vantage point of a simulated week, folded through an open set
+    // of 64 so the stale-session sweep runs thousands of times: all eight
+    // histogram buckets must equal the batch grouping's.
+    ytcdn::study::StudyConfig cfg;
+    cfg.scale = 0.05;
+    auto run = ytcdn::study::run_study(cfg);
+    constexpr std::size_t kMaxOpen = 64;
+    constexpr std::size_t kMax = analysis::IncrementalSessions::kMaxBucket;
+    // Adds after which the open set shrank: each ran a sweep that closed at
+    // least two sessions (a lower bound on the sweeps run).
+    std::uint64_t sweeps = 0;
+    for (auto& ds : run.traces.datasets) {
+        ds.sort_by_time();
+        analysis::IncrementalSessions inc(1.0, kMaxOpen);
+        for (const auto& r : ds.records) {
+            const std::size_t open_before = inc.open_count();
+            inc.add(r);
+            sweeps += inc.open_count() < open_before ? 1 : 0;
+        }
+        inc.close_all();
+
+        const auto batch = analysis::SessionTable::build(ds, 1.0);
+        std::array<std::uint64_t, kMax + 1> histogram{};
+        for (std::size_t s = 0; s < batch.num_sessions(); ++s) {
+            ++histogram[std::min(batch.flows_of(s).size(), kMax)];
+        }
+        EXPECT_EQ(inc.histogram(), histogram) << ds.name;
+        EXPECT_EQ(inc.sessions_closed(), batch.num_sessions()) << ds.name;
+    }
+    EXPECT_GT(sweeps, 1000u);
 }
 
 TEST(IncrementalPreference, DrainAndScaleMutations) {
@@ -383,6 +419,20 @@ TEST(Determinism, ServiceResume) {
         }
         fs::remove_all(base);
     }
+}
+
+TEST(Service, UnusableSpoolDirectoryFails) {
+    // A spool below a regular file cannot exist: that is an I/O error, not
+    // an empty spool and a successful run over zero files.
+    const auto base = temp_dir("unusable_spool");
+    ASSERT_TRUE(io::write_file_atomic(base / "file", "not a directory").ok());
+    const auto report = service::Service(
+        once_options(base / "file" / "spool", base / "run", 1)).run();
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.error().code(), ytcdn::ErrorCode::Io);
+    EXPECT_NE(std::string(report.error().what()).find("spool"), std::string::npos)
+        << report.error().what();
+    fs::remove_all(base);
 }
 
 TEST(Service, CorruptCheckpointCountStartsCold) {

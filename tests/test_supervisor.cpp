@@ -1,6 +1,9 @@
 // The supervised study pipeline: YCK1 checkpoint framing and its corruption
 // taxonomy, the stage payload codecs, interrupted-run resume (byte-identical
 // report), checkpoint quarantine, and a full run under a p=0.01 fault plan.
+// Also the bench trace snapshot cache, a Simulate-stage frame keyed by
+// config_fingerprint: a cached week must render what the simulation it
+// came from renders, and must never be served to another configuration.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +15,15 @@
 #include <string>
 #include <vector>
 
+#include "capture/binary_log.hpp"
 #include "study/checkpoint.hpp"
+#include "study/study_run.hpp"
 #include "study/supervisor.hpp"
+#include "test_support.hpp"
+#include "util/bytes.hpp"
+#include "util/crc32.hpp"
 #include "util/io.hpp"
+#include "util/metrics.hpp"
 
 namespace analysis = ytcdn::analysis;
 namespace fs = std::filesystem;
@@ -54,6 +63,58 @@ std::string read_all(const fs::path& path) {
 }
 
 constexpr std::uint64_t kKey = 0xFEEDFACE12345678ull;
+
+/// A week small enough to simulate in well under a second.
+study::StudyConfig tiny_config() {
+    study::StudyConfig cfg;
+    cfg.scale = 0.004;
+    return cfg;
+}
+
+void expect_traces_equal(const study::TraceOutputs& a, const study::TraceOutputs& b) {
+    EXPECT_EQ(a.events_processed, b.events_processed);
+    EXPECT_EQ(a.faults_injected, b.faults_injected);
+    EXPECT_EQ(a.requests_generated, b.requests_generated);
+    EXPECT_EQ(a.flows_observed, b.flows_observed);
+    EXPECT_EQ(a.flows_ignored, b.flows_ignored);
+    ASSERT_EQ(a.datasets.size(), b.datasets.size());
+    for (std::size_t i = 0; i < a.datasets.size(); ++i) {
+        EXPECT_EQ(a.datasets[i].name, b.datasets[i].name);
+        const auto& ra = a.datasets[i].records;
+        const auto& rb = b.datasets[i].records;
+        ASSERT_EQ(ra.size(), rb.size()) << a.datasets[i].name;
+        for (std::size_t k = 0; k < ra.size(); ++k) {
+            ASSERT_EQ(ra[k].client_ip, rb[k].client_ip) << i << "/" << k;
+            ASSERT_EQ(ra[k].server_ip, rb[k].server_ip) << i << "/" << k;
+            ASSERT_EQ(ra[k].bytes, rb[k].bytes) << i << "/" << k;
+            ASSERT_EQ(ra[k].video, rb[k].video) << i << "/" << k;
+            ASSERT_EQ(ra[k].resolution, rb[k].resolution) << i << "/" << k;
+            ASSERT_EQ(ra[k].start, rb[k].start) << i << "/" << k;
+            ASSERT_EQ(ra[k].end, rb[k].end) << i << "/" << k;
+        }
+        const auto& sa = a.player_stats[i];
+        const auto& sb = b.player_stats[i];
+        EXPECT_EQ(sa.sessions, sb.sessions) << i;
+        EXPECT_EQ(sa.video_flows, sb.video_flows) << i;
+        EXPECT_EQ(sa.control_flows, sb.control_flows) << i;
+        EXPECT_EQ(sa.redirects_miss, sb.redirects_miss) << i;
+        EXPECT_EQ(sa.redirects_overload, sb.redirects_overload) << i;
+        EXPECT_EQ(sa.resolution_probes, sb.resolution_probes) << i;
+        EXPECT_EQ(sa.pauses, sb.pauses) << i;
+        EXPECT_EQ(sa.dns_cache_hits, sb.dns_cache_hits) << i;
+        EXPECT_EQ(sa.failovers, sb.failovers) << i;
+        EXPECT_EQ(sa.failures.total(), sb.failures.total()) << i;
+        EXPECT_EQ(sa.retry_histogram, sb.retry_histogram) << i;
+    }
+}
+
+/// The merged value of a process-wide counter (0 before it registers).
+std::uint64_t counter_value(std::string_view name) {
+    for (const auto& e : ytcdn::util::metrics::Registry::global().snapshot().entries) {
+        if (e.name == name) return e.value;
+    }
+    return 0;
+}
 
 }  // namespace
 
@@ -211,6 +272,197 @@ TEST(CheckpointCodec, ReportRoundTrips) {
     EXPECT_EQ(decoded.value().artifacts[1].content, "0 1\n2 3\n");
     EXPECT_EQ(decoded.value().degraded, report.degraded);
     EXPECT_FALSE(study::decode_report("???").ok());
+}
+
+TEST(CheckpointCodec, TracesRoundTrip) {
+    const auto run = study::run_study(tiny_config());
+    const std::string payload = study::encode_traces(run.traces);
+    const auto decoded = study::decode_traces(payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().what();
+    expect_traces_equal(run.traces, decoded.value());
+    // Byte-stable: the decoded week encodes to the same payload.
+    EXPECT_EQ(study::encode_traces(decoded.value()), payload);
+    EXPECT_FALSE(study::decode_traces(payload + "tail").ok());
+    EXPECT_FALSE(study::decode_traces(payload.substr(0, payload.size() / 2)).ok());
+}
+
+// The bench trace snapshot cache writes the week as a Simulate-stage frame
+// keyed by config_fingerprint (bench/bench_common.cpp).
+
+TEST(Snapshot, AssembledRunMatchesSimulatedRun) {
+    // The cache contract: a bench that loads the cached week and re-derives
+    // maps/preferred renders the exact artifacts of a fresh simulation.
+    const auto cfg = tiny_config();
+    const auto fresh = study::run_study(cfg);
+    const auto dir = temp_dir("cache_assemble");
+    const auto path = dir / "trace.yck";
+    const auto key = study::config_fingerprint(cfg);
+    ASSERT_TRUE(study::write_checkpoint(path, key, study::Stage::Simulate,
+                                        study::encode_traces(fresh.traces))
+                    .ok());
+    const auto payload = study::load_checkpoint(path, key, study::Stage::Simulate);
+    ASSERT_TRUE(payload.ok()) << payload.error().what();
+    auto traces = study::decode_traces(payload.value());
+    ASSERT_TRUE(traces.ok()) << traces.error().what();
+
+    ytcdn::util::ThreadPool pool(2);
+    const auto assembled =
+        study::assemble_study_run(cfg, std::move(traces).value(), pool);
+    EXPECT_EQ(fresh.preferred, assembled.preferred);
+    ASSERT_EQ(fresh.maps.size(), assembled.maps.size());
+    study::ReportOptions opts;
+    opts.include_table3 = false;  // CBG exercised elsewhere; keep the test fast
+    EXPECT_EQ(study::make_full_report(fresh, pool, opts).render(),
+              study::make_full_report(assembled, pool, opts).render());
+    fs::remove_all(dir);
+}
+
+namespace {
+
+/// A cache file written for tiny_config() is refused to `other`: their
+/// fingerprints differ, so the frame's key does not match.
+void expect_cache_refused_to(const study::StudyConfig& other) {
+    const auto cfg = tiny_config();
+    EXPECT_NE(study::config_fingerprint(cfg), study::config_fingerprint(other));
+    const ytcdn::test::ScratchDir dir;
+    const auto path = dir.path() / "trace.yck";
+    ASSERT_TRUE(study::write_checkpoint(path, study::config_fingerprint(cfg),
+                                        study::Stage::Simulate,
+                                        study::encode_traces({}))
+                    .ok());
+    const auto loaded = study::load_checkpoint(
+        path, study::config_fingerprint(other), study::Stage::Simulate);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().code(), ErrorCode::KeyMismatch);
+}
+
+}  // namespace
+
+TEST(Snapshot, SeedMismatchIsRejected) {
+    auto other = tiny_config();
+    other.seed ^= 1;
+    expect_cache_refused_to(other);
+}
+
+TEST(Snapshot, ScaleMismatchIsRejected) {
+    auto other = tiny_config();
+    other.scale *= 1.0 + 1e-12;  // any representable drift counts
+    expect_cache_refused_to(other);
+}
+
+TEST(Snapshot, SimulationKnobMismatchIsRejected) {
+    auto other = tiny_config();
+    other.feb2011_us_shift = true;
+    expect_cache_refused_to(other);
+    // Thread count never changes outputs, so it is not part of the key.
+    other = tiny_config();
+    other.threads = 3;
+    EXPECT_EQ(study::config_fingerprint(other),
+              study::config_fingerprint(tiny_config()));
+}
+
+TEST(Snapshot, TypedErrorsNameTheFailure) {
+    // The cached week's payload decoder: every bound and every cut is a
+    // typed error, never an exception or a huge allocation.
+    namespace util = ytcdn::util;
+    // One vantage point with an empty flow log, built field by field so
+    // each case can lie in exactly one place.
+    const auto payload = [](std::uint32_t vps, std::uint32_t name_len,
+                            std::uint32_t histogram_len, std::uint64_t blob_size,
+                            std::string_view blob) {
+        std::string buf;
+        util::put<std::uint64_t>(buf, 9);  // events_processed
+        util::put<std::uint64_t>(buf, 0);  // faults_injected
+        util::put(buf, vps);
+        util::put(buf, name_len);
+        buf += "EU2";
+        for (int i = 0; i < 18; ++i) util::put<std::uint64_t>(buf, i);
+        util::put(buf, histogram_len);
+        util::put<std::uint64_t>(buf, 4);  // the one histogram bucket
+        for (int i = 0; i < 3; ++i) util::put<std::uint64_t>(buf, 100 + i);
+        util::put(buf, blob_size);
+        buf += blob;
+        return buf;
+    };
+    const std::string empty_log = ytcdn::capture::write_binary_log_bytes({});
+    const auto code_of = [](const std::string& bytes) {
+        const auto r = study::decode_traces(bytes);
+        EXPECT_FALSE(r.ok());
+        return r.ok() ? ErrorCode::Io : r.error().code();
+    };
+
+    const std::string valid = payload(1, 3, 1, empty_log.size(), empty_log);
+    const auto decoded = study::decode_traces(valid);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().what();
+    EXPECT_EQ(decoded.value().datasets[0].name, "EU2");
+    EXPECT_EQ(decoded.value().player_stats[0].retry_histogram,
+              std::vector<std::uint64_t>{4});
+    EXPECT_EQ(decoded.value().flows_ignored, std::vector<std::uint64_t>{102});
+    EXPECT_EQ(study::encode_traces(decoded.value()), valid);
+
+    EXPECT_EQ(code_of(""), ErrorCode::Truncated);
+    EXPECT_EQ(code_of(payload(65, 3, 1, empty_log.size(), empty_log)),
+              ErrorCode::BadField);
+    EXPECT_EQ(code_of(payload(1, (1u << 20) + 1, 1, empty_log.size(), empty_log)),
+              ErrorCode::BadField);
+    EXPECT_EQ(code_of(payload(1, 300, 1, empty_log.size(), empty_log)),
+              ErrorCode::Truncated);
+    EXPECT_EQ(code_of(payload(1, 3, (1u << 20) + 1, empty_log.size(), empty_log)),
+              ErrorCode::BadField);
+    EXPECT_EQ(code_of(payload(1, 3, 1u << 20, empty_log.size(), empty_log)),
+              ErrorCode::Truncated);
+    EXPECT_EQ(code_of(payload(1, 3, 1, (1ull << 34) + 1, empty_log)),
+              ErrorCode::BadField);
+    EXPECT_EQ(code_of(payload(1, 3, 1, empty_log.size() + 1, empty_log)),
+              ErrorCode::Truncated);
+    EXPECT_EQ(code_of(valid + "x"), ErrorCode::CountMismatch);
+    for (std::size_t n = 0; n < valid.size() - empty_log.size(); ++n) {
+        EXPECT_EQ(code_of(valid.substr(0, n)), ErrorCode::Truncated) << "cut " << n;
+    }
+    // A damaged flow log is the flow-log decoder's error, with the vantage
+    // point named.
+    std::string bad_log = empty_log;
+    bad_log[0] = 'X';
+    const auto r = study::decode_traces(payload(1, 3, 1, bad_log.size(), bad_log));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code(), ErrorCode::BadMagic);
+    EXPECT_NE(std::string(r.error().what()).find("vantage point 'EU2'"),
+              std::string::npos)
+        << r.error().what();
+}
+
+TEST(Snapshot, CorruptCacheRegeneratesByteIdenticalReport) {
+    // Corrupting the cached week must not abort the study, and the
+    // regenerated run's report must be byte-identical to a cold run.
+    const auto cfg = tiny_config();
+    ytcdn::util::ThreadPool pool(2);
+    study::ReportOptions opts;
+    opts.include_table3 = false;  // CBG exercised elsewhere; keep the test fast
+    const auto cold = study::run_study(cfg, pool);
+    const std::string cold_report = study::make_full_report(cold, pool, opts).render();
+
+    const auto dir = temp_dir("cache_regen");
+    const auto path = dir / "trace.yck";
+    const auto key = study::config_fingerprint(cfg);
+    ASSERT_TRUE(study::write_checkpoint(path, key, study::Stage::Simulate,
+                                        study::encode_traces(cold.traces))
+                    .ok());
+    std::string bytes = read_all(path);
+    bytes.replace(64, 32, std::string(32, '\0'));
+    ASSERT_TRUE(io::write_file_atomic(path, bytes).ok());
+
+    // The bench flow: try the cache, fall back to simulating on quarantine.
+    std::string warning;
+    EXPECT_FALSE(study::load_or_quarantine_checkpoint(path, key,
+                                                      study::Stage::Simulate,
+                                                      &warning)
+                     .has_value());
+    EXPECT_NE(warning.find("quarantined"), std::string::npos) << warning;
+    EXPECT_FALSE(fs::exists(path));
+    const auto regenerated = study::run_study(cfg, pool);
+    EXPECT_EQ(study::make_full_report(regenerated, pool, opts).render(),
+              cold_report);
+    fs::remove_all(dir);
 }
 
 TEST(Supervisor, HealthyRunCompletesAllStages) {
@@ -388,4 +640,98 @@ TEST(Supervisor, SoftGuardsReportWithoutAborting) {
     EXPECT_NE(manifest.find("deadline_exceeded=1"), std::string::npos);
     EXPECT_NE(manifest.find("rss_exceeded=1"), std::string::npos);
     fs::remove_all(dir);
+}
+
+TEST(Supervisor, UnusableRunDirectoryFailsBeforeAnyStage) {
+    // A run directory below a regular file cannot be created: the run must
+    // say so up front, not after simulating the week.
+    const auto dir = temp_dir("unusable");
+    ASSERT_TRUE(io::write_file_atomic(dir / "file", "not a directory").ok());
+    const std::uint64_t stages_before = counter_value("supervisor.stages_run");
+    const auto result =
+        study::Supervisor(small_config(), fast_options(dir / "file" / "run")).run();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code(), ErrorCode::Io);
+    EXPECT_NE(std::string(result.error().what()).find((dir / "file").string()),
+              std::string::npos)
+        << result.error().what();
+    EXPECT_EQ(counter_value("supervisor.stages_run"), stages_before);
+    fs::remove_all(dir);
+}
+
+TEST(Supervisor, FaultScheduleRunNeverTouchesCheckpoints) {
+    // config_fingerprint does not cover the fault schedule, so a fault run
+    // must neither write checkpoints nor resume from a healthy run's: this
+    // is the only guard against serving a healthy week to a fault run.
+    auto faulty = small_config();
+    faulty.fault_schedule = ytcdn::sim::FaultSchedule::dc_outage(
+        "Dallas", 2.0 * ytcdn::sim::kDay, 1.0 * ytcdn::sim::kDay);
+
+    const auto fresh_dir = temp_dir("fault_fresh");
+    const auto fresh = study::Supervisor(faulty, fast_options(fresh_dir)).run();
+    ASSERT_TRUE(fresh.ok()) << fresh.error().what();
+    for (const auto& entry : fs::directory_iterator(fresh_dir / "checkpoints")) {
+        ADD_FAILURE() << "fault run wrote " << entry.path();
+    }
+    const std::string fault_report = read_all(fresh.value().report_path);
+
+    const auto dir = temp_dir("fault_over_healthy");
+    const auto healthy = study::Supervisor(small_config(), fast_options(dir)).run();
+    ASSERT_TRUE(healthy.ok()) << healthy.error().what();
+    ASSERT_TRUE(fs::exists(study::checkpoint_path(dir, study::Stage::Simulate)));
+    ASSERT_NE(read_all(healthy.value().report_path), fault_report);
+
+    auto resume = fast_options(dir);
+    resume.resume = true;
+    const auto resumed = study::Supervisor(faulty, resume).run();
+    ASSERT_TRUE(resumed.ok()) << resumed.error().what();
+    for (const auto& st : resumed.value().stages) {
+        EXPECT_FALSE(st.from_checkpoint) << to_string(st.stage);
+    }
+    EXPECT_EQ(read_all(resumed.value().report_path), fault_report);
+    fs::remove_all(dir);
+    fs::remove_all(fresh_dir);
+}
+
+TEST(Supervisor, OldLayoutSimulatePayloadIsReSimulated) {
+    // Simulate checkpoints once nested a whole snapshot file in the
+    // payload: the snapshot magic | u32 schema 4 | u64 config fingerprint |
+    // week | CRC-32. Such a frame still validates, so the payload decoder
+    // must reject it and the stage re-simulate to the same report.
+    const auto ref_dir = temp_dir("old_layout_ref");
+    const auto ref = study::Supervisor(small_config(), fast_options(ref_dir)).run();
+    ASSERT_TRUE(ref.ok()) << ref.error().what();
+    const std::string ref_report = read_all(ref.value().report_path);
+
+    const auto dir = temp_dir("old_layout");
+    auto first = fast_options(dir);
+    first.max_stages = 1;
+    study::Supervisor sup(small_config(), first);
+    ASSERT_TRUE(sup.run().ok());
+    const auto path = study::checkpoint_path(dir, study::Stage::Simulate);
+    const auto week = study::load_checkpoint(path, sup.run_fingerprint(),
+                                             study::Stage::Simulate);
+    ASSERT_TRUE(week.ok()) << week.error().what();
+    std::string old;
+    ytcdn::util::put<std::uint32_t>(old, 0x32535359);  // the snapshot magic
+    ytcdn::util::put<std::uint32_t>(old, 4);
+    ytcdn::util::put(old, study::config_fingerprint(small_config()));
+    old += week.value();
+    ytcdn::util::put(old, ytcdn::util::crc32(old));
+    ASSERT_TRUE(study::write_checkpoint(path, sup.run_fingerprint(),
+                                        study::Stage::Simulate, old)
+                    .ok());
+
+    auto second = fast_options(dir);
+    second.resume = true;
+    const auto resumed = study::Supervisor(small_config(), second).run();
+    ASSERT_TRUE(resumed.ok()) << resumed.error().what();
+    EXPECT_FALSE(resumed.value().stages[0].from_checkpoint);
+    ASSERT_FALSE(resumed.value().warnings.empty());
+    EXPECT_NE(resumed.value().warnings[0].find("simulate checkpoint payload rejected"),
+              std::string::npos)
+        << resumed.value().warnings[0];
+    EXPECT_EQ(read_all(resumed.value().report_path), ref_report);
+    fs::remove_all(dir);
+    fs::remove_all(ref_dir);
 }
