@@ -2,12 +2,12 @@
 
 // Shared infrastructure for the per-table / per-figure bench binaries.
 //
-// Each binary first prints its paper artifact (the rows of a table or the
-// series of a figure, with the paper's reference values quoted in "# paper:"
-// comments), then runs google-benchmark timings of the pipeline stages that
-// produce it. Every binary is self-contained: run
-//   for b in build/bench/*; do $b; done
-// to regenerate the full evaluation.
+// Each binary runs google-benchmark timings of the pipeline stages behind
+// one paper artifact. The artifacts `ytcdn study` renders (Tables I-III,
+// Figs 4-16) are checked against the paper in its artifacts/paper_checks.txt,
+// so their binaries only time. The others (Figs 2, 3, 17, 18 and the
+// ablations) first print their rows or series, with the paper's reference
+// values quoted in "# paper:" comments.
 
 #include <benchmark/benchmark.h>
 
@@ -48,11 +48,12 @@ void dump_metrics_snapshot();
 
 }  // namespace ytcdn::bench
 
-/// Defines main(): prints the reproduction, runs benchmarks, then dumps the
-/// internal-counter snapshot for the suite aggregator.
+/// Defines main(): prints the reproduction (PRINT_FN may be nullptr), runs
+/// benchmarks, then dumps the internal-counter snapshot for the suite
+/// aggregator.
 #define YTCDN_BENCH_MAIN(PRINT_FN)                                  \
     int main(int argc, char** argv) {                               \
-        PRINT_FN();                                                 \
+        if (void (*print)() = PRINT_FN) print();                    \
         ::benchmark::Initialize(&argc, argv);                       \
         if (::benchmark::ReportUnrecognizedArguments(argc, argv)) { \
             return 1;                                               \

@@ -2,59 +2,12 @@
 // flows (<1000 bytes: redirects, resolution-change messages) from video
 // flows; the paper derives its classification threshold from it.
 
-#include "analysis/histogram.hpp"
-#include "analysis/series.hpp"
-#include "analysis/session.hpp"
 #include "analysis/stats.hpp"
-#include "analysis/table.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace ytcdn;
-
-void print_reproduction() {
-    bench::print_banner(
-        "Fig. 4: CDF of YouTube flow sizes (log-x)",
-        "bimodal: a sub-1000-byte control-flow mode and a MB-scale video "
-        "mode, with a kink at ~1000 bytes used as the classification "
-        "threshold");
-    const auto& run = bench::shared_run();
-    std::vector<analysis::Series> series;
-    for (const auto& ds : run.traces.datasets) {
-        analysis::EmpiricalCdf cdf;
-        std::uint64_t control = 0;
-        for (const auto& r : ds.records) {
-            cdf.add(static_cast<double>(r.bytes));
-            if (analysis::classify_flow_size(r.bytes) == analysis::FlowKind::Control) {
-                ++control;
-            }
-        }
-        cdf.finalize();
-        const double control_frac =
-            static_cast<double>(control) / static_cast<double>(ds.records.size());
-        std::cout << ds.name << ": " << analysis::fmt_pct(control_frac, 1)
-                  << "% control flows (<1 kB); video-flow median "
-                  << analysis::fmt(cdf.quantile(0.5 + control_frac / 2.0) / 1e6, 1)
-                  << " MB; fraction below 1 kB "
-                  << analysis::fmt_pct(cdf.fraction_at_or_below(1000.0), 1)
-                  << "%, below 100 kB "
-                  << analysis::fmt_pct(cdf.fraction_at_or_below(100e3), 1) << "%\n";
-        series.push_back({ds.name + " bytes vs CDF", cdf.curve(40)});
-    }
-    // The kink, quantified: the log-binned size histogram has a wide empty
-    // band between the control-flow mode and the video-flow mode.
-    {
-        analysis::LogHistogram hist(100.0, 1e9, 4);
-        for (const auto& r : run.traces.datasets[0].records) hist.add(r.bytes);
-        const auto gap = hist.widest_interior_gap();
-        std::cout << "\nUS-Campus size-histogram gap: " << gap.length
-                  << " consecutive empty log-bins starting at "
-                  << analysis::fmt(hist.bin_lower(gap.first_bin), 0)
-                  << " B   # paper: a 'distinct kink' separates the modes at ~1000 B\n\n";
-    }
-    analysis::write_series(std::cout, series, 0, 4);
-}
 
 void bm_flow_size_cdf(benchmark::State& state) {
     const auto& ds = bench::shared_run().traces.datasets[0];
@@ -71,4 +24,4 @@ BENCHMARK(bm_flow_size_cdf)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-YTCDN_BENCH_MAIN(print_reproduction)
+YTCDN_BENCH_MAIN(nullptr)

@@ -3,38 +3,13 @@
 // requests are served directly, but application-layer redirection is not
 // insignificant.
 
-#include "analysis/series.hpp"
 #include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
-#include "analysis/table.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace ytcdn;
-
-void print_reproduction() {
-    bench::print_banner(
-        "Fig. 6: flows per session, all datasets, T = 1 s",
-        "72.5-80.5% single-flow sessions; 19.5-27.5% need 2+ flows");
-    const auto& run = bench::shared_run();
-    std::vector<analysis::Series> series;
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto& ds = run.traces.datasets[i];
-        const auto cdf = analysis::flows_per_session_cdf(run.sessions[i]);
-        std::cout << ds.name << ": " << analysis::fmt_pct(cdf[0], 1)
-                  << "% single-flow, " << analysis::fmt_pct(cdf[1], 1)
-                  << "% <= 2 flows   # paper: 72.5-80.5% single\n";
-        analysis::Series s;
-        s.name = ds.name + " flows/session CDF";
-        for (std::size_t i = 0; i < cdf.size(); ++i) {
-            s.points.emplace_back(static_cast<double>(i + 1), cdf[i]);
-        }
-        series.push_back(std::move(s));
-    }
-    std::cout << '\n';
-    analysis::write_series(std::cout, series, 0, 4);
-}
 
 void bm_flows_per_session_cdf(benchmark::State& state) {
     const auto& run = bench::shared_run();
@@ -47,4 +22,4 @@ BENCHMARK(bm_flows_per_session_cdf);
 
 }  // namespace
 
-YTCDN_BENCH_MAIN(print_reproduction)
+YTCDN_BENCH_MAIN(nullptr)

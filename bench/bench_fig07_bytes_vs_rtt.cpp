@@ -4,35 +4,11 @@
 
 #include "analysis/geo_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/series.hpp"
-#include "analysis/table.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace ytcdn;
-
-void print_reproduction() {
-    bench::print_banner(
-        "Fig. 7: cumulative bytes vs RTT to data center",
-        "except EU2, one data center provides >85% of bytes and it is also "
-        "the lowest-RTT one; at EU2 two data centers carry >95%");
-    const auto& run = bench::shared_run();
-    std::vector<analysis::Series> series;
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto& ds = run.traces.datasets[i];
-        const auto& map = run.maps[i];
-        const int pref = run.preferred[i];
-        const auto share = analysis::non_preferred_share(ds, map, pref);
-        std::cout << ds.name << ": preferred DC " << map.info(pref).name << " @ "
-                  << analysis::fmt(map.info(pref).rtt_ms, 1) << " ms carries "
-                  << analysis::fmt_pct(1.0 - share.byte_fraction, 1) << "% of bytes\n";
-        series.push_back(analysis::bytes_vs_rtt(ds, map));
-        series.back().name = ds.name + " RTT[ms] vs cum. byte fraction";
-    }
-    std::cout << '\n';
-    analysis::write_series(std::cout, series, 1, 4);
-}
 
 void bm_bytes_vs_rtt(benchmark::State& state) {
     const auto& run = bench::shared_run();
@@ -57,4 +33,4 @@ BENCHMARK(bm_preferred_dc)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-YTCDN_BENCH_MAIN(print_reproduction)
+YTCDN_BENCH_MAIN(nullptr)

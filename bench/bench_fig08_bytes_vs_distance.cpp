@@ -2,56 +2,12 @@
 // the serving data center. For US-Campus the five closest data centers
 // carry <2% of the traffic: RTT, not geography, drives selection.
 
-#include <algorithm>
-
 #include "analysis/geo_analysis.hpp"
-#include "analysis/preferred_dc.hpp"
-#include "analysis/series.hpp"
-#include "analysis/table.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace ytcdn;
-
-void print_reproduction() {
-    bench::print_banner(
-        "Fig. 8: cumulative bytes vs distance to data center",
-        "mostly mirrors Fig. 7, except US-Campus: the five geographically "
-        "closest data centers provide <2% of all traffic");
-    const auto& run = bench::shared_run();
-    std::vector<analysis::Series> series;
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto& ds = run.traces.datasets[i];
-        series.push_back(analysis::bytes_vs_distance(ds, run.maps[i]));
-        series.back().name = ds.name + " distance[km] vs cum. byte fraction";
-    }
-
-    // The US-Campus anecdote, quantified: byte share of the 5 closest DCs.
-    const std::size_t us = run.vp_index("US-Campus");
-    std::vector<std::pair<double, int>> by_distance;
-    for (std::size_t d = 0; d < run.maps[us].num_data_centers(); ++d) {
-        by_distance.emplace_back(run.maps[us].info(static_cast<int>(d)).distance_km,
-                                 static_cast<int>(d));
-    }
-    std::sort(by_distance.begin(), by_distance.end());
-    const auto traffic = analysis::traffic_by_dc(run.traces.datasets[us], run.maps[us]);
-    std::uint64_t total = 0, closest5 = 0;
-    for (const auto& t : traffic) total += t.bytes;
-    for (int k = 0; k < 5 && k < static_cast<int>(by_distance.size()); ++k) {
-        for (const auto& t : traffic) {
-            if (t.dc == by_distance[static_cast<std::size_t>(k)].second) {
-                closest5 += t.bytes;
-            }
-        }
-    }
-    std::cout << "US-Campus: the 5 geographically closest data centers carry "
-              << analysis::fmt_pct(static_cast<double>(closest5) /
-                                       static_cast<double>(total),
-                                   2)
-              << "% of bytes   # paper: <2%\n\n";
-    analysis::write_series(std::cout, series, 0, 4);
-}
 
 void bm_bytes_vs_distance(benchmark::State& state) {
     const auto& run = bench::shared_run();
@@ -64,4 +20,4 @@ BENCHMARK(bm_bytes_vs_distance)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-YTCDN_BENCH_MAIN(print_reproduction)
+YTCDN_BENCH_MAIN(nullptr)

@@ -3,35 +3,11 @@
 // varying for EU2, where 50% of slots send >40% of flows elsewhere.
 
 #include "analysis/loadbalance_analysis.hpp"
-#include "analysis/series.hpp"
-#include "analysis/table.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace ytcdn;
-
-void print_reproduction() {
-    bench::print_banner(
-        "Fig. 9: CDF of hourly fraction of video flows to non-preferred DCs",
-        "US/EU1: modest fractions with limited variation; EU2: 50% of "
-        "one-hour samples send >40% of flows to non-preferred data centers");
-    const auto& run = bench::shared_run();
-    std::vector<analysis::Series> series;
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto cdf = analysis::hourly_non_preferred_fraction(
-            run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
-        std::cout << run.traces.datasets[i].name << ": median "
-                  << analysis::fmt_pct(cdf.quantile(0.5), 1) << "%, p90 "
-                  << analysis::fmt_pct(cdf.quantile(0.9), 1) << "% of hourly flows "
-                  << "non-preferred\n";
-        series.push_back(
-            {run.traces.datasets[i].name + " hourly non-preferred fraction CDF",
-             cdf.curve(40)});
-    }
-    std::cout << '\n';
-    analysis::write_series(std::cout, series, 4, 4);
-}
 
 // Two column reads per flow: the record's start hour and its pre-resolved
 // data center.
@@ -49,4 +25,4 @@ BENCHMARK(bm_hourly_fraction)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-YTCDN_BENCH_MAIN(print_reproduction)
+YTCDN_BENCH_MAIN(nullptr)

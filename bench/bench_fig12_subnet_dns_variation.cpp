@@ -4,34 +4,11 @@
 // the flows but almost half the non-preferred accesses.
 
 #include "analysis/subnet_analysis.hpp"
-#include "analysis/table.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace ytcdn;
-
-void print_reproduction() {
-    bench::print_banner(
-        "Fig. 12: non-preferred accesses per internal subnet (US-Campus)",
-        "Net-3 accounts for ~4% of all video flows but ~50% of the flows "
-        "served by non-preferred data centers");
-    const auto& run = bench::shared_run();
-    const auto idx = run.vp_index("US-Campus");
-    const auto& vp = run.deployment->vantage(idx);
-
-    std::vector<analysis::NamedSubnet> subnets;
-    for (const auto& s : vp.subnets) subnets.push_back({s.name, s.prefix});
-    const auto shares = analysis::subnet_breakdown(
-        run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx], subnets);
-
-    analysis::AsciiTable t({"Subnet", "all flows %", "non-preferred %"});
-    for (const auto& s : shares) {
-        t.add_row({s.name, analysis::fmt_pct(s.all_flows_share, 1),
-                   analysis::fmt_pct(s.non_preferred_share, 1)});
-    }
-    std::cout << t << '\n';
-}
 
 void bm_subnet_breakdown(benchmark::State& state) {
     const auto& run = bench::shared_run();
@@ -52,4 +29,4 @@ BENCHMARK(bm_subnet_breakdown)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-YTCDN_BENCH_MAIN(print_reproduction)
+YTCDN_BENCH_MAIN(nullptr)

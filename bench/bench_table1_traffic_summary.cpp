@@ -4,20 +4,10 @@
 #include "analysis/incremental.hpp"
 #include "analysis/streaming.hpp"
 #include "bench_common.hpp"
-#include "study/report.hpp"
 
 namespace {
 
 using namespace ytcdn;
-
-void print_reproduction() {
-    bench::print_banner(
-        "Table I: traffic summary for the datasets",
-        "874649/7061GB (US-Campus) ... 513403/2835GB (EU2); ~1000-2000 "
-        "servers and ~1000-20000 clients per dataset; counts scale with "
-        "the configured trace-volume factor");
-    std::cout << study::make_table1(bench::shared_run()) << '\n';
-}
 
 void bm_dataset_summary(benchmark::State& state) {
     const auto& ds = bench::shared_run().traces.datasets[0];
@@ -43,4 +33,4 @@ BENCHMARK(bm_full_trace_capture)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-YTCDN_BENCH_MAIN(print_reproduction)
+YTCDN_BENCH_MAIN(nullptr)

@@ -4,20 +4,10 @@
 
 #include "analysis/as_analysis.hpp"
 #include "bench_common.hpp"
-#include "study/report.hpp"
 
 namespace {
 
 using namespace ytcdn;
-
-void print_reproduction() {
-    bench::print_banner(
-        "Table II: percentage of servers and bytes received per AS",
-        "Google AS carries 97.8-99% of bytes everywhere except EU2 (49.2%); "
-        "YouTube-EU AS holds 15-29% of server IPs but ~1% of bytes; only EU2 "
-        "has Same-AS traffic (38.6% of bytes from the in-ISP data center)");
-    std::cout << study::make_table2(bench::shared_run()) << '\n';
-}
 
 void bm_as_breakdown(benchmark::State& state) {
     const auto& run = bench::shared_run();
@@ -46,4 +36,4 @@ BENCHMARK(bm_whois_lookup);
 
 }  // namespace
 
-YTCDN_BENCH_MAIN(print_reproduction)
+YTCDN_BENCH_MAIN(nullptr)

@@ -1,7 +1,11 @@
 #include "study/report.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <exception>
 #include <functional>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -17,6 +21,7 @@
 #include "analysis/subnet_analysis.hpp"
 #include "cdn/video.hpp"
 #include "geo/city.hpp"
+#include "geo/continent.hpp"
 #include "study/dc_map_builder.hpp"
 
 namespace ytcdn::study {
@@ -38,12 +43,20 @@ constexpr PaperRow kPaperTable1[] = {
 
 }  // namespace
 
-analysis::AsciiTable make_table1(const StudyRun& run) {
+analysis::AsciiTable make_table1(const StudyRun& run,
+                                 std::vector<Measurement>* measured) {
     analysis::AsciiTable t({"Dataset", "Flows", "Volume[GB]", "#Servers", "#Clients",
                             "paper:Flows", "paper:GB", "paper:Srv", "paper:Cli"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto& ds = run.traces.datasets[i];
         const auto s = analysis::fold_records(ds, analysis::IncrementalSummary{});
+        if (measured != nullptr) {
+            const std::string id = "T1." + ds.name;
+            measured->push_back({id + ".flows", static_cast<double>(s.flows)});
+            measured->push_back({id + ".volume_gb", s.volume_gb()});
+            measured->push_back({id + ".servers", static_cast<double>(s.servers.size())});
+            measured->push_back({id + ".clients", static_cast<double>(s.clients.size())});
+        }
         t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb(), 2),
                    std::to_string(s.servers.size()), std::to_string(s.clients.size()),
                    kPaperTable1[i].flows, kPaperTable1[i].volume_gb,
@@ -52,7 +65,8 @@ analysis::AsciiTable make_table1(const StudyRun& run) {
     return t;
 }
 
-analysis::AsciiTable make_table2(const StudyRun& run) {
+analysis::AsciiTable make_table2(const StudyRun& run,
+                                 std::vector<Measurement>* measured) {
     analysis::AsciiTable t({"Dataset", "Google srv%", "Google byt%", "YT-EU srv%",
                             "YT-EU byt%", "SameAS srv%", "SameAS byt%", "Other srv%",
                             "Other byt%"});
@@ -60,6 +74,13 @@ analysis::AsciiTable make_table2(const StudyRun& run) {
         const auto row = analysis::as_breakdown(run.traces.datasets[i],
                                                 run.deployment->whois(),
                                                 run.deployment->local_as(i));
+        if (measured != nullptr) {
+            const std::string id = "T2." + row.dataset;
+            measured->push_back({id + ".google_bytes", row.google_bytes});
+            measured->push_back({id + ".yteu_servers", row.youtube_eu_servers});
+            measured->push_back({id + ".yteu_bytes", row.youtube_eu_bytes});
+            measured->push_back({id + ".same_as_bytes", row.same_as_bytes});
+        }
         t.add_row({row.dataset, analysis::fmt_pct(row.google_servers, 1),
                    analysis::fmt_pct(row.google_bytes, 1),
                    analysis::fmt_pct(row.youtube_eu_servers, 1),
@@ -187,19 +208,49 @@ DcLocations locate_table3_dcs(const StudyRun& run, const ReportOptions& options,
     return locate_scope_dcs(*run.deployment, run.traces.datasets, locator, pool);
 }
 
-std::string render_table3_artifact(const StudyRun& run, const DcLocations& located) {
+/// The share of an hourly series' total that falls on its busiest calendar
+/// day (0 for an empty series).
+double peak_day_share(const analysis::Series& hourly) {
+    std::map<long, double> per_day;
+    double total = 0.0;
+    for (const auto& [hour, v] : hourly.points) {
+        per_day[static_cast<long>(std::floor(hour / 24.0))] += v;
+        total += v;
+    }
+    double peak = 0.0;
+    for (const auto& [day, v] : per_day) peak = std::max(peak, v);
+    return total > 0.0 ? peak / total : 0.0;
+}
+
+std::string render_table3_artifact(const StudyRun& run, const DcLocations& located,
+                                   std::vector<Measurement>& measured) {
     std::vector<analysis::ContinentCounts> counts;
     counts.reserve(run.traces.datasets.size());
+    std::set<std::string> cities;
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto mapping =
-            cbg_dc_map(*run.deployment, run.traces.datasets[i], located,
-                       run.deployment->vantage(i), run.deployment->local_as(i));
-        counts.push_back(analysis::servers_per_continent(mapping.located));
+        const auto& vp = run.deployment->vantage(i);
+        const auto mapping = cbg_dc_map(*run.deployment, run.traces.datasets[i], located,
+                                        vp, run.deployment->local_as(i));
+        const auto& c =
+            counts.emplace_back(analysis::servers_per_continent(mapping.located));
+        for (const auto& cluster : mapping.clusters) cities.insert(cluster.city_name);
+        std::size_t at_home = c.others;
+        switch (geo::bucket_of(vp.city->continent)) {
+            case geo::ContinentBucket::NorthAmerica: at_home = c.north_america; break;
+            case geo::ContinentBucket::Europe: at_home = c.europe; break;
+            case geo::ContinentBucket::Others: break;
+        }
+        if (c.located_total() > 0) {
+            measured.push_back({"T3." + vp.name + ".home_share",
+                                static_cast<double>(at_home) /
+                                    static_cast<double>(c.located_total())});
+        }
     }
+    measured.push_back({"T3.dc_cities", static_cast<double>(cities.size())});
     return make_table3(run, counts).render();
 }
 
-std::string render_fig10(const StudyRun& run) {
+std::string render_fig10(const StudyRun& run, std::vector<Measurement>& measured) {
     analysis::AsciiTable t({"Dataset", "1-flow", "1:pref", "1:nonpref", "2-flow",
                             "2:pp", "2:pn", "2:np", "2:nn", ">2-flow", ">2:allpref",
                             ">2:pref-then-other", ">2:nonpref-first"});
@@ -208,6 +259,14 @@ std::string render_fig10(const StudyRun& run) {
                                                   run.preferred[i]);
         const auto m = analysis::multi_flow_patterns(run.sessions[i], run.dc_columns[i],
                                                      run.preferred[i]);
+        const std::string id = "F10." + run.traces.datasets[i].name;
+        measured.push_back({id + ".single_nonpref", p.single_non_preferred});
+        const double away =
+            p.two_pref_nonpref + p.two_nonpref_pref + p.two_nonpref_nonpref;
+        if (away > 0.0) {
+            measured.push_back({id + ".2flow_pn", p.two_pref_nonpref / away});
+            measured.push_back({id + ".2flow_nn", p.two_nonpref_nonpref / away});
+        }
         t.add_row({run.traces.datasets[i].name, analysis::fmt_pct(p.single_flow, 2),
                    analysis::fmt_pct(p.single_preferred, 2),
                    analysis::fmt_pct(p.single_non_preferred, 2),
@@ -223,7 +282,7 @@ std::string render_fig10(const StudyRun& run) {
     return t.render();
 }
 
-std::string render_fig12(const StudyRun& run) {
+std::string render_fig12(const StudyRun& run, std::vector<Measurement>& measured) {
     analysis::AsciiTable t({"Dataset", "Subnet", "flows%", "non-preferred%"});
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto& vp = run.deployment->vantage(i);
@@ -233,6 +292,9 @@ std::string render_fig12(const StudyRun& run) {
         const auto shares = analysis::subnet_breakdown(
             run.traces.datasets[i], run.dc_columns[i], run.preferred[i], subnets);
         for (const auto& share : shares) {
+            const std::string id = "F12." + vp.name + "." + share.name;
+            measured.push_back({id + ".flows", share.all_flows_share});
+            measured.push_back({id + ".nonpref", share.non_preferred_share});
             t.add_row({run.traces.datasets[i].name, share.name,
                        analysis::fmt_pct(share.all_flows_share, 2),
                        analysis::fmt_pct(share.non_preferred_share, 2)});
@@ -262,7 +324,9 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     // Every artifact is a pure function of the immutable run: closures only
     // read `run` (and, for Table III, the CBG table located from it), so they
     // can execute in any order on any thread. parallel_map returns them in list
-    // order, making the report bytes independent of the schedule.
+    // order, making the report bytes independent of the schedule. Each job
+    // also returns the paper_checks.txt measurements of its own computation;
+    // the check table is assembled from them after the fan-out.
     //
     // Table III's CBG phase runs first, on its own: it fans out over the
     // pool, and a pool task that calls the pool runs serially, so inside the
@@ -280,25 +344,30 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         }
     }
 
-    using Job = std::pair<std::string, std::function<std::string()>>;
+    // A job renders its artifact and appends its measurements to the vector.
+    using Job =
+        std::pair<std::string, std::function<std::string(std::vector<Measurement>&)>>;
     std::vector<Job> jobs;
     jobs.reserve(20);
 
-    jobs.emplace_back("table1.txt", [&run] { return make_table1(run).render(); });
-    jobs.emplace_back("table2.txt", [&run] { return make_table2(run).render(); });
+    jobs.emplace_back("table1.txt",
+                      [&run](auto& m) { return make_table1(run, &m).render(); });
+    jobs.emplace_back("table2.txt",
+                      [&run](auto& m) { return make_table2(run, &m).render(); });
     if (options.include_table3) {
-        jobs.emplace_back("table3.txt", [&run, &table3_dcs, &table3_error] {
+        jobs.emplace_back("table3.txt", [&run, &table3_dcs, &table3_error](auto& m) {
             if (table3_error) std::rethrow_exception(table3_error);
-            return render_table3_artifact(run, table3_dcs);
+            return render_table3_artifact(run, table3_dcs, m);
         });
     }
     jobs.emplace_back("failure_breakdown.txt",
-                      [&run] { return make_failure_table(run).render(); });
+                      [&run](auto&) { return make_failure_table(run).render(); });
     jobs.emplace_back("retry_histogram.txt",
-                      [&run] { return make_retry_table(run).render(); });
-    jobs.emplace_back("resolutions.txt", [&run] { return render_resolutions(run); });
+                      [&run](auto&) { return make_retry_table(run).render(); });
+    jobs.emplace_back("resolutions.txt",
+                      [&run](auto&) { return render_resolutions(run); });
 
-    jobs.emplace_back("fig04_flow_sizes.dat", [&run] {
+    jobs.emplace_back("fig04_flow_sizes.dat", [&run](auto& measured) {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
             const auto& ds = run.traces.datasets[i];
@@ -307,110 +376,182 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
             for (const auto& r : ds.records) {
                 sizes.push_back(static_cast<double>(r.bytes));
             }
-            series.push_back({ds.name, analysis::EmpiricalCdf(std::move(sizes)).curve(120)});
+            const analysis::EmpiricalCdf cdf(std::move(sizes));
+            series.push_back({ds.name, cdf.curve(120)});
+            // The control/video kink: no flow sizes between 1 kB and 100 kB.
+            measured.push_back({"F4." + ds.name + ".kink",
+                                cdf.fraction_at_or_below(100e3) -
+                                    cdf.fraction_at_or_below(1000.0)});
         }
         return render_series(series);
     });
 
-    jobs.emplace_back("fig05_gap_sensitivity.dat", [&run] {
+    jobs.emplace_back("fig05_gap_sensitivity.dat", [&run](auto& measured) {
         std::vector<analysis::Series> series;
+        std::vector<double> single_flow;
         const auto us = run.vp_index("US-Campus");
         for (const double gap : {1.0, 5.0, 10.0, 60.0, 300.0}) {
             const auto cdf = analysis::flows_per_session_cdf(
                 analysis::SessionTable::build(run.traces.datasets[us], gap));
+            single_flow.push_back(cdf[0]);
             series.push_back(flows_cdf_series(
                 "T=" + std::to_string(static_cast<int>(gap)) + "s", cdf));
         }
+        measured.push_back(
+            {"F5.T10_vs_T1", std::abs(single_flow[0] - single_flow[2])});
+        measured.push_back({"F5.T300_vs_T1", single_flow[0] - single_flow[4]});
         return render_series(series);
     });
 
-    jobs.emplace_back("fig06_flows_per_session.dat", [&run] {
+    jobs.emplace_back("fig06_flows_per_session.dat", [&run](auto& measured) {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
             const auto cdf = analysis::flows_per_session_cdf(run.sessions[i]);
-            series.push_back(flows_cdf_series(run.traces.datasets[i].name, cdf));
+            const auto& name = run.traces.datasets[i].name;
+            measured.push_back({"F6." + name + ".single_flow", cdf[0]});
+            series.push_back(flows_cdf_series(name, cdf));
         }
         return render_series(series);
     });
 
-    jobs.emplace_back("fig07_bytes_vs_rtt.dat", [&run] {
+    jobs.emplace_back("fig07_bytes_vs_rtt.dat", [&run](auto& measured) {
         std::vector<analysis::Series> series;
         for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            series.push_back(
+            const auto& s = series.emplace_back(
                 analysis::bytes_vs_rtt(run.traces.datasets[i], run.maps[i]));
-        }
-        return render_series(series);
-    });
-
-    jobs.emplace_back("fig08_bytes_vs_distance.dat", [&run] {
-        std::vector<analysis::Series> series;
-        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            series.push_back(
-                analysis::bytes_vs_distance(run.traces.datasets[i], run.maps[i]));
-        }
-        return render_series(series);
-    });
-
-    jobs.emplace_back("fig09_hourly_nonpreferred_cdf.dat", [&run] {
-        std::vector<analysis::Series> series;
-        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto cdf = analysis::hourly_non_preferred_fraction(
-                run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
-            series.push_back({run.traces.datasets[i].name, cdf.curve(60)});
-        }
-        return render_series(series);
-    });
-
-    jobs.emplace_back("fig10_session_patterns.txt", [&run] { return render_fig10(run); });
-
-    jobs.emplace_back("fig11_eu2_load_balancing.dat", [&run] {
-        const auto eu2 = run.vp_index("EU2");
-        auto hourly = analysis::hourly_preferred_series(
-            run.traces.datasets[eu2], run.dc_columns[eu2], run.preferred[eu2]);
-        return render_series({std::move(hourly.fraction_preferred),
-                              std::move(hourly.flows_per_hour)});
-    });
-
-    jobs.emplace_back("fig12_subnet_breakdown.txt", [&run] { return render_fig12(run); });
-
-    jobs.emplace_back("fig13_video_redirect_counts_cdf.dat", [&run] {
-        std::vector<analysis::Series> series;
-        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto counts = analysis::video_non_preferred_counts(
-                run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
-            if (!counts.empty()) {
-                series.push_back({run.traces.datasets[i].name, counts.curve(60)});
+            // points[0] is the origin; points[1] the lowest-RTT data center.
+            if (s.points.size() > 1) {
+                measured.push_back(
+                    {"F7." + run.traces.datasets[i].name + ".lowest_rtt_dc",
+                     s.points[1].second});
             }
         }
         return render_series(series);
     });
 
-    jobs.emplace_back("fig14_hotspot_videos.dat", [&run] {
+    jobs.emplace_back("fig08_bytes_vs_distance.dat", [&run](auto& measured) {
+        std::vector<analysis::Series> series;
+        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
+            series.push_back(
+                analysis::bytes_vs_distance(run.traces.datasets[i], run.maps[i]));
+        }
+        // The cumulative byte share at the fifth-closest data center.
+        const auto us = run.vp_index("US-Campus");
+        std::vector<double> distances;
+        for (std::size_t d = 0; d < run.maps[us].num_data_centers(); ++d) {
+            distances.push_back(run.maps[us].info(static_cast<int>(d)).distance_km);
+        }
+        if (distances.size() >= 5) {
+            std::nth_element(distances.begin(), distances.begin() + 4, distances.end());
+            double closest5 = 0.0;
+            for (const auto& [km, cum] : series[us].points) {
+                if (km <= distances[4]) closest5 = cum;
+            }
+            measured.push_back({"F8.US-Campus.closest5", closest5});
+        }
+        return render_series(series);
+    });
+
+    jobs.emplace_back("fig09_hourly_nonpreferred_cdf.dat", [&run](auto& measured) {
+        std::vector<analysis::Series> series;
+        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
+            const auto cdf = analysis::hourly_non_preferred_fraction(
+                run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
+            series.push_back({run.traces.datasets[i].name, cdf.curve(60)});
+            if (!cdf.empty()) {
+                measured.push_back(
+                    {"F9." + run.traces.datasets[i].name + ".median", cdf.quantile(0.5)});
+            }
+        }
+        return render_series(series);
+    });
+
+    jobs.emplace_back("fig10_session_patterns.txt",
+                      [&run](auto& m) { return render_fig10(run, m); });
+
+    jobs.emplace_back("fig11_eu2_load_balancing.dat", [&run](auto& measured) {
+        const auto eu2 = run.vp_index("EU2");
+        auto hourly = analysis::hourly_preferred_series(
+            run.traces.datasets[eu2], run.dc_columns[eu2], run.preferred[eu2]);
+        const auto& flows = hourly.flows_per_hour.points;
+        const auto& local = hourly.fraction_preferred.points;
+        double peak_flows = 0.0, peak_local = 1.0, quiet_local = 0.0;
+        for (std::size_t h = 0; h < local.size() && h < flows.size(); ++h) {
+            if (flows[h].second > peak_flows) {
+                peak_flows = flows[h].second;
+                peak_local = local[h].second;
+            }
+            if (flows[h].second > 10.0) {
+                quiet_local = std::max(quiet_local, local[h].second);
+            }
+        }
+        measured.insert(measured.end(),
+                        {{"F11.EU2.quiet_local", quiet_local},
+                         {"F11.EU2.peak_local", peak_local},
+                         {"F11.EU2.peak_flows", peak_flows},
+                         {"F11.EU2.corr_load_local",
+                          analysis::pearson_correlation(hourly.flows_per_hour,
+                                                        hourly.fraction_preferred)}});
+        return render_series({std::move(hourly.fraction_preferred),
+                              std::move(hourly.flows_per_hour)});
+    });
+
+    jobs.emplace_back("fig12_subnet_breakdown.txt",
+                      [&run](auto& m) { return render_fig12(run, m); });
+
+    jobs.emplace_back("fig13_video_redirect_counts_cdf.dat", [&run](auto& measured) {
+        std::vector<analysis::Series> series;
+        double tail = 0.0;
+        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
+            const auto counts = analysis::video_non_preferred_counts(
+                run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
+            if (!counts.empty()) {
+                series.push_back({run.traces.datasets[i].name, counts.curve(60)});
+                measured.push_back({"F13." + run.traces.datasets[i].name + ".once",
+                                    counts.fraction_at_or_below(1.0)});
+                tail = std::max(tail, counts.max());
+            }
+        }
+        measured.push_back({"F13.tail", tail});
+        return render_series(series);
+    });
+
+    jobs.emplace_back("fig14_hotspot_videos.dat", [&run](auto& measured) {
         const auto adsl = run.vp_index("EU1-ADSL");
         const auto& ds = run.traces.datasets[adsl];
         const auto top = analysis::top_redirected_videos(ds, run.dc_columns[adsl],
                                                          run.preferred[adsl], 4);
         std::vector<analysis::Series> series;
+        // A promoted video's redirects fall mostly on its one promotion day.
+        double promoted = 0.0;
         for (std::size_t v = 0; v < top.size(); ++v) {
             auto load = analysis::video_hourly_load(ds, run.dc_columns[adsl],
                                                     run.preferred[adsl], top[v]);
+            if (peak_day_share(load.non_preferred) > 0.5) promoted += 1.0;
             load.all.name = "video" + std::to_string(v + 1) + " all";
             load.non_preferred.name =
                 "video" + std::to_string(v + 1) + " non-preferred";
             series.push_back(std::move(load.all));
             series.push_back(std::move(load.non_preferred));
         }
+        measured.push_back({"F14.promoted_top4", promoted});
         return render_series(series);
     });
 
-    jobs.emplace_back("fig15_server_load.dat", [&run] {
+    jobs.emplace_back("fig15_server_load.dat", [&run](auto& measured) {
         const auto adsl = run.vp_index("EU1-ADSL");
         auto load = analysis::preferred_dc_server_load(
             run.traces.datasets[adsl], run.dc_columns[adsl], run.preferred[adsl]);
+        double worst = 0.0;
+        for (std::size_t h = 0; h < load.avg.points.size(); ++h) {
+            const double avg = load.avg.points[h].second;
+            if (avg > 0.3) worst = std::max(worst, load.max.points[h].second / avg);
+        }
+        measured.push_back({"F15.max_over_avg", worst});
         return render_series({std::move(load.avg), std::move(load.max)});
     });
 
-    jobs.emplace_back("fig16_hot_server_sessions.dat", [&run] {
+    jobs.emplace_back("fig16_hot_server_sessions.dat", [&run](auto& measured) {
         const auto adsl = run.vp_index("EU1-ADSL");
         const auto& ds = run.traces.datasets[adsl];
         const auto top = analysis::top_redirected_videos(ds, run.dc_columns[adsl],
@@ -419,6 +560,18 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         auto hot = analysis::hot_server_sessions(ds, run.sessions[adsl],
                                                  run.dc_columns[adsl],
                                                  run.preferred[adsl], top.front());
+        const auto sum = [](const analysis::Series& s) {
+            double total = 0.0;
+            for (const auto& [hour, v] : s.points) total += v;
+            return total;
+        };
+        const double all = sum(hot.all_preferred) + sum(hot.first_preferred_then_other) +
+                           sum(hot.others);
+        if (all > 0.0) {
+            measured.push_back({"F16.all_preferred", sum(hot.all_preferred) / all});
+        }
+        measured.push_back({"F16.redirects_in_peak_day",
+                            peak_day_share(hot.first_preferred_then_other)});
         return render_series({std::move(hot.all_preferred),
                               std::move(hot.first_preferred_then_other),
                               std::move(hot.others)});
@@ -429,24 +582,33 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     // other ~19 artifacts down with it. Strict mode (CI) keeps fail-fast by
     // letting the exception propagate out of parallel_map.
     const bool strict = run.config.effective_strict_artifacts();
-    using Rendered = std::pair<std::string, bool>;  // content, degraded?
-    auto contents = util::parallel_map(pool, jobs, [strict](const Job& job) {
-        if (strict) return Rendered{job.second(), false};
-        try {
-            return Rendered{job.second(), false};
-        } catch (const std::exception& e) {
-            return Rendered{
-                "!! artifact '" + job.first + "' failed: " + e.what() + "\n",
-                true};
+    using Rendered = std::pair<std::string, ArtifactMeasurements>;
+    auto outputs = util::parallel_map(pool, jobs, [strict](const Job& job) {
+        Rendered out{{}, {job.first, {}, false}};
+        if (strict) {
+            out.first = job.second(out.second.values);
+            return out;
         }
+        try {
+            out.first = job.second(out.second.values);
+        } catch (const std::exception& e) {
+            out.first = "!! artifact '" + job.first + "' failed: " + e.what() + "\n";
+            out.second = {job.first, {}, true};
+        }
+        return out;
     });
 
     FullReport report;
-    report.artifacts.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        report.artifacts.push_back({jobs[i].first, std::move(contents[i].first)});
-        if (contents[i].second) report.degraded.push_back(jobs[i].first);
+    report.artifacts.reserve(jobs.size() + 1);
+    std::vector<ArtifactMeasurements> checks;
+    checks.reserve(jobs.size());
+    for (auto& [content, measured] : outputs) {
+        report.artifacts.push_back({measured.artifact, std::move(content)});
+        if (measured.degraded) report.degraded.push_back(measured.artifact);
+        checks.push_back(std::move(measured));
     }
+    report.artifacts.push_back(
+        {"paper_checks.txt", render_paper_checks(checks, run.config.scale)});
     return report;
 }
 

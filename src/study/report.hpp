@@ -8,17 +8,22 @@
 #include "analysis/geo_analysis.hpp"
 #include "analysis/table.hpp"
 #include "geoloc/cbg.hpp"
+#include "study/paper_checks.hpp"
 #include "study/study_run.hpp"
 #include "util/parallel.hpp"
 
 namespace ytcdn::study {
 
 /// Table I: traffic summary per dataset (flows, volume, #servers, #clients),
-/// with the paper's values alongside for comparison.
-[[nodiscard]] analysis::AsciiTable make_table1(const StudyRun& run);
+/// with the paper's values alongside for comparison. A non-null `measured`
+/// receives the table's paper_checks.txt measurements.
+[[nodiscard]] analysis::AsciiTable make_table1(
+    const StudyRun& run, std::vector<Measurement>* measured = nullptr);
 
-/// Table II: percentage of servers and bytes per AS group per dataset.
-[[nodiscard]] analysis::AsciiTable make_table2(const StudyRun& run);
+/// Table II: percentage of servers and bytes per AS group per dataset; a
+/// non-null `measured` receives its paper_checks.txt measurements.
+[[nodiscard]] analysis::AsciiTable make_table2(
+    const StudyRun& run, std::vector<Measurement>* measured = nullptr);
 
 /// Table III: located Google servers per continent per dataset.
 /// `counts[i]` must correspond to dataset i.

@@ -184,6 +184,9 @@ TEST(Determinism, FoldedArtifactsMatchGoldenDigest) {
         {"fig14_hotspot_videos.dat", 0x6C4F4673u},
         {"fig15_server_load.dat", 0x57DB5B46u},
         {"fig16_hot_server_sessions.dat", 0x9FAF8366u},
+        // Added with the check table, after the 18 above; it judges their
+        // numbers, so it moves whenever they do.
+        {"paper_checks.txt", 0x5B384237u},
     };
 
     study::ReportOptions opts;

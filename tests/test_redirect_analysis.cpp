@@ -62,7 +62,9 @@ TEST_F(RedirectFixture, Fig13MassAtOneSeparatesUnpopularFromHotContent) {
     // Nine videos redirected exactly once (cache-miss of unpopular content)
     // and one hot video redirected 40 times: the CDF shows 90% mass at 1
     // and a tail reaching 40 — the paper's signature shape.
-    for (std::uint64_t v = 1; v <= 9; ++v) add_flow(1, 100.0 * v, v);
+    for (std::uint64_t v = 1; v <= 9; ++v) {
+        add_flow(1, 100.0 * static_cast<double>(v), v);
+    }
     for (int i = 0; i < 40; ++i) add_flow(1, 1000.0 + i, /*video=*/99);
     for (int i = 0; i < 50; ++i) add_flow(0, 5000.0 + i, /*video=*/100);
 
