@@ -13,6 +13,7 @@
 #   capture/binary_log            >= 90%  (the only YFL2 encoder and decoder)
 #   sim/tracer                    >= 90%  (the only YTR1 encoder and decoder)
 #   study/checkpoint              >= 90%  (the only YCK1 frame and stage codecs)
+#   service/aggregates + control  >= 90%  (ytcdnd's state codec and grammar)
 #
 # Only gcc + gcov + python3 are required — no gcovr, no pip. gcov's
 # --json-format output (one .gcov.json.gz per source) is aggregated by the
@@ -91,6 +92,7 @@ floors = [
     ("binary_log", ["src/capture/binary_log"], 90.0),
     ("tracer", ["src/sim/tracer"], 90.0),
     ("checkpoint", ["src/study/checkpoint"], 90.0),
+    ("service", ["src/service/aggregates", "src/service/control"], 90.0),
 ]
 
 failed = False

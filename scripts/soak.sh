@@ -98,7 +98,9 @@ wait_for_socket() {
 # One daemon lifetime: start, sample stats every 2 s (saved for the
 # monotonicity audit) while cycling control mutations, record fd counts at
 # the start and the end. $1 = lifetime tag, $2 = seconds, $3.. = extra args.
-MUTATIONS=("dns-policy load" "snapshot" "dns-policy rtt" "ping")
+# The faults mutation re-installs the soak's own plan (already ';'-joined),
+# so chaos stays on while a live mutation is exercised.
+MUTATIONS=("faults $YTCDN_IO_FAULTS" "snapshot" "render" "ping")
 run_lifetime() {
     local tag=$1 seconds=$2
     shift 2

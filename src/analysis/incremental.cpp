@@ -83,85 +83,4 @@ void IncrementalSessions::restore_closed(std::size_t bucket,
     if (bucket >= 1 && bucket <= kMaxBucket) closed_[bucket] = count;
 }
 
-void IncrementalPreference::set_map(ServerDcMap map) {
-    map_ = std::move(map);
-    dcs_.assign(map_.num_data_centers(), DcState{});
-}
-
-bool IncrementalPreference::set_policy(std::string_view name) {
-    if (name != "rtt" && name != "load") return false;
-    policy_.assign(name);
-    return true;
-}
-
-namespace {
-
-int find_dc(const ServerDcMap& map, std::string_view name) {
-    for (std::size_t i = 0; i < map.num_data_centers(); ++i) {
-        if (map.info(static_cast<int>(i)).name == name) {
-            return static_cast<int>(i);
-        }
-    }
-    return -1;
-}
-
-}  // namespace
-
-bool IncrementalPreference::set_drained(std::string_view dc_name,
-                                        bool drained) {
-    const int dc = find_dc(map_, dc_name);
-    if (dc < 0) return false;
-    dcs_[static_cast<std::size_t>(dc)].drained = drained;
-    return true;
-}
-
-bool IncrementalPreference::set_scale(std::string_view dc_name,
-                                      double factor) {
-    const int dc = find_dc(map_, dc_name);
-    if (dc < 0 || !(factor > 0.0)) return false;
-    dcs_[static_cast<std::size_t>(dc)].scale = factor;
-    return true;
-}
-
-int IncrementalPreference::preferred_dc() const {
-    int best = -1;
-    double best_score = 0.0;
-    for (std::size_t i = 0; i < dcs_.size(); ++i) {
-        if (dcs_[i].drained) continue;
-        // rtt: the paper's proximity rule — lowest probe RTT wins.
-        // load: least accumulated bytes per unit of capacity wins, so a
-        // scaled-up DC absorbs proportionally more traffic.
-        const double score =
-            policy_ == "load"
-                ? static_cast<double>(dcs_[i].bytes) / dcs_[i].scale
-                : map_.info(static_cast<int>(i)).rtt_ms;
-        if (best < 0 || score < best_score) {
-            best = static_cast<int>(i);
-            best_score = score;
-        }
-    }
-    return best;
-}
-
-void IncrementalPreference::add(const capture::FlowRecord& r) {
-    if (!has_map()) return;
-    const int dc = map_.dc_of(r.server_ip);
-    if (dc < 0) {
-        ++unmapped_flows;
-        return;
-    }
-    const int preferred = preferred_dc();
-    ++mapped_flows;
-    auto& state = dcs_[static_cast<std::size_t>(dc)];
-    ++state.flows;
-    state.bytes += r.bytes;
-    if (dc == preferred) {
-        ++preferred_flows;
-        preferred_bytes += r.bytes;
-    } else {
-        ++non_preferred_flows;
-        non_preferred_bytes += r.bytes;
-    }
-}
-
 }  // namespace ytcdn::analysis

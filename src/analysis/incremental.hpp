@@ -3,13 +3,9 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <string>
-#include <string_view>
 #include <unordered_set>
 #include <utility>
-#include <vector>
 
-#include "analysis/dc_map.hpp"
 #include "capture/flow_record.hpp"
 
 namespace ytcdn::analysis {
@@ -105,73 +101,6 @@ private:
     double watermark_ = 0.0;  // newest flow start seen
     std::map<Key, OpenSession> open_;
     std::array<std::uint64_t, kMaxBucket + 1> closed_{};  // [0] unused
-};
-
-/// §VII preferred-data-center accounting with live control mutations: the
-/// non-preferred traffic share (Table III's headline number) updated per
-/// flow, under a selection policy the daemon can flip at runtime, with DCs
-/// that can be drained (never preferred) or capacity-scaled without
-/// restart. Mutations change how *subsequent* flows are classified; history
-/// is never rewritten, which keeps replay deterministic.
-class IncrementalPreference {
-public:
-    /// Installs the vantage point's server->DC map (resets per-DC state).
-    void set_map(ServerDcMap map);
-    [[nodiscard]] bool has_map() const noexcept {
-        return map_.num_data_centers() > 0;
-    }
-    [[nodiscard]] const ServerDcMap& map() const noexcept { return map_; }
-
-    /// "rtt" (the paper's proximity default: lowest probe RTT wins) or
-    /// "load" (least accumulated bytes / capacity scale wins). Returns
-    /// false on an unknown policy name.
-    [[nodiscard]] bool set_policy(std::string_view name);
-    [[nodiscard]] const std::string& policy() const noexcept { return policy_; }
-
-    /// Drained DCs are never preferred (the paper's hot-spot drain). False
-    /// when no DC has that name.
-    [[nodiscard]] bool set_drained(std::string_view dc_name, bool drained);
-
-    /// Capacity scale for the load policy (> 0). False on unknown DC or
-    /// non-positive factor.
-    [[nodiscard]] bool set_scale(std::string_view dc_name, double factor);
-
-    void add(const capture::FlowRecord& r);
-
-    /// The DC a flow arriving now would prefer, or -1 without a map or with
-    /// every DC drained.
-    [[nodiscard]] int preferred_dc() const;
-
-    struct DcState {
-        bool drained = false;
-        double scale = 1.0;
-        std::uint64_t flows = 0;
-        std::uint64_t bytes = 0;
-    };
-
-    [[nodiscard]] const std::vector<DcState>& dcs() const noexcept {
-        return dcs_;
-    }
-    [[nodiscard]] std::vector<DcState>& mutable_dcs() noexcept { return dcs_; }
-
-    std::uint64_t mapped_flows = 0;
-    std::uint64_t unmapped_flows = 0;  // dc_of() == -1 (out-of-scope /24s)
-    std::uint64_t preferred_flows = 0;
-    std::uint64_t non_preferred_flows = 0;
-    std::uint64_t preferred_bytes = 0;
-    std::uint64_t non_preferred_bytes = 0;
-
-    [[nodiscard]] double non_preferred_flow_share() const noexcept {
-        return mapped_flows == 0
-                   ? 0.0
-                   : static_cast<double>(non_preferred_flows) /
-                         static_cast<double>(mapped_flows);
-    }
-
-private:
-    ServerDcMap map_;
-    std::string policy_ = "rtt";
-    std::vector<DcState> dcs_;
 };
 
 }  // namespace ytcdn::analysis

@@ -25,7 +25,8 @@ namespace ytcdn::analysis {
 /// Three drivers feed the same folds: the batch report and the analysis
 /// entry points (traffic_by_dc, hourly_non_preferred_fraction, ...) through
 /// fold_records() below, the out-of-core scale study over re-read spill
-/// blocks, and perfbench's traced replica of it. All tallies are
+/// blocks, and perfbench's traced replica of it. ytcdnd feeds
+/// IncrementalDcTraffic per stream as flows arrive. All tallies are
 /// order-independent integers except IncrementalServerLoad, whose float
 /// mean depends on the insertion sequence (see its note); dataset order is
 /// that sequence. Their reference is the golden report digest
@@ -72,6 +73,9 @@ public:
                                 double heavy_share = 0.20) const;
     /// non_preferred_share() of everything added so far.
     [[nodiscard]] NonPreferredShare share(int preferred) const;
+
+    /// Checkpoint restore: reinstates one data center's tally (t.dc >= 0).
+    void restore(const DcTraffic& t) { tally_[t.dc] = t; }
 
 private:
     std::unordered_map<int, DcTraffic> tally_;

@@ -18,7 +18,7 @@ Error truncated(const util::ByteReader& in) {
                      std::to_string(in.offset()));
 }
 
-constexpr std::uint32_t kAggregatesVersion = 1;
+constexpr std::uint32_t kAggregatesVersion = 2;
 
 void put_sorted_set(std::string& buf,
                     const std::unordered_set<std::uint32_t>& set) {
@@ -50,9 +50,24 @@ void ServiceAggregates::add(const std::string& stream,
     if (it == streams_.end()) {
         it = streams_.emplace(stream, Stream(gap_)).first;
     }
-    it->second.summary.add(r);
-    it->second.sessions.add(r);
-    preference_.add(r);
+    Stream& s = it->second;
+    s.summary.add(r);
+    s.sessions.add(r);
+    if (!has_map()) return;
+    const int dc = map_.dc_of(r.server_ip);
+    if (dc < 0) {
+        ++s.unmapped_flows;
+    } else {
+        s.dc_traffic.add(r, dc);
+    }
+}
+
+void ServiceAggregates::set_map(analysis::ServerDcMap map) {
+    map_ = std::move(map);
+    for (auto& [name, stream] : streams_) {
+        stream.dc_traffic = {};
+        stream.unmapped_flows = 0;
+    }
 }
 
 std::uint64_t ServiceAggregates::total_flows() const noexcept {
@@ -107,35 +122,35 @@ std::string ServiceAggregates::render() const {
        << analysis::fmt(gap_, 2) << "s) ==\n"
        << sessions_table.render() << '\n';
 
-    os << "== Section VII (incremental): preferred data center (policy: "
-       << preference_.policy() << ") ==\n";
-    if (!preference_.has_map()) {
+    os << "== Section VII (incremental): preferred data center by bytes, "
+          "per stream ==\n";
+    if (!has_map()) {
         os << "no dc map installed\n";
-    } else {
-        analysis::AsciiTable dc_table({"data center", "rtt ms", "drained",
-                                       "scale", "flows", "GB"});
-        const auto& map = preference_.map();
-        for (std::size_t i = 0; i < preference_.dcs().size(); ++i) {
-            const auto& dc = preference_.dcs()[i];
-            const auto& info = map.info(static_cast<int>(i));
-            dc_table.add_row({info.name, analysis::fmt(info.rtt_ms, 1),
-                              dc.drained ? "yes" : "no",
-                              analysis::fmt(dc.scale, 2),
-                              std::to_string(dc.flows),
-                              analysis::fmt(static_cast<double>(dc.bytes) / 1e9,
-                                            3)});
-        }
-        os << dc_table.render();
-        const int preferred = preference_.preferred_dc();
-        os << "preferred_dc "
-           << (preferred < 0 ? std::string("-") : map.info(preferred).name)
-           << '\n';
-        os << "mapped_flows " << preference_.mapped_flows << '\n';
-        os << "unmapped_flows " << preference_.unmapped_flows << '\n';
-        os << "non_preferred_flows " << preference_.non_preferred_flows
-           << " (" << analysis::fmt_pct(preference_.non_preferred_flow_share())
-           << "%)\n";
+        return os.str();
     }
+    analysis::AsciiTable dc_table({"stream", "preferred DC", "rtt ms",
+                                   "mapped video flows", "unmapped flows",
+                                   "preferred byte %", "non-preferred flow %"});
+    for (const auto& [name, stream] : streams_) {
+        std::uint64_t video_flows = 0;
+        for (const auto& t : stream.dc_traffic.traffic()) {
+            video_flows += t.video_flows;
+        }
+        const int preferred = stream.dc_traffic.preferred(map_);
+        if (preferred < 0) {
+            dc_table.add_row({name, "-", "-", std::to_string(video_flows),
+                              std::to_string(stream.unmapped_flows), "-", "-"});
+            continue;
+        }
+        const auto share = stream.dc_traffic.share(preferred);
+        const auto& info = map_.info(preferred);
+        dc_table.add_row({name, info.name, analysis::fmt(info.rtt_ms, 1),
+                          std::to_string(video_flows),
+                          std::to_string(stream.unmapped_flows),
+                          analysis::fmt_pct(1.0 - share.byte_fraction, 1),
+                          analysis::fmt_pct(share.flow_fraction, 1)});
+    }
+    os << dc_table.render();
     return os.str();
 }
 
@@ -144,26 +159,9 @@ std::string ServiceAggregates::encode() const {
     util::put(buf, kAggregatesVersion);
     util::put_f64(buf, gap_);
 
-    util::put_str32(buf, preference_.policy());
-    util::put(buf, static_cast<std::uint8_t>(preference_.has_map() ? 1 : 0));
-    if (preference_.has_map()) {
-        std::ostringstream map_text;
-        analysis::write_dc_map(map_text, preference_.map());
-        util::put_str32(buf, map_text.str());
-        util::put(buf, static_cast<std::uint32_t>(preference_.dcs().size()));
-        for (const auto& dc : preference_.dcs()) {
-            util::put(buf, static_cast<std::uint8_t>(dc.drained ? 1 : 0));
-            util::put_f64(buf, dc.scale);
-            util::put(buf, dc.flows);
-            util::put(buf, dc.bytes);
-        }
-    }
-    util::put(buf, preference_.mapped_flows);
-    util::put(buf, preference_.unmapped_flows);
-    util::put(buf, preference_.preferred_flows);
-    util::put(buf, preference_.non_preferred_flows);
-    util::put(buf, preference_.preferred_bytes);
-    util::put(buf, preference_.non_preferred_bytes);
+    std::ostringstream map_text;
+    if (has_map()) analysis::write_dc_map(map_text, map_);
+    util::put_str32(buf, map_text.str());
 
     util::put(buf, static_cast<std::uint32_t>(streams_.size()));
     for (const auto& [name, stream] : streams_) {
@@ -189,6 +187,19 @@ std::string ServiceAggregates::encode() const {
             util::put_f64(buf, open.last_end);
             util::put(buf, open.flows);
         }
+
+        auto tallies = stream.dc_traffic.traffic();
+        std::sort(tallies.begin(), tallies.end(),
+                  [](const analysis::DcTraffic& a, const analysis::DcTraffic& b) {
+                      return a.dc < b.dc;
+                  });
+        util::put(buf, static_cast<std::uint32_t>(tallies.size()));
+        for (const auto& t : tallies) {
+            util::put(buf, static_cast<std::uint32_t>(t.dc));
+            util::put(buf, t.bytes);
+            util::put(buf, t.video_flows);
+        }
+        util::put(buf, stream.unmapped_flows);
     }
     return buf;
 }
@@ -207,49 +218,17 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
     if (!r.take_f64(&gap)) return truncated(r);
     ServiceAggregates out(gap);
 
-    std::string policy;
-    if (!r.take_str32(&policy)) return truncated(r);
-    std::uint8_t has_map = 0;
-    if (!r.take(&has_map)) return truncated(r);
-    if (has_map != 0) {
-        std::string map_text;
-        if (!r.take_str32(&map_text)) return truncated(r);
+    std::string map_text;
+    if (!r.take_str32(&map_text)) return truncated(r);
+    if (!map_text.empty()) {
         try {
             std::istringstream is(map_text);
-            out.preference_.set_map(analysis::read_dc_map(is));
+            out.set_map(analysis::read_dc_map(is));
         } catch (const std::exception& e) {
             return Error(ErrorCode::BadField,
                          std::string("service aggregates dc map: ") +
                              e.what());
         }
-        std::uint32_t ndc = 0;
-        if (!r.take(&ndc)) return truncated(r);
-        if (ndc != out.preference_.dcs().size()) {
-            return Error(ErrorCode::CountMismatch,
-                         "service aggregates: dc state count " +
-                             std::to_string(ndc) + " != map's " +
-                             std::to_string(out.preference_.dcs().size()));
-        }
-        for (auto& dc : out.preference_.mutable_dcs()) {
-            std::uint8_t drained = 0;
-            if (!r.take(&drained) || !r.take_f64(&dc.scale) ||
-                !r.take(&dc.flows) || !r.take(&dc.bytes)) {
-                return truncated(r);
-            }
-            dc.drained = drained != 0;
-        }
-    }
-    if (!out.preference_.set_policy(policy)) {
-        return Error(ErrorCode::BadField,
-                     "service aggregates: unknown policy '" + policy + "'");
-    }
-    if (!r.take(&out.preference_.mapped_flows) ||
-        !r.take(&out.preference_.unmapped_flows) ||
-        !r.take(&out.preference_.preferred_flows) ||
-        !r.take(&out.preference_.non_preferred_flows) ||
-        !r.take(&out.preference_.preferred_bytes) ||
-        !r.take(&out.preference_.non_preferred_bytes)) {
-        return truncated(r);
     }
 
     std::uint32_t nstreams = 0;
@@ -292,6 +271,32 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
             }
             sessions.restore_open({client, video}, open);
         }
+
+        std::uint32_t ntallies = 0;
+        if (!r.take(&ntallies)) return truncated(r);
+        int prev_dc = -1;
+        for (std::uint32_t j = 0; j < ntallies; ++j) {
+            std::uint32_t dc = 0;
+            analysis::DcTraffic t;
+            if (!r.take(&dc) || !r.take(&t.bytes) || !r.take(&t.video_flows)) {
+                return truncated(r);
+            }
+            // Strictly ascending and inside the map: render() looks every
+            // tally's data center up in it.
+            if (dc >= out.map_.num_data_centers() ||
+                static_cast<int>(dc) <= prev_dc) {
+                return Error(ErrorCode::BadField,
+                             "service aggregates: dc tally " +
+                                 std::to_string(dc) + " of stream '" + name +
+                                 "' is out of order or beyond the map's " +
+                                 std::to_string(out.map_.num_data_centers()) +
+                                 " data centers");
+            }
+            t.dc = static_cast<int>(dc);
+            prev_dc = t.dc;
+            it->second.dc_traffic.restore(t);
+        }
+        if (!r.take(&it->second.unmapped_flows)) return truncated(r);
     }
     if (!r.done()) {
         return Error(ErrorCode::CountMismatch,

@@ -19,6 +19,12 @@ ControlCommand make(ControlVerb verb, std::vector<std::string> args = {}) {
     return cmd;
 }
 
+/// The help text listing every verb (the `err unknown command` reply).
+std::string control_grammar_summary() {
+    return "commands: ping | stats | render | snapshot | shutdown | "
+           "faults (clear|<spec>)";
+}
+
 }  // namespace
 
 ControlCommand parse_control_line(std::string_view line) {
@@ -70,47 +76,8 @@ ControlCommand parse_control_line(std::string_view line) {
         spec = start == std::string::npos ? std::string() : spec.substr(start);
         return make(ControlVerb::Faults, {std::move(spec)});
     }
-    if (verb == "dns-policy") {
-        if (const char* usage = want(1, "usage: dns-policy (rtt | load)")) {
-            return fail(usage);
-        }
-        return make(ControlVerb::DnsPolicy, std::move(words));
-    }
-    // DC names are city names and may contain spaces ("Mountain View"), so
-    // drain/undrain join every operand and scale treats the last word as
-    // the factor.
-    const auto join = [](const std::vector<std::string>& parts,
-                         std::size_t first, std::size_t last) {
-        std::string out;
-        for (std::size_t i = first; i < last; ++i) {
-            if (i > first) out += ' ';
-            out += parts[i];
-        }
-        return out;
-    };
-    if (verb == "drain" || verb == "undrain") {
-        if (words.empty()) {
-            return fail("usage: " + verb + " <dc-name>");
-        }
-        return make(verb == "drain" ? ControlVerb::Drain
-                                    : ControlVerb::Undrain,
-                    {join(words, 0, words.size())});
-    }
-    if (verb == "scale") {
-        if (words.size() < 2) {
-            return fail("usage: scale <dc-name> <factor>");
-        }
-        return make(ControlVerb::Scale,
-                    {join(words, 0, words.size() - 1), words.back()});
-    }
     return fail("unknown command '" + verb + "'\n" +
                 control_grammar_summary());
-}
-
-std::string control_grammar_summary() {
-    return "commands: ping | stats | render | snapshot | shutdown | "
-           "faults (clear|<spec>) | dns-policy (rtt|load) | "
-           "drain <dc> | undrain <dc> | scale <dc> <factor>";
 }
 
 }  // namespace ytcdn::service

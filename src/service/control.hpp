@@ -11,8 +11,7 @@ namespace ytcdn::service {
 /// answers with "ok[ detail]\n[body]" or "err <reason>\n" and closes. The
 /// grammar, one production per verb:
 ///
-///   command     = ping | stats | render | snapshot | shutdown
-///               | faults-cmd | policy-cmd | drain-cmd | scale-cmd
+///   command     = ping | stats | render | snapshot | shutdown | faults-cmd
 ///   ping        = "ping"
 ///   stats       = "stats"                      ; util::metrics snapshot
 ///   render      = "render"                     ; aggregates, on demand
@@ -20,9 +19,6 @@ namespace ytcdn::service {
 ///   shutdown    = "shutdown"                   ; graceful quiesce + exit
 ///   faults-cmd  = "faults" ("clear" | spec)    ; spec = FaultPlan text,
 ///                                              ; ';' for newlines
-///   policy-cmd  = "dns-policy" ("rtt"|"load")
-///   drain-cmd   = ("drain" | "undrain") dc-name
-///   scale-cmd   = "scale" dc-name factor       ; factor > 0
 enum class ControlVerb {
     Ping,
     Stats,
@@ -31,10 +27,6 @@ enum class ControlVerb {
     Shutdown,
     Faults,
     FaultsClear,
-    DnsPolicy,
-    Drain,
-    Undrain,
-    Scale,
     Unknown,
 };
 
@@ -45,10 +37,8 @@ struct ControlCommand {
 };
 
 /// Parses one protocol line. Never fails hard: malformed input yields
-/// verb == Unknown with `error` set, which the daemon answers with "err".
+/// verb == Unknown with `error` set, which the daemon answers with "err";
+/// an unknown verb's error lists every verb.
 [[nodiscard]] ControlCommand parse_control_line(std::string_view line);
-
-/// The help text listing every verb (the `err unknown command` reply).
-[[nodiscard]] std::string control_grammar_summary();
 
 }  // namespace ytcdn::service

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <csignal>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -62,9 +61,9 @@ std::string hex(std::uint64_t v, int digits) {
     return out;
 }
 
-/// Every option that shapes aggregate bytes; mutable scenario state
-/// (policy, drains, fault plans) is deliberately excluded — it is part of
-/// the checkpointed state, not the key.
+/// Every option that shapes aggregate bytes. The control-mutation history
+/// (fault plans installed at runtime) is deliberately excluded: it is
+/// checkpointed state, not the key.
 std::uint64_t fingerprint_of(const ServiceOptions& options) {
     std::uint64_t h = sim::mix64(0x79'74'63'64'6Eull);  // "ytcdn" salt
     const auto fold = [&h](std::uint64_t v) { h = sim::mix64(h ^ v); };
@@ -304,7 +303,7 @@ util::Result<ServiceReport> Service::run() {
     // The vantage point's server->DC map: the first *.dcmap in the spool,
     // unless a resumed checkpoint already carries one.
     const auto try_install_dc_map = [&] {
-        if (state.aggregates.preference().has_map()) return;
+        if (state.aggregates.has_map()) return;
         const auto maps = scan_dc_maps(options_.spool_dir);
         if (maps.empty()) return;
         auto bytes = io::read_file(maps.front().path);
@@ -315,7 +314,7 @@ util::Result<ServiceReport> Service::run() {
         }
         try {
             std::istringstream is(std::move(bytes).value());
-            state.aggregates.preference().set_map(analysis::read_dc_map(is));
+            state.aggregates.set_map(analysis::read_dc_map(is));
             note("dc map installed from " + maps.front().name);
         } catch (const std::exception& e) {
             warn("dc map " + maps.front().name + " rejected: " + e.what());
@@ -398,40 +397,6 @@ util::Result<ServiceReport> Service::run() {
                 mutate("faults clear");
                 response = "ok faults cleared\n";
                 break;
-            case ControlVerb::DnsPolicy:
-                if (state.aggregates.preference().set_policy(cmd.args[0])) {
-                    mutate("dns-policy " + cmd.args[0]);
-                    response = "ok policy " + cmd.args[0] + "\n";
-                } else {
-                    response = "err unknown policy '" + cmd.args[0] + "'\n";
-                }
-                break;
-            case ControlVerb::Drain:
-            case ControlVerb::Undrain: {
-                const bool drained = cmd.verb == ControlVerb::Drain;
-                if (state.aggregates.preference().set_drained(cmd.args[0],
-                                                              drained)) {
-                    mutate((drained ? "drain " : "undrain ") + cmd.args[0]);
-                    response = "ok\n";
-                } else {
-                    response =
-                        "err unknown data center '" + cmd.args[0] + "'\n";
-                }
-                break;
-            }
-            case ControlVerb::Scale: {
-                char* end = nullptr;
-                const double factor = std::strtod(cmd.args[1].c_str(), &end);
-                if (end == cmd.args[1].c_str() ||
-                    !state.aggregates.preference().set_scale(cmd.args[0],
-                                                             factor)) {
-                    response = "err unknown data center or bad factor\n";
-                } else {
-                    mutate("scale " + cmd.args[0] + " " + cmd.args[1]);
-                    response = "ok\n";
-                }
-                break;
-            }
             case ControlVerb::Unknown:
                 metrics.control_errors.inc();
                 response = "err " + cmd.error + "\n";

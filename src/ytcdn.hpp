@@ -68,7 +68,6 @@
 #include "analysis/as_analysis.hpp"
 #include "analysis/dc_map.hpp"
 #include "analysis/geo_analysis.hpp"
-#include "analysis/histogram.hpp"
 #include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/redirect_analysis.hpp"

@@ -8,7 +8,10 @@ The robustness contract pinned here, against the real binary:
   * kill -9 mid-ingest loses nothing durable: `ytcdn serve --resume --once`
     replays the spool and converges to aggregates byte-identical to an
     uninterrupted one-shot run,
-  * the control socket answers ping / render / drain / shutdown, and every
+  * the Section VII row of the map's own stream names the preferred data
+    center, and the shares, that `ytcdn analyze` computes over the same log,
+  * the control socket answers ping / render / faults / shutdown, rejects
+    the retired what-if verbs (`drain`) as unknown commands, and every
     accepted mutation is recorded as a `control` line in the manifest.
 
 Usage: cli_serve.py <path-to-ytcdn-binary>
@@ -64,6 +67,22 @@ def start_daemon(binary: str, spool: str, out: str,
         errors="replace")
 
 
+def split_row(line: str) -> list[str]:
+    """Columns of an AsciiTable row (padded by two or more spaces; a cell
+    such as a city name may itself contain single spaces)."""
+    return re.split(r"\s{2,}", line.strip())
+
+
+def section_vii_row(aggregates: str, stream: str) -> list[str]:
+    """The Section VII row of `stream` in a rendered aggregates.txt."""
+    section = aggregates.split("== Section VII", 1)
+    for line in (section[1] if len(section) == 2 else "").splitlines():
+        cells = split_row(line)
+        if cells and cells[0] == stream:
+            return cells
+    return []
+
+
 def make_spool(binary: str, tmp: str, name: str) -> str:
     """Simulates a tiny study and lays its flow logs out as a spool."""
     gen = os.path.join(tmp, "gen")
@@ -109,6 +128,35 @@ def main() -> int:
         check("status shutdown" in manifest,
               "one-shot manifest records a clean shutdown")
 
+        # The map's own stream: the daemon's Section VII numbers are the
+        # offline analysis's, by bytes, over that stream's log.
+        gen = os.path.join(tmp, "gen")
+        map_stream = os.path.splitext(
+            sorted(f for f in os.listdir(gen) if f.endswith(".dcmap"))[0])[0]
+        analyze = subprocess.run(
+            [binary, "analyze", os.path.join(gen, f"{map_stream}.yfl"),
+             os.path.join(gen, f"{map_stream}.dcmap")],
+            capture_output=True, text=True, errors="replace", check=False,
+            timeout=300)
+        check(analyze.returncode == 0, f"ytcdn analyze {map_stream} exits 0",
+              analyze.stderr.strip()[:300])
+        offline = dict(split_row(line) for line in analyze.stdout.splitlines()
+                       if len(split_row(line)) == 2)
+        row = section_vii_row(reference, map_stream)
+        check(len(row) == 7, f"aggregates.txt has a Section VII row for {map_stream}",
+              repr(row))
+        if len(row) == 7:
+            _, preferred, _, _, _, byte_share, np_flow_share = row
+            check(preferred == offline.get("preferred DC"),
+                  f"{map_stream}: preferred DC {preferred} matches ytcdn analyze",
+                  repr(offline.get("preferred DC")))
+            check(byte_share == offline.get("preferred byte share %"),
+                  f"{map_stream}: preferred byte share {byte_share}% matches",
+                  repr(offline.get("preferred byte share %")))
+            check(np_flow_share == offline.get("non-preferred flow share %"),
+                  f"{map_stream}: non-preferred flow share {np_flow_share}% "
+                  "matches", repr(offline.get("non-preferred flow share %")))
+
         # SIGTERM mid-ingest: graceful quiesce, checkpoint flushed, exit 0.
         print("SIGTERM quiesce")
         spool_term = make_spool(binary, tmp, "spool_term")
@@ -151,8 +199,8 @@ def main() -> int:
         check(resumed == reference and bool(reference),
               "resumed aggregates byte-identical to the uninterrupted run")
 
-        # Control socket: ping / render / drain / shutdown; mutations land in
-        # the manifest.
+        # Control socket: ping / render / faults / shutdown; mutations land in
+        # the manifest, retired verbs are unknown commands.
         print("control socket")
         spool_ctl = make_spool(binary, tmp, "spool_ctl")
         out_ctl = os.path.join(tmp, "run_ctl")
@@ -176,26 +224,13 @@ def main() -> int:
         check(stats.returncode == 0 and
               "service.files_ingested" in stats.stdout,
               "ctl stats exposes the service metrics")
-        # Find a DC name from the render output's Section VII table (rows
-        # are space-padded columns; the name may itself contain spaces).
-        dc_name = None
-        lines = render.stdout.splitlines()
-        for i, line in enumerate(lines):
-            if "preferred data center" in line:
-                for row in lines[i + 1:]:
-                    if row.startswith(("data center", "---")) or not row.strip():
-                        continue
-                    if row.startswith(("preferred", "mapped", "non-preferred")):
-                        break
-                    dc_name = re.split(r"\s{2,}", row.strip())[0]
-                    break
-                break
-        if dc_name:
-            drained = ctl("drain", *dc_name.split())
-            check(drained.returncode == 0 and drained.stdout.startswith("ok"),
-                  f"ctl drain {dc_name} accepted", drained.stdout[:100])
-        else:
-            check(False, "render output names a data center to drain")
+        drained = ctl("drain", "Frankfurt")
+        check(drained.returncode == 1 and drained.stdout.startswith("err"),
+              "ctl drain (a retired what-if verb) is an unknown command",
+              drained.stdout[:100])
+        cleared = ctl("faults", "clear")
+        check(cleared.returncode == 0 and cleared.stdout.startswith("ok"),
+              "ctl faults clear accepted", cleared.stdout[:100])
         bogus = ctl("levitate")
         check(bogus.returncode == 1 and bogus.stdout.startswith("err"),
               "ctl rejects an unknown command with err")
@@ -209,9 +244,10 @@ def main() -> int:
         check(daemon.returncode == 0, "daemon exits 0 after ctl shutdown",
               (stderr or "").strip()[:300])
         ctl_manifest = read(os.path.join(out_ctl, "service_manifest.txt"))
-        if dc_name:
-            check(f"control drain {dc_name}" in ctl_manifest,
-                  "manifest records the drain mutation")
+        check("control faults clear" in ctl_manifest,
+              "manifest records the faults mutation")
+        check("control drain" not in ctl_manifest,
+              "manifest records no rejected command")
         check(not os.path.exists(sock), "socket unlinked on shutdown")
 
     if failures:

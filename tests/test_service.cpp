@@ -14,6 +14,7 @@
 
 #include "analysis/dc_map.hpp"
 #include "analysis/incremental.hpp"
+#include "analysis/preferred_dc.hpp"
 #include "analysis/session.hpp"
 #include "capture/dataset.hpp"
 #include "capture/log_io.hpp"
@@ -174,31 +175,51 @@ TEST(IncrementalSessions, MatchesSessionTableOverASimulatedWeek) {
     EXPECT_GT(sweeps, 1000u);
 }
 
-TEST(IncrementalPreference, DrainAndScaleMutations) {
-    analysis::IncrementalPreference pref;
-    pref.set_map(two_dc_map());
-    ASSERT_EQ(pref.preferred_dc(), 0);  // rtt policy: "near" at 10 ms
+TEST(ServiceAggregates, SectionViiFoldsEachStreamByBytes) {
+    // Each stream's preferred DC and shares are the report's by-bytes
+    // definition over that stream alone: "eu1" sends most bytes to "near",
+    // "us1" to "far", and the out-of-map /24 counts as unmapped.
+    const auto map = two_dc_map();
+    service::ServiceAggregates agg(1.0);
+    EXPECT_NE(agg.render().find("no dc map installed"), std::string::npos);
+    agg.set_map(map);
+    capture::Dataset eu1;
+    capture::Dataset us1;
+    for (const auto& r : sample_records()) {
+        (r.server_ip.value() >> 8 == 0xC0A801u ? eu1 : us1).records.push_back(r);
+    }
+    eu1.records.push_back(flow(9, 0xC0A80201u, 90.0, 91.0, 5'000, 9));
+    us1.records.push_back(flow(9, 0xC0A80101u, 90.0, 91.0, 5'000, 9));
+    us1.records.push_back(flow(9, 0x0A0B0C01u, 92.0, 93.0, 5'000, 9));
+    for (const auto& r : eu1.records) agg.add("eu1", r);
+    for (const auto& r : us1.records) agg.add("us1", r);
 
-    // Draining the preferred DC moves preference to the survivor; flows to
-    // "near" now count as non-preferred.
-    ASSERT_TRUE(pref.set_drained("near", true));
-    EXPECT_EQ(pref.preferred_dc(), 1);
-    pref.add(flow(1, 0xC0A80101u, 0.0, 1.0, 10'000, 1));
-    EXPECT_EQ(pref.non_preferred_flows, 1u);
+    for (const auto& [name, ds] : {std::pair{"eu1", &eu1}, std::pair{"us1", &us1}}) {
+        const auto& stream = agg.streams().at(name);
+        const int preferred = analysis::preferred_dc(*ds, map);
+        EXPECT_EQ(stream.dc_traffic.preferred(map), preferred) << name;
+        const auto batch = analysis::non_preferred_share(*ds, map, preferred);
+        const auto share = stream.dc_traffic.share(preferred);
+        EXPECT_EQ(share.byte_fraction, batch.byte_fraction) << name;
+        EXPECT_EQ(share.flow_fraction, batch.flow_fraction) << name;
+    }
+    EXPECT_EQ(agg.streams().at("eu1").dc_traffic.preferred(map), 0);
+    EXPECT_EQ(agg.streams().at("us1").dc_traffic.preferred(map), 1);
+    EXPECT_EQ(agg.streams().at("eu1").unmapped_flows, 0u);
+    EXPECT_EQ(agg.streams().at("us1").unmapped_flows, 1u);
 
-    ASSERT_TRUE(pref.set_drained("near", false));
-    ASSERT_TRUE(pref.set_policy("load"));
-    // Under the load policy "near" has 10 kB accumulated, "far" zero, so
-    // "far" is preferred until the balance flips.
-    EXPECT_EQ(pref.preferred_dc(), 1);
-    pref.add(flow(2, 0xC0A80201u, 2.0, 3.0, 50'000, 2));  // 50 kB to "far"
-    EXPECT_EQ(pref.preferred_dc(), 0);  // near: 10 kB < far: 50 kB
-    ASSERT_TRUE(pref.set_scale("far", 10.0));
-    EXPECT_EQ(pref.preferred_dc(), 1);  // 50 kB / 10 beats 10 kB / 1
-
-    EXPECT_FALSE(pref.set_drained("atlantis", true));
-    EXPECT_FALSE(pref.set_scale("near", 0.0));
-    EXPECT_FALSE(pref.set_policy("coin-flip"));
+    const std::string rendered = agg.render();
+    EXPECT_EQ(rendered.find("no dc map installed"), std::string::npos);
+    const auto section = rendered.find("== Section VII");
+    ASSERT_NE(section, std::string::npos);
+    const auto row = [&](const std::string& stream) {
+        const auto at = rendered.find('\n' + stream + ' ', section);
+        return at == std::string::npos
+                   ? std::string()
+                   : rendered.substr(at + 1, rendered.find('\n', at + 1) - at - 1);
+    };
+    EXPECT_NE(row("eu1").find("near"), std::string::npos) << rendered;
+    EXPECT_NE(row("us1").find("far"), std::string::npos) << rendered;
 }
 
 TEST(IngestQueue, ShedsDeterministicallyAtCapacity) {
@@ -234,14 +255,6 @@ TEST(ControlProtocol, ParsesEveryVerb) {
               ControlVerb::Shutdown);
     EXPECT_EQ(service::parse_control_line("faults clear").verb,
               ControlVerb::FaultsClear);
-    EXPECT_EQ(service::parse_control_line("dns-policy load").verb,
-              ControlVerb::DnsPolicy);
-    EXPECT_EQ(service::parse_control_line("drain near").verb,
-              ControlVerb::Drain);
-    EXPECT_EQ(service::parse_control_line("undrain near").verb,
-              ControlVerb::Undrain);
-    EXPECT_EQ(service::parse_control_line("scale near 2.5").verb,
-              ControlVerb::Scale);
 
     // The fault spec is passed through verbatim, spaces and all.
     const auto faults =
@@ -256,21 +269,22 @@ TEST(ControlProtocol, MalformedInputYieldsUnknownWithUsage) {
     EXPECT_EQ(service::parse_control_line("").verb, ControlVerb::Unknown);
     EXPECT_EQ(service::parse_control_line("levitate").verb,
               ControlVerb::Unknown);
-    EXPECT_EQ(service::parse_control_line("scale near").verb,
+    EXPECT_EQ(service::parse_control_line("ping now").verb,
               ControlVerb::Unknown);
-    EXPECT_EQ(service::parse_control_line("drain").verb, ControlVerb::Unknown);
-    EXPECT_EQ(service::parse_control_line("dns-policy").verb,
-              ControlVerb::Unknown);
+    EXPECT_EQ(service::parse_control_line("faults").verb, ControlVerb::Unknown);
     EXPECT_FALSE(service::parse_control_line("levitate").error.empty());
+    // The what-if verbs are gone: they get the unknown-command reply.
+    const auto drain = service::parse_control_line("drain near");
+    EXPECT_EQ(drain.verb, ControlVerb::Unknown);
+    EXPECT_EQ(drain.error.rfind("unknown command 'drain'", 0), 0u) << drain.error;
 }
 
 TEST(ServiceAggregates, EncodeDecodeRoundtripIsByteStable) {
     service::ServiceAggregates agg(1.0);
-    agg.preference().set_map(two_dc_map());
-    ASSERT_TRUE(agg.preference().set_policy("load"));
-    ASSERT_TRUE(agg.preference().set_drained("far", true));
+    agg.set_map(two_dc_map());
     for (const auto& r : sample_records()) agg.add("eu1", r);
     for (const auto& r : sample_records()) agg.add("us1", r);
+    agg.add("us1", flow(9, 0x0A0B0C01u, 92.0, 93.0, 5'000, 9));  // unmapped
 
     const std::string encoded = agg.encode();
     auto decoded = service::ServiceAggregates::decode(encoded);
@@ -278,7 +292,15 @@ TEST(ServiceAggregates, EncodeDecodeRoundtripIsByteStable) {
     EXPECT_EQ(decoded.value().encode(), encoded);
     EXPECT_EQ(decoded.value().render(), agg.render());
     EXPECT_EQ(decoded.value().total_flows(), agg.total_flows());
-    EXPECT_EQ(decoded.value().preference().policy(), "load");
+    EXPECT_EQ(decoded.value().streams().at("us1").unmapped_flows, 1u);
+
+    // Without a map the Section VII section round-trips as "none installed".
+    service::ServiceAggregates bare(1.0);
+    for (const auto& r : sample_records()) bare.add("eu1", r);
+    auto bare_decoded = service::ServiceAggregates::decode(bare.encode());
+    ASSERT_TRUE(bare_decoded.ok()) << bare_decoded.error().what();
+    EXPECT_FALSE(bare_decoded.value().has_map());
+    EXPECT_EQ(bare_decoded.value().render(), bare.render());
 }
 
 TEST(ServiceAggregates, DecodeRejectsDamage) {
@@ -290,6 +312,21 @@ TEST(ServiceAggregates, DecodeRejectsDamage) {
                      std::string_view(encoded).substr(0, encoded.size() / 2))
                      .ok());
     EXPECT_FALSE(service::ServiceAggregates::decode(encoded + "x").ok());
+
+    // A DC tally beyond the map is rejected, not looked up. The payload
+    // ends with the last stream's last tally (u32 dc, u64 bytes, u64 video
+    // flows) and its u64 unmapped count.
+    service::ServiceAggregates mapped(1.0);
+    mapped.set_map(two_dc_map());
+    for (const auto& r : sample_records()) mapped.add("eu1", r);
+    std::string bad = mapped.encode();
+    bad[bad.size() - 28] = 7;
+    const auto rejected = service::ServiceAggregates::decode(bad);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.error().code(), ytcdn::ErrorCode::BadField);
+    EXPECT_NE(std::string(rejected.error().what()).find("beyond the map"),
+              std::string::npos)
+        << rejected.error().what();
 }
 
 TEST(Spool, ScanOrdersByNameAndSkipsTempFiles) {
@@ -457,6 +494,76 @@ TEST(Service, CorruptCheckpointCountStartsCold) {
     EXPECT_NE(report.value().warnings.front().find("truncated"), std::string::npos)
         << report.value().warnings.front();
     EXPECT_EQ(report.value().files_ingested, 3u);
+    fs::remove_all(base);
+}
+
+TEST(Service, OldLayoutCheckpointStartsCold) {
+    // Aggregates payloads once carried a live what-if overlay (version 1:
+    // policy name, the map, per-DC drained/scale/flows/bytes, six pooled
+    // preferred/non-preferred counters, then the streams). Such a checkpoint
+    // is still a valid YCK1 frame, so the payload decoder must reject it and
+    // the daemon re-ingest every file to the aggregates of a fresh run.
+    namespace util = ytcdn::util;
+    const auto base = temp_dir("old_layout");
+    const auto records = sample_records();
+    make_spool(base / "spool", records);
+    auto fresh = service::Service(once_options(base / "spool", base / "run_fresh", 1)).run();
+    ASSERT_TRUE(fresh.ok()) << fresh.error().what();
+    const std::string fresh_aggregates = file_bytes(fresh.value().aggregates_path);
+
+    std::string old;
+    util::put<std::uint32_t>(old, 1);
+    util::put_f64(old, 1.0);
+    util::put_str32(old, "rtt");
+    util::put<std::uint8_t>(old, 1);
+    std::ostringstream map_text;
+    analysis::write_dc_map(map_text, two_dc_map());
+    util::put_str32(old, map_text.str());
+    util::put<std::uint32_t>(old, 2);
+    for (int dc = 0; dc < 2; ++dc) {
+        util::put<std::uint8_t>(old, 0);  // drained
+        util::put_f64(old, 1.0);          // scale
+        util::put<std::uint64_t>(old, 0);
+        util::put<std::uint64_t>(old, 0);
+    }
+    for (int counter = 0; counter < 6; ++counter) util::put<std::uint64_t>(old, 0);
+    util::put<std::uint32_t>(old, 0);  // streams
+
+    // The rest of the service state in its unchanged layout: a ledger that
+    // claims eu1-0001.yfl, no shed log, no mutations, totals.
+    std::string payload;
+    util::put_str32(payload, old);
+    util::put<std::uint32_t>(payload, 1);
+    util::put_str32(payload, "eu1-0001.yfl");
+    util::put<std::uint64_t>(payload, 1);
+    util::put<std::uint32_t>(payload, 0);
+    util::put<std::uint64_t>(payload, 15);
+    util::put<std::uint32_t>(payload, 1);
+    util::put<std::uint32_t>(payload, 0);
+    util::put_str32(payload, "ok");
+    util::put<std::uint32_t>(payload, 0);
+    util::put<std::uint32_t>(payload, 0);
+    util::put<std::uint64_t>(payload, 1);
+    util::put<std::uint64_t>(payload, 15);
+
+    auto opt = once_options(base / "spool", base / "run", 1);
+    opt.resume = true;
+    service::Service daemon(opt);
+    ASSERT_TRUE(ytcdn::study::write_checkpoint(
+                    ytcdn::study::checkpoint_path(opt.run_dir,
+                                                  ytcdn::study::Stage::Service),
+                    daemon.fingerprint(), ytcdn::study::Stage::Service, payload)
+                    .ok());
+    auto report = daemon.run();
+    ASSERT_TRUE(report.ok()) << report.error().what();
+    ASSERT_FALSE(report.value().warnings.empty());
+    const std::string& warning = report.value().warnings.front();
+    EXPECT_NE(warning.find("payload rejected"), std::string::npos) << warning;
+    EXPECT_NE(warning.find("version 1"), std::string::npos) << warning;
+    EXPECT_NE(warning.find("starting cold"), std::string::npos) << warning;
+    EXPECT_EQ(report.value().files_ingested, 3u);
+    EXPECT_EQ(report.value().records_ingested, 2 * records.size());
+    EXPECT_EQ(file_bytes(report.value().aggregates_path), fresh_aggregates);
     fs::remove_all(base);
 }
 
