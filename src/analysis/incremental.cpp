@@ -21,38 +21,24 @@ void IncrementalSessions::close_into_histogram(std::uint32_t flows) {
     if (bucket > 0) ++closed_[bucket];
 }
 
-void IncrementalSessions::evict_stale() {
-    // Every later flow of start-ordered input starts at or after the
-    // watermark, so none can extend a session whose last end is more than
-    // the gap behind it: closing those early is exactly what the batch
-    // closure would eventually do. (The newest *end* is no horizon: one
-    // long flow would move it minutes past sessions still open.)
-    const double horizon = watermark_ - gap_;
-    for (auto it = open_.begin(); it != open_.end();) {
-        if (it->second.last_end < horizon) {
-            close_into_histogram(it->second.flows);
-            it = open_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-}
-
 void IncrementalSessions::add(const capture::FlowRecord& r) {
+    // Spelled as SessionTable::build's split test (`r.start - horizon >
+    // gap_T_s`) so both round alike; monotone in last_end, so the sessions
+    // it closes are a prefix of expiry_.
     watermark_ = std::max(watermark_, r.start);
+    while (!expiry_.empty() && watermark_ - expiry_.begin()->first > gap_) {
+        const auto it = open_.find(expiry_.begin()->second);
+        close_into_histogram(it->second.flows);
+        open_.erase(it);
+        expiry_.erase(expiry_.begin());
+    }
     const Key key{r.client_ip.value(), r.video.value()};
     auto [it, inserted] = open_.try_emplace(key);
     OpenSession& session = it->second;
-    if (!inserted) {
-        if (r.start - session.last_end > gap_) {
-            // The gap rule splits here: the open session is complete.
-            close_into_histogram(session.flows);
-            session.flows = 0;
-        }
-    }
+    if (!inserted) expiry_.erase({session.last_end, key});
     ++session.flows;
     session.last_end = std::max(session.last_end, r.end);
-    if (open_.size() > max_open_) evict_stale();
+    expiry_.emplace(session.last_end, key);
 }
 
 void IncrementalSessions::close_all() {
@@ -60,6 +46,7 @@ void IncrementalSessions::close_all() {
         close_into_histogram(session.flows);
     }
     open_.clear();
+    expiry_.clear();
 }
 
 std::uint64_t IncrementalSessions::sessions_closed() const noexcept {
@@ -75,7 +62,9 @@ std::uint64_t IncrementalSessions::multi_flow_sessions() const noexcept {
 }
 
 void IncrementalSessions::restore_open(Key key, OpenSession session) {
-    open_[key] = session;
+    if (open_.try_emplace(key, session).second) {
+        expiry_.emplace(session.last_end, key);
+    }
 }
 
 void IncrementalSessions::restore_closed(std::size_t bucket,

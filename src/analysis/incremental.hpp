@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <unordered_set>
 #include <utility>
 
@@ -41,18 +42,16 @@ struct IncrementalSummary {
 /// within `gap_T_s` of the session's last end, Section VI-A), but producing
 /// a flows-per-session histogram instead of materialized sessions.
 ///
-/// Sessions close three ways: the gap is exceeded by a same-key flow, the
-/// open set outgrows `max_open` and a watermark sweep closes everything
-/// whose last end is more than the gap behind the newest flow start seen
-/// (no later flow of start-ordered input can extend those), or close_all()
-/// at shutdown/render. Equals the batch SessionTable exactly when each
-/// stream's flows arrive in start-time order — which the spool replay
+/// Sessions close two ways: add() first closes every session whose last
+/// end the newest flow start seen (the watermark) has passed by more than
+/// the gap (no later flow of start-ordered input can extend those), or
+/// close_all() at shutdown/render. So the open set is exactly the sessions
+/// that can still be extended. Equals the batch SessionTable exactly when
+/// each stream's flows arrive in start-time order — which the spool replay
 /// guarantees.
 class IncrementalSessions {
 public:
-    explicit IncrementalSessions(double gap_T_s = 1.0,
-                                 std::size_t max_open = 64 * 1024)
-        : gap_(gap_T_s), max_open_(max_open == 0 ? 1 : max_open) {}
+    explicit IncrementalSessions(double gap_T_s = 1.0) : gap_(gap_T_s) {}
 
     void add(const capture::FlowRecord& r);
 
@@ -64,7 +63,6 @@ public:
     static constexpr std::size_t kMaxBucket = 8;
 
     [[nodiscard]] double gap() const noexcept { return gap_; }
-    [[nodiscard]] std::size_t max_open() const noexcept { return max_open_; }
     [[nodiscard]] std::uint64_t sessions_closed() const noexcept;
     [[nodiscard]] std::uint64_t multi_flow_sessions() const noexcept;
     [[nodiscard]] const std::array<std::uint64_t, kMaxBucket + 1>& histogram()
@@ -86,7 +84,9 @@ public:
         return open_;
     }
 
-    /// Checkpoint restore: reinstates one open session / the watermark.
+    /// Checkpoint restore: reinstates one open session (a key already open
+    /// keeps its own) / the watermark. Restored sessions the watermark has
+    /// already passed close at the next add().
     void restore_open(Key key, OpenSession session);
     void restore_closed(std::size_t bucket, std::uint64_t count);
     void set_watermark(double watermark) noexcept { watermark_ = watermark; }
@@ -94,12 +94,13 @@ public:
 
 private:
     void close_into_histogram(std::uint32_t flows);
-    void evict_stale();
 
     double gap_;
-    std::size_t max_open_;
     double watermark_ = 0.0;  // newest flow start seen
     std::map<Key, OpenSession> open_;
+    /// (last_end, key) of every open session, oldest end first: the
+    /// sessions the watermark passes are always a prefix.
+    std::set<std::pair<double, Key>> expiry_;
     std::array<std::uint64_t, kMaxBucket + 1> closed_{};  // [0] unused
 };
 

@@ -1,6 +1,7 @@
 #include "service/aggregates.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -216,6 +217,11 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
     }
     double gap = 0.0;
     if (!r.take_f64(&gap)) return truncated(r);
+    if (!std::isfinite(gap) || gap < 0.0) {
+        return Error(ErrorCode::BadField,
+                     "service aggregates: session gap " + std::to_string(gap) +
+                         " is not a finite, non-negative number of seconds");
+    }
     ServiceAggregates out(gap);
 
     std::string map_text;
@@ -250,8 +256,16 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
         }
 
         auto& sessions = it->second.sessions;
+        // Session times order the expiry index: a NaN or infinity read
+        // from disk would break that ordering, so it is rejected here.
+        const auto not_finite = [&name](const char* field) {
+            return Error(ErrorCode::BadField,
+                         std::string("service aggregates: non-finite ") +
+                             field + " in stream '" + name + "'");
+        };
         double watermark = 0.0;
         if (!r.take_f64(&watermark)) return truncated(r);
+        if (!std::isfinite(watermark)) return not_finite("watermark");
         sessions.set_watermark(watermark);
         for (std::size_t k = 1;
              k <= analysis::IncrementalSessions::kMaxBucket; ++k) {
@@ -269,7 +283,16 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
                 !r.take_f64(&open.last_end) || !r.take(&open.flows)) {
                 return truncated(r);
             }
-            sessions.restore_open({client, video}, open);
+            if (!std::isfinite(open.last_end)) return not_finite("session end");
+            // Strictly ascending, as encode() writes the ordered open map.
+            const analysis::IncrementalSessions::Key key{client, video};
+            if (j > 0 && !(sessions.open().rbegin()->first < key)) {
+                return Error(ErrorCode::BadField,
+                             "service aggregates: open session " +
+                                 std::to_string(j) + " of stream '" + name +
+                                 "' is out of key order");
+            }
+            sessions.restore_open(key, open);
         }
 
         std::uint32_t ntallies = 0;

@@ -391,8 +391,12 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         std::vector<double> single_flow;
         const auto us = run.vp_index("US-Campus");
         for (const double gap : {1.0, 5.0, 10.0, 60.0, 300.0}) {
-            const auto cdf = analysis::flows_per_session_cdf(
-                analysis::SessionTable::build(run.traces.datasets[us], gap));
+            // index_study_run already grouped the sessions at T = 1 s.
+            const auto cdf =
+                gap == 1.0
+                    ? analysis::flows_per_session_cdf(run.sessions[us])
+                    : analysis::flows_per_session_cdf(
+                          analysis::SessionTable::build(run.traces.datasets[us], gap));
             single_flow.push_back(cdf[0]);
             series.push_back(flows_cdf_series(
                 "T=" + std::to_string(static_cast<int>(gap)) + "s", cdf));

@@ -8,6 +8,9 @@
 #include <array>
 #include <cstdint>
 #include <filesystem>
+#include <iostream>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -110,12 +113,14 @@ TEST(IncrementalSessions, MatchesBatchClosureOnSortedInput) {
     EXPECT_EQ(inc.multi_flow_sessions(), batch_multi);
 }
 
-TEST(IncrementalSessions, BoundedOpenSetStillCountsCorrectly) {
-    // Thousands of distinct keys but a tiny open-set bound: the watermark
-    // sweep must close stale sessions without changing the totals.
-    analysis::IncrementalSessions inc(1.0, /*max_open=*/16);
+TEST(IncrementalSessions, OpenSetHoldsOnlyLiveSessions) {
+    // Thousands of distinct keys 10 s apart: each flow's start passes the
+    // previous session by more than the gap, so it closes before the next
+    // one opens and the totals are unchanged.
+    analysis::IncrementalSessions inc(1.0);
     for (std::uint32_t i = 0; i < 4096; ++i) {
         inc.add(flow(i, 0xC0A80101u, 10.0 * i, 10.0 * i + 1.0, 5000, i));
+        ASSERT_LE(inc.open_count(), 1u) << "after add " << i;
     }
     inc.close_all();
     EXPECT_EQ(inc.sessions_closed(), 4096u);
@@ -124,9 +129,9 @@ TEST(IncrementalSessions, BoundedOpenSetStillCountsCorrectly) {
 }
 
 TEST(IncrementalSessions, SweepHorizonFollowsTheNewestStart) {
-    // A long flow must not drag the sweep horizon to its end: (c2, v2)'s
-    // session ends at 2 and is extended at 2.5, although the sweep runs
-    // after the [0, 600] flow has been seen.
+    // A long flow must not drag the closure horizon to its end: (c2, v2)'s
+    // session ends at 2 and is extended at 2.5, although the [0, 600] flow
+    // has been seen before either.
     capture::Dataset ds;
     ds.records = {flow(1, 0xC0A80101u, 0.0, 600.0, 5000, 1),
                   flow(2, 0xC0A80101u, 1.0, 2.0, 5000, 2),
@@ -135,44 +140,104 @@ TEST(IncrementalSessions, SweepHorizonFollowsTheNewestStart) {
     const auto batch = analysis::SessionTable::build(ds, 1.0);
     ASSERT_EQ(batch.num_sessions(), 3u);
 
-    analysis::IncrementalSessions inc(1.0, /*max_open=*/1);
+    analysis::IncrementalSessions inc(1.0);
     for (const auto& r : ds.records) inc.add(r);
     inc.close_all();
     EXPECT_EQ(inc.sessions_closed(), batch.num_sessions());
     EXPECT_EQ(inc.multi_flow_sessions(), 1u);
 }
 
+namespace {
+
+/// SessionTable::build's flows-per-session histogram, bucketed as
+/// IncrementalSessions buckets it.
+std::array<std::uint64_t, analysis::IncrementalSessions::kMaxBucket + 1>
+batch_histogram(const capture::Dataset& ds) {
+    constexpr std::size_t kMax = analysis::IncrementalSessions::kMaxBucket;
+    const auto batch = analysis::SessionTable::build(ds, 1.0);
+    std::array<std::uint64_t, kMax + 1> histogram{};
+    for (std::size_t s = 0; s < batch.num_sessions(); ++s) {
+        ++histogram[std::min(batch.flows_of(s).size(), kMax)];
+    }
+    return histogram;
+}
+
+/// Open sessions the watermark has passed by more than the gap.
+std::size_t stale_open(const analysis::IncrementalSessions& inc) {
+    return static_cast<std::size_t>(std::count_if(
+        inc.open().begin(), inc.open().end(), [&inc](const auto& entry) {
+            return inc.watermark() - entry.second.last_end > inc.gap();
+        }));
+}
+
+}  // namespace
+
 TEST(IncrementalSessions, MatchesSessionTableOverASimulatedWeek) {
-    // Every vantage point of a simulated week, folded through an open set
-    // of 64 so the stale-session sweep runs thousands of times: all eight
-    // histogram buckets must equal the batch grouping's.
+    // Every vantage point of a simulated week: all eight histogram buckets
+    // must equal the batch grouping's, and after every flow the open set
+    // holds only sessions a later flow could still extend.
     ytcdn::study::StudyConfig cfg;
     cfg.scale = 0.05;
     auto run = ytcdn::study::run_study(cfg);
-    constexpr std::size_t kMaxOpen = 64;
-    constexpr std::size_t kMax = analysis::IncrementalSessions::kMaxBucket;
-    // Adds after which the open set shrank: each ran a sweep that closed at
-    // least two sessions (a lower bound on the sweeps run).
-    std::uint64_t sweeps = 0;
+    std::size_t peak_open = 0;
     for (auto& ds : run.traces.datasets) {
         ds.sort_by_time();
-        analysis::IncrementalSessions inc(1.0, kMaxOpen);
+        analysis::IncrementalSessions inc;
+        std::size_t stale_adds = 0;
         for (const auto& r : ds.records) {
-            const std::size_t open_before = inc.open_count();
             inc.add(r);
-            sweeps += inc.open_count() < open_before ? 1 : 0;
+            peak_open = std::max(peak_open, inc.open_count());
+            stale_adds += stale_open(inc) > 0 ? 1 : 0;
         }
+        EXPECT_EQ(stale_adds, 0u) << ds.name;
         inc.close_all();
 
-        const auto batch = analysis::SessionTable::build(ds, 1.0);
-        std::array<std::uint64_t, kMax + 1> histogram{};
-        for (std::size_t s = 0; s < batch.num_sessions(); ++s) {
-            ++histogram[std::min(batch.flows_of(s).size(), kMax)];
-        }
-        EXPECT_EQ(inc.histogram(), histogram) << ds.name;
-        EXPECT_EQ(inc.sessions_closed(), batch.num_sessions()) << ds.name;
+        EXPECT_EQ(inc.histogram(), batch_histogram(ds)) << ds.name;
     }
-    EXPECT_GT(sweeps, 1000u);
+    std::cout << "peak open_count " << peak_open << '\n';
+}
+
+TEST(IncrementalSessions, RestoredStaleSessionsCloseOnNextAdd) {
+    // A checkpoint written before sessions closed on the watermark holds
+    // every key's last session, however old. Restored, the stale ones must
+    // close at the next add, before a recurring key could extend them.
+    capture::Dataset ds;
+    ds.records = sample_records();
+    ds.sort_by_time();
+    capture::Dataset prefix;
+    prefix.records.assign(ds.records.begin(), ds.records.end() - 1);
+
+    analysis::IncrementalSessions inc(1.0);
+    const auto sessions = analysis::SessionTable::build(prefix, 1.0);
+    std::map<analysis::IncrementalSessions::Key,
+             analysis::IncrementalSessions::OpenSession>
+        last_session;
+    std::array<std::uint64_t, analysis::IncrementalSessions::kMaxBucket + 1>
+        closed{};
+    for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
+        analysis::IncrementalSessions::OpenSession open;
+        for (const std::uint32_t row : sessions.flows_of(s)) {
+            open.last_end = std::max(open.last_end, prefix.records[row].end);
+            ++open.flows;
+        }
+        auto [it, inserted] = last_session.try_emplace(
+            {sessions.client[s].value(), sessions.video[s].value()}, open);
+        if (!inserted) {
+            // Sessions are in start order: the earlier one was closed.
+            ++closed[std::min<std::size_t>(it->second.flows,
+                                           analysis::IncrementalSessions::kMaxBucket)];
+            it->second = open;
+        }
+    }
+    for (std::size_t k = 1; k < closed.size(); ++k) inc.restore_closed(k, closed[k]);
+    for (const auto& [key, open] : last_session) inc.restore_open(key, open);
+    inc.set_watermark(prefix.records.back().start);
+    ASSERT_GT(stale_open(inc), 0u);
+
+    inc.add(ds.records.back());
+    EXPECT_EQ(stale_open(inc), 0u);
+    inc.close_all();
+    EXPECT_EQ(inc.histogram(), batch_histogram(ds));
 }
 
 TEST(ServiceAggregates, SectionViiFoldsEachStreamByBytes) {
@@ -327,6 +392,53 @@ TEST(ServiceAggregates, DecodeRejectsDamage) {
     EXPECT_NE(std::string(rejected.error().what()).find("beyond the map"),
               std::string::npos)
         << rejected.error().what();
+
+    // Fields that order the session expiry index, or that encode() writes
+    // in order, are checked. Offsets into the one-stream, map-less payload:
+    // version, gap, empty map text, stream count, name, three u64 totals,
+    // the three sorted sets, then the watermark, the eight histogram
+    // buckets, the open count and the open sessions (u32 client, u64
+    // video, f64 last end, u32 flows).
+    const auto& summary = agg.streams().at("eu1").summary;
+    const std::size_t watermark_at =
+        4 + 8 + 4 + 4 + (4 + 3) + 3 * 8 +
+        4 * (3 + summary.servers.size() + summary.clients.size() +
+             summary.server_slash24s.size());
+    const std::size_t open_at = watermark_at + 8 + 8 * 8 + 4;
+    constexpr std::size_t kOpenSize = 4 + 8 + 8 + 4;
+    ASSERT_GE(agg.streams().at("eu1").sessions.open_count(), 2u);
+    const auto with_f64 = [&encoded](std::size_t at, double value) {
+        std::string bytes;
+        ytcdn::util::put_f64(bytes, value);
+        return std::string(encoded).replace(at, 8, bytes);
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::string swapped = encoded;
+    std::copy_n(encoded.begin() + open_at, kOpenSize,
+                swapped.begin() + open_at + kOpenSize);
+    std::copy_n(encoded.begin() + open_at + kOpenSize, kOpenSize,
+                swapped.begin() + open_at);
+    std::string repeated = encoded;
+    std::copy_n(encoded.begin() + open_at, kOpenSize,
+                repeated.begin() + open_at + kOpenSize);
+    for (const auto& [what, bytes] :
+         {std::pair{"NaN gap", with_f64(4, nan)},
+          std::pair{"infinite gap", with_f64(4, inf)},
+          std::pair{"negative gap", with_f64(4, -1.0)},
+          std::pair{"NaN watermark", with_f64(watermark_at, nan)},
+          std::pair{"infinite watermark", with_f64(watermark_at, -inf)},
+          std::pair{"NaN session end", with_f64(open_at + 12, nan)},
+          std::pair{"infinite session end", with_f64(open_at + 12, inf)},
+          std::pair{"descending keys", swapped},
+          std::pair{"repeated key", repeated}}) {
+        const auto damaged = service::ServiceAggregates::decode(bytes);
+        ASSERT_FALSE(damaged.ok()) << what;
+        EXPECT_EQ(damaged.error().code(), ytcdn::ErrorCode::BadField)
+            << what << ": " << damaged.error().what();
+    }
+    // The offsets are right: an in-range edit still decodes.
+    EXPECT_TRUE(service::ServiceAggregates::decode(with_f64(watermark_at, 1e9)).ok());
 }
 
 TEST(Spool, ScanOrdersByNameAndSkipsTempFiles) {
@@ -390,9 +502,9 @@ std::string file_bytes(const fs::path& path) {
 }  // namespace
 
 TEST(Determinism, ServiceResume) {
-    // The acceptance bar: aggregates after (ingest some, stop, resume the
-    // rest) are byte-identical to one uninterrupted pass — at parse-pool
-    // sizes 1 and 8.
+    // The acceptance bar: aggregates and the final checkpoint after (ingest
+    // some, stop, resume the rest) are byte-identical to one uninterrupted
+    // pass — at parse-pool sizes 1 and 8.
     const auto records = sample_records();
     std::string reference;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -447,6 +559,14 @@ TEST(Determinism, ServiceResume) {
             file_bytes(resumed_report.value().aggregates_path);
         EXPECT_EQ(after_resume, uninterrupted)
             << "resumed aggregates diverged at threads=" << threads;
+        // The open sessions are a function of the ingested flows alone, so
+        // the final checkpoints match byte for byte too.
+        const auto checkpoint = [](const fs::path& run_dir) {
+            return file_bytes(ytcdn::study::checkpoint_path(
+                run_dir, ytcdn::study::Stage::Service));
+        };
+        EXPECT_EQ(checkpoint(base / "run_inc"), checkpoint(base / "run_full"))
+            << "resumed checkpoint diverged at threads=" << threads;
 
         if (reference.empty()) {
             reference = uninterrupted;
