@@ -42,13 +42,16 @@ std::filesystem::path snapshot_dir() {
 
 /// Simulating the week dominates every binary's start-up, and the whole
 /// suite runs the identical simulation ~30 times. The first binary writes
-/// the week as a Simulate-stage YCK1 frame keyed to config_fingerprint
-/// (the file name carries the seed and the fingerprint); the rest load it
-/// in milliseconds and re-derive the maps, which is bit-identical to
-/// simulating (Determinism tests hold assemble == run). A damaged file is
-/// quarantined and the week re-simulated. Set YTCDN_BENCH_SNAPSHOT=0 to
-/// force simulation. Progress goes to stderr — stdout carries the paper
-/// artifacts.
+/// the week as a study run persists it, into one directory per
+/// configuration (`trace-<seed>-<config_fingerprint>/`, both hex): each
+/// vantage point's YFL2 log `<vp>.yfl`, then `simulate.yck`, the
+/// Simulate-stage YCK1 frame keyed to config_fingerprint that names the
+/// logs by size and CRC. The rest load it in milliseconds and re-derive
+/// the maps, which is bit-identical to simulating (Determinism tests hold
+/// assemble == run). A damaged frame is quarantined, and a damaged or
+/// missing log rejects the cache; either way the week is re-simulated. Set
+/// YTCDN_BENCH_SNAPSHOT=0 to force simulation. Progress goes to stderr —
+/// stdout carries the paper artifacts.
 study::StudyRun build_shared_run() {
     const study::StudyConfig cfg = bench_config();
     util::ThreadPool pool(cfg.effective_threads());
@@ -56,24 +59,34 @@ study::StudyRun build_shared_run() {
 
     const std::uint64_t key = study::config_fingerprint(cfg);
     std::ostringstream name;
-    name << "trace-" << std::hex << cfg.seed << "-" << key << ".yck";
-    const std::filesystem::path path = snapshot_dir() / name.str();
+    name << "trace-" << std::hex << cfg.seed << "-" << key;
+    const std::filesystem::path dir = snapshot_dir() / name.str();
+    const std::filesystem::path frame = dir / "simulate.yck";
     std::string warning;
     if (auto payload = study::load_or_quarantine_checkpoint(
-            path, key, study::Stage::Simulate, &warning)) {
-        auto traces = study::decode_traces(*payload);
+            frame, key, study::Stage::Simulate, &warning)) {
+        auto traces = study::decode_traces(*payload, dir);
         if (traces) {
-            std::cerr << "# bench: loaded trace cache " << path << "\n";
+            std::cerr << "# bench: loaded trace cache " << dir << "\n";
             return study::assemble_study_run(cfg, std::move(traces).value(), pool);
         }
-        warning = "warning: trace cache " + path.string() + " rejected (" +
+        warning = "warning: trace cache " + dir.string() + " rejected (" +
                   traces.error().what() + "); regenerating";
     }
     if (!warning.empty()) std::cerr << "# bench: " << warning << "\n";
     study::StudyRun run = study::run_study(cfg, pool);
-    if (study::write_checkpoint(path, key, study::Stage::Simulate,
-                                study::encode_traces(run.traces))) {
-        std::cerr << "# bench: wrote trace cache " << path << "\n";
+    const study::EncodedWeek week = study::encode_traces(run.traces);
+    bool written = true;
+    for (std::size_t i = 0; written && i < week.logs.size(); ++i) {
+        written = util::io::write_file_atomic(
+                      study::log_path(dir, run.traces.datasets[i].name),
+                      week.logs[i])
+                      .ok();
+    }
+    // The frame goes last: it never names a log that is not on disk.
+    if (written &&
+        study::write_checkpoint(frame, key, study::Stage::Simulate, week.payload)) {
+        std::cerr << "# bench: wrote trace cache " << dir << "\n";
     }
     return run;
 }

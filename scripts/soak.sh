@@ -56,14 +56,14 @@ SERVE=("$YTCDN" serve --spool "$SPOOL" --out "$RUN" --socket "$SOCK"
        --tick-ms 20 --backoff 0 --checkpoint-every 1 --queue 2 --batch 128)
 
 echo "== generate the flow-file pool (no faults while seeding)"
-YTCDN_IO_FAULTS="" "$YTCDN" run --scale 0.005 --seed 11 --out "$WORK/gen" \
-    --binary >/dev/null
+YTCDN_IO_FAULTS="" "$YTCDN" study --scale 0.005 --seed 11 --no-table3 \
+    --out "$WORK/gen" >/dev/null 2>&1
 mkdir -p "$SPOOL"
 POOL=()
 while IFS= read -r f; do POOL+=("$f"); done \
-    < <(find "$WORK/gen" -name '*.yfl' | sort)
+    < <(find "$WORK/gen/logs" -name '*.yfl' | sort)
 [ "${#POOL[@]}" -gt 0 ] || { echo "FAIL: generator produced no flow logs" >&2; exit 1; }
-DCMAP=$(find "$WORK/gen" -name '*.dcmap' | sort | head -n 1)
+DCMAP=$(find "$WORK/gen/logs" -name '*.dcmap' | sort | head -n 1)
 cp "$DCMAP" "$SPOOL/vantage.dcmap"
 
 # Feeder: every second, stage the next pool file (atomically: dotfile copy,

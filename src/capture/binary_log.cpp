@@ -128,6 +128,10 @@ void write_binary_log(const std::filesystem::path& path,
         .value_or_throw();
 }
 
+bool is_binary_log_bytes(std::string_view bytes) noexcept {
+    return bytes.starts_with(std::string_view(kMagic, sizeof kMagic));
+}
+
 util::Result<std::vector<FlowRecord>> read_binary_log_bytes(std::string_view bytes) {
     auto reader = FlowLogReader::open_bytes(bytes);
     if (!reader) return std::move(reader).error();

@@ -43,6 +43,9 @@ namespace ytcdn::capture {
 [[nodiscard]] util::Result<std::vector<FlowRecord>> read_binary_log_bytes(
     std::string_view bytes);
 
+/// True when `bytes` start with the YFL2 magic.
+[[nodiscard]] bool is_binary_log_bytes(std::string_view bytes) noexcept;
+
 /// The encoded log, as every writer below publishes it.
 [[nodiscard]] std::string write_binary_log_bytes(
     const std::vector<FlowRecord>& records);

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <string>
 
+#include "capture/binary_log.hpp"
+#include "capture/log_io.hpp"
 #include "util/io.hpp"
 
 namespace ytcdn::capture {
@@ -52,6 +54,10 @@ util::Result<std::vector<FlowRecord>> read_flow_log_result(
     auto data = util::io::read_file(path);
     if (!data) {
         return std::move(data).context("read_flow_log").error();
+    }
+    if (is_binary_log_bytes(data.value()) || is_binary_log_path(path)) {
+        return read_binary_log_bytes(data.value())
+            .context("read_binary_log " + path.string());
     }
     std::istringstream is(std::move(data).value());
     return read_flow_log_result(is);

@@ -20,6 +20,11 @@ void write_flow_log(const std::filesystem::path& path,
 /// ErrorCode::Io.
 [[nodiscard]] util::Result<std::vector<FlowRecord>> read_flow_log_result(
     std::istream& is);
+/// The one path reader for flow logs, whichever format: the format is
+/// decided by content. A file that starts with the YFL2 magic decodes as
+/// YFL2 whatever its name; a ".yfl" file without the magic is a damaged
+/// YFL2 log (BadMagic, or Truncated when empty), never TSV; anything else
+/// parses as TSV.
 [[nodiscard]] util::Result<std::vector<FlowRecord>> read_flow_log_result(
     const std::filesystem::path& path);
 

@@ -9,16 +9,6 @@ bool is_binary_log_path(const std::filesystem::path& path) {
     return path.extension() == ".yfl";
 }
 
-util::Result<std::vector<FlowRecord>> read_any_log_result(
-    const std::filesystem::path& path) {
-    return is_binary_log_path(path) ? read_binary_log_result(path)
-                                    : read_flow_log_result(path);
-}
-
-std::vector<FlowRecord> read_any_log(const std::filesystem::path& path) {
-    return read_any_log_result(path).value_or_throw();
-}
-
 void write_any_log(const std::filesystem::path& path,
                    const std::vector<FlowRecord>& records) {
     if (is_binary_log_path(path)) {

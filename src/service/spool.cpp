@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "capture/log_io.hpp"
+#include "capture/flow_log.hpp"
 
 namespace ytcdn::service {
 
@@ -65,7 +65,7 @@ std::vector<SpoolFile> scan_dc_maps(const std::filesystem::path& dir) {
 
 util::Result<std::vector<capture::FlowRecord>> read_spool_file(
     const std::filesystem::path& path) {
-    return capture::read_any_log_result(path).context("spool " + path.string());
+    return capture::read_flow_log_result(path).context("spool " + path.string());
 }
 
 std::string stream_of(const std::string& name) {

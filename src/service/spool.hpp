@@ -33,9 +33,10 @@ struct SpoolFile {
 [[nodiscard]] std::vector<SpoolFile> scan_dc_maps(
     const std::filesystem::path& dir);
 
-/// Reads and parses one spool file with capture::read_any_log_result
-/// (*.yfl through the YFL2 reader, anything else as a TSV flow log whose
-/// malformed lines are a Parse error with the line number); errors carry
+/// Reads and parses one spool file with capture::read_flow_log_result
+/// (YFL2 bytes, or any *.yfl, through the YFL2 reader; anything else as a
+/// TSV flow log whose malformed lines are a Parse error with the line
+/// number); errors carry
 /// "spool <path>" context. The records' stream name is the file name up to
 /// the first '.'.
 [[nodiscard]] util::Result<std::vector<capture::FlowRecord>> read_spool_file(

@@ -153,8 +153,14 @@ std::optional<std::string> load_or_quarantine_checkpoint(
     return std::nullopt;
 }
 
-std::string encode_traces(const TraceOutputs& traces) {
-    std::string buf;
+std::filesystem::path log_path(const std::filesystem::path& log_dir,
+                               std::string_view name) {
+    return log_dir / (std::string(name) + ".yfl");
+}
+
+EncodedWeek encode_traces(const TraceOutputs& traces) {
+    EncodedWeek week;
+    std::string& buf = week.payload;
     util::put(buf, traces.events_processed);
     util::put(buf, traces.faults_injected);
     util::put(buf, static_cast<std::uint32_t>(traces.datasets.size()));
@@ -167,20 +173,19 @@ std::string encode_traces(const TraceOutputs& traces) {
         util::put(buf, traces.requests_generated[i]);
         util::put(buf, traces.flows_observed[i]);
         util::put(buf, traces.flows_ignored[i]);
-        // Length-prefixed so the decoder can carve the blob out of the
-        // payload without parsing it first.
-        const std::string blob =
-            capture::write_binary_log_bytes(traces.datasets[i].records);
-        util::put(buf, static_cast<std::uint64_t>(blob.size()));
-        buf += blob;
+        const std::string& log = week.logs.emplace_back(
+            capture::write_binary_log_bytes(traces.datasets[i].records));
+        util::put(buf, static_cast<std::uint64_t>(log.size()));
+        util::put(buf, util::crc32(log));
     }
-    return buf;
+    return week;
 }
 
-util::Result<TraceOutputs> decode_traces(std::string_view payload) {
+util::Result<TraceOutputs> decode_traces(std::string_view payload,
+                                         const std::filesystem::path& log_dir) {
     constexpr std::uint32_t kMaxVantagePoints = 64;
     constexpr std::uint32_t kMaxLength = 1u << 20;    // names, retry histograms
-    constexpr std::uint64_t kMaxBlob = 1ull << 34;
+    constexpr std::uint64_t kMaxLog = 1ull << 34;
     util::ByteReader r(payload);
     TraceOutputs traces;
     std::uint32_t n_vps = 0;
@@ -191,6 +196,7 @@ util::Result<TraceOutputs> decode_traces(std::string_view payload) {
     if (n_vps > kMaxVantagePoints) {
         return out_of_range("vantage-point count", n_vps);
     }
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> logs;  // size, crc
     for (std::uint32_t v = 0; v < n_vps; ++v) {
         capture::Dataset ds;
         workload::Player::Stats stats;
@@ -198,6 +204,11 @@ util::Result<TraceOutputs> decode_traces(std::string_view payload) {
         if (!r.take(&n)) return truncated(r, "vantage-point name");
         if (n > kMaxLength) return out_of_range("vantage-point name length", n);
         if (!r.take_bytes(&ds.name, n)) return truncated(r, "vantage-point name");
+        // The name becomes a file name under log_dir, never a path.
+        if (ds.name.empty() || ds.name == "." || ds.name == ".." ||
+            ds.name.find_first_of(std::string_view("/\0", 2)) != std::string::npos) {
+            return Error(ErrorCode::BadField, "vantage-point name is not a file stem");
+        }
         for (std::uint64_t* x : stats_counters(stats)) {
             if (!r.take(x)) return truncated(r, "player stats");
         }
@@ -209,20 +220,14 @@ util::Result<TraceOutputs> decode_traces(std::string_view payload) {
         std::uint64_t requests = 0;
         std::uint64_t observed = 0;
         std::uint64_t ignored = 0;
-        std::uint64_t blob_size = 0;
         if (!r.take(&requests) || !r.take(&observed) || !r.take(&ignored)) {
             return truncated(r, "flow counters");
         }
-        if (!r.take(&blob_size)) return truncated(r, "flow-log blob size");
-        if (blob_size > kMaxBlob) return out_of_range("flow-log blob size", blob_size);
-        std::string_view blob;
-        if (!r.view(blob_size, &blob)) return truncated(r, "flow-log blob");
-        auto records = capture::read_binary_log_bytes(blob);
-        if (!records) {
-            return records.error().context("flow log of vantage point '" +
-                                           ds.name + "'");
+        auto& [log_size, log_crc] = logs.emplace_back();
+        if (!r.take(&log_size) || !r.take(&log_crc)) {
+            return truncated(r, "flow-log size and CRC");
         }
-        ds.records = std::move(records).value();
+        if (log_size > kMaxLog) return out_of_range("flow-log size", log_size);
         traces.datasets.push_back(std::move(ds));
         traces.player_stats.push_back(std::move(stats));
         traces.requests_generated.push_back(requests);
@@ -233,45 +238,26 @@ util::Result<TraceOutputs> decode_traces(std::string_view payload) {
         return Error(ErrorCode::CountMismatch,
                      "simulate payload has trailing bytes");
     }
-    return traces;
-}
-
-std::string encode_capture(const std::vector<CaptureEntry>& entries) {
-    std::string buf;
-    util::put(buf, static_cast<std::uint32_t>(entries.size()));
-    for (const auto& e : entries) {
-        util::put_str32(buf, e.name);
-        util::put(buf, e.size);
-        util::put(buf, e.crc);
-    }
-    return buf;
-}
-
-util::Result<std::vector<CaptureEntry>> decode_capture(
-    std::string_view payload) {
-    util::ByteReader r(payload);
-    std::uint32_t n = 0;
-    if (!r.take(&n)) return truncated(r, "capture entry count");
-    // Each entry needs at least name length + size + crc (16 bytes).
-    if (n > r.remaining() / 16) {
-        return Error(ErrorCode::CountMismatch,
-                     "capture entry count " + std::to_string(n) +
-                         " exceeds payload size");
-    }
-    std::vector<CaptureEntry> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-        CaptureEntry e;
-        if (!r.take_str32(&e.name) || !r.take(&e.size) || !r.take(&e.crc)) {
-            return truncated(r, "capture entry");
+    for (std::size_t v = 0; v < logs.size(); ++v) {
+        auto& ds = traces.datasets[v];
+        const auto path = log_path(log_dir, ds.name);
+        auto bytes = util::io::read_file(path);
+        if (!bytes) return std::move(bytes).context("flow log " + path.string()).error();
+        const auto [size, crc] = logs[v];
+        if (bytes.value().size() != size || util::crc32(bytes.value()) != crc) {
+            return Error(ErrorCode::ChecksumMismatch,
+                         "flow log " + path.string() +
+                             " does not match the simulate payload's size " +
+                             std::to_string(size) + " and CRC-32");
         }
-        out.push_back(std::move(e));
+        auto records = capture::read_binary_log_bytes(bytes.value());
+        if (!records) {
+            return records.error().context("flow log of vantage point '" +
+                                           ds.name + "'");
+        }
+        ds.records = std::move(records).value();
     }
-    if (!r.done()) {
-        return Error(ErrorCode::CountMismatch,
-                     "capture payload has trailing bytes");
-    }
-    return out;
+    return traces;
 }
 
 std::string encode_geolocate(const std::vector<analysis::ServerDcMap>& maps,

@@ -19,12 +19,13 @@ namespace ytcdn::study {
 ///
 /// Each completed pipeline stage (see study/supervisor.hpp) persists its
 /// output under `<run-dir>/checkpoints/<stage>.yck` so a killed run can be
-/// resumed without redoing finished work; the bench trace cache stores its
-/// simulated week as a Simulate-stage frame and ytcdnd its service state as
-/// a Service-stage frame. The frame mirrors the repo's other on-disk
-/// formats (YFL2 / YTR1): explicit magic + version, a key that ties the
-/// file to the run that produced it, and a whole-file CRC32 so any flipped
-/// bit is detected at load time:
+/// resumed without redoing finished work (the Capture stage's output is the
+/// flow logs the Simulate frame names); the bench trace cache stores its
+/// simulated week as a Simulate-stage frame beside its logs and ytcdnd its
+/// service state as a Service-stage frame. The frame mirrors the repo's
+/// other on-disk formats (YFL2 / YTR1): explicit magic + version, a key
+/// that ties the file to the run that produced it, and a whole-file CRC32
+/// so any flipped bit is detected at load time:
 ///
 ///   magic "YCK1" | u32 version | u64 run fingerprint | u32 stage id |
 ///   u64 payload size | payload | trailer u32 crc32 of every prior byte
@@ -43,7 +44,8 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// on-disk stage ids of the YCK1 frame — append only, never renumber.
 enum class Stage : std::uint32_t {
     Simulate = 0,  // run the discrete-event week -> TraceOutputs
-    Capture,       // write per-vantage-point flow logs
+    Capture,       // write per-vantage-point flow logs (no frame of its
+                   // own: the Simulate payload names the logs)
     Geolocate,     // derive per-VP server->DC maps + preferred DCs
     Analyze,       // render every report artifact
     Render,        // write report.txt, artifacts/, manifest.txt
@@ -88,31 +90,36 @@ inline constexpr std::size_t kNumStageIds = 6;
 /// u32 length + bytes. Map assignments are sorted by /24 address before
 /// encoding, making the payload independent of hash-table iteration order.
 
-/// Simulate stage: the simulated week.
+/// Simulate stage: the simulated week's counters, plus the (name, size,
+/// CRC32) of each vantage point's YFL2 flow log. The records live only in
+/// those logs, `<log dir>/<name>.yfl` (a study run's logs/, which the
+/// Capture stage writes; the bench cache's week directory), so the week is
+/// persisted once.
 ///
 ///   u64 events_processed | u64 faults_injected | u32 vantage-point count
 ///   per VP: name | player stats | u64 requests_generated |
 ///           u64 flows_observed | u64 flows_ignored |
-///           u64 blob size | YFL2 blob of the VP's records
+///           u64 log size | u32 crc32 of the log
 ///
-/// The decoder bounds every count (at most 64 vantage points, 1 MiB names
-/// and retry histograms, 16 GiB blobs) before it allocates, and decodes
-/// each blob in place through capture::read_binary_log_bytes.
-/// `unique_hosts` is not stored, so it is zero on a decoded week.
-[[nodiscard]] std::string encode_traces(const TraceOutputs& traces);
-[[nodiscard]] util::Result<TraceOutputs> decode_traces(std::string_view payload);
-
-/// Capture stage: the flow-log files written, with size + CRC32 so resume
-/// can verify them without trusting mtimes.
-struct CaptureEntry {
-    std::string name;        // dataset name, also the log's file stem
-    std::uint64_t size = 0;  // bytes on disk
-    std::uint32_t crc = 0;   // util::crc32 of the file contents
+/// encode_traces returns the payload with the logs it describes, each
+/// encoded once by capture::write_binary_log_bytes. decode_traces bounds
+/// every count (at most 64 vantage points, 1 MiB names and retry
+/// histograms, 16 GiB logs) and rejects a name that is not a plain file
+/// stem, all before it touches a file; then it reads each log, checks its
+/// size and CRC against the payload (ChecksumMismatch; a missing log is the
+/// read's Io error) and decodes it. `unique_hosts` is not stored, so it is
+/// zero on a decoded week.
+struct EncodedWeek {
+    std::string payload;            // the Simulate-stage payload
+    std::vector<std::string> logs;  // YFL2 bytes of datasets[i].records
 };
+[[nodiscard]] EncodedWeek encode_traces(const TraceOutputs& traces);
+[[nodiscard]] util::Result<TraceOutputs> decode_traces(
+    std::string_view payload, const std::filesystem::path& log_dir);
 
-[[nodiscard]] std::string encode_capture(const std::vector<CaptureEntry>& entries);
-[[nodiscard]] util::Result<std::vector<CaptureEntry>> decode_capture(
-    std::string_view payload);
+/// `<log_dir>/<name>.yfl`, where a vantage point's log lives.
+[[nodiscard]] std::filesystem::path log_path(const std::filesystem::path& log_dir,
+                                             std::string_view name);
 
 /// Geolocate stage: every vantage point's ServerDcMap and preferred DC.
 [[nodiscard]] std::string encode_geolocate(

@@ -7,10 +7,9 @@
 #include <thread>
 #include <utility>
 
-#include "capture/flow_log.hpp"
+#include "analysis/dc_map.hpp"
 #include "sim/random.hpp"
 #include "study/study_run.hpp"
-#include "util/crc32.hpp"
 #include "util/host_clock.hpp"
 #include "util/io.hpp"
 #include "util/metrics.hpp"
@@ -232,8 +231,13 @@ util::Result<SupervisorResult> Supervisor::run() {
 
     util::ThreadPool pool(config_.effective_threads());
 
+    const auto logs_dir = run_dir / "logs";
     struct PipelineState {
         TraceOutputs traces;
+        // The week's YFL2 logs, encoded once by the Simulate stage and held
+        // until the Capture stage writes them.
+        std::vector<std::string> logs;
+        bool logs_on_disk = false;  // the week was resumed from its logs
         std::optional<StudyRun> run;
         std::optional<FullReport> report;
     } state;
@@ -243,9 +247,10 @@ util::Result<SupervisorResult> Supervisor::run() {
 
     const auto simulate_body = [&](StageStatus& st) {
         if (auto payload = try_resume(Stage::Simulate)) {
-            auto decoded = decode_traces(*payload);
+            auto decoded = decode_traces(*payload, logs_dir);
             if (decoded) {
                 state.traces = std::move(decoded).value();
+                state.logs_on_disk = true;
                 st.from_checkpoint = true;
                 return;
             }
@@ -254,47 +259,28 @@ util::Result<SupervisorResult> Supervisor::run() {
         }
         auto deployment = std::make_unique<StudyDeployment>(config_);
         TraceDriver driver(*deployment);
+        driver.set_tracer(options_.tracer);
         state.traces = driver.run();
-        if (checkpoints) save_checkpoint(Stage::Simulate, encode_traces(state.traces));
+        EncodedWeek week = encode_traces(state.traces);
+        state.logs = std::move(week.logs);
+        save_checkpoint(Stage::Simulate, week.payload);
     };
 
+    // A resumed week was read from these very logs, so there is nothing
+    // left to write. A failed write never re-simulates: the logs stay in
+    // memory for the retry.
     const auto capture_body = [&](StageStatus& st) {
-        const auto& datasets = state.traces.datasets;
-        const auto log_path = [&](const std::string& name) {
-            return run_dir / "logs" / (name + ".yfl");
-        };
-        if (auto payload = try_resume(Stage::Capture)) {
-            auto entries = decode_capture(*payload);
-            bool valid = entries.ok() && entries.value().size() == datasets.size();
-            if (valid) {
-                for (const auto& e : entries.value()) {
-                    auto bytes = io::read_file(log_path(e.name));
-                    if (!bytes || bytes.value().size() != e.size ||
-                        util::crc32(bytes.value()) != e.crc) {
-                        valid = false;
-                        break;
-                    }
-                }
-            }
-            if (valid) {
-                st.from_checkpoint = true;
-                return;
-            }
-            warn("capture checkpoint did not match the on-disk logs; "
-                 "rewriting them");
+        if (state.logs_on_disk) {
+            st.from_checkpoint = true;
+            return;
         }
-        std::vector<CaptureEntry> entries;
-        entries.reserve(datasets.size());
-        for (const auto& ds : datasets) {
-            std::ostringstream os;
-            capture::write_flow_log(os, ds.records);
-            const std::string bytes = os.str();
-            io::write_file_atomic(log_path(ds.name), bytes)
-                .context("capture log " + ds.name)
+        for (std::size_t i = 0; i < state.logs.size(); ++i) {
+            const auto& name = state.traces.datasets[i].name;
+            io::write_file_atomic(log_path(logs_dir, name), state.logs[i])
+                .context("capture log " + name)
                 .value_or_throw();
-            entries.push_back({ds.name, bytes.size(), util::crc32(bytes)});
         }
-        save_checkpoint(Stage::Capture, encode_capture(entries));
+        state.logs.clear();
     };
 
     const auto geolocate_body = [&](StageStatus& st) {
@@ -338,24 +324,31 @@ util::Result<SupervisorResult> Supervisor::run() {
         save_checkpoint(Stage::Analyze, encode_report(*state.report));
     };
 
+    // Publishes every derived file: report.txt, the artifacts, and each
+    // vantage point's .dcmap beside its log (so logs/ is a ytcdnd spool).
     const auto render_body = [&](StageStatus&) {
         degraded_render.clear();
         io::write_file_atomic(result.report_path, state.report->render())
             .context("report.txt")
             .value_or_throw();
-        for (const auto& artifact : state.report->artifacts) {
-            auto written = io::write_file_atomic(
-                run_dir / "artifacts" / artifact.name, artifact.content);
+        const auto publish = [&](const std::string& name, std::string_view bytes) {
+            auto written = io::write_file_atomic(run_dir / name, bytes);
             if (!written) {
                 if (strict) {
-                    std::move(written)
-                        .context("artifact file " + artifact.name)
-                        .value_or_throw();
+                    std::move(written).context("file " + name).value_or_throw();
                 }
-                degraded_render.push_back("artifacts/" + artifact.name);
-                warn("artifact file " + artifact.name +
-                     " not written: " + written.error().what());
+                degraded_render.push_back(name);
+                warn("file " + name + " not written: " + written.error().what());
             }
+        };
+        for (const auto& artifact : state.report->artifacts) {
+            publish("artifacts/" + artifact.name, artifact.content);
+        }
+        const StudyRun& run = *state.run;
+        for (std::size_t i = 0; i < run.maps.size(); ++i) {
+            std::ostringstream map;
+            analysis::write_dc_map(map, run.maps[i]);
+            publish("logs/" + run.traces.datasets[i].name + ".dcmap", map.str());
         }
     };
 

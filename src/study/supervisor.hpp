@@ -51,7 +51,9 @@ struct SupervisorOptions {
     StagePolicy policy;
     /// Progress/warning lines ("[supervisor] ..."); null = silent.
     std::ostream* log = nullptr;
-    /// Receives Guard events for resource-guard overruns; may be null.
+    /// Receives the simulated week's events (none when the week is resumed
+    /// from its logs) and Guard events for resource-guard overruns; may be
+    /// null.
     sim::Tracer* tracer = nullptr;
 };
 
@@ -99,8 +101,9 @@ struct StageStatus {
 struct SupervisorResult {
     std::vector<StageStatus> stages;
     /// Degraded artifacts: report artifacts that rendered as placeholders,
-    /// "logs/<name>.yfl" capture outputs that could not be written, and
-    /// "artifacts/<name>" files that failed to land on disk.
+    /// "capture" when the flow logs could not be written, and
+    /// "artifacts/<name>" / "logs/<name>.dcmap" files that failed to land
+    /// on disk.
     std::vector<std::string> degraded;
     std::vector<std::string> warnings;
     bool completed = false;  // all five stages ran (not max_stages-limited)
@@ -113,9 +116,15 @@ struct SupervisorResult {
 /// retry/backoff, crash-safe YCK1 checkpoints, graceful degradation and
 /// soft resource guards. See DESIGN.md §12.
 ///
+/// The run directory holds the week once: `logs/<vp>.yfl` (YFL2, written
+/// by the Capture stage) beside `logs/<vp>.dcmap` (written by Render), so
+/// it doubles as a ytcdnd spool; `checkpoints/simulate.yck` keeps only the
+/// week's counters and each log's size and CRC, and a resume re-reads the
+/// logs (a missing or altered one re-simulates the week).
+///
 /// Degradation ladder: a failing report artifact becomes a placeholder
-/// (non-strict mode, as in make_full_report); a capture or artifact file
-/// that cannot be written is listed as degraded in the manifest; only a
+/// (non-strict mode, as in make_full_report); capture logs or a derived
+/// file that cannot be written are listed as degraded in the manifest; only a
 /// required stage exhausting its attempts fails the run. Strict mode
 /// (StudyConfig::effective_strict_artifacts) turns every degradation into
 /// a failure, generalizing YTCDN_STRICT_ARTIFACTS.

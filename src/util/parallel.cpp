@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <limits>
 
 #include "util/metrics.hpp"
 
@@ -60,6 +59,8 @@ ThreadPool& shared_pool() {
 
 /// One run_indexed call in flight: workers and the caller race to claim the
 /// next unclaimed index; `done` counts finished indices (throwing or not).
+/// A throwing index stores its exception in its own slot of `errors`, so no
+/// exception is ever replaced (and released) on a worker thread.
 struct ThreadPool::Batch {
     std::size_t n = 0;
     const std::function<void(std::size_t)>* task = nullptr;
@@ -67,8 +68,7 @@ struct ThreadPool::Batch {
     std::atomic<std::size_t> done{0};
     std::mutex mutex;
     std::condition_variable finished;
-    std::exception_ptr error;
-    std::size_t error_index = std::numeric_limits<std::size_t>::max();
+    std::vector<std::exception_ptr> errors;
 };
 
 ThreadPool::ThreadPool(std::size_t threads)
@@ -108,6 +108,7 @@ void ThreadPool::run_indexed(std::size_t n,
     auto batch = std::make_shared<Batch>();
     batch->n = n;
     batch->task = &task;
+    batch->errors.resize(n);
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         batches_.push_back(batch);
@@ -124,7 +125,13 @@ void ThreadPool::run_indexed(std::size_t n,
         const std::lock_guard<std::mutex> lock(mutex_);
         std::erase(batches_, batch);
     }
-    if (batch->error) std::rethrow_exception(batch->error);
+    // Every exception is released here, on the caller's thread: the lowest
+    // index is rethrown (propagation does not depend on which worker lost
+    // the race) and the rest die with `errors`.
+    const std::vector<std::exception_ptr> errors = std::move(batch->errors);
+    for (const auto& error : errors) {
+        if (error) std::rethrow_exception(error);
+    }
 }
 
 void ThreadPool::worker_main() {
@@ -159,13 +166,7 @@ void ThreadPool::work_on(Batch& batch) {
         try {
             (*batch.task)(i);
         } catch (...) {  // ytcdn-lint: allow(catch-all) — trampoline, rethrown on the caller
-            const std::lock_guard<std::mutex> lock(batch.mutex);
-            // Keep the exception from the lowest input index so propagation
-            // does not depend on which worker lost the race.
-            if (!batch.error || i < batch.error_index) {
-                batch.error = std::current_exception();
-                batch.error_index = i;
-            }
+            batch.errors[i] = std::current_exception();
         }
         if (batch.done.fetch_add(1) + 1 == batch.n) {
             const std::lock_guard<std::mutex> lock(batch.mutex);

@@ -47,14 +47,19 @@ def main() -> int:
         with open(bad_tsv, "w", encoding="utf-8") as f:
             f.write("this is\tnot a\tflow log\n")
         missing = os.path.join(tmp, "does_not_exist")
+        # Every study case fails on its flags, before the run directory is
+        # made or the week simulated.
+        study = ["study", "--out", os.path.join(tmp, "x")]
 
         print("usage errors (exit 2)")
         run(binary, [], 2, "no command")
         run(binary, ["frobnicate"], 2, "unknown command")
-        run(binary, ["tables", "--scale", "-1"], 2, "non-positive --scale")
+        run(binary, ["run"], 2, "retired command run")
+        run(binary, ["tables"], 2, "retired command tables")
+        run(binary, [*study, "--scale", "-1"], 2, "non-positive --scale")
 
         print("I/O errors (exit 3)")
-        run(binary, ["tables", "--faults", missing + ".sched"], 3,
+        run(binary, [*study, "--faults", missing + ".sched"], 3,
             "missing --faults file")
         run(binary, ["summary", missing + ".yfl"], 3, "unreadable binary log")
         run(binary, ["summary", missing + ".tsv"], 3, "unreadable TSV log")
@@ -71,9 +76,15 @@ def main() -> int:
             "well-framed log with an invalid record")
 
         print("parse errors (exit 5)")
-        run(binary, ["tables", "--faults", bad_schedule], 5,
+        run(binary, [*study, "--faults", bad_schedule], 5,
             "malformed fault schedule")
         run(binary, ["summary", bad_tsv], 5, "malformed TSV flow log")
+
+        if os.path.exists(os.path.join(tmp, "x")):
+            failures.append("study flag errors made the run directory")
+            print("  FAIL: a study flag error made its run directory")
+        else:
+            print("  ok: every study case failed before making its run directory")
 
         if trace_dump:
             print("trace_dump (same taxonomy)")

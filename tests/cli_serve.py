@@ -8,6 +8,9 @@ The robustness contract pinned here, against the real binary:
   * kill -9 mid-ingest loses nothing durable: `ytcdn serve --resume --once`
     replays the spool and converges to aggregates byte-identical to an
     uninterrupted one-shot run,
+  * a `ytcdn study` run directory's logs/ is a spool: `ytcdn summary`
+    reads its YFL2 logs, and the daemon's Table I flows, servers and clients
+    equal the study's own table1.txt, row for row,
   * the Section VII row of the map's own stream names the preferred data
     center, and the shares, that `ytcdn analyze` computes over the same log,
   * the control socket answers ping / render / faults / shutdown, rejects
@@ -83,20 +86,39 @@ def section_vii_row(aggregates: str, stream: str) -> list[str]:
     return []
 
 
+def table_rows(text: str, key_columns: list[str]) -> dict[str, list[str]]:
+    """The named columns of every row of an AsciiTable, keyed by its first
+    cell."""
+    lines = [line for line in text.splitlines()
+             if line.strip() and not line.startswith("-")]
+    if not lines:
+        return {}
+    header = split_row(lines[0])
+    index = [header.index(c) for c in key_columns if c in header]
+    if len(index) != len(key_columns):
+        return {}
+    rows = {}
+    for line in lines[1:]:
+        cells = split_row(line)
+        if len(cells) == len(header):
+            rows[cells[0]] = [cells[i] for i in index]
+    return rows
+
+
 def make_spool(binary: str, tmp: str, name: str) -> str:
-    """Simulates a tiny study and lays its flow logs out as a spool."""
-    gen = os.path.join(tmp, "gen")
+    """Runs a tiny study and lays its flow logs out as a spool."""
+    gen = os.path.join(tmp, "gen", "logs")
     if not os.path.isdir(gen):
         subprocess.run(
-            [binary, "run", "--scale", "0.005", "--seed", "7", "--out", gen,
-             "--binary"],
+            [binary, "study", "--scale", "0.005", "--seed", "7", "--no-table3",
+             "--out", os.path.dirname(gen)],
             capture_output=True, text=True, errors="replace", check=True,
             timeout=300)
     spool = os.path.join(tmp, name)
     os.makedirs(spool)
     logs = sorted(f for f in os.listdir(gen) if f.endswith(".yfl"))
     maps = sorted(f for f in os.listdir(gen) if f.endswith(".dcmap"))
-    assert logs and maps, f"ytcdn run produced no spoolable logs in {gen}"
+    assert logs and maps, f"ytcdn study produced no spoolable logs in {gen}"
     for i, log in enumerate(logs):
         stem = os.path.splitext(log)[0]
         shutil.copy(os.path.join(gen, log),
@@ -128,9 +150,28 @@ def main() -> int:
         check("status shutdown" in manifest,
               "one-shot manifest records a clean shutdown")
 
+        # The study's logs are YFL2 that every log reader takes, and the
+        # daemon's Table I is the study's own, row for row.
+        gen = os.path.join(tmp, "gen", "logs")
+        summary = subprocess.run(
+            [binary, "summary", *sorted(
+                os.path.join(gen, f) for f in os.listdir(gen) if f.endswith(".yfl"))],
+            capture_output=True, text=True, errors="replace", check=False,
+            timeout=300)
+        check(summary.returncode == 0, "ytcdn summary gen/logs/*.yfl exits 0",
+              summary.stderr.strip()[:300])
+        study_t1 = table_rows(
+            read(os.path.join(tmp, "gen", "artifacts", "table1.txt")),
+            ["Flows", "#Servers", "#Clients"])
+        serve_t1 = table_rows(
+            reference.split("== Table I", 1)[-1].split("\n\n", 1)[0]
+            .split("\n", 1)[-1], ["flows", "servers", "clients"])
+        check(bool(study_t1) and study_t1 == serve_t1,
+              "serve Table I flows/servers/clients equal the study's table1.txt",
+              f"study {study_t1} serve {serve_t1}")
+
         # The map's own stream: the daemon's Section VII numbers are the
         # offline analysis's, by bytes, over that stream's log.
-        gen = os.path.join(tmp, "gen")
         map_stream = os.path.splitext(
             sorted(f for f in os.listdir(gen) if f.endswith(".dcmap"))[0])[0]
         analyze = subprocess.run(

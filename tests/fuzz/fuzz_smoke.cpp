@@ -1,8 +1,8 @@
 // Deterministic parser-fuzz smoke test (ctest: fuzz_smoke).
 //
 // Contract under test: every external input surface — YFL2 binary flow
-// logs, the simulated week (its raw Simulate-stage payload and the on-disk
-// YCK1 quarantine path), YTR1 traces, the fault-schedule DSL, and CLI
+// logs, the simulated week (its raw Simulate-stage payload, read against
+// the week's logs, and the on-disk YCK1 quarantine path), YTR1 traces, the fault-schedule DSL, and CLI
 // argument vectors — either succeeds or
 // reports a typed ytcdn::Error. Nothing may crash, abort, loop, or trip a
 // sanitizer, no matter how the bytes are damaged.
@@ -31,6 +31,7 @@
 #include "util/args.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/io.hpp"
 
 #include "fuzz_mutators.hpp"
 
@@ -148,8 +149,16 @@ void fuzz_streaming_log(Tally& tally, const std::string& valid, sim::Rng rng,
     std::filesystem::remove_all(dir);
 }
 
+/// Where main() writes the seed week's flow logs, which the Simulate
+/// payload names and decode_week reads.
+const std::filesystem::path& week_log_dir() {
+    static const auto dir =
+        std::filesystem::temp_directory_path() / "ytcdn_fuzz_week";
+    return dir;
+}
+
 util::Result<void> decode_week(std::string_view payload) {
-    auto r = study::decode_traces(payload);
+    auto r = study::decode_traces(payload, week_log_dir());
     if (!r.ok()) return std::move(r).error();
     return {};
 }
@@ -422,7 +431,15 @@ int main(int argc, char** argv) {
     cfg.scale = 0.004;
     sim::Tracer tracer;
     const auto run = study::run_study(cfg, &tracer);
-    const std::string week = study::encode_traces(run.traces);
+    const study::EncodedWeek encoded = study::encode_traces(run.traces);
+    const std::string& week = encoded.payload;
+    std::filesystem::remove_all(week_log_dir());
+    for (std::size_t i = 0; i < encoded.logs.size(); ++i) {
+        const auto path = study::log_path(week_log_dir(), run.traces.datasets[i].name);
+        if (!util::io::write_file_atomic(path, encoded.logs[i])) {
+            tally.fail("setup", i, "could not write the seed week's logs");
+        }
+    }
     const std::string trace_bytes = sim::write_trace_bytes(tracer.log());
 
     fuzz_binary_log(tally, v2.str(), master.fork("v2"), 1200);
@@ -434,6 +451,7 @@ int main(int argc, char** argv) {
     fuzz_fault_schedule(tally, master.fork("schedule"), 1200);
     fuzz_cli_args(tally, master.fork("args"), 600);
     if (argc > 1) sweep_corpus(tally, argv[1]);
+    std::filesystem::remove_all(week_log_dir());
 
     std::cout << "fuzz_smoke: " << tally.iterations << " iterations, "
               << tally.accepted << " accepted, " << tally.rejected

@@ -155,7 +155,7 @@ std::string ytr1_bytes(std::uint32_t n) {
     return sim::write_trace_bytes(log);
 }
 
-std::string traces_payload(std::uint32_t records_per_vp) {
+study::TraceOutputs fixed_week(std::uint32_t records_per_vp) {
     study::TraceOutputs traces;
     traces.events_processed = 12345;
     for (std::uint32_t v = 0; v < 2; ++v) {
@@ -173,7 +173,17 @@ std::string traces_payload(std::uint32_t records_per_vp) {
         traces.flows_observed.push_back(200 + v);
         traces.flows_ignored.push_back(7 * v);
     }
-    return study::encode_traces(traces);
+    return traces;
+}
+
+/// The week's Simulate payload, with its logs written into `dir`.
+std::string simulate_payload(std::uint32_t records_per_vp, const fs::path& dir) {
+    const auto traces = fixed_week(records_per_vp);
+    const auto week = study::encode_traces(traces);
+    for (std::size_t i = 0; i < week.logs.size(); ++i) {
+        put_file(study::log_path(dir, traces.datasets[i].name), week.logs[i]);
+    }
+    return week.payload;
 }
 
 analysis::ServerDcMap two_dc_map() {
@@ -186,10 +196,6 @@ analysis::ServerDcMap two_dc_map() {
     map.assign(ytcdn::net::IpAddress(0xC0A80100u), far);
     map.assign(ytcdn::net::IpAddress(0xC0A80200u), near);
     return map;
-}
-
-std::string capture_payload() {
-    return study::encode_capture({{"EU1-ADSL", 4096, 0xDEADBEEFu}, {"US-Campus", 12, 7}});
 }
 
 std::string geolocate_payload() {
@@ -232,13 +238,16 @@ TEST(FormatGolden, Yfl2Encoders) {
     EXPECT_EQ(file_bytes(dir.path() / "stream.yfl"), batch);
 }
 
-TEST(FormatGolden, Ytr1AndYss2Encoders) {
+TEST(FormatGolden, Ytr1AndSimulateEncoders) {
     EXPECT_EQ(digest(ytr1_bytes(1500)), (Digest{0x80e7aa2d8137b86ull, 84098}));
     EXPECT_EQ(digest(ytr1_bytes(0)), (Digest{0xfdaf0ffb8c0d7b03ull, 82}));
-    // The Simulate payload is the body of the retired snapshot file, byte
-    // for byte: this digest is that file's without its 16-byte header and
-    // CRC-32 trailer.
-    EXPECT_EQ(digest(traces_payload(4500)), (Digest{0x75d0051c80c53ec0ull, 369598}));
+    // The Simulate payload holds counters and each log's size and CRC; the
+    // logs are the YFL2 encoder's bytes.
+    const auto week = study::encode_traces(fixed_week(4500));
+    EXPECT_EQ(digest(week.payload), (Digest{0xc7928206faac8124ull, 461}));
+    ASSERT_EQ(week.logs.size(), 2u);
+    EXPECT_EQ(week.logs[0], yfl2_bytes(flows(4500)));
+    EXPECT_EQ(week.logs[1], yfl2_bytes(flows(4501)));
 }
 
 TEST(FormatGolden, FingerprintsOfAFixedConfig) {
@@ -265,8 +274,6 @@ TEST(FormatGolden, Yck1AndServiceEncoders) {
                         .ok());
         return digest(file_bytes(path));
     };
-    EXPECT_EQ(frame(study::Stage::Capture, capture_payload()),
-              (Digest{0xfe5c349364a0bb55ull, 85}));
     EXPECT_EQ(frame(study::Stage::Geolocate, geolocate_payload()),
               (Digest{0x8c8934e185bc7ae7ull, 165}));
     EXPECT_EQ(frame(study::Stage::Analyze, report_payload()),
@@ -340,26 +347,25 @@ TEST(FormatGolden, Ytr1Readers) {
     EXPECT_EQ(digest(t), (Digest{0xdadcb417e0a92d5cull, 42971}));
 }
 
-// The Simulate payload decoder, which replaced the snapshot file's loader.
-TEST(FormatGolden, Yss2Loader) {
-    const std::string t = transcript(traces_payload(3), [](const std::string& bytes) {
-        return outcome(study::decode_traces(bytes));
-    });
+// The Simulate payload decoder, reading the logs the payload names.
+TEST(FormatGolden, SimulatePayloadDecoder) {
+    const ScratchDir dir;
+    const std::string t = transcript(
+        simulate_payload(3, dir.path()), [&](const std::string& bytes) {
+            return anonymize(dir, outcome(study::decode_traces(bytes, dir.path())));
+        });
     EXPECT_EQ(t.find("threw"), std::string::npos);
-    EXPECT_EQ(digest(t), (Digest{0x3937c00851ac1150ull, 91331}));
+    EXPECT_EQ(digest(t), (Digest{0xa50960b200d62c08ull, 36004}));
 }
 
 TEST(FormatGolden, Yck1Decoders) {
     const ScratchDir dir;
     const auto path = dir.path() / "stage.yck";
-    const auto stage = study::Stage::Capture;
-    ASSERT_TRUE(study::write_checkpoint(path, 77, stage, capture_payload()).ok());
+    const auto stage = study::Stage::Geolocate;
+    ASSERT_TRUE(study::write_checkpoint(path, 77, stage, geolocate_payload()).ok());
     std::string t = transcript(file_bytes(path), [&](const std::string& bytes) {
         put_file(path, bytes);
         return anonymize(dir, outcome(study::load_checkpoint(path, 77, stage)));
-    });
-    t += transcript(capture_payload(), [](const std::string& bytes) {
-        return outcome(study::decode_capture(bytes));
     });
     t += transcript(geolocate_payload(), [](const std::string& bytes) {
         std::vector<analysis::ServerDcMap> maps;
@@ -369,7 +375,7 @@ TEST(FormatGolden, Yck1Decoders) {
     t += transcript(report_payload(), [](const std::string& bytes) {
         return outcome(study::decode_report(bytes));
     });
-    EXPECT_EQ(digest(t), (Digest{0x4836da96394d5909ull, 59549}));
+    EXPECT_EQ(digest(t), (Digest{0x225aaf244e70bec2ull, 64373}));
 }
 
 TEST(FormatGolden, ServiceAggregatesDecoder) {

@@ -15,6 +15,7 @@
 #include "analysis/preferred_dc.hpp"
 #include "analysis/session.hpp"
 #include "analysis/session_analysis.hpp"
+#include "capture/flow_log.hpp"
 #include "capture/log_io.hpp"
 #include "study/study_run.hpp"
 
@@ -58,7 +59,7 @@ TEST_F(OfflineToolchainFixture, DiskRoundTripPreservesEveryConclusion) {
         // Reload.
         capture::Dataset disk;
         disk.name = live.name;
-        disk.records = capture::read_any_log(log_path);
+        disk.records = capture::read_flow_log(log_path);
         disk.sort_by_time();
         std::ifstream is(map_path);
         const auto disk_map = analysis::read_dc_map(is);

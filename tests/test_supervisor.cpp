@@ -1,9 +1,11 @@
 // The supervised study pipeline: YCK1 checkpoint framing and its corruption
-// taxonomy, the stage payload codecs, interrupted-run resume (byte-identical
-// report), checkpoint quarantine, and a full run under a p=0.01 fault plan.
-// Also the bench trace snapshot cache, a Simulate-stage frame keyed by
-// config_fingerprint: a cached week must render what the simulation it
-// came from renders, and must never be served to another configuration.
+// taxonomy, the stage payload codecs, the run directory's flow logs and
+// maps (the one persisted copy of the week), interrupted-run resume
+// (byte-identical report), checkpoint quarantine, damaged logs, and a full
+// run under a p=0.01 fault plan. Also the bench trace snapshot cache, a
+// Simulate-stage frame keyed by config_fingerprint beside the week's logs:
+// a cached week must render what the simulation it came from renders, and
+// must never be served to another configuration.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,14 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/dc_map.hpp"
 #include "capture/binary_log.hpp"
+#include "capture/flow_log.hpp"
+#include "sim/tracer.hpp"
 #include "study/checkpoint.hpp"
 #include "study/study_run.hpp"
 #include "study/supervisor.hpp"
@@ -71,6 +77,21 @@ study::StudyConfig tiny_config() {
     return cfg;
 }
 
+void expect_records_equal(const std::vector<ytcdn::capture::FlowRecord>& ra,
+                          const std::vector<ytcdn::capture::FlowRecord>& rb,
+                          const std::string& where) {
+    ASSERT_EQ(ra.size(), rb.size()) << where;
+    for (std::size_t k = 0; k < ra.size(); ++k) {
+        ASSERT_EQ(ra[k].client_ip, rb[k].client_ip) << where << "/" << k;
+        ASSERT_EQ(ra[k].server_ip, rb[k].server_ip) << where << "/" << k;
+        ASSERT_EQ(ra[k].bytes, rb[k].bytes) << where << "/" << k;
+        ASSERT_EQ(ra[k].video, rb[k].video) << where << "/" << k;
+        ASSERT_EQ(ra[k].resolution, rb[k].resolution) << where << "/" << k;
+        ASSERT_EQ(ra[k].start, rb[k].start) << where << "/" << k;
+        ASSERT_EQ(ra[k].end, rb[k].end) << where << "/" << k;
+    }
+}
+
 void expect_traces_equal(const study::TraceOutputs& a, const study::TraceOutputs& b) {
     EXPECT_EQ(a.events_processed, b.events_processed);
     EXPECT_EQ(a.faults_injected, b.faults_injected);
@@ -80,18 +101,8 @@ void expect_traces_equal(const study::TraceOutputs& a, const study::TraceOutputs
     ASSERT_EQ(a.datasets.size(), b.datasets.size());
     for (std::size_t i = 0; i < a.datasets.size(); ++i) {
         EXPECT_EQ(a.datasets[i].name, b.datasets[i].name);
-        const auto& ra = a.datasets[i].records;
-        const auto& rb = b.datasets[i].records;
-        ASSERT_EQ(ra.size(), rb.size()) << a.datasets[i].name;
-        for (std::size_t k = 0; k < ra.size(); ++k) {
-            ASSERT_EQ(ra[k].client_ip, rb[k].client_ip) << i << "/" << k;
-            ASSERT_EQ(ra[k].server_ip, rb[k].server_ip) << i << "/" << k;
-            ASSERT_EQ(ra[k].bytes, rb[k].bytes) << i << "/" << k;
-            ASSERT_EQ(ra[k].video, rb[k].video) << i << "/" << k;
-            ASSERT_EQ(ra[k].resolution, rb[k].resolution) << i << "/" << k;
-            ASSERT_EQ(ra[k].start, rb[k].start) << i << "/" << k;
-            ASSERT_EQ(ra[k].end, rb[k].end) << i << "/" << k;
-        }
+        expect_records_equal(a.datasets[i].records, b.datasets[i].records,
+                             a.datasets[i].name);
         const auto& sa = a.player_stats[i];
         const auto& sb = b.player_stats[i];
         EXPECT_EQ(sa.sessions, sb.sessions) << i;
@@ -106,6 +117,18 @@ void expect_traces_equal(const study::TraceOutputs& a, const study::TraceOutputs
         EXPECT_EQ(sa.failures.total(), sb.failures.total()) << i;
         EXPECT_EQ(sa.retry_histogram, sb.retry_histogram) << i;
     }
+}
+
+/// Writes the week's logs into `dir` as the Capture stage does; returns the
+/// Simulate payload that names them.
+std::string persist_week(const study::TraceOutputs& traces, const fs::path& dir) {
+    const auto week = study::encode_traces(traces);
+    for (std::size_t i = 0; i < week.logs.size(); ++i) {
+        EXPECT_TRUE(io::write_file_atomic(
+                        study::log_path(dir, traces.datasets[i].name), week.logs[i])
+                        .ok());
+    }
+    return week.payload;
 }
 
 /// The merged value of a process-wide counter (0 before it registers).
@@ -174,12 +197,12 @@ TEST(Checkpoint, ValidationFollowsTheCorruptionTaxonomy) {
 
 TEST(Checkpoint, LoadOrQuarantineIsNeverFatal) {
     const auto dir = temp_dir("loq");
-    const auto path = dir / "capture.yck";
+    const auto path = dir / "geolocate.yck";
 
     // Missing file: cold start, no warning.
     std::string warning;
     EXPECT_EQ(study::load_or_quarantine_checkpoint(path, kKey,
-                                                   study::Stage::Capture,
+                                                   study::Stage::Geolocate,
                                                    &warning),
               std::nullopt);
     EXPECT_TRUE(warning.empty());
@@ -187,37 +210,21 @@ TEST(Checkpoint, LoadOrQuarantineIsNeverFatal) {
     // Corrupt file: nullopt, a warning, and the damage moved aside.
     ASSERT_TRUE(io::write_file_atomic(path, "not a checkpoint at all").ok());
     EXPECT_EQ(study::load_or_quarantine_checkpoint(path, kKey,
-                                                   study::Stage::Capture,
+                                                   study::Stage::Geolocate,
                                                    &warning),
               std::nullopt);
     EXPECT_FALSE(warning.empty());
     EXPECT_FALSE(fs::exists(path));
-    EXPECT_TRUE(fs::exists(dir / "capture.yck.corrupt.1"));
+    EXPECT_TRUE(fs::exists(dir / "geolocate.yck.corrupt.1"));
 
     // Valid file: payload comes back.
     ASSERT_TRUE(
-        study::write_checkpoint(path, kKey, study::Stage::Capture, "ok").ok());
+        study::write_checkpoint(path, kKey, study::Stage::Geolocate, "ok").ok());
     EXPECT_EQ(study::load_or_quarantine_checkpoint(path, kKey,
-                                                   study::Stage::Capture,
+                                                   study::Stage::Geolocate,
                                                    nullptr),
               std::optional<std::string>("ok"));
     fs::remove_all(dir);
-}
-
-TEST(CheckpointCodec, CaptureRoundTrips) {
-    std::vector<study::CaptureEntry> entries;
-    entries.push_back({"EU1", 12345, 0xDEADBEEF});
-    entries.push_back({"US-E", 0, 0});
-    entries.push_back({"KR", 1ull << 40, 7});
-    const auto decoded = study::decode_capture(study::encode_capture(entries));
-    ASSERT_TRUE(decoded.ok()) << decoded.error().what();
-    ASSERT_EQ(decoded.value().size(), entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        EXPECT_EQ(decoded.value()[i].name, entries[i].name);
-        EXPECT_EQ(decoded.value()[i].size, entries[i].size);
-        EXPECT_EQ(decoded.value()[i].crc, entries[i].crc);
-    }
-    EXPECT_FALSE(study::decode_capture("garbage").ok());
 }
 
 TEST(CheckpointCodec, GeolocateRoundTripsBitExactly) {
@@ -276,18 +283,27 @@ TEST(CheckpointCodec, ReportRoundTrips) {
 
 TEST(CheckpointCodec, TracesRoundTrip) {
     const auto run = study::run_study(tiny_config());
-    const std::string payload = study::encode_traces(run.traces);
-    const auto decoded = study::decode_traces(payload);
+    const ytcdn::test::ScratchDir dir;
+    const std::string payload = persist_week(run.traces, dir.path());
+    const auto decoded = study::decode_traces(payload, dir.path());
     ASSERT_TRUE(decoded.ok()) << decoded.error().what();
     expect_traces_equal(run.traces, decoded.value());
-    // Byte-stable: the decoded week encodes to the same payload.
-    EXPECT_EQ(study::encode_traces(decoded.value()), payload);
-    EXPECT_FALSE(study::decode_traces(payload + "tail").ok());
-    EXPECT_FALSE(study::decode_traces(payload.substr(0, payload.size() / 2)).ok());
+    // Byte-stable: the decoded week encodes to the same payload and logs.
+    const auto again = study::encode_traces(decoded.value());
+    EXPECT_EQ(again.payload, payload);
+    for (std::size_t i = 0; i < again.logs.size(); ++i) {
+        EXPECT_EQ(again.logs[i],
+                  read_all(study::log_path(dir.path(), run.traces.datasets[i].name)));
+    }
+    // The payload is counters and CRCs only: it does not grow with the week.
+    EXPECT_LT(payload.size(), 2048u);
+    EXPECT_FALSE(study::decode_traces(payload + "tail", dir.path()).ok());
+    EXPECT_FALSE(
+        study::decode_traces(payload.substr(0, payload.size() / 2), dir.path()).ok());
 }
 
 // The bench trace snapshot cache writes the week as a Simulate-stage frame
-// keyed by config_fingerprint (bench/bench_common.cpp).
+// keyed by config_fingerprint beside the week's logs (bench/bench_common.cpp).
 
 TEST(Snapshot, AssembledRunMatchesSimulatedRun) {
     // The cache contract: a bench that loads the cached week and re-derives
@@ -295,14 +311,14 @@ TEST(Snapshot, AssembledRunMatchesSimulatedRun) {
     const auto cfg = tiny_config();
     const auto fresh = study::run_study(cfg);
     const auto dir = temp_dir("cache_assemble");
-    const auto path = dir / "trace.yck";
+    const auto path = dir / "simulate.yck";
     const auto key = study::config_fingerprint(cfg);
     ASSERT_TRUE(study::write_checkpoint(path, key, study::Stage::Simulate,
-                                        study::encode_traces(fresh.traces))
+                                        persist_week(fresh.traces, dir))
                     .ok());
     const auto payload = study::load_checkpoint(path, key, study::Stage::Simulate);
     ASSERT_TRUE(payload.ok()) << payload.error().what();
-    auto traces = study::decode_traces(payload.value());
+    auto traces = study::decode_traces(payload.value(), dir);
     ASSERT_TRUE(traces.ok()) << traces.error().what();
 
     ytcdn::util::ThreadPool pool(2);
@@ -328,7 +344,7 @@ void expect_cache_refused_to(const study::StudyConfig& other) {
     const auto path = dir.path() / "trace.yck";
     ASSERT_TRUE(study::write_checkpoint(path, study::config_fingerprint(cfg),
                                         study::Stage::Simulate,
-                                        study::encode_traces({}))
+                                        study::encode_traces({}).payload)
                     .ok());
     const auto loaded = study::load_checkpoint(
         path, study::config_fingerprint(other), study::Stage::Simulate);
@@ -363,70 +379,88 @@ TEST(Snapshot, SimulationKnobMismatchIsRejected) {
 
 TEST(Snapshot, TypedErrorsNameTheFailure) {
     // The cached week's payload decoder: every bound and every cut is a
-    // typed error, never an exception or a huge allocation.
+    // typed error, never an exception or a huge allocation, and a log that
+    // is missing, altered or damaged is rejected with its name.
     namespace util = ytcdn::util;
-    // One vantage point with an empty flow log, built field by field so
-    // each case can lie in exactly one place.
-    const auto payload = [](std::uint32_t vps, std::uint32_t name_len,
-                            std::uint32_t histogram_len, std::uint64_t blob_size,
-                            std::string_view blob) {
+    const ytcdn::test::ScratchDir dir;
+    const std::string empty_log = ytcdn::capture::write_binary_log_bytes({});
+    ASSERT_TRUE(io::write_file_atomic(dir.path() / "EU2.yfl", empty_log).ok());
+    // One vantage point, built field by field so each case can lie in
+    // exactly one place.
+    const auto payload = [](std::uint32_t vps, std::string_view name,
+                            std::uint32_t name_len, std::uint32_t histogram_len,
+                            std::uint64_t log_size, std::uint32_t log_crc) {
         std::string buf;
         util::put<std::uint64_t>(buf, 9);  // events_processed
         util::put<std::uint64_t>(buf, 0);  // faults_injected
         util::put(buf, vps);
         util::put(buf, name_len);
-        buf += "EU2";
+        buf += name;
         for (int i = 0; i < 18; ++i) util::put<std::uint64_t>(buf, i);
         util::put(buf, histogram_len);
         util::put<std::uint64_t>(buf, 4);  // the one histogram bucket
         for (int i = 0; i < 3; ++i) util::put<std::uint64_t>(buf, 100 + i);
-        util::put(buf, blob_size);
-        buf += blob;
+        util::put(buf, log_size);
+        util::put(buf, log_crc);
         return buf;
     };
-    const std::string empty_log = ytcdn::capture::write_binary_log_bytes({});
-    const auto code_of = [](const std::string& bytes) {
-        const auto r = study::decode_traces(bytes);
+    const std::uint64_t size = empty_log.size();
+    const std::uint32_t crc = util::crc32(empty_log);
+    const auto code_of = [&](const std::string& bytes) {
+        const auto r = study::decode_traces(bytes, dir.path());
         EXPECT_FALSE(r.ok());
-        return r.ok() ? ErrorCode::Io : r.error().code();
+        return r.ok() ? ErrorCode::InvalidArgument : r.error().code();
     };
 
-    const std::string valid = payload(1, 3, 1, empty_log.size(), empty_log);
-    const auto decoded = study::decode_traces(valid);
+    const std::string valid = payload(1, "EU2", 3, 1, size, crc);
+    const auto decoded = study::decode_traces(valid, dir.path());
     ASSERT_TRUE(decoded.ok()) << decoded.error().what();
     EXPECT_EQ(decoded.value().datasets[0].name, "EU2");
     EXPECT_EQ(decoded.value().player_stats[0].retry_histogram,
               std::vector<std::uint64_t>{4});
     EXPECT_EQ(decoded.value().flows_ignored, std::vector<std::uint64_t>{102});
-    EXPECT_EQ(study::encode_traces(decoded.value()), valid);
+    EXPECT_EQ(study::encode_traces(decoded.value()).payload, valid);
 
     EXPECT_EQ(code_of(""), ErrorCode::Truncated);
-    EXPECT_EQ(code_of(payload(65, 3, 1, empty_log.size(), empty_log)),
+    EXPECT_EQ(code_of(payload(65, "EU2", 3, 1, size, crc)), ErrorCode::BadField);
+    EXPECT_EQ(code_of(payload(1, "EU2", (1u << 20) + 1, 1, size, crc)),
               ErrorCode::BadField);
-    EXPECT_EQ(code_of(payload(1, (1u << 20) + 1, 1, empty_log.size(), empty_log)),
+    EXPECT_EQ(code_of(payload(1, "EU2", 300, 1, size, crc)), ErrorCode::Truncated);
+    EXPECT_EQ(code_of(payload(1, "EU2", 3, (1u << 20) + 1, size, crc)),
               ErrorCode::BadField);
-    EXPECT_EQ(code_of(payload(1, 300, 1, empty_log.size(), empty_log)),
+    EXPECT_EQ(code_of(payload(1, "EU2", 3, 1u << 20, size, crc)),
               ErrorCode::Truncated);
-    EXPECT_EQ(code_of(payload(1, 3, (1u << 20) + 1, empty_log.size(), empty_log)),
+    EXPECT_EQ(code_of(payload(1, "EU2", 3, 1, (1ull << 34) + 1, crc)),
               ErrorCode::BadField);
-    EXPECT_EQ(code_of(payload(1, 3, 1u << 20, empty_log.size(), empty_log)),
-              ErrorCode::Truncated);
-    EXPECT_EQ(code_of(payload(1, 3, 1, (1ull << 34) + 1, empty_log)),
-              ErrorCode::BadField);
-    EXPECT_EQ(code_of(payload(1, 3, 1, empty_log.size() + 1, empty_log)),
-              ErrorCode::Truncated);
     EXPECT_EQ(code_of(valid + "x"), ErrorCode::CountMismatch);
-    for (std::size_t n = 0; n < valid.size() - empty_log.size(); ++n) {
+    for (std::size_t n = 0; n < valid.size(); ++n) {
         EXPECT_EQ(code_of(valid.substr(0, n)), ErrorCode::Truncated) << "cut " << n;
     }
-    // A damaged flow log is the flow-log decoder's error, with the vantage
-    // point named.
+    // A name is a file stem under the log directory, never a path.
+    for (const std::string_view name :
+         {std::string_view("../EU2"), std::string_view(".."), std::string_view(""),
+          std::string_view("E\0U", 3)}) {
+        EXPECT_EQ(code_of(payload(1, name, static_cast<std::uint32_t>(name.size()),
+                                  1, size, crc)),
+                  ErrorCode::BadField)
+            << name;
+    }
+    // The log must be there and be the one the payload describes.
+    EXPECT_EQ(code_of(payload(1, "EU3", 3, 1, size, crc)), ErrorCode::Io);
+    EXPECT_EQ(code_of(payload(1, "EU2", 3, 1, size + 1, crc)),
+              ErrorCode::ChecksumMismatch);
+    EXPECT_EQ(code_of(payload(1, "EU2", 3, 1, size, crc ^ 1)),
+              ErrorCode::ChecksumMismatch);
+    // A log that matches its CRC but is no YFL2 log is the flow-log
+    // decoder's error, with the vantage point named.
     std::string bad_log = empty_log;
     bad_log[0] = 'X';
-    const auto r = study::decode_traces(payload(1, 3, 1, bad_log.size(), bad_log));
+    ASSERT_TRUE(io::write_file_atomic(dir.path() / "BAD.yfl", bad_log).ok());
+    const auto r = study::decode_traces(
+        payload(1, "BAD", 3, 1, bad_log.size(), util::crc32(bad_log)), dir.path());
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code(), ErrorCode::BadMagic);
-    EXPECT_NE(std::string(r.error().what()).find("vantage point 'EU2'"),
+    EXPECT_NE(std::string(r.error().what()).find("vantage point 'BAD'"),
               std::string::npos)
         << r.error().what();
 }
@@ -442,10 +476,10 @@ TEST(Snapshot, CorruptCacheRegeneratesByteIdenticalReport) {
     const std::string cold_report = study::make_full_report(cold, pool, opts).render();
 
     const auto dir = temp_dir("cache_regen");
-    const auto path = dir / "trace.yck";
+    const auto path = dir / "simulate.yck";
     const auto key = study::config_fingerprint(cfg);
     ASSERT_TRUE(study::write_checkpoint(path, key, study::Stage::Simulate,
-                                        study::encode_traces(cold.traces))
+                                        persist_week(cold.traces, dir))
                     .ok());
     std::string bytes = read_all(path);
     bytes.replace(64, 32, std::string(32, '\0'));
@@ -467,7 +501,10 @@ TEST(Snapshot, CorruptCacheRegeneratesByteIdenticalReport) {
 
 TEST(Supervisor, HealthyRunCompletesAllStages) {
     const auto dir = temp_dir("healthy");
-    study::Supervisor sup(small_config(), fast_options(dir));
+    auto opt = fast_options(dir);
+    ytcdn::sim::Tracer tracer;
+    opt.tracer = &tracer;
+    study::Supervisor sup(small_config(), opt);
     const auto result = sup.run();
     ASSERT_TRUE(result.ok()) << result.error().what();
     const auto& r = result.value();
@@ -484,11 +521,48 @@ TEST(Supervisor, HealthyRunCompletesAllStages) {
     EXPECT_NE(manifest.find("status complete"), std::string::npos) << manifest;
     EXPECT_NE(manifest.find("stage simulate status=ok"), std::string::npos);
     EXPECT_NE(manifest.find("stage render status=ok"), std::string::npos);
-    // Checkpoints for every stage that writes one.
-    EXPECT_TRUE(fs::exists(
-        study::checkpoint_path(dir, study::Stage::Simulate)));
+    // Checkpoints for every stage that writes one; the Simulate frame holds
+    // counters and log CRCs, not the week.
+    const auto simulate = study::checkpoint_path(dir, study::Stage::Simulate);
+    ASSERT_TRUE(fs::exists(simulate));
+    EXPECT_LT(fs::file_size(simulate), 4096u);
+    EXPECT_FALSE(fs::exists(study::checkpoint_path(dir, study::Stage::Capture)));
     EXPECT_TRUE(fs::exists(
         study::checkpoint_path(dir, study::Stage::Analyze)));
+
+    // logs/ is the one copy of the week and a ytcdnd spool: each vantage
+    // point's YFL2 log decodes bit-exactly to its records, and its .dcmap
+    // reads back to its map.
+    ytcdn::util::ThreadPool pool(2);
+    ytcdn::sim::Tracer run_tracer;
+    const auto run = study::run_study(small_config(), pool, &run_tracer);
+    // The tracer saw the simulated week, event for event.
+    EXPECT_GT(tracer.log().events.size(), 0u);
+    EXPECT_EQ(ytcdn::sim::write_trace_bytes(tracer.log()),
+              ytcdn::sim::write_trace_bytes(run_tracer.log()));
+    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
+        const auto& name = run.traces.datasets[i].name;
+        const auto log = dir / "logs" / (name + ".yfl");
+        EXPECT_EQ(read_all(log),
+                  ytcdn::capture::write_binary_log_bytes(run.traces.datasets[i].records))
+            << name;
+        const auto records = ytcdn::capture::read_flow_log_result(log);
+        ASSERT_TRUE(records.ok()) << records.error().what();
+        expect_records_equal(records.value(), run.traces.datasets[i].records, name);
+
+        std::ostringstream expected;
+        analysis::write_dc_map(expected, run.maps[i]);
+        const std::string map_text = read_all(dir / "logs" / (name + ".dcmap"));
+        EXPECT_EQ(map_text, expected.str()) << name;
+        std::istringstream is(map_text);
+        const auto map = analysis::read_dc_map(is);
+        ASSERT_EQ(map.num_data_centers(), run.maps[i].num_data_centers()) << name;
+        for (std::size_t d = 0; d < map.num_data_centers(); ++d) {
+            const int dc = static_cast<int>(d);
+            EXPECT_EQ(map.info(dc).name, run.maps[i].info(dc).name) << name;
+        }
+        EXPECT_EQ(map.assignments(), run.maps[i].assignments()) << name;
+    }
     fs::remove_all(dir);
 }
 
@@ -514,9 +588,12 @@ TEST(Supervisor, InterruptedRunResumesToIdenticalReport) {
     ASSERT_TRUE(ref.ok()) << ref.error().what();
     const std::string ref_report = read_all(ref.value().report_path);
 
-    // Interrupt after every possible stage boundary, then resume. Resuming
-    // after Geolocate (k = 3) re-derives the DC columns and sessions from
-    // the checkpointed maps, through the same index_study_run as a fresh run.
+    // Interrupt after every possible stage boundary, then resume. After
+    // Simulate alone (k = 1) the week is not on disk yet (the logs are the
+    // Capture stage's output), so the resume re-simulates it; after
+    // Capture, both stages resume from the logs. Resuming after Geolocate
+    // (k = 3) re-derives the DC columns and sessions from the checkpointed
+    // maps, through the same index_study_run as a fresh run.
     for (std::size_t k = 1; k < study::kNumStages; ++k) {
         const auto dir = temp_dir("resume_" + std::to_string(k));
         auto first = fast_options(dir);
@@ -538,7 +615,7 @@ TEST(Supervisor, InterruptedRunResumesToIdenticalReport) {
         for (const auto& s : resumed.value().stages) {
             from_checkpoint += s.from_checkpoint ? 1 : 0;
         }
-        EXPECT_EQ(from_checkpoint, k) << "interrupted after " << k;
+        EXPECT_EQ(from_checkpoint, k == 1 ? 0 : k) << "interrupted after " << k;
         EXPECT_EQ(read_all(resumed.value().report_path), ref_report)
             << "resume after stage " << k << " diverged";
         fs::remove_all(dir);
@@ -554,10 +631,10 @@ TEST(Supervisor, CorruptCheckpointIsQuarantinedAndRecomputed) {
 
     const auto dir = temp_dir("corrupt");
     auto first = fast_options(dir);
-    first.max_stages = 2;
+    first.max_stages = 3;
     ASSERT_TRUE(study::Supervisor(small_config(), first).run().ok());
-    // Flip a byte in the capture checkpoint.
-    const auto ck = study::checkpoint_path(dir, study::Stage::Capture);
+    // Flip a byte in the geolocate checkpoint.
+    const auto ck = study::checkpoint_path(dir, study::Stage::Geolocate);
     std::string bytes = read_all(ck);
     bytes[bytes.size() / 2] ^= 0x10;
     ASSERT_TRUE(io::write_file_atomic(ck, bytes).ok());
@@ -567,11 +644,87 @@ TEST(Supervisor, CorruptCheckpointIsQuarantinedAndRecomputed) {
     const auto resumed = study::Supervisor(small_config(), second).run();
     ASSERT_TRUE(resumed.ok()) << resumed.error().what();
     EXPECT_FALSE(resumed.value().warnings.empty());
-    EXPECT_TRUE(fs::exists(dir / "checkpoints" / "capture.yck.corrupt.1"));
-    // Simulate still resumes; capture recomputes; bytes unchanged.
+    EXPECT_TRUE(fs::exists(dir / "checkpoints" / "geolocate.yck.corrupt.1"));
+    // Simulate and capture still resume; geolocate recomputes; bytes
+    // unchanged.
     EXPECT_TRUE(resumed.value().stages[0].from_checkpoint);
-    EXPECT_FALSE(resumed.value().stages[1].from_checkpoint);
+    EXPECT_TRUE(resumed.value().stages[1].from_checkpoint);
+    EXPECT_FALSE(resumed.value().stages[2].from_checkpoint);
     EXPECT_EQ(read_all(resumed.value().report_path), ref_report);
+    fs::remove_all(dir);
+    fs::remove_all(ref_dir);
+}
+
+TEST(Supervisor, DamagedLogReSimulatesTheWeek) {
+    // The logs are the persisted week: one that is truncated or has a
+    // flipped byte no longer matches the Simulate payload's size and CRC,
+    // so the resume warns, re-simulates, rewrites the log and renders the
+    // same report.
+    const auto ref_dir = temp_dir("damaged_log_ref");
+    const auto ref = study::Supervisor(small_config(), fast_options(ref_dir)).run();
+    ASSERT_TRUE(ref.ok()) << ref.error().what();
+    const std::string ref_report = read_all(ref.value().report_path);
+    const auto ref_log = ref_dir / "logs" / "EU2.yfl";
+    const std::string good = read_all(ref_log);
+
+    for (const bool truncate : {true, false}) {
+        const auto dir = temp_dir(truncate ? "log_truncated" : "log_flipped");
+        auto first = fast_options(dir);
+        first.max_stages = 2;
+        ASSERT_TRUE(study::Supervisor(small_config(), first).run().ok());
+        const auto log = dir / "logs" / "EU2.yfl";
+        ASSERT_EQ(read_all(log), good);
+        std::string bytes = good;
+        if (truncate) {
+            bytes.resize(bytes.size() - 7);
+        } else {
+            bytes[bytes.size() / 2] ^= 0x01;
+        }
+        ASSERT_TRUE(io::write_file_atomic(log, bytes).ok());
+
+        auto second = fast_options(dir);
+        second.resume = true;
+        const auto resumed = study::Supervisor(small_config(), second).run();
+        ASSERT_TRUE(resumed.ok()) << resumed.error().what();
+        ASSERT_FALSE(resumed.value().warnings.empty());
+        EXPECT_NE(resumed.value().warnings[0].find("EU2.yfl"), std::string::npos)
+            << resumed.value().warnings[0];
+        EXPECT_FALSE(resumed.value().stages[0].from_checkpoint);
+        EXPECT_FALSE(resumed.value().stages[1].from_checkpoint);
+        EXPECT_EQ(read_all(log), good);
+        EXPECT_EQ(read_all(resumed.value().report_path), ref_report);
+        fs::remove_all(dir);
+    }
+    fs::remove_all(ref_dir);
+}
+
+TEST(Supervisor, LogWriteFailureRetriesCaptureAlone) {
+    // The logs stay in memory until they are on disk: a failed log write
+    // retries the Capture stage, never the simulation.
+    const auto ref_dir = temp_dir("log_write_ref");
+    const auto ref = study::Supervisor(small_config(), fast_options(ref_dir)).run();
+    ASSERT_TRUE(ref.ok()) << ref.error().what();
+
+    auto plan = std::make_shared<io::FaultPlan>(7);
+    io::FaultRule rule;
+    rule.probability = 1.0;
+    rule.glob = "*.yfl*";
+    rule.max_faults = 1;
+    plan->add(rule);
+    const auto dir = temp_dir("log_write");
+    const auto result = [&] {
+        io::ScopedFaultPlan scoped(plan);
+        return study::Supervisor(small_config(), fast_options(dir)).run();
+    }();
+    ASSERT_TRUE(result.ok()) << result.error().what();
+    EXPECT_EQ(plan->counts().injected, 1u);
+    const auto& stages = result.value().stages;
+    EXPECT_EQ(stages[0].attempts, 1);
+    EXPECT_EQ(stages[1].attempts, 2);
+    EXPECT_TRUE(stages[1].completed);
+    EXPECT_TRUE(result.value().degraded.empty());
+    EXPECT_EQ(read_all(dir / "logs" / "EU2.yfl"), read_all(ref_dir / "logs" / "EU2.yfl"));
+    EXPECT_EQ(read_all(result.value().report_path), read_all(ref.value().report_path));
     fs::remove_all(dir);
     fs::remove_all(ref_dir);
 }
@@ -603,12 +756,14 @@ TEST(Supervisor, ChaosRunAtOnePercentStillCompletes) {
         r.kind = io::FaultKind::Enospc;
         plan->add(r);
     }
-    io::ScopedFaultPlan scoped(plan);
-
     const auto dir = temp_dir("chaos");
     auto opt = fast_options(dir);
     opt.policy.attempts = 3;
-    const auto result = study::Supervisor(small_config(), opt).run();
+    // Only the run is under the plan; the checks below read what it left.
+    const auto result = [&] {
+        io::ScopedFaultPlan scoped(plan);
+        return study::Supervisor(small_config(), opt).run();
+    }();
     ASSERT_TRUE(result.ok()) << result.error().what();
     EXPECT_TRUE(result.value().completed);
     const auto counts = plan->counts();
@@ -693,45 +848,82 @@ TEST(Supervisor, FaultScheduleRunNeverTouchesCheckpoints) {
     fs::remove_all(fresh_dir);
 }
 
+namespace {
+
+/// A Simulate payload in the layout before the logs became the persisted
+/// week: each vantage point's (log size, CRC) pair is replaced by the
+/// length-prefixed log itself.
+std::string inline_logs_layout(const study::EncodedWeek& week) {
+    namespace util = ytcdn::util;
+    util::ByteReader r(week.payload);
+    std::string out;
+    std::string_view part;
+    std::uint32_t n_vps = 0;
+    std::uint32_t n = 0;
+    EXPECT_TRUE(r.view(16, &part) && r.take(&n_vps));  // events, faults
+    out += part;
+    util::put(out, n_vps);
+    for (std::uint32_t v = 0; v < n_vps; ++v) {
+        EXPECT_TRUE(r.take(&n) && r.view(n + 18 * 8, &part));  // name, stats
+        util::put(out, n);
+        out += part;
+        EXPECT_TRUE(r.take(&n) && r.view(n * 8 + 3 * 8, &part));  // histogram,
+        util::put(out, n);                                       // counters
+        out += part;
+        EXPECT_TRUE(r.view(8 + 4, &part));  // log size + CRC, dropped
+        util::put(out, static_cast<std::uint64_t>(week.logs[v].size()));
+        out += week.logs[v];
+    }
+    EXPECT_TRUE(r.done());
+    return out;
+}
+
+}  // namespace
+
 TEST(Supervisor, OldLayoutSimulatePayloadIsReSimulated) {
-    // Simulate checkpoints once nested a whole snapshot file in the
-    // payload: the snapshot magic | u32 schema 4 | u64 config fingerprint |
-    // week | CRC-32. Such a frame still validates, so the payload decoder
-    // must reject it and the stage re-simulate to the same report.
+    // Two older Simulate payloads still sit in valid frames, so the payload
+    // decoder must reject them and the stage re-simulate to the same
+    // report: the pre-checkpoint snapshot file nested whole in the payload
+    // (the snapshot magic | u32 schema 4 | u64 config fingerprint | week |
+    // CRC-32), and the week with its logs inlined as blobs.
     const auto ref_dir = temp_dir("old_layout_ref");
     const auto ref = study::Supervisor(small_config(), fast_options(ref_dir)).run();
     ASSERT_TRUE(ref.ok()) << ref.error().what();
     const std::string ref_report = read_all(ref.value().report_path);
+    const auto week = study::encode_traces(study::run_study(small_config()).traces);
 
-    const auto dir = temp_dir("old_layout");
-    auto first = fast_options(dir);
-    first.max_stages = 1;
-    study::Supervisor sup(small_config(), first);
-    ASSERT_TRUE(sup.run().ok());
-    const auto path = study::checkpoint_path(dir, study::Stage::Simulate);
-    const auto week = study::load_checkpoint(path, sup.run_fingerprint(),
-                                             study::Stage::Simulate);
-    ASSERT_TRUE(week.ok()) << week.error().what();
-    std::string old;
-    ytcdn::util::put<std::uint32_t>(old, 0x32535359);  // the snapshot magic
-    ytcdn::util::put<std::uint32_t>(old, 4);
-    ytcdn::util::put(old, study::config_fingerprint(small_config()));
-    old += week.value();
-    ytcdn::util::put(old, ytcdn::util::crc32(old));
-    ASSERT_TRUE(study::write_checkpoint(path, sup.run_fingerprint(),
-                                        study::Stage::Simulate, old)
-                    .ok());
+    std::string snapshot;
+    ytcdn::util::put<std::uint32_t>(snapshot, 0x32535359);  // the snapshot magic
+    ytcdn::util::put<std::uint32_t>(snapshot, 4);
+    ytcdn::util::put(snapshot, study::config_fingerprint(small_config()));
+    snapshot += week.payload;
+    ytcdn::util::put(snapshot, ytcdn::util::crc32(snapshot));
 
-    auto second = fast_options(dir);
-    second.resume = true;
-    const auto resumed = study::Supervisor(small_config(), second).run();
-    ASSERT_TRUE(resumed.ok()) << resumed.error().what();
-    EXPECT_FALSE(resumed.value().stages[0].from_checkpoint);
-    ASSERT_FALSE(resumed.value().warnings.empty());
-    EXPECT_NE(resumed.value().warnings[0].find("simulate checkpoint payload rejected"),
-              std::string::npos)
-        << resumed.value().warnings[0];
-    EXPECT_EQ(read_all(resumed.value().report_path), ref_report);
-    fs::remove_all(dir);
+    for (const std::string& old : {snapshot, inline_logs_layout(week)}) {
+        const auto dir = temp_dir("old_layout");
+        auto first = fast_options(dir);
+        first.max_stages = 2;  // the logs are on disk
+        study::Supervisor sup(small_config(), first);
+        ASSERT_TRUE(sup.run().ok());
+        const auto path = study::checkpoint_path(dir, study::Stage::Simulate);
+        ASSERT_TRUE(study::write_checkpoint(path, sup.run_fingerprint(),
+                                            study::Stage::Simulate, old)
+                        .ok());
+
+        auto second = fast_options(dir);
+        second.resume = true;
+        const auto resumed = study::Supervisor(small_config(), second).run();
+        ASSERT_TRUE(resumed.ok()) << resumed.error().what();
+        EXPECT_FALSE(resumed.value().stages[0].from_checkpoint);
+        ASSERT_FALSE(resumed.value().warnings.empty());
+        const std::string& warning = resumed.value().warnings[0];
+        EXPECT_NE(warning.find("simulate checkpoint payload rejected"),
+                  std::string::npos)
+            << warning;
+        // Rejected by the payload's own checks, before any log is opened.
+        EXPECT_EQ(warning.find("flow log"), std::string::npos) << warning;
+        EXPECT_EQ(read_all(resumed.value().report_path), ref_report);
+        fs::remove_all(dir);
+    }
     fs::remove_all(ref_dir);
 }

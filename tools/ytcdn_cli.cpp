@@ -1,22 +1,25 @@
 // ytcdn — command-line front end for the reproduction study.
 //
-//   ytcdn run        [--scale S] [--seed N] [--faults FILE] [--out DIR] [--binary]
-//   ytcdn study      [--scale S] [--seed N] [--out DIR | --resume DIR] ...
-//   ytcdn tables     [--scale S] [--seed N] [--faults FILE]
+//   ytcdn study      [--scale S] [--seed N] [--faults FILE] [--out DIR | --resume DIR] ...
 //   ytcdn summary    LOG [LOG...]
 //   ytcdn sessions   LOG [--gap T]
+//   ytcdn analyze    LOG MAP [--gap T]
 //   ytcdn convert    IN OUT
 //   ytcdn geolocate  [--landmarks N]
 //   ytcdn planetlab  [--nodes N] [--rounds R]
+//   ytcdn serve      --spool DIR --out DIR [--once] [--resume] ...
+//   ytcdn ctl        SOCKET COMMAND...
 //
-// run and tables also accept the observability flags:
+// study also accepts the observability flags:
 //   --trace-out FILE     structured sim events; .jsonl writes text, anything
 //                        else the YTR1 binary format (read with trace_dump)
 //   --trace-filter CSV   comma-separated event-type names to record
 //   --metrics-out FILE   internal counters after the run; .json or text
 //
-// Flow logs are TSV (.tsv) or the compact binary format (.yfl), chosen by
-// extension.
+// A study run directory holds the week's flow logs as YFL2 beside each
+// vantage point's .dcmap (`<out>/logs`), so it is a ytcdnd spool. The log
+// readers decide the format by content (YFL2 magic, else TSV); convert
+// writes by extension (.yfl binary, anything else TSV).
 
 #include <csignal>
 #include <filesystem>
@@ -32,6 +35,7 @@
 #include "analysis/session_analysis.hpp"
 #include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
+#include "capture/flow_log.hpp"
 #include "capture/log_io.hpp"
 #include "geo/city.hpp"
 #include "geoloc/cbg.hpp"
@@ -39,9 +43,8 @@
 #include "service/service.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/tracer.hpp"
+#include "study/deployment.hpp"
 #include "study/planetlab_experiment.hpp"
-#include "study/report.hpp"
-#include "study/study_run.hpp"
 #include "study/supervisor.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -55,13 +58,10 @@ using namespace ytcdn;
 int usage() {
     std::cerr <<
         "usage: ytcdn <command> [options]\n"
-        "  run        [--scale S] [--seed N] [--faults FILE] [--out DIR] [--binary]\n"
-        "                                                             simulate the week, write tables + per-dataset flow logs\n"
-        "  study      [--scale S] [--seed N] [--out DIR | --resume DIR] [--attempts N]\n"
-        "             [--stages K] [--stage-deadline S] [--max-rss-mib M] [--no-table3]\n"
-        "                                                             supervised full-report pipeline with checkpoint/resume\n"
-        "  tables     [--scale S] [--seed N] [--faults FILE]          print Tables I and II (+ failure table on fault runs)\n"
-        "             run and tables also take [--trace-out FILE] [--trace-filter CSV] [--metrics-out FILE]\n"
+        "  study      [--scale S] [--seed N] [--faults FILE] [--out DIR | --resume DIR]\n"
+        "             [--attempts N] [--stages K] [--stage-deadline S] [--max-rss-mib M] [--no-table3]\n"
+        "             [--trace-out FILE] [--trace-filter CSV] [--metrics-out FILE]\n"
+        "                                                             supervised study: report, artifacts, logs/ spool\n"
         "  summary    LOG [LOG...]                                    Table I-style summary of flow logs\n"
         "  sessions   LOG [--gap T]                                   session statistics of a flow log\n"
         "  analyze    LOG MAP [--gap T]                               full offline analysis (preferred DC, patterns)\n"
@@ -133,42 +133,6 @@ void write_observability(const util::ArgParser& args, const sim::Tracer* tracer)
     }
 }
 
-/// Fault runs get the failure breakdown appended; baselines print nothing
-/// extra, so default output stays byte-identical.
-void print_failure_tables(const study::StudyRun& run) {
-    if (run.config.fault_schedule.empty()) return;
-    std::cout << '\n' << study::make_failure_table(run) << '\n'
-              << study::make_retry_table(run);
-}
-
-int cmd_run(const util::ArgParser& args) {
-    const auto cfg = config_from(args);
-    const std::filesystem::path out(args.get_or("out", "ytcdn_out"));
-    std::filesystem::create_directories(out);
-    std::cout << "Simulating one week at scale " << cfg.scale << "...\n";
-    const auto tracer = make_tracer(args);
-    const auto run = study::run_study(cfg, tracer.get());
-    std::cout << study::make_table1(run) << '\n' << study::make_table2(run) << '\n';
-    print_failure_tables(run);
-    write_observability(args, tracer.get());
-    const bool binary = args.has_flag("binary");
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto& ds = run.traces.datasets[i];
-        const auto path = out / (ds.name + (binary ? ".yfl" : ".tsv"));
-        capture::write_any_log(path, ds.records);
-        util::io::write_file_atomic(out / (ds.name + ".dcmap"),
-                                    [&](std::ostream& os) {
-                                        analysis::write_dc_map(os, run.maps[i]);
-                                        return static_cast<bool>(os);
-                                    })
-            .context("dc map " + ds.name)
-            .value_or_throw();
-        std::cout << "wrote " << path << " (" << ds.records.size()
-                  << " records) + .dcmap\n";
-    }
-    return 0;
-}
-
 /// The supervised pipeline: simulate -> capture -> geolocate -> analyze ->
 /// render as retryable stages with crash-safe checkpoints under the run
 /// directory. `--resume DIR` picks up a killed run; the resumed report.txt
@@ -214,7 +178,7 @@ int cmd_analyze(const util::ArgParser& args) {
     if (args.positionals().size() != 3) return usage();
     capture::Dataset ds;
     ds.name = args.positionals()[1];
-    ds.records = capture::read_any_log(args.positionals()[1]);
+    ds.records = capture::read_flow_log(args.positionals()[1]);
     ds.sort_by_time();
     std::istringstream map_is(
         util::io::read_file(args.positionals()[2]).value_or_throw());
@@ -246,22 +210,13 @@ int cmd_analyze(const util::ArgParser& args) {
     return 0;
 }
 
-int cmd_tables(const util::ArgParser& args) {
-    const auto tracer = make_tracer(args);
-    const auto run = study::run_study(config_from(args), tracer.get());
-    std::cout << study::make_table1(run) << '\n' << study::make_table2(run);
-    print_failure_tables(run);
-    write_observability(args, tracer.get());
-    return 0;
-}
-
 int cmd_summary(const util::ArgParser& args) {
     if (args.positionals().size() < 2) return usage();
     analysis::AsciiTable t({"log", "flows", "volume[GB]", "servers", "clients"});
     for (std::size_t i = 1; i < args.positionals().size(); ++i) {
         capture::Dataset ds;
         ds.name = args.positionals()[i];
-        ds.records = capture::read_any_log(args.positionals()[i]);
+        ds.records = capture::read_flow_log(args.positionals()[i]);
         const auto s = analysis::fold_records(ds, analysis::IncrementalSummary{});
         t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb(), 2),
                    std::to_string(s.servers.size()),
@@ -275,7 +230,7 @@ int cmd_sessions(const util::ArgParser& args) {
     if (args.positionals().size() != 2) return usage();
     const double gap = args.get_double_or("gap", 1.0);
     capture::Dataset ds;
-    ds.records = capture::read_any_log(args.positionals()[1]);
+    ds.records = capture::read_flow_log(args.positionals()[1]);
     ds.sort_by_time();
     const auto sessions = analysis::SessionTable::build(ds, gap);
     const auto cdf = analysis::flows_per_session_cdf(sessions);
@@ -291,7 +246,7 @@ int cmd_convert(const util::ArgParser& args) {
     if (args.positionals().size() != 3) return usage();
     const std::filesystem::path in(args.positionals()[1]);
     const std::filesystem::path out(args.positionals()[2]);
-    const auto records = capture::read_any_log(in);
+    const auto records = capture::read_flow_log(in);
     capture::write_any_log(out, records);
     std::cout << "converted " << records.size() << " records: " << in << " -> " << out
               << '\n';
@@ -434,16 +389,14 @@ int main(int argc, char** argv) {
         // `--resume` takes a directory for `study` but is a boolean for
         // `serve` (the daemon's run dir is always --out), so the flag set
         // depends on the verb.
-        std::vector<std::string> flags = {"binary", "no-table3"};
+        std::vector<std::string> flags = {"no-table3"};
         if (argc > 1 && std::string_view(argv[1]) == "serve") {
             flags.insert(flags.end(), {"resume", "once"});
         }
         const util::ArgParser args(argc, argv, std::move(flags));
         if (args.positionals().empty()) return usage();
         const std::string& cmd = args.positionals().front();
-        if (cmd == "run") return cmd_run(args);
         if (cmd == "study") return cmd_study(args);
-        if (cmd == "tables") return cmd_tables(args);
         if (cmd == "summary") return cmd_summary(args);
         if (cmd == "sessions") return cmd_sessions(args);
         if (cmd == "analyze") return cmd_analyze(args);
