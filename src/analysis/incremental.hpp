@@ -2,10 +2,9 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "capture/flow_record.hpp"
 
@@ -49,6 +48,12 @@ struct IncrementalSummary {
 /// that can still be extended. Equals the batch SessionTable exactly when
 /// each stream's flows arrive in start-time order — which the spool replay
 /// guarantees.
+///
+/// Open sessions live in a flat open-addressing table keyed by (client,
+/// video); a min-heap of (last_end, key) finds the ones the watermark has
+/// passed. An extension pushes a fresh heap entry and leaves the old one
+/// behind; a popped entry whose key is closed or has moved on is skipped.
+/// Once both have grown to the stream's live set, add() does not allocate.
 class IncrementalSessions {
 public:
     explicit IncrementalSessions(double gap_T_s = 1.0) : gap_(gap_T_s) {}
@@ -69,9 +74,7 @@ public:
         const noexcept {
         return closed_;
     }
-    [[nodiscard]] std::size_t open_count() const noexcept {
-        return open_.size();
-    }
+    [[nodiscard]] std::size_t open_count() const noexcept { return open_count_; }
 
     struct OpenSession {
         double last_end = 0.0;
@@ -79,10 +82,9 @@ public:
     };
     using Key = std::pair<std::uint32_t, std::uint64_t>;  // client, video
 
-    /// Ordered so checkpoint encoding is independent of insertion order.
-    [[nodiscard]] const std::map<Key, OpenSession>& open() const noexcept {
-        return open_;
-    }
+    /// The open sessions sorted by key, so checkpoint encoding is
+    /// independent of insertion order.
+    [[nodiscard]] std::vector<std::pair<Key, OpenSession>> open() const;
 
     /// Checkpoint restore: reinstates one open session (a key already open
     /// keeps its own) / the watermark. Restored sessions the watermark has
@@ -93,14 +95,29 @@ public:
     [[nodiscard]] double watermark() const noexcept { return watermark_; }
 
 private:
+    struct Slot {
+        Key key;
+        OpenSession session;
+        bool used = false;
+    };
+    struct Expiry {
+        double last_end;
+        Key key;
+    };
+
     void close_into_histogram(std::uint32_t flows);
+    /// The slot holding `key`, else the empty slot that ends its probe run.
+    [[nodiscard]] std::size_t find_slot(const Key& key) const noexcept;
+    /// Claims `key`'s slot, growing the table first when it is half full.
+    Slot& slot_for_insert(const Key& key);
+    void erase_slot(std::size_t hole) noexcept;
+    void push_expiry(double last_end, const Key& key);
 
     double gap_;
     double watermark_ = 0.0;  // newest flow start seen
-    std::map<Key, OpenSession> open_;
-    /// (last_end, key) of every open session, oldest end first: the
-    /// sessions the watermark passes are always a prefix.
-    std::set<std::pair<double, Key>> expiry_;
+    std::vector<Slot> slots_;  // power-of-two size, linear probing
+    std::size_t open_count_ = 0;
+    std::vector<Expiry> expiry_;  // min-heap on last_end
     std::array<std::uint64_t, kMaxBucket + 1> closed_{};  // [0] unused
 };
 

@@ -5,11 +5,6 @@
 namespace ytcdn::capture {
 
 std::optional<FlowRecord> classify_flow(const ObservedFlow& flow) {
-    return classify_flow(flow, nullptr);
-}
-
-std::optional<FlowRecord> classify_flow(const ObservedFlow& flow,
-                                        std::string_view* host_out) {
     const auto request = cdn::parse_request_view(flow.first_payload);
     if (!request) return std::nullopt;
     const auto resolution = cdn::resolution_from_itag(request->itag);
@@ -23,7 +18,6 @@ std::optional<FlowRecord> classify_flow(const ObservedFlow& flow,
     r.bytes = flow.bytes_down;
     r.video = request->video;
     r.resolution = *resolution;
-    if (host_out != nullptr) *host_out = request->host;
     return r;
 }
 

@@ -19,12 +19,6 @@ enum class ClassifyError {
 /// flow-log record on success.
 [[nodiscard]] std::optional<FlowRecord> classify_flow(const ObservedFlow& flow);
 
-/// As above, but additionally reports the request's Host header as a view
-/// into `flow.first_payload` (valid as long as the payload bytes), so the
-/// sniffer can intern hostnames without re-parsing. `host_out` may be null.
-[[nodiscard]] std::optional<FlowRecord> classify_flow(const ObservedFlow& flow,
-                                                      std::string_view* host_out);
-
 /// Inspects only the payload and reports why it is not a YouTube video
 /// request, for accounting; nullopt when it *is* one.
 [[nodiscard]] std::optional<ClassifyError> classify_error(std::string_view payload);

@@ -55,11 +55,16 @@ util::Result<std::vector<FlowRecord>> read_flow_log_result(
     if (!data) {
         return std::move(data).context("read_flow_log").error();
     }
-    if (is_binary_log_bytes(data.value()) || is_binary_log_path(path)) {
-        return read_binary_log_bytes(data.value())
-            .context("read_binary_log " + path.string());
+    return decode_flow_log(std::move(data).value(), path);
+}
+
+util::Result<std::vector<FlowRecord>> decode_flow_log(
+    std::string bytes, const std::filesystem::path& path) {
+    if (is_binary_log_bytes(bytes) || is_binary_log_path(path)) {
+        return read_binary_log_bytes(bytes).context("read_binary_log " +
+                                                    path.string());
     }
-    std::istringstream is(std::move(data).value());
+    std::istringstream is(std::move(bytes));
     return read_flow_log_result(is);
 }
 

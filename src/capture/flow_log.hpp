@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "capture/flow_record.hpp"
@@ -27,6 +28,11 @@ void write_flow_log(const std::filesystem::path& path,
 /// parses as TSV.
 [[nodiscard]] util::Result<std::vector<FlowRecord>> read_flow_log_result(
     const std::filesystem::path& path);
+/// The same content dispatch over a file's bytes already in hand: `path`
+/// is the name the bytes were read from (a ".yfl" name marks YFL2, and
+/// errors cite it), so a caller that needs the bytes too reads once.
+[[nodiscard]] util::Result<std::vector<FlowRecord>> decode_flow_log(
+    std::string bytes, const std::filesystem::path& path);
 
 /// Throwing wrappers around the *_result readers; the thrown ytcdn::Error
 /// derives std::runtime_error so existing catch sites are unaffected.

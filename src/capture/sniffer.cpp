@@ -8,9 +8,7 @@ Sniffer::Sniffer(std::string dataset_name) : name_(std::move(dataset_name)) {}
 
 void Sniffer::observe(const ObservedFlow& flow) {
     ++observed_;
-    std::string_view host;
-    if (auto record = classify_flow(flow, &host)) {
-        hosts_.intern(host);
+    if (auto record = classify_flow(flow)) {
         ++classified_;
         if (sink_ != nullptr) {
             sink_->on_flow(*record);

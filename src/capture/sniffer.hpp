@@ -7,7 +7,6 @@
 #include "capture/classifier.hpp"
 #include "capture/flow_record.hpp"
 #include "capture/flow_sink.hpp"
-#include "util/intern.hpp"
 
 namespace ytcdn::capture {
 
@@ -29,8 +28,8 @@ public:
     /// Streaming capture: when a sink is installed, classified records are
     /// forwarded to it instead of accumulating in `records_` — the sniffer
     /// then holds no per-flow state and records()/take_records() stay
-    /// empty. Classification, host interning and the observed/ignored
-    /// counters are identical in both modes. Null restores accumulation.
+    /// empty. Classification and the observed/ignored counters are
+    /// identical in both modes. Null restores accumulation.
     void set_sink(FlowSink* sink) noexcept { sink_ = sink; }
     [[nodiscard]] bool streaming() const noexcept { return sink_ != nullptr; }
 
@@ -48,16 +47,9 @@ public:
         return observed_ - classified_;
     }
 
-    /// Content-server hostnames seen by DPI, interned in first-seen order.
-    /// The sniffer is thread-confined (one per vantage point); the study
-    /// join merges the per-VP shards in VP order (util::Interner protocol),
-    /// so merged ids are deterministic at any worker count.
-    [[nodiscard]] const util::Interner& hosts() const noexcept { return hosts_; }
-
 private:
     std::string name_;
     std::vector<FlowRecord> records_;
-    util::Interner hosts_;
     FlowSink* sink_ = nullptr;
     std::uint64_t observed_ = 0;
     std::uint64_t classified_ = 0;

@@ -47,11 +47,6 @@ std::optional<std::string_view> header_value(std::string_view payload,
 
 }  // namespace
 
-std::string server_hostname(int cluster_index, int server_index) {
-    return "v" + std::to_string(server_index) + ".lscache" +
-           std::to_string(cluster_index) + ".c.youtube.com";
-}
-
 bool is_video_host(std::string_view host) noexcept {
     return host.size() > kVideoHostSuffix.size() &&
            host.substr(host.size() - kVideoHostSuffix.size()) == kVideoHostSuffix;
@@ -74,6 +69,19 @@ void append_video_id(std::string& out, VideoId id) {
 }
 
 }  // namespace
+
+std::string server_hostname(int cluster_index, int server_index) {
+    // Appended piecewise into one reserved buffer: GCC 12 flags the
+    // equivalent chain of std::string operator+ with a false -Wrestrict.
+    std::string out;
+    out.reserve(40);
+    out += 'v';
+    append_int(out, server_index);
+    out += ".lscache";
+    append_int(out, cluster_index);
+    out += kVideoHostSuffix;
+    return out;
+}
 
 void format_request_to(std::string& out, const VideoRequestView& request) {
     out.clear();

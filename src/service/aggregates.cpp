@@ -181,8 +181,9 @@ std::string ServiceAggregates::encode() const {
              k <= analysis::IncrementalSessions::kMaxBucket; ++k) {
             util::put(buf, sessions.histogram()[k]);
         }
-        util::put(buf, static_cast<std::uint32_t>(sessions.open().size()));
-        for (const auto& [key, open] : sessions.open()) {
+        const auto open_sessions = sessions.open();
+        util::put(buf, static_cast<std::uint32_t>(open_sessions.size()));
+        for (const auto& [key, open] : open_sessions) {
             util::put(buf, key.first);
             util::put(buf, key.second);
             util::put_f64(buf, open.last_end);
@@ -275,6 +276,7 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
         }
         std::uint32_t nopen = 0;
         if (!r.take(&nopen)) return truncated(r);
+        analysis::IncrementalSessions::Key prev_key{};
         for (std::uint32_t j = 0; j < nopen; ++j) {
             std::uint32_t client = 0;
             std::uint64_t video = 0;
@@ -284,15 +286,16 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
                 return truncated(r);
             }
             if (!std::isfinite(open.last_end)) return not_finite("session end");
-            // Strictly ascending, as encode() writes the ordered open map.
+            // Strictly ascending, as encode() writes the sorted open set.
             const analysis::IncrementalSessions::Key key{client, video};
-            if (j > 0 && !(sessions.open().rbegin()->first < key)) {
+            if (j > 0 && !(prev_key < key)) {
                 return Error(ErrorCode::BadField,
                              "service aggregates: open session " +
                                  std::to_string(j) + " of stream '" + name +
                                  "' is out of key order");
             }
             sessions.restore_open(key, open);
+            prev_key = key;
         }
 
         std::uint32_t ntallies = 0;

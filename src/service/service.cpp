@@ -1,10 +1,12 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
-#include <csignal>
 #include <memory>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "service/control.hpp"
@@ -49,7 +51,10 @@ ServiceMetrics& service_metrics() {
     return metrics;
 }
 
-volatile std::sig_atomic_t g_stop = 0;
+// Lock-free, so a signal handler may set it, and atomic, so another thread
+// may too (a volatile sig_atomic_t is only safe from a handler).
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
 std::string hex(std::uint64_t v, int digits) {
     static constexpr char kDigits[] = "0123456789abcdef";
@@ -216,9 +221,9 @@ struct ParsedFile {
 
 }  // namespace
 
-void request_stop() noexcept { g_stop = 1; }
-bool stop_requested() noexcept { return g_stop != 0; }
-void clear_stop() noexcept { g_stop = 0; }
+void request_stop() noexcept { g_stop.store(true); }
+bool stop_requested() noexcept { return g_stop.load(); }
+void clear_stop() noexcept { g_stop.store(false); }
 
 Service::Service(ServiceOptions options)
     : options_(std::move(options)), fingerprint_(fingerprint_of(options_)) {}
@@ -409,13 +414,14 @@ util::Result<ServiceReport> Service::run() {
         io::close_fd(fd);
     };
 
-    // Waits one tick for control traffic, then serves everything pending.
-    const auto control_tick = [&] {
+    // Waits up to `wait_ms` for control traffic, then serves everything
+    // pending.
+    const auto control_tick = [&](int wait_ms) {
         if (!socket.listening()) {
-            (void)io::poll_readable(-1, options_.tick_ms);
+            (void)io::poll_readable(-1, wait_ms);
             return;
         }
-        int timeout = options_.tick_ms;
+        int timeout = wait_ms;
         for (;;) {
             auto client = socket.accept_ready(timeout);
             if (!client) {
@@ -527,14 +533,12 @@ util::Result<ServiceReport> Service::run() {
 
     const auto ingest_new_files = [&]() -> std::size_t {
         auto files = scan_spool(options_.spool_dir);
+        std::unordered_set<std::string_view> done;
+        done.reserve(state.ledger.size());
+        for (const auto& entry : state.ledger) done.insert(entry.name);
         files.erase(std::remove_if(files.begin(), files.end(),
                                    [&](const SpoolFile& f) {
-                                       for (const auto& entry : state.ledger) {
-                                           if (entry.name == f.name) {
-                                               return true;
-                                           }
-                                       }
-                                       return false;
+                                       return done.contains(f.name);
                                    }),
                     files.end());
         if (files.empty()) return 0;
@@ -554,7 +558,8 @@ util::Result<ServiceReport> Service::run() {
                         if (!bytes) throw bytes.error();
                         out.size = bytes.value().size();
                         out.crc = util::crc32(bytes.value());
-                        auto records = read_spool_file(file.path);
+                        auto records = decode_spool_bytes(
+                            file.path, std::move(bytes).value());
                         if (!records) throw records.error();
                         out.records = std::move(records).value();
                     },
@@ -580,12 +585,17 @@ util::Result<ServiceReport> Service::run() {
     write_state("running");
     note("ingest loop started (spool " + options_.spool_dir.string() + ")");
 
+    // Work-conserving: a round waits its tick only after a scan that found
+    // nothing, so a spool with files is drained back to back (a `--once`
+    // pass never sleeps) while an idle daemon still paces its scans.
+    bool idle = false;
     while (!stop && !stop_requested()) {
         metrics.ticks.inc();
-        control_tick();
+        control_tick(idle ? options_.tick_ms : 0);
         if (stop || stop_requested()) break;
         const std::size_t ingested = ingest_new_files();
         if (options_.once && ingested == 0) break;
+        idle = ingested == 0;
     }
 
     // Graceful quiesce: no new admissions; drain whatever is queued (only

@@ -15,11 +15,12 @@ namespace ytcdn::service {
 
 /// ytcdnd — the crash-safe long-running service mode (DESIGN.md §15).
 ///
-/// One single-threaded supervision loop: each tick waits on the control
-/// socket (a bounded poll — the loop never blocks without a deadline),
-/// serves any pending control connections, scans the spool for new flow
-/// logs and ingests them through supervised per-file stages (parse ->
-/// admit/shed -> aggregate -> checkpoint). Parsing fans out across the
+/// One single-threaded supervision loop: each round serves any pending
+/// control connections, scans the spool for new flow logs and ingests them
+/// through supervised per-file stages (parse -> admit/shed -> aggregate ->
+/// checkpoint). Only a round after an empty scan first waits on the control
+/// socket for `tick_ms` (a bounded poll — the loop never blocks without a
+/// deadline); while the spool has work the rounds run back to back. Parsing fans out across the
 /// deterministic ThreadPool; application is strictly in name order, so
 /// every aggregate is byte-identical at any pool size.
 ///
@@ -42,7 +43,8 @@ struct ServiceOptions {
     double gap_T_s = 1.0;        // session gap threshold (Section VI-A)
     std::size_t queue_capacity = 0;   // ingest queue, batches; 0 = unbounded
     std::size_t batch_records = 4096; // records per admission-control batch
-    int tick_ms = 50;                 // control-poll / spool-scan cadence
+    int tick_ms = 50;                 // idle pacing: the control-poll wait
+                                      // before re-scanning an empty spool
     std::size_t checkpoint_every = 1; // files between checkpoints; 0 = only
                                       // at shutdown
     std::size_t threads = 0;          // parse pool; 0 = YTCDN_THREADS/cores
@@ -73,8 +75,8 @@ struct ServiceReport {
     std::vector<std::string> warnings;
 };
 
-/// Signal-safe stop request (the SIGTERM/SIGINT handler calls this; tests
-/// call it directly). The loop quiesces at the next tick boundary.
+/// Signal- and thread-safe stop request (the SIGTERM/SIGINT handler calls
+/// this; tests call it directly, from any thread). The loop quiesces at the next tick boundary.
 void request_stop() noexcept;
 [[nodiscard]] bool stop_requested() noexcept;
 /// Re-arms the loop after a handled stop (process startup / in-process

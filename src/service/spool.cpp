@@ -68,6 +68,12 @@ util::Result<std::vector<capture::FlowRecord>> read_spool_file(
     return capture::read_flow_log_result(path).context("spool " + path.string());
 }
 
+util::Result<std::vector<capture::FlowRecord>> decode_spool_bytes(
+    const std::filesystem::path& path, std::string bytes) {
+    return capture::decode_flow_log(std::move(bytes), path)
+        .context("spool " + path.string());
+}
+
 std::string stream_of(const std::string& name) {
     const std::size_t dot = name.find('.');
     std::string stem = dot == std::string::npos ? name : name.substr(0, dot);

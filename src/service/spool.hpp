@@ -41,6 +41,11 @@ struct SpoolFile {
 /// the first '.'.
 [[nodiscard]] util::Result<std::vector<capture::FlowRecord>> read_spool_file(
     const std::filesystem::path& path);
+/// read_spool_file over the file's bytes already in hand (the daemon reads
+/// once for the ledger's size and CRC and decodes the same bytes); the
+/// same dispatch and the same "spool <path>" error context.
+[[nodiscard]] util::Result<std::vector<capture::FlowRecord>> decode_spool_bytes(
+    const std::filesystem::path& path, std::string bytes);
 
 /// "eu1-0003.yfl" -> "eu1-0003" -> stream key "eu1" when the name has a
 /// '-<digits>' sequence suffix, else the whole stem: one logical stream

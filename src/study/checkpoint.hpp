@@ -107,8 +107,7 @@ inline constexpr std::size_t kNumStageIds = 6;
 /// histograms, 16 GiB logs) and rejects a name that is not a plain file
 /// stem, all before it touches a file; then it reads each log, checks its
 /// size and CRC against the payload (ChecksumMismatch; a missing log is the
-/// read's Io error) and decodes it. `unique_hosts` is not stored, so it is
-/// zero on a decoded week.
+/// read's Io error) and decodes it.
 struct EncodedWeek {
     std::string payload;            // the Simulate-stage payload
     std::vector<std::string> logs;  // YFL2 bytes of datasets[i].records

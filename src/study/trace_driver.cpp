@@ -6,7 +6,6 @@
 
 #include "capture/sniffer.hpp"
 #include "sim/fault_injector.hpp"
-#include "util/intern.hpp"
 #include "workload/request_generator.hpp"
 
 namespace ytcdn::study {
@@ -169,14 +168,9 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
     out.events_processed = simulator.events_processed();
     out.faults_injected = injector ? injector->injected() : 0;
     out.datasets.reserve(n);
-    // Join point for the per-VP interner shards: fold them in VP order into
-    // the canonical hostname table, so ids are first-seen-per-shard stable
-    // (util::Interner merge protocol) and independent of capture details.
-    util::Interner hostnames;
     for (std::size_t i = 0; i < n; ++i) {
         out.flows_observed.push_back(sniffers[i]->flows_observed());
         out.flows_ignored.push_back(sniffers[i]->flows_ignored());
-        (void)hostnames.merge_map(sniffers[i]->hosts());
         capture::Dataset ds;
         ds.name = dep.vantage(i).name;
         ds.records = sniffers[i]->take_records();
@@ -185,7 +179,6 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
         out.player_stats.push_back(players[i]->stats());
         out.requests_generated.push_back(generators[i]->requests_generated());
     }
-    out.unique_hosts = hostnames.size();
     return out;
 }
 

@@ -24,10 +24,6 @@ struct TraceOutputs {
     std::uint64_t events_processed = 0;
     /// Fault events injected from the config's schedule (0 on baselines).
     std::uint64_t faults_injected = 0;
-    /// Distinct content-server hostnames DPI saw across all vantage points
-    /// (the canonical interner's size after the ordered per-VP merge). Zero
-    /// on traces decoded from a Simulate checkpoint, which does not store it.
-    std::uint64_t unique_hosts = 0;
 };
 
 /// Runs the paper's capture campaign: all five vantage points generate

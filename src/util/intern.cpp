@@ -18,16 +18,4 @@ Interner::Id Interner::find(std::string_view s) const noexcept {
     return it == index_.end() ? kInvalidId : it->second;
 }
 
-std::vector<Interner::Id> Interner::merge_map(const Interner& shard) {
-    std::vector<Id> remap;
-    remap.reserve(shard.size());
-    // Shard ids are first-seen order by construction; walking them 0..n-1
-    // (a vector scan, not an unordered-container iteration) keeps the fold
-    // deterministic for a fixed shard sequence.
-    for (std::size_t i = 0; i < shard.by_id_.size(); ++i) {
-        remap.push_back(intern(shard.by_id_[i]));
-    }
-    return remap;
-}
-
 }  // namespace ytcdn::util

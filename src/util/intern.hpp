@@ -9,20 +9,13 @@
 
 namespace ytcdn::util {
 
-/// A thread-confined string interner with deterministic merge-at-join.
-///
-/// Each shard (one sniffer, one worker) interns locally: the first time a
-/// string is seen it is copied into the shard's arena and assigned the next
-/// dense id, so ids are exactly first-seen order. Shards never synchronise
-/// on the hot path. At the join point the owner folds shards into a canonical
-/// interner with `merge_map()`, walking each shard *in its own id order* and
-/// shards in a fixed order (VP index, worker index) — the same
-/// permutation-invariant fold idiom as `util::metrics`: the canonical id of a
-/// string depends only on the ordered shard sequence, never on thread timing.
+/// A thread-confined string interner: the first time a string is seen it is
+/// copied into the interner's arena and assigned the next dense id, so ids
+/// are exactly first-seen order.
 ///
 /// Lookups take `std::string_view` and never allocate; `find()` on a missing
 /// string is also allocation-free, which is what makes the interner usable
-/// inside per-event loops (`Cdn::server_by_hostname`, DPI host parsing).
+/// inside per-event loops (`Cdn::server_by_hostname`).
 class Interner {
 public:
     using Id = std::uint32_t;
@@ -46,12 +39,6 @@ public:
 
     [[nodiscard]] std::size_t size() const noexcept { return by_id_.size(); }
     [[nodiscard]] bool empty() const noexcept { return by_id_.empty(); }
-
-    /// Folds `shard` into this interner: walks shard ids 0..size-1 in order,
-    /// interning each string here. Returns the remap table, where
-    /// `remap[shard_id]` is the canonical id. Calling merge_map over shards
-    /// in a fixed order yields ids independent of how work was sharded.
-    std::vector<Id> merge_map(const Interner& shard);
 
 private:
     Arena arena_{4 * 1024};

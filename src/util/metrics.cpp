@@ -31,6 +31,19 @@ struct TlsEntry {
 };
 thread_local std::vector<TlsEntry> t_shards;
 
+/// Registries alive now, by id: an exiting thread hands its shards back
+/// only to a registry found here. Leaked like Registry::global(), so a
+/// thread that exits during static destruction still finds it.
+struct LiveRegistries {
+    std::mutex mutex;
+    std::unordered_map<std::uint64_t, Registry*> by_id;
+};
+
+LiveRegistries& live_registries() {
+    static LiveRegistries* const live = new LiveRegistries();  // ytcdn-lint: allow(raw-new-delete)
+    return *live;
+}
+
 /// Shortest round-trippable formatting for histogram bounds ("5", "0.5",
 /// "1e+06") — locale-free and deterministic for any fixed bound list.
 std::string fmt_bound(double b) {
@@ -44,6 +57,28 @@ std::string fmt_bound(double b) {
 struct Registry::Shard {
     Shard() : slots(kShardSlots) {}  // value-initialized: all zero
     std::vector<std::atomic<std::uint64_t>> slots;
+};
+
+/// The shards one thread adopted, returned to their registries' free
+/// lists when the thread exits. Only adopt_shard() touches it, so the
+/// per-add lookup in local_slots() carries no extra destructor guard.
+struct Registry::ThreadShards {
+    std::vector<std::pair<std::uint64_t, Shard*>> adopted;  // registry id
+
+    ThreadShards() = default;
+    ThreadShards(const ThreadShards&) = delete;
+    ThreadShards& operator=(const ThreadShards&) = delete;
+    ~ThreadShards() {
+        LiveRegistries& live = live_registries();
+        const std::lock_guard<std::mutex> live_lock(live.mutex);
+        for (const auto& [id, shard] : adopted) {
+            const auto it = live.by_id.find(id);
+            if (it == live.by_id.end()) continue;  // registry destroyed
+            Registry& registry = *it->second;
+            const std::lock_guard<std::mutex> lock(registry.mutex_);
+            registry.free_shards_.push_back(shard);
+        }
+    }
 };
 
 struct Histogram::Meta {
@@ -60,9 +95,17 @@ struct Registry::Metric {
     Histogram::Meta hist;  // populated for histograms only
 };
 
-Registry::Registry() : id_(next_registry_id()) {}
+Registry::Registry() : id_(next_registry_id()) {
+    LiveRegistries& live = live_registries();
+    const std::lock_guard<std::mutex> lock(live.mutex);
+    live.by_id.emplace(id_, this);
+}
 
-Registry::~Registry() = default;
+Registry::~Registry() {
+    LiveRegistries& live = live_registries();
+    const std::lock_guard<std::mutex> lock(live.mutex);
+    live.by_id.erase(id_);
+}
 
 Registry& Registry::global() {
     // Leaked on purpose: instrumentation in static destructors must not
@@ -75,12 +118,29 @@ std::atomic<std::uint64_t>* Registry::local_slots() noexcept {
     for (const TlsEntry& e : t_shards) {
         if (e.registry_id == id_) return e.slots;
     }
-    auto shard = std::make_unique<Shard>();
-    std::atomic<std::uint64_t>* slots = shard->slots.data();
+    return adopt_shard();
+}
+
+std::atomic<std::uint64_t>* Registry::adopt_shard() {
+    // A recycled shard keeps the exited thread's counts: they still belong
+    // in every merge, and adding to them sums the same.
+    Shard* shard = nullptr;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        shards_.push_back(std::move(shard));
+        if (free_shards_.empty()) {
+            shards_.push_back(std::make_unique<Shard>());
+            shard = shards_.back().get();
+            // Room for every shard, so the hand-back at thread exit (a
+            // destructor) never allocates.
+            free_shards_.reserve(shards_.size());
+        } else {
+            shard = free_shards_.back();
+            free_shards_.pop_back();
+        }
     }
+    static thread_local ThreadShards t_adopted;
+    t_adopted.adopted.emplace_back(id_, shard);
+    std::atomic<std::uint64_t>* slots = shard->slots.data();
     t_shards.push_back(TlsEntry{id_, slots});
     return slots;
 }

@@ -26,6 +26,11 @@ namespace ytcdn::util::metrics {
 /// work units (sessions, queries, tasks), never scheduling accidents
 /// (which worker ran, queue wait times).
 ///
+/// A thread's shards outlive it: at thread exit they go to their
+/// registry's free list, counts intact, and the next new thread adopts
+/// one. The shard count is bounded by the most threads alive at once, and
+/// a merge over recycled shards is the same sum and maximum.
+///
 /// Metric names are dotted lowercase paths ("cdn.dns.queries"); the
 /// `metrics-name-literal` lint rule keeps them string literals so the
 /// registry stays statically enumerable.
@@ -143,10 +148,12 @@ private:
 
     struct Shard;
     struct Metric;
+    struct ThreadShards;
 
     void add(std::uint32_t slot, std::uint64_t n) noexcept;
     void max_up(std::uint32_t slot, std::uint64_t v) noexcept;
     [[nodiscard]] std::atomic<std::uint64_t>* local_slots() noexcept;
+    [[nodiscard]] std::atomic<std::uint64_t>* adopt_shard();
     [[nodiscard]] Metric* find_or_register(std::string_view name,
                                            SnapshotEntry::Kind kind,
                                            std::vector<double> bounds,
@@ -157,6 +164,8 @@ private:
     std::deque<Metric> metrics_;  // deque: handles keep stable pointers
     std::unordered_map<std::string, Metric*> by_name_;
     std::vector<std::unique_ptr<Shard>> shards_;
+    /// Shards whose thread has exited, for the next new thread to adopt.
+    std::vector<Shard*> free_shards_;
     std::uint32_t next_slot_ = 0;
 };
 

@@ -8,6 +8,8 @@ The robustness contract pinned here, against the real binary:
   * kill -9 mid-ingest loses nothing durable: `ytcdn serve --resume --once`
     replays the spool and converges to aggregates byte-identical to an
     uninterrupted one-shot run,
+  * a `--once` pass never waits a tick: `--tick-ms` paces only an idle
+    daemon,
   * a `ytcdn study` run directory's logs/ is a spool: `ytcdn summary`
     reads its YFL2 logs, and the daemon's Table I flows, servers and clients
     equal the study's own table1.txt, row for row,
@@ -149,6 +151,25 @@ def main() -> int:
         manifest = read(os.path.join(out_ref, "service_manifest.txt"))
         check("status shutdown" in manifest,
               "one-shot manifest records a clean shutdown")
+
+        # --tick-ms paces only an idle daemon: a --once pass has work in
+        # every round but its last, which ends it, so it never waits a tick.
+        # A pass that waited even one 10-minute tick would hit the timeout.
+        print("one-shot ingest never waits a tick")
+        out_slow = os.path.join(tmp, "run_slow_tick")
+        try:
+            proc = subprocess.run(
+                [binary, "serve", "--tick-ms", "600000", "--backoff", "0",
+                 "--checkpoint-every", "1", "--spool", spool_ref, "--out",
+                 out_slow, "--once"],
+                capture_output=True, text=True, errors="replace", check=False,
+                timeout=60)
+            finished = proc.returncode == 0
+        except subprocess.TimeoutExpired:
+            finished = False
+        check(finished, "serve --once --tick-ms 600000 exits 0 within 60 s")
+        check(read(os.path.join(out_slow, "aggregates.txt")) == reference,
+              "its aggregates equal the reference run's")
 
         # The study's logs are YFL2 that every log reader takes, and the
         # daemon's Table I is the study's own, row for row.

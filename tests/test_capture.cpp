@@ -65,7 +65,6 @@ TEST(Classifier, RejectsOtherTraffic) {
         EXPECT_EQ(sniffer.flows_ignored(), 1u);
         EXPECT_EQ(sniffer.flows_classified(), 0u);
         EXPECT_TRUE(sniffer.records().empty());
-        EXPECT_EQ(sniffer.hosts().size(), 0u);
     }
 }
 
@@ -92,9 +91,6 @@ TEST(Sniffer, CountsAndClassifies) {
     const auto records = sniffer.take_records();
     EXPECT_EQ(records.size(), 1u);
     EXPECT_TRUE(sniffer.records().empty());
-    // DPI interned the video host (and only the video host) in seen order.
-    EXPECT_EQ(sniffer.hosts().size(), 1u);
-    EXPECT_EQ(sniffer.hosts().find("v7.lscache3.c.youtube.com"), 0u);
 }
 
 TEST(FlowLog, StreamRoundTrip) {

@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <numeric>
-#include <random>
 #include <string>
-#include <vector>
 
 namespace ytcdn::util {
 namespace {
@@ -37,87 +33,6 @@ TEST(Interner, ViewsStableAcrossGrowth) {
     }
     EXPECT_EQ(early, "pinned-string");
     EXPECT_EQ(in.find("pinned-string"), 0u);
-}
-
-TEST(Interner, MergeMapRemapsShardIds) {
-    Interner canon;
-    canon.intern("a");
-    canon.intern("b");
-
-    Interner shard;
-    shard.intern("b");  // shard id 0
-    shard.intern("c");  // shard id 1
-
-    const auto remap = canon.merge_map(shard);
-    ASSERT_EQ(remap.size(), 2u);
-    EXPECT_EQ(remap[0], 1u);  // "b" already canonical id 1
-    EXPECT_EQ(remap[1], 2u);  // "c" appended
-    EXPECT_EQ(canon.size(), 3u);
-}
-
-// The determinism property the merge protocol guarantees: for a FIXED shard
-// order, canonical ids depend only on shard contents — and a string's
-// canonical id equals what a serial run interning shard 0, then 1, ... would
-// assign. Work may be split across shards any way at all (here: random
-// partitions of the same string stream) as long as each shard preserves its
-// own first-seen order, which thread-confined interning does by construction.
-TEST(InternerProperty, MergedIdsMatchSerialFold) {
-    std::mt19937 rng(20260808);
-    for (int trial = 0; trial < 50; ++trial) {
-        // A stream of strings with heavy repetition, like DPI hostnames.
-        std::vector<std::string> stream;
-        std::uniform_int_distribution<int> pick(0, 40);
-        for (int i = 0; i < 400; ++i) {
-            stream.push_back("host-" + std::to_string(pick(rng)));
-        }
-        const std::size_t num_shards = 1 + static_cast<std::size_t>(trial % 7);
-
-        // Serial reference: one shard sees the whole stream.
-        Interner serial;
-        std::vector<std::vector<std::string>> parts(num_shards);
-        std::uniform_int_distribution<std::size_t> shard_of(0, num_shards - 1);
-        for (const auto& s : stream) parts[shard_of(rng)].push_back(s);
-        for (std::size_t k = 0; k < num_shards; ++k) {
-            for (const auto& s : parts[k]) serial.intern(s);
-        }
-
-        // Sharded run: each shard interns only its slice, then the owner
-        // folds shards 0..n-1 in order.
-        Interner merged;
-        for (std::size_t k = 0; k < num_shards; ++k) {
-            Interner shard;
-            for (const auto& s : parts[k]) shard.intern(s);
-            merged.merge_map(shard);
-        }
-
-        ASSERT_EQ(merged.size(), serial.size());
-        for (std::size_t id = 0; id < serial.size(); ++id) {
-            EXPECT_EQ(merged.view(static_cast<Interner::Id>(id)),
-                      serial.view(static_cast<Interner::Id>(id)))
-                << "trial " << trial << " id " << id;
-        }
-    }
-}
-
-// Re-running the same shard sequence must reproduce identical ids — the
-// byte-stability requirement for anything derived from interned ids.
-TEST(InternerProperty, RerunIsBitIdentical) {
-    const auto build = [] {
-        Interner canon;
-        for (int k = 0; k < 4; ++k) {
-            Interner shard;
-            for (int i = 0; i < 100; ++i) {
-                shard.intern("vp" + std::to_string(k) + "-h" + std::to_string(i % 13));
-            }
-            canon.merge_map(shard);
-        }
-        std::vector<std::string> out;
-        for (std::size_t id = 0; id < canon.size(); ++id) {
-            out.emplace_back(canon.view(static_cast<Interner::Id>(id)));
-        }
-        return out;
-    };
-    EXPECT_EQ(build(), build());
 }
 
 }  // namespace

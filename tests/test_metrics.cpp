@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "util/metrics.hpp"
+#include "util/parallel.hpp"
 
 namespace metrics = ytcdn::util::metrics;
 
@@ -191,6 +193,55 @@ TEST(Metrics, DefaultConstructedHandlesAreNoOps) {
     counter.inc();
     gauge.update_max(9);
     hist.observe(1.0);  // must not crash
+}
+
+TEST(Metrics, ShardsOfExitedThreadsAreRecycled) {
+    // A fresh pool per round, as each `ytcdn serve` run builds one: the
+    // workers' shards go back to the registry when they exit and the next
+    // round's workers adopt them, so the shard count stays at the most
+    // threads alive at once while every count survives the hand-over.
+    metrics::Registry registry;
+    const auto counter = registry.counter("recycle.count");
+    const auto gauge = registry.gauge("recycle.max");
+    constexpr std::size_t kRounds = 50;
+    constexpr std::size_t kTasks = 64;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        ytcdn::util::ThreadPool pool(4);
+        pool.run_indexed(kTasks, [&](std::size_t i) {
+            counter.inc();
+            gauge.update_max(round * kTasks + i);
+        });
+    }
+    EXPECT_LE(registry.num_shards(), 5u);
+    const auto snapshot = registry.snapshot();
+    ASSERT_EQ(snapshot.entries.size(), 2u);
+    EXPECT_EQ(snapshot.entries[0].value, kRounds * kTasks);      // recycle.count
+    EXPECT_EQ(snapshot.entries[1].value, kRounds * kTasks - 1);  // recycle.max
+    registry.reset();
+    EXPECT_EQ(registry.snapshot().entries[0].value, 0u);
+    EXPECT_EQ(registry.snapshot().entries[1].value, 0u);
+}
+
+TEST(Metrics, ThreadOutlivingItsRegistryExitsCleanly) {
+    // The thread's exit hands its shard back by registry id, so a registry
+    // destroyed first is never touched (ASan would flag the write).
+    std::promise<void> registry_gone;
+    std::thread worker;  // ytcdn-lint: allow(raw-thread)
+    {
+        metrics::Registry registry;
+        const auto counter = registry.counter("outlived.count");
+        std::promise<void> counted;
+        worker = std::thread([counter, &counted,  // ytcdn-lint: allow(raw-thread)
+                              gone = registry_gone.get_future()] {
+            counter.inc();
+            counted.set_value();
+            gone.wait();
+        });
+        counted.get_future().wait();
+        EXPECT_EQ(registry.snapshot().entries[0].value, 1u);
+    }
+    registry_gone.set_value();
+    worker.join();
 }
 
 TEST(Metrics, GlobalRegistryIsASingleton) {

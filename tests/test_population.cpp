@@ -13,7 +13,7 @@ namespace {
 
 workload::VantagePoint make_vp() {
     workload::VantagePoint vp;
-    vp.name = "T";
+    vp.name = std::string(1, 'T');  // not `= "T"`: GCC 12 -Wrestrict false positive
     vp.tech = workload::AccessTech::Adsl;
     vp.pop_site = net::NetSite{0x100, {45.0, 7.0}, 0.0};
     vp.subnets = {

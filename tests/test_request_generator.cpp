@@ -34,7 +34,7 @@ protected:
             "r", std::make_unique<cdn::StaticPreferencePolicy>(
                      std::vector<cdn::DcId>{dc_, dc2_}));
 
-        vp_.name = "T";
+        vp_.name = std::string(1, 'T');  // not `= "T"`: GCC 12 -Wrestrict false positive
         vp_.tech = workload::AccessTech::Ftth;
         vp_.pop_site = net::NetSite{1, {45.07, 7.69}, 0.0};
         vp_.subnets = {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -13,6 +14,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/dc_map.hpp"
@@ -30,6 +32,7 @@
 #include "study/study_run.hpp"
 #include "util/bytes.hpp"
 #include "util/io.hpp"
+#include "util/metrics.hpp"
 
 namespace analysis = ytcdn::analysis;
 namespace capture = ytcdn::capture;
@@ -164,8 +167,9 @@ batch_histogram(const capture::Dataset& ds) {
 
 /// Open sessions the watermark has passed by more than the gap.
 std::size_t stale_open(const analysis::IncrementalSessions& inc) {
+    const auto open = inc.open();
     return static_cast<std::size_t>(std::count_if(
-        inc.open().begin(), inc.open().end(), [&inc](const auto& entry) {
+        open.begin(), open.end(), [&inc](const auto& entry) {
             return inc.watermark() - entry.second.last_end > inc.gap();
         }));
 }
@@ -195,6 +199,51 @@ TEST(IncrementalSessions, MatchesSessionTableOverASimulatedWeek) {
         EXPECT_EQ(inc.histogram(), batch_histogram(ds)) << ds.name;
     }
     std::cout << "peak open_count " << peak_open << '\n';
+}
+
+TEST(IncrementalSessions, TenThousandOpenSessionsGrowTheTableExactly) {
+    // 12 000 keys open at once (long flows the watermark cannot pass),
+    // every third extended while open, then a later long flow per key whose
+    // start closes the whole first wave and opens a second: the table and
+    // the expiry heap grow many times past their first capacity, and the
+    // histogram must still equal the batch grouping's.
+    constexpr std::uint32_t kKeys = 12'000;
+    capture::Dataset ds;
+    for (std::uint32_t i = 0; i < kKeys; ++i) {
+        ds.records.push_back(flow(0x0A000000u + i / 7, 0xC0A80101u, 1e-3 * i,
+                                  500.0 + 1e-3 * i, 5000, 1'000'000 + i % 7));
+    }
+    for (std::uint32_t i = 0; i < kKeys; i += 3) {
+        ds.records.push_back(flow(0x0A000000u + i / 7, 0xC0A80101u, 20.0 + 1e-3 * i,
+                                  600.0 + 1e-3 * i, 5000, 1'000'000 + i % 7));
+    }
+    for (std::uint32_t i = 0; i < kKeys; ++i) {
+        ds.records.push_back(flow(0x0A000000u + i / 7, 0xC0A80101u,
+                                  1000.0 + 1e-3 * i, 1500.0 + 1e-3 * i, 5000,
+                                  1'000'000 + i % 7));
+    }
+    ds.sort_by_time();
+
+    analysis::IncrementalSessions inc(1.0);
+    std::size_t peak_open = 0;
+    for (const auto& r : ds.records) {
+        inc.add(r);
+        peak_open = std::max(peak_open, inc.open_count());
+    }
+    EXPECT_EQ(peak_open, kKeys);
+    EXPECT_EQ(inc.sessions_closed(), kKeys);  // the first wave
+    const auto open = inc.open();
+    ASSERT_EQ(open.size(), kKeys);
+    EXPECT_TRUE(std::is_sorted(open.begin(), open.end(),
+                               [](const auto& a, const auto& b) {
+                                   return a.first < b.first;
+                               }));
+    inc.close_all();
+    EXPECT_EQ(inc.open_count(), 0u);
+    const auto histogram = batch_histogram(ds);
+    EXPECT_EQ(histogram[1], kKeys + kKeys - kKeys / 3);
+    EXPECT_EQ(histogram[2], kKeys / 3);
+    EXPECT_EQ(inc.histogram(), histogram);
 }
 
 TEST(IncrementalSessions, RestoredStaleSessionsCloseOnNextAdd) {
@@ -755,7 +804,47 @@ TEST(Service, QuarantinesUnparseableSpoolFilesAndContinues) {
     EXPECT_FALSE(fs::exists(spool / "aa-garbage.yfl"));
     EXPECT_TRUE(fs::exists(spool / "aa-garbage.yfl.corrupt.1"));
 
+    // The decode error keeps the spool reader's context chain.
+    const std::string path = (spool / "aa-garbage.yfl").string();
+    EXPECT_TRUE(std::any_of(
+        report.value().warnings.begin(), report.value().warnings.end(),
+        [&](const std::string& w) {
+            return w.find("spool " + path + ": read_binary_log " + path) !=
+                   std::string::npos;
+        }))
+        << report.value().warnings.front();
+
     const std::string manifest = file_bytes(report.value().manifest_path);
     EXPECT_NE(manifest.find("status=quarantined"), std::string::npos);
+    fs::remove_all(base);
+}
+
+TEST(Service, IdleDaemonStillPacesItsScans) {
+    // Rounds run back to back only while the spool has work: a daemon over
+    // an empty spool waits tick_ms before every scan after its first, so
+    // about a second at 100 ms is about ten rounds, not thousands.
+    const auto base = temp_dir("idle_pacing");
+    auto options = once_options(base / "spool", base / "run", 1);
+    options.once = false;
+    options.tick_ms = 100;
+    const auto ticks = [] {
+        for (const auto& e : ytcdn::util::metrics::Registry::global().snapshot().entries) {
+            if (e.name == "service.ticks") return e.value;
+        }
+        return std::uint64_t{0};
+    };
+    const std::uint64_t before = ticks();
+    service::clear_stop();
+    std::thread stopper([] {  // ytcdn-lint: allow(raw-thread)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+        service::request_stop();
+    });
+    auto report = service::Service(options).run();
+    stopper.join();
+    service::clear_stop();
+    ASSERT_TRUE(report.ok()) << report.error().what();
+    const std::uint64_t rounds = ticks() - before;
+    EXPECT_GE(rounds, 2u);
+    EXPECT_LE(rounds, 15u);
     fs::remove_all(base);
 }
