@@ -6,7 +6,7 @@
 // accesses — quantifying how much cache the one-week behaviour implies.
 
 #include "analysis/preferred_dc.hpp"
-#include "analysis/redirect_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
 
@@ -36,8 +36,10 @@ ChurnOutcome run_with_bound(std::size_t max_pulled) {
         out.evictions += run.deployment->cdn().cache(dc.id).evictions();
     }
     const auto idx = run.vp_index("EU1-ADSL");
-    const auto cdf = analysis::video_non_preferred_counts(
-        run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]);
+    const auto cdf =
+        analysis::fold_records(run.traces.datasets[idx], run.maps[idx],
+                               analysis::IncrementalVideoRedirects(run.preferred[idx]))
+            .counts_cdf();
     if (!cdf.empty()) out.once_share = cdf.fraction_at_or_below(1.0);
     out.non_pref_flows =
         analysis::non_preferred_share(run.traces.datasets[idx], run.maps[idx],

@@ -4,7 +4,7 @@
 // of DNS answers degrades that control: the local data center's peak-hour
 // protection erodes as stale answers keep hitting it.
 
-#include "analysis/loadbalance_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/session.hpp"
 #include "analysis/table.hpp"
@@ -49,10 +49,11 @@ TtlOutcome run_with_ttl(double ttl_s) {
     out.local_flow_share =
         1.0 -
         analysis::non_preferred_share(traces.datasets[idx], map, preferred).flow_fraction;
+    const auto& ds = traces.datasets[idx];
     const auto series =
-        analysis::hourly_preferred_series(traces.datasets[idx],
-                                          analysis::dc_column(traces.datasets[idx], map),
-                                          preferred);
+        analysis::fold_records(ds, map,
+                               analysis::IncrementalHourlyLoad(preferred, ds.name))
+            .preferred_series();
     double peak = 0.0;
     for (std::size_t h = 0; h < series.fraction_preferred.points.size(); ++h) {
         if (series.flows_per_hour.points[h].second > peak) {

@@ -3,7 +3,7 @@
 // stays inside the network as the in-ISP data center's sustainable request
 // rate grows?
 
-#include "analysis/loadbalance_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
@@ -28,8 +28,10 @@ CapacityOutcome run_with_rate_factor(double factor) {
     const auto share = analysis::non_preferred_share(run.traces.datasets[idx],
                                                      run.maps[idx],
                                                      run.preferred[idx]);
-    const auto series = analysis::hourly_preferred_series(
-        run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]);
+    const auto& ds = run.traces.datasets[idx];
+    const analysis::IncrementalHourlyLoad hourly(run.preferred[idx], ds.name);
+    const auto series =
+        analysis::fold_records(ds, run.maps[idx], hourly).preferred_series();
     double peak_flows = 0.0;
     double busiest = 1.0;
     for (std::size_t h = 0; h < series.fraction_preferred.points.size(); ++h) {

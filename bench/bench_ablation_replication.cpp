@@ -4,7 +4,7 @@
 // shows how wider replication removes those redirects.
 
 #include "analysis/preferred_dc.hpp"
-#include "analysis/redirect_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
 
@@ -32,8 +32,10 @@ ReplicationOutcome run_with_replication(double fraction) {
     for (const auto& stats : run.traces.player_stats) {
         out.miss_redirects += stats.redirects_miss;
     }
-    const auto cdf = analysis::video_non_preferred_counts(
-        run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]);
+    const auto cdf =
+        analysis::fold_records(run.traces.datasets[idx], run.maps[idx],
+                               analysis::IncrementalVideoRedirects(run.preferred[idx]))
+            .counts_cdf();
     if (!cdf.empty()) {
         out.once_redirected_videos = static_cast<std::size_t>(
             cdf.fraction_at_or_below(1.0) * static_cast<double>(cdf.size()));

@@ -5,10 +5,9 @@
 // systematically with scale, conclusions drawn at bench scale would not
 // transfer to paper scale.
 
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/session.hpp"
-#include "analysis/session_analysis.hpp"
+#include "analysis/report_folds.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
 
@@ -30,7 +29,10 @@ ShapeMetrics measure(double scale) {
 
     ShapeMetrics m;
     const auto us = run.vp_index("US-Campus");
-    m.single_flow = analysis::flows_per_session_cdf(run.sessions[us])[0];
+    auto sessions = analysis::fold_records(run.traces.datasets[us], run.maps[us],
+                                           analysis::SessionFold(run.preferred[us]));
+    sessions.finish();
+    m.single_flow = sessions.flows_cdf()[0];
     m.preferred_bytes =
         1.0 - analysis::non_preferred_share(run.traces.datasets[us], run.maps[us],
                                             run.preferred[us])
@@ -40,8 +42,11 @@ ShapeMetrics measure(double scale) {
         1.0 - analysis::non_preferred_share(run.traces.datasets[eu2], run.maps[eu2],
                                             run.preferred[eu2])
                   .byte_fraction;
-    m.eu2_corr = analysis::load_vs_nonpreferred_correlation(
-        run.traces.datasets[eu2], run.dc_columns[eu2], run.preferred[eu2]);
+    const auto& eu2_ds = run.traces.datasets[eu2];
+    m.eu2_corr = analysis::fold_records(
+                     eu2_ds, run.maps[eu2],
+                     analysis::IncrementalHourlyLoad(run.preferred[eu2], eu2_ds.name))
+                     .correlation();
     return m;
 }
 

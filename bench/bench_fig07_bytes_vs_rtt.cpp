@@ -12,9 +12,10 @@ using namespace ytcdn;
 
 void bm_bytes_vs_rtt(benchmark::State& state) {
     const auto& run = bench::shared_run();
+    const auto& ds = run.traces.datasets[0];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            analysis::bytes_vs_rtt(run.traces.datasets[0], run.maps[0]));
+        benchmark::DoNotOptimize(analysis::bytes_vs_rtt(
+            analysis::traffic_by_dc(ds, run.maps[0]), run.maps[0], ds.name));
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *

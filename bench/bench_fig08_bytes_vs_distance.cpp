@@ -11,9 +11,10 @@ using namespace ytcdn;
 
 void bm_bytes_vs_distance(benchmark::State& state) {
     const auto& run = bench::shared_run();
+    const auto& ds = run.traces.datasets[0];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            analysis::bytes_vs_distance(run.traces.datasets[0], run.maps[0]));
+        benchmark::DoNotOptimize(analysis::bytes_vs_distance(
+            analysis::traffic_by_dc(ds, run.maps[0]), run.maps[0], ds.name));
     }
 }
 BENCHMARK(bm_bytes_vs_distance)->Unit(benchmark::kMillisecond);

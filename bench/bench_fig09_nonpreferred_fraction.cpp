@@ -2,7 +2,7 @@
 // to non-preferred data centers. Stable and small for US/EU1; wildly
 // varying for EU2, where 50% of slots send >40% of flows elsewhere.
 
-#include "analysis/loadbalance_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -13,9 +13,11 @@ using namespace ytcdn;
 // data center.
 void bm_hourly_fraction(benchmark::State& state) {
     const auto& run = bench::shared_run();
+    const auto& ds = run.traces.datasets[4];
+    const analysis::IncrementalHourlyLoad empty(run.preferred[4], ds.name);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::hourly_non_preferred_fraction(
-            run.traces.datasets[4], run.dc_columns[4], run.preferred[4]));
+        benchmark::DoNotOptimize(
+            analysis::fold_records(ds, run.maps[4], empty).non_preferred_cdf());
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *

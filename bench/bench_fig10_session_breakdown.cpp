@@ -2,37 +2,41 @@
 // whether each flow hits the preferred data center. Disambiguates
 // DNS-driven from redirection-driven non-preferred accesses.
 
-#include "analysis/session.hpp"
-#include "analysis/session_analysis.hpp"
+#include "analysis/report_folds.hpp"
 #include "bench_common.hpp"
+#include "study/report.hpp"
 
 namespace {
 
 using namespace ytcdn;
 
-// The two halves of the figure's cost: grouping a dataset's records into
-// CSR sessions (one global sort), and the pattern scan over them (dc_column
-// reads per flow row).
-void bm_session_table_build(benchmark::State& state) {
-    const auto& ds = bench::shared_run().traces.datasets[0];
+// The figure's cost, and the pass it rides on: one session fold (grouping
+// plus the per-session pattern payload), and the whole per-vantage-point
+// report pass (every flow-derived fold, both passes).
+void bm_session_fold(benchmark::State& state) {
+    const auto& run = bench::shared_run();
+    const auto& ds = run.traces.datasets[0];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::SessionTable::build(ds, 1.0));
+        auto fold = analysis::fold_records(ds, run.maps[0],
+                                           analysis::SessionFold(run.preferred[0]));
+        fold.finish();
+        benchmark::DoNotOptimize(fold.patterns());
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(ds.records.size()));
 }
-BENCHMARK(bm_session_table_build)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_session_fold)->Unit(benchmark::kMillisecond);
 
-void bm_session_patterns(benchmark::State& state) {
+void bm_report_pass(benchmark::State& state) {
     const auto& run = bench::shared_run();
+    const auto& ds = run.traces.datasets[0];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::session_patterns(
-            run.sessions[0], run.dc_columns[0], run.preferred[0]));
+        benchmark::DoNotOptimize(analysis::fold_report(ds, study::vantage_scope(run, 0)));
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(run.sessions[0].num_sessions()));
+                            static_cast<int64_t>(ds.records.size()));
 }
-BENCHMARK(bm_session_patterns)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_report_pass)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -3,7 +3,7 @@
 // Nights: ~100% local; busy hours: the local share collapses to ~30%,
 // evidence of adaptive DNS-level load balancing.
 
-#include "analysis/loadbalance_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -13,9 +13,11 @@ using namespace ytcdn;
 void bm_hourly_series(benchmark::State& state) {
     const auto& run = bench::shared_run();
     const auto idx = run.vp_index("EU2");
+    const auto& ds = run.traces.datasets[idx];
+    const analysis::IncrementalHourlyLoad empty(run.preferred[idx], ds.name);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::hourly_preferred_series(
-            run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx]));
+        benchmark::DoNotOptimize(
+            analysis::fold_records(ds, run.maps[idx], empty).preferred_series());
     }
 }
 BENCHMARK(bm_hourly_series)->Unit(benchmark::kMillisecond);

@@ -3,7 +3,7 @@
 // mapped to a different preferred data center, so it accounts for ~4% of
 // the flows but almost half the non-preferred accesses.
 
-#include "analysis/subnet_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -18,8 +18,11 @@ void bm_subnet_breakdown(benchmark::State& state) {
         subnets.push_back({s.name, s.prefix});
     }
     for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::subnet_breakdown(
-            run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx], subnets));
+        benchmark::DoNotOptimize(
+            analysis::fold_records(
+                run.traces.datasets[idx], run.maps[idx],
+                analysis::IncrementalSubnetBreakdown(run.preferred[idx], subnets))
+                .shares());
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *

@@ -2,7 +2,7 @@
 // data center, the number of such downloads. A large mass at exactly one
 // (unpopular content found only at its origin) plus a long hot-spot tail.
 
-#include "analysis/redirect_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -12,8 +12,10 @@ using namespace ytcdn;
 void bm_video_redirect_counts(benchmark::State& state) {
     const auto& run = bench::shared_run();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::video_non_preferred_counts(
-            run.traces.datasets[2], run.dc_columns[2], run.preferred[2]));
+        benchmark::DoNotOptimize(
+            analysis::fold_records(run.traces.datasets[2], run.maps[2],
+                                   analysis::IncrementalVideoRedirects(run.preferred[2]))
+                .counts_cdf());
     }
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()) *

@@ -3,20 +3,30 @@
 // popularity spike during which redirections to non-preferred data centers
 // concentrate.
 
-#include "analysis/redirect_analysis.hpp"
+#include "analysis/report_folds.hpp"
+#include "analysis/streaming.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
 using namespace ytcdn;
 
+// The figure's two passes over EU1-ADSL: rank the videos by non-preferred
+// downloads, then follow the top four hour by hour.
 void bm_top_redirected(benchmark::State& state) {
     const auto& run = bench::shared_run();
     const auto idx = run.vp_index("EU1-ADSL");
+    const auto& ds = run.traces.datasets[idx];
+    const auto& map = run.maps[idx];
     for (auto _ : state) {
-        benchmark::DoNotOptimize(analysis::top_redirected_videos(
-            run.traces.datasets[idx], run.dc_columns[idx], run.preferred[idx], 4));
+        const auto top = analysis::fold_records(
+            ds, map, analysis::IncrementalVideoRedirects(run.preferred[idx]));
+        analysis::IncrementalVideoLoad load(run.preferred[idx], top.top_videos(4));
+        for (const auto& r : ds.records) load.add(r, map);
+        benchmark::DoNotOptimize(load.hot_server());
     }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(ds.records.size()));
 }
 BENCHMARK(bm_top_redirected)->Unit(benchmark::kMillisecond);
 

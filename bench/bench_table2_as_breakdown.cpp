@@ -3,6 +3,7 @@
 // others).
 
 #include "analysis/as_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "bench_common.hpp"
 
 namespace {
@@ -15,7 +16,9 @@ void bm_as_breakdown(benchmark::State& state) {
     const auto local = run.deployment->local_as(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            analysis::as_breakdown(ds, run.deployment->whois(), local));
+            analysis::fold_records(
+                ds, analysis::IncrementalAsBreakdown(run.deployment->whois(), local))
+                .row(ds.name));
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(ds.records.size()));

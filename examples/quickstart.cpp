@@ -8,10 +8,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/session.hpp"
-#include "analysis/session_analysis.hpp"
 #include "study/report.hpp"
 #include "study/study_run.hpp"
 
@@ -27,12 +24,15 @@ int main(int argc, char** argv) {
 
     std::cout << "Simulating one week at scale " << config.scale
               << " (paper magnitudes = 1.0)...\n\n";
-    const study::StudyRun run = study::run_study(config);
+    util::ThreadPool pool(config.effective_threads());
+    const study::StudyRun run = study::run_study(config, pool);
+    // One pass per vantage point feeds every table and figure below.
+    const auto folds = study::fold_study(run, pool).vantage;
 
     std::cout << "== Table I: traffic summary ==\n"
-              << study::make_table1(run) << '\n';
+              << study::make_table1(folds) << '\n';
 
-    std::cout << "== Table II: AS breakdown ==\n" << study::make_table2(run) << '\n';
+    std::cout << "== Table II: AS breakdown ==\n" << study::make_table2(folds) << '\n';
 
     std::cout << "== Server selection ==\n";
     analysis::AsciiTable sel({"Dataset", "Preferred DC", "RTT[ms]", "pref byte%",
@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
         const auto& map = run.maps[i];
         const int pref = run.preferred[i];
         const auto share = analysis::non_preferred_share(ds, map, pref);
-        const auto patterns =
-            analysis::session_patterns(run.sessions[i], run.dc_columns[i], pref);
+        const auto patterns = folds[i].sessions.patterns();
         sel.add_row({ds.name, map.info(pref).name,
                      analysis::fmt(map.info(pref).rtt_ms, 1),
                      analysis::fmt_pct(1.0 - share.byte_fraction, 1),
@@ -54,8 +53,7 @@ int main(int argc, char** argv) {
 
     std::cout << "== Why non-preferred accesses happen (Section VII) ==\n";
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const double corr = analysis::load_vs_nonpreferred_correlation(
-            run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
+        const double corr = folds[i].hourly.correlation();
         std::cout << run.traces.datasets[i].name
                   << ": corr(hourly load, non-preferred fraction) = "
                   << analysis::fmt(corr, 2)

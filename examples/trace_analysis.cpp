@@ -11,8 +11,7 @@
 
 #include "analysis/incremental.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/session.hpp"
-#include "analysis/session_analysis.hpp"
+#include "analysis/report_folds.hpp"
 #include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
 #include "capture/flow_log.hpp"
@@ -53,9 +52,10 @@ int main(int argc, char** argv) {
     std::cout << "Preferred data center: " << map.info(preferred).name << " ("
               << analysis::fmt(map.info(preferred).rtt_ms, 1) << " ms)\n";
 
-    const auto patterns =
-        analysis::session_patterns(analysis::SessionTable::build(dataset, 1.0),
-                                   analysis::dc_column(dataset, map), preferred);
+    auto sessions =
+        analysis::fold_records(dataset, map, analysis::SessionFold(preferred, 1.0));
+    sessions.finish();
+    const auto patterns = sessions.patterns();
     analysis::AsciiTable t({"metric", "value"});
     t.add_row({"sessions", std::to_string(patterns.total_sessions)});
     t.add_row({"single-flow %", analysis::fmt_pct(patterns.single_flow, 1)});

@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "analysis/incremental.hpp"
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
@@ -33,8 +32,9 @@ Outcome evaluate(double scale, double rate_factor, double demand_multiplier) {
     const auto& ds = run.traces.datasets[idx];
     const auto share = analysis::non_preferred_share(ds, run.maps[idx],
                                                      run.preferred[idx]);
-    const auto series = analysis::hourly_preferred_series(ds, run.dc_columns[idx],
-                                                          run.preferred[idx]);
+    const analysis::IncrementalHourlyLoad hourly(run.preferred[idx], ds.name);
+    const auto series =
+        analysis::fold_records(ds, run.maps[idx], hourly).preferred_series();
     Outcome out;
     out.local_bytes = 1.0 - share.byte_fraction;
     double peak = 0.0;

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
-#include "capture/dataset.hpp"
+#include "capture/flow_record.hpp"
 #include "net/as_registry.hpp"
 
 namespace ytcdn::analysis {
@@ -18,17 +20,33 @@ struct AsBreakdownRow {
     double other_servers = 0.0, other_bytes = 0.0;        // everything else
 };
 
-/// Computes the Table II row for one dataset. `local_as` is the AS of the
-/// network the dataset was captured in (detects the EU2 in-ISP data
-/// center). Shares are fractions in [0, 1].
-[[nodiscard]] AsBreakdownRow as_breakdown(const capture::Dataset& dataset,
-                                          const net::AsRegistry& whois,
-                                          net::Asn local_as);
+/// Streams Table II's per-AS-group tallies for one dataset, whose network
+/// is `local_as` (detects the EU2 in-ISP data center). Order-independent.
+class IncrementalAsBreakdown {
+public:
+    IncrementalAsBreakdown(const net::AsRegistry& whois, net::Asn local_as)
+        : whois_(&whois), local_as_(local_as) {}
 
-/// The set of server IPs (not /24s — the paper counts distinct addresses)
-/// whose whois AS is in the analysis scope: Google's AS plus, when
-/// `local_as` owns servers, the in-ISP data center (Section IV's filter).
-[[nodiscard]] std::vector<net::IpAddress> analysis_scope_servers(
-    const capture::Dataset& dataset, const net::AsRegistry& whois, net::Asn local_as);
+    void add(const capture::FlowRecord& r);
+
+    /// The Table II row, named `dataset`; shares are fractions in [0, 1].
+    [[nodiscard]] AsBreakdownRow row(std::string dataset) const;
+
+    /// The analysis scope (Section IV's filter), sorted: the distinct server
+    /// IPs (not /24s — the paper counts addresses) in Google's AS or, when it
+    /// owns servers, the network's own (the in-ISP data center). Table III
+    /// geolocates exactly these.
+    [[nodiscard]] std::vector<net::IpAddress> scope_servers() const;
+
+private:
+    struct Tally {
+        std::unordered_set<net::IpAddress> servers;
+        std::uint64_t bytes = 0;
+    };
+
+    const net::AsRegistry* whois_;
+    net::Asn local_as_;
+    Tally google_, youtube_eu_, same_as_, other_;
+};
 
 }  // namespace ytcdn::analysis

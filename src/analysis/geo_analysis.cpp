@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/streaming.hpp"
-
 namespace ytcdn::analysis {
 
 ContinentCounts servers_per_continent(
@@ -25,9 +23,9 @@ ContinentCounts servers_per_continent(
 
 namespace {
 
-Series cumulative_bytes_by(const capture::Dataset& dataset, const ServerDcMap& map,
-                           double (*key)(const DataCenterInfo&), const char* label) {
-    const auto traffic = fold_records(dataset, map, IncrementalDcTraffic{}).traffic();
+Series cumulative_bytes_by(const std::vector<DcTraffic>& traffic, const ServerDcMap& map,
+                           double (*key)(const DataCenterInfo&),
+                           const std::string& name, const char* label) {
     std::uint64_t total = 0;
     std::vector<std::pair<double, std::uint64_t>> ordered;
     ordered.reserve(traffic.size());
@@ -38,7 +36,7 @@ Series cumulative_bytes_by(const capture::Dataset& dataset, const ServerDcMap& m
     std::sort(ordered.begin(), ordered.end());
 
     Series s;
-    s.name = dataset.name + std::string(" ") + label;
+    s.name = name + " " + label;
     s.points.emplace_back(0.0, 0.0);
     double acc = 0.0;
     for (const auto& [x, bytes] : ordered) {
@@ -48,17 +46,19 @@ Series cumulative_bytes_by(const capture::Dataset& dataset, const ServerDcMap& m
     return s;
 }
 
+double rtt_of(const DataCenterInfo& i) { return i.rtt_ms; }
+double distance_of(const DataCenterInfo& i) { return i.distance_km; }
+
 }  // namespace
 
-Series bytes_vs_rtt(const capture::Dataset& dataset, const ServerDcMap& map) {
-    return cumulative_bytes_by(
-        dataset, map, [](const DataCenterInfo& i) { return i.rtt_ms; }, "bytes-vs-rtt");
+Series bytes_vs_rtt(const std::vector<DcTraffic>& traffic, const ServerDcMap& map,
+                    const std::string& name) {
+    return cumulative_bytes_by(traffic, map, rtt_of, name, "bytes-vs-rtt");
 }
 
-Series bytes_vs_distance(const capture::Dataset& dataset, const ServerDcMap& map) {
-    return cumulative_bytes_by(
-        dataset, map, [](const DataCenterInfo& i) { return i.distance_km; },
-        "bytes-vs-distance");
+Series bytes_vs_distance(const std::vector<DcTraffic>& traffic, const ServerDcMap& map,
+                         const std::string& name) {
+    return cumulative_bytes_by(traffic, map, distance_of, name, "bytes-vs-distance");
 }
 
 }  // namespace ytcdn::analysis

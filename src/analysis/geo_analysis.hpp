@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
+#include <vector>
 
 #include "analysis/dc_map.hpp"
+#include "analysis/preferred_dc.hpp"
 #include "analysis/series.hpp"
-#include "capture/dataset.hpp"
 #include "geoloc/dc_clustering.hpp"
 
 namespace ytcdn::analysis {
@@ -25,13 +27,16 @@ struct ContinentCounts {
 [[nodiscard]] ContinentCounts servers_per_continent(
     const std::vector<geoloc::LocatedServer>& servers);
 
-/// Fig. 7: cumulative fraction of dataset bytes served by data centers with
-/// RTT (from the probe PC) below x. One step per data center, sorted by RTT.
-[[nodiscard]] Series bytes_vs_rtt(const capture::Dataset& dataset,
-                                  const ServerDcMap& map);
+/// Fig. 7: cumulative fraction of a vantage point's mapped bytes served by
+/// data centers with RTT (from the probe PC) below x. One step per data
+/// center, sorted by RTT. `traffic` is IncrementalDcTraffic::traffic() of
+/// the dataset named `name`.
+[[nodiscard]] Series bytes_vs_rtt(const std::vector<DcTraffic>& traffic,
+                                  const ServerDcMap& map, const std::string& name);
 
 /// Fig. 8: same, ordered by great-circle distance instead of RTT.
-[[nodiscard]] Series bytes_vs_distance(const capture::Dataset& dataset,
-                                       const ServerDcMap& map);
+[[nodiscard]] Series bytes_vs_distance(const std::vector<DcTraffic>& traffic,
+                                       const ServerDcMap& map,
+                                       const std::string& name);
 
 }  // namespace ytcdn::analysis

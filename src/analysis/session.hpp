@@ -1,11 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <span>
+#include <utility>
 #include <vector>
 
-#include "analysis/dc_map.hpp"
-#include "capture/dataset.hpp"
 #include "capture/flow_record.hpp"
 
 namespace ytcdn::analysis {
@@ -20,56 +19,188 @@ enum class FlowKind { Control, Video };
     return bytes < kControlFlowMaxBytes ? FlowKind::Control : FlowKind::Video;
 }
 
-/// Resolves every record's server to its data center once: element i is
-/// map.dc_of(dataset.records[i].server_ip) (-1 when unmapped). The
-/// flow-level analyses take this column instead of the map, so the hash
-/// lookup is paid once per flow per run instead of once per flow per
-/// artifact.
-[[nodiscard]] std::vector<int> dc_column(const capture::Dataset& dataset,
-                                         const ServerDcMap& map);
-
-/// A dataset's video sessions: "all flows that i) have the same source IP
-/// address and VideoID, and ii) are overlapped in time", where two flows
-/// overlap if the gap between the end of one and the start of the next is
-/// below T (Section VI-A).
+/// The one definition of a video session (Section VI-A): "all flows that i)
+/// have the same source IP address and VideoID, and ii) are overlapped in
+/// time", where a flow joins its key's session when it starts within T
+/// (`gap_T_s`) of the latest end seen on that session so far (flows nest: a
+/// long video flow can outlive a short control flow started after it).
 ///
-/// Compressed-sparse-row layout: session s owns the flow rows
-/// flow_rows[offsets[s] .. offsets[s+1]), in (start, end) order. A row is an
-/// index into the dataset's records (and so into its dc_column), which the
-/// table does not own: it stays valid while the dataset is not mutated.
-/// Sessions are ordered by (start, client, video).
-struct SessionTable {
-    std::vector<std::uint32_t> offsets;    // num_sessions() + 1 entries
-    std::vector<std::uint32_t> flow_rows;  // indices into dataset.records
-    std::vector<net::IpAddress> client;    // per session
-    std::vector<cdn::VideoId> video;       // per session
-    std::vector<sim::SimTime> start;       // per session (first flow's start)
+/// Flows must arrive in start-time order. Each add() first hands to
+/// `close(key, session)` every session whose last end the newest start (the
+/// watermark) has passed by more than T, which no later flow can extend;
+/// close_all() closes the rest. Open sessions live in a flat open-addressing
+/// table keyed by (client, video), and a min-heap of (last_end, key) finds
+/// the ones the watermark has passed: an extension pushes a fresh entry, and
+/// a popped entry whose key is closed or has moved on is skipped (DESIGN.md
+/// §15.2). `Payload` is the caller's per-session state beyond (last_end,
+/// flows): none for ytcdnd's histogram, Figs 10/16's classes for the
+/// report's SessionFold.
+template <class Payload>
+class SessionGrouper {
+public:
+    using Key = std::pair<std::uint32_t, std::uint64_t>;  // client, video
+    struct Open {
+        double last_end = 0.0;
+        std::uint32_t flows = 0;
+        [[no_unique_address]] Payload payload{};
+    };
 
-    [[nodiscard]] std::size_t num_sessions() const noexcept {
-        return offsets.empty() ? 0 : offsets.size() - 1;
-    }
-    [[nodiscard]] std::span<const std::uint32_t> flows_of(std::size_t s) const noexcept {
-        return {flow_rows.data() + offsets[s], flow_rows.data() + offsets[s + 1]};
+    explicit SessionGrouper(double gap_T_s) : gap_(gap_T_s) {}
+
+    /// Closes what the flow's start has passed, then adds the flow to its
+    /// key's session and returns that session: `flows` already counts the
+    /// flow, so `flows == 1` marks a session the flow opened. The reference
+    /// is valid until the next add().
+    template <class Close>
+    Open& add(const capture::FlowRecord& r, Close&& close) {
+        // Spelled as the split test `r.start - horizon > T`; monotone in
+        // last_end, so the sessions it closes are the heap's minima.
+        watermark_ = std::max(watermark_, r.start);
+        while (!expiry_.empty() && watermark_ - expiry_.front().last_end > gap_) {
+            const Expiry top = expiry_.front();
+            std::pop_heap(expiry_.begin(), expiry_.end(), ends_later);
+            expiry_.pop_back();
+            // Stale unless the key is still open and still ends there: an
+            // extension pushed a later entry for it.
+            const std::size_t i = find_slot(top.key);
+            if (slots_[i].used && slots_[i].session.last_end == top.last_end) {
+                close(slots_[i].key, slots_[i].session);
+                erase_slot(i);
+            }
+        }
+        const Key key{r.client_ip.value(), r.video.value()};
+        Slot& slot = slot_for_insert(key);
+        const bool inserted = !slot.used;
+        if (inserted) {
+            slot = Slot{key, Open{}, true};
+            ++open_count_;
+        }
+        ++slot.session.flows;
+        if (inserted || r.end > slot.session.last_end) {
+            slot.session.last_end = std::max(slot.session.last_end, r.end);
+            push_expiry(slot.session.last_end, key);
+        }
+        return slot.session;
     }
 
-    /// Groups the dataset's records into sessions with gap threshold
-    /// `gap_T_s` (the paper settles on T = 1 s after the Fig. 5 sensitivity
-    /// study). The dataset does not need to be pre-sorted.
-    [[nodiscard]] static SessionTable build(const capture::Dataset& dataset,
-                                            double gap_T_s = 1.0);
+    /// Closes every open session (shutdown / render), in table order.
+    template <class Close>
+    void close_all(Close&& close) {
+        for (Slot& slot : slots_) {
+            if (!slot.used) continue;
+            close(slot.key, slot.session);
+            slot.used = false;
+        }
+        open_count_ = 0;
+        expiry_.clear();
+    }
+
+    [[nodiscard]] double gap() const noexcept { return gap_; }
+    [[nodiscard]] std::size_t open_count() const noexcept { return open_count_; }
+
+    /// The open sessions sorted by key, so checkpoint encoding is
+    /// independent of insertion order.
+    [[nodiscard]] std::vector<std::pair<Key, Open>> open() const {
+        std::vector<std::pair<Key, Open>> out;
+        out.reserve(open_count_);
+        for (const Slot& slot : slots_) {
+            if (slot.used) out.emplace_back(slot.key, slot.session);
+        }
+        std::sort(out.begin(), out.end(),
+                  [](const auto& a, const auto& b) { return a.first < b.first; });
+        return out;
+    }
+
+    /// Checkpoint restore: reinstates one open session (a key already open
+    /// keeps its own) / the watermark. Restored sessions the watermark has
+    /// already passed close at the next add().
+    void restore(Key key, Open session) {
+        Slot& slot = slot_for_insert(key);
+        if (slot.used) return;
+        slot = Slot{key, session, true};
+        ++open_count_;
+        push_expiry(session.last_end, key);
+    }
+    void set_watermark(double watermark) noexcept { watermark_ = watermark; }
+    [[nodiscard]] double watermark() const noexcept { return watermark_; }
+
+private:
+    struct Slot {
+        Key key;
+        Open session;
+        bool used = false;
+    };
+    struct Expiry {
+        double last_end;
+        Key key;
+    };
+
+    /// Heap order for the expiry index: the earliest last end on top.
+    static bool ends_later(const Expiry& a, const Expiry& b) noexcept {
+        return a.last_end > b.last_end;
+    }
+
+    /// splitmix64's finalizer over both key fields: linear probing needs the
+    /// low bits of nearby client addresses and video ids spread.
+    static std::uint64_t hash_key(const Key& key) noexcept {
+        std::uint64_t h =
+            key.second ^ (std::uint64_t{key.first} * 0x9E3779B97F4A7C15ull);
+        h ^= h >> 30;
+        h *= 0xBF58476D1CE4E5B9ull;
+        h ^= h >> 27;
+        h *= 0x94D049BB133111EBull;
+        return h ^ (h >> 31);
+    }
+
+    /// The slot holding `key`, else the empty slot that ends its probe run.
+    [[nodiscard]] std::size_t find_slot(const Key& key) const noexcept {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = hash_key(key) & mask;
+        while (slots_[i].used && slots_[i].key != key) i = (i + 1) & mask;
+        return i;
+    }
+
+    /// Claims `key`'s slot, growing the table first when it is half full.
+    Slot& slot_for_insert(const Key& key) {
+        if (2 * (open_count_ + 1) > slots_.size()) {
+            std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+            old.swap(slots_);
+            for (const Slot& slot : old) {
+                if (slot.used) slots_[find_slot(slot.key)] = slot;
+            }
+        }
+        return slots_[find_slot(key)];
+    }
+
+    void erase_slot(std::size_t hole) noexcept {
+        // Backward-shift deletion: pull each later entry of the probe run into
+        // the hole unless its home slot lies after the hole, so no tombstones.
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t next = (hole + 1) & mask; slots_[next].used;
+             next = (next + 1) & mask) {
+            const std::size_t home = hash_key(slots_[next].key) & mask;
+            if (((next - home) & mask) >= ((next - hole) & mask)) {
+                slots_[hole] = slots_[next];
+                hole = next;
+            }
+        }
+        slots_[hole].used = false;
+        --open_count_;
+    }
+
+    void push_expiry(double last_end, const Key& key) {
+        expiry_.push_back(Expiry{last_end, key});
+        std::push_heap(expiry_.begin(), expiry_.end(), ends_later);
+    }
+
+    double gap_;
+    double watermark_ = 0.0;       // newest flow start seen
+    std::vector<Slot> slots_;      // power-of-two size, linear probing
+    std::size_t open_count_ = 0;
+    std::vector<Expiry> expiry_;   // min-heap on last_end
 };
 
-/// Composition of a dataset by streamed resolution — Tstat records the
-/// actual itag served, so this is directly available from the flow logs.
-struct ResolutionShare {
-    cdn::Resolution resolution = cdn::Resolution::R360;
-    double flow_share = 0.0;  // of video flows
-    double byte_share = 0.0;  // of video-flow bytes
-};
-
-/// Shares over video flows only (control flows carry no stream), ordered by
-/// ascending resolution. Entries with zero flows are included.
-[[nodiscard]] std::vector<ResolutionShare> resolution_breakdown(
-    const capture::Dataset& dataset);
+/// The payload of a grouping that keeps only (last_end, flows) per session.
+struct NoPayload {};
 
 }  // namespace ytcdn::analysis

@@ -1,6 +1,7 @@
 #include "analysis/streaming.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "analysis/session.hpp"
 #include "sim/time.hpp"
@@ -106,6 +107,28 @@ HourlyLoadSeries IncrementalHourlyLoad::preferred_series() const {
         }
     }
     return out;
+}
+
+double pearson_correlation(const Series& a, const Series& b) {
+    const std::size_t n = std::min(a.points.size(), b.points.size());
+    if (n < 3) return 0.0;
+    double ma = 0.0, mb = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        ma += a.points[i].second;
+        mb += b.points[i].second;
+    }
+    ma /= static_cast<double>(n);
+    mb /= static_cast<double>(n);
+    double cov = 0.0, va = 0.0, vb = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double da = a.points[i].second - ma;
+        const double db = b.points[i].second - mb;
+        cov += da * db;
+        va += da * da;
+        vb += db * db;
+    }
+    if (va <= 0.0 || vb <= 0.0) return 0.0;
+    return cov / std::sqrt(va * vb);
 }
 
 double IncrementalHourlyLoad::correlation(std::uint64_t min_flows) const {

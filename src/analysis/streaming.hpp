@@ -1,18 +1,17 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "analysis/dc_map.hpp"
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/redirect_analysis.hpp"
-#include "analysis/subnet_analysis.hpp"
+#include "analysis/series.hpp"
+#include "analysis/stats.hpp"
 #include "capture/dataset.hpp"
 #include "capture/flow_record.hpp"
+#include "net/subnet.hpp"
 
 namespace ytcdn::analysis {
 
@@ -22,14 +21,13 @@ namespace ytcdn::analysis {
 /// (`map.dc_of(server_ip)`, -1 when unmapped), decoupling the accumulators
 /// from the map so the caller resolves once per record.
 ///
-/// Three drivers feed the same folds: the batch report and the analysis
-/// entry points (traffic_by_dc, hourly_non_preferred_fraction, ...) through
-/// fold_records() below, the out-of-core scale study over re-read spill
-/// blocks, and perfbench's traced replica of it. ytcdnd feeds
-/// IncrementalDcTraffic per stream as flows arrive. All tallies are
-/// order-independent integers except IncrementalServerLoad, whose float
-/// mean depends on the insertion sequence (see its note); dataset order is
-/// that sequence. Their reference is the golden report digest
+/// The report feeds them through ReportFolds (analysis/report_folds.hpp),
+/// a one-dataset caller through fold_records() below, and the out-of-core
+/// scale study (and perfbench's traced replica of it) over re-read spill
+/// blocks; ytcdnd feeds IncrementalDcTraffic per stream as flows arrive.
+/// All tallies are order-independent integers except IncrementalServerLoad,
+/// whose float mean depends on the insertion sequence (see its note);
+/// dataset order is that sequence. Their reference is the golden report digest
 /// (Determinism.FoldedArtifactsMatchGoldenDigest) plus the hand-computed
 /// fixtures of each analysis entry point.
 
@@ -40,18 +38,7 @@ template <class Fold>
     return fold;
 }
 
-/// Feeds `fold` every record of `dataset` with its data center `dc[i]` (the
-/// dataset's dc_column), in dataset order, and returns it.
-template <class Fold>
-[[nodiscard]] Fold fold_records(const capture::Dataset& dataset,
-                                std::span<const int> dc, Fold fold) {
-    for (std::size_t i = 0; i < dataset.records.size(); ++i) {
-        fold.add(dataset.records[i], dc[i]);
-    }
-    return fold;
-}
-
-/// Same, resolving each record's data center through `map` on the fly.
+/// Same, resolving each record's data center through `map`.
 template <class Fold>
 [[nodiscard]] Fold fold_records(const capture::Dataset& dataset,
                                 const ServerDcMap& map, Fold fold) {
@@ -81,6 +68,17 @@ private:
     std::unordered_map<int, DcTraffic> tally_;
 };
 
+/// Fig. 11: per-hour fraction of video flows served by the preferred (EU2:
+/// in-ISP) data center, and the per-hour total number of video flows.
+struct HourlyLoadSeries {
+    Series fraction_preferred;  // x = hour index, y in [0, 1]
+    Series flows_per_hour;      // x = hour index, y = count
+};
+
+/// Pearson correlation between two series' y-values, matched by index.
+/// Returns 0 when either series is degenerate (constant or too short).
+[[nodiscard]] double pearson_correlation(const Series& a, const Series& b);
+
 /// Streams the per-hour (all, preferred) video-flow tallies behind Figs 9
 /// and 11 and the §VII-A load correlation. Order-independent.
 class IncrementalHourlyLoad {
@@ -90,8 +88,15 @@ public:
 
     void add(const capture::FlowRecord& record, int dc);
 
-    [[nodiscard]] EmpiricalCdf non_preferred_cdf() const;        // Fig. 9
+    /// Fig. 9: over one-hour slots, the fraction of video flows directed
+    /// to non-preferred data centers.
+    [[nodiscard]] EmpiricalCdf non_preferred_cdf() const;
     [[nodiscard]] HourlyLoadSeries preferred_series() const;     // Fig. 11
+    /// Section VII-A's discriminator: at EU2 the hourly non-preferred
+    /// fraction tracks the hourly request volume (adaptive DNS balancing
+    /// reacts to load); at the other vantage points "there is much less
+    /// correlation with the number of requests". corr(flows/hour,
+    /// non-preferred fraction/hour) over hours with >= `min_flows` flows.
     [[nodiscard]] double correlation(std::uint64_t min_flows = 5) const;
 
 private:
@@ -101,15 +106,20 @@ private:
     std::vector<std::uint64_t> pref_;
 };
 
-/// Streams the per-video non-preferred download counts behind Figs 13/14.
-/// Order-independent (the CDF sorts, the ranking is a total order).
+/// Streams the per-video non-preferred video-flow download counts behind
+/// Figs 13/14. Order-independent (the CDF sorts, the ranking is a total
+/// order).
 class IncrementalVideoRedirects {
 public:
     explicit IncrementalVideoRedirects(int preferred) : preferred_(preferred) {}
 
     void add(const capture::FlowRecord& record, int dc);
 
-    [[nodiscard]] EmpiricalCdf counts_cdf() const;               // Fig. 13
+    /// Fig. 13: for every video downloaded at least once from a
+    /// non-preferred data center, the number of such downloads. The CDF
+    /// separates the unpopular-content effect (mass at exactly 1) from the
+    /// hot-spot tail.
+    [[nodiscard]] EmpiricalCdf counts_cdf() const;
     /// Most-redirected videos, (count desc, video asc), at most k.
     [[nodiscard]] std::vector<cdn::VideoId> top_videos(std::size_t k) const;
     /// Distinct videos with at least one non-preferred download.
@@ -122,7 +132,24 @@ private:
     std::unordered_map<cdn::VideoId, std::uint64_t> counts_;
 };
 
-/// Streams Fig. 12's per-subnet breakdown. Order-independent.
+/// A named internal subnet of the monitored network.
+struct NamedSubnet {
+    std::string name;
+    net::Subnet prefix;
+};
+
+/// One bar pair of Fig. 12: the subnet's share of all video flows and its
+/// share of the video flows that went to non-preferred data centers.
+struct SubnetShare {
+    std::string name;
+    double all_flows_share = 0.0;
+    double non_preferred_share = 0.0;
+};
+
+/// Streams Fig. 12's per-subnet breakdown: which internal subnets the
+/// non-preferred accesses come from. Flows from clients outside every
+/// subnet, and flows to unmapped (legacy) servers, are ignored; the first
+/// matching subnet wins. Order-independent.
 class IncrementalSubnetBreakdown {
 public:
     IncrementalSubnetBreakdown(int preferred, std::vector<NamedSubnet> subnets);
@@ -140,13 +167,20 @@ private:
     std::uint64_t total_np_ = 0;
 };
 
+/// Fig. 15: per-hour average and maximum number of video requests handled
+/// by a single server of the preferred data center.
+struct ServerLoadSeries {
+    Series avg;
+    Series max;
+};
+
 /// Streams Fig. 15's per-hour per-server request tallies for the preferred
 /// data center. The hourly mean accumulates doubles over unordered-map
 /// iteration, so the rendered bytes depend on the *insertion sequence* per
-/// hour map. fold_records feeds dataset order; the scale study's spill
-/// replays the FlowSink's time-sorted order, which matches it except at
-/// exact start-time ties across distinct servers (measure zero under the
-/// continuous workload).
+/// hour map. ReportFolds and fold_records feed dataset order; the scale
+/// study's spill replays the FlowSink's time-sorted order, which matches it
+/// except at exact start-time ties across distinct servers (measure zero
+/// under the continuous workload).
 class IncrementalServerLoad {
 public:
     IncrementalServerLoad(int preferred, std::string name)

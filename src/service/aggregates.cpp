@@ -294,7 +294,7 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
                                  std::to_string(j) + " of stream '" + name +
                                  "' is out of key order");
             }
-            sessions.restore_open(key, open);
+            sessions.restore(key, open);
             prev_key = key;
         }
 

@@ -23,6 +23,10 @@ namespace ytcdn::service {
 
 namespace {
 
+/// The longest single wait of an idle tick: a stop request ends the tick
+/// within this, however long `tick_ms` is.
+constexpr int kStopCheckMs = 100;
+
 struct ServiceMetrics {
     util::metrics::Counter files_ingested =
         util::metrics::counter("service.files_ingested");
@@ -415,24 +419,33 @@ util::Result<ServiceReport> Service::run() {
     };
 
     // Waits up to `wait_ms` for control traffic, then serves everything
-    // pending.
+    // pending. The wait runs in slices of at most kStopCheckMs so that a
+    // SIGTERM/SIGINT ends an idle tick promptly: neither the plain sleep nor
+    // poll's EINTR retry returns early on the signal itself.
     const auto control_tick = [&](int wait_ms) {
-        if (!socket.listening()) {
-            (void)io::poll_readable(-1, wait_ms);
-            return;
-        }
-        int timeout = wait_ms;
+        bool served = false;
         for (;;) {
-            auto client = socket.accept_ready(timeout);
-            if (!client) {
-                warn(std::string("control accept failed: ") +
-                     client.error().what());
-                return;
+            // Once a connection is served, drain the backlog without waiting.
+            const int timeout = served ? 0 : std::min(wait_ms, kStopCheckMs);
+            wait_ms -= timeout;
+            if (!socket.listening()) {
+                (void)io::poll_readable(-1, timeout);
+            } else {
+                auto client = socket.accept_ready(timeout);
+                if (!client) {
+                    warn(std::string("control accept failed: ") +
+                         client.error().what());
+                    return;
+                }
+                if (client.value() >= 0) {
+                    serve_connection(client.value());
+                    served = true;
+                    if (stop) return;
+                    continue;
+                }
+                if (served) return;
             }
-            if (client.value() < 0) return;  // tick elapsed, nothing pending
-            serve_connection(client.value());
-            timeout = 0;  // drain the backlog without re-waiting
-            if (stop) return;
+            if (wait_ms <= 0 || stop_requested()) return;
         }
     };
 

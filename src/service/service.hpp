@@ -76,7 +76,9 @@ struct ServiceReport {
 };
 
 /// Signal- and thread-safe stop request (the SIGTERM/SIGINT handler calls
-/// this; tests call it directly, from any thread). The loop quiesces at the next tick boundary.
+/// this; tests call it directly, from any thread). The loop quiesces at the
+/// next tick boundary; an idle tick waits in slices of at most 100 ms, so a
+/// stop ends it within that however long `tick_ms` is.
 void request_stop() noexcept;
 [[nodiscard]] bool stop_requested() noexcept;
 /// Re-arms the loop after a handled stop (process startup / in-process

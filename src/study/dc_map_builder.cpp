@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "analysis/as_analysis.hpp"
 #include "net/pinger.hpp"
 
 namespace ytcdn::study {
@@ -59,18 +58,13 @@ analysis::ServerDcMap ground_truth_dc_map(const StudyDeployment& deployment,
     return map;
 }
 
-DcLocations locate_scope_dcs(const StudyDeployment& deployment,
-                             const std::vector<capture::Dataset>& datasets,
-                             const geoloc::CbgLocator& locator, util::ThreadPool& pool) {
-    const auto per_dataset = util::parallel_map_indexed(
-        pool, datasets.size(), [&deployment, &datasets](std::size_t i) {
-            return subnet_dcs(deployment, analysis::analysis_scope_servers(
-                                              datasets[i], deployment.whois(),
-                                              deployment.local_as(i)));
-        });
+DcLocations locate_scope_dcs(
+    const StudyDeployment& deployment,
+    const std::vector<std::vector<net::IpAddress>>& scope_servers,
+    const geoloc::CbgLocator& locator, util::ThreadPool& pool) {
     std::vector<cdn::DcId> dcs;
-    for (const auto& subnets : per_dataset) {
-        for (const auto& subnet : subnets) dcs.push_back(subnet.dc);
+    for (const auto& scope : scope_servers) {
+        for (const auto& subnet : subnet_dcs(deployment, scope)) dcs.push_back(subnet.dc);
     }
     std::sort(dcs.begin(), dcs.end());
     dcs.erase(std::unique(dcs.begin(), dcs.end()), dcs.end());
@@ -86,11 +80,10 @@ DcLocations locate_scope_dcs(const StudyDeployment& deployment,
 }
 
 CbgMappingResult cbg_dc_map(const StudyDeployment& deployment,
-                            const capture::Dataset& dataset, const DcLocations& located,
-                            const workload::VantagePoint& vp, net::Asn local_as) {
+                            const std::vector<net::IpAddress>& scope_ips,
+                            const DcLocations& located,
+                            const workload::VantagePoint& vp) {
     CbgMappingResult out;
-    const auto scope_ips =
-        analysis::analysis_scope_servers(dataset, deployment.whois(), local_as);
 
     std::unordered_map<net::IpAddress, const geoloc::CbgResult*> per_subnet;
     for (const auto& subnet : subnet_dcs(deployment, scope_ips)) {

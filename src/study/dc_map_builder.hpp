@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "analysis/dc_map.hpp"
-#include "capture/dataset.hpp"
 #include "cdn/server.hpp"
 #include "geoloc/cbg.hpp"
 #include "geoloc/dc_clustering.hpp"
@@ -34,25 +33,26 @@ struct CbgMappingResult {
 using DcLocations = std::map<cdn::DcId, geoloc::CbgResult>;
 
 /// Geolocates, exactly once each, every data center that stands for an
-/// in-scope /24 of any dataset; `datasets[i]` is vantage point i's capture,
-/// scoped with deployment.local_as(i). A /24 is located at the site of the
-/// data center owning its first in-scope IP, so every vantage point that
-/// sees a data center shares one CBG run (locate() is a pure function of
-/// the site). `locator` must already be calibrated. The runs fan out over
-/// `pool`; the table is bit-identical at any thread count.
+/// in-scope /24 of any vantage point; `scope_servers[i]` is vantage point
+/// i's analysis scope (IncrementalAsBreakdown::scope_servers(), sorted). A
+/// /24 is located at the site of the data center owning its first in-scope
+/// IP that has one, so every vantage point that sees a data center shares
+/// one CBG run (locate() is a pure function of the site). `locator` must
+/// already be calibrated. The runs fan out over `pool`; the table is
+/// bit-identical at any thread count.
 [[nodiscard]] DcLocations locate_scope_dcs(
-    const StudyDeployment& deployment, const std::vector<capture::Dataset>& datasets,
+    const StudyDeployment& deployment,
+    const std::vector<std::vector<net::IpAddress>>& scope_servers,
     const geoloc::CbgLocator& locator, util::ThreadPool& pool = util::shared_pool());
 
-/// Maps the dataset's in-scope servers (Google AS + the vantage point's own
-/// AS) through `located`, the locate_scope_dcs table of a dataset list that
-/// contains this one: each /24's members share its data center's estimate,
-/// matching the paper's clustering invariant. Locates nothing itself;
-/// throws std::invalid_argument if `located` lacks a needed data center.
-[[nodiscard]] CbgMappingResult cbg_dc_map(const StudyDeployment& deployment,
-                                          const capture::Dataset& dataset,
-                                          const DcLocations& located,
-                                          const workload::VantagePoint& vp,
-                                          net::Asn local_as);
+/// Maps one vantage point's in-scope servers (Google AS + its own AS,
+/// sorted) through `located`, the locate_scope_dcs table of a scope list
+/// that contains this one: each /24's members share its data center's
+/// estimate, matching the paper's clustering invariant. Locates nothing
+/// itself; throws std::invalid_argument if `located` lacks a needed data
+/// center.
+[[nodiscard]] CbgMappingResult cbg_dc_map(
+    const StudyDeployment& deployment, const std::vector<net::IpAddress>& scope_servers,
+    const DcLocations& located, const workload::VantagePoint& vp);
 
 }  // namespace ytcdn::study

@@ -10,15 +10,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/as_analysis.hpp"
-#include "analysis/incremental.hpp"
-#include "analysis/loadbalance_analysis.hpp"
-#include "analysis/redirect_analysis.hpp"
 #include "analysis/series.hpp"
-#include "analysis/session_analysis.hpp"
-#include "analysis/stats.hpp"
-#include "analysis/streaming.hpp"
-#include "analysis/subnet_analysis.hpp"
 #include "cdn/video.hpp"
 #include "geo/city.hpp"
 #include "geo/continent.hpp"
@@ -43,21 +35,68 @@ constexpr PaperRow kPaperTable1[] = {
 
 }  // namespace
 
-analysis::AsciiTable make_table1(const StudyRun& run,
+analysis::VantageScope vantage_scope(const StudyRun& run, std::size_t i) {
+    const auto& vp = run.deployment->vantage(i);
+    analysis::VantageScope scope;
+    scope.name = run.traces.datasets[i].name;
+    scope.map = &run.maps[i];
+    scope.preferred = run.preferred[i];
+    scope.whois = &run.deployment->whois();
+    scope.local_as = run.deployment->local_as(i);
+    scope.subnets.reserve(vp.subnets.size());
+    for (const auto& s : vp.subnets) scope.subnets.push_back({s.name, s.prefix});
+    return scope;
+}
+
+StudyFolds fold_study(const StudyRun& run, util::ThreadPool& pool) {
+    const auto& datasets = run.traces.datasets;
+    const std::size_t n = datasets.size();
+    // The passes index the maps and preferred data centers by dataset; a run
+    // without one of each per dataset is a caller error, not a layout to
+    // fold around.
+    if (run.maps.size() != n || run.preferred.size() != n) {
+        throw std::invalid_argument(
+            "fold_study: need one map and one preferred data center per dataset "
+            "(build the run with run_study or assemble_study_run)");
+    }
+    std::size_t us = n;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (datasets[i].name == "US-Campus") us = i;
+    }
+    StudyFolds out;
+    if (us < n) {
+        for (const double gap : {5.0, 10.0, 60.0, 300.0}) {
+            out.gap_sweep.emplace_back(gap, analysis::FlowsPerSession{});
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i) out.vantage.emplace_back(vantage_scope(run, i));
+    // Each task writes only its own slot.
+    pool.run_indexed(n + out.gap_sweep.size(), [&](std::size_t i) {
+        if (i < n) {
+            out.vantage[i] = analysis::fold_report(datasets[i], out.vantage[i].scope);
+            return;
+        }
+        auto& [gap, counts] = out.gap_sweep[i - n];
+        counts = analysis::count_sessions(datasets[us], gap);
+    });
+    return out;
+}
+
+analysis::AsciiTable make_table1(const std::vector<analysis::ReportFolds>& folds,
                                  std::vector<Measurement>* measured) {
     analysis::AsciiTable t({"Dataset", "Flows", "Volume[GB]", "#Servers", "#Clients",
                             "paper:Flows", "paper:GB", "paper:Srv", "paper:Cli"});
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto& ds = run.traces.datasets[i];
-        const auto s = analysis::fold_records(ds, analysis::IncrementalSummary{});
+    for (std::size_t i = 0; i < folds.size(); ++i) {
+        const auto& name = folds[i].scope.name;
+        const auto& s = folds[i].summary;
         if (measured != nullptr) {
-            const std::string id = "T1." + ds.name;
+            const std::string id = "T1." + name;
             measured->push_back({id + ".flows", static_cast<double>(s.flows)});
             measured->push_back({id + ".volume_gb", s.volume_gb()});
             measured->push_back({id + ".servers", static_cast<double>(s.servers.size())});
             measured->push_back({id + ".clients", static_cast<double>(s.clients.size())});
         }
-        t.add_row({ds.name, std::to_string(s.flows), analysis::fmt(s.volume_gb(), 2),
+        t.add_row({name, std::to_string(s.flows), analysis::fmt(s.volume_gb(), 2),
                    std::to_string(s.servers.size()), std::to_string(s.clients.size()),
                    kPaperTable1[i].flows, kPaperTable1[i].volume_gb,
                    kPaperTable1[i].servers, kPaperTable1[i].clients});
@@ -65,15 +104,13 @@ analysis::AsciiTable make_table1(const StudyRun& run,
     return t;
 }
 
-analysis::AsciiTable make_table2(const StudyRun& run,
+analysis::AsciiTable make_table2(const std::vector<analysis::ReportFolds>& folds,
                                  std::vector<Measurement>* measured) {
     analysis::AsciiTable t({"Dataset", "Google srv%", "Google byt%", "YT-EU srv%",
                             "YT-EU byt%", "SameAS srv%", "SameAS byt%", "Other srv%",
                             "Other byt%"});
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto row = analysis::as_breakdown(run.traces.datasets[i],
-                                                run.deployment->whois(),
-                                                run.deployment->local_as(i));
+    for (const auto& fold : folds) {
+        const auto row = fold.as.row(fold.scope.name);
         if (measured != nullptr) {
             const std::string id = "T2." + row.dataset;
             measured->push_back({id + ".google_bytes", row.google_bytes});
@@ -160,25 +197,6 @@ std::string FullReport::render() const {
 
 namespace {
 
-/// The closures below index the derived columns by dataset; a run that
-/// skipped index_study_run is a caller error, not a layout to render around.
-void require_indexed(const StudyRun& run) {
-    const auto& datasets = run.traces.datasets;
-    const std::size_t n = datasets.size();
-    bool aligned = run.maps.size() == n && run.preferred.size() == n &&
-                   run.vp_index_by_name.size() == n && run.dc_columns.size() == n &&
-                   run.sessions.size() == n;
-    for (std::size_t i = 0; aligned && i < n; ++i) {
-        aligned = run.dc_columns[i].size() == datasets[i].records.size() &&
-                  run.sessions[i].flow_rows.size() == datasets[i].records.size();
-    }
-    if (!aligned) {
-        throw std::invalid_argument(
-            "make_full_report: derived columns not aligned with traces.datasets "
-            "(build the run with run_study, assemble_study_run or index_study_run)");
-    }
-}
-
 std::string render_series(const std::vector<analysis::Series>& series) {
     std::ostringstream os;
     analysis::write_series(os, series);
@@ -194,10 +212,11 @@ analysis::Series flows_cdf_series(std::string name, const std::vector<double>& c
 }
 
 /// Table III's CBG phase: calibrate the landmarks, then locate every data
-/// center behind the datasets' in-scope /24s once. Both steps fan out over
-/// `pool`.
-DcLocations locate_table3_dcs(const StudyRun& run, const ReportOptions& options,
-                              util::ThreadPool& pool) {
+/// center behind the vantage points' in-scope /24s once. Both steps fan out
+/// over `pool`.
+DcLocations locate_table3_dcs(const StudyRun& run,
+                              const std::vector<std::vector<net::IpAddress>>& scopes,
+                              const ReportOptions& options, util::ThreadPool& pool) {
     geoloc::CbgLocator locator(
         run.deployment->rtt(),
         geoloc::make_planetlab_landmarks(geo::CityDatabase::builtin(),
@@ -205,7 +224,7 @@ DcLocations locate_table3_dcs(const StudyRun& run, const ReportOptions& options,
                                          options.landmarks),
         options.cbg, run.config.seed ^ 0xCB6);
     locator.calibrate(pool);
-    return locate_scope_dcs(*run.deployment, run.traces.datasets, locator, pool);
+    return locate_scope_dcs(*run.deployment, scopes, locator, pool);
 }
 
 /// The share of an hourly series' total that falls on its busiest calendar
@@ -222,15 +241,16 @@ double peak_day_share(const analysis::Series& hourly) {
     return total > 0.0 ? peak / total : 0.0;
 }
 
-std::string render_table3_artifact(const StudyRun& run, const DcLocations& located,
+std::string render_table3_artifact(const StudyRun& run,
+                                   const std::vector<std::vector<net::IpAddress>>& scopes,
+                                   const DcLocations& located,
                                    std::vector<Measurement>& measured) {
     std::vector<analysis::ContinentCounts> counts;
-    counts.reserve(run.traces.datasets.size());
+    counts.reserve(scopes.size());
     std::set<std::string> cities;
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
+    for (std::size_t i = 0; i < scopes.size(); ++i) {
         const auto& vp = run.deployment->vantage(i);
-        const auto mapping = cbg_dc_map(*run.deployment, run.traces.datasets[i], located,
-                                        vp, run.deployment->local_as(i));
+        const auto mapping = cbg_dc_map(*run.deployment, scopes[i], located, vp);
         const auto& c =
             counts.emplace_back(analysis::servers_per_continent(mapping.located));
         for (const auto& cluster : mapping.clusters) cities.insert(cluster.city_name);
@@ -250,16 +270,14 @@ std::string render_table3_artifact(const StudyRun& run, const DcLocations& locat
     return make_table3(run, counts).render();
 }
 
-std::string render_fig10(const StudyRun& run, std::vector<Measurement>& measured) {
+std::string render_fig10(const StudyFolds& folds, std::vector<Measurement>& measured) {
     analysis::AsciiTable t({"Dataset", "1-flow", "1:pref", "1:nonpref", "2-flow",
                             "2:pp", "2:pn", "2:np", "2:nn", ">2-flow", ">2:allpref",
                             ">2:pref-then-other", ">2:nonpref-first"});
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto p = analysis::session_patterns(run.sessions[i], run.dc_columns[i],
-                                                  run.preferred[i]);
-        const auto m = analysis::multi_flow_patterns(run.sessions[i], run.dc_columns[i],
-                                                     run.preferred[i]);
-        const std::string id = "F10." + run.traces.datasets[i].name;
+    for (const auto& fold : folds.vantage) {
+        const auto p = fold.sessions.patterns();
+        const auto m = fold.sessions.multi_flow();
+        const std::string id = "F10." + fold.scope.name;
         measured.push_back({id + ".single_nonpref", p.single_non_preferred});
         const double away =
             p.two_pref_nonpref + p.two_nonpref_pref + p.two_nonpref_nonpref;
@@ -267,7 +285,7 @@ std::string render_fig10(const StudyRun& run, std::vector<Measurement>& measured
             measured.push_back({id + ".2flow_pn", p.two_pref_nonpref / away});
             measured.push_back({id + ".2flow_nn", p.two_nonpref_nonpref / away});
         }
-        t.add_row({run.traces.datasets[i].name, analysis::fmt_pct(p.single_flow, 2),
+        t.add_row({fold.scope.name, analysis::fmt_pct(p.single_flow, 2),
                    analysis::fmt_pct(p.single_preferred, 2),
                    analysis::fmt_pct(p.single_non_preferred, 2),
                    analysis::fmt_pct(p.two_flow, 2), analysis::fmt_pct(p.two_pref_pref, 2),
@@ -282,20 +300,14 @@ std::string render_fig10(const StudyRun& run, std::vector<Measurement>& measured
     return t.render();
 }
 
-std::string render_fig12(const StudyRun& run, std::vector<Measurement>& measured) {
+std::string render_fig12(const StudyFolds& folds, std::vector<Measurement>& measured) {
     analysis::AsciiTable t({"Dataset", "Subnet", "flows%", "non-preferred%"});
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto& vp = run.deployment->vantage(i);
-        std::vector<analysis::NamedSubnet> subnets;
-        subnets.reserve(vp.subnets.size());
-        for (const auto& s : vp.subnets) subnets.push_back({s.name, s.prefix});
-        const auto shares = analysis::subnet_breakdown(
-            run.traces.datasets[i], run.dc_columns[i], run.preferred[i], subnets);
-        for (const auto& share : shares) {
-            const std::string id = "F12." + vp.name + "." + share.name;
+    for (const auto& fold : folds.vantage) {
+        for (const auto& share : fold.subnets.shares()) {
+            const std::string id = "F12." + fold.scope.name + "." + share.name;
             measured.push_back({id + ".flows", share.all_flows_share});
             measured.push_back({id + ".nonpref", share.non_preferred_share});
-            t.add_row({run.traces.datasets[i].name, share.name,
+            t.add_row({fold.scope.name, share.name,
                        analysis::fmt_pct(share.all_flows_share, 2),
                        analysis::fmt_pct(share.non_preferred_share, 2)});
         }
@@ -303,13 +315,11 @@ std::string render_fig12(const StudyRun& run, std::vector<Measurement>& measured
     return t.render();
 }
 
-std::string render_resolutions(const StudyRun& run) {
+std::string render_resolutions(const StudyFolds& folds) {
     analysis::AsciiTable t({"Dataset", "Resolution", "flow%", "byte%"});
-    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto& ds = run.traces.datasets[i];
-        const auto shares = analysis::resolution_breakdown(ds);
-        for (const auto& share : shares) {
-            t.add_row({ds.name, std::string(cdn::to_string(share.resolution)),
+    for (const auto& fold : folds.vantage) {
+        for (const auto& share : fold.resolutions.shares()) {
+            t.add_row({fold.scope.name, std::string(cdn::to_string(share.resolution)),
                        analysis::fmt_pct(share.flow_share, 2),
                        analysis::fmt_pct(share.byte_share, 2)});
         }
@@ -321,28 +331,32 @@ std::string render_resolutions(const StudyRun& run) {
 
 FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
                             const ReportOptions& options) {
-    // Every artifact is a pure function of the immutable run: closures only
-    // read `run` (and, for Table III, the CBG table located from it), so they
-    // can execute in any order on any thread. parallel_map returns them in list
-    // order, making the report bytes independent of the schedule. Each job
-    // also returns the paper_checks.txt measurements of its own computation;
-    // the check table is assembled from them after the fan-out.
+    // The artifacts render from the folds of one pass per vantage point.
+    // Every closure only reads `run` and the folds (and, for Table III, the
+    // CBG table located from their scopes), so they can execute in any order
+    // on any thread; parallel_map returns them in list order, making the
+    // report bytes independent of the schedule. Each job also returns the
+    // paper_checks.txt measurements of its own computation.
     //
-    // Table III's CBG phase runs first, on its own: it fans out over the
-    // pool, and a pool task that calls the pool runs serially, so inside the
-    // artifact map it would keep one lane busy long after the others idle.
-    // A failure is held for the table3.txt job to rethrow, so the isolation
-    // below degrades (or, in strict mode, propagates) it like any other.
-    require_indexed(run);
+    // Table III's CBG phase runs between the two, on its own: it fans out
+    // over the pool, and a pool task that calls the pool runs serially, so
+    // inside the artifact map it would keep one lane busy long after the
+    // others idle. A failure is held for the table3.txt job to rethrow, so
+    // the isolation below degrades (or, in strict mode, propagates) it like
+    // any other.
+    const StudyFolds folds = fold_study(run, pool);
+    std::vector<std::vector<net::IpAddress>> scopes;
     DcLocations table3_dcs;
     std::exception_ptr table3_error;
     if (options.include_table3) {
+        for (const auto& fold : folds.vantage) scopes.push_back(fold.as.scope_servers());
         try {
-            table3_dcs = locate_table3_dcs(run, options, pool);
+            table3_dcs = locate_table3_dcs(run, scopes, options, pool);
         } catch (...) {  // ytcdn-lint: allow(catch-all) — the table3 job rethrows
             table3_error = std::current_exception();
         }
     }
+    const auto& vantage = folds.vantage;
 
     // A job renders its artifact and appends its measurements to the vector.
     using Job =
@@ -351,52 +365,45 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     jobs.reserve(20);
 
     jobs.emplace_back("table1.txt",
-                      [&run](auto& m) { return make_table1(run, &m).render(); });
+                      [&vantage](auto& m) { return make_table1(vantage, &m).render(); });
     jobs.emplace_back("table2.txt",
-                      [&run](auto& m) { return make_table2(run, &m).render(); });
+                      [&vantage](auto& m) { return make_table2(vantage, &m).render(); });
     if (options.include_table3) {
-        jobs.emplace_back("table3.txt", [&run, &table3_dcs, &table3_error](auto& m) {
-            if (table3_error) std::rethrow_exception(table3_error);
-            return render_table3_artifact(run, table3_dcs, m);
-        });
+        jobs.emplace_back("table3.txt",
+                          [&run, &scopes, &table3_dcs, &table3_error](auto& m) {
+                              if (table3_error) std::rethrow_exception(table3_error);
+                              return render_table3_artifact(run, scopes, table3_dcs, m);
+                          });
     }
     jobs.emplace_back("failure_breakdown.txt",
                       [&run](auto&) { return make_failure_table(run).render(); });
     jobs.emplace_back("retry_histogram.txt",
                       [&run](auto&) { return make_retry_table(run).render(); });
     jobs.emplace_back("resolutions.txt",
-                      [&run](auto&) { return render_resolutions(run); });
+                      [&folds](auto&) { return render_resolutions(folds); });
 
-    jobs.emplace_back("fig04_flow_sizes.dat", [&run](auto& measured) {
+    jobs.emplace_back("fig04_flow_sizes.dat", [&vantage](auto& measured) {
         std::vector<analysis::Series> series;
-        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto& ds = run.traces.datasets[i];
-            std::vector<double> sizes;
-            sizes.reserve(ds.records.size());
-            for (const auto& r : ds.records) {
-                sizes.push_back(static_cast<double>(r.bytes));
-            }
-            const analysis::EmpiricalCdf cdf(std::move(sizes));
-            series.push_back({ds.name, cdf.curve(120)});
+        for (const auto& fold : vantage) {
+            const auto& cdf = fold.flow_sizes;
+            series.push_back({fold.scope.name, cdf.curve(120)});
             // The control/video kink: no flow sizes between 1 kB and 100 kB.
-            measured.push_back({"F4." + ds.name + ".kink",
+            measured.push_back({"F4." + fold.scope.name + ".kink",
                                 cdf.fraction_at_or_below(100e3) -
                                     cdf.fraction_at_or_below(1000.0)});
         }
         return render_series(series);
     });
 
-    jobs.emplace_back("fig05_gap_sensitivity.dat", [&run](auto& measured) {
+    jobs.emplace_back("fig05_gap_sensitivity.dat", [&run, &folds](auto& measured) {
+        const auto& us = folds.vantage[run.vp_index("US-Campus")].sessions;
+        std::vector<std::pair<double, std::vector<double>>> sweep{{1.0, us.flows_cdf()}};
+        for (const auto& [gap, counts] : folds.gap_sweep) {
+            sweep.emplace_back(gap, analysis::flows_cdf(counts));
+        }
         std::vector<analysis::Series> series;
         std::vector<double> single_flow;
-        const auto us = run.vp_index("US-Campus");
-        for (const double gap : {1.0, 5.0, 10.0, 60.0, 300.0}) {
-            // index_study_run already grouped the sessions at T = 1 s.
-            const auto cdf =
-                gap == 1.0
-                    ? analysis::flows_per_session_cdf(run.sessions[us])
-                    : analysis::flows_per_session_cdf(
-                          analysis::SessionTable::build(run.traces.datasets[us], gap));
+        for (const auto& [gap, cdf] : sweep) {
             single_flow.push_back(cdf[0]);
             series.push_back(flows_cdf_series(
                 "T=" + std::to_string(static_cast<int>(gap)) + "s", cdf));
@@ -407,37 +414,35 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         return render_series(series);
     });
 
-    jobs.emplace_back("fig06_flows_per_session.dat", [&run](auto& measured) {
+    jobs.emplace_back("fig06_flows_per_session.dat", [&vantage](auto& measured) {
         std::vector<analysis::Series> series;
-        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto cdf = analysis::flows_per_session_cdf(run.sessions[i]);
-            const auto& name = run.traces.datasets[i].name;
-            measured.push_back({"F6." + name + ".single_flow", cdf[0]});
-            series.push_back(flows_cdf_series(name, cdf));
+        for (const auto& fold : vantage) {
+            const auto cdf = fold.sessions.flows_cdf();
+            measured.push_back({"F6." + fold.scope.name + ".single_flow", cdf[0]});
+            series.push_back(flows_cdf_series(fold.scope.name, cdf));
         }
         return render_series(series);
     });
 
-    jobs.emplace_back("fig07_bytes_vs_rtt.dat", [&run](auto& measured) {
+    jobs.emplace_back("fig07_bytes_vs_rtt.dat", [&vantage](auto& measured) {
         std::vector<analysis::Series> series;
-        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto& s = series.emplace_back(
-                analysis::bytes_vs_rtt(run.traces.datasets[i], run.maps[i]));
+        for (const auto& fold : vantage) {
+            const auto& s = series.emplace_back(analysis::bytes_vs_rtt(
+                fold.traffic.traffic(), *fold.scope.map, fold.scope.name));
             // points[0] is the origin; points[1] the lowest-RTT data center.
             if (s.points.size() > 1) {
                 measured.push_back(
-                    {"F7." + run.traces.datasets[i].name + ".lowest_rtt_dc",
-                     s.points[1].second});
+                    {"F7." + fold.scope.name + ".lowest_rtt_dc", s.points[1].second});
             }
         }
         return render_series(series);
     });
 
-    jobs.emplace_back("fig08_bytes_vs_distance.dat", [&run](auto& measured) {
+    jobs.emplace_back("fig08_bytes_vs_distance.dat", [&run, &vantage](auto& measured) {
         std::vector<analysis::Series> series;
-        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            series.push_back(
-                analysis::bytes_vs_distance(run.traces.datasets[i], run.maps[i]));
+        for (const auto& fold : vantage) {
+            series.push_back(analysis::bytes_vs_distance(
+                fold.traffic.traffic(), *fold.scope.map, fold.scope.name));
         }
         // The cumulative byte share at the fifth-closest data center.
         const auto us = run.vp_index("US-Campus");
@@ -456,27 +461,24 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         return render_series(series);
     });
 
-    jobs.emplace_back("fig09_hourly_nonpreferred_cdf.dat", [&run](auto& measured) {
+    jobs.emplace_back("fig09_hourly_nonpreferred_cdf.dat", [&vantage](auto& measured) {
         std::vector<analysis::Series> series;
-        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto cdf = analysis::hourly_non_preferred_fraction(
-                run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
-            series.push_back({run.traces.datasets[i].name, cdf.curve(60)});
+        for (const auto& fold : vantage) {
+            const auto cdf = fold.hourly.non_preferred_cdf();
+            series.push_back({fold.scope.name, cdf.curve(60)});
             if (!cdf.empty()) {
                 measured.push_back(
-                    {"F9." + run.traces.datasets[i].name + ".median", cdf.quantile(0.5)});
+                    {"F9." + fold.scope.name + ".median", cdf.quantile(0.5)});
             }
         }
         return render_series(series);
     });
 
     jobs.emplace_back("fig10_session_patterns.txt",
-                      [&run](auto& m) { return render_fig10(run, m); });
+                      [&folds](auto& m) { return render_fig10(folds, m); });
 
-    jobs.emplace_back("fig11_eu2_load_balancing.dat", [&run](auto& measured) {
-        const auto eu2 = run.vp_index("EU2");
-        auto hourly = analysis::hourly_preferred_series(
-            run.traces.datasets[eu2], run.dc_columns[eu2], run.preferred[eu2]);
+    jobs.emplace_back("fig11_eu2_load_balancing.dat", [&run, &vantage](auto& measured) {
+        auto hourly = vantage[run.vp_index("EU2")].hourly.preferred_series();
         const auto& flows = hourly.flows_per_hour.points;
         const auto& local = hourly.fraction_preferred.points;
         double peak_flows = 0.0, peak_local = 1.0, quiet_local = 0.0;
@@ -501,17 +503,16 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
     });
 
     jobs.emplace_back("fig12_subnet_breakdown.txt",
-                      [&run](auto& m) { return render_fig12(run, m); });
+                      [&folds](auto& m) { return render_fig12(folds, m); });
 
-    jobs.emplace_back("fig13_video_redirect_counts_cdf.dat", [&run](auto& measured) {
+    jobs.emplace_back("fig13_video_redirect_counts_cdf.dat", [&vantage](auto& measured) {
         std::vector<analysis::Series> series;
         double tail = 0.0;
-        for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-            const auto counts = analysis::video_non_preferred_counts(
-                run.traces.datasets[i], run.dc_columns[i], run.preferred[i]);
+        for (const auto& fold : vantage) {
+            const auto counts = fold.redirects.counts_cdf();
             if (!counts.empty()) {
-                series.push_back({run.traces.datasets[i].name, counts.curve(60)});
-                measured.push_back({"F13." + run.traces.datasets[i].name + ".once",
+                series.push_back({fold.scope.name, counts.curve(60)});
+                measured.push_back({"F13." + fold.scope.name + ".once",
                                     counts.fraction_at_or_below(1.0)});
                 tail = std::max(tail, counts.max());
             }
@@ -520,21 +521,14 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         return render_series(series);
     });
 
-    jobs.emplace_back("fig14_hotspot_videos.dat", [&run](auto& measured) {
-        const auto adsl = run.vp_index("EU1-ADSL");
-        const auto& ds = run.traces.datasets[adsl];
-        const auto top = analysis::top_redirected_videos(ds, run.dc_columns[adsl],
-                                                         run.preferred[adsl], 4);
+    jobs.emplace_back("fig14_hotspot_videos.dat", [&run, &vantage](auto& measured) {
+        const auto& hot = vantage[run.vp_index("EU1-ADSL")].hot_videos;
         std::vector<analysis::Series> series;
         // A promoted video's redirects fall mostly on its one promotion day.
         double promoted = 0.0;
-        for (std::size_t v = 0; v < top.size(); ++v) {
-            auto load = analysis::video_hourly_load(ds, run.dc_columns[adsl],
-                                                    run.preferred[adsl], top[v]);
+        for (std::size_t v = 0; v < hot.videos().size(); ++v) {
+            auto load = hot.load(v);
             if (peak_day_share(load.non_preferred) > 0.5) promoted += 1.0;
-            load.all.name = "video" + std::to_string(v + 1) + " all";
-            load.non_preferred.name =
-                "video" + std::to_string(v + 1) + " non-preferred";
             series.push_back(std::move(load.all));
             series.push_back(std::move(load.non_preferred));
         }
@@ -542,10 +536,8 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         return render_series(series);
     });
 
-    jobs.emplace_back("fig15_server_load.dat", [&run](auto& measured) {
-        const auto adsl = run.vp_index("EU1-ADSL");
-        auto load = analysis::preferred_dc_server_load(
-            run.traces.datasets[adsl], run.dc_columns[adsl], run.preferred[adsl]);
+    jobs.emplace_back("fig15_server_load.dat", [&run, &vantage](auto& measured) {
+        auto load = vantage[run.vp_index("EU1-ADSL")].server_load.series();
         double worst = 0.0;
         for (std::size_t h = 0; h < load.avg.points.size(); ++h) {
             const double avg = load.avg.points[h].second;
@@ -555,15 +547,12 @@ FullReport make_full_report(const StudyRun& run, util::ThreadPool& pool,
         return render_series({std::move(load.avg), std::move(load.max)});
     });
 
-    jobs.emplace_back("fig16_hot_server_sessions.dat", [&run](auto& measured) {
-        const auto adsl = run.vp_index("EU1-ADSL");
-        const auto& ds = run.traces.datasets[adsl];
-        const auto top = analysis::top_redirected_videos(ds, run.dc_columns[adsl],
-                                                         run.preferred[adsl], 1);
-        if (top.empty()) return std::string{};
-        auto hot = analysis::hot_server_sessions(ds, run.sessions[adsl],
-                                                 run.dc_columns[adsl],
-                                                 run.preferred[adsl], top.front());
+    jobs.emplace_back("fig16_hot_server_sessions.dat", [&run, &vantage](auto& measured) {
+        const auto& adsl = vantage[run.vp_index("EU1-ADSL")];
+        if (adsl.hot_videos.videos().empty()) return std::string{};
+        const auto server = adsl.hot_videos.hot_server();
+        auto hot = server ? adsl.sessions.hot_server(*server, adsl.scope.name)
+                          : analysis::HotServerSessions{};
         const auto sum = [](const analysis::Series& s) {
             double total = 0.0;
             for (const auto& [hour, v] : s.points) total += v;

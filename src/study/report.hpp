@@ -6,6 +6,7 @@
 
 #include "analysis/failure_analysis.hpp"
 #include "analysis/geo_analysis.hpp"
+#include "analysis/report_folds.hpp"
 #include "analysis/table.hpp"
 #include "geoloc/cbg.hpp"
 #include "study/paper_checks.hpp"
@@ -14,16 +15,39 @@
 
 namespace ytcdn::study {
 
+/// Vantage point i of `run` as the report's folds see it.
+[[nodiscard]] analysis::VantageScope vantage_scope(const StudyRun& run, std::size_t i);
+
+/// Every flow-derived input of the report, from one pass per vantage point.
+struct StudyFolds {
+    /// analysis::fold_report of each dataset, index-aligned with them.
+    std::vector<analysis::ReportFolds> vantage;
+    /// Fig. 5's other gaps: US-Campus's sessions at T = 5, 10, 60 and 300 s
+    /// (T = 1 s is vantage[us].sessions), counted by flows. Empty without a
+    /// US-Campus dataset.
+    std::vector<std::pair<double, analysis::FlowsPerSession>> gap_sweep;
+};
+
+/// Folds every dataset of `run` (analysis::fold_report), one pool task per
+/// vantage point, and counts Fig. 5's extra gaps in tasks of their own, so
+/// the largest dataset's pass does not carry them. Bit-identical at any
+/// thread count. Throws std::invalid_argument when `run` lacks a map or a
+/// preferred data center per dataset.
+[[nodiscard]] StudyFolds fold_study(const StudyRun& run, util::ThreadPool& pool);
+
 /// Table I: traffic summary per dataset (flows, volume, #servers, #clients),
-/// with the paper's values alongside for comparison. A non-null `measured`
-/// receives the table's paper_checks.txt measurements.
+/// with the paper's values alongside for comparison. `folds` are in the
+/// study's dataset order; a non-null `measured` receives the table's
+/// paper_checks.txt measurements.
 [[nodiscard]] analysis::AsciiTable make_table1(
-    const StudyRun& run, std::vector<Measurement>* measured = nullptr);
+    const std::vector<analysis::ReportFolds>& folds,
+    std::vector<Measurement>* measured = nullptr);
 
 /// Table II: percentage of servers and bytes per AS group per dataset; a
 /// non-null `measured` receives its paper_checks.txt measurements.
 [[nodiscard]] analysis::AsciiTable make_table2(
-    const StudyRun& run, std::vector<Measurement>* measured = nullptr);
+    const std::vector<analysis::ReportFolds>& folds,
+    std::vector<Measurement>* measured = nullptr);
 
 /// Table III: located Google servers per continent per dataset.
 /// `counts[i]` must correspond to dataset i.
@@ -74,20 +98,20 @@ struct FullReport {
 
 struct ReportOptions {
     /// Table III re-runs the whole CBG geolocation pipeline: calibrate 215
-    /// landmarks, then locate each data center behind the datasets' in-scope
-    /// /24s once (locate_scope_dcs). Both steps fan out over the pool before
-    /// the other artifacts; still the most expensive artifact.
+    /// landmarks, then locate each data center behind the vantage points'
+    /// in-scope /24s once (locate_scope_dcs). Both steps fan out over the
+    /// pool after the fold pass, before the other artifacts; still the most
+    /// expensive artifact.
     bool include_table3 = true;
     /// Landmark set and CBG grid for Table III; tests shrink both.
     geoloc::LandmarkCounts landmarks;
     geoloc::CbgLocator::Config cbg;
 };
 
-/// Renders the full report. Each artifact is an independent pure closure
-/// over the immutable `run`, dispatched to `pool`; the artifact list (order
-/// and bytes) is identical at any thread count. Throws
-/// std::invalid_argument when `run` lacks the derived columns that
-/// index_study_run builds.
+/// Renders the full report: fold_study (which validates `run`), then each
+/// artifact as an independent pure closure over the folds (and `run`),
+/// dispatched to `pool`; the artifact list (order and bytes) is identical
+/// at any thread count.
 [[nodiscard]] FullReport make_full_report(const StudyRun& run,
                                           util::ThreadPool& pool,
                                           const ReportOptions& options = {});

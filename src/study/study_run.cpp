@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/streaming.hpp"
+#include "analysis/preferred_dc.hpp"
 #include "study/dc_map_builder.hpp"
 #include "util/metrics.hpp"
 
@@ -24,38 +24,14 @@ StudyMetrics& study_metrics() {
 }  // namespace
 
 std::size_t StudyRun::vp_index(std::string_view name) const {
-    const auto it = vp_index_by_name.find(std::string(name));
-    if (it != vp_index_by_name.end()) return it->second;
+    for (std::size_t i = 0; i < traces.datasets.size(); ++i) {
+        if (traces.datasets[i].name == name) return i;
+    }
     throw std::out_of_range("StudyRun::vp_index: unknown dataset");
 }
 
 const capture::Dataset& StudyRun::dataset(std::string_view name) const {
     return traces.datasets[vp_index(name)];
-}
-
-void index_study_run(StudyRun& run, util::ThreadPool& pool) {
-    const auto& datasets = run.traces.datasets;
-    if (run.maps.size() != datasets.size()) {
-        throw std::invalid_argument("index_study_run: one map per dataset required");
-    }
-    run.vp_index_by_name.clear();
-    for (std::size_t i = 0; i < datasets.size(); ++i) {
-        run.vp_index_by_name.emplace(datasets[i].name, i);
-    }
-    // Per-flow dc columns + CSR session tables, one pair per vantage point.
-    // Independent per-VP tasks; results in input order.
-    auto derived =
-        util::parallel_map_indexed(pool, datasets.size(), [&run](std::size_t i) {
-            const auto& ds = run.traces.datasets[i];
-            return std::pair(analysis::dc_column(ds, run.maps[i]),
-                             analysis::SessionTable::build(ds, 1.0));
-        });
-    run.dc_columns.clear();
-    run.sessions.clear();
-    for (auto& [dc, sessions] : derived) {
-        run.dc_columns.push_back(std::move(dc));
-        run.sessions.push_back(std::move(sessions));
-    }
 }
 
 namespace {
@@ -76,12 +52,8 @@ StudyRun derive_run(const StudyConfig& config,
     run.maps = util::parallel_map_indexed(pool, n, [&run](std::size_t i) {
         return ground_truth_dc_map(*run.deployment, run.deployment->vantage(i));
     });
-    index_study_run(run, pool);
-    // The preferred DC folds the dc columns index_study_run just resolved.
     run.preferred = util::parallel_map_indexed(pool, n, [&run](std::size_t i) {
-        return analysis::fold_records(run.traces.datasets[i], run.dc_columns[i],
-                                      analysis::IncrementalDcTraffic{})
-            .preferred(run.maps[i]);
+        return analysis::preferred_dc(run.traces.datasets[i], run.maps[i]);
     });
     study_metrics().maps_derived.inc(n);
     return run;

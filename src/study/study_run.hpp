@@ -3,11 +3,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/dc_map.hpp"
-#include "analysis/session.hpp"
 #include "study/deployment.hpp"
 #include "study/trace_driver.hpp"
 #include "util/parallel.hpp"
@@ -26,16 +24,8 @@ struct StudyRun {
     /// Preferred data-center index (into maps[i]) per vantage point.
     std::vector<int> preferred;
 
-    // Derived by index_study_run, index-aligned with traces.datasets and
-    // only read afterwards (make_full_report checks the alignment).
-    /// Dataset name -> index (the analyses resolve vantage points by name).
-    std::unordered_map<std::string, std::size_t> vp_index_by_name;
-    /// maps[i].dc_of(server_ip) per record of datasets[i].
-    std::vector<std::vector<int>> dc_columns;
-    /// Sessions of datasets[i] at the paper's T = 1 s gap (fig05's
-    /// gap-sensitivity sweep rebuilds at other gaps on the fly).
-    std::vector<analysis::SessionTable> sessions;
-
+    /// Index of the dataset (vantage point) named `name`; the analyses
+    /// resolve vantage points by name. Throws std::out_of_range.
     [[nodiscard]] std::size_t vp_index(std::string_view name) const;
     [[nodiscard]] const capture::Dataset& dataset(std::string_view name) const;
 };
@@ -51,11 +41,6 @@ struct StudyRun {
 /// Same, on a pool sized by config.effective_threads().
 [[nodiscard]] StudyRun run_study(const StudyConfig& config,
                                  sim::Tracer* tracer = nullptr);
-
-/// Derives `run`'s name index, DC columns and sessions from its traces and
-/// maps (fanned out on `pool`). Fresh runs and a resume from saved maps
-/// both finish through here, so their derived columns cannot differ.
-void index_study_run(StudyRun& run, util::ThreadPool& pool);
 
 /// Rebuilds the analysis-ready run around already-simulated traces (e.g.
 /// decoded from a Simulate checkpoint — see study/checkpoint.hpp):

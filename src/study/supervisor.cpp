@@ -295,7 +295,6 @@ util::Result<SupervisorResult> Supervisor::run() {
                 run.traces = std::move(state.traces);
                 run.maps = std::move(maps);
                 run.preferred = std::move(preferred);
-                index_study_run(run, pool);
                 state.run = std::move(run);
                 st.from_checkpoint = true;
                 return;

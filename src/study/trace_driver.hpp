@@ -49,9 +49,9 @@ public:
     /// Streaming capture: one sink per vantage point (parallel to the
     /// deployment's VP order). With sinks installed, sniffers forward
     /// records instead of accumulating them, so the returned datasets are
-    /// empty and memory stays bounded at any run length; counters, player
-    /// stats and host interning are unchanged. Pass an empty vector (the
-    /// default) to materialize the datasets.
+    /// empty and memory stays bounded at any run length; counters and player
+    /// stats are unchanged. Pass an empty vector (the default) to
+    /// materialize the datasets.
     void set_flow_sinks(std::vector<capture::FlowSink*> sinks) {
         sinks_ = std::move(sinks);
     }

@@ -12,8 +12,9 @@
 //   const auto run = ytcdn::study::run_study(config);
 //
 //   const auto adsl = run.vp_index("EU1-ADSL");
-//   const auto patterns = ytcdn::analysis::session_patterns(
-//       run.sessions[adsl], run.dc_columns[adsl], run.preferred[adsl]);
+//   const auto folds = ytcdn::analysis::fold_report(
+//       run.traces.datasets[adsl], ytcdn::study::vantage_scope(run, adsl));
+//   const auto patterns = folds.sessions.patterns();
 //
 // Subsystem headers can of course be included individually; this header
 // simply pulls in the public API surface.
@@ -68,14 +69,12 @@
 #include "analysis/as_analysis.hpp"
 #include "analysis/dc_map.hpp"
 #include "analysis/geo_analysis.hpp"
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/redirect_analysis.hpp"
+#include "analysis/report_folds.hpp"
 #include "analysis/series.hpp"
 #include "analysis/session.hpp"
-#include "analysis/session_analysis.hpp"
 #include "analysis/stats.hpp"
-#include "analysis/subnet_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
 
 // The study itself.

@@ -9,7 +9,8 @@ The robustness contract pinned here, against the real binary:
     replays the spool and converges to aggregates byte-identical to an
     uninterrupted one-shot run,
   * a `--once` pass never waits a tick: `--tick-ms` paces only an idle
-    daemon,
+    daemon, and SIGTERM ends an idle daemon's long tick promptly, with and
+    without a control socket,
   * a `ytcdn study` run directory's logs/ is a spool: `ytcdn summary`
     reads its YFL2 logs, and the daemon's Table I flows, servers and clients
     equal the study's own table1.txt, row for row,
@@ -218,6 +219,36 @@ def main() -> int:
             check(np_flow_share == offline.get("non-preferred flow share %"),
                   f"{map_stream}: non-preferred flow share {np_flow_share}% "
                   "matches", repr(offline.get("non-preferred flow share %")))
+
+        # An idle daemon on a 10-minute tick honours SIGTERM within the
+        # tick's 100 ms stop-check slice, not when the tick ends: exit 0 and
+        # aggregates.txt written, on the plain-sleep path and on the control
+        # socket's poll path.
+        print("SIGTERM ends an idle tick")
+        spool_idle = os.path.join(tmp, "spool_idle")
+        os.makedirs(spool_idle)
+        for label, extra in (("without --socket", []),
+                             ("with --socket",
+                              ["--socket", os.path.join(tmp, "idle.sock")])):
+            out_idle = os.path.join(tmp, "run_idle" + str(len(extra)))
+            idle = subprocess.Popen(
+                [binary, "serve", "--tick-ms", "600000", "--spool", spool_idle,
+                 "--out", out_idle, *extra],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                errors="replace")
+            time.sleep(1.0)
+            idle.send_signal(signal.SIGTERM)
+            try:
+                _, stderr = idle.communicate(timeout=30)
+                stopped = idle.returncode == 0
+            except subprocess.TimeoutExpired:
+                idle.kill()
+                _, stderr = idle.communicate()
+                stopped = False
+            check(stopped, f"idle serve {label} exits 0 on SIGTERM within 30 s",
+                  (stderr or "").strip()[:300])
+            check(bool(read(os.path.join(out_idle, "aggregates.txt"))),
+                  f"idle serve {label} writes aggregates.txt")
 
         # SIGTERM mid-ingest: graceful quiesce, checkpoint flushed, exit 0.
         print("SIGTERM quiesce")

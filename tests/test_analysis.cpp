@@ -5,11 +5,9 @@
 #include "analysis/as_analysis.hpp"
 #include "analysis/dc_map.hpp"
 #include "analysis/geo_analysis.hpp"
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/redirect_analysis.hpp"
-#include "analysis/session_analysis.hpp"
-#include "analysis/subnet_analysis.hpp"
+#include "analysis/report_folds.hpp"
+#include "analysis/streaming.hpp"
 #include "sim/time.hpp"
 
 namespace analysis = ytcdn::analysis;
@@ -58,8 +56,41 @@ protected:
         ds_.records.push_back(r);
     }
 
-    /// ds_'s per-record data centers under map_ (the analyses' dc column).
-    [[nodiscard]] std::vector<int> dc() const { return analysis::dc_column(ds_, map_); }
+    /// ds_'s hourly (all, preferred) tallies under map_ (Figs 9, 11).
+    [[nodiscard]] analysis::IncrementalHourlyLoad hourly() const {
+        return analysis::fold_records(ds_, map_,
+                                      analysis::IncrementalHourlyLoad(milan_, ds_.name));
+    }
+    /// ds_'s per-video non-preferred downloads under map_ (Figs 13, 14).
+    [[nodiscard]] analysis::IncrementalVideoRedirects redirects() const {
+        return analysis::fold_records(ds_, map_,
+                                      analysis::IncrementalVideoRedirects(milan_));
+    }
+    /// ds_'s per-server load at Milan (Fig. 15).
+    [[nodiscard]] analysis::ServerLoadSeries server_load() const {
+        return analysis::fold_records(ds_, map_,
+                                      analysis::IncrementalServerLoad(milan_, ds_.name))
+            .series();
+    }
+    /// Fig. 12's breakdown of ds_ under map_.
+    [[nodiscard]] std::vector<analysis::SubnetShare> subnet_shares(
+        std::vector<analysis::NamedSubnet> subnets) const {
+        analysis::IncrementalSubnetBreakdown fold(milan_, std::move(subnets));
+        return analysis::fold_records(ds_, map_, std::move(fold)).shares();
+    }
+    /// ds_'s sessions at T = 1 s, folded (Figs 5, 6, 10 and 16).
+    [[nodiscard]] analysis::SessionFold sessions() const {
+        auto fold = analysis::fold_records(ds_, map_, analysis::SessionFold(milan_));
+        fold.finish();
+        return fold;
+    }
+
+    /// Figs 14/16's second pass over ds_, following `video`.
+    [[nodiscard]] analysis::IncrementalVideoLoad video_load(std::uint64_t video) const {
+        analysis::IncrementalVideoLoad load(milan_, {cdn::VideoId{video}});
+        for (const auto& r : ds_.records) load.add(r, map_);
+        return load;
+    }
 
     analysis::ServerDcMap map_;
     capture::Dataset ds_;
@@ -148,9 +179,9 @@ TEST_F(AnalysisFixture, FlowsPerSessionCdf) {
     add_flow(0, 0.0, 10'000, /*video=*/1);
     add_flow(0, 100.0, 10'000, /*video=*/2);
     add_flow(0, 110.05, 10'000, /*video=*/2);  // same session (gap < 1 after end)
-    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
-    ASSERT_EQ(sessions.num_sessions(), 2u);
-    const auto cdf = analysis::flows_per_session_cdf(sessions, 9);
+    const auto folded = sessions();
+    ASSERT_EQ(folded.num_sessions(), 2u);
+    const auto cdf = folded.flows_cdf();
     ASSERT_EQ(cdf.size(), 10u);
     EXPECT_DOUBLE_EQ(cdf[0], 0.5);  // one of two sessions single-flow
     EXPECT_DOUBLE_EQ(cdf[1], 1.0);
@@ -169,9 +200,9 @@ TEST_F(AnalysisFixture, SessionPatternBreakdown) {
     add_flow(0, 300.0, 500, 4);
     add_flow(0, 310.2, 10'000, 4);
 
-    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
-    ASSERT_EQ(sessions.num_sessions(), 4u);
-    const auto p = analysis::session_patterns(sessions, dc(), milan_);
+    const auto folded = sessions();
+    ASSERT_EQ(folded.num_sessions(), 4u);
+    const auto p = folded.patterns();
     EXPECT_EQ(p.total_sessions, 4u);
     EXPECT_DOUBLE_EQ(p.single_flow, 0.5);
     EXPECT_DOUBLE_EQ(p.single_preferred, 0.25);
@@ -193,8 +224,7 @@ TEST_F(AnalysisFixture, SessionPatternsExcludeOutOfScope) {
     legacy.bytes = 10'000;
     ds_.records.push_back(legacy);
 
-    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
-    const auto p = analysis::session_patterns(sessions, dc(), milan_);
+    const auto p = sessions().patterns();
     EXPECT_EQ(p.total_sessions, 1u);  // legacy session dropped
 }
 
@@ -214,9 +244,9 @@ TEST_F(AnalysisFixture, MultiFlowPatterns) {
     // Session 4 (single flow, to keep share_of_all_sessions meaningful).
     add_flow(0, 300.0, 10'000, 4);
 
-    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
-    ASSERT_EQ(sessions.num_sessions(), 4u);
-    const auto m = analysis::multi_flow_patterns(sessions, dc(), milan_);
+    const auto folded = sessions();
+    ASSERT_EQ(folded.num_sessions(), 4u);
+    const auto m = folded.multi_flow();
     EXPECT_EQ(m.sessions, 3u);
     EXPECT_DOUBLE_EQ(m.share_of_all_sessions, 0.75);
     EXPECT_NEAR(m.all_preferred, 1.0 / 3.0, 1e-9);
@@ -226,8 +256,7 @@ TEST_F(AnalysisFixture, MultiFlowPatterns) {
 
 TEST_F(AnalysisFixture, MultiFlowPatternsEmpty) {
     add_flow(0, 0.0, 10'000, 1);
-    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
-    const auto m = analysis::multi_flow_patterns(sessions, dc(), milan_);
+    const auto m = sessions().multi_flow();
     EXPECT_EQ(m.sessions, 0u);
     EXPECT_DOUBLE_EQ(m.share_of_all_sessions, 0.0);
 }
@@ -242,7 +271,7 @@ TEST_F(AnalysisFixture, SubnetBreakdownFindsBiasedSubnet) {
         {"A", net::Subnet{client(0, 0), 24}},
         {"B", net::Subnet{client(1, 0), 24}},
     };
-    const auto shares = analysis::subnet_breakdown(ds_, dc(), milan_, subnets);
+    const auto shares = subnet_shares(subnets);
     ASSERT_EQ(shares.size(), 2u);
     EXPECT_NEAR(shares[0].all_flows_share, 0.9, 1e-9);
     EXPECT_NEAR(shares[0].non_preferred_share, 0.0, 1e-9);
@@ -256,7 +285,7 @@ TEST_F(AnalysisFixture, HourlyNonPreferredFraction) {
     for (int i = 0; i < 2; ++i) add_flow(0, sim::kHour + 60.0 * i);
     for (int i = 0; i < 2; ++i) add_flow(1, sim::kHour + 1000.0 + 60.0 * i);
 
-    const auto cdf = analysis::hourly_non_preferred_fraction(ds_, dc(), milan_);
+    const auto cdf = hourly().non_preferred_cdf();
     ASSERT_EQ(cdf.size(), 2u);
     EXPECT_DOUBLE_EQ(cdf.min(), 0.0);
     EXPECT_DOUBLE_EQ(cdf.max(), 0.5);
@@ -265,7 +294,7 @@ TEST_F(AnalysisFixture, HourlyNonPreferredFraction) {
 TEST_F(AnalysisFixture, HourlyPreferredSeries) {
     for (int i = 0; i < 3; ++i) add_flow(0, 60.0 * i);
     add_flow(1, sim::kHour + 5.0);
-    const auto series = analysis::hourly_preferred_series(ds_, dc(), milan_);
+    const auto series = hourly().preferred_series();
     ASSERT_EQ(series.flows_per_hour.points.size(), 2u);
     EXPECT_DOUBLE_EQ(series.flows_per_hour.points[0].second, 3.0);
     EXPECT_DOUBLE_EQ(series.fraction_preferred.points[0].second, 1.0);
@@ -277,7 +306,7 @@ TEST_F(AnalysisFixture, VideoNonPreferredCountsCdf) {
     add_flow(1, 0.0, 10'000, 1);
     for (int i = 0; i < 5; ++i) add_flow(1, 100.0 * i, 10'000, 2);
     add_flow(0, 999.0, 10'000, 3);
-    const auto cdf = analysis::video_non_preferred_counts(ds_, dc(), milan_);
+    const auto cdf = redirects().counts_cdf();
     ASSERT_EQ(cdf.size(), 2u);  // only videos with >= 1 non-preferred download
     EXPECT_DOUBLE_EQ(cdf.fraction_at_or_below(1.0), 0.5);
     EXPECT_DOUBLE_EQ(cdf.max(), 5.0);
@@ -287,7 +316,7 @@ TEST_F(AnalysisFixture, TopRedirectedVideos) {
     for (int i = 0; i < 5; ++i) add_flow(1, i * 10.0, 10'000, 7);
     for (int i = 0; i < 3; ++i) add_flow(1, i * 10.0, 10'000, 8);
     add_flow(1, 0.0, 10'000, 9);
-    const auto top = analysis::top_redirected_videos(ds_, dc(), milan_, 2);
+    const auto top = redirects().top_videos(2);
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0], cdn::VideoId{7});
     EXPECT_EQ(top[1], cdn::VideoId{8});
@@ -298,7 +327,7 @@ TEST_F(AnalysisFixture, VideoHourlyLoadSeries) {
     add_flow(1, 20.0, 10'000, 5);
     add_flow(0, sim::kHour + 10.0, 10'000, 5);
     add_flow(0, 30.0, 10'000, 6);  // other video ignored
-    const auto series = analysis::video_hourly_load(ds_, dc(), milan_, cdn::VideoId{5});
+    const auto series = video_load(5).load(0);
     ASSERT_EQ(series.all.points.size(), 2u);
     EXPECT_DOUBLE_EQ(series.all.points[0].second, 2.0);
     EXPECT_DOUBLE_EQ(series.non_preferred.points[0].second, 1.0);
@@ -310,7 +339,7 @@ TEST_F(AnalysisFixture, PreferredDcServerLoadAvgMax) {
     for (int i = 0; i < 3; ++i) add_flow(0, 10.0 * i, 10'000, 1, 0, 1, /*shost=*/1);
     add_flow(0, 40.0, 10'000, 2, 0, 1, /*shost=*/2);
     add_flow(1, 50.0, 10'000, 3);  // non-preferred, ignored
-    const auto load = analysis::preferred_dc_server_load(ds_, dc(), milan_);
+    const auto load = server_load();
     ASSERT_EQ(load.avg.points.size(), 1u);
     EXPECT_DOUBLE_EQ(load.avg.points[0].second, 2.0);
     EXPECT_DOUBLE_EQ(load.max.points[0].second, 3.0);
@@ -322,9 +351,9 @@ TEST_F(AnalysisFixture, HotServerSessionBreakdown) {
     add_flow(0, 0.0, 10'000, 5, 0, 1, 1);
     add_flow(0, 100.0, 500, 5, 0, 2, 1);
     add_flow(1, 100.3, 10'000, 5, 0, 2, 1);
-    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
-    const auto hot =
-        analysis::hot_server_sessions(ds_, sessions, dc(), milan_, cdn::VideoId{5});
+    const auto hot_ip = video_load(5).hot_server();
+    ASSERT_TRUE(hot_ip.has_value());
+    const auto hot = sessions().hot_server(*hot_ip, ds_.name);
     EXPECT_EQ(hot.server, server(0, 1));
     double all_pref = 0.0, first_pref = 0.0;
     for (const auto& p : hot.all_preferred.points) all_pref += p.second;
@@ -336,13 +365,14 @@ TEST_F(AnalysisFixture, HotServerSessionBreakdown) {
 TEST_F(AnalysisFixture, BytesVsRttAndDistanceCurves) {
     for (int i = 0; i < 9; ++i) add_flow(0, i, 100);
     add_flow(1, 100.0, 100);
-    const auto rtt_curve = analysis::bytes_vs_rtt(ds_, map_);
+    const auto traffic = analysis::traffic_by_dc(ds_, map_);
+    const auto rtt_curve = analysis::bytes_vs_rtt(traffic, map_, ds_.name);
     ASSERT_EQ(rtt_curve.points.size(), 3u);  // origin + 2 DCs
     EXPECT_DOUBLE_EQ(rtt_curve.points[1].first, 10.0);
     EXPECT_DOUBLE_EQ(rtt_curve.points[1].second, 0.9);
     EXPECT_DOUBLE_EQ(rtt_curve.points[2].second, 1.0);
 
-    const auto dist_curve = analysis::bytes_vs_distance(ds_, map_);
+    const auto dist_curve = analysis::bytes_vs_distance(traffic, map_, ds_.name);
     EXPECT_DOUBLE_EQ(dist_curve.points[1].first, 125.0);
 }
 
@@ -364,14 +394,16 @@ TEST_F(AnalysisFixture, AsBreakdownSplitsGroups) {
     isp.bytes = 2000;
     ds_.records.push_back(isp);
 
-    const auto row = analysis::as_breakdown(ds_, whois, net::Asn{5483});
+    const auto as = analysis::fold_records(
+        ds_, analysis::IncrementalAsBreakdown(whois, net::Asn{5483}));
+    const auto row = as.row(ds_.name);
     EXPECT_NEAR(row.google_servers, 1.0 / 3.0, 1e-9);
     EXPECT_NEAR(row.youtube_eu_servers, 1.0 / 3.0, 1e-9);
     EXPECT_NEAR(row.same_as_servers, 1.0 / 3.0, 1e-9);
     EXPECT_NEAR(row.google_bytes, 6000.0 / 9000.0, 1e-9);
     EXPECT_NEAR(row.same_as_bytes, 2000.0 / 9000.0, 1e-9);
 
-    const auto scope = analysis::analysis_scope_servers(ds_, whois, net::Asn{5483});
+    const auto scope = as.scope_servers();
     EXPECT_EQ(scope.size(), 2u);  // Google server + ISP server, not YT-EU
 }
 
@@ -400,7 +432,7 @@ TEST_F(AnalysisFixture, LoadVsNonPreferredCorrelation) {
         }
     }
     const double corr =
-        analysis::load_vs_nonpreferred_correlation(ds_, dc(), milan_);
+        hourly().correlation();
     EXPECT_GT(corr, 0.95);
 }
 

@@ -13,6 +13,7 @@
 
 #include "analysis/as_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
+#include "analysis/streaming.hpp"
 #include "geo/city.hpp"
 #include "study/study_run.hpp"
 #include "util/metrics.hpp"
@@ -31,6 +32,16 @@ protected:
         study::StudyConfig cfg;
         cfg.scale = 0.01;
         run_ = std::make_unique<study::StudyRun>(study::run_study(cfg));
+        // Each vantage point's analysis scope, as Table II's fold keeps it.
+        scopes_.clear();
+        for (std::size_t i = 0; i < run_->traces.datasets.size(); ++i) {
+            scopes_.push_back(analysis::fold_records(
+                                  run_->traces.datasets[i],
+                                  analysis::IncrementalAsBreakdown(
+                                      run_->deployment->whois(),
+                                      run_->deployment->local_as(i)))
+                                  .scope_servers());
+        }
 
         // A reduced landmark set keeps the suite fast while preserving
         // worldwide coverage.
@@ -49,12 +60,11 @@ protected:
                                                         std::move(landmarks), cbg_cfg, 17);
         locator_->calibrate();
 
-        located_ = std::make_unique<study::DcLocations>(study::locate_scope_dcs(
-            *run_->deployment, run_->traces.datasets, *locator_));
+        located_ = std::make_unique<study::DcLocations>(
+            study::locate_scope_dcs(*run_->deployment, scopes_, *locator_));
         const auto idx = run_->vp_index("EU1-Campus");
         mapping_ = std::make_unique<study::CbgMappingResult>(study::cbg_dc_map(
-            *run_->deployment, run_->traces.datasets[idx], *located_,
-            run_->deployment->vantage(idx), run_->deployment->local_as(idx)));
+            *run_->deployment, scopes_[idx], *located_, run_->deployment->vantage(idx)));
     }
     static void TearDownTestSuite() {
         mapping_.reset();
@@ -64,12 +74,14 @@ protected:
     }
 
     static std::unique_ptr<study::StudyRun> run_;
+    static std::vector<std::vector<ytcdn::net::IpAddress>> scopes_;
     static std::unique_ptr<geoloc::CbgLocator> locator_;
     static std::unique_ptr<study::DcLocations> located_;
     static std::unique_ptr<study::CbgMappingResult> mapping_;
 };
 
 std::unique_ptr<study::StudyRun> CbgMapFixture::run_;
+std::vector<std::vector<ytcdn::net::IpAddress>> CbgMapFixture::scopes_;
 std::unique_ptr<geoloc::CbgLocator> CbgMapFixture::locator_;
 std::unique_ptr<study::DcLocations> CbgMapFixture::located_;
 std::unique_ptr<study::CbgMappingResult> CbgMapFixture::mapping_;
@@ -144,11 +156,9 @@ TEST_F(CbgMapFixture, SharedTableMatchesOneLocatePerSubnet) {
     const auto& cities = geo::CityDatabase::builtin();
     for (std::size_t i = 0; i < run_->traces.datasets.size(); ++i) {
         const auto& ds = run_->traces.datasets[i];
-        const auto mapping = study::cbg_dc_map(world, ds, *located_, world.vantage(i),
-                                               world.local_as(i));
+        const auto& scope = scopes_[i];
+        const auto mapping = study::cbg_dc_map(world, scope, *located_, world.vantage(i));
 
-        const auto scope =
-            analysis::analysis_scope_servers(ds, world.whois(), world.local_as(i));
         std::unordered_map<ytcdn::net::IpAddress, geoloc::CbgResult> per_subnet;
         for (const auto ip : scope) {
             if (per_subnet.contains(ip.slash24())) continue;
@@ -188,16 +198,13 @@ TEST_F(CbgMapFixture, LocatesEachDataCenterOnce) {
     // One locate() per distinct data center, however many (vantage point,
     // /24) pairs stand for it.
     const auto before = locates_so_far();
-    const auto located = study::locate_scope_dcs(*run_->deployment,
-                                                 run_->traces.datasets, *locator_);
+    const auto located = study::locate_scope_dcs(*run_->deployment, scopes_, *locator_);
     EXPECT_EQ(locates_so_far() - before, located.size());
 
     std::size_t subnet_pairs = 0;
     for (std::size_t i = 0; i < run_->traces.datasets.size(); ++i) {
         std::unordered_set<ytcdn::net::IpAddress> subnets;
-        for (const auto ip : analysis::analysis_scope_servers(
-                 run_->traces.datasets[i], run_->deployment->whois(),
-                 run_->deployment->local_as(i))) {
+        for (const auto ip : scopes_[i]) {
             if (run_->deployment->cdn().dc_of_ip(ip) != ytcdn::cdn::kInvalidDc) {
                 subnets.insert(ip.slash24());
             }
@@ -210,10 +217,9 @@ TEST_F(CbgMapFixture, LocatesEachDataCenterOnce) {
 
 TEST_F(CbgMapFixture, MissingDataCenterThrows) {
     const auto idx = run_->vp_index("EU1-Campus");
-    EXPECT_THROW((void)study::cbg_dc_map(*run_->deployment, run_->traces.datasets[idx],
+    EXPECT_THROW((void)study::cbg_dc_map(*run_->deployment, scopes_[idx],
                                          study::DcLocations{},
-                                         run_->deployment->vantage(idx),
-                                         run_->deployment->local_as(idx)),
+                                         run_->deployment->vantage(idx)),
                  std::invalid_argument);
 }
 

@@ -6,13 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/geo_analysis.hpp"
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/series.hpp"
+#include "analysis/streaming.hpp"
 #include "geo/city.hpp"
 #include "geoloc/cbg.hpp"
 #include "study/dc_map_builder.hpp"
@@ -41,25 +42,33 @@ study::StudyConfig small_config(std::uint64_t seed = 0xCDA1'2011ull) {
 /// the byte-compare target. Any unordered-container iteration or unseeded
 /// randomness leaking into the output pipeline shows up here.
 std::string render_artifacts(const study::StudyRun& run) {
+    ytcdn::util::ThreadPool pool(2);
+    const auto folds = study::fold_study(run, pool).vantage;
     std::ostringstream os;
-    os << study::make_table1(run).render()
-       << study::make_table2(run).render()
+    os << study::make_table1(folds).render()
+       << study::make_table2(folds).render()
        << study::make_failure_table(run).render()
        << study::make_retry_table(run).render();
 
     std::vector<analysis::Series> series;
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
         const auto& ds = run.traces.datasets[i];
-        series.push_back(analysis::bytes_vs_rtt(ds, run.maps[i]));
-        series.push_back(analysis::bytes_vs_distance(ds, run.maps[i]));
+        const auto traffic = analysis::traffic_by_dc(ds, run.maps[i]);
+        series.push_back(analysis::bytes_vs_rtt(traffic, run.maps[i], ds.name));
+        series.push_back(analysis::bytes_vs_distance(traffic, run.maps[i], ds.name));
         series.push_back({ds.name + " hourly-np",
-                          analysis::hourly_non_preferred_fraction(ds, run.dc_columns[i],
-                                                                  run.preferred[i])
+                          analysis::fold_records(ds, run.maps[i],
+                                                 analysis::IncrementalHourlyLoad(
+                                                     run.preferred[i], ds.name))
+                              .non_preferred_cdf()
                               .curve(60)});
     }
     const auto eu2 = run.vp_index("EU2");
-    auto hourly = analysis::hourly_preferred_series(
-        run.traces.datasets[eu2], run.dc_columns[eu2], run.preferred[eu2]);
+    const auto& eu2_ds = run.traces.datasets[eu2];
+    auto hourly = analysis::fold_records(eu2_ds, run.maps[eu2],
+                                         analysis::IncrementalHourlyLoad(
+                                             run.preferred[eu2], eu2_ds.name))
+                      .preferred_series();
     series.push_back(std::move(hourly.fraction_preferred));
     series.push_back(std::move(hourly.flows_per_hour));
     analysis::write_series(os, series);
@@ -85,24 +94,26 @@ std::string render_table3(const study::StudyRun& run, const study::StudyConfig& 
                                          sim::Rng(cfg.seed ^ 0x9B), counts),
         cbg_cfg, cfg.seed ^ 0xCB6);
     locator.calibrate();
-    const auto located =
-        study::locate_scope_dcs(*run.deployment, run.traces.datasets, locator);
+    std::vector<std::vector<ytcdn::net::IpAddress>> scopes;
+    for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
+        scopes.push_back(analysis::fold_records(run.traces.datasets[i],
+                                                analysis::IncrementalAsBreakdown(
+                                                    run.deployment->whois(),
+                                                    run.deployment->local_as(i)))
+                             .scope_servers());
+    }
+    const auto located = study::locate_scope_dcs(*run.deployment, scopes, locator);
     std::vector<analysis::ContinentCounts> continent_counts;
     for (std::size_t i = 0; i < run.traces.datasets.size(); ++i) {
-        const auto mapping =
-            study::cbg_dc_map(*run.deployment, run.traces.datasets[i], located,
-                              run.deployment->vantage(i), run.deployment->local_as(i));
+        const auto mapping = study::cbg_dc_map(*run.deployment, scopes[i], located,
+                                               run.deployment->vantage(i));
         continent_counts.push_back(analysis::servers_per_continent(mapping.located));
     }
     return study::make_table3(run, continent_counts).render();
 }
 
-TEST(Determinism, ThreadCountInvariance) {
-    // The parallel layer is an execution detail: the full pipeline — study
-    // run, per-VP map derivation, every report artifact including the CBG
-    // pipeline behind Table III — must render byte-identical output whether
-    // it runs on one thread, two, or eight.
-    const auto cfg = small_config();
+/// Table III at a landmark set and CBG grid small enough for the suite.
+study::ReportOptions test_sized_table3() {
     study::ReportOptions opts;
     opts.landmarks.north_america = 24;
     opts.landmarks.europe = 24;
@@ -111,6 +122,30 @@ TEST(Determinism, ThreadCountInvariance) {
     opts.landmarks.oceania = 2;
     opts.landmarks.africa = 1;
     opts.cbg.grid = 48;
+    return opts;
+}
+
+struct Golden {
+    const char* name;
+    std::uint32_t crc;
+};
+
+void expect_golden(const study::FullReport& report, std::span<const Golden> golden) {
+    ASSERT_EQ(report.artifacts.size(), golden.size());
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        const auto& artifact = report.artifacts[i];
+        EXPECT_EQ(artifact.name, golden[i].name);
+        EXPECT_EQ(ytcdn::util::crc32(artifact.content), golden[i].crc) << artifact.name;
+    }
+}
+
+TEST(Determinism, ThreadCountInvariance) {
+    // The parallel layer is an execution detail: the full pipeline — study
+    // run, per-VP map derivation, every report artifact including the CBG
+    // pipeline behind Table III — must render byte-identical output whether
+    // it runs on one thread, two, or eight.
+    const auto cfg = small_config();
+    const auto opts = test_sized_table3();
 
     const auto render_at = [&](std::size_t threads) {
         ytcdn::util::ThreadPool pool(threads);
@@ -161,10 +196,6 @@ TEST(Determinism, FoldedArtifactsMatchGoldenDigest) {
     // randomness). The hand-computed fixtures in test_{analysis,
     // loadbalance_analysis,redirect_analysis,subnet_analysis}.cpp remain the
     // per-function reference.
-    struct Golden {
-        const char* name;
-        std::uint32_t crc;
-    };
     static constexpr Golden kGolden[] = {
         {"table1.txt", 0x4AD7CAA2u},
         {"table2.txt", 0xB1484F5Eu},
@@ -191,14 +222,52 @@ TEST(Determinism, FoldedArtifactsMatchGoldenDigest) {
 
     study::ReportOptions opts;
     opts.include_table3 = false;
-    const auto report = study::make_full_report(study::run_study(small_config()), opts);
-    ASSERT_EQ(report.artifacts.size(), std::size(kGolden));
-    for (std::size_t i = 0; i < std::size(kGolden); ++i) {
-        const auto& artifact = report.artifacts[i];
-        EXPECT_EQ(artifact.name, kGolden[i].name);
-        EXPECT_EQ(ytcdn::util::crc32(artifact.content), kGolden[i].crc)
-            << artifact.name;
-    }
+    expect_golden(study::make_full_report(study::run_study(small_config()), opts),
+                  kGolden);
+}
+
+TEST(Determinism, Table3MatchesGoldenDigest) {
+    // Table III (CBG over the vantage points' analysis scope) at the
+    // test-sized landmarks, and the check table that then carries its T3
+    // rows. Captured before the report rendered from one fold set per
+    // vantage point; the other artifacts are FoldedArtifactsMatchGoldenDigest's.
+    const auto report =
+        study::make_full_report(study::run_study(small_config()), test_sized_table3());
+    ASSERT_NE(report.content("table3.txt"), nullptr);
+    EXPECT_EQ(ytcdn::util::crc32(*report.content("table3.txt")), 0xFAFA7DD5u);
+    EXPECT_EQ(ytcdn::util::crc32(*report.content("paper_checks.txt")), 0x9598FBF5u);
+}
+
+TEST(Determinism, DallasOutageArtifactsMatchGoldenDigest) {
+    // Every artifact of a fault run: Dallas down from day 2 for 1.5 days,
+    // Table III included. Captured alongside Table3MatchesGoldenDigest.
+    static constexpr Golden kGolden[] = {
+        {"table1.txt", 0x167CCC0Du},
+        {"table2.txt", 0xE053F37Cu},
+        {"table3.txt", 0x05B768CCu},
+        {"failure_breakdown.txt", 0x63528FF5u},
+        {"retry_histogram.txt", 0xC8519EEFu},
+        {"resolutions.txt", 0xC52D163Au},
+        {"fig04_flow_sizes.dat", 0x167AF889u},
+        {"fig05_gap_sensitivity.dat", 0xAE6A3402u},
+        {"fig06_flows_per_session.dat", 0x4C948AB7u},
+        {"fig07_bytes_vs_rtt.dat", 0x74D3AD28u},
+        {"fig08_bytes_vs_distance.dat", 0xE208F36Eu},
+        {"fig09_hourly_nonpreferred_cdf.dat", 0x491E3A57u},
+        {"fig10_session_patterns.txt", 0x5F92C331u},
+        {"fig11_eu2_load_balancing.dat", 0xB382D2EAu},
+        {"fig12_subnet_breakdown.txt", 0x41618252u},
+        {"fig13_video_redirect_counts_cdf.dat", 0x89BF5606u},
+        {"fig14_hotspot_videos.dat", 0x6C4F4673u},
+        {"fig15_server_load.dat", 0x57DB5B46u},
+        {"fig16_hot_server_sessions.dat", 0x9FAF8366u},
+        {"paper_checks.txt", 0x7B97F692u},
+    };
+    auto cfg = small_config();
+    cfg.fault_schedule = ytcdn::sim::FaultSchedule::dc_outage(
+        "Dallas", 2.0 * ytcdn::sim::kDay, 1.5 * ytcdn::sim::kDay);
+    expect_golden(study::make_full_report(study::run_study(cfg), test_sized_table3()),
+                  kGolden);
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalTraces) {

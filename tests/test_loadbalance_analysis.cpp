@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/loadbalance_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/session.hpp"
 #include "sim/time.hpp"
 
@@ -50,21 +50,23 @@ protected:
         ds_.records.push_back(r);
     }
 
-    /// ds_'s per-record data centers under map_ (the analyses' dc column).
-    [[nodiscard]] std::vector<int> dc() const { return analysis::dc_column(ds_, map_); }
-
+    /// ds_'s hourly (all, preferred) tallies under map_ (Figs 9, 11).
+    [[nodiscard]] analysis::IncrementalHourlyLoad hourly() const {
+        return analysis::fold_records(ds_, map_,
+                                      analysis::IncrementalHourlyLoad(milan_, ds_.name));
+    }
     analysis::ServerDcMap map_;
     capture::Dataset ds_;
     int milan_{}, frankfurt_{};
 };
 
 TEST_F(LoadBalanceFixture, EmptyDatasetYieldsEmptyDistribution) {
-    const auto cdf = analysis::hourly_non_preferred_fraction(ds_, dc(), milan_);
+    const auto cdf = hourly().non_preferred_cdf();
     EXPECT_EQ(cdf.size(), 0u);
-    const auto series = analysis::hourly_preferred_series(ds_, dc(), milan_);
+    const auto series = hourly().preferred_series();
     EXPECT_TRUE(series.flows_per_hour.points.empty());
     EXPECT_DOUBLE_EQ(
-        analysis::load_vs_nonpreferred_correlation(ds_, dc(), milan_), 0.0);
+        hourly().correlation(), 0.0);
 }
 
 TEST_F(LoadBalanceFixture, ControlFlowsAndUnmappedServersAreExcluded) {
@@ -79,10 +81,10 @@ TEST_F(LoadBalanceFixture, ControlFlowsAndUnmappedServersAreExcluded) {
     legacy.bytes = 10'000;
     ds_.records.push_back(legacy);
 
-    const auto cdf = analysis::hourly_non_preferred_fraction(ds_, dc(), milan_);
+    const auto cdf = hourly().non_preferred_cdf();
     ASSERT_EQ(cdf.size(), 1u);
     EXPECT_DOUBLE_EQ(cdf.max(), 0.0);  // the only counted flow was preferred
-    const auto series = analysis::hourly_preferred_series(ds_, dc(), milan_);
+    const auto series = hourly().preferred_series();
     ASSERT_EQ(series.flows_per_hour.points.size(), 1u);
     EXPECT_DOUBLE_EQ(series.flows_per_hour.points[0].second, 1.0);
 }
@@ -90,9 +92,9 @@ TEST_F(LoadBalanceFixture, ControlFlowsAndUnmappedServersAreExcluded) {
 TEST_F(LoadBalanceFixture, EmptyHoursCarryNoSampleButKeepTheTimeAxis) {
     add_flow(0, 10.0);                  // hour 0
     add_flow(1, 3 * sim::kHour + 5.0);  // hour 3; hours 1-2 silent
-    const auto cdf = analysis::hourly_non_preferred_fraction(ds_, dc(), milan_);
+    const auto cdf = hourly().non_preferred_cdf();
     EXPECT_EQ(cdf.size(), 2u);  // silent hours contribute no 0/0 sample
-    const auto series = analysis::hourly_preferred_series(ds_, dc(), milan_);
+    const auto series = hourly().preferred_series();
     ASSERT_EQ(series.flows_per_hour.points.size(), 4u);  // axis spans 0..3
     EXPECT_DOUBLE_EQ(series.flows_per_hour.points[1].second, 0.0);
     // fraction_preferred is undefined on silent hours: only 2 points.
@@ -114,7 +116,7 @@ TEST_F(LoadBalanceFixture, DaytimeOverflowOrderingMatchesEu2) {
             add_flow(i < overflow ? 1 : 0, h * sim::kHour + i * 60.0);
         }
     }
-    const auto cdf = analysis::hourly_non_preferred_fraction(ds_, dc(), milan_);
+    const auto cdf = hourly().non_preferred_cdf();
     ASSERT_EQ(cdf.size(), 24u);
     EXPECT_DOUBLE_EQ(cdf.min(), 0.0);
     EXPECT_DOUBLE_EQ(cdf.max(), 0.4);
@@ -123,7 +125,7 @@ TEST_F(LoadBalanceFixture, DaytimeOverflowOrderingMatchesEu2) {
     EXPECT_DOUBLE_EQ(cdf.fraction_at_or_below(0.39), 0.5);
 
     // And the discriminator: overflow tracks volume almost perfectly.
-    EXPECT_GT(analysis::load_vs_nonpreferred_correlation(ds_, dc(), milan_),
+    EXPECT_GT(hourly().correlation(),
               0.99);
 }
 
@@ -137,7 +139,7 @@ TEST_F(LoadBalanceFixture, LoadIndependentOverflowShowsNoCorrelation) {
         }
     }
     const double corr =
-        analysis::load_vs_nonpreferred_correlation(ds_, dc(), milan_);
+        hourly().correlation();
     EXPECT_LT(std::abs(corr), 0.05);
 }
 
@@ -156,9 +158,9 @@ TEST_F(LoadBalanceFixture, CorrelationMinFlowsDropsQuietHours) {
         add_flow(1, h * sim::kHour + 5.0);  // 1 flow, 100% non-preferred
     }
     const double guarded =
-        analysis::load_vs_nonpreferred_correlation(ds_, dc(), milan_, 5);
+        hourly().correlation(5);
     const double unguarded =
-        analysis::load_vs_nonpreferred_correlation(ds_, dc(), milan_, 1);
+        hourly().correlation(1);
     EXPECT_GT(guarded, 0.95);
     EXPECT_LT(unguarded, guarded);
 }

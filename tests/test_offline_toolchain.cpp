@@ -11,10 +11,9 @@
 #include <memory>
 #include <sstream>
 
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/session.hpp"
-#include "analysis/session_analysis.hpp"
+#include "analysis/report_folds.hpp"
+#include "analysis/streaming.hpp"
 #include "capture/flow_log.hpp"
 #include "capture/log_io.hpp"
 #include "study/study_run.hpp"
@@ -79,12 +78,14 @@ TEST_F(OfflineToolchainFixture, DiskRoundTripPreservesEveryConclusion) {
         EXPECT_NEAR(disk_share.byte_fraction, live_share.byte_fraction, 1e-12) << ext;
         EXPECT_NEAR(disk_share.flow_fraction, live_share.flow_fraction, 1e-12) << ext;
 
-        const auto live_dc = analysis::dc_column(live, live_map);
-        const auto disk_dc = analysis::dc_column(disk, disk_map);
-        const auto live_patterns = analysis::session_patterns(
-            analysis::SessionTable::build(live, 1.0), live_dc, live_pref);
-        const auto disk_patterns = analysis::session_patterns(
-            analysis::SessionTable::build(disk, 1.0), disk_dc, disk_pref);
+        const auto patterns_of = [](const capture::Dataset& ds,
+                                    const analysis::ServerDcMap& map, int preferred) {
+            auto fold = analysis::fold_records(ds, map, analysis::SessionFold(preferred));
+            fold.finish();
+            return fold.patterns();
+        };
+        const auto live_patterns = patterns_of(live, live_map, live_pref);
+        const auto disk_patterns = patterns_of(disk, disk_map, disk_pref);
         EXPECT_EQ(disk_patterns.total_sessions, live_patterns.total_sessions) << ext;
         EXPECT_NEAR(disk_patterns.single_flow, live_patterns.single_flow, 1e-9) << ext;
         EXPECT_NEAR(disk_patterns.two_pref_nonpref, live_patterns.two_pref_nonpref,
@@ -92,9 +93,13 @@ TEST_F(OfflineToolchainFixture, DiskRoundTripPreservesEveryConclusion) {
             << ext;
 
         const double live_corr =
-            analysis::load_vs_nonpreferred_correlation(live, live_dc, live_pref);
+            analysis::fold_records(live, live_map,
+                                   analysis::IncrementalHourlyLoad(live_pref, live.name))
+                .correlation();
         const double disk_corr =
-            analysis::load_vs_nonpreferred_correlation(disk, disk_dc, disk_pref);
+            analysis::fold_records(disk, disk_map,
+                                   analysis::IncrementalHourlyLoad(disk_pref, disk.name))
+                .correlation();
         EXPECT_NEAR(disk_corr, live_corr, 1e-9) << ext;
     }
     std::filesystem::remove_all(dir);

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/session.hpp"
 #include "capture/dataset.hpp"
+#include "session_oracle.hpp"
 
 namespace cdn = ytcdn::cdn;
 namespace net = ytcdn::net;
@@ -176,7 +176,7 @@ TEST_F(PlayerFixture, ResolutionProbeMakesTwoFlowSameDcSession) {
     EXPECT_EQ(ds.records[1].resolution, cdn::Resolution::R360);
 
     // With T=1 s the two flows group into one session (redirect think < 1 s).
-    const auto sessions = ytcdn::analysis::SessionTable::build(ds, 1.0);
+    const auto sessions = ytcdn::oracle::SessionTable::build(ds, 1.0);
     ASSERT_EQ(sessions.num_sessions(), 1u);
     EXPECT_EQ(sessions.flows_of(0).size(), 2u);
 }
@@ -197,8 +197,8 @@ TEST_F(PlayerFixture, PauseResumeSplitsDownload) {
     const double total = static_cast<double>(ds.records[0].bytes + ds.records[1].bytes);
     EXPECT_NEAR(total, 550e3 * 120 / 8, 4.0);
     // Viewer gap: separate sessions at T=1 s, one session at T=300 s.
-    EXPECT_EQ(ytcdn::analysis::SessionTable::build(ds, 1.0).num_sessions(), 2u);
-    EXPECT_EQ(ytcdn::analysis::SessionTable::build(ds, 300.0).num_sessions(), 1u);
+    EXPECT_EQ(ytcdn::oracle::SessionTable::build(ds, 1.0).num_sessions(), 2u);
+    EXPECT_EQ(ytcdn::oracle::SessionTable::build(ds, 300.0).num_sessions(), 1u);
 }
 
 TEST_F(PlayerFixture, AbortShortensDownload) {

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/redirect_analysis.hpp"
-#include "analysis/session.hpp"
+#include "analysis/report_folds.hpp"
+#include "analysis/streaming.hpp"
 #include "sim/time.hpp"
 
 namespace analysis = ytcdn::analysis;
@@ -50,8 +50,30 @@ protected:
         ds_.records.push_back(r);
     }
 
-    /// ds_'s per-record data centers under map_ (the analyses' dc column).
-    [[nodiscard]] std::vector<int> dc() const { return analysis::dc_column(ds_, map_); }
+    /// ds_'s per-video non-preferred downloads under map_ (Figs 13, 14).
+    [[nodiscard]] analysis::IncrementalVideoRedirects redirects() const {
+        return analysis::fold_records(ds_, map_,
+                                      analysis::IncrementalVideoRedirects(milan_));
+    }
+    /// ds_'s per-server load at Milan (Fig. 15).
+    [[nodiscard]] analysis::ServerLoadSeries server_load() const {
+        return analysis::fold_records(ds_, map_,
+                                      analysis::IncrementalServerLoad(milan_, ds_.name))
+            .series();
+    }
+    /// ds_'s sessions at T = 1 s, folded (Figs 5, 6, 10 and 16).
+    [[nodiscard]] analysis::SessionFold sessions() const {
+        auto fold = analysis::fold_records(ds_, map_, analysis::SessionFold(milan_));
+        fold.finish();
+        return fold;
+    }
+
+    /// Figs 14/16's second pass over ds_, following `video`.
+    [[nodiscard]] analysis::IncrementalVideoLoad video_load(std::uint64_t video) const {
+        analysis::IncrementalVideoLoad load(milan_, {cdn::VideoId{video}});
+        for (const auto& r : ds_.records) load.add(r, map_);
+        return load;
+    }
 
     analysis::ServerDcMap map_;
     capture::Dataset ds_;
@@ -68,7 +90,7 @@ TEST_F(RedirectFixture, Fig13MassAtOneSeparatesUnpopularFromHotContent) {
     for (int i = 0; i < 40; ++i) add_flow(1, 1000.0 + i, /*video=*/99);
     for (int i = 0; i < 50; ++i) add_flow(0, 5000.0 + i, /*video=*/100);
 
-    const auto cdf = analysis::video_non_preferred_counts(ds_, dc(), milan_);
+    const auto cdf = redirects().counts_cdf();
     ASSERT_EQ(cdf.size(), 10u);  // video 100 never left the preferred DC
     EXPECT_DOUBLE_EQ(cdf.fraction_at_or_below(1.0), 0.9);
     EXPECT_DOUBLE_EQ(cdf.max(), 40.0);
@@ -84,15 +106,15 @@ TEST_F(RedirectFixture, CountsIgnoreControlFlowsAndUnmappedServers) {
     legacy.end = 20.0;
     legacy.bytes = 10'000;
     ds_.records.push_back(legacy);
-    EXPECT_EQ(analysis::video_non_preferred_counts(ds_, dc(), milan_).size(), 0u);
-    EXPECT_TRUE(analysis::top_redirected_videos(ds_, dc(), milan_, 4).empty());
+    EXPECT_EQ(redirects().counts_cdf().size(), 0u);
+    EXPECT_TRUE(redirects().top_videos(4).empty());
 }
 
 TEST_F(RedirectFixture, TopRedirectedBreaksTiesByVideoIdAndClampsK) {
     for (int i = 0; i < 3; ++i) add_flow(1, i * 10.0, /*video=*/8);
     for (int i = 0; i < 3; ++i) add_flow(1, i * 10.0, /*video=*/5);
     add_flow(1, 0.0, /*video=*/2);
-    const auto top = analysis::top_redirected_videos(ds_, dc(), milan_, 10);
+    const auto top = redirects().top_videos(10);
     ASSERT_EQ(top.size(), 3u);  // k clamps to the population
     EXPECT_EQ(top[0], cdn::VideoId{5});  // tie at 3 downloads: lower id first
     EXPECT_EQ(top[1], cdn::VideoId{8});
@@ -103,7 +125,7 @@ TEST_F(RedirectFixture, VideoHourlyLoadPadsTheNonPreferredSeries) {
     add_flow(1, 10.0, /*video=*/5);                // hour 0: redirected
     add_flow(0, 2 * sim::kHour + 10.0, 5);        // hour 2: preferred
     add_flow(0, 2 * sim::kHour + 20.0, 6);        // other video: ignored
-    const auto series = analysis::video_hourly_load(ds_, dc(), milan_, cdn::VideoId{5});
+    const auto series = video_load(5).load(0);
     ASSERT_EQ(series.all.points.size(), 3u);
     ASSERT_EQ(series.non_preferred.points.size(), 3u);  // padded to match
     EXPECT_DOUBLE_EQ(series.all.points[1].second, 0.0);
@@ -122,7 +144,7 @@ TEST_F(RedirectFixture, ServerLoadAveragesAcrossActiveServersPerHour) {
     }
     add_flow(1, 50.0, 4);  // non-preferred: never counted
 
-    const auto load = analysis::preferred_dc_server_load(ds_, dc(), milan_);
+    const auto load = server_load();
     ASSERT_EQ(load.avg.points.size(), 2u);  // the silent hour is skipped
     EXPECT_DOUBLE_EQ(load.avg.points[0].first, 0.0);
     EXPECT_DOUBLE_EQ(load.avg.points[0].second, 3.0);
@@ -139,10 +161,11 @@ TEST_F(RedirectFixture, HotServerSessionsSplitsStayersFromRedirected) {
     add_flow(0, 0.0, 5, 10'000, /*chost=*/1);                  // stays
     add_flow(0, sim::kHour + 0.0, 5, 500, /*chost=*/2);        // control, then
     add_flow(1, sim::kHour + 10.3, 5, 10'000, /*chost=*/2);    // redirected
-    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
-    ASSERT_EQ(sessions.num_sessions(), 2u);
-    const auto hot = analysis::hot_server_sessions(ds_, sessions, dc(), milan_,
-                                                   cdn::VideoId{5});
+    const auto folded = sessions();
+    ASSERT_EQ(folded.num_sessions(), 2u);
+    const auto hot_ip = video_load(5).hot_server();
+    ASSERT_TRUE(hot_ip.has_value());
+    const auto hot = folded.hot_server(*hot_ip, ds_.name);
     EXPECT_EQ(hot.server, server(0, 1));
     ASSERT_EQ(hot.all_preferred.points.size(), 2u);
     EXPECT_DOUBLE_EQ(hot.all_preferred.points[0].second, 1.0);
@@ -159,9 +182,9 @@ TEST_F(RedirectFixture, HotServerTieGoesToTheLowestAddress) {
     add_flow(0, 100.0, 5, 10'000, /*chost=*/2, /*shost=*/2);
     add_flow(0, 200.0, 5, 10'000, /*chost=*/3, /*shost=*/1);
     add_flow(0, 300.0, 5, 10'000, /*chost=*/4, /*shost=*/1);
-    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
-    const auto hot = analysis::hot_server_sessions(ds_, sessions, dc(), milan_,
-                                                   cdn::VideoId{5});
+    const auto hot_ip = video_load(5).hot_server();
+    ASSERT_TRUE(hot_ip.has_value());
+    const auto hot = sessions().hot_server(*hot_ip, ds_.name);
     EXPECT_EQ(hot.server, server(0, 1));
     ASSERT_EQ(hot.all_preferred.points.size(), 1u);
     EXPECT_DOUBLE_EQ(hot.all_preferred.points[0].second, 2.0);
@@ -169,9 +192,10 @@ TEST_F(RedirectFixture, HotServerTieGoesToTheLowestAddress) {
 
 TEST_F(RedirectFixture, HotServerSessionsWithUnknownVideoIsEmpty) {
     add_flow(0, 0.0, 5);
-    const auto sessions = analysis::SessionTable::build(ds_, 1.0);
-    const auto hot = analysis::hot_server_sessions(ds_, sessions, dc(), milan_,
-                                                   cdn::VideoId{777});
+    // No preferred-DC request for the video: no hot server, and the
+    // report renders Fig. 16 from an empty breakdown.
+    EXPECT_FALSE(video_load(777).hot_server().has_value());
+    const auto hot = sessions().hot_server(net::IpAddress{}, ds_.name);
     EXPECT_EQ(hot.server, net::IpAddress{});
     EXPECT_TRUE(hot.all_preferred.points.empty());
     EXPECT_TRUE(hot.first_preferred_then_other.points.empty());

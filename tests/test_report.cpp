@@ -18,33 +18,38 @@ protected:
     static void SetUpTestSuite() {
         study::StudyConfig cfg;
         cfg.scale = 0.004;
-        run_ = std::make_unique<study::StudyRun>(study::run_study(cfg));
+        ytcdn::util::ThreadPool pool(2);
+        run_ = std::make_unique<study::StudyRun>(study::run_study(cfg, pool));
+        folds_ = std::make_unique<study::StudyFolds>(study::fold_study(*run_, pool));
     }
-    static void TearDownTestSuite() { run_.reset(); }
+    static void TearDownTestSuite() {
+        folds_.reset();
+        run_.reset();
+    }
     static std::unique_ptr<study::StudyRun> run_;
+    static std::unique_ptr<study::StudyFolds> folds_;
 };
 
 std::unique_ptr<study::StudyRun> ReportFixture::run_;
+std::unique_ptr<study::StudyFolds> ReportFixture::folds_;
 
 TEST_F(ReportFixture, TableOneCarriesPaperReference) {
-    const std::string rendered = study::make_table1(*run_).render();
+    const std::string rendered = study::make_table1(folds_->vantage).render();
     for (const char* expected :
          {"US-Campus", "EU1-Campus", "EU1-ADSL", "EU1-FTTH", "EU2",
           "874649", "7061.27", "20443", "513403"}) {
         EXPECT_NE(rendered.find(expected), std::string::npos) << expected;
     }
-    EXPECT_EQ(study::make_table1(*run_).num_rows(), 5u);
+    EXPECT_EQ(study::make_table1(folds_->vantage).num_rows(), 5u);
 }
 
 TEST_F(ReportFixture, TableTwoRowsSumToRoughlyOneHundred) {
-    const std::string rendered = study::make_table2(*run_).render();
+    const std::string rendered = study::make_table2(folds_->vantage).render();
     EXPECT_NE(rendered.find("Google srv%"), std::string::npos);
     EXPECT_NE(rendered.find("SameAS byt%"), std::string::npos);
     // Re-derive the rows and check the shares are a partition.
     for (std::size_t i = 0; i < 5; ++i) {
-        const auto row = analysis::as_breakdown(run_->traces.datasets[i],
-                                                run_->deployment->whois(),
-                                                run_->deployment->local_as(i));
+        const auto row = folds_->vantage[i].as.row(run_->traces.datasets[i].name);
         EXPECT_NEAR(row.google_servers + row.youtube_eu_servers + row.same_as_servers +
                         row.other_servers,
                     1.0, 1e-9)
@@ -73,18 +78,20 @@ TEST_F(ReportFixture, RunWithoutDerivedColumnsIsRejected) {
     ytcdn::util::ThreadPool pool(2);
     const std::string healthy = study::make_full_report(*run_, pool, options).render();
 
-    // Columns never derived: the report refuses instead of rendering around it.
-    run_->sessions.clear();
+    // The derived maps and preferred data centers must cover every dataset:
+    // the report refuses instead of rendering around a missing one.
+    const auto preferred = run_->preferred;
+    run_->preferred.pop_back();
     EXPECT_THROW((void)study::make_full_report(*run_, pool, options),
                  std::invalid_argument);
-    // A DC column that does not index this dataset's records.
-    study::index_study_run(*run_, pool);
-    run_->dc_columns[1].pop_back();
+    run_->preferred = preferred;
+    auto maps = std::move(run_->maps);
+    run_->maps.clear();
     EXPECT_THROW((void)study::make_full_report(*run_, pool, options),
                  std::invalid_argument);
 
-    // Re-deriving restores the exact report.
-    study::index_study_run(*run_, pool);
+    // Restoring them restores the exact report.
+    run_->maps = std::move(maps);
     EXPECT_EQ(study::make_full_report(*run_, pool, options).render(), healthy);
 }
 

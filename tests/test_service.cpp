@@ -28,6 +28,7 @@
 #include "service/ingest_queue.hpp"
 #include "service/service.hpp"
 #include "service/spool.hpp"
+#include "session_oracle.hpp"
 #include "study/checkpoint.hpp"
 #include "study/study_run.hpp"
 #include "util/bytes.hpp"
@@ -40,6 +41,7 @@ namespace cdn = ytcdn::cdn;
 namespace fs = std::filesystem;
 namespace io = ytcdn::util::io;
 namespace net = ytcdn::net;
+namespace oracle = ytcdn::oracle;
 namespace service = ytcdn::service;
 
 namespace {
@@ -102,7 +104,7 @@ TEST(IncrementalSessions, MatchesBatchClosureOnSortedInput) {
     capture::Dataset ds;
     ds.records = sample_records();
     ds.sort_by_time();
-    const auto batch = analysis::SessionTable::build(ds, 1.0);
+    const auto batch = oracle::SessionTable::build(ds, 1.0);
 
     analysis::IncrementalSessions inc(1.0);
     for (const auto& r : ds.records) inc.add(r);
@@ -140,7 +142,7 @@ TEST(IncrementalSessions, SweepHorizonFollowsTheNewestStart) {
                   flow(2, 0xC0A80101u, 1.0, 2.0, 5000, 2),
                   flow(3, 0xC0A80101u, 1.5, 1.6, 5000, 3),
                   flow(2, 0xC0A80101u, 2.5, 3.0, 5000, 2)};
-    const auto batch = analysis::SessionTable::build(ds, 1.0);
+    const auto batch = oracle::SessionTable::build(ds, 1.0);
     ASSERT_EQ(batch.num_sessions(), 3u);
 
     analysis::IncrementalSessions inc(1.0);
@@ -157,7 +159,7 @@ namespace {
 std::array<std::uint64_t, analysis::IncrementalSessions::kMaxBucket + 1>
 batch_histogram(const capture::Dataset& ds) {
     constexpr std::size_t kMax = analysis::IncrementalSessions::kMaxBucket;
-    const auto batch = analysis::SessionTable::build(ds, 1.0);
+    const auto batch = oracle::SessionTable::build(ds, 1.0);
     std::array<std::uint64_t, kMax + 1> histogram{};
     for (std::size_t s = 0; s < batch.num_sessions(); ++s) {
         ++histogram[std::min(batch.flows_of(s).size(), kMax)];
@@ -257,7 +259,7 @@ TEST(IncrementalSessions, RestoredStaleSessionsCloseOnNextAdd) {
     prefix.records.assign(ds.records.begin(), ds.records.end() - 1);
 
     analysis::IncrementalSessions inc(1.0);
-    const auto sessions = analysis::SessionTable::build(prefix, 1.0);
+    const auto sessions = oracle::SessionTable::build(prefix, 1.0);
     std::map<analysis::IncrementalSessions::Key,
              analysis::IncrementalSessions::OpenSession>
         last_session;
@@ -279,7 +281,7 @@ TEST(IncrementalSessions, RestoredStaleSessionsCloseOnNextAdd) {
         }
     }
     for (std::size_t k = 1; k < closed.size(); ++k) inc.restore_closed(k, closed[k]);
-    for (const auto& [key, open] : last_session) inc.restore_open(key, open);
+    for (const auto& [key, open] : last_session) inc.restore(key, open);
     inc.set_watermark(prefix.records.back().start);
     ASSERT_GT(stale_open(inc), 0u);
 

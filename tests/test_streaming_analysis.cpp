@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/streaming.hpp"
 #include "capture/binary_log.hpp"
@@ -361,7 +360,6 @@ TEST_F(StreamingModules, ScaleRunMatchesBatchAnalysis) {
         const auto& vp = summary.value().vantage[i];
         const auto& ds = run().traces.datasets[i];
         const auto& map = run().maps[i];
-        const auto& dc = run().dc_columns[i];
         const int preferred = run().preferred[i];
         SCOPED_TRACE(ds.name);
         EXPECT_EQ(vp.name, ds.name);
@@ -371,7 +369,9 @@ TEST_F(StreamingModules, ScaleRunMatchesBatchAnalysis) {
         EXPECT_EQ(vp.share.byte_fraction, share.byte_fraction);
         EXPECT_EQ(vp.share.flow_fraction, share.flow_fraction);
         EXPECT_EQ(vp.load_correlation,
-                  analysis::load_vs_nonpreferred_correlation(ds, dc, preferred));
+                  analysis::fold_records(
+                      ds, map, analysis::IncrementalHourlyLoad(preferred, ds.name))
+                      .correlation());
         flows += vp.flows;
         // keep_spill defaults off: pass 2 cleaned up after itself.
         EXPECT_FALSE(fs::exists(dir / (ds.name + ".yfl")));

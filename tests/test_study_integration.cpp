@@ -8,12 +8,9 @@
 
 #include "analysis/as_analysis.hpp"
 #include "analysis/incremental.hpp"
-#include "analysis/loadbalance_analysis.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/session.hpp"
-#include "analysis/session_analysis.hpp"
+#include "analysis/report_folds.hpp"
 #include "analysis/streaming.hpp"
-#include "analysis/subnet_analysis.hpp"
 #include "study/report.hpp"
 #include "study/study_run.hpp"
 
@@ -29,13 +26,20 @@ protected:
     static void SetUpTestSuite() {
         study::StudyConfig cfg;
         cfg.scale = 0.02;
-        run_ = std::make_unique<study::StudyRun>(study::run_study(cfg));
+        ytcdn::util::ThreadPool pool(2);
+        run_ = std::make_unique<study::StudyRun>(study::run_study(cfg, pool));
+        folds_ = std::make_unique<study::StudyFolds>(study::fold_study(*run_, pool));
     }
-    static void TearDownTestSuite() { run_.reset(); }
+    static void TearDownTestSuite() {
+        folds_.reset();
+        run_.reset();
+    }
     static std::unique_ptr<study::StudyRun> run_;
+    static std::unique_ptr<study::StudyFolds> folds_;  // the report's pass
 };
 
 std::unique_ptr<study::StudyRun> StudyRunFixture::run_;
+std::unique_ptr<study::StudyFolds> StudyRunFixture::folds_;
 
 TEST_F(StudyRunFixture, FiveDatasetsWithScaledTableOneCounts) {
     ASSERT_EQ(run_->traces.datasets.size(), 5u);
@@ -68,9 +72,7 @@ TEST_F(StudyRunFixture, RecordsAreTimeOrderedAndWithinCapture) {
 
 TEST_F(StudyRunFixture, GoogleAsCarriesNearlyAllBytesExceptEu2) {
     for (std::size_t i = 0; i < 4; ++i) {
-        const auto row = analysis::as_breakdown(run_->traces.datasets[i],
-                                                run_->deployment->whois(),
-                                                run_->deployment->local_as(i));
+        const auto row = folds_->vantage[i].as.row(run_->traces.datasets[i].name);
         EXPECT_GT(row.google_bytes, 0.95) << row.dataset;   // paper: 97.8-99%
         EXPECT_LT(row.youtube_eu_bytes, 0.03) << row.dataset;
         EXPECT_DOUBLE_EQ(row.same_as_bytes, 0.0) << row.dataset;
@@ -78,9 +80,7 @@ TEST_F(StudyRunFixture, GoogleAsCarriesNearlyAllBytesExceptEu2) {
         EXPECT_LT(row.youtube_eu_bytes, row.youtube_eu_servers) << row.dataset;
     }
     // EU2: the in-ISP data center carries a large byte share (paper: 38.6%).
-    const auto eu2 = analysis::as_breakdown(run_->traces.datasets[4],
-                                            run_->deployment->whois(),
-                                            run_->deployment->local_as(4));
+    const auto eu2 = folds_->vantage[4].as.row(run_->traces.datasets[4].name);
     EXPECT_GT(eu2.same_as_bytes, 0.25);
     EXPECT_LT(eu2.same_as_bytes, 0.60);
     EXPECT_GT(eu2.google_bytes, 0.35);
@@ -112,7 +112,7 @@ TEST_F(StudyRunFixture, PreferredDcIsTheLowestRttDataCenter) {
 
 TEST_F(StudyRunFixture, SingleFlowSessionShareMatchesPaper) {
     for (std::size_t i = 0; i < 5; ++i) {
-        const auto cdf = analysis::flows_per_session_cdf(run_->sessions[i]);
+        const auto cdf = folds_->vantage[i].sessions.flows_cdf();
         // Paper: 72.5-80.5% single-flow sessions; allow slack at tiny scale.
         EXPECT_GT(cdf[0], 0.65) << run_->traces.datasets[i].name;
         EXPECT_LT(cdf[0], 0.90) << run_->traces.datasets[i].name;
@@ -123,22 +123,19 @@ TEST_F(StudyRunFixture, TwoFlowPatternsFollowFig10) {
     // EU1 datasets: redirection (preferred -> non-preferred) visible; EU2:
     // (non-preferred, non-preferred) dominates among mixed patterns.
     const auto idx_adsl = run_->vp_index("EU1-ADSL");
-    const auto s_adsl = analysis::session_patterns(
-        run_->sessions[idx_adsl], run_->dc_columns[idx_adsl], run_->preferred[idx_adsl]);
+    const auto s_adsl = folds_->vantage[idx_adsl].sessions.patterns();
     EXPECT_GT(s_adsl.two_pref_pref, 0.05);     // control+video handshakes
     EXPECT_GT(s_adsl.two_pref_nonpref, 0.005); // app-layer redirection exists
 
     const auto idx_eu2 = run_->vp_index("EU2");
-    const auto s_eu2 = analysis::session_patterns(
-        run_->sessions[idx_eu2], run_->dc_columns[idx_eu2], run_->preferred[idx_eu2]);
+    const auto s_eu2 = folds_->vantage[idx_eu2].sessions.patterns();
     EXPECT_GT(s_eu2.single_non_preferred, 0.25);  // DNS-driven (paper: >40%)
     EXPECT_GT(s_eu2.two_nonpref_nonpref, s_eu2.two_pref_nonpref);
 }
 
 TEST_F(StudyRunFixture, Eu2DayNightLoadBalancing) {
     const auto idx = run_->vp_index("EU2");
-    const auto series = analysis::hourly_preferred_series(
-        run_->traces.datasets[idx], run_->dc_columns[idx], run_->preferred[idx]);
+    const auto series = folds_->vantage[idx].hourly.preferred_series();
     // Find min/max hourly local fraction across the week, ignoring nearly
     // empty slots.
     double lo = 1.0, hi = 0.0;
@@ -155,11 +152,7 @@ TEST_F(StudyRunFixture, Eu2DayNightLoadBalancing) {
 
 TEST_F(StudyRunFixture, NetThreeCarriesOutsizedNonPreferredShare) {
     const auto idx = run_->vp_index("US-Campus");
-    const auto& vp = run_->deployment->vantage(idx);
-    std::vector<analysis::NamedSubnet> subnets;
-    for (const auto& s : vp.subnets) subnets.push_back({s.name, s.prefix});
-    const auto shares = analysis::subnet_breakdown(
-        run_->traces.datasets[idx], run_->dc_columns[idx], run_->preferred[idx], subnets);
+    const auto shares = folds_->vantage[idx].subnets.shares();
     ASSERT_EQ(shares.size(), 5u);
     const auto& net3 = shares[2];
     EXPECT_EQ(net3.name, "Net-3");
@@ -212,15 +205,16 @@ TEST_F(StudyRunFixture, WeeklySeasonalityFollowsNetworkType) {
 TEST_F(StudyRunFixture, ResolutionMixIsPlausiblyTwentyTen) {
     // 2010-era YouTube: 360p dominates everywhere; HD is a small minority,
     // smaller still at the European networks.
-    for (const auto& ds : run_->traces.datasets) {
-        const auto shares = ytcdn::analysis::resolution_breakdown(ds);
+    for (const auto& folds : folds_->vantage) {
+        const auto& name = folds.scope.name;
+        const auto shares = folds.resolutions.shares();
         EXPECT_GT(shares[static_cast<int>(ytcdn::cdn::Resolution::R360)].flow_share,
                   0.45)
-            << ds.name;
+            << name;
         const double hd =
             shares[static_cast<int>(ytcdn::cdn::Resolution::R720)].flow_share +
             shares[static_cast<int>(ytcdn::cdn::Resolution::R1080)].flow_share;
-        EXPECT_LT(hd, 0.15) << ds.name;
+        EXPECT_LT(hd, 0.15) << name;
     }
 }
 
@@ -244,9 +238,9 @@ TEST_F(StudyRunFixture, SnifferSawAndRejectedBackgroundTraffic) {
 }
 
 TEST_F(StudyRunFixture, ReportsRender) {
-    EXPECT_EQ(study::make_table1(*run_).num_rows(), 5u);
-    EXPECT_EQ(study::make_table2(*run_).num_rows(), 5u);
-    const std::string t1 = study::make_table1(*run_).render();
+    EXPECT_EQ(study::make_table1(folds_->vantage).num_rows(), 5u);
+    EXPECT_EQ(study::make_table2(folds_->vantage).num_rows(), 5u);
+    const std::string t1 = study::make_table1(folds_->vantage).render();
     EXPECT_NE(t1.find("US-Campus"), std::string::npos);
     EXPECT_NE(t1.find("874649"), std::string::npos);  // paper reference column
 }

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/subnet_analysis.hpp"
+#include "analysis/streaming.hpp"
 #include "analysis/session.hpp"
 
 namespace analysis = ytcdn::analysis;
@@ -59,9 +59,12 @@ protected:
         return out;
     }
 
-    /// ds_'s per-record data centers under map_ (the analyses' dc column).
-    [[nodiscard]] std::vector<int> dc() const { return analysis::dc_column(ds_, map_); }
-
+    /// Fig. 12's breakdown of ds_ under map_.
+    [[nodiscard]] std::vector<analysis::SubnetShare> subnet_shares(
+        std::vector<analysis::NamedSubnet> subnets) const {
+        analysis::IncrementalSubnetBreakdown fold(milan_, std::move(subnets));
+        return analysis::fold_records(ds_, map_, std::move(fold)).shares();
+    }
     analysis::ServerDcMap map_;
     capture::Dataset ds_;
     int milan_{}, frankfurt_{};
@@ -75,7 +78,7 @@ TEST_F(SubnetFixture, Fig12ProxySubnetDominatesNonPreferredAccesses) {
     for (int i = 0; i < 45; ++i) add_flow(0, 1, 100.0 + i);
     for (int i = 0; i < 10; ++i) add_flow(1, 2, 200.0 + i);
 
-    const auto shares = analysis::subnet_breakdown(ds_, dc(), milan_, nets(3));
+    const auto shares = subnet_shares(nets(3));
     ASSERT_EQ(shares.size(), 3u);
     EXPECT_EQ(shares[2].name, "Net-3");
     EXPECT_NEAR(shares[2].all_flows_share, 0.1, 1e-9);
@@ -94,7 +97,7 @@ TEST_F(SubnetFixture, Fig12ProxySubnetDominatesNonPreferredAccesses) {
 TEST_F(SubnetFixture, FlowsOutsideEverySubnetAreIgnored) {
     add_flow(0, 0);
     add_flow(1, 7, 50.0);  // client 10.0.7.x: outside both monitored nets
-    const auto shares = analysis::subnet_breakdown(ds_, dc(), milan_, nets(2));
+    const auto shares = subnet_shares(nets(2));
     ASSERT_EQ(shares.size(), 2u);
     EXPECT_NEAR(shares[0].all_flows_share, 1.0, 1e-9);  // of 1 in-scope flow
     EXPECT_NEAR(shares[0].non_preferred_share, 0.0, 1e-9);
@@ -113,7 +116,7 @@ TEST_F(SubnetFixture, ControlFlowsAndUnmappedServersAreOutOfScope) {
     legacy.bytes = 10'000;
     ds_.records.push_back(legacy);
 
-    const auto shares = analysis::subnet_breakdown(ds_, dc(), milan_, nets(1));
+    const auto shares = subnet_shares(nets(1));
     ASSERT_EQ(shares.size(), 1u);
     EXPECT_NEAR(shares[0].all_flows_share, 1.0, 1e-9);
     EXPECT_NEAR(shares[0].non_preferred_share, 0.0, 1e-9);
@@ -127,7 +130,7 @@ TEST_F(SubnetFixture, FirstMatchingSubnetWins) {
         {"narrow", net::Subnet{client(0, 0), 24}},
     };
     add_flow(1, 0);
-    const auto shares = analysis::subnet_breakdown(ds_, dc(), milan_, overlapping);
+    const auto shares = subnet_shares(overlapping);
     ASSERT_EQ(shares.size(), 2u);
     EXPECT_NEAR(shares[0].all_flows_share, 1.0, 1e-9);
     EXPECT_NEAR(shares[0].non_preferred_share, 1.0, 1e-9);
@@ -137,7 +140,7 @@ TEST_F(SubnetFixture, FirstMatchingSubnetWins) {
 TEST_F(SubnetFixture, NoNonPreferredFlowsYieldsZeroSharesNotNaN) {
     add_flow(0, 0);
     add_flow(0, 1, 10.0);
-    const auto shares = analysis::subnet_breakdown(ds_, dc(), milan_, nets(2));
+    const auto shares = subnet_shares(nets(2));
     ASSERT_EQ(shares.size(), 2u);
     for (const auto& s : shares) {
         EXPECT_DOUBLE_EQ(s.non_preferred_share, 0.0);  // 0/0 guarded
@@ -145,8 +148,8 @@ TEST_F(SubnetFixture, NoNonPreferredFlowsYieldsZeroSharesNotNaN) {
 }
 
 TEST_F(SubnetFixture, EmptyInputsYieldEmptyOrZeroOutput) {
-    EXPECT_TRUE(analysis::subnet_breakdown(ds_, dc(), milan_, {}).empty());
-    const auto shares = analysis::subnet_breakdown(ds_, dc(), milan_, nets(1));
+    EXPECT_TRUE(subnet_shares({}).empty());
+    const auto shares = subnet_shares(nets(1));
     ASSERT_EQ(shares.size(), 1u);
     EXPECT_DOUBLE_EQ(shares[0].all_flows_share, 0.0);
     EXPECT_DOUBLE_EQ(shares[0].non_preferred_share, 0.0);

@@ -61,7 +61,7 @@ RunArtifacts traced_run(std::size_t pool_threads) {
     RunArtifacts out;
     out.trace_bytes = sim::write_trace_bytes(tracer.sorted_log());
     out.metrics_text = util::metrics::Registry::global().snapshot().render();
-    out.table1 = study::make_table1(run).render();
+    out.table1 = study::make_table1(study::fold_study(run, pool).vantage).render();
     return out;
 }
 
@@ -305,8 +305,10 @@ TEST(Determinism, MetricsAndTrace) {
     // Tracing must not perturb any rendered artifact: an untraced run
     // renders the same Table I.
     util::metrics::Registry::global().reset();
-    const auto untraced = study::run_study(small_config());
-    EXPECT_EQ(study::make_table1(untraced).render(), base.table1);
+    util::ThreadPool pool(2);
+    const auto untraced = study::run_study(small_config(), pool);
+    EXPECT_EQ(study::make_table1(study::fold_study(untraced, pool).vantage).render(),
+              base.table1);
 }
 
 }  // namespace

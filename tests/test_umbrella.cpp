@@ -13,8 +13,9 @@ TEST(Umbrella, DocumentedFlowCompilesAndRuns) {
     const auto run = ytcdn::study::run_study(config);
 
     const auto adsl = run.vp_index("EU1-ADSL");
-    const auto patterns = ytcdn::analysis::session_patterns(
-        run.sessions[adsl], run.dc_columns[adsl], run.preferred[adsl]);
+    const auto folds = ytcdn::analysis::fold_report(
+        run.traces.datasets[adsl], ytcdn::study::vantage_scope(run, adsl));
+    const auto patterns = folds.sessions.patterns();
     EXPECT_GT(patterns.total_sessions, 0u);
     EXPECT_GT(patterns.single_flow, 0.5);
 }

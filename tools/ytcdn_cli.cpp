@@ -31,8 +31,7 @@
 
 #include "analysis/incremental.hpp"
 #include "analysis/preferred_dc.hpp"
-#include "analysis/session.hpp"
-#include "analysis/session_analysis.hpp"
+#include "analysis/report_folds.hpp"
 #include "analysis/streaming.hpp"
 #include "analysis/table.hpp"
 #include "capture/flow_log.hpp"
@@ -187,10 +186,10 @@ int cmd_analyze(const util::ArgParser& args) {
     const int preferred = analysis::preferred_dc(ds, map);
     if (preferred < 0) throw std::runtime_error("no mapped flows in the log");
     const auto share = analysis::non_preferred_share(ds, map, preferred);
-    const auto sessions =
-        analysis::SessionTable::build(ds, args.get_double_or("gap", 1.0));
-    const auto patterns =
-        analysis::session_patterns(sessions, analysis::dc_column(ds, map), preferred);
+    auto sessions = analysis::fold_records(
+        ds, map, analysis::SessionFold(preferred, args.get_double_or("gap", 1.0)));
+    sessions.finish();
+    const auto patterns = sessions.patterns();
 
     analysis::AsciiTable t({"metric", "value"});
     t.add_row({"flows", std::to_string(ds.records.size())});
@@ -232,9 +231,11 @@ int cmd_sessions(const util::ArgParser& args) {
     capture::Dataset ds;
     ds.records = capture::read_flow_log(args.positionals()[1]);
     ds.sort_by_time();
-    const auto sessions = analysis::SessionTable::build(ds, gap);
-    const auto cdf = analysis::flows_per_session_cdf(sessions);
-    std::cout << sessions.num_sessions() << " sessions at T=" << gap << "s\n";
+    const auto counts = analysis::count_sessions(ds, gap);
+    std::uint64_t sessions = 0;
+    for (const auto n : counts) sessions += n;
+    const auto cdf = analysis::flows_cdf(counts);
+    std::cout << sessions << " sessions at T=" << gap << "s\n";
     for (std::size_t i = 0; i < cdf.size(); ++i) {
         std::cout << (i + 1 == cdf.size() ? ">" : " ") << std::min(i + 1, cdf.size())
                   << " flows: CDF " << analysis::fmt(cdf[i], 4) << '\n';
