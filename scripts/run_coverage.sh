@@ -13,6 +13,8 @@
 #   sim/tracer                    >= 90%  (the only YTR1 encoder and decoder)
 #   study/checkpoint              >= 90%  (the only YCK1 frame and stage codecs)
 #   service/aggregates + control  >= 90%  (ytcdnd's state codec and grammar)
+#   util/parallel                 >= 90%  (the only pool, fan-out and
+#                                          ordered pipeline)
 #
 # Only gcc + gcov + python3 are required — no gcovr, no pip. gcov's
 # --json-format output (one .gcov.json.gz per source) is aggregated by the
@@ -90,6 +92,7 @@ floors = [
     ("tracer", ["src/sim/tracer"], 90.0),
     ("checkpoint", ["src/study/checkpoint"], 90.0),
     ("service", ["src/service/aggregates", "src/service/control"], 90.0),
+    ("parallel", ["src/util/parallel"], 90.0),
 ]
 
 failed = False

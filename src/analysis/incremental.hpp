@@ -2,13 +2,13 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "analysis/session.hpp"
 #include "capture/flow_record.hpp"
 #include "cdn/video.hpp"
+#include "util/flat_u32_set.hpp"
 
 namespace ytcdn::analysis {
 
@@ -24,13 +24,16 @@ namespace ytcdn::analysis {
 /// definition of them: the report (through ReportFolds) and `ytcdn summary`
 /// fold it over each dataset, ytcdnd over its live stream. Memory is
 /// bounded by the number of distinct addresses, not the number of flows.
+/// The distinct sets are flat open-addressing tables (one u32 per slot),
+/// not node-based hash sets: Table I's three inserts are most of its
+/// per-record cost.
 struct IncrementalSummary {
     std::uint64_t flows = 0;
     std::uint64_t video_flows = 0;  // >= kControlFlowMaxBytes (Section VI)
     std::uint64_t bytes = 0;
-    std::unordered_set<std::uint32_t> servers;
-    std::unordered_set<std::uint32_t> clients;
-    std::unordered_set<std::uint32_t> server_slash24s;
+    util::FlatU32Set servers;
+    util::FlatU32Set clients;
+    util::FlatU32Set server_slash24s;
 
     void add(const capture::FlowRecord& r);
 

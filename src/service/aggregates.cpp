@@ -21,15 +21,13 @@ Error truncated(const util::ByteReader& in) {
 
 constexpr std::uint32_t kAggregatesVersion = 2;
 
-void put_sorted_set(std::string& buf,
-                    const std::unordered_set<std::uint32_t>& set) {
-    std::vector<std::uint32_t> sorted(set.begin(), set.end());
-    std::sort(sorted.begin(), sorted.end());
+void put_sorted_set(std::string& buf, const util::FlatU32Set& set) {
+    const std::vector<std::uint32_t> sorted = set.sorted();
     util::put(buf, static_cast<std::uint32_t>(sorted.size()));
     for (const std::uint32_t v : sorted) util::put(buf, v);
 }
 
-bool take_set(util::ByteReader& r, std::unordered_set<std::uint32_t>* set) {
+bool take_set(util::ByteReader& r, util::FlatU32Set* set) {
     std::uint32_t n = 0;
     if (!r.take(&n)) return false;
     // Capped by what the payload can hold: a corrupt count must fail as a
@@ -45,22 +43,31 @@ bool take_set(util::ByteReader& r, std::unordered_set<std::uint32_t>* set) {
 
 }  // namespace
 
-void ServiceAggregates::add(const std::string& stream,
+ServiceAggregates::Stream& ServiceAggregates::stream(const std::string& name) {
+    auto it = streams_.find(name);
+    if (it == streams_.end()) it = streams_.emplace(name, Stream(gap_)).first;
+    return it->second;
+}
+
+void ServiceAggregates::add(Stream& s,
+                            std::span<const capture::FlowRecord> records) {
+    const bool mapped = has_map();
+    for (const auto& r : records) {
+        s.summary.add(r);
+        s.sessions.add(r);
+        if (!mapped) continue;
+        const int dc = map_.dc_of(r.server_ip);
+        if (dc < 0) {
+            ++s.unmapped_flows;
+        } else {
+            s.dc_traffic.add(r, dc);
+        }
+    }
+}
+
+void ServiceAggregates::add(const std::string& name,
                             const capture::FlowRecord& r) {
-    auto it = streams_.find(stream);
-    if (it == streams_.end()) {
-        it = streams_.emplace(stream, Stream(gap_)).first;
-    }
-    Stream& s = it->second;
-    s.summary.add(r);
-    s.sessions.add(r);
-    if (!has_map()) return;
-    const int dc = map_.dc_of(r.server_ip);
-    if (dc < 0) {
-        ++s.unmapped_flows;
-    } else {
-        s.dc_traffic.add(r, dc);
-    }
+    add(stream(name), std::span(&r, 1));
 }
 
 void ServiceAggregates::set_map(analysis::ServerDcMap map) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -32,7 +33,15 @@ public:
         explicit Stream(double gap_T_s = 1.0) : sessions(gap_T_s) {}
     };
 
-    void add(const std::string& stream, const capture::FlowRecord& r);
+    /// The stream named `name`, created empty on first use. The reference
+    /// stays valid for this object's lifetime (streams live in a std::map).
+    [[nodiscard]] Stream& stream(const std::string& name);
+
+    /// Folds `records` into `s`, one of this object's streams: the daemon
+    /// resolves the stream once per batch, not once per record.
+    void add(Stream& s, std::span<const capture::FlowRecord> records);
+    /// add(stream(name), {r}).
+    void add(const std::string& name, const capture::FlowRecord& r);
 
     /// Installs the server->DC map every stream's Section VII fold resolves
     /// through, and restarts those folds under it.

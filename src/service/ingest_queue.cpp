@@ -10,7 +10,7 @@ bool IngestQueue::push(IngestBatch batch) {
         ShedRecord record;
         record.file = batch.file;
         record.batch = batch.index;
-        record.records = batch.records.size();
+        record.records = batch.view().size();
         shed_.push_back(std::move(record));
         return false;
     }
@@ -23,6 +23,14 @@ IngestBatch IngestQueue::pop() {
     IngestBatch out = std::move(queue_.front());
     queue_.pop_front();
     return out;
+}
+
+void IngestQueue::own_slices() {
+    for (auto& batch : queue_) {
+        if (batch.slice.empty()) continue;
+        batch.records.assign(batch.slice.begin(), batch.slice.end());
+        batch.slice = {};
+    }
 }
 
 std::uint64_t IngestQueue::shed_records_total() const noexcept {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -9,11 +10,21 @@
 
 namespace ytcdn::service {
 
-/// One admission-controlled unit of ingest: a slice of a spool file.
+/// One admission-controlled unit of ingest: a slice of a spool file. The
+/// records are either owned (`records`) or borrowed (`slice`, a view into
+/// a decoded file that outlives the batch); view() is whichever is set.
+/// The daemon borrows slices of a file it splits and moves a file that
+/// fits in one batch into `records`, so admission copies no record.
 struct IngestBatch {
     std::string file;          // spool file name (manifest key)
     std::uint32_t index = 0;   // batch index within the file
     std::vector<capture::FlowRecord> records;
+    std::span<const capture::FlowRecord> slice;
+
+    [[nodiscard]] std::span<const capture::FlowRecord> view() const noexcept {
+        return slice.empty() ? std::span<const capture::FlowRecord>(records)
+                             : slice;
+    }
 };
 
 /// A shed decision — never silent: every drop is recorded here, surfaces in
@@ -45,6 +56,10 @@ public:
 
     /// Precondition: !empty(). FIFO.
     [[nodiscard]] IngestBatch pop();
+
+    /// Copies each queued batch's borrowed slice into its own `records`,
+    /// so the batches may outlive the decoded file they slice.
+    void own_slices();
 
     /// Every shed decision since construction, in admission order.
     [[nodiscard]] const std::vector<ShedRecord>& shed() const noexcept {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <unordered_set>
@@ -214,8 +215,9 @@ std::string render_service_manifest(std::uint64_t fingerprint,
     return os.str();
 }
 
+/// One spool file read and decoded by the pipeline's produce step, until
+/// its consume step folds it and frees the records.
 struct ParsedFile {
-    SpoolFile file;
     std::vector<capture::FlowRecord> records;
     std::uint32_t crc = 0;
     std::uint64_t size = 0;
@@ -449,18 +451,27 @@ util::Result<ServiceReport> Service::run() {
         }
     };
 
+    // Folds one popped batch into its own file's stream (a batch left over
+    // from an earlier file's failed stage keeps its stream).
+    const auto fold_batch = [&](const IngestBatch& batch) {
+        const auto records = batch.view();
+        state.aggregates.add(state.aggregates.stream(stream_of(batch.file)),
+                             records);
+        return records.size();
+    };
+
     // Applies one file's already-parsed records through admission control
     // and the supervised aggregate stage, then updates ledger + metrics.
-    const auto apply_file = [&](ParsedFile& parsed) {
+    const auto apply_file = [&](const SpoolFile& file, ParsedFile& parsed) {
         ProcessedFile entry;
-        entry.name = parsed.file.name;
+        entry.name = file.name;
         entry.size = parsed.size;
         entry.crc = parsed.crc;
         if (!parsed.ok) {
             entry.status = "quarantined";
             metrics.files_quarantined.inc();
-            auto quarantined = io::quarantine_file(parsed.file.path);
-            warn("spool file " + parsed.file.name + " failed to parse (" +
+            auto quarantined = io::quarantine_file(file.path);
+            warn("spool file " + file.name + " failed to parse (" +
                  parsed.error + "); " +
                  (quarantined ? "quarantined as " +
                                     quarantined.value().filename().string()
@@ -472,26 +483,28 @@ util::Result<ServiceReport> Service::run() {
         }
 
         // Admission control: batches beyond the queue's capacity are shed
-        // deterministically (newest first), recorded, never silent.
+        // deterministically (newest first), recorded, never silent. Batches
+        // borrow slices of the decoded records; a file that fits in one
+        // batch hands its whole vector over.
+        const std::span<const capture::FlowRecord> all(parsed.records);
+        const std::size_t per_batch = options_.batch_records;
         std::uint32_t index = 0;
-        for (std::size_t off = 0; off < parsed.records.size();
-             off += options_.batch_records, ++index) {
+        for (std::size_t off = 0; off < all.size(); off += per_batch, ++index) {
             IngestBatch batch;
-            batch.file = parsed.file.name;
+            batch.file = file.name;
             batch.index = index;
-            const std::size_t end =
-                std::min(off + options_.batch_records, parsed.records.size());
-            batch.records.assign(parsed.records.begin() +
-                                     static_cast<std::ptrdiff_t>(off),
-                                 parsed.records.begin() +
-                                     static_cast<std::ptrdiff_t>(end));
+            if (all.size() <= per_batch) {
+                batch.records = std::move(parsed.records);
+            } else {
+                batch.slice =
+                    all.subspan(off, std::min(per_batch, all.size() - off));
+            }
             if (queue.push(std::move(batch))) {
                 ++entry.batches;
             } else {
                 ++entry.shed_batches;
             }
         }
-        if (parsed.records.empty()) entry.batches = 0;
         metrics.queue_peak.update_max(queue.peak_size());
 
         // Merge new shed decisions into the durable log + metrics.
@@ -508,26 +521,22 @@ util::Result<ServiceReport> Service::run() {
         // The aggregate stage runs under the same watchdog ladder as the
         // study pipeline: a wedged or throwing stage is retried with
         // backoff, and a soft deadline overrun is reported, never fatal.
-        const std::string stream = stream_of(parsed.file.name);
         std::uint64_t applied = 0;
         const study::StageOutcome outcome = study::run_supervised(
-            "aggregate " + parsed.file.name, options_.policy,
+            "aggregate " + file.name, options_.policy,
             [&] {
-                while (!queue.empty()) {
-                    const IngestBatch batch = queue.pop();
-                    for (const auto& record : batch.records) {
-                        state.aggregates.add(stream, record);
-                    }
-                    applied += batch.records.size();
-                }
+                while (!queue.empty()) applied += fold_batch(queue.pop());
             },
             options_.log);
+        // Whatever a failed stage left queued is folded later, after this
+        // file's records are freed.
+        queue.own_slices();
         if (outcome.deadline_exceeded) {
-            warn("aggregate stage for " + parsed.file.name +
+            warn("aggregate stage for " + file.name +
                  " exceeded its deadline");
         }
         if (!outcome.completed) {
-            warn("aggregate stage for " + parsed.file.name + " failed after " +
+            warn("aggregate stage for " + file.name + " failed after " +
                  std::to_string(outcome.attempts) +
                  " attempts: " + outcome.error);
             entry.status = "degraded";
@@ -540,8 +549,6 @@ util::Result<ServiceReport> Service::run() {
         state.records_ingested += applied;
         metrics.files_ingested.inc();
         metrics.records_ingested.inc(applied);
-        parsed.records.clear();
-        parsed.records.shrink_to_fit();
     };
 
     const auto ingest_new_files = [&]() -> std::size_t {
@@ -557,13 +564,19 @@ util::Result<ServiceReport> Service::run() {
         if (files.empty()) return 0;
         try_install_dc_map();
 
-        // Parse fans out on the deterministic pool (with the supervised
-        // retry ladder inside each task); application stays in name order,
-        // so aggregates are byte-identical at any pool size.
-        std::vector<ParsedFile> parsed = util::parallel_map(
-            pool, files, [&](const SpoolFile& file) {
-                ParsedFile out;
-                out.file = file;
+        // A bounded decode-ahead pipeline on the deterministic pool: each
+        // file is read and decoded completely (under the supervised retry
+        // ladder) at most pipeline_window() files ahead, then applied in
+        // name order and freed, so aggregates are byte-identical at any
+        // pool size and memory holds a window of files, not the backlog.
+        // A file decoded but not applied when a stop arrives stays out of
+        // the ledger and is replayed.
+        std::vector<ParsedFile> parsed(files.size());
+        pool.run_pipelined(
+            files.size(),
+            [&](std::size_t i) {
+                const SpoolFile& file = files[i];
+                ParsedFile& out = parsed[i];
                 const study::StageOutcome outcome = study::run_supervised(
                     "parse " + file.name, options_.policy,
                     [&] {
@@ -579,20 +592,19 @@ util::Result<ServiceReport> Service::run() {
                     nullptr);
                 out.ok = outcome.completed;
                 out.error = outcome.error;
-                return out;
+            },
+            [&](std::size_t i) {
+                apply_file(files[i], parsed[i]);
+                parsed[i] = {};
+                ++files_since_ckpt;
+                if (options_.checkpoint_every != 0 &&
+                    files_since_ckpt >= options_.checkpoint_every) {
+                    write_state("running");
+                    files_since_ckpt = 0;
+                }
+                return !stop_requested();  // quiesce promptly mid-scan
             });
-
-        for (auto& pf : parsed) {
-            apply_file(pf);
-            ++files_since_ckpt;
-            if (options_.checkpoint_every != 0 &&
-                files_since_ckpt >= options_.checkpoint_every) {
-                write_state("running");
-                files_since_ckpt = 0;
-            }
-            if (stop_requested()) break;  // quiesce promptly mid-batch
-        }
-        return parsed.size();
+        return files.size();
     };
 
     write_state("running");
@@ -615,13 +627,9 @@ util::Result<ServiceReport> Service::run() {
     // non-empty when a stop interrupted apply_file mid-ladder), flush the
     // checkpoint, render the final aggregates.
     while (!queue.empty()) {
-        const IngestBatch batch = queue.pop();
-        const std::string stream = stream_of(batch.file);
-        for (const auto& record : batch.records) {
-            state.aggregates.add(stream, record);
-        }
-        state.records_ingested += batch.records.size();
-        metrics.records_ingested.inc(batch.records.size());
+        const std::size_t folded = fold_batch(queue.pop());
+        state.records_ingested += folded;
+        metrics.records_ingested.inc(folded);
     }
     write_state("shutdown");
     if (auto rendered = io::write_file_atomic(report.aggregates_path,

@@ -20,9 +20,12 @@ namespace ytcdn::service {
 /// through supervised per-file stages (parse -> admit/shed -> aggregate ->
 /// checkpoint). Only a round after an empty scan first waits on the control
 /// socket for `tick_ms` (a bounded poll — the loop never blocks without a
-/// deadline); while the spool has work the rounds run back to back. Parsing fans out across the
-/// deterministic ThreadPool; application is strictly in name order, so
-/// every aggregate is byte-identical at any pool size.
+/// deadline); while the spool has work the rounds run back to back.
+/// Parsing runs ahead on the deterministic ThreadPool, at most
+/// `pipeline_window()` files ahead of application (ThreadPool::
+/// run_pipelined), so a backlog is never held decoded at once; application
+/// is strictly in name order, so every aggregate is byte-identical at any
+/// pool size.
 ///
 /// Crash safety: the YCK1 service checkpoint (aggregates + processed-file
 /// ledger + shed log + control-mutation history) is flushed after every

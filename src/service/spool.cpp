@@ -41,7 +41,6 @@ std::vector<SpoolFile> scan_with_suffixes(
         SpoolFile file;
         file.path = entry.path();
         file.name = name;
-        file.size = entry.file_size(ec);
         out.push_back(std::move(file));
     }
     // Directory iteration order is filesystem-dependent; the sort makes the

@@ -18,8 +18,7 @@ namespace ytcdn::service {
 /// One ingestible file found in the spool.
 struct SpoolFile {
     std::filesystem::path path;
-    std::string name;        // filename, the ledger/manifest key
-    std::uint64_t size = 0;  // bytes at scan time
+    std::string name;  // filename, the ledger/manifest key
 };
 
 /// Flow-log files (*.yfl binary YFL2, *.tsv text), sorted by name.

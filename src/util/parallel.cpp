@@ -41,6 +41,12 @@ struct PoolScope {
     const ThreadPool* previous;
 };
 
+void count_batch(std::size_t n) {
+    pool_metrics().batches.inc();
+    pool_metrics().tasks.inc(n);
+    pool_metrics().max_batch_tasks.update_max(n);
+}
+
 }  // namespace
 
 std::size_t default_thread_count() {
@@ -95,9 +101,7 @@ bool ThreadPool::serial_here() const noexcept {
 void ThreadPool::run_indexed(std::size_t n,
                              const std::function<void(std::size_t)>& task) {
     if (n == 0) return;
-    pool_metrics().batches.inc();
-    pool_metrics().tasks.inc(n);
-    pool_metrics().max_batch_tasks.update_max(n);
+    count_batch(n);
     if (serial_here() || n == 1) {
         // Exact serial fallback: calling thread, input order, natural
         // exception propagation (which is also lowest-index-first).
@@ -105,6 +109,19 @@ void ThreadPool::run_indexed(std::size_t n,
         return;
     }
 
+    const auto batch = submit(n, task);
+    finish(*batch);  // the caller is a full participant
+    // Every exception is released here, on the caller's thread: the lowest
+    // index is rethrown (propagation does not depend on which worker lost
+    // the race) and the rest die with `errors`.
+    const std::vector<std::exception_ptr> errors = std::move(batch->errors);
+    for (const auto& error : errors) {
+        if (error) std::rethrow_exception(error);
+    }
+}
+
+std::shared_ptr<ThreadPool::Batch> ThreadPool::submit(
+    std::size_t n, const std::function<void(std::size_t)>& task) {
     auto batch = std::make_shared<Batch>();
     batch->n = n;
     batch->task = &task;
@@ -114,24 +131,137 @@ void ThreadPool::run_indexed(std::size_t n,
         batches_.push_back(batch);
     }
     cv_.notify_all();
+    return batch;
+}
 
-    work_on(*batch);  // the caller is a full participant
+void ThreadPool::finish(Batch& batch) {
+    work_on(batch);
+    {
+        std::unique_lock<std::mutex> lock(batch.mutex);
+        batch.finished.wait(lock, [&] { return batch.done.load() >= batch.n; });
+    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::erase_if(batches_, [&](const auto& b) { return b.get() == &batch; });
+}
 
-    {
-        std::unique_lock<std::mutex> lock(batch->mutex);
-        batch->finished.wait(lock, [&] { return batch->done.load() >= batch->n; });
+/// One run_pipelined call in flight. Lanes claim indices in order (`next`)
+/// while the window allows; `ready[i]` marks produce(i) ended, with its
+/// exception, if any, in `errors[i]`. Every field is guarded by `mutex`
+/// except `errors[i]`, which only the lane running produce(i) writes before
+/// it sets `ready[i]`.
+struct ThreadPool::Pipeline {
+    Pipeline(std::size_t items, std::size_t ahead,
+             const std::function<void(std::size_t)>& task)
+        : n(items), window(ahead), produce(task), ready(items, 0), errors(items) {}
+
+    /// Runs produce(i) for a claimed i and publishes that it ended.
+    void run(std::size_t i) {
+        try {
+            produce(i);
+        } catch (...) {  // ytcdn-lint: allow(catch-all) — rethrown on the caller
+            errors[i] = std::current_exception();
+        }
+        const std::lock_guard<std::mutex> lock(mutex);
+        ready[i] = 1;
+        changed.notify_all();
     }
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        std::erase(batches_, batch);
+
+    /// A worker lane: produce whatever the window allows until the
+    /// pipeline stops or every index is claimed.
+    void produce_ahead() {
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            changed.wait(lock, [&] {
+                return stopped || next >= n || next < consumed + window;
+            });
+            if (stopped || next >= n) return;
+            const std::size_t i = next++;
+            lock.unlock();
+            run(i);
+            lock.lock();
+        }
     }
-    // Every exception is released here, on the caller's thread: the lowest
-    // index is rethrown (propagation does not depend on which worker lost
-    // the race) and the rest die with `errors`.
-    const std::vector<std::exception_ptr> errors = std::move(batch->errors);
-    for (const auto& error : errors) {
-        if (error) std::rethrow_exception(error);
+
+    /// The consumer's side: waits for produce(i), running it here if no
+    /// lane has claimed it yet. False when produce(i) threw.
+    bool await(std::size_t i) {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (next == i) {
+            ++next;
+            lock.unlock();
+            run(i);
+            lock.lock();
+        }
+        changed.wait(lock, [&] { return ready[i] != 0; });
+        return errors[i] == nullptr;
     }
+
+    void mark_consumed(std::size_t count) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        consumed = count;
+        changed.notify_all();
+    }
+
+    void stop() {
+        const std::lock_guard<std::mutex> lock(mutex);
+        stopped = true;
+        changed.notify_all();
+    }
+
+    const std::size_t n;
+    const std::size_t window;
+    const std::function<void(std::size_t)>& produce;
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::size_t next = 0;      // lowest index no lane has claimed
+    std::size_t consumed = 0;  // consume(i) returned for every i < consumed
+    bool stopped = false;
+    std::vector<unsigned char> ready;
+    std::vector<std::exception_ptr> errors;
+};
+
+void ThreadPool::run_pipelined(std::size_t n,
+                               const std::function<void(std::size_t)>& produce,
+                               const std::function<bool(std::size_t)>& consume) {
+    if (n == 0) return;
+    count_batch(n);
+    if (serial_here() || n == 1) {
+        for (std::size_t i = 0; i < n; ++i) {
+            produce(i);
+            if (!consume(i)) return;
+        }
+        return;
+    }
+
+    Pipeline line(n, pipeline_window(), produce);
+    // Each worker runs one lane task; the batch machinery hands them out,
+    // so the pipeline coexists with run_indexed batches on the same pool.
+    const std::function<void(std::size_t)> lane = [&line](std::size_t) {
+        line.produce_ahead();
+    };
+    const auto lanes = submit(size_ - 1, lane);
+
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!line.await(i)) {
+            error = line.errors[i];
+            break;
+        }
+        bool more = false;
+        try {
+            more = consume(i);
+        } catch (...) {  // ytcdn-lint: allow(catch-all) — rethrown below, after the lanes end
+            error = std::current_exception();
+        }
+        if (error || !more) break;
+        line.mark_consumed(i + 1);
+    }
+    line.stop();
+
+    // Lane tasks no worker picked up run here and return at once; then
+    // every started produce has ended and `line` may go.
+    finish(*lanes);
+    if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_main() {

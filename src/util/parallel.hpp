@@ -21,9 +21,10 @@ namespace ytcdn::util {
 
 /// A fixed-size worker pool for deterministic fan-out.
 ///
-/// The only entry point is run_indexed(n, task), which runs task(0..n-1)
-/// across the workers *and* the calling thread, blocking until every index
-/// has finished. Guarantees, regardless of pool size or scheduling:
+/// run_indexed(n, task) runs task(0..n-1) across the workers *and* the
+/// calling thread, blocking until every index has finished (run_pipelined,
+/// below, is its ordered, bounded sibling). Guarantees, regardless of pool
+/// size or scheduling:
 ///
 ///  * results keyed by index (see parallel_map) come back in input order;
 ///  * a pool of size 1 runs every index on the calling thread, in order —
@@ -55,9 +56,48 @@ public:
     /// Runs task(i) for every i in [0, n), blocking until all complete.
     void run_indexed(std::size_t n, const std::function<void(std::size_t)>& task);
 
+    /// An ordered, bounded decode-ahead pipeline over [0, n), blocking until
+    /// it ends:
+    ///
+    ///  * produce(i) runs once on any lane, never before consume(i - W)
+    ///    returned, where W = pipeline_window(): at most W items are
+    ///    produced ahead of consumption, so memory is O(W x item);
+    ///  * consume(i) runs on the calling thread, strictly in index order,
+    ///    one at a time, after produce(i) ended; each consume happens
+    ///    before the next;
+    ///  * consume returning false stops the pipeline: no produce starts
+    ///    after that, and items produced ahead are never consumed;
+    ///  * a pool of size 1 (or a call from inside one of this pool's tasks)
+    ///    is the exact serial interleave produce(0), consume(0),
+    ///    produce(1), ...;
+    ///  * a throwing produce(i) or consume(i) stops the pipeline at i; once
+    ///    every started produce has ended, the exception from the lowest
+    ///    failing index is rethrown. Consumption is in order, so that is
+    ///    the first failure the consumer meets.
+    ///
+    /// produce(i) and produce(j) must not share mutable state; produce(i)
+    /// hands its result to consume(i) through slot i of caller-owned
+    /// storage. The waits live here, not in the consumer, so a caller
+    /// whose own loop must never block on a condition variable (ytcdnd)
+    /// can still overlap decoding with folding.
+    void run_pipelined(std::size_t n,
+                       const std::function<void(std::size_t)>& produce,
+                       const std::function<bool(std::size_t)>& consume);
+
+    /// W for run_pipelined: two items in flight per lane.
+    [[nodiscard]] std::size_t pipeline_window() const noexcept {
+        return 2 * size_;
+    }
+
 private:
     struct Batch;
+    struct Pipeline;
 
+    /// Queues task(0..n-1) for the workers.
+    std::shared_ptr<Batch> submit(std::size_t n,
+                                  const std::function<void(std::size_t)>& task);
+    /// Runs unclaimed indices of `batch` here, waits for the rest, dequeues it.
+    void finish(Batch& batch);
     void worker_main();
     void work_on(Batch& batch);
     [[nodiscard]] bool serial_here() const noexcept;

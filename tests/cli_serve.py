@@ -12,8 +12,8 @@ The robustness contract pinned here, against the real binary:
     daemon, and SIGTERM ends an idle daemon's long tick promptly, with and
     without a control socket,
   * a `ytcdn study` run directory's logs/ is a spool: `ytcdn summary`
-    reads its YFL2 logs, and the daemon's Table I flows, servers and clients
-    equal the study's own table1.txt, row for row,
+    and `ytcdn sessions` read its YFL2 logs, and the daemon's Table I
+    flows, servers and clients equal the study's own table1.txt, row for row,
   * the Section VII row of the map's own stream names the preferred data
     center, and the shares, that `ytcdn analyze` computes over the same log,
   * the control socket answers ping / render / faults / shutdown, rejects
@@ -182,6 +182,19 @@ def main() -> int:
             timeout=300)
         check(summary.returncode == 0, "ytcdn summary gen/logs/*.yfl exits 0",
               summary.stderr.strip()[:300])
+        # `ytcdn sessions` over the same logs: the last CDF row is the
+        # open-ended bucket, sessions of 10 or more flows.
+        sessions = subprocess.run(
+            [binary, "sessions", os.path.join(gen, sorted(
+                f for f in os.listdir(gen) if f.endswith(".yfl"))[0])],
+            capture_output=True, text=True, errors="replace", check=False,
+            timeout=300)
+        rows = sessions.stdout.splitlines()
+        check(sessions.returncode == 0 and len(rows) == 11
+              and rows[9].startswith(" 9 flows: CDF ")
+              and rows[10].startswith("10+ flows: CDF "),
+              "ytcdn sessions labels its last CDF row '10+ flows'",
+              sessions.stdout[-200:])
         study_t1 = table_rows(
             read(os.path.join(tmp, "gen", "artifacts", "table1.txt")),
             ["Flows", "#Servers", "#Clients"])

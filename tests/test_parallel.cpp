@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -213,6 +214,174 @@ TEST(Parallel, EnvSerialPoolStillProducesIdenticalResults) {
     }
     util::ThreadPool wide(8);
     EXPECT_EQ(serial_out, util::parallel_map(wide, items, f));
+}
+
+// --- run_pipelined: the ordered, bounded decode-ahead pipeline ------------
+
+/// Keeps spin()'s work observable, so the optimizer cannot drop it.
+std::atomic<std::uint64_t> g_spin_sink{0};
+
+/// Busy work of a few microseconds (times `scale`) that varies by index,
+/// so lanes finish out of order.
+std::uint64_t spin(std::size_t i, std::size_t scale = 1) {
+    std::uint64_t h = i + 1;
+    for (std::size_t k = 0; k < scale * (200 + (i * 7919) % 1500); ++k) {
+        h = h * 6364136223846793005ull + 1442695040888963407ull;
+    }
+    g_spin_sink.fetch_xor(h, std::memory_order_relaxed);
+    return h;
+}
+
+TEST(Pipeline, ConsumesEveryIndexInOrderAtEveryPoolSize) {
+    for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+        util::ThreadPool pool(lanes);
+        constexpr std::size_t kItems = 300;
+        std::vector<std::uint64_t> slots(kItems, 0);
+        std::vector<std::size_t> order;
+        pool.run_pipelined(
+            kItems, [&](std::size_t i) { slots[i] = spin(i); },
+            [&](std::size_t i) {
+                EXPECT_EQ(slots[i], spin(i)) << "consume saw an unfinished produce";
+                order.push_back(i);
+                return true;
+            });
+        ASSERT_EQ(order.size(), kItems) << "lanes=" << lanes;
+        for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(order[i], i);
+    }
+}
+
+TEST(Pipeline, ProducesAtMostAWindowAheadOfConsumption) {
+    for (const std::size_t lanes : {2u, 4u, 8u}) {
+        util::ThreadPool pool(lanes);
+        const std::size_t window = pool.pipeline_window();
+        EXPECT_EQ(window, 2 * lanes);
+        constexpr std::size_t kItems = 200;
+        std::atomic<std::size_t> consumed{0};
+        std::vector<std::size_t> consumed_at_start(kItems, 0);
+        pool.run_pipelined(
+            kItems,
+            [&](std::size_t i) { consumed_at_start[i] = consumed.load(); },
+            [&](std::size_t i) {
+                // A consumer far slower than the lanes: they run ahead until
+                // the window stops them.
+                (void)spin(i, 40);
+                consumed.fetch_add(1);
+                return true;
+            });
+        for (std::size_t i = window; i < kItems; ++i) {
+            // consume(i - W) returned before produce(i) started.
+            EXPECT_GT(consumed_at_start[i], i - window)
+                << "lanes=" << lanes << " i=" << i;
+        }
+    }
+}
+
+TEST(Pipeline, LowestFailingIndexWinsAfterEveryStartedProduceEnds) {
+    util::ThreadPool pool(8);
+    for (int round = 0; round < 10; ++round) {
+        std::atomic<int> running{0};
+        std::atomic<std::size_t> highest_consumed{0};
+        try {
+            pool.run_pipelined(
+                64,
+                [&](std::size_t i) {
+                    running.fetch_add(1);
+                    (void)spin(64 - i);
+                    running.fetch_sub(1);
+                    if (i == 9 || i == 13) {
+                        throw std::runtime_error("produce " + std::to_string(i));
+                    }
+                },
+                [&](std::size_t i) {
+                    highest_consumed.store(i);
+                    return true;
+                });
+            FAIL() << "expected an exception";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "produce 9");
+        }
+        EXPECT_EQ(running.load(), 0) << "a produce outlived the pipeline";
+        EXPECT_EQ(highest_consumed.load(), 8u);
+    }
+    // A throwing consume is the lowest failure when it comes first.
+    EXPECT_THROW(pool.run_pipelined(
+                     64,
+                     [](std::size_t i) {
+                         if (i == 20) throw std::invalid_argument("produce 20");
+                     },
+                     [](std::size_t i) {
+                         if (i == 5) throw std::runtime_error("consume 5");
+                         return true;
+                     }),
+                 std::runtime_error);
+    // The pool runs clean afterwards.
+    std::size_t sum = 0;
+    pool.run_pipelined(
+        10, [](std::size_t) {},
+        [&](std::size_t i) {
+            sum += i;
+            return true;
+        });
+    EXPECT_EQ(sum, 45u);
+}
+
+TEST(Pipeline, EarlyStopFromConsumeStopsProduction) {
+    for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+        util::ThreadPool pool(lanes);
+        constexpr std::size_t kItems = 200;
+        constexpr std::size_t kStopAt = 10;
+        std::vector<std::atomic<int>> produced(kItems);
+        std::size_t consumes = 0;
+        pool.run_pipelined(
+            kItems, [&](std::size_t i) { produced[i].fetch_add(1); },
+            [&](std::size_t i) {
+                ++consumes;
+                return i != kStopAt;
+            });
+        EXPECT_EQ(consumes, kStopAt + 1) << "lanes=" << lanes;
+        // consume(kStopAt - 1) is the last one that returned true, so no
+        // index at or past kStopAt + W may have been produced.
+        const std::size_t limit =
+            lanes == 1 ? kStopAt + 1 : kStopAt + pool.pipeline_window();
+        for (std::size_t i = 0; i < kItems; ++i) {
+            const int expected_max = i < limit ? 1 : 0;
+            if (i <= kStopAt) {
+                EXPECT_EQ(produced[i].load(), 1) << "lanes=" << lanes << " i=" << i;
+            } else {
+                EXPECT_LE(produced[i].load(), expected_max)
+                    << "lanes=" << lanes << " i=" << i;
+            }
+        }
+    }
+}
+
+TEST(Pipeline, SerialPoolIsTheExactInterleave) {
+    util::ThreadPool pool(1);
+    std::vector<std::string> log;
+    pool.run_pipelined(
+        4, [&](std::size_t i) { log.push_back("p" + std::to_string(i)); },
+        [&](std::size_t i) {
+            log.push_back("c" + std::to_string(i));
+            return i != 2;
+        });
+    EXPECT_EQ(log, (std::vector<std::string>{"p0", "c0", "p1", "c1", "p2", "c2"}));
+
+    // A pipeline started from inside one of the pool's own tasks is serial
+    // too, whatever the pool size.
+    util::ThreadPool wide(4);
+    std::vector<std::vector<std::string>> nested(3);
+    wide.run_indexed(nested.size(), [&](std::size_t t) {
+        wide.run_pipelined(
+            3, [&](std::size_t i) { nested[t].push_back("p" + std::to_string(i)); },
+            [&](std::size_t i) {
+                nested[t].push_back("c" + std::to_string(i));
+                return true;
+            });
+    });
+    for (const auto& events : nested) {
+        EXPECT_EQ(events,
+                  (std::vector<std::string>{"p0", "c0", "p1", "c1", "p2", "c2"}));
+    }
 }
 
 TEST(Parallel, SharedPoolIsUsable) {

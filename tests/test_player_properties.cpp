@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "analysis/session.hpp"
 #include "capture/dataset.hpp"
@@ -24,7 +26,15 @@ struct SweepPoint {
     double p_abort;
     double p_pause;
     int max_redirects;
+    const char* name;  // the case name, stable across builds
 };
+
+/// gtest prints the parameter beside each case's listed name; the default
+/// dump of the struct's bytes would include its padding.
+void PrintTo(const SweepPoint& p, std::ostream* os) {
+    *os << p.p_probe << ' ' << p.p_abort << ' ' << p.p_pause << ' '
+        << p.max_redirects;
+}
 
 class PlayerSweep : public ::testing::TestWithParam<SweepPoint> {
 protected:
@@ -129,10 +139,16 @@ TEST_P(PlayerSweep, InvariantsHoldAcrossConfigSpace) {
 
 INSTANTIATE_TEST_SUITE_P(
     ConfigGrid, PlayerSweep,
-    ::testing::Values(SweepPoint{0.0, 0.0, 0.0, 4}, SweepPoint{1.0, 0.0, 0.0, 4},
-                      SweepPoint{0.0, 1.0, 0.0, 4}, SweepPoint{0.0, 0.0, 1.0, 4},
-                      SweepPoint{0.5, 0.5, 0.5, 4}, SweepPoint{0.2, 0.8, 0.3, 1},
-                      SweepPoint{0.18, 0.45, 0.055, 4},  // production defaults
-                      SweepPoint{1.0, 1.0, 1.0, 8}));
+    ::testing::Values(SweepPoint{0.0, 0.0, 0.0, 4, "all_off"},
+                      SweepPoint{1.0, 0.0, 0.0, 4, "probe_only"},
+                      SweepPoint{0.0, 1.0, 0.0, 4, "abort_only"},
+                      SweepPoint{0.0, 0.0, 1.0, 4, "pause_only"},
+                      SweepPoint{0.5, 0.5, 0.5, 4, "half"},
+                      SweepPoint{0.2, 0.8, 0.3, 1, "one_redirect"},
+                      SweepPoint{0.18, 0.45, 0.055, 4, "defaults"},  // production
+                      SweepPoint{1.0, 1.0, 1.0, 8, "all_on"}),
+    [](const ::testing::TestParamInfo<SweepPoint>& case_info) {
+        return std::string(case_info.param.name);
+    });
 
 }  // namespace

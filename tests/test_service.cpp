@@ -12,7 +12,11 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <memory>
+#include <ostream>
+#include <span>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -360,6 +364,32 @@ TEST(IngestQueue, ShedsDeterministicallyAtCapacity) {
     EXPECT_EQ(queue.pop().index, 1u);
 }
 
+TEST(IngestQueue, BorrowedSlicesShedByViewAndOutliveTheirSource) {
+    const auto records = sample_records();
+    service::IngestQueue queue(1);
+    {
+        auto decoded = std::make_unique<std::vector<capture::FlowRecord>>(records);
+        const std::span<const capture::FlowRecord> all(*decoded);
+        for (std::uint32_t i = 0; i < 2; ++i) {
+            service::IngestBatch batch;
+            batch.file = "eu1-0001.yfl";
+            batch.index = i;
+            batch.slice = all.subspan(i * 30, i == 0 ? 30 : 10);
+            queue.push(std::move(batch));
+        }
+        ASSERT_EQ(queue.shed().size(), 1u);
+        EXPECT_EQ(queue.shed()[0].records, 10u);  // the slice's length
+        queue.own_slices();
+    }  // the decoded records are gone; the queued batch kept a copy
+    const service::IngestBatch batch = queue.pop();
+    EXPECT_TRUE(batch.slice.empty());
+    ASSERT_EQ(batch.view().size(), 30u);
+    for (std::size_t i = 0; i < 30; ++i) {
+        EXPECT_EQ(batch.view()[i].start, records[i].start);
+        EXPECT_EQ(batch.view()[i].client_ip, records[i].client_ip);
+    }
+}
+
 TEST(ControlProtocol, ParsesEveryVerb) {
     using service::ControlVerb;
     EXPECT_EQ(service::parse_control_line("ping").verb, ControlVerb::Ping);
@@ -555,10 +585,12 @@ std::string file_bytes(const fs::path& path) {
 TEST(Determinism, ServiceResume) {
     // The acceptance bar: aggregates and the final checkpoint after (ingest
     // some, stop, resume the rest) are byte-identical to one uninterrupted
-    // pass — at parse-pool sizes 1 and 8.
+    // pass — at parse-pool sizes 1 (the serial interleave), 2 (the smallest
+    // pool where decoding runs ahead of folding) and 8.
     const auto records = sample_records();
     std::string reference;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         const std::string tag = std::to_string(threads);
         const auto base = temp_dir("resume_" + tag);
 
@@ -819,6 +851,85 @@ TEST(Service, QuarantinesUnparseableSpoolFilesAndContinues) {
     const std::string manifest = file_bytes(report.value().manifest_path);
     EXPECT_NE(manifest.find("status=quarantined"), std::string::npos);
     fs::remove_all(base);
+}
+
+namespace {
+
+/// A daemon log that requests a stop as soon as `trigger` has been written
+/// to it: a deterministic way to stop the daemon in the middle of a scan.
+class StopOnLog : public std::streambuf {
+public:
+    explicit StopOnLog(std::string trigger) : trigger_(std::move(trigger)) {}
+
+protected:
+    int_type overflow(int_type ch) override {
+        if (ch != traits_type::eof()) {
+            text_ += static_cast<char>(ch);
+            if (text_.find(trigger_) != std::string::npos) service::request_stop();
+        }
+        return ch;
+    }
+
+private:
+    std::string trigger_;
+    std::string text_;
+};
+
+}  // namespace
+
+TEST(Service, StopMidScanReplaysTheFilesDecodedAhead) {
+    // A stop while a scan is applying files ends the pass after the current
+    // file: files the pipeline decoded ahead stay out of the ledger, and a
+    // resumed pass applies them, converging to one uninterrupted pass.
+    const auto records = sample_records();
+    const auto spool_with_bad_file = [&](const fs::path& spool) {
+        make_spool(spool, records);
+        ASSERT_TRUE(io::write_file_atomic(spool / "eu1-0002-bad.yfl",
+                                          "not a flow log")
+                        .ok());
+    };
+    const auto checkpoint = [](const fs::path& run_dir) {
+        return file_bytes(ytcdn::study::checkpoint_path(
+            run_dir, ytcdn::study::Stage::Service));
+    };
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const auto base = temp_dir("stop_mid_scan_" + std::to_string(threads));
+        spool_with_bad_file(base / "spool_full");
+        auto full = service::Service(
+            once_options(base / "spool_full", base / "run_full", threads)).run();
+        ASSERT_TRUE(full.ok()) << full.error().what();
+        ASSERT_EQ(full.value().files_ingested, 4u);
+
+        // The second file in name order is the corrupt one; its quarantine
+        // warning requests the stop while eu1-0002 and us1-0001 wait.
+        const auto spool = base / "spool";
+        spool_with_bad_file(spool);
+        StopOnLog stop_on_quarantine("quarantined as");
+        std::ostream log(&stop_on_quarantine);
+        auto options = once_options(spool, base / "run", threads);
+        options.log = &log;
+        service::clear_stop();
+        auto stopped = service::Service(options).run();
+        service::clear_stop();
+        ASSERT_TRUE(stopped.ok()) << stopped.error().what();
+        EXPECT_EQ(stopped.value().files_ingested, 2u) << "threads=" << threads;
+        const std::string manifest = file_bytes(stopped.value().manifest_path);
+        EXPECT_NE(manifest.find("file eu1-0002-bad.yfl"), std::string::npos);
+        EXPECT_EQ(manifest.find("file eu1-0002.yfl"), std::string::npos);
+        EXPECT_EQ(manifest.find("file us1-0001.tsv"), std::string::npos);
+
+        options.log = nullptr;
+        options.resume = true;
+        auto resumed = service::Service(options).run();
+        ASSERT_TRUE(resumed.ok()) << resumed.error().what();
+        EXPECT_EQ(resumed.value().files_ingested, 4u);
+        EXPECT_EQ(file_bytes(resumed.value().aggregates_path),
+                  file_bytes(full.value().aggregates_path))
+            << "threads=" << threads;
+        EXPECT_EQ(checkpoint(base / "run"), checkpoint(base / "run_full"))
+            << "threads=" << threads;
+        fs::remove_all(base);
+    }
 }
 
 TEST(Service, IdleDaemonStillPacesItsScans) {

@@ -236,8 +236,10 @@ int cmd_sessions(const util::ArgParser& args) {
     for (const auto n : counts) sessions += n;
     const auto cdf = analysis::flows_cdf(counts);
     std::cout << sessions << " sessions at T=" << gap << "s\n";
+    // The last bucket is open-ended: sessions of cdf.size() or more flows.
     for (std::size_t i = 0; i < cdf.size(); ++i) {
-        std::cout << (i + 1 == cdf.size() ? ">" : " ") << std::min(i + 1, cdf.size())
+        const bool last = i + 1 == cdf.size();
+        std::cout << (last ? "" : " ") << i + 1 << (last ? "+" : "")
                   << " flows: CDF " << analysis::fmt(cdf[i], 4) << '\n';
     }
     return 0;
