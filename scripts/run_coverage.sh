@@ -12,6 +12,8 @@
 #   capture/binary_log            >= 90%  (the only YFL2 encoder and decoder)
 #   sim/tracer                    >= 90%  (the only YTR1 encoder and decoder)
 #   study/checkpoint              >= 90%  (the only YCK1 frame and stage codecs)
+#   study/supervisor              >= 90%  (the staged study: where the week
+#                                          lives, retries, degradation)
 #   service/aggregates + control  >= 90%  (ytcdnd's state codec and grammar)
 #   util/parallel                 >= 90%  (the only pool, fan-out and
 #                                          ordered pipeline)
@@ -91,6 +93,7 @@ floors = [
     ("binary_log", ["src/capture/binary_log"], 90.0),
     ("tracer", ["src/sim/tracer"], 90.0),
     ("checkpoint", ["src/study/checkpoint"], 90.0),
+    ("supervisor", ["src/study/supervisor"], 90.0),
     ("service", ["src/service/aggregates", "src/service/control"], 90.0),
     ("parallel", ["src/util/parallel"], 90.0),
 ]

@@ -4,18 +4,18 @@
 
 namespace ytcdn::analysis {
 
-std::vector<DcTraffic> traffic_by_dc(const capture::Dataset& dataset,
+std::vector<DcTraffic> traffic_by_dc(const capture::FlowReplay& dataset,
                                      const ServerDcMap& map) {
     return fold_records(dataset, map, IncrementalDcTraffic{}).traffic();
 }
 
-int preferred_dc(const capture::Dataset& dataset, const ServerDcMap& map,
+int preferred_dc(const capture::FlowReplay& dataset, const ServerDcMap& map,
                  double heavy_share) {
     return fold_records(dataset, map, IncrementalDcTraffic{})
         .preferred(map, heavy_share);
 }
 
-NonPreferredShare non_preferred_share(const capture::Dataset& dataset,
+NonPreferredShare non_preferred_share(const capture::FlowReplay& dataset,
                                       const ServerDcMap& map, int preferred) {
     return fold_records(dataset, map, IncrementalDcTraffic{}).share(preferred);
 }

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "analysis/dc_map.hpp"
-#include "capture/dataset.hpp"
+#include "capture/flow_replay.hpp"
 
 namespace ytcdn::analysis {
 
@@ -17,7 +17,7 @@ struct DcTraffic {
 
 /// Per-data-center traffic for the dataset; includes only flows whose
 /// server maps to a known data center. Sorted by bytes descending.
-[[nodiscard]] std::vector<DcTraffic> traffic_by_dc(const capture::Dataset& dataset,
+[[nodiscard]] std::vector<DcTraffic> traffic_by_dc(const capture::FlowReplay& dataset,
                                                    const ServerDcMap& map);
 
 /// Determines the *preferred* data center (Section VI-B): the data center
@@ -26,8 +26,8 @@ struct DcTraffic {
 /// which case the paper labels the lowest-RTT heavy hitter as preferred.
 /// `heavy_share` is the byte share above which a data center counts as a
 /// heavy hitter (default 20%).
-[[nodiscard]] int preferred_dc(const capture::Dataset& dataset, const ServerDcMap& map,
-                               double heavy_share = 0.20);
+[[nodiscard]] int preferred_dc(const capture::FlowReplay& dataset,
+                               const ServerDcMap& map, double heavy_share = 0.20);
 
 /// Convenience used throughout: per-dataset fraction of video-flow bytes
 /// (or flows) served by data centers other than `preferred`.
@@ -35,8 +35,7 @@ struct NonPreferredShare {
     double byte_fraction = 0.0;
     double flow_fraction = 0.0;
 };
-[[nodiscard]] NonPreferredShare non_preferred_share(const capture::Dataset& dataset,
-                                                    const ServerDcMap& map,
-                                                    int preferred);
+[[nodiscard]] NonPreferredShare non_preferred_share(
+    const capture::FlowReplay& dataset, const ServerDcMap& map, int preferred);
 
 }  // namespace ytcdn::analysis

@@ -1,6 +1,7 @@
 #include "analysis/report_folds.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "sim/time.hpp"
@@ -35,13 +36,15 @@ std::vector<double> flows_cdf(const FlowsPerSession& counts) {
     return cdf;
 }
 
-FlowsPerSession count_sessions(const capture::Dataset& dataset, double gap_T_s) {
+FlowsPerSession count_sessions(const capture::FlowReplay& records, double gap_T_s) {
     FlowsPerSession counts{};
     const auto count = [&counts](const auto&, const auto& session) {
         ++counts[std::min<std::size_t>(session.flows, counts.size()) - 1];
     };
     SessionGrouper<NoPayload> grouper(gap_T_s);
-    for (const auto& r : dataset.records) grouper.add(r, count);
+    records.for_each_block([&](std::span<const capture::FlowRecord> block) {
+        for (const auto& r : block) grouper.add(r, count);
+    });
     grouper.close_all(count);
     return counts;
 }
@@ -227,11 +230,15 @@ void ReportFolds::finish() {
     hot_videos = IncrementalVideoLoad(scope.preferred, redirects.top_videos(4));
 }
 
-ReportFolds fold_report(const capture::Dataset& dataset, VantageScope vantage) {
+ReportFolds fold_report(const capture::FlowReplay& records, VantageScope vantage) {
     ReportFolds folds(std::move(vantage));
-    for (const auto& r : dataset.records) folds.add(r);
+    records.for_each_block([&folds](std::span<const capture::FlowRecord> block) {
+        for (const auto& r : block) folds.add(r);
+    });
     folds.finish();
-    for (const auto& r : dataset.records) folds.add_second(r);
+    records.for_each_block([&folds](std::span<const capture::FlowRecord> block) {
+        for (const auto& r : block) folds.add_second(r);
+    });
     return folds;
 }
 

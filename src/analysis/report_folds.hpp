@@ -14,7 +14,7 @@
 #include "analysis/session.hpp"
 #include "analysis/stats.hpp"
 #include "analysis/streaming.hpp"
-#include "capture/dataset.hpp"
+#include "capture/flow_replay.hpp"
 
 namespace ytcdn::analysis {
 
@@ -64,9 +64,9 @@ using FlowsPerSession = std::array<std::uint64_t, 10>;
 /// more flows and is 1.
 [[nodiscard]] std::vector<double> flows_cdf(const FlowsPerSession& counts);
 
-/// The sessions of `dataset` (start-ordered) at gap T, counted by flows:
+/// The sessions of `records` (start-ordered) at gap T, counted by flows:
 /// SessionGrouper with no payload, for Fig. 5's other gaps.
-[[nodiscard]] FlowsPerSession count_sessions(const capture::Dataset& dataset,
+[[nodiscard]] FlowsPerSession count_sessions(const capture::FlowReplay& records,
                                              double gap_T_s);
 
 /// Figs 6, 10 and 16 (and Fig. 5 at T = 1 s) from one SessionGrouper pass,
@@ -199,9 +199,9 @@ struct ReportFolds {
     IncrementalVideoLoad hot_videos;      // Figs 14 and 16 (second pass)
 };
 
-/// Both passes over `dataset`, in dataset order; the folds come back
-/// finished.
-[[nodiscard]] ReportFolds fold_report(const capture::Dataset& dataset,
+/// Both passes over `records` (a Dataset, or a log held as pieces), in
+/// order; the folds come back finished.
+[[nodiscard]] ReportFolds fold_report(const capture::FlowReplay& records,
                                       VantageScope vantage);
 
 }  // namespace ytcdn::analysis

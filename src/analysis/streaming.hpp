@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "analysis/stats.hpp"
 #include "capture/dataset.hpp"
 #include "capture/flow_record.hpp"
+#include "capture/flow_replay.hpp"
 #include "net/subnet.hpp"
 
 namespace ytcdn::analysis {
@@ -22,7 +24,7 @@ namespace ytcdn::analysis {
 /// from the map so the caller resolves once per record.
 ///
 /// The report feeds them through ReportFolds (analysis/report_folds.hpp),
-/// a one-dataset caller through fold_records() below, and the out-of-core
+/// a one-vantage-point caller through fold_records() below, and the out-of-core
 /// scale study (and perfbench's traced replica of it) over re-read spill
 /// blocks; ytcdnd feeds IncrementalDcTraffic per stream as flows arrive.
 /// All tallies are order-independent integers except IncrementalServerLoad,
@@ -31,18 +33,23 @@ namespace ytcdn::analysis {
 /// (Determinism.FoldedArtifactsMatchGoldenDigest) plus the hand-computed
 /// fixtures of each analysis entry point.
 
-/// Feeds `fold` every record of `dataset`, in dataset order, and returns it.
+/// Feeds `fold` every record `records` replays (a Dataset, or a log held
+/// as pieces), in order, and returns it.
 template <class Fold>
-[[nodiscard]] Fold fold_records(const capture::Dataset& dataset, Fold fold) {
-    for (const auto& r : dataset.records) fold.add(r);
+[[nodiscard]] Fold fold_records(const capture::FlowReplay& records, Fold fold) {
+    records.for_each_block([&fold](std::span<const capture::FlowRecord> block) {
+        for (const auto& r : block) fold.add(r);
+    });
     return fold;
 }
 
 /// Same, resolving each record's data center through `map`.
 template <class Fold>
-[[nodiscard]] Fold fold_records(const capture::Dataset& dataset,
+[[nodiscard]] Fold fold_records(const capture::FlowReplay& records,
                                 const ServerDcMap& map, Fold fold) {
-    for (const auto& r : dataset.records) fold.add(r, map.dc_of(r.server_ip));
+    records.for_each_block([&fold, &map](std::span<const capture::FlowRecord> block) {
+        for (const auto& r : block) fold.add(r, map.dc_of(r.server_ip));
+    });
     return fold;
 }
 

@@ -5,8 +5,11 @@
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "capture/dataset.hpp"
 #include "util/bytes.hpp"
 #include "util/crc32.hpp"
 #include "util/io.hpp"
@@ -25,7 +28,8 @@ constexpr std::size_t kHeaderSize = kPreambleSize + 4;  // + header CRC
 constexpr std::size_t kRecordSize = 4 + 4 + 8 + 8 + 8 + 8 + 1;
 constexpr std::size_t kBlockHeaderSize = 4 + 4;  // records-in-block + CRC
 constexpr std::size_t kTrailerSize = 4 + 8 + 4;  // magic + count + CRC
-constexpr std::uint64_t kBlockRecords = 4096;
+constexpr std::uint64_t kBlockRecords = kLogBlockRecords;
+static_assert(kLogFrameBytes == kBlockHeaderSize + kBlockRecords * kRecordSize);
 
 std::uint64_t num_blocks(std::uint64_t n) {
     return (n + kBlockRecords - 1) / kBlockRecords;
@@ -67,32 +71,6 @@ util::Result<FlowRecord> parse_record(util::ByteReader& in, std::uint64_t index,
     return r;
 }
 
-/// The 20-byte header for `count` records. FlowLogWriter writes it twice:
-/// with a zero count up front, and patched with the real count on finish.
-std::string v2_header(std::uint64_t count) {
-    std::string header(kMagic, sizeof(kMagic));
-    util::put<std::uint32_t>(header, kVersion);
-    util::put<std::uint64_t>(header, count);
-    util::put<std::uint32_t>(header, util::crc32(header));
-    return header;
-}
-
-/// Appends one block frame: records-in-block | CRC of payload | payload.
-void append_block(std::string& out, std::uint32_t records,
-                  std::string_view payload) {
-    util::put<std::uint32_t>(out, records);
-    util::put<std::uint32_t>(out, util::crc32(payload));
-    out += payload;
-}
-
-/// Appends the 16-byte trailer for `count` records.
-void append_trailer(std::string& out, std::uint64_t count) {
-    std::string trailer(kTrailerMagic, sizeof(kTrailerMagic));
-    util::put<std::uint64_t>(trailer, count);
-    util::put<std::uint32_t>(trailer, util::crc32(trailer));
-    out += trailer;
-}
-
 }  // namespace
 
 std::size_t binary_log_size(std::size_t n) noexcept {
@@ -100,18 +78,98 @@ std::size_t binary_log_size(std::size_t n) noexcept {
            kTrailerSize;
 }
 
-std::string write_binary_log_bytes(const std::vector<FlowRecord>& records) {
-    std::string buf = v2_header(records.size());
-    buf.reserve(binary_log_size(records.size()));
-    std::string payload;
-    for (std::size_t i = 0; i < records.size(); i += kBlockRecords) {
-        const std::size_t n =
-            std::min<std::size_t>(kBlockRecords, records.size() - i);
-        payload.clear();
-        for (std::size_t k = 0; k < n; ++k) put_record(payload, records[i + k]);
-        append_block(buf, static_cast<std::uint32_t>(n), payload);
+std::string binary_log_header(std::uint64_t count) {
+    std::string header(kMagic, sizeof(kMagic));
+    util::put<std::uint32_t>(header, kVersion);
+    util::put<std::uint64_t>(header, count);
+    util::put<std::uint32_t>(header, util::crc32(header));
+    return header;
+}
+
+std::string binary_log_trailer(std::uint64_t count) {
+    std::string trailer(kTrailerMagic, sizeof(kTrailerMagic));
+    util::put<std::uint64_t>(trailer, count);
+    util::put<std::uint32_t>(trailer, util::crc32(trailer));
+    return trailer;
+}
+
+bool FlowBlockEncoder::add(const FlowRecord& record) {
+    if (block_records_ == 0) {
+        frame_.reserve(kLogFrameBytes);
+        frame_.assign(kBlockHeaderSize, '\0');
     }
-    append_trailer(buf, records.size());
+    put_record(frame_, record);
+    ++count_;
+    return ++block_records_ == kBlockRecords;
+}
+
+std::string FlowBlockEncoder::seal() {
+    if (block_records_ == 0) return {};
+    std::string header;
+    util::put<std::uint32_t>(header, block_records_);
+    util::put<std::uint32_t>(
+        header, util::crc32(std::string_view(frame_).substr(kBlockHeaderSize)));
+    frame_.replace(0, kBlockHeaderSize, header);
+    // A partial block is the log's last; drop its unused reserve.
+    if (block_records_ < kBlockRecords) frame_.shrink_to_fit();
+    block_records_ = 0;
+    return std::exchange(frame_, {});
+}
+
+std::uint64_t log_size(std::span<const std::string> pieces) noexcept {
+    std::uint64_t size = 0;
+    for (const auto& piece : pieces) size += piece.size();
+    return size;
+}
+
+std::uint32_t log_crc32(std::span<const std::string> pieces) noexcept {
+    std::uint32_t crc = 0;
+    for (const auto& piece : pieces) crc = util::crc32(piece, crc);
+    return crc;
+}
+
+void LogFramingSink::on_flow(const FlowRecord& record) {
+    if (!run_.empty() && record.start != run_.front().start) {
+        if (record.start < run_.front().start) {
+            throw std::logic_error(
+                "LogFramingSink: records must arrive in start order");
+        }
+        flush_run();
+    }
+    run_.push_back(record);
+}
+
+void LogFramingSink::flush_run() {
+    std::sort(run_.begin(), run_.end(), flow_time_less);
+    for (const auto& r : run_) {
+        if (encoder_.add(r)) frames_.push_back(encoder_.seal());
+    }
+    run_.clear();
+}
+
+LogPieces LogFramingSink::finish() {
+    flush_run();
+    if (std::string last = encoder_.seal(); !last.empty()) {
+        frames_.push_back(std::move(last));
+    }
+    LogPieces log;
+    log.reserve(frames_.size() + 2);
+    log.push_back(binary_log_header(encoder_.records()));
+    std::move(frames_.begin(), frames_.end(), std::back_inserter(log));
+    log.push_back(binary_log_trailer(encoder_.records()));
+    *this = LogFramingSink();
+    return log;
+}
+
+std::string write_binary_log_bytes(const std::vector<FlowRecord>& records) {
+    std::string buf = binary_log_header(records.size());
+    buf.reserve(binary_log_size(records.size()));
+    FlowBlockEncoder encoder;
+    for (const auto& r : records) {
+        if (encoder.add(r)) buf += encoder.seal();
+    }
+    buf += encoder.seal();
+    buf += binary_log_trailer(records.size());
     return buf;
 }
 
@@ -180,31 +238,17 @@ util::Result<FlowLogWriter> FlowLogWriter::create(
     }
     FlowLogWriter out;
     out.writer_ = std::move(writer).value();
-    out.block_.reserve(kBlockRecords * kRecordSize);
-    if (auto r = out.writer_.append(v2_header(0)); !r) {
+    if (auto r = out.writer_.append(binary_log_header(0)); !r) {
         return std::move(r).context("FlowLogWriter " + path.string()).error();
     }
     return out;
-}
-
-util::Result<void> FlowLogWriter::flush_block() {
-    if (block_records_ == 0) return {};
-    std::string frame;
-    frame.reserve(kBlockHeaderSize + block_.size());
-    append_block(frame, block_records_, block_);
-    block_.clear();
-    block_records_ = 0;
-    return writer_.append(frame);
 }
 
 util::Result<void> FlowLogWriter::add(const FlowRecord& record) {
     if (!writer_.is_open()) {
         return Error(ErrorCode::Io, "FlowLogWriter: not open");
     }
-    put_record(block_, record);
-    ++block_records_;
-    ++count_;
-    if (block_records_ == kBlockRecords) return flush_block();
+    if (encoder_.add(record)) return writer_.append(encoder_.seal());
     return {};
 }
 
@@ -217,11 +261,14 @@ util::Result<void> FlowLogWriter::finish() {
         writer_.discard();
         return std::move(error).context("FlowLogWriter " + where);
     };
-    if (auto r = flush_block(); !r) return fail(std::move(r).error());
-    std::string trailer;
-    append_trailer(trailer, count_);
-    if (auto r = writer_.append(trailer); !r) return fail(std::move(r).error());
-    if (auto r = writer_.write_at(0, v2_header(count_)); !r) {
+    if (const std::string last = encoder_.seal(); !last.empty()) {
+        if (auto r = writer_.append(last); !r) return fail(std::move(r).error());
+    }
+    const std::uint64_t count = encoder_.records();
+    if (auto r = writer_.append(binary_log_trailer(count)); !r) {
+        return fail(std::move(r).error());
+    }
+    if (auto r = writer_.write_at(0, binary_log_header(count)); !r) {
         return fail(std::move(r).error());
     }
     return writer_.publish().context("FlowLogWriter " + where);
@@ -249,8 +296,15 @@ util::Result<FlowLogReader> FlowLogReader::open(const std::filesystem::path& pat
 
 util::Result<FlowLogReader> FlowLogReader::open_bytes(std::string_view bytes) {
     FlowLogReader out;
-    out.bytes_ = bytes;
+    out.pieces_.push_back(bytes);
     return start(std::move(out), bytes.size());
+}
+
+util::Result<FlowLogReader> FlowLogReader::open_pieces(
+    std::span<const std::string> pieces) {
+    FlowLogReader out;
+    out.pieces_.assign(pieces.begin(), pieces.end());
+    return start(std::move(out), log_size(pieces));
 }
 
 util::Result<FlowLogReader> FlowLogReader::start(FlowLogReader out,
@@ -259,15 +313,15 @@ util::Result<FlowLogReader> FlowLogReader::start(FlowLogReader out,
     if (!have) return std::move(have).error();
     if (!have.value()) {
         return Error(ErrorCode::Truncated,
-                     "truncated header: " + std::to_string(out.window().size()) +
+                     "truncated header: " + std::to_string(out.window_.size()) +
                          " bytes");
     }
-    if (out.window().substr(0, sizeof(kMagic)) !=
+    if (out.window_.substr(0, sizeof(kMagic)) !=
         std::string_view(kMagic, sizeof(kMagic))) {
         return error_at_byte(ErrorCode::BadMagic, "bad magic", 0);
     }
     const auto version =
-        util::ByteReader(out.window().substr(sizeof(kMagic))).take<std::uint32_t>();
+        util::ByteReader(out.window_.substr(sizeof(kMagic))).take<std::uint32_t>();
     if (version != kVersion) {
         return Error(ErrorCode::UnsupportedVersion,
                      "magic YFL2 with version " + std::to_string(version));
@@ -284,8 +338,8 @@ util::Result<FlowLogReader> FlowLogReader::start(FlowLogReader out,
         return Error(ErrorCode::Truncated, "truncated v2 header/trailer");
     }
     const std::uint32_t header_crc =
-        util::crc32(out.window().substr(0, kHeaderSize - 4));
-    util::ByteReader header(out.window().substr(sizeof(kMagic) + sizeof(version)));
+        util::crc32(out.window_.substr(0, kHeaderSize - 4));
+    util::ByteReader header(out.window_.substr(sizeof(kMagic) + sizeof(version)));
     out.count_ = header.take<std::uint64_t>();
     if (header.take<std::uint32_t>() != header_crc) {
         return error_at_byte(ErrorCode::ChecksumMismatch, "header CRC mismatch",
@@ -300,28 +354,43 @@ util::Result<FlowLogReader> FlowLogReader::start(FlowLogReader out,
                          " records (" + std::to_string(binary_log_size(out.count_)) +
                          " bytes), stream holds " + std::to_string(size));
     }
-    out.pos_ += kHeaderSize;
-    out.abs_ += kHeaderSize;
+    out.consume(kHeaderSize);
     return out;
 }
 
-std::string_view FlowLogReader::window() const noexcept {
-    return reader_.is_open() ? std::string_view(buf_).substr(pos_)
-                             : bytes_.substr(pos_);
+void FlowLogReader::consume(std::size_t n) noexcept {
+    window_.remove_prefix(n);
+    abs_ += n;
 }
 
 util::Result<bool> FlowLogReader::fill(std::size_t need) {
-    if (!reader_.is_open()) return bytes_.size() - pos_ >= need;
-    if (pos_ > 0 && buf_.size() - pos_ < need) {
-        buf_.erase(0, pos_);
-        pos_ = 0;
+    if (window_.size() >= need) return true;
+    if (reader_.is_open()) {
+        // Keep only the unconsumed tail, then read whole chunks until it
+        // covers `need`: at most need + chunk_ bytes are ever buffered.
+        buf_.erase(0, buf_.size() - window_.size());
+        window_ = buf_;
+        while (buf_.size() < need) {
+            auto n = reader_.read_chunk(buf_, chunk_);
+            window_ = buf_;
+            if (!n) return std::move(n).error();
+            if (n.value() == 0) return false;
+        }
+        return true;
     }
-    while (buf_.size() - pos_ < need) {
-        auto n = reader_.read_chunk(buf_, chunk_);
-        if (!n) return std::move(n).error();
-        if (n.value() == 0) return false;
+    // In memory: read the next piece in place when nothing is pending;
+    // copy only a range that straddles pieces.
+    while (window_.empty() && next_piece_ < pieces_.size()) {
+        window_ = pieces_[next_piece_++];
     }
-    return true;
+    if (window_.size() >= need) return true;
+    std::string joined(window_);
+    while (joined.size() < need && next_piece_ < pieces_.size()) {
+        joined += pieces_[next_piece_++];
+    }
+    buf_ = std::move(joined);
+    window_ = buf_;
+    return buf_.size() >= need;
 }
 
 util::Result<std::size_t> FlowLogReader::next(std::vector<FlowRecord>& out) {
@@ -338,7 +407,7 @@ util::Result<std::size_t> FlowLogReader::next(std::vector<FlowRecord>& out) {
         return error_at_byte(ErrorCode::Truncated,
                              "truncated block " + std::to_string(block), abs_);
     }
-    util::ByteReader header(window());
+    util::ByteReader header(window_);
     const auto block_records = header.take<std::uint32_t>();
     const auto block_crc = header.take<std::uint32_t>();
     if (block_records != expected) {
@@ -359,7 +428,7 @@ util::Result<std::size_t> FlowLogReader::next(std::vector<FlowRecord>& out) {
     }
     const std::uint64_t payload_abs = abs_ + kBlockHeaderSize;
     const std::string_view payload =
-        window().substr(kBlockHeaderSize, payload_size);
+        window_.substr(kBlockHeaderSize, payload_size);
     if (util::crc32(payload) != block_crc) {
         return error_at_record(
             ErrorCode::ChecksumMismatch,
@@ -375,8 +444,7 @@ util::Result<std::size_t> FlowLogReader::next(std::vector<FlowRecord>& out) {
         if (!record) return std::move(record).error();
         out.push_back(std::move(record).value());
     }
-    pos_ += kBlockHeaderSize + payload_size;
-    abs_ += kBlockHeaderSize + payload_size;
+    consume(kBlockHeaderSize + payload_size);
     read_ += expected;
     return expected;
 }
@@ -387,7 +455,7 @@ util::Result<std::size_t> FlowLogReader::read_trailer() {
     if (!have.value()) {
         return error_at_byte(ErrorCode::Truncated, "truncated v2 trailer", abs_);
     }
-    const std::string_view trailer = window().substr(0, kTrailerSize);
+    const std::string_view trailer = window_.substr(0, kTrailerSize);
     if (trailer.substr(0, sizeof(kTrailerMagic)) !=
         std::string_view(kTrailerMagic, sizeof(kTrailerMagic))) {
         return error_at_byte(ErrorCode::BadMagic, "bad trailer magic", abs_);
@@ -404,8 +472,7 @@ util::Result<std::size_t> FlowLogReader::read_trailer() {
                                  " != header count " + std::to_string(count_),
                              abs_ + sizeof(kTrailerMagic));
     }
-    pos_ += kTrailerSize;
-    abs_ += kTrailerSize;
+    consume(kTrailerSize);
     auto more = fill(1);
     if (!more) return std::move(more).error();
     if (more.value()) {

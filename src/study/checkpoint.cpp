@@ -158,9 +158,12 @@ std::filesystem::path log_path(const std::filesystem::path& log_dir,
     return log_dir / (std::string(name) + ".yfl");
 }
 
-EncodedWeek encode_traces(const TraceOutputs& traces) {
-    EncodedWeek week;
-    std::string& buf = week.payload;
+namespace {
+
+/// The Simulate payload, given each log's size and CRC-32 by index.
+template <class LogDigest>
+std::string encode_week(const TraceOutputs& traces, LogDigest log_digest) {
+    std::string buf;
     util::put(buf, traces.events_processed);
     util::put(buf, traces.faults_injected);
     util::put(buf, static_cast<std::uint32_t>(traces.datasets.size()));
@@ -173,21 +176,41 @@ EncodedWeek encode_traces(const TraceOutputs& traces) {
         util::put(buf, traces.requests_generated[i]);
         util::put(buf, traces.flows_observed[i]);
         util::put(buf, traces.flows_ignored[i]);
-        const std::string& log = week.logs.emplace_back(
-            capture::write_binary_log_bytes(traces.datasets[i].records));
-        util::put(buf, static_cast<std::uint64_t>(log.size()));
-        util::put(buf, util::crc32(log));
+        const auto [size, crc] = log_digest(i);
+        util::put(buf, static_cast<std::uint64_t>(size));
+        util::put(buf, static_cast<std::uint32_t>(crc));
     }
+    return buf;
+}
+
+}  // namespace
+
+EncodedWeek encode_traces(const TraceOutputs& traces) {
+    EncodedWeek week;
+    for (const auto& ds : traces.datasets) {
+        week.logs.push_back(capture::write_binary_log_bytes(ds.records));
+    }
+    week.payload = encode_week(traces, [&week](std::size_t i) {
+        return std::pair(week.logs[i].size(), util::crc32(week.logs[i]));
+    });
     return week;
 }
 
-util::Result<TraceOutputs> decode_traces(std::string_view payload,
-                                         const std::filesystem::path& log_dir) {
+std::string encode_traces(const TraceOutputs& traces,
+                          std::span<const capture::LogPieces> logs) {
+    return encode_week(traces, [logs](std::size_t i) {
+        return std::pair(capture::log_size(logs[i]), capture::log_crc32(logs[i]));
+    });
+}
+
+util::Result<StoredWeek> load_week(std::string_view payload,
+                                   const std::filesystem::path& log_dir) {
     constexpr std::uint32_t kMaxVantagePoints = 64;
     constexpr std::uint32_t kMaxLength = 1u << 20;    // names, retry histograms
     constexpr std::uint64_t kMaxLog = 1ull << 34;
     util::ByteReader r(payload);
-    TraceOutputs traces;
+    StoredWeek week;
+    TraceOutputs& traces = week.traces;
     std::uint32_t n_vps = 0;
     if (!r.take(&traces.events_processed) || !r.take(&traces.faults_injected) ||
         !r.take(&n_vps)) {
@@ -239,8 +262,8 @@ util::Result<TraceOutputs> decode_traces(std::string_view payload,
                      "simulate payload has trailing bytes");
     }
     for (std::size_t v = 0; v < logs.size(); ++v) {
-        auto& ds = traces.datasets[v];
-        const auto path = log_path(log_dir, ds.name);
+        const std::string& name = traces.datasets[v].name;
+        const auto path = log_path(log_dir, name);
         auto bytes = util::io::read_file(path);
         if (!bytes) return std::move(bytes).context("flow log " + path.string()).error();
         const auto [size, crc] = logs[v];
@@ -250,14 +273,30 @@ util::Result<TraceOutputs> decode_traces(std::string_view payload,
                              " does not match the simulate payload's size " +
                              std::to_string(size) + " and CRC-32");
         }
-        auto records = capture::read_binary_log_bytes(bytes.value());
+        if (auto header = capture::FlowLogReader::open_bytes(bytes.value()); !header) {
+            return header.error().context("flow log of vantage point '" + name + "'");
+        }
+        week.logs.emplace_back().push_back(std::move(bytes).value());
+    }
+    return week;
+}
+
+util::Result<TraceOutputs> decode_traces(std::string_view payload,
+                                         const std::filesystem::path& log_dir) {
+    auto week = load_week(payload, log_dir);
+    if (!week) return std::move(week).error();
+    TraceOutputs& traces = week.value().traces;
+    for (std::size_t v = 0; v < traces.datasets.size(); ++v) {
+        auto& ds = traces.datasets[v];
+        auto records = capture::read_binary_log_bytes(week.value().logs[v].front());
         if (!records) {
             return records.error().context("flow log of vantage point '" +
                                            ds.name + "'");
         }
         ds.records = std::move(records).value();
+        week.value().logs[v] = {};
     }
-    return traces;
+    return std::move(traces);
 }
 
 std::string encode_geolocate(const std::vector<analysis::ServerDcMap>& maps,

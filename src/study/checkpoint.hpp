@@ -3,11 +3,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/dc_map.hpp"
+#include "capture/binary_log.hpp"
 #include "study/report.hpp"
 #include "study/trace_driver.hpp"
 #include "util/error.hpp"
@@ -102,17 +104,34 @@ inline constexpr std::size_t kNumStageIds = 6;
 ///           u64 log size | u32 crc32 of the log
 ///
 /// encode_traces returns the payload with the logs it describes, each
-/// encoded once by capture::write_binary_log_bytes. decode_traces bounds
-/// every count (at most 64 vantage points, 1 MiB names and retry
-/// histograms, 16 GiB logs) and rejects a name that is not a plain file
-/// stem, all before it touches a file; then it reads each log, checks its
-/// size and CRC against the payload (ChecksumMismatch; a missing log is the
-/// read's Io error) and decodes it.
+/// encoded once by capture::write_binary_log_bytes; its second form takes
+/// logs already held as pieces (the Supervisor's week, built frame by
+/// frame) and returns the payload alone.
+///
+/// load_week bounds every count (at most 64 vantage points, 1 MiB names
+/// and retry histograms, 16 GiB logs) and rejects a name that is not a
+/// plain file stem, all before it touches a file; then it reads each log
+/// once, checks its size and CRC against the payload (ChecksumMismatch; a
+/// missing log is the read's Io error) and its YFL2 header, and holds its
+/// bytes undecoded. decode_traces is load_week plus decoding every log
+/// into datasets[i].records.
 struct EncodedWeek {
     std::string payload;            // the Simulate-stage payload
     std::vector<std::string> logs;  // YFL2 bytes of datasets[i].records
 };
 [[nodiscard]] EncodedWeek encode_traces(const TraceOutputs& traces);
+[[nodiscard]] std::string encode_traces(const TraceOutputs& traces,
+                                        std::span<const capture::LogPieces> logs);
+
+/// A week as the Simulate payload and its logs describe it, undecoded:
+/// traces.datasets hold names only, logs[i] holds vantage point i's log as
+/// one piece.
+struct StoredWeek {
+    TraceOutputs traces;
+    std::vector<capture::LogPieces> logs;
+};
+[[nodiscard]] util::Result<StoredWeek> load_week(
+    std::string_view payload, const std::filesystem::path& log_dir);
 [[nodiscard]] util::Result<TraceOutputs> decode_traces(
     std::string_view payload, const std::filesystem::path& log_dir);
 

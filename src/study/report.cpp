@@ -51,6 +51,9 @@ analysis::VantageScope vantage_scope(const StudyRun& run, std::size_t i) {
 StudyFolds fold_study(const StudyRun& run, util::ThreadPool& pool) {
     const auto& datasets = run.traces.datasets;
     const std::size_t n = datasets.size();
+    if (!run.logs.empty() && run.logs.size() != n) {
+        throw std::invalid_argument("fold_study: need one log per dataset");
+    }
     // The passes index the maps and preferred data centers by dataset; a run
     // without one of each per dataset is a caller error, not a layout to
     // fold around.
@@ -73,11 +76,11 @@ StudyFolds fold_study(const StudyRun& run, util::ThreadPool& pool) {
     // Each task writes only its own slot.
     pool.run_indexed(n + out.gap_sweep.size(), [&](std::size_t i) {
         if (i < n) {
-            out.vantage[i] = analysis::fold_report(datasets[i], out.vantage[i].scope);
+            out.vantage[i] = analysis::fold_report(run.records(i), out.vantage[i].scope);
             return;
         }
         auto& [gap, counts] = out.gap_sweep[i - n];
-        counts = analysis::count_sessions(datasets[us], gap);
+        counts = analysis::count_sessions(run.records(us), gap);
     });
     return out;
 }

@@ -20,7 +20,8 @@ namespace ytcdn::study {
 
 /// Every flow-derived input of the report, from one pass per vantage point.
 struct StudyFolds {
-    /// analysis::fold_report of each dataset, index-aligned with them.
+    /// analysis::fold_report of each vantage point, index-aligned with the
+    /// datasets.
     std::vector<analysis::ReportFolds> vantage;
     /// Fig. 5's other gaps: US-Campus's sessions at T = 5, 10, 60 and 300 s
     /// (T = 1 s is vantage[us].sessions), counted by flows. Empty without a
@@ -28,11 +29,13 @@ struct StudyFolds {
     std::vector<std::pair<double, analysis::FlowsPerSession>> gap_sweep;
 };
 
-/// Folds every dataset of `run` (analysis::fold_report), one pool task per
-/// vantage point, and counts Fig. 5's extra gaps in tasks of their own, so
-/// the largest dataset's pass does not carry them. Bit-identical at any
-/// thread count. Throws std::invalid_argument when `run` lacks a map or a
-/// preferred data center per dataset.
+/// Folds every vantage point's records of `run` (StudyRun::records: its
+/// dataset, or its log held as pieces) through analysis::fold_report, one
+/// pool task per vantage point, and counts Fig. 5's extra gaps in tasks of
+/// their own, so the largest dataset's pass does not carry them.
+/// Bit-identical at any thread count. Throws std::invalid_argument when
+/// `run` lacks a map or a preferred data center (or, holding logs, a log)
+/// per dataset, and ytcdn::Error when a log fails to decode.
 [[nodiscard]] StudyFolds fold_study(const StudyRun& run, util::ThreadPool& pool);
 
 /// Table I: traffic summary per dataset (flows, volume, #servers, #clients),

@@ -66,8 +66,7 @@ private:
 /// incremental §VII modules. Holds O(block + tallies) memory.
 util::Result<VantageScaleSummary> analyze_spill(
     const std::filesystem::path& path, const std::string& name,
-    const analysis::ServerDcMap& map, const analysis::IncrementalDcTraffic& tally,
-    std::size_t chunk_bytes) {
+    const analysis::ServerDcMap& map, const analysis::IncrementalDcTraffic& tally) {
     VantageScaleSummary out;
     out.name = name;
     out.preferred = tally.preferred(map);
@@ -76,7 +75,7 @@ util::Result<VantageScaleSummary> analyze_spill(
     analysis::IncrementalHourlyLoad hourly(out.preferred, name);
     analysis::IncrementalVideoRedirects redirects(out.preferred);
 
-    auto reader = capture::FlowLogReader::open(path, chunk_bytes);
+    auto reader = capture::FlowLogReader::open(path);
     if (!reader.ok()) return reader.error();
     std::vector<capture::FlowRecord> block;
     for (;;) {
@@ -160,8 +159,7 @@ util::Result<ScaleRunSummary> run_scale_study(const ScaleRunConfig& config,
     auto analyzed = util::parallel_map_indexed(
         pool, n, [&](std::size_t i) -> util::Result<VantageScaleSummary> {
             return analyze_spill(spill_paths[i], deployment.vantage(i).name,
-                                 maps[i], sinks[i]->tally(),
-                                 config.reader_chunk_bytes);
+                                 maps[i], sinks[i]->tally());
         });
     summary.vantage.reserve(n);
     for (auto& result : analyzed) {

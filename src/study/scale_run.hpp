@@ -23,8 +23,6 @@ struct ScaleRunConfig {
     StudyConfig study;
     /// Where the per-VP YFL2 spill files land ("<vp>.yfl").
     std::filesystem::path spill_dir;
-    /// Read granularity of the second pass.
-    std::size_t reader_chunk_bytes = 1 << 20;
     /// Keep the spill files after the run (default: removed).
     bool keep_spill = false;
 };

@@ -34,15 +34,22 @@ const capture::Dataset& StudyRun::dataset(std::string_view name) const {
     return traces.datasets[vp_index(name)];
 }
 
+capture::FlowReplay StudyRun::records(std::size_t i) const {
+    return logs.empty() ? capture::FlowReplay(traces.datasets[i])
+                        : capture::FlowReplay(logs[i]);
+}
+
 namespace {
 
 StudyRun derive_run(const StudyConfig& config,
                     std::unique_ptr<StudyDeployment> deployment,
-                    TraceOutputs traces, util::ThreadPool& pool) {
+                    TraceOutputs traces, std::vector<capture::LogPieces> logs,
+                    util::ThreadPool& pool) {
     StudyRun run;
     run.config = config;
     run.deployment = std::move(deployment);
     run.traces = std::move(traces);
+    run.logs = std::move(logs);
 
     // Each vantage point's map derivation pings with its own Pinger seeded
     // from (config seed, vp name) — independent tasks, input-order results.
@@ -53,7 +60,7 @@ StudyRun derive_run(const StudyConfig& config,
         return ground_truth_dc_map(*run.deployment, run.deployment->vantage(i));
     });
     run.preferred = util::parallel_map_indexed(pool, n, [&run](std::size_t i) {
-        return analysis::preferred_dc(run.traces.datasets[i], run.maps[i]);
+        return analysis::preferred_dc(run.records(i), run.maps[i]);
     });
     study_metrics().maps_derived.inc(n);
     return run;
@@ -62,9 +69,10 @@ StudyRun derive_run(const StudyConfig& config,
 }  // namespace
 
 StudyRun assemble_study_run(const StudyConfig& config, TraceOutputs traces,
-                            util::ThreadPool& pool) {
+                            util::ThreadPool& pool,
+                            std::vector<capture::LogPieces> logs) {
     return derive_run(config, std::make_unique<StudyDeployment>(config),
-                      std::move(traces), pool);
+                      std::move(traces), std::move(logs), pool);
 }
 
 StudyRun run_study(const StudyConfig& config, util::ThreadPool& pool,
@@ -74,7 +82,7 @@ StudyRun run_study(const StudyConfig& config, util::ThreadPool& pool,
     TraceDriver driver(*deployment);
     driver.set_tracer(tracer);
     TraceOutputs traces = driver.run();
-    return derive_run(config, std::move(deployment), std::move(traces), pool);
+    return derive_run(config, std::move(deployment), std::move(traces), {}, pool);
 }
 
 StudyRun run_study(const StudyConfig& config, sim::Tracer* tracer) {

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "analysis/dc_map.hpp"
+#include "capture/binary_log.hpp"
+#include "capture/flow_replay.hpp"
 #include "study/deployment.hpp"
 #include "study/trace_driver.hpp"
 #include "util/parallel.hpp"
@@ -19,6 +21,11 @@ struct StudyRun {
     StudyConfig config;
     std::unique_ptr<StudyDeployment> deployment;
     TraceOutputs traces;
+    /// The supervised study's week: vantage point i's YFL2 log as pieces
+    /// (block frames as Simulate built them, or one piece read back on a
+    /// resume), with traces.datasets holding names only. Empty when the
+    /// records are in traces.datasets (run_study).
+    std::vector<capture::LogPieces> logs;
     /// Ground-truth server->DC map per vantage point (probe RTT measured).
     std::vector<analysis::ServerDcMap> maps;
     /// Preferred data-center index (into maps[i]) per vantage point.
@@ -28,6 +35,9 @@ struct StudyRun {
     /// resolve vantage points by name. Throws std::out_of_range.
     [[nodiscard]] std::size_t vp_index(std::string_view name) const;
     [[nodiscard]] const capture::Dataset& dataset(std::string_view name) const;
+    /// Vantage point i's records as the folds replay them: logs[i] when the
+    /// week is held as logs, else traces.datasets[i].
+    [[nodiscard]] capture::FlowReplay records(std::size_t i) const;
 };
 
 /// Builds the deployment, simulates the week, and derives the per-vantage
@@ -43,12 +53,14 @@ struct StudyRun {
                                  sim::Tracer* tracer = nullptr);
 
 /// Rebuilds the analysis-ready run around already-simulated traces (e.g.
-/// decoded from a Simulate checkpoint — see study/checkpoint.hpp):
-/// constructs the deployment and derives maps/preferred exactly as
-/// run_study would, so the result is bit-identical to the run that
-/// produced the traces.
+/// decoded from a Simulate checkpoint — see study/checkpoint.hpp), whose
+/// records are in traces.datasets or, when `logs` is not empty, in those
+/// logs (StudyRun::logs): constructs the deployment and derives
+/// maps/preferred exactly as run_study would, so the result is
+/// bit-identical to the run that produced the traces.
 [[nodiscard]] StudyRun assemble_study_run(const StudyConfig& config,
                                           TraceOutputs traces,
-                                          util::ThreadPool& pool);
+                                          util::ThreadPool& pool,
+                                          std::vector<capture::LogPieces> logs = {});
 
 }  // namespace ytcdn::study

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "analysis/dc_map.hpp"
+#include "capture/binary_log.hpp"
 #include "sim/random.hpp"
 #include "study/study_run.hpp"
 #include "util/host_clock.hpp"
@@ -233,10 +234,12 @@ util::Result<SupervisorResult> Supervisor::run() {
 
     const auto logs_dir = run_dir / "logs";
     struct PipelineState {
-        TraceOutputs traces;
-        // The week's YFL2 logs, encoded once by the Simulate stage and held
-        // until the Capture stage writes them.
-        std::vector<std::string> logs;
+        TraceOutputs traces;  // counters and names; the datasets hold no records
+        // The week: each vantage point's YFL2 log as block frames, built by
+        // the Simulate stage (or read back whole on a resume), written by
+        // Capture, moved into `run` by Geolocate, folded by Analyze and
+        // freed after it.
+        std::vector<capture::LogPieces> week;
         bool logs_on_disk = false;  // the week was resumed from its logs
         std::optional<StudyRun> run;
         std::optional<FullReport> report;
@@ -245,42 +248,48 @@ util::Result<SupervisorResult> Supervisor::run() {
     // stage does not duplicate entries.
     std::vector<std::string> degraded_render;
 
+    // One framing sink per vantage point: the sniffers hand their records
+    // to it in start order, and the week exists only as block frames.
     const auto simulate_body = [&](StageStatus& st) {
         if (auto payload = try_resume(Stage::Simulate)) {
-            auto decoded = decode_traces(*payload, logs_dir);
-            if (decoded) {
-                state.traces = std::move(decoded).value();
+            auto stored = load_week(*payload, logs_dir);
+            if (stored) {
+                state.traces = std::move(stored.value().traces);
+                state.week = std::move(stored.value().logs);
                 state.logs_on_disk = true;
                 st.from_checkpoint = true;
                 return;
             }
             warn("simulate checkpoint payload rejected (" +
-                 std::string(decoded.error().what()) + "); re-simulating");
+                 std::string(stored.error().what()) + "); re-simulating");
         }
         auto deployment = std::make_unique<StudyDeployment>(config_);
+        std::vector<capture::LogFramingSink> sinks(deployment->num_vantage_points());
+        std::vector<capture::FlowSink*> sink_ptrs;
+        for (auto& sink : sinks) sink_ptrs.push_back(&sink);
         TraceDriver driver(*deployment);
         driver.set_tracer(options_.tracer);
+        driver.set_flow_sinks(std::move(sink_ptrs));
         state.traces = driver.run();
-        EncodedWeek week = encode_traces(state.traces);
-        state.logs = std::move(week.logs);
-        save_checkpoint(Stage::Simulate, week.payload);
+        state.week.clear();
+        for (auto& sink : sinks) state.week.push_back(sink.finish());
+        save_checkpoint(Stage::Simulate, encode_traces(state.traces, state.week));
     };
 
     // A resumed week was read from these very logs, so there is nothing
-    // left to write. A failed write never re-simulates: the logs stay in
-    // memory for the retry.
+    // left to write. The frames stay in memory, so a failed write retries
+    // Capture alone and a degraded capture still leaves the week to fold.
     const auto capture_body = [&](StageStatus& st) {
         if (state.logs_on_disk) {
             st.from_checkpoint = true;
             return;
         }
-        for (std::size_t i = 0; i < state.logs.size(); ++i) {
+        for (std::size_t i = 0; i < state.week.size(); ++i) {
             const auto& name = state.traces.datasets[i].name;
-            io::write_file_atomic(log_path(logs_dir, name), state.logs[i])
+            io::write_file_atomic(log_path(logs_dir, name), state.week[i])
                 .context("capture log " + name)
                 .value_or_throw();
         }
-        state.logs.clear();
     };
 
     const auto geolocate_body = [&](StageStatus& st) {
@@ -293,6 +302,7 @@ util::Result<SupervisorResult> Supervisor::run() {
                 run.config = config_;
                 run.deployment = std::make_unique<StudyDeployment>(config_);
                 run.traces = std::move(state.traces);
+                run.logs = std::move(state.week);
                 run.maps = std::move(maps);
                 run.preferred = std::move(preferred);
                 state.run = std::move(run);
@@ -303,23 +313,29 @@ util::Result<SupervisorResult> Supervisor::run() {
                  (decoded ? "" : std::string(" (") + decoded.error().what() + ")") +
                  "; re-deriving maps");
         }
-        state.run = assemble_study_run(config_, std::move(state.traces), pool);
+        state.run = assemble_study_run(config_, std::move(state.traces), pool,
+                                       std::move(state.week));
         save_checkpoint(Stage::Geolocate,
                         encode_geolocate(state.run->maps, state.run->preferred));
     };
 
+    // Folds the frames in memory: Analyze opens no log. The week is freed
+    // once the report exists; Render needs only the maps.
     const auto analyze_body = [&](StageStatus& st) {
+        const auto free_week = [&] { state.run->logs = {}; };
         if (auto payload = try_resume(Stage::Analyze)) {
             auto decoded = decode_report(*payload);
             if (decoded) {
                 state.report = std::move(decoded).value();
                 st.from_checkpoint = true;
+                free_week();
                 return;
             }
             warn("analyze checkpoint payload rejected (" +
                  std::string(decoded.error().what()) + "); re-analyzing");
         }
         state.report = make_full_report(*state.run, pool, options_.report);
+        free_week();
         save_checkpoint(Stage::Analyze, encode_report(*state.report));
     };
 

@@ -120,7 +120,10 @@ struct SupervisorResult {
 /// by the Capture stage) beside `logs/<vp>.dcmap` (written by Render), so
 /// it doubles as a ytcdnd spool; `checkpoints/simulate.yck` keeps only the
 /// week's counters and each log's size and CRC, and a resume re-reads the
-/// logs (a missing or altered one re-simulates the week).
+/// logs (a missing or altered one re-simulates the week). In memory the
+/// week is held once too: each log as block frames, built by Simulate,
+/// written and kept by Capture, folded in place by Geolocate and Analyze
+/// (which open no log) and freed before Render (DESIGN.md §12.2).
 ///
 /// Degradation ladder: a failing report artifact becomes a placeholder
 /// (non-strict mode, as in make_full_report); capture logs or a derived

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -436,8 +437,12 @@ Result<std::string> read_file(const std::filesystem::path& path) {
     return out;
 }
 
-Result<void> write_file_atomic(const std::filesystem::path& path,
-                               std::string_view bytes) {
+namespace {
+
+/// write_file_atomic of the concatenated `pieces`: one fault draw per
+/// fault point, however many pieces there are.
+Result<void> write_pieces_atomic(const std::filesystem::path& path,
+                                 std::span<const std::string_view> pieces) {
     std::error_code ec;
     if (path.has_parent_path()) {
         std::filesystem::create_directories(path.parent_path(), ec);
@@ -464,14 +469,23 @@ Result<void> write_file_atomic(const std::filesystem::path& path,
         if (f == FaultKind::ShortWrite) {
             // Leave a torn temp file exactly as a real short write would,
             // then fail — the cleanup below must still remove it.
-            (void)write_all(fd, bytes.data(), bytes.size() / 2);
+            std::size_t half = 0;
+            for (const auto piece : pieces) half += piece.size();
+            half /= 2;
+            for (const auto piece : pieces) {
+                const std::size_t n = std::min(half, piece.size());
+                if (!write_all(fd, piece.data(), n)) break;
+                half -= n;
+            }
         }
         ::close(fd);
         return fail(injected_error(f, Op::Write, path));
     }
-    if (!write_all(fd, bytes.data(), bytes.size())) {
-        ::close(fd);
-        return fail(errno_error("write", tmp));
+    for (const auto piece : pieces) {
+        if (!write_all(fd, piece.data(), piece.size())) {
+            ::close(fd);
+            return fail(errno_error("write", tmp));
+        }
     }
 
     if (const FaultKind f = check_fault(Op::Fsync, path);
@@ -494,6 +508,8 @@ Result<void> write_file_atomic(const std::filesystem::path& path,
     }
     return sync_parent_dir(path);
 }
+
+}  // namespace
 
 Result<void> rename_file(const std::filesystem::path& from,
                          const std::filesystem::path& to) {
@@ -524,8 +540,10 @@ Result<std::string> read_file(const std::filesystem::path& path) {
     return out;
 }
 
-Result<void> write_file_atomic(const std::filesystem::path& path,
-                               std::string_view bytes) {
+namespace {
+
+Result<void> write_pieces_atomic(const std::filesystem::path& path,
+                                 std::span<const std::string_view> pieces) {
     std::error_code ec;
     if (path.has_parent_path()) {
         std::filesystem::create_directories(path.parent_path(), ec);
@@ -550,7 +568,9 @@ Result<void> write_file_atomic(const std::filesystem::path& path,
             f != FaultKind::None) {
             return fail(injected_error(f, Op::Write, path));
         }
-        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        for (const auto piece : pieces) {
+            os.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+        }
         os.flush();
         if (!os) return fail(Error(ErrorCode::Io, "write failed for " + tmp.string()));
     }
@@ -562,6 +582,8 @@ Result<void> write_file_atomic(const std::filesystem::path& path,
     if (ec) return fail(Error(ErrorCode::Io, "rename failed for " + path.string()));
     return {};
 }
+
+}  // namespace
 
 Result<void> rename_file(const std::filesystem::path& from,
                          const std::filesystem::path& to) {
@@ -576,6 +598,17 @@ Result<void> rename_file(const std::filesystem::path& from,
 }
 
 #endif  // YTCDN_IO_POSIX
+
+Result<void> write_file_atomic(const std::filesystem::path& path,
+                               std::string_view bytes) {
+    return write_pieces_atomic(path, std::span(&bytes, 1));
+}
+
+Result<void> write_file_atomic(const std::filesystem::path& path,
+                               std::span<const std::string> pieces) {
+    const std::vector<std::string_view> views(pieces.begin(), pieces.end());
+    return write_pieces_atomic(path, views);
+}
 
 Result<void> write_file_atomic(const std::filesystem::path& path,
                                const std::function<bool(std::ostream&)>& writer) {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -144,6 +145,12 @@ private:
 /// Rename. EINTR is retried at every syscall.
 [[nodiscard]] Result<void> write_file_atomic(const std::filesystem::path& path,
                                              std::string_view bytes);
+
+/// Same, for a file held as pieces (a YFL2 log's block frames): the file
+/// is their concatenation, and each fault point is consulted once for the
+/// whole file, exactly as for one buffer of the same bytes.
+[[nodiscard]] Result<void> write_file_atomic(const std::filesystem::path& path,
+                                             std::span<const std::string> pieces);
 
 /// Callback form: the writer serializes into a memory buffer first
 /// (returning false aborts with an Io error), then the byte form above

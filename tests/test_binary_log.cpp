@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 
+#include "capture/dataset.hpp"
 #include "capture/flow_log.hpp"
 #include "sim/random.hpp"
 #include "util/crc32.hpp"
@@ -243,3 +246,161 @@ TEST(BinaryLog, FileRoundTrip) {
 }
 
 }  // namespace
+
+// --- the framing sink and the piece-list reader ----------------------------
+
+namespace {
+
+/// `n` records in non-decreasing start order, most starts shared by a run
+/// of one to five records whose order within the run is shuffled — what a
+/// sniffer hands its sink.
+std::vector<capture::FlowRecord> start_ordered_stream(std::size_t n,
+                                                      std::uint64_t seed) {
+    auto records = random_records(n, seed);
+    sim::Rng rng(seed + 1);
+    double start = 0.0;
+    for (std::size_t i = 0; i < n;) {
+        const std::size_t run = std::min<std::size_t>(n - i, 1 + rng.uniform_index(5));
+        start += 0.25;
+        for (std::size_t k = 0; k < run; ++k, ++i) {
+            records[i].start = start;
+            records[i].end = start + rng.uniform(0.0, 50.0);
+        }
+    }
+    return records;
+}
+
+std::string concat(const capture::LogPieces& pieces) {
+    std::string out;
+    for (const auto& piece : pieces) out += piece;
+    return out;
+}
+
+/// "ok <records>" or the typed error, message and provenance included.
+template <class Records>
+std::string outcome(const ytcdn::util::Result<Records>& r, std::size_t n) {
+    if (r.ok()) return "ok " + std::to_string(n);
+    return std::string(ytcdn::to_string(r.error().code())) + " " + r.error().what();
+}
+
+std::string drain_pieces(const capture::LogPieces& pieces) {
+    auto reader = capture::FlowLogReader::open_pieces(pieces);
+    if (!reader.ok()) return outcome(reader, 0);
+    std::vector<capture::FlowRecord> block;
+    std::size_t total = 0;
+    for (;;) {
+        auto n = reader.value().next(block);
+        if (!n.ok() || n.value() == 0) return outcome(n, total);
+        total += n.value();
+    }
+}
+
+std::string drain_bytes(const std::string& bytes) {
+    auto r = capture::read_binary_log_bytes(bytes);
+    return outcome(r, r.ok() ? r.value().size() : 0);
+}
+
+/// The same bytes cut into `width`-byte pieces.
+capture::LogPieces resplit(const std::string& bytes, std::size_t width) {
+    capture::LogPieces out;
+    for (std::size_t at = 0; at < bytes.size(); at += width) {
+        out.push_back(bytes.substr(at, width));
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST(LogFramingSink, FramesConcatenateToTheSortedBatchLog) {
+    for (const std::size_t n : {0, 1, 4095, 4096, 4097, 8193}) {
+        SCOPED_TRACE(n);
+        const auto stream = start_ordered_stream(n, 40 + n);
+        capture::Dataset sorted{"vp", stream};
+        sorted.sort_by_time();
+        const std::string expected = capture::write_binary_log_bytes(sorted.records);
+
+        capture::LogFramingSink sink;
+        for (const auto& r : stream) sink.on_flow(r);
+        const capture::LogPieces pieces = sink.finish();
+        EXPECT_EQ(concat(pieces), expected);
+        EXPECT_EQ(capture::log_size(pieces), expected.size());
+        EXPECT_EQ(capture::log_crc32(pieces), ytcdn::util::crc32(expected));
+
+        // Header | one piece per block frame | trailer: every frame but the
+        // last is full, and no piece holds more than one frame.
+        const std::size_t blocks = (n + 4095) / 4096;
+        ASSERT_EQ(pieces.size(), blocks + 2);
+        EXPECT_EQ(pieces.front().size(), 20u);
+        EXPECT_EQ(pieces.back().size(), 16u);
+        for (std::size_t b = 0; b < blocks; ++b) {
+            const std::size_t records = std::min<std::size_t>(4096, n - b * 4096);
+            EXPECT_EQ(pieces[b + 1].size(), 8 + records * 41) << "block " << b;
+        }
+
+        // The sink starts over: a second stream is a log of its own.
+        sink.on_flow(stream.empty() ? random_records(1, 1)[0] : stream.front());
+        EXPECT_EQ(capture::log_size(sink.finish()), capture::binary_log_size(1));
+    }
+}
+
+TEST(LogFramingSink, StartGoingBackwardsThrows) {
+    auto records = random_records(2, 9);
+    records[0].start = 10.0;
+    records[1].start = 9.5;
+    capture::LogFramingSink sink;
+    sink.on_flow(records[0]);
+    EXPECT_THROW(sink.on_flow(records[1]), std::logic_error);
+}
+
+TEST(FlowLogReaderPieces, ReadsTheLogInPlace) {
+    capture::LogFramingSink sink;
+    const auto stream = start_ordered_stream(8193, 5);
+    for (const auto& r : stream) sink.on_flow(r);
+    const capture::LogPieces pieces = sink.finish();
+    const std::string bytes = concat(pieces);
+    EXPECT_EQ(drain_pieces(pieces), "ok 8193");
+    EXPECT_EQ(drain_pieces(resplit(bytes, 1000)), "ok 8193");
+    EXPECT_EQ(drain_pieces(capture::LogPieces{bytes}), "ok 8193");
+    // Empty pieces anywhere change nothing.
+    capture::LogPieces padded;
+    for (const auto& piece : pieces) {
+        padded.emplace_back();
+        padded.push_back(piece);
+    }
+    padded.emplace_back();
+    EXPECT_EQ(drain_pieces(padded), "ok 8193");
+}
+
+TEST(FlowLogReaderPieces, EveryTruncationAndByteFlipFailsLikeTheBytesReader) {
+    // The sink's own split (header | frame | trailer) and 7-byte pieces,
+    // whose ranges straddle pieces everywhere: each cut and each flipped
+    // byte must give the bytes reader's code, message and provenance.
+    capture::LogFramingSink sink;
+    for (const auto& r : start_ordered_stream(12, 77)) sink.on_flow(r);
+    const capture::LogPieces framed = sink.finish();
+    const std::string good = concat(framed);
+    const auto split_like_sink = [&framed](const std::string& bytes) {
+        capture::LogPieces out;
+        std::size_t at = 0;
+        for (const auto& piece : framed) {
+            if (at >= bytes.size()) break;
+            out.push_back(bytes.substr(at, piece.size()));
+            at += piece.size();
+        }
+        return out;
+    };
+    for (std::size_t cut = 0; cut < good.size(); ++cut) {
+        const std::string bytes = good.substr(0, cut);
+        const std::string expected = drain_bytes(bytes);
+        ASSERT_NE(expected.rfind("ok", 0), 0u) << "cut " << cut;
+        EXPECT_EQ(drain_pieces(split_like_sink(bytes)), expected) << "cut " << cut;
+        EXPECT_EQ(drain_pieces(resplit(bytes, 7)), expected) << "cut " << cut;
+    }
+    for (std::size_t at = 0; at < good.size(); ++at) {
+        std::string bytes = good;
+        bytes[at] = static_cast<char>(bytes[at] ^ 0x2A);
+        const std::string expected = drain_bytes(bytes);
+        EXPECT_EQ(drain_pieces(split_like_sink(bytes)), expected) << "at " << at;
+        EXPECT_EQ(drain_pieces(resplit(bytes, 7)), expected) << "at " << at;
+    }
+}

@@ -591,9 +591,10 @@ TEST(Supervisor, InterruptedRunResumesToIdenticalReport) {
     // Interrupt after every possible stage boundary, then resume. After
     // Simulate alone (k = 1) the week is not on disk yet (the logs are the
     // Capture stage's output), so the resume re-simulates it; after
-    // Capture, both stages resume from the logs. Resuming after Geolocate
-    // (k = 3) re-derives the DC columns and sessions from the checkpointed
-    // maps, through the same index_study_run as a fresh run.
+    // Capture, both stages resume from the logs, each read once and held
+    // whole. Resuming after Geolocate (k = 3) takes the maps and preferred
+    // data centers from its checkpoint and Analyze folds the logs read
+    // back, through the same fold_study as a fresh run.
     for (std::size_t k = 1; k < study::kNumStages; ++k) {
         const auto dir = temp_dir("resume_" + std::to_string(k));
         auto first = fast_options(dir);
@@ -725,6 +726,77 @@ TEST(Supervisor, LogWriteFailureRetriesCaptureAlone) {
     EXPECT_TRUE(result.value().degraded.empty());
     EXPECT_EQ(read_all(dir / "logs" / "EU2.yfl"), read_all(ref_dir / "logs" / "EU2.yfl"));
     EXPECT_EQ(read_all(result.value().report_path), read_all(ref.value().report_path));
+    fs::remove_all(dir);
+    fs::remove_all(ref_dir);
+}
+
+TEST(Supervisor, AnalyzeOpensNoLog) {
+    // Geolocate and Analyze fold the frames Simulate built: a fresh run in
+    // which every read of a log would fail renders the reference report,
+    // and not one read of a log is even attempted.
+    const auto ref_dir = temp_dir("no_read_ref");
+    const auto ref = study::Supervisor(small_config(), fast_options(ref_dir)).run();
+    ASSERT_TRUE(ref.ok()) << ref.error().what();
+
+    auto plan = std::make_shared<io::FaultPlan>(3);
+    io::FaultRule rule;
+    rule.probability = 1.0;
+    rule.ops = io::op_bit(io::Op::Read);
+    rule.glob = "*.yfl";
+    plan->add(rule);
+    const auto dir = temp_dir("no_read");
+    const auto result = [&] {
+        io::ScopedFaultPlan scoped(plan);
+        return study::Supervisor(small_config(), fast_options(dir)).run();
+    }();
+    ASSERT_TRUE(result.ok()) << result.error().what();
+    EXPECT_EQ(plan->counts().injected, 0u);
+    EXPECT_TRUE(result.value().degraded.empty());
+    EXPECT_EQ(read_all(result.value().report_path), read_all(ref.value().report_path));
+    fs::remove_all(dir);
+    fs::remove_all(ref_dir);
+}
+
+TEST(Supervisor, UnwritableLogsDegradeCaptureAndStillRender) {
+    // The frames stay in memory when no log can be written: a non-strict
+    // run degrades `capture`, leaves no log or temp file behind and still
+    // renders the reference report.
+    const char* strict = std::getenv("YTCDN_STRICT_ARTIFACTS");
+    const std::string saved = strict ? strict : "";
+    ::unsetenv("YTCDN_STRICT_ARTIFACTS");
+    struct RestoreStrict {
+        const char* had;
+        const std::string& value;
+        ~RestoreStrict() {
+            if (had != nullptr) ::setenv("YTCDN_STRICT_ARTIFACTS", value.c_str(), 1);
+        }
+    } restore{strict, saved};
+
+    const auto ref_dir = temp_dir("no_write_ref");
+    const auto ref = study::Supervisor(small_config(), fast_options(ref_dir)).run();
+    ASSERT_TRUE(ref.ok()) << ref.error().what();
+
+    auto plan = std::make_shared<io::FaultPlan>(4);
+    io::FaultRule rule;
+    rule.probability = 1.0;
+    rule.ops = io::op_bit(io::Op::Write);
+    rule.glob = "*.yfl*";
+    plan->add(rule);
+    const auto dir = temp_dir("no_write");
+    const auto result = [&] {
+        io::ScopedFaultPlan scoped(plan);
+        return study::Supervisor(small_config(), fast_options(dir)).run();
+    }();
+    ASSERT_TRUE(result.ok()) << result.error().what();
+    EXPECT_TRUE(result.value().completed);
+    const auto& capture = result.value().stages[1];
+    EXPECT_TRUE(capture.degraded);
+    EXPECT_EQ(capture.attempts, 3);
+    EXPECT_EQ(result.value().degraded, std::vector<std::string>{"capture"});
+    EXPECT_EQ(read_all(result.value().report_path), read_all(ref.value().report_path));
+    for (const auto& entry : fs::directory_iterator(dir / "logs")) {
+        EXPECT_EQ(entry.path().extension(), ".dcmap") << entry.path();
+    }
     fs::remove_all(dir);
     fs::remove_all(ref_dir);
 }

@@ -163,6 +163,34 @@ TEST(TraceDriver, StreamingSinksSeeTheExactMaterializedRecords) {
     EXPECT_EQ(streamed.events_processed, expected.events_processed);
 }
 
+TEST(TraceDriver, FramingSinksBuildEachLogAsBlockFrames) {
+    // The supervised study's capture: a LogFramingSink per vantage point
+    // builds the log run_study's sorted dataset encodes to, one block frame
+    // per piece, while the driver returns datasets that hold no records.
+    const auto cfg = tiny_config();
+    const auto materialized = study::run_study(cfg);
+    std::vector<capture::LogFramingSink> framers(study::kNumVantagePoints);
+    std::vector<capture::FlowSink*> sinks;
+    for (auto& f : framers) sinks.push_back(&f);
+    study::StudyDeployment dep(cfg);
+    study::TraceDriver driver(dep);
+    driver.set_flow_sinks(std::move(sinks));
+    const auto streamed = driver.run();
+    for (std::size_t i = 0; i < framers.size(); ++i) {
+        EXPECT_EQ(streamed.datasets[i].name, materialized.traces.datasets[i].name);
+        EXPECT_TRUE(streamed.datasets[i].records.empty()) << i;
+        const capture::LogPieces pieces = framers[i].finish();
+        std::string log;
+        for (const auto& piece : pieces) {
+            EXPECT_LE(piece.size(), capture::kLogFrameBytes) << i;
+            log += piece;
+        }
+        EXPECT_EQ(log, capture::write_binary_log_bytes(
+                           materialized.traces.datasets[i].records))
+            << i;
+    }
+}
+
 TEST(TraceDriver, RejectsSinkCountMismatch) {
     study::StudyDeployment deployment(tiny_config());
     study::TraceDriver driver(deployment);
