@@ -11,6 +11,7 @@
 #include "bench_common.hpp"
 #include "study/dc_map_builder.hpp"
 #include "study/trace_driver.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -30,7 +31,7 @@ TtlOutcome run_with_ttl(double ttl_s) {
     workload::Player::Config player_cfg;
     player_cfg.dns_ttl_s = ttl_s;
     study::TraceDriver driver(deployment, player_cfg);
-    const auto traces = driver.run();
+    const auto traces = driver.run(util::shared_pool());
 
     // EU2 view.
     std::size_t idx = 0;

@@ -14,6 +14,7 @@
 #include "study/dc_map_builder.hpp"
 #include "study/report.hpp"
 #include "study/trace_driver.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -40,7 +41,7 @@ FaultOutcome run_one(bool with_outage) {
     }
     study::StudyDeployment deployment(cfg);
     study::TraceDriver driver(deployment);
-    const auto traces = driver.run();
+    const auto traces = driver.run(util::shared_pool());
 
     std::size_t idx = 0;
     for (std::size_t i = 0; i < traces.datasets.size(); ++i) {

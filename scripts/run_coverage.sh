@@ -14,9 +14,11 @@
 #   study/checkpoint              >= 90%  (the only YCK1 frame and stage codecs)
 #   study/supervisor              >= 90%  (the staged study: where the week
 #                                          lives, retries, degradation)
+#   study/trace_driver            >= 85%  (the one driver: its three stages
+#                                          and their hand-offs)
 #   service/aggregates + control  >= 90%  (ytcdnd's state codec and grammar)
-#   util/parallel                 >= 90%  (the only pool, fan-out and
-#                                          ordered pipeline)
+#   util/parallel                 >= 90%  (the only pool, fan-out, ordered
+#                                          pipeline, lanes and block channel)
 #
 # Only gcc + gcov + python3 are required — no gcovr, no pip. gcov's
 # --json-format output (one .gcov.json.gz per source) is aggregated by the
@@ -94,6 +96,7 @@ floors = [
     ("tracer", ["src/sim/tracer"], 90.0),
     ("checkpoint", ["src/study/checkpoint"], 90.0),
     ("supervisor", ["src/study/supervisor"], 90.0),
+    ("trace_driver", ["src/study/trace_driver"], 85.0),
     ("service", ["src/service/aggregates", "src/service/control"], 90.0),
     ("parallel", ["src/util/parallel"], 90.0),
 ]

@@ -43,9 +43,11 @@ std::ostream& operator<<(std::ostream& os, const FlowRecord& r);
 /// client payload (the HTTP request) available for DPI.
 ///
 /// The payload is a borrowed view: it must stay valid for the duration of
-/// `Sniffer::observe`, which classifies synchronously and never retains it.
-/// Emitters reuse a per-source buffer (or a string literal), so the
-/// simulate→capture hand-off is allocation-free per flow.
+/// `Sniffer::observe`, which never retains it: it either classifies the
+/// flow at once or copies it, payload bytes included, into a FlowBlock
+/// that DPI drains behind the event loop. Emitters reuse a per-source
+/// buffer (or a string literal), and blocks are reused, so the
+/// simulate→capture hand-off allocates nothing per flow.
 struct ObservedFlow {
     net::IpAddress client_ip;
     net::IpAddress server_ip;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -9,6 +10,48 @@
 #include "capture/flow_sink.hpp"
 
 namespace ytcdn::capture {
+
+/// Observed flows in emission order, each copied with its payload bytes and
+/// tagged with the index of the sniffer that saw it: the unit in which the
+/// event loop hands flows to DPI when DPI runs behind it (TraceDriver,
+/// DESIGN.md §16.2). A cleared block keeps its capacity for reuse.
+class FlowBlock {
+public:
+    static constexpr std::size_t kFlows = 128;
+
+    void clear() noexcept {
+        entries_.clear();
+        bytes_.clear();
+    }
+    void add(std::uint8_t source, const ObservedFlow& flow);
+
+    [[nodiscard]] bool full() const noexcept { return entries_.size() >= kFlows; }
+    [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+    [[nodiscard]] std::uint8_t source(std::size_t i) const noexcept {
+        return entries_[i].source;
+    }
+    /// Flow i, its payload a view into this block.
+    [[nodiscard]] ObservedFlow flow(std::size_t i) const noexcept;
+
+private:
+    struct Entry {
+        ObservedFlow flow;  // payload empty: it is bytes_[offset, offset + size)
+        std::uint32_t offset = 0;
+        std::uint32_t size = 0;
+        std::uint8_t source = 0;
+    };
+    std::vector<Entry> entries_;
+    std::string bytes_;
+};
+
+/// Where a sniffer puts the flows it observes when DPI runs elsewhere.
+class FlowHandoff {
+public:
+    virtual ~FlowHandoff() = default;
+    /// Takes `flow`, whose payload is borrowed for the call only, as seen by
+    /// the sniffer with index `source`.
+    virtual void hand_off(std::uint8_t source, const ObservedFlow& flow) = 0;
+};
 
 /// A passive edge sniffer, standing in for Tstat on the probe PC.
 ///
@@ -22,8 +65,22 @@ public:
 
     [[nodiscard]] const std::string& dataset_name() const noexcept { return name_; }
 
-    /// Feeds one completed flow through classification.
+    /// Counts one completed flow, then classifies it at once, or hands it
+    /// off when a hand-off is installed.
     void observe(const ObservedFlow& flow);
+
+    /// DPI on one observed flow: the classified record goes to the sink or
+    /// into records(). Whoever drains a hand-off calls this for each flow,
+    /// in the order they were observed.
+    void classify(const ObservedFlow& flow);
+
+    /// Routes observed flows to `handoff` under `source` instead of
+    /// classifying them in observe(). Null restores classification in
+    /// observe().
+    void set_handoff(FlowHandoff* handoff, std::uint8_t source) noexcept {
+        handoff_ = handoff;
+        source_ = source;
+    }
 
     /// Streaming capture: when a sink is installed, classified records are
     /// forwarded to it instead of accumulating in `records_` — the sniffer
@@ -51,6 +108,10 @@ private:
     std::string name_;
     std::vector<FlowRecord> records_;
     FlowSink* sink_ = nullptr;
+    FlowHandoff* handoff_ = nullptr;
+    std::uint8_t source_ = 0;
+    // observe() and classify() may run on different threads (TraceDriver's
+    // event lane and its caller); each writes only its own counter.
     std::uint64_t observed_ = 0;
     std::uint64_t classified_ = 0;
 };

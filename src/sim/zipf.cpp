@@ -1,33 +1,33 @@
 #include "sim/zipf.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace ytcdn::sim {
 
 ZipfDistribution::ZipfDistribution(std::size_t n, double s) : s_(s) {
     if (n == 0) throw std::invalid_argument("ZipfDistribution: n must be > 0");
     if (s < 0.0) throw std::invalid_argument("ZipfDistribution: s must be >= 0");
-    cdf_.resize(n);
+    std::vector<double> cdf(n);
     double acc = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
         acc += 1.0 / std::pow(static_cast<double>(k + 1), s);
-        cdf_[k] = acc;
+        cdf[k] = acc;
     }
-    for (auto& v : cdf_) v /= acc;
-    cdf_.back() = 1.0;  // guard against rounding
+    for (auto& v : cdf) v /= acc;
+    cdf.back() = 1.0;  // guard against rounding
+    cdf_ = GuidedCdf(std::move(cdf));
 }
 
 std::size_t ZipfDistribution::sample(Rng& rng) const {
-    const double u = rng.uniform01();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::size_t>(it - cdf_.begin());
+    return cdf_.lower_bound(rng.uniform01());
 }
 
 double ZipfDistribution::pmf(std::size_t rank) const {
     if (rank >= cdf_.size()) throw std::out_of_range("ZipfDistribution::pmf rank");
-    return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
+    const auto& cdf = cdf_.values();
+    return rank == 0 ? cdf[0] : cdf[rank] - cdf[rank - 1];
 }
 
 }  // namespace ytcdn::sim

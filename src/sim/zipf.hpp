@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/guided_cdf.hpp"
 #include "sim/random.hpp"
 
 namespace ytcdn::sim {
@@ -11,8 +12,9 @@ namespace ytcdn::sim {
 /// 1/(k+1)^s. Video popularity in YouTube-scale catalogs is well modelled by
 /// Zipf with exponent near 1 (Cha et al., IMC'07, the paper's ref [5]).
 ///
-/// Sampling is O(log n) via binary search over the precomputed CDF; memory is
-/// one double per rank.
+/// Sampling inverts the precomputed CDF through a guide table (GuidedCdf):
+/// the same rank a binary search would return, in O(1) expected steps;
+/// memory is one double and one 32-bit guide entry per rank.
 class ZipfDistribution {
 public:
     /// `n` ranks, exponent `s` >= 0 (s = 0 degenerates to uniform).
@@ -24,12 +26,15 @@ public:
     /// Samples a rank in [0, n).
     [[nodiscard]] std::size_t sample(Rng& rng) const;
 
+    /// The CDF the samples invert: values()[k] = P(rank <= k).
+    [[nodiscard]] const GuidedCdf& cdf() const noexcept { return cdf_; }
+
     /// Probability mass of a rank.
     [[nodiscard]] double pmf(std::size_t rank) const;
 
 private:
     double s_;
-    std::vector<double> cdf_;  // cdf_[k] = P(rank <= k), cdf_.back() == 1.
+    GuidedCdf cdf_;  // cdf_[k] = P(rank <= k), cdf_.back() == 1.
 };
 
 }  // namespace ytcdn::sim

@@ -16,10 +16,11 @@ struct StudyConfig {
     /// Trace volume factor vs the paper's datasets.
     double scale = 0.10;
 
-    /// Worker threads for the parallel stages around the (single-threaded)
-    /// event simulation: per-VP map building, CBG geolocation, report
-    /// rendering. 0 = YTCDN_THREADS env / hardware_concurrency; 1 = exact
-    /// serial execution. Output is bit-identical at any value.
+    /// Worker threads for the parallel stages around the event simulation
+    /// (whose events stay on one lane): the request draws and DPI beside
+    /// it, per-VP map building, CBG geolocation, report rendering.
+    /// 0 = YTCDN_THREADS env / hardware_concurrency; 1 = exact serial
+    /// execution. Output is bit-identical at any value.
     int threads = 0;
 
     /// Videos in the catalog. 0 = derive from scale (≈400k at scale 1,

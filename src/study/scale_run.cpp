@@ -138,7 +138,7 @@ util::Result<ScaleRunSummary> run_scale_study(const ScaleRunConfig& config,
 
     TraceDriver driver(deployment);
     driver.set_flow_sinks(std::move(sink_ptrs));
-    TraceOutputs traces = driver.run();
+    TraceOutputs traces = driver.run(pool);
 
     ScaleRunSummary summary;
     summary.events = traces.events_processed;

@@ -81,7 +81,7 @@ StudyRun run_study(const StudyConfig& config, util::ThreadPool& pool,
     auto deployment = std::make_unique<StudyDeployment>(config);
     TraceDriver driver(*deployment);
     driver.set_tracer(tracer);
-    TraceOutputs traces = driver.run();
+    TraceOutputs traces = driver.run(pool);
     return derive_run(config, std::move(deployment), std::move(traces), {}, pool);
 }
 

@@ -41,9 +41,10 @@ struct StudyRun {
 };
 
 /// Builds the deployment, simulates the week, and derives the per-vantage
-/// point maps and preferred data centers. The event-driven simulation is
-/// single-threaded by design (all vantage points share one CDN); the
-/// derivation stages fan out on `pool`. A non-null `tracer` collects the
+/// point maps and preferred data centers. The simulation's events stay on
+/// one lane (all vantage points share one CDN), with the request draws and
+/// DPI beside it on `pool` (TraceDriver::run); the derivation stages fan
+/// out on `pool`. A non-null `tracer` collects the
 /// simulation's structured event stream (see sim/tracer.hpp) without
 /// changing any output byte.
 [[nodiscard]] StudyRun run_study(const StudyConfig& config, util::ThreadPool& pool,

@@ -270,7 +270,7 @@ util::Result<SupervisorResult> Supervisor::run() {
         TraceDriver driver(*deployment);
         driver.set_tracer(options_.tracer);
         driver.set_flow_sinks(std::move(sink_ptrs));
-        state.traces = driver.run();
+        state.traces = driver.run(pool);
         state.week.clear();
         for (auto& sink : sinks) state.week.push_back(sink.finish());
         save_checkpoint(Stage::Simulate, encode_traces(state.traces, state.week));

@@ -6,11 +6,137 @@
 
 #include "capture/sniffer.hpp"
 #include "sim/fault_injector.hpp"
+#include "util/parallel.hpp"
 #include "workload/request_generator.hpp"
 
 namespace ytcdn::study {
 
 namespace {
+
+/// The three stages of a run (DESIGN.md §16.1): lane 0 runs the event
+/// loop, lane 1 the request draws, and the caller DPI plus the flow sinks.
+/// A stage whose lane got no worker runs inline, where its hand-off would
+/// have gone.
+constexpr std::size_t kEventLane = 0;
+constexpr std::size_t kDrawLane = 1;
+constexpr std::size_t kLanes = 2;
+/// Request blocks in flight per vantage point (RequestDraws::kBlock each).
+constexpr std::size_t kRequestSlots = 3;
+/// Capture blocks in flight behind the event loop (FlowBlock::kFlows each).
+constexpr std::size_t kFlowSlots = 4;
+
+using Generators = std::vector<std::unique_ptr<workload::RequestGenerator>>;
+using Sniffers = std::vector<std::unique_ptr<capture::Sniffer>>;
+
+/// The draw lane: every vantage point's RequestDraws, run ahead of the
+/// event loop into one queue per vantage point. It fills whichever stream
+/// has the fewest blocks queued, and waits only when every open queue is
+/// full, so the event loop never waits on a stream the lane skipped.
+class DrawStage {
+public:
+    explicit DrawStage(Generators& generators)
+        : generators_(&generators), channel_(generators.size(), kRequestSlots) {
+        feeds_.reserve(generators.size());
+        for (std::size_t q = 0; q < generators.size(); ++q) {
+            feeds_.emplace_back(channel_, q);
+        }
+    }
+
+    void run() {
+        for (;;) {
+            const std::size_t q = channel_.claim_any();
+            if (q == util::RingGate::kNone) return;
+            auto& block = channel_.claim(q);
+            block.clear();
+            auto& draws = (*generators_)[q]->draws();
+            if (draws.fill(block, workload::RequestDraws::kBlock) > 0) channel_.publish(q);
+            if (draws.exhausted()) channel_.close(q);
+        }
+    }
+
+    /// The event loop's side of queue q.
+    [[nodiscard]] workload::RequestFeed& feed(std::size_t q) { return feeds_[q]; }
+
+    void abort() noexcept { channel_.abort(); }
+
+private:
+    using Channel = util::BlockChannel<std::vector<workload::RequestDraw>>;
+
+    class Feed final : public workload::RequestFeed {
+    public:
+        Feed(Channel& channel, std::size_t q) : channel_(&channel), q_(q) {}
+        const std::vector<workload::RequestDraw>* next_block() override {
+            if (held_) channel_->release(q_);
+            const auto* block = channel_->next(q_);
+            held_ = block != nullptr;
+            return block;
+        }
+
+    private:
+        Channel* channel_;
+        std::size_t q_;
+        bool held_ = false;
+    };
+
+    Generators* generators_;
+    Channel channel_;
+    std::vector<Feed> feeds_;
+};
+
+/// The capture hand-off: the sniffers copy each observed flow into a
+/// FlowBlock on the event lane, and the caller runs DPI and the sinks over
+/// the blocks in emission order, across all vantage points, so every sink
+/// sees the serial order and runs on the thread that built it.
+class CaptureStage final : public capture::FlowHandoff {
+public:
+    explicit CaptureStage(Sniffers& sniffers)
+        : sniffers_(&sniffers), channel_(1, kFlowSlots) {}
+
+    /// Event lane: routes every sniffer's flows through the channel.
+    void open() {
+        for (std::size_t i = 0; i < sniffers_->size(); ++i) {
+            (*sniffers_)[i]->set_handoff(this, static_cast<std::uint8_t>(i));
+        }
+        take_block();
+    }
+
+    void hand_off(std::uint8_t source, const capture::ObservedFlow& flow) override {
+        block_->add(source, flow);
+        if (block_->full()) {
+            channel_.publish(0);
+            take_block();
+        }
+    }
+
+    /// Event lane, after the loop: hands over the last block and ends the
+    /// stream.
+    void close() {
+        if (block_->size() > 0) channel_.publish(0);
+        channel_.close(0);
+    }
+
+    /// Caller: DPI and the sinks over every block, in emission order.
+    void drain() {
+        while (const capture::FlowBlock* block = channel_.next(0)) {
+            for (std::size_t i = 0; i < block->size(); ++i) {
+                (*sniffers_)[block->source(i)]->classify(block->flow(i));
+            }
+            channel_.release(0);
+        }
+    }
+
+    void abort() noexcept { channel_.abort(); }
+
+private:
+    void take_block() {
+        block_ = &channel_.claim(0);
+        block_->clear();
+    }
+
+    Sniffers* sniffers_;
+    util::BlockChannel<capture::FlowBlock> channel_;
+    capture::FlowBlock* block_ = nullptr;
+};
 
 /// Binds a fault schedule's named targets (data-center cities, server
 /// hostnames, resolver names) to the deployment's CDN/DNS health machines.
@@ -97,6 +223,11 @@ TraceDriver::TraceDriver(StudyDeployment& deployment,
     : deployment_(&deployment), player_config_(player_config) {}
 
 TraceOutputs TraceDriver::run(sim::SimTime horizon) {
+    util::ThreadPool serial(1);
+    return run(serial, horizon);
+}
+
+TraceOutputs TraceDriver::run(util::ThreadPool& pool, sim::SimTime horizon) {
     auto& dep = *deployment_;
     const std::size_t n = dep.num_vantage_points();
     if (!sinks_.empty() && sinks_.size() != n) {
@@ -105,10 +236,13 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
     }
     sim::Simulator simulator;
     sim::Rng rng = dep.root_rng().fork("trace-driver");
+    // Every vantage point draws from the same catalog: one Zipf table.
+    const auto zipf = std::make_shared<const sim::ZipfDistribution>(
+        dep.catalog().size(), dep.config().zipf_exponent);
 
-    std::vector<std::unique_ptr<capture::Sniffer>> sniffers;
+    Sniffers sniffers;
     std::vector<std::unique_ptr<workload::Player>> players;
-    std::vector<std::unique_ptr<workload::RequestGenerator>> generators;
+    Generators generators;
     sniffers.reserve(n);
     players.reserve(n);
     generators.reserve(n);
@@ -141,7 +275,10 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
             sim::TraceStream(tracer_, static_cast<std::uint8_t>(i))));
         generators.push_back(std::make_unique<workload::RequestGenerator>(
             simulator, vp, *players.back(), dep.catalog(), gen_cfg,
-            rng.fork("generator-" + vp.name)));
+            rng.fork("generator-" + vp.name), zipf));
+        // Bounded before any lane starts: from here on the draws belong to
+        // whoever fills them, and run() leaves them alone.
+        generators.back()->draws().begin(simulator.now(), horizon);
     }
 
     // The fault injector (if any faults are scheduled) shares the event
@@ -158,11 +295,44 @@ TraceOutputs TraceDriver::run(sim::SimTime horizon) {
         injector->arm();
     }
 
-    for (auto& g : generators) g->run(horizon);
-    // Let in-flight sessions (redirect chains, pause resumes) drain past the
-    // capture horizon, like a real capture that sees flows end after the
-    // last request started.
-    simulator.run_until(horizon + 2.0 * sim::kHour);
+    DrawStage draws(generators);
+    CaptureStage capture(sniffers);
+    // The event loop, on lane 0 or, with no lane granted, on the caller.
+    // A stage without a lane of its own is called straight through: the
+    // generators draw for themselves and the sniffers classify in
+    // observe(), as a serial run does.
+    const auto event_loop = [&](std::size_t granted) {
+        if (granted > kDrawLane) {
+            for (std::size_t q = 0; q < n; ++q) generators[q]->set_feed(&draws.feed(q));
+        }
+        if (granted > kEventLane) capture.open();
+        for (auto& g : generators) g->run(horizon);
+        // Let in-flight sessions (redirect chains, pause resumes) drain past
+        // the capture horizon, like a real capture that sees flows end after
+        // the last request started.
+        simulator.run_until(horizon + 2.0 * sim::kHour);
+        if (granted > kEventLane) capture.close();
+    };
+    pool.run_lanes(
+        kLanes,
+        [&](std::size_t lane, std::size_t granted) {
+            if (lane == kEventLane) {
+                event_loop(granted);
+            } else {
+                draws.run();
+            }
+        },
+        [&](std::size_t granted) {
+            if (granted > kEventLane) {
+                capture.drain();
+            } else {
+                event_loop(granted);
+            }
+        },
+        [&] {
+            draws.abort();
+            capture.abort();
+        });
 
     TraceOutputs out;
     out.events_processed = simulator.events_processed();

@@ -10,6 +10,10 @@
 #include "study/deployment.hpp"
 #include "workload/player.hpp"
 
+namespace ytcdn::util {
+class ThreadPool;
+}  // namespace ytcdn::util
+
 namespace ytcdn::study {
 
 /// Everything a trace run produces, per vantage point.
@@ -30,6 +34,12 @@ struct TraceOutputs {
 /// traffic against the shared CDN on one discrete-event simulator (server
 /// load and cache state are global, as in reality), while a Tstat-like
 /// sniffer at each edge records its own dataset.
+///
+/// Every event runs on one lane, in (time, sequence) order. The work that
+/// is not coupled to the CDN runs beside it on the caller's pool
+/// (DESIGN.md §16.1): the request draws ahead of the event loop, and DPI
+/// plus the flow sinks behind it on the calling thread. Every output byte
+/// is the same at every pool size.
 class TraceDriver {
 public:
     explicit TraceDriver(StudyDeployment& deployment)
@@ -47,8 +57,9 @@ public:
     void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
 
     /// Streaming capture: one sink per vantage point (parallel to the
-    /// deployment's VP order). With sinks installed, sniffers forward
-    /// records instead of accumulating them, so the returned datasets are
+    /// deployment's VP order), called on run()'s calling thread in each
+    /// vantage point's emission order. With sinks installed, records are
+    /// forwarded instead of accumulating, so the returned datasets are
     /// empty and memory stays bounded at any run length; counters and player
     /// stats are unchanged. Pass an empty vector (the default) to
     /// materialize the datasets.
@@ -56,8 +67,15 @@ public:
         sinks_ = std::move(sinks);
     }
 
-    /// Simulates `horizon` seconds (default: the paper's one week) and
-    /// returns the per-vantage-point datasets, sorted by time.
+    /// Simulates `horizon` seconds (default: the paper's one week) on
+    /// `pool` and returns the per-vantage-point datasets, sorted by time.
+    /// The event loop and the request draws each take a free worker of
+    /// `pool` if there is one, and the sinks run on the calling thread. A
+    /// pool of size 1, or a call from inside one of its tasks, runs the
+    /// same stages as one serial interleave.
+    [[nodiscard]] TraceOutputs run(util::ThreadPool& pool,
+                                   sim::SimTime horizon = sim::kWeek);
+    /// The same run on a pool of one: serial, on the calling thread.
     [[nodiscard]] TraceOutputs run(sim::SimTime horizon = sim::kWeek);
 
 private:

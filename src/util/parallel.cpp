@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 
 #include "util/metrics.hpp"
 
@@ -264,27 +265,96 @@ void ThreadPool::run_pipelined(std::size_t n,
     if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::worker_main() {
-    for (;;) {
-        std::shared_ptr<Batch> batch;
+void ThreadPool::run_lanes(
+    std::size_t k, const std::function<void(std::size_t, std::size_t)>& lane,
+    const std::function<void(std::size_t)>& consume, const std::function<void()>& abort) {
+    count_batch(k);
+    std::mutex failure_mutex;
+    std::exception_ptr failure;
+    // The first failure is kept; abort() runs after it is recorded, so the
+    // PipelineAborted echoes it causes always come later and are dropped.
+    const auto fail = [&](std::exception_ptr error) {
         {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [&] {
-                if (stop_) return true;
-                for (const auto& b : batches_) {
-                    if (b->next.load() < b->n) return true;
-                }
-                return false;
-            });
-            if (stop_) return;
-            for (const auto& b : batches_) {
-                if (b->next.load() < b->n) {
-                    batch = b;
-                    break;
-                }
-            }
+            const std::lock_guard<std::mutex> lock(failure_mutex);
+            if (!failure) failure = std::move(error);
         }
-        if (batch) work_on(*batch);
+        abort();
+    };
+    std::size_t granted = 0;
+    const std::function<void(std::size_t)> task = [&](std::size_t j) {
+        try {
+            lane(j, granted);
+        } catch (...) {  // ytcdn-lint: allow(catch-all) — trampoline, rethrown on the caller
+            fail(std::current_exception());
+        }
+    };
+
+    std::shared_ptr<Batch> lanes;
+    if (k > 0 && !serial_here()) {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        // Only workers that are free now, and not yet promised to another
+        // call's lanes; each takes a lane before any batch, so every
+        // granted lane starts without waiting on other work.
+        const std::size_t taken = busy_ + lanes_.size();
+        granted = std::min(k, workers_.size() > taken ? workers_.size() - taken : 0);
+        if (granted > 0) {
+            lanes = std::make_shared<Batch>();
+            lanes->n = granted;
+            lanes->task = &task;
+            lanes->next = granted;  // handed out through lanes_, never claimed
+            for (std::size_t j = 0; j < granted; ++j) lanes_.push_back({lanes, j});
+        }
+    }
+    if (lanes) cv_.notify_all();
+
+    try {
+        consume(granted);
+    } catch (...) {  // ytcdn-lint: allow(catch-all) — rethrown below, after the lanes end
+        fail(std::current_exception());
+    }
+    if (lanes) {
+        std::unique_lock<std::mutex> lock(lanes->mutex);
+        lanes->finished.wait(lock, [&] { return lanes->done.load() >= lanes->n; });
+    }
+    if (failure) std::rethrow_exception(failure);
+}
+
+std::shared_ptr<ThreadPool::Batch> ThreadPool::open_batch() const {
+    for (const auto& b : batches_) {
+        if (b->next.load() < b->n) return b;
+    }
+    return nullptr;
+}
+
+void ThreadPool::worker_main() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        cv_.wait(lock, [&] { return stop_ || !lanes_.empty() || open_batch() != nullptr; });
+        if (stop_) return;
+        if (!lanes_.empty()) {
+            const LaneItem item = std::move(lanes_.front());
+            lanes_.pop_front();
+            ++busy_;
+            lock.unlock();
+            {
+                const PoolScope scope(this);
+                (*item.batch->task)(item.index);  // run_lanes' trampoline: never throws
+            }
+            if (item.batch->done.fetch_add(1) + 1 == item.batch->n) {
+                const std::lock_guard<std::mutex> done(item.batch->mutex);
+                item.batch->finished.notify_all();
+            }
+        } else if (const std::shared_ptr<Batch> batch = open_batch()) {
+            ++busy_;
+            lock.unlock();
+            work_on(*batch);
+        } else {
+            // Indices are claimed outside mutex_: the batch the wait saw
+            // open has been fully claimed since.
+            continue;
+        }
+        lock.lock();
+        --busy_;
     }
 }
 
@@ -303,6 +373,88 @@ void ThreadPool::work_on(Batch& batch) {
             batch.finished.notify_all();
         }
     }
+}
+
+RingGate::RingGate(std::size_t queues, std::size_t slots) : slots_(slots), rings_(queues) {
+    if (queues == 0 || slots == 0) {
+        throw std::invalid_argument("RingGate: queues and slots must be > 0");
+    }
+}
+
+void RingGate::wait(std::condition_variable& cv, bool& waiting,
+                    std::unique_lock<std::mutex>& lock) {
+    if (aborted_) throw PipelineAborted();
+    waiting = true;
+    cv.wait(lock);
+    waiting = false;
+    if (aborted_) throw PipelineAborted();
+}
+
+std::size_t RingGate::claim(std::size_t q) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    Ring& ring = rings_.at(q);
+    while (ring.published - ring.released >= slots_) {
+        wait(producer_cv_, producer_waiting_, lock);
+    }
+    if (aborted_) throw PipelineAborted();
+    return ring.published % slots_;
+}
+
+std::size_t RingGate::claim_any() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        if (aborted_) throw PipelineAborted();
+        std::size_t best = kNone;
+        bool open = false;
+        for (std::size_t q = 0; q < rings_.size(); ++q) {
+            const Ring& ring = rings_[q];
+            if (ring.closed) continue;
+            open = true;
+            const std::size_t queued = ring.published - ring.released;
+            if (queued < slots_ &&
+                (best == kNone ||
+                 queued < rings_[best].published - rings_[best].released)) {
+                best = q;
+            }
+        }
+        if (best != kNone || !open) return best;
+        wait(producer_cv_, producer_waiting_, lock);
+    }
+}
+
+void RingGate::publish(std::size_t q) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++rings_.at(q).published;
+    if (consumer_waiting_) consumer_cv_.notify_one();
+}
+
+void RingGate::close(std::size_t q) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    rings_.at(q).closed = true;
+    if (consumer_waiting_) consumer_cv_.notify_one();
+}
+
+std::size_t RingGate::next(std::size_t q) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const Ring& ring = rings_.at(q);
+    while (ring.published == ring.released && !ring.closed) {
+        wait(consumer_cv_, consumer_waiting_, lock);
+    }
+    if (aborted_) throw PipelineAborted();
+    return ring.published == ring.released ? kNone : ring.released % slots_;
+}
+
+void RingGate::release(std::size_t q) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++rings_.at(q).released;
+    if (producer_waiting_) producer_cv_.notify_one();
+}
+
+void RingGate::abort() noexcept {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    aborted_ = true;
+    producer_cv_.notify_all();
+    consumer_cv_.notify_all();
 }
 
 }  // namespace ytcdn::util

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -89,9 +90,40 @@ public:
         return 2 * size_;
     }
 
+    /// Up to k long-lived lanes beside a consumer loop on the calling
+    /// thread, blocking until all of them end:
+    ///
+    ///  * lanes go only to workers that are free at the call, and are
+    ///    handed to them at once: `granted` (<= k) of them get one, lanes
+    ///    0..granted-1 in index order, and lane(j, granted) runs on its
+    ///    worker. The other lanes never run as lanes: the stage code runs
+    ///    their work inline, so nothing ever waits on a lane no worker has
+    ///    picked up;
+    ///  * consume(granted) runs on the calling thread meanwhile;
+    ///  * a pool of size 1, or a call from inside one of this pool's tasks,
+    ///    grants 0: consume(0) is then the whole serial run;
+    ///  * whenever a lane or the consumer throws, abort() runs (it must not
+    ///    throw), so that stages blocked on each other's BlockChannel wake
+    ///    with PipelineAborted; once every granted lane has ended, the
+    ///    first failure is rethrown, not those echoes;
+    ///  * util.pool.* counts one batch of k tasks, whatever `granted` is.
+    ///
+    /// Which lanes got workers decides only where work runs, so a stage
+    /// layout that gives the same output at every `granted` is
+    /// deterministic at every pool size.
+    void run_lanes(std::size_t k,
+                   const std::function<void(std::size_t lane, std::size_t granted)>& lane,
+                   const std::function<void(std::size_t granted)>& consume,
+                   const std::function<void()>& abort);
+
 private:
     struct Batch;
     struct Pipeline;
+    /// One granted lane of a run_lanes call, waiting for a free worker.
+    struct LaneItem {
+        std::shared_ptr<Batch> batch;
+        std::size_t index = 0;
+    };
 
     /// Queues task(0..n-1) for the workers.
     std::shared_ptr<Batch> submit(std::size_t n,
@@ -100,6 +132,7 @@ private:
     void finish(Batch& batch);
     void worker_main();
     void work_on(Batch& batch);
+    [[nodiscard]] std::shared_ptr<Batch> open_batch() const;
     [[nodiscard]] bool serial_here() const noexcept;
 
     std::size_t size_;
@@ -107,7 +140,100 @@ private:
     std::mutex mutex_;
     std::condition_variable cv_;
     std::deque<std::shared_ptr<Batch>> batches_;
+    std::deque<LaneItem> lanes_;  // taken before any batch
+    std::size_t busy_ = 0;        // workers running a task or a lane
     bool stop_ = false;
+};
+
+/// Thrown by a BlockChannel wait once the channel is aborted: a stage on
+/// the other side failed, and run_lanes rethrows that failure instead.
+class PipelineAborted : public std::runtime_error {
+public:
+    PipelineAborted() : std::runtime_error("pipeline aborted") {}
+};
+
+/// The waits of a BlockChannel, for any block type: `queues` rings of
+/// `slots` slots each, all under one lock, with one producer and one
+/// consumer. Slots are filled and read in place, so a ring's blocks are
+/// reused and a queue never holds more than `slots` of them.
+class RingGate {
+public:
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+    RingGate(std::size_t queues, std::size_t slots);
+
+    /// Producer: the slot of queue q to fill next, waiting while all of
+    /// q's slots hold blocks the consumer has not released.
+    [[nodiscard]] std::size_t claim(std::size_t q);
+    /// Producer: the open queue with room that holds the fewest blocks
+    /// (lowest index on ties), waiting while every open queue is full;
+    /// kNone once every queue is closed.
+    [[nodiscard]] std::size_t claim_any();
+    /// Producer: hands q's claimed slot to the consumer.
+    void publish(std::size_t q);
+    /// Producer: q gets no more blocks.
+    void close(std::size_t q);
+
+    /// Consumer: q's oldest published slot, waiting while there is none;
+    /// kNone once q is closed and every block was read.
+    [[nodiscard]] std::size_t next(std::size_t q);
+    /// Consumer: gives back the slot next() returned last.
+    void release(std::size_t q);
+
+    /// Every wait, now or later, throws PipelineAborted.
+    void abort() noexcept;
+
+private:
+    struct Ring {
+        std::size_t published = 0;  // blocks handed to the consumer, ever
+        std::size_t released = 0;   // blocks the consumer gave back, ever
+        bool closed = false;
+    };
+    void wait(std::condition_variable& cv, bool& waiting,
+              std::unique_lock<std::mutex>& lock);
+
+    const std::size_t slots_;
+    std::vector<Ring> rings_;
+    std::mutex mutex_;
+    std::condition_variable producer_cv_;
+    std::condition_variable consumer_cv_;
+    bool producer_waiting_ = false;
+    bool consumer_waiting_ = false;
+    bool aborted_ = false;
+};
+
+/// A bounded, order-preserving hand-off of blocks between two pipeline
+/// stages: `queues` single-producer/single-consumer queues of `slots`
+/// blocks each. The producer fills claim(q) in place and publishes it; the
+/// consumer reads next(q) in place and releases it. Blocks are reused, so
+/// a producer clears a claimed block before filling it. close() ends a
+/// queue; abort() wakes both sides with PipelineAborted, so a failure on
+/// either side unblocks the other.
+template <typename Block>
+class BlockChannel {
+public:
+    BlockChannel(std::size_t queues, std::size_t slots)
+        : gate_(queues, slots), slots_(slots), blocks_(queues * slots) {}
+
+    [[nodiscard]] Block& claim(std::size_t q) {
+        return blocks_[q * slots_ + gate_.claim(q)];
+    }
+    [[nodiscard]] std::size_t claim_any() { return gate_.claim_any(); }
+    void publish(std::size_t q) { gate_.publish(q); }
+    void close(std::size_t q) { gate_.close(q); }
+
+    /// Null once q is closed and drained; valid until release(q).
+    [[nodiscard]] const Block* next(std::size_t q) {
+        const std::size_t slot = gate_.next(q);
+        return slot == RingGate::kNone ? nullptr : &blocks_[q * slots_ + slot];
+    }
+    void release(std::size_t q) { gate_.release(q); }
+    void abort() noexcept { gate_.abort(); }
+
+private:
+    RingGate gate_;
+    std::size_t slots_;
+    std::vector<Block> blocks_;
 };
 
 /// The process-wide pool, sized by default_thread_count() at first use.

@@ -303,7 +303,7 @@ void Player::attempt(const Session& s, cdn::ServerId server, int redirects_left,
     // Serialize the actual 302 and chase its Location header, so the wire
     // format is exercised end to end (the DPI side parses the request; the
     // player side parses the redirect). The payload buffer is free again:
-    // emit_control_flow's observe() consumed it synchronously.
+    // emit_control_flow's observe() classified or copied it.
     const cdn::VideoRequestView request{cdn_->server(server).hostname(), s.video.id,
                                         cdn::itag_of(s.resolution)};
     cdn::format_redirect_to(payload_buf_, request, cdn_->server(target).hostname());

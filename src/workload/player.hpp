@@ -210,9 +210,9 @@ private:
     std::uint64_t next_session_id_ = 0;
     /// Per-client cached DNS answer and its expiry (only with dns_ttl_s > 0).
     std::unordered_map<ClientId, std::pair<cdn::DcId, sim::SimTime>> dns_cache_;
-    /// Reusable wire-format scratch: the sniffer consumes payloads
-    /// synchronously, so one buffer per player serves every flow without a
-    /// per-event string allocation.
+    /// Reusable wire-format scratch: the sniffer classifies or copies each
+    /// payload before observe() returns, so one buffer per player serves
+    /// every flow without a per-event string allocation.
     std::string payload_buf_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace ytcdn::workload {
 
@@ -25,8 +26,8 @@ void populate_clients(VantagePoint& vp, std::size_t count, sim::Rng& rng) {
 
     vp.clients.clear();
     vp.clients.reserve(count);
-    vp.client_activity_cdf.clear();
-    vp.client_activity_cdf.reserve(count);
+    std::vector<double> activity_cdf;
+    activity_cdf.reserve(count);
 
     const double base_access = access_rtt_ms(vp.tech);
     const double bw = downstream_bps(vp.tech);
@@ -60,10 +61,11 @@ void populate_clients(VantagePoint& vp, std::size_t count, sim::Rng& rng) {
             // Heavy-tailed per-client activity: lognormal gives a small core
             // of heavy watchers without starving anyone.
             cumulative_weight += rng.lognormal(0.0, 1.2);
-            vp.client_activity_cdf.push_back(cumulative_weight);
+            activity_cdf.push_back(cumulative_weight);
         }
         assigned += here;
     }
+    vp.client_activity_cdf = sim::GuidedCdf(std::move(activity_cdf));
 }
 
 std::size_t max_clients(const VantagePoint& vp) {
@@ -111,10 +113,8 @@ std::size_t sample_client_index(const VantagePoint& vp, sim::Rng& rng) {
     if (vp.client_activity_cdf.empty()) {
         throw std::logic_error("sample_client_index: populate_clients first");
     }
-    const double u = rng.uniform(0.0, vp.client_activity_cdf.back());
-    const auto it = std::lower_bound(vp.client_activity_cdf.begin(),
-                                     vp.client_activity_cdf.end(), u);
-    return static_cast<std::size_t>(it - vp.client_activity_cdf.begin());
+    return vp.client_activity_cdf.lower_bound(
+        rng.uniform(0.0, vp.client_activity_cdf.back()));
 }
 
 }  // namespace ytcdn::workload

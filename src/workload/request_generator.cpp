@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace ytcdn::workload {
 
@@ -15,16 +16,16 @@ double max_rate_bound(const VantagePoint& vp) {
 
 }  // namespace
 
-RequestGenerator::RequestGenerator(sim::Simulator& simulator, VantagePoint& vp,
-                                   Player& player, const cdn::VideoCatalog& catalog,
-                                   const Config& config, sim::Rng rng)
-    : simulator_(&simulator),
-      vp_(&vp),
-      player_(&player),
+RequestDraws::RequestDraws(const VantagePoint& vp, const cdn::VideoCatalog& catalog,
+                           const RequestConfig& config, sim::Rng rng,
+                           std::shared_ptr<const sim::ZipfDistribution> zipf)
+    : vp_(&vp),
       catalog_(&catalog),
       config_(config),
       rng_(rng),
-      zipf_(catalog.size(), config.zipf_exponent),
+      zipf_(zipf ? std::move(zipf)
+                 : std::make_shared<const sim::ZipfDistribution>(catalog.size(),
+                                                                 config.zipf_exponent)),
       arrivals_([&vp](sim::SimTime t) {
                     return vp.mean_sessions_per_s * vp.profile.multiplier_at(t);
                 },
@@ -39,29 +40,34 @@ RequestGenerator::RequestGenerator(sim::Simulator& simulator, VantagePoint& vp,
     }
 }
 
-void RequestGenerator::run(sim::SimTime horizon) {
+void RequestDraws::begin(sim::SimTime start, sim::SimTime horizon) {
+    if (begun_) throw std::logic_error("RequestDraws::begin: stream already begun");
+    begun_ = true;
+    last_ = start;
     horizon_ = horizon;
-    schedule_next(simulator_->now());
 }
 
-void RequestGenerator::schedule_next(sim::SimTime after) {
-    const sim::SimTime t = arrivals_.next_after(after);
-    if (t >= horizon_) return;
-    simulator_->schedule_at(t, [this] {
-        fire_request();
-        schedule_next(simulator_->now());
-    });
+std::size_t RequestDraws::fill(std::vector<RequestDraw>& out, std::size_t max) {
+    if (!begun_) throw std::logic_error("RequestDraws::fill: stream not begun");
+    std::size_t drawn = 0;
+    while (drawn < max && !exhausted_) {
+        const sim::SimTime t = arrivals_.next_after(last_);
+        if (t >= horizon_) {
+            exhausted_ = true;
+            break;
+        }
+        last_ = t;
+        RequestDraw& d = out.emplace_back();
+        d.time = t;
+        d.client = sample_client_index(*vp_, rng_);
+        d.rank = sample_rank(t);
+        d.resolution = sample_resolution();
+        ++drawn;
+    }
+    return drawn;
 }
 
-void RequestGenerator::fire_request() {
-    ++requests_;
-    const std::size_t ci = sample_client_index(*vp_, rng_);
-    const Client& client = vp_->clients[ci];
-    const cdn::Video& video = sample_video();
-    player_->start_session(client, video, sample_resolution());
-}
-
-cdn::Resolution RequestGenerator::sample_resolution() {
+cdn::Resolution RequestDraws::sample_resolution() {
     const auto& w = config_.resolution_weights;
     double total = 0.0;
     for (const double v : w) total += v;
@@ -73,12 +79,57 @@ cdn::Resolution RequestGenerator::sample_resolution() {
     return cdn::Resolution::R360;
 }
 
-const cdn::Video& RequestGenerator::sample_video() {
-    if (const auto promoted = catalog_->promoted_rank(simulator_->now());
+std::size_t RequestDraws::sample_rank(sim::SimTime t) {
+    if (const auto promoted = catalog_->promoted_rank(t);
         promoted && rng_.bernoulli(config_.p_promoted)) {
-        return catalog_->by_rank(*promoted);
+        return *promoted;
     }
-    return catalog_->by_rank(zipf_.sample(rng_));
+    return zipf_->sample(rng_);
+}
+
+RequestGenerator::RequestGenerator(sim::Simulator& simulator, VantagePoint& vp,
+                                   Player& player, const cdn::VideoCatalog& catalog,
+                                   const Config& config, sim::Rng rng,
+                                   std::shared_ptr<const sim::ZipfDistribution> zipf)
+    : simulator_(&simulator),
+      vp_(&vp),
+      player_(&player),
+      catalog_(&catalog),
+      draws_(vp, catalog, config, rng, std::move(zipf)) {}
+
+void RequestGenerator::run(sim::SimTime horizon) {
+    if (!draws_.begun()) {
+        draws_.begin(simulator_->now(), horizon);
+    } else if (draws_.horizon() != horizon) {
+        throw std::invalid_argument("RequestGenerator::run: horizon differs from the draws'");
+    }
+    schedule_next();
+}
+
+bool RequestGenerator::next_draw() {
+    while (block_ == nullptr || cursor_ == block_->size()) {
+        if (feed_ != nullptr) {
+            block_ = feed_->next_block();
+        } else {
+            own_block_.clear();
+            draws_.fill(own_block_, RequestDraws::kBlock);
+            block_ = own_block_.empty() ? nullptr : &own_block_;
+        }
+        cursor_ = 0;
+        if (block_ == nullptr) return false;
+    }
+    pending_ = (*block_)[cursor_++];
+    return true;
+}
+
+void RequestGenerator::schedule_next() {
+    if (!next_draw()) return;
+    simulator_->schedule_at(pending_.time, [this] {
+        ++requests_;
+        player_->start_session(vp_->clients[pending_.client],
+                               catalog_->by_rank(pending_.rank), pending_.resolution);
+        schedule_next();
+    });
 }
 
 }  // namespace ytcdn::workload

@@ -8,6 +8,7 @@
 #include "net/rtt_model.hpp"
 #include "net/subnet.hpp"
 #include "sim/diurnal.hpp"
+#include "sim/guided_cdf.hpp"
 #include "workload/client.hpp"
 
 namespace ytcdn::workload {
@@ -37,8 +38,9 @@ struct VantagePoint {
     std::vector<SubnetGroup> subnets;
     std::vector<Client> clients;
     /// Cumulative per-client activity weights (heavy-tailed), built by
-    /// populate_clients(); sample_client_index() draws from it.
-    std::vector<double> client_activity_cdf;
+    /// populate_clients(); sample_client_index() draws from it through its
+    /// guide table.
+    sim::GuidedCdf client_activity_cdf;
     /// Mean video sessions per second across the whole week (scaled).
     double mean_sessions_per_s = 1.0;
     sim::DiurnalProfile profile = sim::DiurnalProfile::residential();

@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
 namespace util = ytcdn::util;
@@ -382,6 +385,198 @@ TEST(Pipeline, SerialPoolIsTheExactInterleave) {
         EXPECT_EQ(events,
                   (std::vector<std::string>{"p0", "c0", "p1", "c1", "p2", "c2"}));
     }
+}
+
+TEST(BlockChannel, EveryQueueKeepsItsOrderAcrossThreads) {
+    // One producer fills four queues of two slots each, always the emptiest
+    // one; the consumer reads them round-robin on another lane. Every
+    // queue must arrive complete and in order, with at most two blocks
+    // of it alive at once.
+    constexpr std::size_t kQueues = 4;
+    constexpr std::size_t kBlocks = 200;
+    util::ThreadPool pool(2);
+    util::BlockChannel<std::vector<std::size_t>> channel(kQueues, 2);
+    std::vector<std::size_t> made(kQueues, 0);
+    std::vector<std::vector<std::size_t>> got(kQueues);
+    pool.run_lanes(
+        1,
+        [&](std::size_t, std::size_t) {
+            for (;;) {
+                const std::size_t q = channel.claim_any();
+                if (q == util::RingGate::kNone) return;
+                auto& block = channel.claim(q);
+                block.assign(3, made[q]++);
+                channel.publish(q);
+                if (made[q] == kBlocks) channel.close(q);
+            }
+        },
+        [&](std::size_t granted) {
+            ASSERT_EQ(granted, 1u);
+            std::size_t open = kQueues;
+            std::vector<bool> done(kQueues, false);
+            while (open > 0) {
+                for (std::size_t q = 0; q < kQueues; ++q) {
+                    if (done[q]) continue;
+                    const auto* block = channel.next(q);
+                    if (block == nullptr) {
+                        done[q] = true;
+                        --open;
+                        continue;
+                    }
+                    got[q].push_back(block->front());
+                    channel.release(q);
+                }
+            }
+        },
+        [&] { channel.abort(); });
+    for (std::size_t q = 0; q < kQueues; ++q) {
+        ASSERT_EQ(got[q].size(), kBlocks) << q;
+        for (std::size_t i = 0; i < kBlocks; ++i) EXPECT_EQ(got[q][i], i) << q;
+    }
+}
+
+TEST(BlockChannel, ClaimAnyPicksTheEmptiestOpenQueue) {
+    util::BlockChannel<int> channel(3, 2);
+    EXPECT_EQ(channel.claim_any(), 0u);
+    channel.claim(0) = 1;
+    channel.publish(0);
+    EXPECT_EQ(channel.claim_any(), 1u);  // 0 holds one block, 1 and 2 none
+    channel.close(1);
+    EXPECT_EQ(channel.claim_any(), 2u);
+    channel.claim(2) = 2;
+    channel.publish(2);
+    channel.claim(2) = 3;
+    channel.publish(2);
+    EXPECT_EQ(channel.claim_any(), 0u);  // 2 is full
+    channel.close(0);
+    channel.close(2);
+    EXPECT_EQ(channel.claim_any(), util::RingGate::kNone);
+    // Closed queues still hand out what they hold, then end.
+    ASSERT_NE(channel.next(2), nullptr);
+    EXPECT_EQ(*channel.next(2), 2);
+    channel.release(2);
+    EXPECT_EQ(*channel.next(2), 3);
+    channel.release(2);
+    EXPECT_EQ(channel.next(2), nullptr);
+    EXPECT_EQ(channel.next(1), nullptr);
+}
+
+TEST(BlockChannel, AbortWakesBothSides) {
+    util::ThreadPool pool(3);
+    util::BlockChannel<int> full(1, 1);
+    util::BlockChannel<int> empty(1, 1);
+    full.claim(0) = 7;
+    full.publish(0);
+    std::atomic<int> woke{0};
+    pool.run_lanes(
+        2,
+        [&](std::size_t lane, std::size_t) {
+            try {
+                if (lane == 0) {
+                    (void)full.claim(0);  // no room until the consumer releases
+                } else {
+                    (void)empty.next(0);  // nothing published
+                }
+            } catch (const util::PipelineAborted&) {
+                ++woke;
+            }
+        },
+        [&](std::size_t granted) {
+            ASSERT_EQ(granted, 2u);
+            full.abort();
+            empty.abort();
+        },
+        [] {});
+    EXPECT_EQ(woke.load(), 2);
+    EXPECT_THROW((void)full.next(0), util::PipelineAborted);
+    EXPECT_THROW(util::RingGate(0, 1), std::invalid_argument);
+}
+
+TEST(Lanes, GrantsFreeWorkersInLaneOrder) {
+    for (const std::size_t size : {1u, 2u, 3u, 4u, 8u}) {
+        util::ThreadPool pool(size);
+        std::mutex mutex;
+        std::vector<std::size_t> ran;
+        std::size_t seen = 99;
+        pool.run_lanes(
+            3,
+            [&](std::size_t lane, std::size_t granted) {
+                const std::lock_guard<std::mutex> lock(mutex);
+                ran.push_back(lane);
+                EXPECT_LT(lane, granted);
+            },
+            [&](std::size_t granted) { seen = granted; }, [] {});
+        EXPECT_EQ(seen, std::min<std::size_t>(3, size - 1)) << size;
+        std::sort(ran.begin(), ran.end());
+        std::vector<std::size_t> expected(seen);
+        std::iota(expected.begin(), expected.end(), std::size_t{0});
+        EXPECT_EQ(ran, expected) << size;
+    }
+}
+
+TEST(Lanes, InsideAPoolTaskNothingIsGranted) {
+    util::ThreadPool pool(4);
+    const auto granted = util::parallel_map_indexed(pool, 4, [&pool](std::size_t) {
+        std::size_t seen = 99;
+        pool.run_lanes(
+            2, [](std::size_t, std::size_t) { ADD_FAILURE() << "lane ran"; },
+            [&](std::size_t g) { seen = g; }, [] {});
+        return seen;
+    });
+    for (const auto g : granted) EXPECT_EQ(g, 0u);
+}
+
+TEST(Lanes, FirstFailureIsRethrownAndItsEchoesAreDropped) {
+    for (const std::size_t size : {1u, 4u}) {
+        util::ThreadPool pool(size);
+        // A lane fails; the consumer, blocked on the lane's channel, wakes
+        // with PipelineAborted, and the lane's error is what the caller sees.
+        util::BlockChannel<int> channel(1, 2);
+        const auto run = [&] {
+            pool.run_lanes(
+                1,
+                [&](std::size_t, std::size_t) {
+                    channel.claim(0) = 1;
+                    channel.publish(0);
+                    throw std::runtime_error("lane failed");
+                },
+                [&](std::size_t granted) {
+                    if (granted == 0) throw std::runtime_error("consumer failed");
+                    while (channel.next(0) != nullptr) channel.release(0);
+                },
+                [&] { channel.abort(); });
+        };
+        try {
+            run();
+            ADD_FAILURE() << "no exception at size " << size;
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), size == 1 ? "consumer failed" : "lane failed");
+        }
+        // The pool is whole afterwards.
+        const auto out =
+            util::parallel_map_indexed(pool, 16, [](std::size_t i) { return i * 2; });
+        for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * 2);
+    }
+}
+
+TEST(Lanes, PoolMetricsCountTheSameWorkAtEverySize) {
+    auto& registry = ytcdn::util::metrics::Registry::global();
+    std::string first;
+    for (const std::size_t size : {1u, 2u, 4u, 8u}) {
+        util::ThreadPool pool(size);
+        registry.reset();
+        pool.run_lanes(
+            2, [](std::size_t, std::size_t) {}, [](std::size_t) {}, [] {});
+        std::string pool_lines;
+        for (const auto& e : registry.snapshot().entries) {
+            if (e.name.rfind("util.pool.", 0) == 0) {
+                pool_lines += e.name + "=" + std::to_string(e.value) + "\n";
+            }
+        }
+        if (first.empty()) first = pool_lines;
+        EXPECT_EQ(pool_lines, first) << size;
+    }
+    EXPECT_NE(first.find("util.pool.tasks=2"), std::string::npos) << first;
 }
 
 TEST(Parallel, SharedPoolIsUsable) {

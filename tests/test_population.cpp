@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -137,6 +140,32 @@ TEST(AccessTech, Characteristics) {
     EXPECT_GT(workload::downstream_bps(AccessTech::Campus),
               workload::downstream_bps(AccessTech::Adsl));
     EXPECT_EQ(workload::to_string(AccessTech::Adsl), "adsl");
+}
+
+TEST(Population, ClientTableReturnsLowerBoundEverywhere) {
+    // The guide table must return std::lower_bound's index at every weight
+    // in the table, one ulp either side of it, and at random draws.
+    auto vp = make_vp();
+    sim::Rng rng(9);
+    workload::populate_clients(vp, workload::max_clients(vp), rng);
+    const auto& cdf = vp.client_activity_cdf;
+    const auto& v = cdf.values();
+    ASSERT_GT(v.size(), 500u);
+    std::size_t bad = 0;
+    const auto check = [&](double u) {
+        const auto want =
+            static_cast<std::size_t>(std::lower_bound(v.begin(), v.end(), u) - v.begin());
+        if (cdf.lower_bound(u) != want) ++bad;
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const double x : v) {
+        check(x);
+        check(std::nextafter(x, -kInf));
+        check(std::nextafter(x, kInf));
+    }
+    sim::Rng draws(10);
+    for (int i = 0; i < 200000; ++i) check(draws.uniform(0.0, cdf.back()));
+    EXPECT_EQ(bad, 0u);
 }
 
 }  // namespace

@@ -141,4 +141,95 @@ TEST_F(GeneratorFixture, InvalidConfigThrows) {
         std::invalid_argument);
 }
 
+bool same_draws(const std::vector<workload::RequestDraw>& a,
+                const std::vector<workload::RequestDraw>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a[i].time != b[i].time || a[i].client != b[i].client ||
+            a[i].rank != b[i].rank || a[i].resolution != b[i].resolution) {
+            return false;
+        }
+    }
+    return true;
+}
+
+TEST_F(GeneratorFixture, DrawsInBlocksAreTheDrawsOneByOne) {
+    // Reference: the stream drawn one request at a time to a far horizon.
+    const auto make = [this] {
+        return workload::RequestDraws(vp_, catalog_, {}, sim::Rng(15), nullptr);
+    };
+    auto one = make();
+    one.begin(0.0, 2 * sim::kDay);
+    std::vector<workload::RequestDraw> all;
+    while (one.fill(all, 1) == 1) {}
+    ASSERT_GT(all.size(), 40u);
+
+    // Horizons that end a block exactly at its boundary and mid-way: a
+    // horizon at arrival k leaves exactly k draws, and a stream that has
+    // reached its horizon draws nothing more, however often it is asked.
+    for (const std::size_t block : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                    std::size_t{16}}) {
+        for (const std::size_t k : {block, 2 * block, 2 * block + 1, 3 * block - 1}) {
+            if (k == 0 || k >= all.size()) continue;
+            auto draws = make();
+            draws.begin(0.0, all[k].time);
+            std::vector<workload::RequestDraw> got;
+            std::size_t calls = 0;
+            while (!draws.exhausted()) {
+                draws.fill(got, block);
+                ASSERT_LT(++calls, all.size()) << block;
+            }
+            EXPECT_EQ(draws.fill(got, block), 0u);
+            EXPECT_EQ(draws.fill(got, block), 0u);
+            const std::vector<workload::RequestDraw> want(all.begin(),
+                                                          all.begin() + static_cast<long>(k));
+            EXPECT_TRUE(same_draws(got, want)) << "block " << block << " k " << k
+                                               << " got " << got.size();
+        }
+    }
+}
+
+TEST_F(GeneratorFixture, RunLeavesDrawsTakenAheadAlone) {
+    // A draw lane begins the stream and draws ahead before the event loop
+    // calls run(): run() must schedule from the feed, not restart the
+    // stream's clock, and the simulated day must be the one a generator
+    // drawing for itself simulates.
+    std::uint64_t serial = 0;
+    {
+        sim::Simulator simulator;
+        capture::Sniffer sniffer("S");
+        workload::Player player(simulator, cdn_, dns_, sniffer, workload::Player::Config{},
+                                sim::Rng(7));
+        workload::RequestGenerator gen(simulator, vp_, player, catalog_, {}, sim::Rng(16));
+        gen.run(sim::kDay);
+        simulator.run_until(sim::kDay + sim::kHour);
+        serial = gen.requests_generated();
+    }
+
+    struct Ahead final : workload::RequestFeed {
+        std::vector<std::vector<workload::RequestDraw>> blocks;
+        std::size_t next = 0;
+        const std::vector<workload::RequestDraw>* next_block() override {
+            return next < blocks.size() ? &blocks[next++] : nullptr;
+        }
+    } feed;
+    workload::RequestGenerator gen(simulator_, vp_, *player_, catalog_, {}, sim::Rng(16));
+    gen.draws().begin(simulator_.now(), sim::kDay);
+    EXPECT_THROW(gen.draws().begin(simulator_.now(), sim::kDay), std::logic_error);
+    while (!gen.draws().exhausted()) {
+        feed.blocks.emplace_back();
+        gen.draws().fill(feed.blocks.back(), 5);
+    }
+    gen.set_feed(&feed);
+    gen.run(sim::kDay);
+    simulator_.run_until(sim::kDay + sim::kHour);
+    EXPECT_EQ(gen.requests_generated(), serial);
+    EXPECT_EQ(player_->stats().sessions, serial);
+
+    workload::RequestGenerator other(simulator_, vp_, *player_, catalog_, {},
+                                     sim::Rng(17));
+    other.draws().begin(simulator_.now(), 2 * sim::kDay);
+    EXPECT_THROW(other.run(3 * sim::kDay), std::invalid_argument);
+}
+
 }  // namespace

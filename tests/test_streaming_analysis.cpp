@@ -406,4 +406,50 @@ TEST_F(StreamingModules, ScaleRunKeptSpillsAreTheLegacyDatasets) {
     fs::remove_all(dir);
 }
 
+TEST_F(StreamingModules, ScaleRunIsIdenticalAtPoolSizesOneAndFour) {
+    // Pass 1 runs the draws and the event loop on lanes and the spill
+    // sinks on the caller; the spills (in emission order) and every
+    // summary figure must be the serial run's.
+    struct Run {
+        study::ScaleRunSummary summary;
+        std::vector<std::string> spills;
+    };
+    const auto run_at = [this](std::size_t threads) {
+        const auto dir = scratch_dir("scale_pool" + std::to_string(threads));
+        study::ScaleRunConfig cfg;
+        cfg.study = run().config;
+        cfg.spill_dir = dir;
+        cfg.keep_spill = true;
+        util::ThreadPool pool(threads);
+        auto summary = study::run_scale_study(cfg, pool);
+        EXPECT_TRUE(summary.ok()) << summary.error().what();
+        Run out{summary.ok() ? summary.value() : study::ScaleRunSummary{}, {}};
+        for (const auto& vp : out.summary.vantage) {
+            const auto records = capture::read_binary_log(dir / (vp.name + ".yfl"));
+            out.spills.push_back(capture::write_binary_log_bytes(records));
+        }
+        fs::remove_all(dir);
+        return out;
+    };
+    const Run serial = run_at(1);
+    const Run pooled = run_at(4);
+    ASSERT_FALSE(serial.spills.empty());
+    EXPECT_EQ(pooled.spills, serial.spills);
+    EXPECT_EQ(pooled.summary.sessions, serial.summary.sessions);
+    EXPECT_EQ(pooled.summary.flows, serial.summary.flows);
+    EXPECT_EQ(pooled.summary.events, serial.summary.events);
+    ASSERT_EQ(pooled.summary.vantage.size(), serial.summary.vantage.size());
+    for (std::size_t i = 0; i < serial.summary.vantage.size(); ++i) {
+        const auto& a = pooled.summary.vantage[i];
+        const auto& b = serial.summary.vantage[i];
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.flows, b.flows);
+        EXPECT_EQ(a.preferred, b.preferred);
+        EXPECT_EQ(a.share.byte_fraction, b.share.byte_fraction);
+        EXPECT_EQ(a.share.flow_fraction, b.share.flow_fraction);
+        EXPECT_EQ(a.load_correlation, b.load_correlation);
+        EXPECT_EQ(a.redirected_videos, b.redirected_videos);
+    }
+}
+
 }  // namespace

@@ -2,11 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 namespace sim = ytcdn::sim;
 
 namespace {
+
+/// GuidedCdf::lower_bound against std::lower_bound at every value of the
+/// table, one ulp either side of it, and at `random` uniform points.
+std::size_t guide_mismatches(const sim::GuidedCdf& cdf, std::size_t random) {
+    const auto& v = cdf.values();
+    std::size_t bad = 0;
+    const auto check = [&](double u) {
+        const auto want =
+            static_cast<std::size_t>(std::lower_bound(v.begin(), v.end(), u) - v.begin());
+        if (cdf.lower_bound(u) != want) ++bad;
+    };
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (const double x : v) {
+        check(x);
+        check(std::nextafter(x, -kInf));
+        check(std::nextafter(x, kInf));
+    }
+    check(0.0);
+    check(-1.0);
+    check(v.back() * 2.0);
+    check(std::numeric_limits<double>::quiet_NaN());
+    sim::Rng rng(4242);
+    for (std::size_t i = 0; i < random; ++i) check(rng.uniform(0.0, v.back()));
+    return bad;
+}
+
 
 TEST(Zipf, PmfSumsToOne) {
     const sim::ZipfDistribution z(1000, 0.9);
@@ -80,5 +109,25 @@ TEST_P(ZipfExponentSweep, HeadMassGrowsWithExponent) {
 
 INSTANTIATE_TEST_SUITE_P(Exponents, ZipfExponentSweep,
                          ::testing::Values(0.0, 0.4, 0.8, 1.0, 1.4));
+
+TEST(GuidedCdf, ZipfTableReturnsLowerBoundEverywhere) {
+    // scale_stream's catalog size, at both exponents the configs use.
+    for (const double s : {0.8, 0.9}) {
+        const sim::ZipfDistribution z(30816, s);
+        EXPECT_EQ(guide_mismatches(z.cdf(), 200000), 0u) << s;
+    }
+    EXPECT_EQ(guide_mismatches(sim::ZipfDistribution(1, 0.9).cdf(), 1000), 0u);
+    EXPECT_EQ(guide_mismatches(sim::ZipfDistribution(100, 0.0).cdf(), 1000), 0u);
+}
+
+TEST(GuidedCdf, FlatRunsAndZeroWeightsKeepTheFirstIndex) {
+    const sim::GuidedCdf cdf({0.0, 0.0, 1.0, 1.0, 1.0, 2.5, 2.5, 7.0});
+    EXPECT_EQ(guide_mismatches(cdf, 10000), 0u);
+    EXPECT_EQ(cdf.lower_bound(1.0), 2u);
+    EXPECT_EQ(cdf.lower_bound(0.0), 0u);
+    EXPECT_EQ(cdf.lower_bound(7.5), 8u);
+    EXPECT_EQ(sim::GuidedCdf({0.0, 0.0}).lower_bound(0.0), 0u);
+    EXPECT_EQ(sim::GuidedCdf().lower_bound(0.5), 0u);
+}
 
 }  // namespace
