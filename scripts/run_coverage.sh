@@ -19,6 +19,12 @@
 #   service/aggregates + control  >= 90%  (ytcdnd's state codec and grammar)
 #   util/parallel                 >= 90%  (the only pool, fan-out, ordered
 #                                          pipeline, lanes and block channel)
+#   net/rtt_model + pinger        >= 95%  (the path/access split of the base
+#                                          RTT and the per-ping base that the
+#                                          flow-RTT and ping memos rest on)
+#   analysis/as_analysis +        >= 95%  (Table II's once-per-server AS
+#   study/dc_map_builder                   groups and Table III's
+#                                          once-per-result city snap)
 #
 # Only gcc + gcov + python3 are required — no gcovr, no pip. gcov's
 # --json-format output (one .gcov.json.gz per source) is aggregated by the
@@ -99,6 +105,9 @@ floors = [
     ("trace_driver", ["src/study/trace_driver"], 85.0),
     ("service", ["src/service/aggregates", "src/service/control"], 90.0),
     ("parallel", ["src/util/parallel"], 90.0),
+    ("rtt_model + pinger", ["src/net/rtt_model", "src/net/pinger"], 95.0),
+    ("as_analysis + dc_map", ["src/analysis/as_analysis", "src/study/dc_map_builder"],
+     95.0),
 ]
 
 failed = False

@@ -1,8 +1,9 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "capture/flow_record.hpp"
@@ -39,14 +40,17 @@ public:
     [[nodiscard]] std::vector<net::IpAddress> scope_servers() const;
 
 private:
-    struct Tally {
-        std::unordered_set<net::IpAddress> servers;
-        std::uint64_t bytes = 0;
-    };
+    /// Table II's four AS groups, in row order.
+    enum Group : std::uint8_t { kGoogle, kYouTubeEu, kSameAs, kOther, kGroups };
 
     const net::AsRegistry* whois_;
     net::Asn local_as_;
-    Tally google_, youtube_eu_, same_as_, other_;
+    /// Each distinct server's group, resolved through the registry on its
+    /// first flow: a server's AS is fixed, so later flows add only bytes.
+    /// An index, not a pointer, so the fold copies and moves safely.
+    std::unordered_map<net::IpAddress, Group> group_of_;
+    std::array<std::uint64_t, kGroups> servers_{};
+    std::array<std::uint64_t, kGroups> bytes_{};
 };
 
 }  // namespace ytcdn::analysis

@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 
+#include "cdn/http.hpp"
 #include "cdn/video.hpp"
 #include "net/ip_address.hpp"
 #include "sim/time.hpp"
@@ -42,12 +43,16 @@ std::ostream& operator<<(std::ostream& os, const FlowRecord& r);
 /// classification: endpoints, timing, downstream volume and the first
 /// client payload (the HTTP request) available for DPI.
 ///
-/// The payload is a borrowed view: it must stay valid for the duration of
-/// `Sniffer::observe`, which never retains it: it either classifies the
-/// flow at once or copies it, payload bytes included, into a FlowBlock
-/// that DPI drains behind the event loop. Emitters reuse a per-source
-/// buffer (or a string literal), and blocks are reused, so the
-/// simulate→capture hand-off allocates nothing per flow.
+/// The payload arrives in one of two forms. Background traffic (and any
+/// caller holding raw bytes) sets `first_payload`, a borrowed view that
+/// must stay valid for the duration of `Sniffer::observe`. The player sets
+/// `request` instead: the GET's fields, which the sniffer renders with
+/// `cdn::format_request_to` into a buffer of its own at DPI time and then
+/// parses like any other payload, so the wire format is still exercised
+/// end to end; only the place where the string is formatted moves. The
+/// request's host is a view into the CDN's server table, which outlives the
+/// run. A flow handed to DPI behind the event loop (a FlowBlock) must use
+/// the fields form: the block copies no payload bytes.
 struct ObservedFlow {
     net::IpAddress client_ip;
     net::IpAddress server_ip;
@@ -55,6 +60,9 @@ struct ObservedFlow {
     sim::SimTime end = 0.0;
     std::uint64_t bytes_down = 0;
     std::string_view first_payload;
+    /// The request's fields; when set, it takes the place of
+    /// `first_payload`.
+    std::optional<cdn::VideoRequestView> request;
 };
 
 }  // namespace ytcdn::capture

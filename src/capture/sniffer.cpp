@@ -1,24 +1,20 @@
 #include "capture/sniffer.hpp"
 
+#include <optional>
+#include <stdexcept>
 #include <utility>
+
+#include "cdn/http.hpp"
 
 namespace ytcdn::capture {
 
 void FlowBlock::add(std::uint8_t source, const ObservedFlow& flow) {
-    Entry& e = entries_.emplace_back();
-    e.flow = flow;
-    e.flow.first_payload = {};
-    e.offset = static_cast<std::uint32_t>(bytes_.size());
-    e.size = static_cast<std::uint32_t>(flow.first_payload.size());
-    e.source = source;
-    bytes_.append(flow.first_payload);
-}
-
-ObservedFlow FlowBlock::flow(std::size_t i) const noexcept {
-    const Entry& e = entries_[i];
-    ObservedFlow flow = e.flow;
-    flow.first_payload = std::string_view(bytes_.data() + e.offset, e.size);
-    return flow;
+    if (!flow.first_payload.empty()) {
+        throw std::invalid_argument(
+            "FlowBlock::add: a handed-off flow carries its request as fields, "
+            "not as payload bytes");
+    }
+    entries_.push_back({flow, source});
 }
 
 Sniffer::Sniffer(std::string dataset_name) : name_(std::move(dataset_name)) {}
@@ -33,7 +29,16 @@ void Sniffer::observe(const ObservedFlow& flow) {
 }
 
 void Sniffer::classify(const ObservedFlow& flow) {
-    if (auto record = classify_flow(flow)) {
+    std::optional<FlowRecord> record;
+    if (flow.request) {
+        cdn::format_request_to(request_buf_, *flow.request);
+        ObservedFlow wire = flow;
+        wire.first_payload = request_buf_;
+        record = classify_flow(wire);
+    } else {
+        record = classify_flow(flow);
+    }
+    if (record) {
         ++classified_;
         if (sink_ != nullptr) {
             sink_->on_flow(*record);

@@ -11,18 +11,19 @@
 
 namespace ytcdn::capture {
 
-/// Observed flows in emission order, each copied with its payload bytes and
-/// tagged with the index of the sniffer that saw it: the unit in which the
-/// event loop hands flows to DPI when DPI runs behind it (TraceDriver,
-/// DESIGN.md §16.2). A cleared block keeps its capacity for reuse.
+/// Observed flows in emission order, each tagged with the index of the
+/// sniffer that saw it: the unit in which the event loop hands flows to DPI
+/// when DPI runs behind it (TraceDriver, DESIGN.md §16.1). A flow enters a
+/// block as its request fields and no payload bytes; the sniffer renders
+/// the request when it classifies the flow. A cleared block keeps its
+/// capacity for reuse.
 class FlowBlock {
 public:
     static constexpr std::size_t kFlows = 128;
 
-    void clear() noexcept {
-        entries_.clear();
-        bytes_.clear();
-    }
+    void clear() noexcept { entries_.clear(); }
+    /// Copies `flow`. Throws std::invalid_argument if it carries payload
+    /// bytes: the view is borrowed, and a block keeps none.
     void add(std::uint8_t source, const ObservedFlow& flow);
 
     [[nodiscard]] bool full() const noexcept { return entries_.size() >= kFlows; }
@@ -30,26 +31,24 @@ public:
     [[nodiscard]] std::uint8_t source(std::size_t i) const noexcept {
         return entries_[i].source;
     }
-    /// Flow i, its payload a view into this block.
-    [[nodiscard]] ObservedFlow flow(std::size_t i) const noexcept;
+    [[nodiscard]] const ObservedFlow& flow(std::size_t i) const noexcept {
+        return entries_[i].flow;
+    }
 
 private:
     struct Entry {
-        ObservedFlow flow;  // payload empty: it is bytes_[offset, offset + size)
-        std::uint32_t offset = 0;
-        std::uint32_t size = 0;
+        ObservedFlow flow;
         std::uint8_t source = 0;
     };
     std::vector<Entry> entries_;
-    std::string bytes_;
 };
 
 /// Where a sniffer puts the flows it observes when DPI runs elsewhere.
 class FlowHandoff {
 public:
     virtual ~FlowHandoff() = default;
-    /// Takes `flow`, whose payload is borrowed for the call only, as seen by
-    /// the sniffer with index `source`.
+    /// Takes `flow`, as seen by the sniffer with index `source`. A payload
+    /// view is borrowed for the call only.
     virtual void hand_off(std::uint8_t source, const ObservedFlow& flow) = 0;
 };
 
@@ -69,9 +68,11 @@ public:
     /// off when a hand-off is installed.
     void observe(const ObservedFlow& flow);
 
-    /// DPI on one observed flow: the classified record goes to the sink or
-    /// into records(). Whoever drains a hand-off calls this for each flow,
-    /// in the order they were observed.
+    /// DPI on one observed flow: a flow given as request fields is first
+    /// rendered into the sniffer's own buffer, then the payload is parsed
+    /// (classify_flow) and the classified record goes to the sink or into
+    /// records(). Whoever drains a hand-off calls this for each flow, in
+    /// the order they were observed.
     void classify(const ObservedFlow& flow);
 
     /// Routes observed flows to `handoff` under `source` instead of
@@ -110,6 +111,9 @@ private:
     FlowSink* sink_ = nullptr;
     FlowHandoff* handoff_ = nullptr;
     std::uint8_t source_ = 0;
+    /// The rendered request of the flow being classified; only classify()
+    /// touches it, so it lives on whichever thread runs DPI.
+    std::string request_buf_;
     // observe() and classify() may run on different threads (TraceDriver's
     // event lane and its caller); each writes only its own counter.
     std::uint64_t observed_ = 0;

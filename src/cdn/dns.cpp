@@ -67,14 +67,14 @@ DnsAnswer DnsSystem::query(LdnsId resolver, sim::SimTime now, sim::Rng& rng) {
         // Past-TTL replay: no policy consultation, no randomness consumed.
         ++r.stale_served;
         dns_metrics().stale.inc();
-        ++r.counts[r.last_answer];
+        count_answer(r, r.last_answer);
         ++total_;
         return DnsAnswer{DnsStatus::Ok, r.last_answer, true};
     }
     const ResolutionContext ctx{now, &rng};
     const DcId dc = r.policy->select(ctx);
     r.last_answer = dc;
-    ++r.counts[dc];
+    count_answer(r, dc);
     ++total_;
     return DnsAnswer{DnsStatus::Ok, dc, false};
 }
@@ -115,8 +115,15 @@ std::uint64_t DnsSystem::stale_answer_count(LdnsId resolver) const {
 std::uint64_t DnsSystem::resolution_count(LdnsId resolver, DcId dc) const noexcept {
     if (resolver < 0 || static_cast<std::size_t>(resolver) >= resolvers_.size()) return 0;
     const auto& counts = resolvers_[static_cast<std::size_t>(resolver)].counts;
-    const auto it = counts.find(dc);
-    return it == counts.end() ? 0 : it->second;
+    if (dc < 0 || static_cast<std::size_t>(dc) >= counts.size()) return 0;
+    return counts[static_cast<std::size_t>(dc)];
+}
+
+void DnsSystem::count_answer(Resolver& r, DcId dc) {
+    if (dc < 0) throw std::logic_error("DnsSystem: policy answered an invalid data center");
+    const auto i = static_cast<std::size_t>(dc);
+    if (i >= r.counts.size()) r.counts.resize(i + 1, 0);
+    ++r.counts[i];
 }
 
 }  // namespace ytcdn::cdn

@@ -4,7 +4,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cdn/selection_policy.hpp"
@@ -83,7 +82,9 @@ private:
     struct Resolver {
         std::string name;
         std::unique_ptr<SelectionPolicy> policy;
-        std::unordered_map<DcId, std::uint64_t> counts;
+        /// Resolutions per data center, indexed by DcId and grown on
+        /// demand.
+        std::vector<std::uint64_t> counts;
         bool up = true;
         bool stale = false;
         DcId last_answer = kInvalidDc;
@@ -92,6 +93,7 @@ private:
     };
     [[nodiscard]] Resolver& resolver_or_throw(LdnsId id, const char* what);
     [[nodiscard]] const Resolver& resolver_or_throw(LdnsId id, const char* what) const;
+    static void count_answer(Resolver& r, DcId dc);
 
     std::vector<Resolver> resolvers_;
     std::uint64_t total_ = 0;

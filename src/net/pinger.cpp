@@ -16,8 +16,11 @@ PingStats Pinger::ping(const NetSite& src, const NetSite& dst, int probes) {
     double sum_sq = 0.0;
     double min = std::numeric_limits<double>::infinity();
     double max = 0.0;
+    // Every probe is sample_rtt_ms(src, dst): the path's base RTT, the same
+    // for each, plus a fresh jitter draw.
+    const double base = model_->base_rtt_ms(src, dst);
     for (int i = 0; i < probes; ++i) {
-        const double rtt = model_->sample_rtt_ms(src, dst, rng_);
+        const double rtt = base + model_->jitter_ms(rng_);
         sum += rtt;
         sum_sq += rtt * rtt;
         min = std::min(min, rtt);

@@ -50,6 +50,10 @@ double RttModel::inflation(std::uint64_t a, std::uint64_t b) const noexcept {
 
 double RttModel::base_rtt_ms(const NetSite& a, const NetSite& b) const noexcept {
     if (a.id == b.id) return a.access_rtt_ms;  // loopback within a site
+    return with_access_ms(path_rtt_ms(a, b), a, b);
+}
+
+double RttModel::path_rtt_ms(const NetSite& a, const NetSite& b) const noexcept {
     const double distance = geo::distance_km(a.location, b.location);
     // Overridden paths are fully specified by their inflation factor; all
     // other paths carry a deterministic additive peering-noise term.
@@ -63,16 +67,18 @@ double RttModel::base_rtt_ms(const NetSite& a, const NetSite& b) const noexcept 
         // confidence radii in the paper's Fig. 3.
         noise = u * u * 2.0 * config_.max_path_noise_ms;
     }
-    return distance * config_.ms_per_km * inflation(a.id, b.id) + noise +
-           a.access_rtt_ms + b.access_rtt_ms + config_.base_overhead_ms;
+    return distance * config_.ms_per_km * inflation(a.id, b.id) + noise;
 }
 
 double RttModel::sample_rtt_ms(const NetSite& a, const NetSite& b,
                                std::mt19937_64& rng) const {
-    std::exponential_distribution<double> jitter(
-        config_.jitter_mean_ms > 0.0 ? 1.0 / config_.jitter_mean_ms : 1e9);
-    const double j = config_.jitter_mean_ms > 0.0 ? jitter(rng) : 0.0;
-    return base_rtt_ms(a, b) + j;
+    return base_rtt_ms(a, b) + jitter_ms(rng);
+}
+
+double RttModel::jitter_ms(std::mt19937_64& rng) const {
+    if (config_.jitter_mean_ms <= 0.0) return 0.0;
+    std::exponential_distribution<double> jitter(1.0 / config_.jitter_mean_ms);
+    return jitter(rng);
 }
 
 }  // namespace ytcdn::net

@@ -69,12 +69,29 @@ public:
     /// otherwise a deterministic hash-derived value in the configured range.
     [[nodiscard]] double inflation(std::uint64_t a, std::uint64_t b) const noexcept;
 
-    /// The minimum achievable RTT between two sites, in ms. Deterministic.
+    /// The minimum achievable RTT between two sites, in ms. Deterministic:
+    /// for distinct sites it is with_access_ms(path_rtt_ms(a, b), a, b).
     [[nodiscard]] double base_rtt_ms(const NetSite& a, const NetSite& b) const noexcept;
 
-    /// One RTT measurement: base_rtt_ms plus positive exponential jitter.
+    /// The wide-area term of base_rtt_ms for distinct sites: inflated
+    /// propagation plus the per-path noise. It depends only on the two ids
+    /// and locations, so a caller that holds one end fixed may keep it per
+    /// far end and add each flow's access links with with_access_ms.
+    [[nodiscard]] double path_rtt_ms(const NetSite& a, const NetSite& b) const noexcept;
+
+    /// Adds both access links and the fixed overhead to a path term, in
+    /// base_rtt_ms's order, so the sum has the same bits.
+    [[nodiscard]] double with_access_ms(double path_ms, const NetSite& a,
+                                        const NetSite& b) const noexcept {
+        return path_ms + a.access_rtt_ms + b.access_rtt_ms + config_.base_overhead_ms;
+    }
+
+    /// One RTT measurement: base_rtt_ms plus jitter_ms.
     [[nodiscard]] double sample_rtt_ms(const NetSite& a, const NetSite& b,
                                        std::mt19937_64& rng) const;
+
+    /// One draw of the positive exponential per-measurement jitter.
+    [[nodiscard]] double jitter_ms(std::mt19937_64& rng) const;
 
 private:
     [[nodiscard]] static std::uint64_t pair_key(std::uint64_t a, std::uint64_t b) noexcept;

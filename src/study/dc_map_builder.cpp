@@ -85,26 +85,31 @@ CbgMappingResult cbg_dc_map(const StudyDeployment& deployment,
                             const workload::VantagePoint& vp) {
     CbgMappingResult out;
 
-    std::unordered_map<net::IpAddress, const geoloc::CbgResult*> per_subnet;
+    // Each /24's estimate and its city. Every /24 of a data center shares
+    // one CbgResult, so each result is snapped to a city once.
+    struct Estimate {
+        const geoloc::CbgResult* cbg;
+        const geo::City* city;
+    };
+    const auto& cities = geo::CityDatabase::builtin();
+    std::unordered_map<cdn::DcId, const geo::City*> city_of_dc;
+    std::unordered_map<net::IpAddress, Estimate> per_subnet;
     for (const auto& subnet : subnet_dcs(deployment, scope_ips)) {
         const auto it = located.find(subnet.dc);
         if (it == located.end()) {
             throw std::invalid_argument("cbg_dc_map: data center " +
                                         std::to_string(subnet.dc) + " was not located");
         }
-        per_subnet.emplace(subnet.key, &it->second);
+        const auto [snap, fresh] = city_of_dc.try_emplace(subnet.dc, nullptr);
+        if (fresh) snap->second = geoloc::snap_to_city(it->second, cities);
+        per_subnet.emplace(subnet.key, Estimate{&it->second, snap->second});
     }
-    const auto& cities = geo::CityDatabase::builtin();
 
     out.located.reserve(scope_ips.size());
     for (const net::IpAddress ip : scope_ips) {
         const auto it = per_subnet.find(ip.slash24());
         if (it == per_subnet.end()) continue;
-        geoloc::LocatedServer ls;
-        ls.ip = ip;
-        ls.cbg = *it->second;
-        ls.city = geoloc::snap_to_city(ls.cbg, cities);
-        out.located.push_back(ls);
+        out.located.push_back({ip, *it->second.cbg, it->second.city});
     }
 
     out.clusters = geoloc::cluster_servers(out.located);

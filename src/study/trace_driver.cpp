@@ -22,8 +22,10 @@ constexpr std::size_t kDrawLane = 1;
 constexpr std::size_t kLanes = 2;
 /// Request blocks in flight per vantage point (RequestDraws::kBlock each).
 constexpr std::size_t kRequestSlots = 3;
-/// Capture blocks in flight behind the event loop (FlowBlock::kFlows each).
-constexpr std::size_t kFlowSlots = 4;
+/// Capture blocks in flight behind the event loop (FlowBlock::kFlows each,
+/// about 12 KB a block). DPI renders each request on the caller, so the
+/// ring is deep enough that the event lane almost never waits for it.
+constexpr std::size_t kFlowSlots = 16;
 
 using Generators = std::vector<std::unique_ptr<workload::RequestGenerator>>;
 using Sniffers = std::vector<std::unique_ptr<capture::Sniffer>>;
@@ -83,10 +85,11 @@ private:
     std::vector<Feed> feeds_;
 };
 
-/// The capture hand-off: the sniffers copy each observed flow into a
-/// FlowBlock on the event lane, and the caller runs DPI and the sinks over
-/// the blocks in emission order, across all vantage points, so every sink
-/// sees the serial order and runs on the thread that built it.
+/// The capture hand-off: the sniffers copy each observed flow, its request
+/// as fields, into a FlowBlock on the event lane, and the caller renders
+/// and parses each request (DPI) and runs the sinks over the blocks in
+/// emission order, across all vantage points, so every sink sees the
+/// serial order and runs on the thread that built it.
 class CaptureStage final : public capture::FlowHandoff {
 public:
     explicit CaptureStage(Sniffers& sniffers)

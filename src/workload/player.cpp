@@ -64,9 +64,21 @@ Player::Player(sim::Simulator& simulator, cdn::Cdn& cdn, cdn::DnsSystem& dns,
       rng_(rng),
       trace_(trace) {}
 
-double Player::flow_rtt_s(const Client& client, cdn::ServerId server) const {
-    const auto& dc = cdn_->dc(cdn_->server(server).dc());
-    return cdn_->rtt_model().base_rtt_ms(client.site, dc.site) / 1000.0;
+double Player::flow_rtt_s(const Client& client, cdn::ServerId server) {
+    const cdn::DcId dc = cdn_->server(server).dc();
+    const net::NetSite& dc_site = cdn_->dc(dc).site;
+    const net::RttModel& model = cdn_->rtt_model();
+    if (client.site.id == dc_site.id) return model.base_rtt_ms(client.site, dc_site) / 1000.0;
+    // A vantage point's clients share the PoP's site and differ only in
+    // their access link, so the path term is kept per data center.
+    if (client.site.id != path_site_) {
+        path_ms_.clear();
+        path_site_ = client.site.id;
+    }
+    if (path_ms_.empty()) path_ms_.resize(cdn_->num_data_centers(), kPathUnknown);
+    double& path = path_ms_[static_cast<std::size_t>(dc)];
+    if (path == kPathUnknown) path = model.path_rtt_ms(client.site, dc_site);
+    return model.with_access_ms(path, client.site, dc_site) / 1000.0;
 }
 
 double Player::download_rate_bps(const Client& client, cdn::Resolution r) const noexcept {
@@ -76,12 +88,9 @@ double Player::download_rate_bps(const Client& client, cdn::Resolution r) const 
     return std::min({client.downstream_bps, config_.server_rate_bps, paced});
 }
 
-std::string_view Player::render_request(const Session& s, cdn::ServerId server) {
-    cdn::format_request_to(payload_buf_,
-                           cdn::VideoRequestView{cdn_->server(server).hostname(),
-                                                 s.video.id,
-                                                 cdn::itag_of(s.resolution)});
-    return payload_buf_;
+cdn::VideoRequestView Player::request_of(const Session& s,
+                                         const cdn::ContentServer& server) {
+    return {server.hostname(), s.video.id, cdn::itag_of(s.resolution)};
 }
 
 void Player::emit_control_flow(const Session& s, cdn::ServerId server) {
@@ -94,7 +103,7 @@ void Player::emit_control_flow(const Session& s, cdn::ServerId server) {
     flow.end = flow.start + 2.0 * rtt + rng_.uniform(0.01, 0.05);
     flow.bytes_down = static_cast<std::uint64_t>(
         rng_.uniform(config_.control_bytes_lo, config_.control_bytes_hi));
-    flow.first_payload = render_request(s, server);
+    flow.request = request_of(s, srv);
     sniffer_->observe(flow);
     ++stats_.control_flows;
     player_metrics().control_flows.inc();
@@ -301,13 +310,11 @@ void Player::attempt(const Session& s, cdn::ServerId server, int redirects_left,
         return;
     }
     // Serialize the actual 302 and chase its Location header, so the wire
-    // format is exercised end to end (the DPI side parses the request; the
-    // player side parses the redirect). The payload buffer is free again:
-    // emit_control_flow's observe() classified or copied it.
-    const cdn::VideoRequestView request{cdn_->server(server).hostname(), s.video.id,
-                                        cdn::itag_of(s.resolution)};
-    cdn::format_redirect_to(payload_buf_, request, cdn_->server(target).hostname());
-    const auto location = cdn::parse_redirect_host_view(payload_buf_);
+    // format is exercised end to end (the DPI side renders and parses the
+    // request; the player side parses the redirect).
+    cdn::format_redirect_to(redirect_buf_, request_of(s, cdn_->server(server)),
+                            cdn_->server(target).hostname());
+    const auto location = cdn::parse_redirect_host_view(redirect_buf_);
     const cdn::ServerId next =
         location ? cdn_->server_by_hostname(*location) : cdn::kInvalidServer;
     if (next == cdn::kInvalidServer) {
@@ -406,7 +413,7 @@ void Player::serve_video(const Session& s, cdn::ServerId server, double watch_fr
         flow.start = start;
         flow.end = start + duration;
         flow.bytes_down = bytes;
-        flow.first_payload = render_request(s, srv_id);
+        flow.request = request_of(s, srv);
         sniffer_->observe(flow);
         ++stats_.video_flows;
         player_metrics().video_flows.inc();

@@ -34,8 +34,9 @@ enum class SessionOutcome : std::uint16_t {
 /// server-initiated resolution changes.
 ///
 /// Every TCP connection the player opens is reported to the vantage point's
-/// sniffer as an ObservedFlow carrying the real serialized HTTP request, so
-/// the capture pipeline exercises genuine DPI parsing. This is what creates
+/// sniffer as an ObservedFlow carrying the HTTP request's fields, which the
+/// sniffer serializes and then parses, so the capture pipeline exercises
+/// genuine DPI parsing. This is what creates
 /// the paper's session structure: control flows (<1 kB) preceding video
 /// flows, 72-81% single-flow sessions, and redirect chains toward
 /// non-preferred data centers.
@@ -167,6 +168,12 @@ public:
         return dns_cache_.size();
     }
 
+    /// A flow's base RTT in seconds, as every flow, redirect and failover
+    /// delay uses it: RttModel::base_rtt_ms(client.site, the server's
+    /// data-center site) / 1000, bit for bit. The path term is kept per
+    /// data center (see path_ms_).
+    [[nodiscard]] double flow_rtt_s(const Client& client, cdn::ServerId server);
+
 private:
     struct Session;
 
@@ -183,17 +190,17 @@ private:
                      bool allow_pause);
     void attempt_resume(const Session& s, cdn::ServerId server, double rest_frac);
     void emit_control_flow(const Session& s, cdn::ServerId server);
-    /// Serializes the session's HTTP GET into the reusable payload buffer
-    /// and returns a view of it (valid until the next render).
-    [[nodiscard]] std::string_view render_request(const Session& s,
-                                                  cdn::ServerId server);
+    /// The fields of the session's HTTP GET to `server`, handed to the
+    /// sniffer, which renders the request at DPI time. The host is a view
+    /// into the CDN's server table.
+    [[nodiscard]] static cdn::VideoRequestView request_of(
+        const Session& s, const cdn::ContentServer& server);
     /// Records the session's connection-retry count at its terminal point
     /// (served or failed), feeding the failure-analysis histogram, and
     /// emits the session-end trace event — every session-start pairs with
     /// exactly one of these (trace_dump validates the invariant).
     void note_session_end(const Session& s, SessionOutcome outcome);
     [[nodiscard]] double retry_backoff_s(int attempt);
-    [[nodiscard]] double flow_rtt_s(const Client& client, cdn::ServerId server) const;
     [[nodiscard]] double download_rate_bps(const Client& client,
                                            cdn::Resolution r) const noexcept;
 
@@ -210,10 +217,15 @@ private:
     std::uint64_t next_session_id_ = 0;
     /// Per-client cached DNS answer and its expiry (only with dns_ttl_s > 0).
     std::unordered_map<ClientId, std::pair<cdn::DcId, sim::SimTime>> dns_cache_;
-    /// Reusable wire-format scratch: the sniffer classifies or copies each
-    /// payload before observe() returns, so one buffer per player serves
-    /// every flow without a per-event string allocation.
-    std::string payload_buf_;
+    /// RttModel::path_rtt_ms from `path_site_` to each data center, by
+    /// DcId, filled on first use (kPathUnknown until then). Every client of
+    /// a vantage point shares the PoP's site id; a client from another site
+    /// starts the table over.
+    static constexpr double kPathUnknown = -1.0;
+    std::uint64_t path_site_ = 0;
+    std::vector<double> path_ms_;
+    /// Reusable 302 scratch, so a redirect allocates no string per event.
+    std::string redirect_buf_;
 };
 
 }  // namespace ytcdn::workload

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/incremental.hpp"
 #include "analysis/streaming.hpp"
@@ -11,6 +13,7 @@
 #include "capture/flow_log.hpp"
 #include "capture/sniffer.hpp"
 #include "cdn/http.hpp"
+#include "util/parallel.hpp"
 
 namespace analysis = ytcdn::analysis;
 namespace capture = ytcdn::capture;
@@ -91,6 +94,118 @@ TEST(Sniffer, CountsAndClassifies) {
     const auto records = sniffer.take_records();
     EXPECT_EQ(records.size(), 1u);
     EXPECT_TRUE(sniffer.records().empty());
+}
+
+/// Every itag the DPI accepts: each resolution's own, plus 18 (360p mp4).
+std::vector<int> accepted_itags() {
+    std::vector<int> itags{18};
+    for (const auto r : cdn::kAllResolutions) itags.push_back(cdn::itag_of(r));
+    return itags;
+}
+
+/// Flows of one itag as the player emits them: the request as fields.
+std::vector<capture::ObservedFlow> field_flows(int itag) {
+    static const std::string hosts[] = {"v7.lscache3.c.youtube.com",
+                                        "v1.lscache8.c.youtube.com",
+                                        "v23.cache1.c.youtube.com"};
+    std::vector<capture::ObservedFlow> flows;
+    for (std::uint64_t k = 0; k < 40; ++k) {
+        capture::ObservedFlow f;
+        f.client_ip = net::IpAddress::from_octets(128, 210, 1, static_cast<std::uint8_t>(k));
+        f.server_ip = net::IpAddress::from_octets(173, 194, 0, static_cast<std::uint8_t>(k % 7));
+        f.start = 100.0 + static_cast<double>(k) * 1.5;
+        f.end = f.start + 30.0;
+        f.bytes_down = 700 + k * 123'457;
+        f.request = cdn::VideoRequestView{hosts[k % 3],
+                                          cdn::VideoId{(0x9E3779B97F4Aull * (k + 1)) >> 2},
+                                          itag};
+        flows.push_back(f);
+    }
+    return flows;
+}
+
+/// Collects each sniffer's handed-off flows into a FlowBlock of its own.
+class BlockPerSource final : public capture::FlowHandoff {
+public:
+    explicit BlockPerSource(std::size_t sources) : blocks(sources) {}
+    void hand_off(std::uint8_t source, const capture::ObservedFlow& flow) override {
+        blocks[source].add(source, flow);
+    }
+    std::vector<capture::FlowBlock> blocks;
+};
+
+void expect_same_records(const std::vector<capture::FlowRecord>& got,
+                         const std::vector<capture::FlowRecord>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].to_tsv(), want[i].to_tsv()) << i;
+    }
+}
+
+TEST(Sniffer, RequestFieldsClassifyAsTheirFormattedBytes) {
+    // A flow handed over as request fields, rendered by the sniffer at DPI
+    // time, must classify exactly as the same flow given as format_request
+    // bytes: serially in observe(), and behind a hand-off whose blocks are
+    // classified on pool workers (each sniffer by one task).
+    const auto itags = accepted_itags();
+    std::vector<std::vector<capture::FlowRecord>> want;
+    for (const int itag : itags) {
+        capture::Sniffer bytes_sniffer("BYTES");
+        for (const auto& f : field_flows(itag)) {
+            const std::string payload = cdn::format_request(
+                {std::string(f.request->host), f.request->video, f.request->itag});
+            auto raw = f;
+            raw.request.reset();
+            raw.first_payload = payload;
+            bytes_sniffer.observe(raw);
+        }
+        want.push_back(bytes_sniffer.take_records());
+        ASSERT_EQ(want.back().size(), 40u) << itag;
+
+        capture::Sniffer serial("FIELDS");
+        for (const auto& f : field_flows(itag)) serial.observe(f);
+        SCOPED_TRACE(itag);
+        expect_same_records(serial.take_records(), want.back());
+    }
+
+    for (const std::size_t pool_size : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(pool_size);
+        BlockPerSource handoff(itags.size());
+        std::vector<capture::Sniffer> sniffers;
+        sniffers.reserve(itags.size());
+        for (std::size_t i = 0; i < itags.size(); ++i) {
+            sniffers.emplace_back("FIELDS");
+            sniffers[i].set_handoff(&handoff, static_cast<std::uint8_t>(i));
+            for (const auto& f : field_flows(itags[i])) sniffers[i].observe(f);
+            EXPECT_TRUE(sniffers[i].records().empty());
+        }
+        ytcdn::util::ThreadPool pool(pool_size);
+        pool.run_indexed(itags.size(), [&](std::size_t i) {
+            const auto& block = handoff.blocks[i];
+            for (std::size_t k = 0; k < block.size(); ++k) {
+                sniffers[block.source(k)].classify(block.flow(k));
+            }
+        });
+        for (std::size_t i = 0; i < itags.size(); ++i) {
+            EXPECT_EQ(sniffers[i].flows_observed(), 40u);
+            EXPECT_EQ(sniffers[i].flows_classified(), 40u);
+            expect_same_records(sniffers[i].take_records(), want[i]);
+        }
+    }
+}
+
+TEST(Sniffer, FlowBlockTakesNoPayloadBytes) {
+    // A block keeps no payload bytes, so a flow given as borrowed bytes
+    // cannot be handed off; the error names the rule.
+    capture::FlowBlock block;
+    EXPECT_THROW(block.add(0, video_flow()), std::invalid_argument);
+    EXPECT_EQ(block.size(), 0u);
+    auto fields = field_flows(34).front();
+    block.add(3, fields);
+    ASSERT_EQ(block.size(), 1u);
+    EXPECT_EQ(block.source(0), 3u);
+    EXPECT_EQ(block.flow(0).request->host, fields.request->host);
+    EXPECT_TRUE(block.flow(0).first_payload.empty());
 }
 
 TEST(FlowLog, StreamRoundTrip) {

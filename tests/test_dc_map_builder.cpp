@@ -6,15 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "analysis/as_analysis.hpp"
+#include "analysis/dc_map.hpp"
 #include "analysis/preferred_dc.hpp"
 #include "analysis/streaming.hpp"
 #include "geo/city.hpp"
+#include "net/pinger.hpp"
 #include "study/study_run.hpp"
 #include "util/metrics.hpp"
 
@@ -184,6 +190,136 @@ TEST_F(CbgMapFixture, SharedTableMatchesOneLocatePerSubnet) {
             EXPECT_EQ(got.city, geoloc::snap_to_city(want, cities));
         }
         EXPECT_EQ(k, mapping.located.size()) << ds.name;
+    }
+}
+
+TEST_F(CbgMapFixture, AsBreakdownMatchesAPerFlowReference) {
+    // Table II's fold classifies each server once; the reference runs the
+    // registry on every flow, as the paper's whois pass reads. The fold is
+    // copied and moved half-way through, since ReportFolds is.
+    namespace net = ytcdn::net;
+    const auto& world = *run_->deployment;
+    for (std::size_t i = 0; i < run_->traces.datasets.size(); ++i) {
+        const auto& ds = run_->traces.datasets[i];
+        SCOPED_TRACE(ds.name);
+        const net::Asn local_as = world.local_as(i);
+        std::unordered_set<net::IpAddress> servers[4];
+        std::uint64_t bytes[4] = {};
+        analysis::IncrementalAsBreakdown first(world.whois(), local_as);
+        analysis::IncrementalAsBreakdown fold(world.whois(), local_as);
+        const std::size_t half = ds.records.size() / 2;
+        for (std::size_t k = 0; k < ds.records.size(); ++k) {
+            const auto& r = ds.records[k];
+            const auto asn = world.whois().asn_of(r.server_ip);
+            const int g = asn == net::well_known_as::kGoogle      ? 0
+                          : asn == net::well_known_as::kYouTubeEu ? 1
+                          : asn == local_as                       ? 2
+                                                                  : 3;
+            servers[g].insert(r.server_ip);
+            bytes[g] += r.bytes;
+            if (k < half) {
+                first.add(r);
+                if (k + 1 == half) {
+                    analysis::IncrementalAsBreakdown copy = first;
+                    fold = std::move(copy);
+                }
+            } else {
+                fold.add(r);
+            }
+        }
+        if (half == 0) fold = first;
+
+        const double n_servers = static_cast<double>(
+            servers[0].size() + servers[1].size() + servers[2].size() + servers[3].size());
+        const double n_bytes = static_cast<double>(bytes[0] + bytes[1] + bytes[2] + bytes[3]);
+        ASSERT_GT(n_servers, 0.0);
+        const auto row = fold.row(ds.name);
+        EXPECT_EQ(row.dataset, ds.name);
+        EXPECT_EQ(row.google_servers, static_cast<double>(servers[0].size()) / n_servers);
+        EXPECT_EQ(row.youtube_eu_servers, static_cast<double>(servers[1].size()) / n_servers);
+        EXPECT_EQ(row.same_as_servers, static_cast<double>(servers[2].size()) / n_servers);
+        EXPECT_EQ(row.other_servers, static_cast<double>(servers[3].size()) / n_servers);
+        EXPECT_EQ(row.google_bytes, static_cast<double>(bytes[0]) / n_bytes);
+        EXPECT_EQ(row.youtube_eu_bytes, static_cast<double>(bytes[1]) / n_bytes);
+        EXPECT_EQ(row.same_as_bytes, static_cast<double>(bytes[2]) / n_bytes);
+        EXPECT_EQ(row.other_bytes, static_cast<double>(bytes[3]) / n_bytes);
+
+        std::vector<net::IpAddress> scope(servers[0].begin(), servers[0].end());
+        scope.insert(scope.end(), servers[2].begin(), servers[2].end());
+        std::sort(scope.begin(), scope.end());
+        EXPECT_EQ(fold.scope_servers(), scope);
+        EXPECT_EQ(scopes_[i], scope);
+    }
+}
+
+TEST_F(CbgMapFixture, MapMatchesAPerServerSnappingReference) {
+    // cbg_dc_map snaps each located result once; the reference snaps every
+    // server and derives clusters and probe RTTs from that, as the paper's
+    // per-address pass would. Located servers, clusters and the written
+    // map must all agree at every vantage point.
+    namespace net = ytcdn::net;
+    const auto& world = *run_->deployment;
+    const auto& cities = geo::CityDatabase::builtin();
+    for (std::size_t i = 0; i < run_->traces.datasets.size(); ++i) {
+        const auto& vp = world.vantage(i);
+        SCOPED_TRACE(vp.name);
+        const auto& scope = scopes_[i];
+        const auto got = study::cbg_dc_map(world, scope, *located_, vp);
+
+        std::unordered_map<net::IpAddress, ytcdn::cdn::DcId> subnet_dc;
+        for (const auto ip : scope) {
+            if (subnet_dc.contains(ip.slash24())) continue;
+            const auto dc = world.cdn().dc_of_ip(ip);
+            if (dc != ytcdn::cdn::kInvalidDc) subnet_dc.emplace(ip.slash24(), dc);
+        }
+        std::vector<geoloc::LocatedServer> located;
+        for (const auto ip : scope) {
+            const auto it = subnet_dc.find(ip.slash24());
+            if (it == subnet_dc.end()) continue;
+            const auto& cbg = located_->at(it->second);
+            located.push_back({ip, cbg, geoloc::snap_to_city(cbg, cities)});
+        }
+        ASSERT_EQ(got.located.size(), located.size());
+        for (std::size_t k = 0; k < located.size(); ++k) {
+            EXPECT_EQ(got.located[k].ip, located[k].ip);
+            EXPECT_EQ(got.located[k].city, located[k].city) << located[k].ip.to_string();
+            EXPECT_EQ(got.located[k].cbg.estimate.lat_deg, located[k].cbg.estimate.lat_deg);
+            EXPECT_EQ(got.located[k].cbg.estimate.lon_deg, located[k].cbg.estimate.lon_deg);
+        }
+
+        const auto clusters = geoloc::cluster_servers(located);
+        ASSERT_EQ(got.clusters.size(), clusters.size());
+        analysis::ServerDcMap map;
+        net::Pinger pinger(world.rtt(),
+                           world.config().seed ^ sim::hash_string(vp.name) ^ 0xCB6ull);
+        for (std::size_t c = 0; c < clusters.size(); ++c) {
+            const auto& cluster = clusters[c];
+            EXPECT_EQ(got.clusters[c].city_name, cluster.city_name);
+            EXPECT_EQ(got.clusters[c].servers, cluster.servers);
+            analysis::DataCenterInfo info;
+            info.name = cluster.city_name;
+            info.location = cluster.location;
+            info.continent = cluster.continent;
+            info.distance_km = geo::distance_km(vp.pop_site.location, cluster.location);
+            double best = 1e18;
+            std::unordered_set<net::IpAddress> seen;
+            for (const auto ip : cluster.servers) {
+                if (!seen.insert(ip.slash24()).second) continue;
+                const auto dc = world.cdn().dc_of_ip(ip);
+                if (dc == ytcdn::cdn::kInvalidDc) continue;
+                best = std::min(best, pinger.min_rtt_ms(vp.probe_site,
+                                                        world.cdn().dc(dc).site, 10));
+            }
+            info.rtt_ms = best;
+            const int idx = map.add_data_center(std::move(info));
+            for (const auto ip : cluster.servers) map.assign(ip, idx);
+        }
+        std::ostringstream got_bytes;
+        std::ostringstream want_bytes;
+        analysis::write_dc_map(got_bytes, got.map);
+        analysis::write_dc_map(want_bytes, map);
+        EXPECT_FALSE(want_bytes.str().empty());
+        EXPECT_EQ(got_bytes.str(), want_bytes.str());
     }
 }
 

@@ -44,6 +44,30 @@ TEST(DnsSystem, DifferentResolversDifferentPolicies) {
     EXPECT_EQ(dns.resolve(net3, 0.0, rng), 2);
 }
 
+TEST(DnsSystem, ResolutionCountsPerDataCenterIncludingStaleReplays) {
+    // Counts are kept per DcId; ids never answered, negative ids and ids
+    // past every answer read 0. Stale replays count under their answer.
+    cdn::DnsSystem dns;
+    const auto a = dns.add_resolver(
+        "a", std::make_unique<cdn::StaticPreferencePolicy>(std::vector<cdn::DcId>{40}));
+    const auto b = dns.add_resolver(
+        "b", std::make_unique<cdn::StaticPreferencePolicy>(std::vector<cdn::DcId>{0}));
+    sim::Rng rng(4);
+    for (int i = 0; i < 3; ++i) (void)dns.resolve(a, i * 1.0, rng);
+    dns.set_resolver_stale(a, true);
+    for (int i = 0; i < 2; ++i) EXPECT_TRUE(dns.query(a, 10.0 + i, rng).stale);
+    (void)dns.resolve(b, 0.0, rng);
+    EXPECT_EQ(dns.resolution_count(a, 40), 5u);
+    EXPECT_EQ(dns.resolution_count(a, 0), 0u);
+    EXPECT_EQ(dns.resolution_count(a, 39), 0u);
+    EXPECT_EQ(dns.resolution_count(a, 41), 0u);
+    EXPECT_EQ(dns.resolution_count(a, cdn::kInvalidDc), 0u);
+    EXPECT_EQ(dns.resolution_count(b, 0), 1u);
+    EXPECT_EQ(dns.resolution_count(b, 40), 0u);
+    EXPECT_EQ(dns.resolution_count(7, 0), 0u);  // unknown resolver
+    EXPECT_EQ(dns.total_resolutions(), 6u);
+}
+
 TEST(DnsSystem, UnknownResolverThrows) {
     cdn::DnsSystem dns;
     sim::Rng rng(3);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "capture/dataset.hpp"
 #include "session_oracle.hpp"
+#include "study/deployment.hpp"
 
 namespace cdn = ytcdn::cdn;
 namespace net = ytcdn::net;
@@ -11,6 +15,7 @@ namespace geo = ytcdn::geo;
 namespace sim = ytcdn::sim;
 namespace workload = ytcdn::workload;
 namespace capture = ytcdn::capture;
+namespace study = ytcdn::study;
 
 namespace {
 
@@ -503,6 +508,62 @@ TEST_F(PlayerFixture, DpiPayloadIsRealHttp) {
     // /videoplayback request; double-check itag round-trip.
     ASSERT_EQ(sniffer_.records().size(), 1u);
     EXPECT_EQ(sniffer_.records()[0].resolution, cdn::Resolution::R480);
+}
+
+/// Every vantage point's sampled clients against every data center: the
+/// player's flow RTT, whose path term it keeps per data center, must be
+/// base_rtt_ms / 1000 bit for bit. The pinned inflation pairs (each PoP to
+/// its preferred data center, US-Campus's inflated neighbours, EU2's
+/// overflow target and, with the Feb-2011 shift, Mountain View) are among
+/// the pairs. The clients of all vantage points also go through one
+/// player, which must start its table over for each new site.
+void expect_flow_rtt_is_base_rtt(const study::StudyConfig& cfg) {
+    study::StudyDeployment dep(cfg);
+    const auto& cdn_ref = dep.cdn();
+    const auto& model = dep.rtt();
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    sim::Simulator simulator;
+    capture::Sniffer mixed_sniffer("ALL");
+    workload::Player mixed(simulator, dep.cdn(), dep.dns(), mixed_sniffer, {},
+                           sim::Rng(7));
+    std::size_t pairs = 0;
+    for (std::size_t v = 0; v < dep.num_vantage_points(); ++v) {
+        const auto& vp = dep.vantage(v);
+        capture::Sniffer sniffer(vp.name);
+        workload::Player player(simulator, dep.cdn(), dep.dns(), sniffer, {}, sim::Rng(v));
+        ASSERT_FALSE(vp.clients.empty()) << vp.name;
+        const std::size_t stride = std::max<std::size_t>(1, vp.clients.size() / 6);
+        for (std::size_t c = 0; c < vp.clients.size(); c += stride) {
+            const auto& client = vp.clients[c];
+            for (const auto& dc : cdn_ref.data_centers()) {
+                if (dc.servers.empty()) continue;
+                const double want = model.base_rtt_ms(client.site, dc.site) / 1000.0;
+                const cdn::ServerId server = dc.servers[c % dc.servers.size()];
+                EXPECT_EQ(bits(player.flow_rtt_s(client, server)), bits(want))
+                    << vp.name << " client " << c << " -> " << dc.city;
+                EXPECT_EQ(bits(mixed.flow_rtt_s(client, server)), bits(want))
+                    << vp.name << " client " << c << " -> " << dc.city;
+                ++pairs;
+            }
+        }
+    }
+    EXPECT_GT(pairs, 100u);
+}
+
+TEST(PlayerFlowRtt, MatchesBaseRttForEveryVantagePointAndDataCenter) {
+    study::StudyConfig cfg;
+    cfg.scale = 0.01;
+    // The pins the oracle must cover are in force.
+    {
+        const study::StudyDeployment dep(cfg);
+        const auto& us = dep.vantage(0);
+        EXPECT_EQ(dep.rtt().inflation(us.pop_site.id,
+                                      dep.cdn().dc(dep.dc_by_city("Chicago")).site.id),
+                  14.0);
+    }
+    expect_flow_rtt_is_base_rtt(cfg);
+    cfg.feb2011_us_shift = true;
+    expect_flow_rtt_is_base_rtt(cfg);
 }
 
 }  // namespace

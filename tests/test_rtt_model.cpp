@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+
 #include "net/pinger.hpp"
 
 namespace net = ytcdn::net;
@@ -135,3 +142,55 @@ TEST(Pinger, ZeroProbesThrows) {
 }
 
 }  // namespace
+
+/// Pinger::ping as a loop over sample_rtt_ms, the per-probe definition.
+net::PingStats reference_ping(const net::RttModel& model, std::mt19937_64& rng,
+                              const net::NetSite& src, const net::NetSite& dst,
+                              int probes) {
+    net::PingStats stats;
+    stats.probes = probes;
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = 0.0;
+    for (int i = 0; i < probes; ++i) {
+        const double rtt = model.sample_rtt_ms(src, dst, rng);
+        sum += rtt;
+        sum_sq += rtt * rtt;
+        min = std::min(min, rtt);
+        max = std::max(max, rtt);
+    }
+    stats.min_ms = min;
+    stats.max_ms = max;
+    stats.avg_ms = sum / probes;
+    stats.stddev_ms =
+        std::sqrt(std::max(0.0, sum_sq / probes - stats.avg_ms * stats.avg_ms));
+    return stats;
+}
+
+TEST(Pinger, StatsMatchAPerSampleReference) {
+    // ping() computes the path's base RTT once and adds a jitter draw per
+    // probe; that must be sample_rtt_ms per probe, bit for bit, over one
+    // continuing RNG stream.
+    net::RttModel model;
+    model.set_inflation(1, 5, 3.5);
+    const std::uint64_t seed = 0x5EEDull;
+    net::Pinger pinger(model, seed);
+    std::mt19937_64 rng(seed);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (std::uint64_t i = 1; i <= 30; ++i) {
+        const auto src = site(1, 45.0, 7.0, 0.37);
+        const auto dst = site(i + 1, 45.0 - 4.1 * static_cast<double>(i),
+                              7.0 + 11.3 * static_cast<double>(i),
+                              0.81 + 0.137 * static_cast<double>(i));
+        const int probes = 1 + static_cast<int>(i % 5) * 4;
+        const auto got = pinger.ping(src, dst, probes);
+        const auto want = reference_ping(model, rng, src, dst, probes);
+        SCOPED_TRACE(i);
+        EXPECT_EQ(got.probes, want.probes);
+        EXPECT_EQ(bits(got.min_ms), bits(want.min_ms));
+        EXPECT_EQ(bits(got.max_ms), bits(want.max_ms));
+        EXPECT_EQ(bits(got.avg_ms), bits(want.avg_ms));
+        EXPECT_EQ(bits(got.stddev_ms), bits(want.stddev_ms));
+    }
+}
