@@ -45,30 +45,41 @@ std::vector<ResolutionShare> IncrementalResolutions::shares() const {
     return out;
 }
 
-void IncrementalSessions::close_into_histogram(std::uint32_t flows) {
+void IncrementalSessions::count_into(
+    std::array<std::uint64_t, kMaxBucket + 1>& histogram,
+    std::uint32_t flows) noexcept {
     const std::size_t bucket = std::min<std::size_t>(flows, kMaxBucket);
-    if (bucket > 0) ++closed_[bucket];
+    if (bucket > 0) ++histogram[bucket];
 }
 
 void IncrementalSessions::add(const capture::FlowRecord& r) {
     SessionGrouper::add(
-        r, [this](const Key&, const Open& s) { close_into_histogram(s.flows); });
+        r, [this](const Key&, const Open& s) { count_into(closed_, s.flows); });
 }
 
 void IncrementalSessions::close_all() {
     SessionGrouper::close_all(
-        [this](const Key&, const Open& s) { close_into_histogram(s.flows); });
+        [this](const Key&, const Open& s) { count_into(closed_, s.flows); });
+}
+
+std::array<std::uint64_t, IncrementalSessions::kMaxBucket + 1>
+IncrementalSessions::histogram() const noexcept {
+    auto out = closed_;
+    for_each_expired([&out](const Key&, const Open& s) { count_into(out, s.flows); });
+    return out;
 }
 
 std::uint64_t IncrementalSessions::sessions_closed() const noexcept {
+    const auto h = histogram();
     std::uint64_t total = 0;
-    for (std::size_t k = 1; k <= kMaxBucket; ++k) total += closed_[k];
+    for (std::size_t k = 1; k <= kMaxBucket; ++k) total += h[k];
     return total;
 }
 
 std::uint64_t IncrementalSessions::multi_flow_sessions() const noexcept {
+    const auto h = histogram();
     std::uint64_t total = 0;
-    for (std::size_t k = 2; k <= kMaxBucket; ++k) total += closed_[k];
+    for (std::size_t k = 2; k <= kMaxBucket; ++k) total += h[k];
     return total;
 }
 

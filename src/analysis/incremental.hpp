@@ -67,8 +67,10 @@ private:
 /// ytcdnd's session fold: SessionGrouper (the one session definition, see
 /// analysis/session.hpp) with no per-session payload, counting the sessions
 /// it closes into a flows-per-session histogram instead of materializing
-/// them. The grouper's open-set accessors (open(), restore(), watermark())
-/// are what the service checkpoint encodes.
+/// them. The histogram also counts the sessions that have expired but are
+/// still held, so it and the grouper's open set (open(), restore(),
+/// watermark()), which the service checkpoint encodes, split the sessions
+/// as if each had closed the moment it expired.
 class IncrementalSessions : public SessionGrouper<NoPayload> {
 public:
     using OpenSession = Open;
@@ -86,15 +88,14 @@ public:
 
     [[nodiscard]] std::uint64_t sessions_closed() const noexcept;
     [[nodiscard]] std::uint64_t multi_flow_sessions() const noexcept;
-    [[nodiscard]] const std::array<std::uint64_t, kMaxBucket + 1>& histogram()
-        const noexcept {
-        return closed_;
-    }
+    /// Closed and expired sessions by flows; [0] is unused.
+    [[nodiscard]] std::array<std::uint64_t, kMaxBucket + 1> histogram() const noexcept;
     /// Checkpoint restore of one histogram bucket.
     void restore_closed(std::size_t bucket, std::uint64_t count);
 
 private:
-    void close_into_histogram(std::uint32_t flows);
+    static void count_into(std::array<std::uint64_t, kMaxBucket + 1>& histogram,
+                           std::uint32_t flows) noexcept;
 
     std::array<std::uint64_t, kMaxBucket + 1> closed_{};  // [0] unused
 };

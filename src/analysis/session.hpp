@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -25,16 +26,13 @@ enum class FlowKind { Control, Video };
 /// (`gap_T_s`) of the latest end seen on that session so far (flows nest: a
 /// long video flow can outlive a short control flow started after it).
 ///
-/// Flows must arrive in start-time order. Each add() first hands to
-/// `close(key, session)` every session whose last end the newest start (the
-/// watermark) has passed by more than T, which no later flow can extend;
-/// close_all() closes the rest. Open sessions live in a flat open-addressing
-/// table keyed by (client, video), and a min-heap of (last_end, key) finds
-/// the ones the watermark has passed: an extension pushes a fresh entry, and
-/// a popped entry whose key is closed or has moved on is skipped (DESIGN.md
-/// §15.2). `Payload` is the caller's per-session state beyond (last_end,
-/// flows): none for ytcdnd's histogram, Figs 10/16's classes for the
-/// report's SessionFold.
+/// Flows must arrive in start-time order. A session expires once the newest
+/// start (the watermark) passes its last end by more than T. It closes lazily
+/// (DESIGN.md §15.2): `close(key, session)` gets it when its key recurs, or in
+/// a sweep once the table holds max(64, 2 x the live sessions the last sweep
+/// left). Observers see the eager split: open() holds only live sessions.
+/// `Payload` is the caller's per-session state beyond (last_end, flows): none
+/// for ytcdnd's histogram, Figs 10/16's classes for the report's SessionFold.
 template <class Payload>
 class SessionGrouper {
 public:
@@ -47,43 +45,28 @@ public:
 
     explicit SessionGrouper(double gap_T_s) : gap_(gap_T_s) {}
 
-    /// Closes what the flow's start has passed, then adds the flow to its
-    /// key's session and returns that session: `flows` already counts the
-    /// flow, so `flows == 1` marks a session the flow opened. The reference
-    /// is valid until the next add().
+    /// Adds the flow to its key's session and returns that session: `flows`
+    /// already counts the flow, so `flows == 1` marks a session the flow
+    /// opened. The reference is valid until the next add().
     template <class Close>
     Open& add(const capture::FlowRecord& r, Close&& close) {
-        // Spelled as the split test `r.start - horizon > T`; monotone in
-        // last_end, so the sessions it closes are the heap's minima.
         watermark_ = std::max(watermark_, r.start);
-        while (!expiry_.empty() && watermark_ - expiry_.front().last_end > gap_) {
-            const Expiry top = expiry_.front();
-            std::pop_heap(expiry_.begin(), expiry_.end(), ends_later);
-            expiry_.pop_back();
-            // Stale unless the key is still open and still ends there: an
-            // extension pushed a later entry for it.
-            const std::size_t i = find_slot(top.key);
-            if (slots_[i].used && slots_[i].session.last_end == top.last_end) {
-                close(slots_[i].key, slots_[i].session);
-                erase_slot(i);
-            }
-        }
+        if (held_ >= sweep_at_) sweep(close);
         const Key key{r.client_ip.value(), r.video.value()};
         Slot& slot = slot_for_insert(key);
-        const bool inserted = !slot.used;
-        if (inserted) {
+        if (!slot.used) {
             slot = Slot{key, Open{}, true};
-            ++open_count_;
+            ++held_;
+        } else if (expired(slot.session)) {
+            close(slot.key, slot.session);
+            slot.session = Open{};
         }
         ++slot.session.flows;
-        if (inserted || r.end > slot.session.last_end) {
-            slot.session.last_end = std::max(slot.session.last_end, r.end);
-            push_expiry(slot.session.last_end, key);
-        }
+        slot.session.last_end = std::max(slot.session.last_end, r.end);
         return slot.session;
     }
 
-    /// Closes every open session (shutdown / render), in table order.
+    /// Closes every held session (shutdown / render), in table order.
     template <class Close>
     void close_all(Close&& close) {
         for (Slot& slot : slots_) {
@@ -91,53 +74,71 @@ public:
             close(slot.key, slot.session);
             slot.used = false;
         }
-        open_count_ = 0;
-        expiry_.clear();
+        held_ = 0;
     }
 
     [[nodiscard]] double gap() const noexcept { return gap_; }
-    [[nodiscard]] std::size_t open_count() const noexcept { return open_count_; }
+    /// The live sessions, counted by a scan of the table.
+    [[nodiscard]] std::size_t open_count() const noexcept {
+        std::size_t n = 0;
+        for (const Slot& slot : slots_) n += slot.used && !expired(slot.session);
+        return n;
+    }
+    /// Occupancy: sessions held, live or expired but not yet closed.
+    [[nodiscard]] std::size_t held_count() const noexcept { return held_; }
 
-    /// The open sessions sorted by key, so checkpoint encoding is
-    /// independent of insertion order.
+    /// The live sessions sorted by key, so checkpoint encoding is
+    /// independent of insertion order and of when expired ones close.
     [[nodiscard]] std::vector<std::pair<Key, Open>> open() const {
         std::vector<std::pair<Key, Open>> out;
-        out.reserve(open_count_);
         for (const Slot& slot : slots_) {
-            if (slot.used) out.emplace_back(slot.key, slot.session);
+            if (slot.used && !expired(slot.session)) {
+                out.emplace_back(slot.key, slot.session);
+            }
         }
         std::sort(out.begin(), out.end(),
                   [](const auto& a, const auto& b) { return a.first < b.first; });
         return out;
     }
 
-    /// Checkpoint restore: reinstates one open session (a key already open
-    /// keeps its own) / the watermark. Restored sessions the watermark has
-    /// already passed close at the next add().
+    /// Calls `f(key, session)` for each held session that has expired: closed
+    /// to every observer, though no close callback has seen it yet.
+    template <class F>
+    void for_each_expired(F&& f) const {
+        for (const Slot& slot : slots_) {
+            if (slot.used && expired(slot.session)) f(slot.key, slot.session);
+        }
+    }
+
+    /// Checkpoint restore: reinstates one session (a key already held keeps
+    /// its own) / the watermark. One the watermark has passed is expired.
     void restore(Key key, Open session) {
         Slot& slot = slot_for_insert(key);
         if (slot.used) return;
         slot = Slot{key, session, true};
-        ++open_count_;
-        push_expiry(session.last_end, key);
+        ++held_;
     }
     void set_watermark(double watermark) noexcept { watermark_ = watermark; }
     [[nodiscard]] double watermark() const noexcept { return watermark_; }
 
 private:
-    struct Slot {
-        Key key;
-        Open session;
-        bool used = false;
-    };
-    struct Expiry {
-        double last_end;
-        Key key;
-    };
+    struct Slot { Key key; Open session; bool used = false; };
+    static constexpr std::size_t kMinSweep = 64;
 
-    /// Heap order for the expiry index: the earliest last end on top.
-    static bool ends_later(const Expiry& a, const Expiry& b) noexcept {
-        return a.last_end > b.last_end;
+    /// Spelled as the split test `r.start - horizon > T`; stays true.
+    [[nodiscard]] bool expired(const Open& s) const noexcept {
+        return watermark_ - s.last_end > gap_;
+    }
+
+    /// Closes every expired session, rebuilding the table without them.
+    template <class Close>
+    void sweep(Close& close) {
+        rebuild(0, [&close, this](const Slot& slot) {
+            if (!expired(slot.session)) return true;
+            close(slot.key, slot.session);
+            return false;
+        });
+        sweep_at_ = std::max(kMinSweep, 2 * held_);
     }
 
     /// splitmix64's finalizer over both key fields: linear probing needs the
@@ -162,42 +163,34 @@ private:
 
     /// Claims `key`'s slot, growing the table first when it is half full.
     Slot& slot_for_insert(const Key& key) {
-        if (2 * (open_count_ + 1) > slots_.size()) {
-            std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
-            old.swap(slots_);
-            for (const Slot& slot : old) {
-                if (slot.used) slots_[find_slot(slot.key)] = slot;
-            }
+        if (2 * (held_ + 1) > slots_.size()) {
+            rebuild(held_ + 1, [](const Slot&) { return true; });
         }
         return slots_[find_slot(key)];
     }
 
-    void erase_slot(std::size_t hole) noexcept {
-        // Backward-shift deletion: pull each later entry of the probe run into
-        // the hole unless its home slot lies after the hole, so no tombstones.
-        const std::size_t mask = slots_.size() - 1;
-        for (std::size_t next = (hole + 1) & mask; slots_[next].used;
-             next = (next + 1) & mask) {
-            const std::size_t home = hash_key(slots_[next].key) & mask;
-            if (((next - home) & mask) >= ((next - hole) & mask)) {
-                slots_[hole] = slots_[next];
-                hole = next;
-            }
+    /// Moves the held sessions that `keep` accepts into the spare table, sized
+    /// so that the larger of `n` sessions and the sweep threshold fill half of
+    /// it; the old table becomes the spare. Once both have grown to the peak,
+    /// no rebuild allocates, and a table sized for a past peak shrinks.
+    template <class Keep>
+    void rebuild(std::size_t n, Keep&& keep) {
+        spare_.swap(slots_);
+        slots_.assign(std::bit_ceil(2 * std::max(n, sweep_at_)), Slot{});
+        held_ = 0;
+        for (const Slot& slot : spare_) {
+            if (!slot.used || !keep(slot)) continue;
+            slots_[find_slot(slot.key)] = slot;
+            ++held_;
         }
-        slots_[hole].used = false;
-        --open_count_;
-    }
-
-    void push_expiry(double last_end, const Key& key) {
-        expiry_.push_back(Expiry{last_end, key});
-        std::push_heap(expiry_.begin(), expiry_.end(), ends_later);
     }
 
     double gap_;
-    double watermark_ = 0.0;       // newest flow start seen
-    std::vector<Slot> slots_;      // power-of-two size, linear probing
-    std::size_t open_count_ = 0;
-    std::vector<Expiry> expiry_;   // min-heap on last_end
+    double watermark_ = 0.0;            // newest flow start seen
+    std::vector<Slot> slots_;           // power-of-two size, linear probing
+    std::vector<Slot> spare_;           // the table before the last rebuild
+    std::size_t held_ = 0;              // used slots, live or expired
+    std::size_t sweep_at_ = kMinSweep;  // held_ that triggers a sweep
 };
 
 /// The payload of a grouping that keeps only (last_end, flows) per session.

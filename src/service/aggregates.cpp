@@ -114,6 +114,7 @@ std::string ServiceAggregates::render() const {
         analysis::IncrementalSessions closed = stream.sessions;
         closed.close_all();
         const std::uint64_t total = closed.sessions_closed();
+        const auto histogram = closed.histogram();
         std::vector<std::string> row{
             name, std::to_string(total),
             total == 0 ? analysis::fmt_pct(0.0)
@@ -122,7 +123,7 @@ std::string ServiceAggregates::render() const {
                              static_cast<double>(total))};
         for (std::size_t k = 1; k <= analysis::IncrementalSessions::kMaxBucket;
              ++k) {
-            row.push_back(std::to_string(closed.histogram()[k]));
+            row.push_back(std::to_string(histogram[k]));
         }
         sessions_table.add_row(std::move(row));
     }
@@ -182,11 +183,14 @@ std::string ServiceAggregates::encode() const {
         put_sorted_set(buf, s.clients);
         put_sorted_set(buf, s.server_slash24s);
 
+        // The eager split: expired sessions the grouper still holds count in
+        // the histogram, and open() holds only the live ones.
         const auto& sessions = stream.sessions;
         util::put_f64(buf, sessions.watermark());
+        const auto histogram = sessions.histogram();
         for (std::size_t k = 1;
              k <= analysis::IncrementalSessions::kMaxBucket; ++k) {
-            util::put(buf, sessions.histogram()[k]);
+            util::put(buf, histogram[k]);
         }
         const auto open_sessions = sessions.open();
         util::put(buf, static_cast<std::uint32_t>(open_sessions.size()));
@@ -264,8 +268,8 @@ util::Result<ServiceAggregates> ServiceAggregates::decode(
         }
 
         auto& sessions = it->second.sessions;
-        // Session times order the expiry index: a NaN or infinity read
-        // from disk would break that ordering, so it is rejected here.
+        // Session times decide expiry: a NaN end never expires, so its
+        // session would be held forever. NaN and infinity are rejected here.
         const auto not_finite = [&name](const char* field) {
             return Error(ErrorCode::BadField,
                          std::string("service aggregates: non-finite ") +

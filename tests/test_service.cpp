@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <random>
 #include <span>
 #include <sstream>
 #include <streambuf>
@@ -210,9 +211,9 @@ TEST(IncrementalSessions, MatchesSessionTableOverASimulatedWeek) {
 TEST(IncrementalSessions, TenThousandOpenSessionsGrowTheTableExactly) {
     // 12 000 keys open at once (long flows the watermark cannot pass),
     // every third extended while open, then a later long flow per key whose
-    // start closes the whole first wave and opens a second: the table and
-    // the expiry heap grow many times past their first capacity, and the
-    // histogram must still equal the batch grouping's.
+    // start expires the whole first wave and opens a second: the table
+    // grows many times past its first capacity, and the histogram must
+    // still equal the batch grouping's.
     constexpr std::uint32_t kKeys = 12'000;
     capture::Dataset ds;
     for (std::uint32_t i = 0; i < kKeys; ++i) {
@@ -254,8 +255,8 @@ TEST(IncrementalSessions, TenThousandOpenSessionsGrowTheTableExactly) {
 
 TEST(IncrementalSessions, RestoredStaleSessionsCloseOnNextAdd) {
     // A checkpoint written before sessions closed on the watermark holds
-    // every key's last session, however old. Restored, the stale ones must
-    // close at the next add, before a recurring key could extend them.
+    // every key's last session, however old. Restored, the stale ones count
+    // as closed at once, and no recurring key may extend them.
     capture::Dataset ds;
     ds.records = sample_records();
     ds.sort_by_time();
@@ -287,12 +288,201 @@ TEST(IncrementalSessions, RestoredStaleSessionsCloseOnNextAdd) {
     for (std::size_t k = 1; k < closed.size(); ++k) inc.restore_closed(k, closed[k]);
     for (const auto& [key, open] : last_session) inc.restore(key, open);
     inc.set_watermark(prefix.records.back().start);
-    ASSERT_GT(stale_open(inc), 0u);
+    ASSERT_LT(inc.open().size(), last_session.size());
+    std::uint64_t restored_closed = 0;
+    for (std::size_t k = 1; k < closed.size(); ++k) restored_closed += closed[k];
+    ASSERT_EQ(inc.sessions_closed(),
+              restored_closed + last_session.size() - inc.open().size());
 
     inc.add(ds.records.back());
     EXPECT_EQ(stale_open(inc), 0u);
     inc.close_all();
     EXPECT_EQ(inc.histogram(), batch_histogram(ds));
+}
+
+namespace {
+
+using SessionKey = analysis::IncrementalSessions::Key;
+using OpenSession = analysis::IncrementalSessions::OpenSession;
+
+/// The batch oracle's sessions of `prefix` split as a checkpoint taken
+/// after its last flow must split them: each key's last session is live
+/// while the newest start has not passed its end by more than `gap`, and
+/// every other session counts in the histogram.
+struct OracleCut {
+    std::vector<std::pair<SessionKey, OpenSession>> open;  // key-sorted
+    std::array<std::uint64_t, analysis::IncrementalSessions::kMaxBucket + 1>
+        histogram{};
+};
+
+OracleCut oracle_cut(const capture::Dataset& prefix, double gap) {
+    constexpr std::size_t kMax = analysis::IncrementalSessions::kMaxBucket;
+    const auto sessions = oracle::SessionTable::build(prefix, gap);
+    double watermark = 0.0;
+    for (const auto& r : prefix.records) watermark = std::max(watermark, r.start);
+    OracleCut cut;
+    std::map<SessionKey, OpenSession> last_session;
+    for (std::size_t s = 0; s < sessions.num_sessions(); ++s) {
+        OpenSession open;
+        for (const std::uint32_t row : sessions.flows_of(s)) {
+            open.last_end = std::max(open.last_end, prefix.records[row].end);
+            ++open.flows;
+        }
+        auto [it, inserted] = last_session.try_emplace(
+            {sessions.client[s].value(), sessions.video[s].value()}, open);
+        if (!inserted) {
+            // Sessions are in start order: the earlier one was split off.
+            ++cut.histogram[std::min<std::size_t>(it->second.flows, kMax)];
+            it->second = open;
+        }
+    }
+    for (const auto& [key, open] : last_session) {
+        if (watermark - open.last_end > gap) {
+            ++cut.histogram[std::min<std::size_t>(open.flows, kMax)];
+        } else {
+            cut.open.emplace_back(key, open);
+        }
+    }
+    return cut;
+}
+
+/// Empty when `inc`'s open set and histogram equal the oracle's cut of
+/// `prefix`, else what differs.
+std::string cut_mismatch(const analysis::IncrementalSessions& inc,
+                         const capture::Dataset& prefix) {
+    const auto cut = oracle_cut(prefix, inc.gap());
+    const auto open = inc.open();
+    std::ostringstream os;
+    if (inc.histogram() != cut.histogram) os << "histogram differs; ";
+    if (open.size() != cut.open.size()) {
+        os << "open " << open.size() << " vs oracle " << cut.open.size();
+        return os.str();
+    }
+    for (std::size_t i = 0; i < open.size(); ++i) {
+        const auto& [key, session] = open[i];
+        const auto& [want_key, want] = cut.open[i];
+        if (key != want_key || session.last_end != want.last_end ||
+            session.flows != want.flows) {
+            os << "open session " << i << " differs";
+            break;
+        }
+    }
+    return os.str();
+}
+
+/// Start-ordered flows on a quarter-second grid over 150 keys: equal
+/// starts, long flows that nest shorter ones of their key, and extensions
+/// that start exactly `gap` after their key's latest end.
+std::vector<capture::FlowRecord> random_start_ordered(std::uint32_t seed,
+                                                      std::size_t n, double gap) {
+    std::mt19937 rng(seed);
+    const auto pick = [&rng](std::uint32_t k) {
+        return std::uniform_int_distribution<std::uint32_t>(0, k - 1)(rng);
+    };
+    std::vector<capture::FlowRecord> out;
+    std::map<SessionKey, double> horizon;  // each key's latest end
+    double start = 0.0;
+    while (out.size() < n) {
+        std::uint32_t client = pick(15);
+        std::uint64_t video = pick(10);
+        const std::uint32_t step = pick(8);
+        start += step < 3 ? 0.0 : 0.25 * step;  // equal starts 3 times in 8
+        if (pick(4) == 0) {
+            // An extension landing exactly at watermark - last_end == T.
+            for (const auto& [key, end] : horizon) {
+                if (end + gap >= start) {
+                    client = key.first;
+                    video = key.second;
+                    start = end + gap;
+                    break;
+                }
+            }
+        }
+        const double length = pick(6) == 0 ? 20.0 : 0.25 * pick(5);  // nests
+        out.push_back(flow(client, 0xC0A80101u, start, start + length, 5000, video));
+        double& end = horizon[{client, video}];
+        end = std::max(end, start + length);
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST(IncrementalSessions, OpenSetAndHistogramMatchTheOracleAtEveryCut) {
+    // The checkpoint writes open() and histogram() at any cut, so after
+    // every add they must split the sessions as if each closed the moment
+    // the watermark passed it, whenever the grouper actually closes it.
+    constexpr double kGap = 1.0;
+    for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+        capture::Dataset prefix;
+        analysis::IncrementalSessions inc(kGap);
+        for (const auto& r : random_start_ordered(seed, 1200, kGap)) {
+            inc.add(r);
+            prefix.records.push_back(r);
+            const std::string mismatch = cut_mismatch(inc, prefix);
+            ASSERT_TRUE(mismatch.empty())
+                << "seed " << seed << " after add " << prefix.records.size()
+                << ": " << mismatch;
+        }
+    }
+
+    ytcdn::study::StudyConfig cfg;
+    cfg.scale = 0.05;
+    auto run = ytcdn::study::run_study(cfg);
+    for (auto& ds : run.traces.datasets) {
+        ds.sort_by_time();
+        capture::Dataset prefix;
+        analysis::IncrementalSessions inc;
+        for (std::size_t i = 0; i < ds.records.size(); ++i) {
+            inc.add(ds.records[i]);
+            prefix.records.push_back(ds.records[i]);
+            if ((i + 1) % 168 != 0 && i + 1 != ds.records.size()) continue;
+            const std::string mismatch = cut_mismatch(inc, prefix);
+            ASSERT_TRUE(mismatch.empty())
+                << ds.name << " after add " << i + 1 << ": " << mismatch;
+        }
+    }
+}
+
+TEST(IncrementalSessions, HeldSessionsStayWithinTwiceThePeakLiveSet) {
+    // Keys that never recur, each expired before the next flow starts: only
+    // sweeps close them, and they run before the table holds more than 64.
+    analysis::IncrementalSessions lone(1.0);
+    constexpr std::uint32_t kLoneFlows = 1'000'000;
+    std::size_t peak_held = 0;
+    for (std::uint32_t i = 0; i < kLoneFlows; ++i) {
+        lone.add(flow(i, 0xC0A80101u, 10.0 * i, 10.0 * i + 1.0, 5000, i));
+        peak_held = std::max(peak_held, lone.held_count());
+    }
+    EXPECT_LE(peak_held, 64u);
+    EXPECT_EQ(lone.sessions_closed(), kLoneFlows - 1);
+    EXPECT_EQ(lone.open_count(), 1u);
+
+    // Three waves of 12 000 keys, each live at once and expired by the
+    // next wave's first start: the grouper holds the expired wave while the
+    // next one opens, but never more than twice the live wave. 5 200 keys
+    // sit just past a sweep point, where a looser rule would overshoot.
+    for (const std::uint32_t keys : {5'200u, 12'000u}) {
+        capture::Dataset ds;
+        for (std::uint32_t wave = 0; wave < 3; ++wave) {
+            for (std::uint32_t i = 0; i < keys; ++i) {
+                const double start = 1000.0 * wave + 1e-3 * i;
+                ds.records.push_back(flow(0x0A000000u + wave * keys + i, 0xC0A80101u,
+                                          start, start + 500.0, 5000, i % 7));
+            }
+        }
+        analysis::IncrementalSessions waves(1.0);
+        peak_held = 0;
+        for (const auto& r : ds.records) {
+            waves.add(r);
+            peak_held = std::max(peak_held, waves.held_count());
+        }
+        EXPECT_GT(peak_held, keys) << keys;
+        EXPECT_LE(peak_held, 2 * keys) << keys;
+        EXPECT_EQ(waves.open().size(), keys);
+        waves.close_all();
+        EXPECT_EQ(waves.histogram(), batch_histogram(ds)) << keys;
+    }
 }
 
 TEST(ServiceAggregates, SectionViiFoldsEachStreamByBytes) {
@@ -474,8 +664,8 @@ TEST(ServiceAggregates, DecodeRejectsDamage) {
               std::string::npos)
         << rejected.error().what();
 
-    // Fields that order the session expiry index, or that encode() writes
-    // in order, are checked. Offsets into the one-stream, map-less payload:
+    // Fields that decide session expiry, or that encode() writes in order,
+    // are checked. Offsets into the one-stream, map-less payload:
     // version, gap, empty map text, stream count, name, three u64 totals,
     // the three sorted sets, then the watermark, the eight histogram
     // buckets, the open count and the open sessions (u32 client, u64
